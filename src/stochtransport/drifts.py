@@ -61,7 +61,9 @@ class DriftField:
     ``fn``, ``divergence`` and ``jacobian`` are vectorized over points of
     shape (..., d); the Jacobian returns (..., d, d). ``constant_value``
     is set only for spatially constant fields, and unlocks closed-form
-    transported solutions downstream.
+    transported solutions downstream. ``factors`` is set only for
+    separable fields b(t, x) = gain(t) * base(x), as the pair
+    ``(gain, base)``; the mollifier uses it to tabulate the base once.
     """
 
     id: str
@@ -73,6 +75,7 @@ class DriftField:
     time_dependent: bool = False
     constant_value: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
+    factors: Optional[tuple] = None
 
     @property
     def is_smooth(self) -> bool:
@@ -298,11 +301,20 @@ _GAIN_RULES = {
 
 
 def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> DriftField:
-    """Separable time modulation g(t) * b(x) with g from a small catalog."""
+    """Separable time modulation g(t) * b(x) with g from a small catalog.
+
+    The result records its ``factors``: modulating an already modulated
+    field multiplies the two gains and keeps the innermost base.
+    """
     if gain_id not in _GAIN_RULES:
         raise ConfigError(f"unknown gain id {gain_id!r}; choose from {sorted(_GAIN_RULES)}")
     gain = _GAIN_RULES[gain_id]
     T = float(horizon)
+
+    inner_gain, root = base.factors or (lambda t: 1.0, base)
+
+    def total_gain(t):
+        return gain(t, T) * inner_gain(t)
 
     def fn(t, x):
         return gain(t, T) * base.fn(t, x)
@@ -322,6 +334,7 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
         regularity_tags=base.regularity_tags,
         time_dependent=True,
         params={"base": base.id, "gain": gain_id, "horizon": T},
+        factors=(total_gain, root),
     )
 
 

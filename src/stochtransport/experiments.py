@@ -143,6 +143,11 @@ class ExperimentConfig:
             raise ConfigError("phi_count must be positive")
         if self.mollify_eps is not None and self.mollify_eps < 0:
             raise ConfigError("mollify_eps must be nonnegative")
+        if self.mollify_eps and self.mollify_eps < grid.h:
+            raise ConfigError(
+                f"mollify_eps={self.mollify_eps} is below the grid spacing h={grid.h}; "
+                f"use 0 to disable smoothing or a radius of at least h"
+            )
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
         self.drift()  # id and parameter checks

@@ -12,8 +12,12 @@ upwind finite-volume stepper in advective form. An RK4 characteristics
 integrator doubles as the convergence oracle for both.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
-b by its convolution with a bump kernel of radius 2h (tabulated once for
-autonomous one-dimensional fields) and records the radius it used.
+b by its convolution with a bump kernel of radius 2h and records the
+radius it used. The convolution is computed once per solve, on one
+lattice that covers the box, the path excursion and the RK4 stage
+displacements, with the grid kernel of ``fields.MollifierSpec``; every
+velocity call is then a table lookup. A time-modulated drift g(t) * b(x)
+is tabulated through b and scaled by g(t) per call.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
-from .errors import BlowUpError, ConfigError, FieldValidationError, SupportMarginWarning
-from .fields import ScalarField, SpatialGrid, bump_profile, interpolate
+from .errors import (BlowUpError, ConfigError, FieldValidationError, KernelResolutionError,
+                     SupportMarginWarning)
+from .fields import MollifierSpec, ScalarField, SpatialGrid, interpolate
 from .paths import SamplePath, eval_path
 
 __all__ = [
@@ -104,86 +110,68 @@ def composed_drift(b: DriftField, path: SamplePath) -> Callable[[float, np.ndarr
 # drift mollification
 
 
-class _QuadratureMollifiedDrift:
-    """Convolution of a drift with a bump kernel by fixed quadrature."""
-
-    def __init__(self, base: DriftField, epsilon: float, quad_per_axis: int = 64):
-        self.base = base
-        self.epsilon = float(epsilon)
-        nodes_1d, weights_1d = np.polynomial.legendre.leggauss(quad_per_axis)
-        nodes_1d = nodes_1d * self.epsilon
-        weights_1d = weights_1d * self.epsilon
-        if base.d == 1:
-            nodes = nodes_1d[:, None]
-            w = weights_1d * bump_profile(nodes_1d / self.epsilon)
-        else:
-            g1, g2 = np.meshgrid(nodes_1d, nodes_1d, indexing="ij")
-            nodes = np.stack([g1.ravel(), g2.ravel()], axis=-1)
-            radial = np.hypot(g1, g2).ravel() / self.epsilon
-            w = np.outer(weights_1d, weights_1d).ravel() * bump_profile(radial)
-        keep = w > 0
-        self.nodes = nodes[keep]
-        self.weights = w[keep] / w[keep].sum()  # reproduce constants exactly
-
-    def fn(self, t, points):
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape)
-        for z, w in zip(self.nodes, self.weights):
-            out += w * self.base.fn(t, pts - z)
-        return out
-
-    def divergence(self, t, points):
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for z, w in zip(self.nodes, self.weights):
-            out += w * self.base.divergence(t, pts - z)
-        return out
+#: Lattice steps per mollifier radius. The 1D table is read by linear
+#: interpolation (np.interp) and needs the finer lattice; the 2D table is
+#: read by cubic interpolation, which resolves the kernel on a coarser
+#: lattice and keeps the n**2 table small.
+_STEPS_PER_RADIUS = {1: 64, 2: 8}
 
 
-class _TabulatedDrift1D:
-    """Dense table of an autonomous mollified 1D drift, linearly interpolated."""
-
-    def __init__(self, quad: _QuadratureMollifiedDrift, reach: float, spacing: float):
-        self.reach = float(reach)
-        n = int(math.ceil(2.0 * self.reach / spacing)) + 1
-        self.xs = np.linspace(-self.reach, self.reach, n)
-        self.ys = quad.fn(0.0, self.xs[:, None])[:, 0]
-
-    def fn(self, t, points):
-        pts = np.asarray(points, dtype=float)
-        flat = pts[..., 0]
-        if np.any(np.abs(flat) > self.reach):
-            raise BlowUpError(
-                f"mollified drift queried at |x| > {self.reach}, beyond its table"
-            )
-        return np.interp(flat, self.xs, self.ys)[..., None]
-
-
-def mollified_drift(
-    b: DriftField,
-    epsilon: float,
-    reach: float | None = None,
-    quad_per_axis: int = 64,
-) -> DriftField:
+def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     """Smooth a drift in space by convolution with the radius-epsilon bump.
 
-    For autonomous one-dimensional fields the convolution is tabulated
-    once on [-reach, reach] with spacing epsilon/64 and then evaluated by
-    linear interpolation; everything else falls back to direct quadrature
-    per call. The divergence rule, when the base field has one, is the
-    convolution of the base divergence with the same kernel.
+    The drift's autonomous factor is sampled once on a lattice of spacing
+    epsilon/64 (1D) or epsilon/8 (2D) that covers the cube |x_i| <= reach
+    plus the kernel radius and the interpolation stencil, and convolved
+    there with ``MollifierSpec(epsilon, d).grid_kernel``. Each call is then
+    a lookup: linear interpolation in 1D, cubic ``interpolate`` in 2D; a
+    query beyond the reach raises ``BlowUpError``. A time-modulated field
+    g(t) * b(x) (see ``DriftField.factors``) is tabulated through b and
+    scaled by g(t) per call, since mollifying commutes with the gain; any
+    other time-dependent field is rejected with ``ConfigError``. The
+    divergence rule is the central difference of the table.
     """
-    if not (epsilon > 0):
+    if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
-    quad = _QuadratureMollifiedDrift(b, epsilon, quad_per_axis)
-    if b.d == 1 and not b.time_dependent and reach is not None:
-        table = _TabulatedDrift1D(quad, reach, epsilon / 64.0)
-        fn = table.fn
-    else:
-        fn = quad.fn
-    div = quad.divergence if b.divergence is not None else None
+    if not (reach > 0 and math.isfinite(reach)):
+        raise ConfigError(f"mollifier table reach must be positive, got {reach}")
+    gain, base = b.factors or (None, b)
+    if base.time_dependent:
+        raise ConfigError(
+            f"cannot mollify {b.id!r}: a time-dependent drift must be separable, g(t) * b(x)"
+        )
+    d = b.d
+    delta = epsilon / _STEPS_PER_RADIUS[d]
+    n = int(math.ceil(2.0 * (reach + epsilon + 3.0 * delta) / delta))
+    lattice = SpatialGrid(d, 0.5 * n * delta, n)
+    samples = eval_drift(base, 0.0, lattice.nodes()).reshape(lattice.shape + (d,))
+    kernel = MollifierSpec(epsilon, d).grid_kernel(lattice.h)
+    smooth = [ndimage.convolve(samples[..., a], kernel, mode="nearest") for a in range(d)]
+    axis = lattice.axis()
+    tables = [ScalarField(lattice, c) for c in smooth]
+    # Differentiating the table never evaluates the base divergence, which
+    # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
+    div_table = ScalarField(
+        lattice, sum(np.gradient(c, lattice.h, axis=a) for a, c in enumerate(smooth))
+    )
+
+    def read(table, t, points):
+        pts = np.asarray(points, dtype=float)
+        if np.abs(pts).max(initial=0.0) > reach:
+            raise BlowUpError(f"mollified drift queried at |x_i| > {reach}, beyond its table")
+        out = np.interp(pts[..., 0], axis, table.values) if d == 1 else interpolate(table, pts)
+        return out if gain is None else gain(t) * out
+
+    def fn(t, points):
+        if d == 1:
+            return read(tables[0], t, points)[..., None]
+        return np.stack([read(table, t, points) for table in tables], axis=-1)
+
+    def divergence(t, points):
+        return read(div_table, t, points)
+
     return DriftField(
-        f"{b.id}~eps", b.d, fn, div, None,
+        f"{b.id}~eps", d, fn, divergence, None,
         regularity_tags=(b.regularity_tags | {"smooth", "mollified"}),
         time_dependent=b.time_dependent,
         params={**b.params, "mollify_epsilon": float(epsilon)},
@@ -335,14 +323,18 @@ def solve_transport(
     mollify_epsilon
         None applies the default policy: drifts not tagged smooth are
         convolved with a bump of radius 2h before stepping. Zero disables
-        smoothing; a positive value forces that radius.
+        smoothing; a positive value forces that radius and must be at
+        least h. The smoothed drift is tabulated once per solve by
+        :func:`mollified_drift`; time-dependent drifts must be separable.
 
     Raises
     ------
     ConfigError
-        Mesh mismatches, CFL violation, unknown scheme.
+        Mesh mismatches, CFL violation, unknown scheme, a sub-grid
+        mollifier radius, a non-separable time-dependent drift to smooth.
     BlowUpError
-        Non-finite values during marching, with the offending step index.
+        Non-finite values during marching, with the offending step index,
+        or a drift query beyond the mollifier table.
     """
     grid = u0.grid
     if scheme not in SCHEMES:
@@ -373,16 +365,24 @@ def solve_transport(
         eps = None
     else:
         eps = float(mollify_epsilon)
+        if 0.0 < eps < grid.h:
+            raise KernelResolutionError(
+                f"mollify_epsilon {eps} is below the grid spacing h={grid.h}; "
+                f"use 0 to disable smoothing or a radius of at least h"
+            )
+    times = np.linspace(0.0, horizon, n_snapshots + 1)
     b_eff = b
     if eps is not None:
+        # Drift queries stay within the box shifted by the path, plus one
+        # RK4 stage displacement dt*|b|; the doubling covers speeds between
+        # the probe times and beyond the box.
         excursion = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-        reach = 4.0 * (grid.half_width + excursion) + eps + 1.0
-        b_eff = mollified_drift(b, eps, reach=reach)
+        stage = cfl_number(composed_drift(b, path), grid, dt, times) * grid.h
+        b_eff = mollified_drift(b, eps, grid.half_width + excursion + 2.0 * stage)
 
     velocity = composed_drift(b_eff, path)
     if scheme == "upwind_fv":
-        probe_times = np.linspace(0.0, horizon, n_snapshots + 1)
-        cfl = cfl_number(velocity, grid, dt, probe_times)
+        cfl = cfl_number(velocity, grid, dt, times)
         if cfl > _CFL_LIMIT:
             raise ConfigError(
                 f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
@@ -418,7 +418,6 @@ def solve_transport(
             SupportMarginWarning,
             stacklevel=2,
         )
-    times = np.linspace(0.0, horizon, n_snapshots + 1)
     return TransportSolution(
         grid=grid,
         times=times,

@@ -445,6 +445,13 @@ class TestCommandLine:
         assert main(["solve", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_sub_grid_mollifier_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, base_dict(mollify_eps=1e-6))
+        assert main(["solve", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "mollify_eps=1e-06 is below the grid spacing" in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
 

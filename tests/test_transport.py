@@ -2,6 +2,7 @@
 
 Closed-form flows provide the oracles: constant drift translates,
 b(x) = -x contracts by e^{-t} (so backward feet expand by e^{dt}).
+The mollified drift is checked against a direct bump quadrature.
 """
 
 import math
@@ -11,15 +12,24 @@ import numpy as np
 import pytest
 
 from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
-from stochtransport.drifts import constant_drift, linear_drift, stream_function_drift, zero_drift
+from stochtransport.drifts import (
+    DriftField,
+    constant_drift,
+    linear_drift,
+    power_drift,
+    stream_function_drift,
+    time_modulated_drift,
+    zero_drift,
+)
 from stochtransport.experiments import estimate_order
-from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
+from stochtransport.fields import ScalarField, SpatialGrid, bump_profile, lp_norm
 from stochtransport.paths import sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.transport import (
     _rk4_feet,
     cfl_number,
     characteristics_solve,
+    mollified_drift,
     solve_transport,
     upwind_fv_step,
 )
@@ -251,3 +261,113 @@ class TestSchemeProperties:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         got = cfl_number(lambda t, p: np.full_like(p, 2.0), g, 0.01, [0.0, 1.0])
         assert got == pytest.approx(0.02 / g.h, rel=1e-12)
+
+
+def bump_average(b, t, points, eps, per_axis):
+    """Reference mollification: midpoint rule for the radius-eps bump average."""
+    z = eps * (2.0 * (np.arange(per_axis) + 0.5) / per_axis - 1.0)
+    if b.d == 1:
+        offsets = z[:, None]
+        w = bump_profile(z / eps)
+    else:
+        z1, z2 = np.meshgrid(z, z, indexing="ij")
+        offsets = np.stack([z1.ravel(), z2.ravel()], axis=-1)
+        w = bump_profile(np.hypot(z1, z2).ravel() / eps)
+    keep = w > 0
+    offsets, w = offsets[keep], w[keep] / w[keep].sum()
+    pts = np.asarray(points, dtype=float)
+    return np.stack([w @ b.fn(t, p - offsets) for p in pts])
+
+
+class TestMollifiedDrift:
+    EPS = 1.0 / 16
+    PTS_1D = np.array([[-5.9], [-1.0], [-0.03], [0.0], [0.01], [0.5], [3.3]])
+    PTS_2D = np.array([[0.0, 0.0], [-4.7, 1.3], [2.05, -3.9], [0.6, 0.11]])
+
+    def test_power1d_matches_bump_quadrature(self):
+        b = power_drift(0.75, scale=-1.0)
+        got = mollified_drift(b, self.EPS, reach=6.0).fn(0.0, self.PTS_1D)
+        ref = bump_average(b, 0.0, self.PTS_1D, self.EPS, 20000)
+        assert got.shape == self.PTS_1D.shape
+        assert np.max(np.abs(got - ref)) <= 1e-5
+
+    def test_time_modulated_is_gain_times_mollified_base(self):
+        base = power_drift(0.75, scale=-1.0)
+        once = time_modulated_drift(base, "sin_squared", 1.0)
+        twice = time_modulated_drift(once, "ramp", 1.0)
+        smooth_base = mollified_drift(base, self.EPS, reach=6.0).fn(0.0, self.PTS_1D)
+        m_once = mollified_drift(once, self.EPS, reach=6.0)
+        m_twice = mollified_drift(twice, self.EPS, reach=6.0)
+        for t in (0.0, 0.3, 0.8):
+            gain = math.sin(math.pi * t) ** 2
+            assert np.allclose(m_once.fn(t, self.PTS_1D), gain * smooth_base,
+                               rtol=1e-14, atol=0.0)
+            assert np.allclose(m_twice.fn(t, self.PTS_1D), t * gain * smooth_base,
+                               rtol=1e-14, atol=0.0)
+            ref = bump_average(twice, t, self.PTS_1D, self.EPS, 20000)
+            assert np.max(np.abs(m_twice.fn(t, self.PTS_1D) - ref)) <= 1e-5
+
+    def test_forced_2d_stream_matches_bump_quadrature(self):
+        b = stream_function_drift(4.0)
+        m = mollified_drift(b, 0.25, reach=5.0)
+        got = m.fn(0.0, self.PTS_2D)
+        ref = bump_average(b, 0.0, self.PTS_2D, 0.25, 400)
+        assert got.shape == self.PTS_2D.shape
+        assert np.max(np.abs(got - ref)) <= 1e-5
+        # mollifying commutes with the divergence, which vanishes here
+        assert np.max(np.abs(m.divergence(0.0, self.PTS_2D))) <= 1e-10
+
+    def test_power1d_divergence_is_slope_of_the_average(self):
+        b = power_drift(0.75, scale=-1.0)
+        m = mollified_drift(b, self.EPS, reach=6.0)
+        eta = 1e-4
+        slope = (bump_average(b, 0.0, self.PTS_1D + eta, self.EPS, 20000)
+                 - bump_average(b, 0.0, self.PTS_1D - eta, self.EPS, 20000))[:, 0] / (2 * eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = m.divergence(0.0, self.PTS_1D)
+        assert np.max(np.abs(got - slope)) <= 1e-3 * np.max(np.abs(slope))
+
+    @pytest.mark.parametrize("b, point", [
+        (power_drift(0.75), [[2.01]]),
+        (stream_function_drift(4.0), [[0.0, -2.5]]),
+    ])
+    def test_query_beyond_the_table_raises(self, b, point):
+        m = mollified_drift(b, 0.25, reach=2.0)
+        m.fn(0.0, np.full((1, b.d), 2.0))
+        with pytest.raises(BlowUpError):
+            m.fn(0.0, point)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_radius_rejected(self, eps):
+        with pytest.raises(ConfigError):
+            mollified_drift(power_drift(0.75), eps, reach=2.0)
+
+    def test_non_separable_time_dependent_drift_rejected(self):
+        swirl = DriftField("swirl", 1, lambda t, x: np.sin(t * np.asarray(x)),
+                           time_dependent=True)
+        with pytest.raises(ConfigError, match="separable"):
+            mollified_drift(swirl, self.EPS, reach=2.0)
+        with pytest.raises(ConfigError, match="separable"):
+            mollified_drift(time_modulated_drift(swirl, "ramp", 1.0), self.EPS, reach=2.0)
+
+    def test_sub_grid_radius_rejected_by_solver(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        w = zero_path(1.0, 16, 1)
+        with pytest.raises(ConfigError, match="grid spacing"):
+            solve_transport(power_drift(0.75), w, u0, dt=1.0 / 16, horizon=1.0,
+                            n_snapshots=4, mollify_epsilon=0.5 * g.h)
+
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    def test_rough_solves_emit_no_runtime_warning(self, scheme):
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
+        w = sample_brownian(5, 0.25, 64, 1)
+        base = power_drift(0.75, scale=-1.0)
+        for b in (base, time_modulated_drift(base, "sin_squared", 0.25)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sol = solve_transport(b, w, u0, dt=0.25 / 64, horizon=0.25,
+                                      scheme=scheme, n_snapshots=4)
+            assert sol.mollify_epsilon == 2.0 * g.h
