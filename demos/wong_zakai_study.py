@@ -22,8 +22,7 @@ def main() -> None:
     print(f"{'knots':>6} {'sup |B_n - B|':>14} {'sup-t L2 error':>15}")
     for level in (4, 8, 16, 32, 64, 128, 256, 2048):
         approx = st.piecewise_linear_approx(path, level)
-        sol = st.solve_spde_wong_zakai(b, approx, u0, dt=1.0 / 2048,
-                                       horizon=1.0, p=2.0)
+        sol = st.solve_spde(b, approx, u0, dt=1.0 / 2048, horizon=1.0, p=2.0)
         err = max(st.lp_norm(ua - ub, 2.0)
                   for ua, ub in zip(sol.fields, ref.fields))
         dist = st.sup_distance(approx, path)

@@ -32,14 +32,12 @@ from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, sinusoid, step)
 from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
                    exact_solution, renormalize_check, smoothed_truncated_power,
-                   solve_spde, solve_spde_wong_zakai, squared_renormalization,
-                   time_continuity_modulus)
+                   solve_spde, squared_renormalization, time_continuity_modulus)
 from .transport import (TransportSolution, cfl_number, characteristics_solve,
                         composed_drift, mollified_drift, semi_lagrangian_step,
                         solve_transport, upwind_fv_step)
 from .weakform import (TestFunction, WeakResidualReport, WeakResidualSeries,
-                       make_test_functions, weak_residual, weak_residual_bv,
-                       write_weak_report_csv)
+                       make_test_functions, weak_residual, write_weak_report_csv)
 
 __version__ = "0.1.0"
 
@@ -70,13 +68,12 @@ __all__ = [
     "semi_lagrangian_step", "upwind_fv_step", "characteristics_solve",
     "cfl_number", "solve_transport",
     # spde
-    "SpdeSolution", "solve_spde", "solve_spde_wong_zakai", "exact_solution",
+    "SpdeSolution", "solve_spde", "exact_solution",
     "RenormalizationFn", "smoothed_truncated_power", "squared_renormalization",
     "RenormalizationReport", "renormalize_check", "time_continuity_modulus",
     # weak form
     "TestFunction", "make_test_functions", "WeakResidualSeries",
-    "WeakResidualReport", "weak_residual", "weak_residual_bv",
-    "write_weak_report_csv",
+    "WeakResidualReport", "weak_residual", "write_weak_report_csv",
     # experiments
     "ExperimentConfig", "CommandResult", "ConvergenceTable", "estimate_order",
     "cmd_solve", "cmd_verify_weak", "cmd_uniqueness_crosscheck",

@@ -1,0 +1,49 @@
+"""The CSV format of every artifact: one writer and one reader.
+
+A file is an optional comment line ``# <tag> key=value ...``, a line of
+column names, then one line per row. Cells are joined by commas, every
+line ends in ``\\n`` and the text is UTF-8. Cells are written with
+``str``: a Python float becomes its shortest round-trip text (its
+``repr``), so a value read back with ``float`` is the same float bit for
+bit. Callers pass Python scalars (``ndarray.tolist()``); NumPy scalars
+are not part of the format.
+"""
+
+from __future__ import annotations
+
+__all__ = ["write_csv", "read_csv"]
+
+
+def write_csv(path, columns, rows, header=None) -> None:
+    """Write ``rows`` (tuples of str, int or float) under a column line.
+
+    ``header`` is None or a ``(tag, {key: value})`` pair, written first as
+    ``# tag key=value ...``.
+    """
+    lines = []
+    if header is not None:
+        tag, meta = header
+        lines.append(" ".join(["#", tag] + [f"{k}={v}" for k, v in meta.items()]) + "\n")
+    lines.append(",".join(columns) + "\n")
+    row_format = ",".join(["%s"] * len(columns)) + "\n"
+    lines.extend(row_format % row for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+
+
+def read_csv(path):
+    """Read a file in the artifact format: ``(header, columns, rows)``.
+
+    ``header`` is the ``(tag, {key: value})`` pair of the comment line, or
+    None when the file starts with its column line. Every cell, header
+    values included, is returned as a string.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        line = fh.readline().rstrip("\n")
+        header = None
+        if line.startswith("#"):
+            tag, _, rest = line[1:].strip().partition(" ")
+            header = (tag, dict(tok.split("=", 1) for tok in rest.split()))
+            line = fh.readline().rstrip("\n")
+        columns = line.split(",") if line else []
+        return header, columns, [row.rstrip("\n").split(",") for row in fh]

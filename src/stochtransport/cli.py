@@ -24,24 +24,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    commands = {
+        "solve": "run one configuration and dump artifacts",
+        "verify-weak": "audit dumped artifacts against the weak identity",
+        "uniqueness": "cross-check both schemes on a refinement ladder",
+        "wong-zakai": "piecewise-linear path approximation study",
+        "hypotheses": "drift integrability checks",
+    }
+    for name, text in commands.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="artifact directory override")
         p.add_argument("--seed", type=int, default=None, help="path seed override")
-        p.add_argument("--path-file", default=None,
-                       help="replay a dumped path CSV instead of sampling")
-
-    common(sub.add_parser("solve", help="run one configuration and dump artifacts"))
-    common(sub.add_parser("verify-weak",
-                          help="audit dumped artifacts against the weak identity"))
-    common(sub.add_parser("uniqueness",
-                          help="cross-check both schemes on a refinement ladder"))
-    wz = sub.add_parser("wong-zakai",
-                        help="piecewise-linear path approximation study")
-    common(wz)
-    wz.add_argument("--seeds", type=int, default=1,
-                    help="number of consecutive seeds; reports worst case")
-    common(sub.add_parser("hypotheses", help="drift integrability checks"))
+        if name in ("solve", "uniqueness", "wong-zakai"):
+            p.add_argument("--path-file", default=None,
+                           help="replay a dumped path CSV instead of sampling")
+        if name == "wong-zakai":
+            p.add_argument("--seeds", type=int, default=1,
+                           help="number of consecutive seeds; reports worst case")
     return parser
 
 

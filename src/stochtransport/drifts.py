@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import trapezoid
 
+from .artifacts import write_csv
 from .errors import ConfigError, DriftEvaluationError
 
 __all__ = [
@@ -591,13 +592,11 @@ def divergence_bound(b: DriftField, window, horizon: float, samples: int = 4096,
 
 def write_hypothesis_csv(report: HypothesisReport, path) -> None:
     """Write the four checks as rows ``check,ok,evidence,threshold``."""
-    rows = [
+    checks = [
         ("div_bound", report.div_ok, report.div_bound),
         ("lq_loc", report.lq_loc_ok, report.lq_evidence),
         ("w1q_loc", report.w1q_loc_ok, report.w1q_evidence),
         ("growth", report.growth_ok, report.growth_evidence),
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("check,ok,evidence,threshold\n")
-        for name, ok, evidence in rows:
-            fh.write(f"{name},{str(ok).lower()},{evidence!r},{EVIDENCE_CEILING!r}\n")
+    rows = [(name, str(ok).lower(), evidence, EVIDENCE_CEILING) for name, ok, evidence in checks]
+    write_csv(path, ("check", "ok", "evidence", "threshold"), rows)

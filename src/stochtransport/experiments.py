@@ -17,9 +17,11 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .drifts import (DriftField, check_hypotheses, drift_from_spec, eval_drift,
                      write_hypothesis_csv)
 from .errors import ConfigError
@@ -28,9 +30,9 @@ from .fields import (LebesgueExponent, ScalarField, SpatialGrid, lp_norm,
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .spde import SpdeSolution, exact_solution, solve_spde, solve_spde_wong_zakai
-from .weakform import (make_test_functions, weak_residual, weak_residual_bv,
-                       write_weak_report_csv)
+from .spde import SpdeSolution, exact_solution, solve_spde
+from .transport import _snapshot_support_hits_margin, cfl_number
+from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -150,38 +152,21 @@ class ExperimentConfig:
             )
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
-        self.drift()  # id and parameter checks
+        b = self.drift()  # id and parameter checks
         profile = self.profile()
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
         u0 = sample_profile(grid, profile)
-        margin = 0.1 * grid.half_width
-        band = max(1, int(math.ceil(margin / grid.h)))
-        tol = 1.0e-9 * max(float(np.max(np.abs(u0.values))), 1.0e-300)
-        for axis in range(grid.d):
-            edge = np.concatenate(
-                [np.take(u0.values, range(band), axis=axis),
-                 np.take(u0.values, range(grid.n - band, grid.n), axis=axis)],
-                axis=axis)
-            if np.any(np.abs(edge) > tol):
-                raise ConfigError(
-                    "initial data does not clear the 10% wrap-around margin"
-                )
+        if _snapshot_support_hits_margin(u0, float(np.max(np.abs(u0.values)))):
+            raise ConfigError("initial data does not clear the 10% wrap-around margin")
         if self.scheme == "upwind_fv":
             # Drift-only CFL estimate on box samples; the solver re-checks
             # with the path-composed velocity before marching.
-            b = self.drift()
             coarse = SpatialGrid(self.d, self.half_width, min(self.n, 64))
-            pts = coarse.nodes()
-            worst = 0.0
-            for t in np.linspace(0.0, self.horizon, 5):
-                vel = eval_drift(b, float(t), pts)
-                worst = max(worst, float(np.max(np.sum(np.abs(vel), axis=-1))))
-            if self.dt * worst / grid.h > 0.9:
-                raise ConfigError(
-                    f"upwind CFL precheck fails: dt*|b|/h = "
-                    f"{self.dt * worst / grid.h:.3f} > 0.9"
-                )
+            cfl = cfl_number(partial(eval_drift, b), coarse, self.dt,
+                             np.linspace(0.0, self.horizon, 5)) * coarse.h / grid.h
+            if cfl > 0.9:
+                raise ConfigError(f"upwind CFL precheck fails: dt*|b|/h = {cfl:.3f} > 0.9")
 
     # -- builders ----------------------------------------------------------
 
@@ -290,7 +275,7 @@ class ConvergenceTable:
         return estimate_order(self.errors)
 
     def to_csv(self, path) -> None:
-        lines = ["level,error,empirical_order\n"]
+        rows = []
         prev = None
         for i, (lvl, err) in enumerate(zip(self.levels, self.errors)):
             err = float(err)
@@ -299,11 +284,10 @@ class ConvergenceTable:
             elif err == 0.0:
                 tag = "exact"
             else:
-                tag = repr(math.log2(prev / err))
-            lines.append(f"{lvl},{err!r},{tag}\n")
+                tag = math.log2(prev / err)
+            rows.append((lvl, err, tag))
             prev = err
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        write_csv(path, ("level", "error", "empirical_order"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +315,14 @@ def _manifest_row(cfg: ExperimentConfig, path_kind: str, seed: int,
 
 
 def _write_manifest(rows, path) -> None:
-    lines = [",".join(_MANIFEST_COLUMNS) + "\n"]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in _MANIFEST_COLUMNS) + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    write_csv(path, _MANIFEST_COLUMNS,
+              [tuple(row[c] for c in _MANIFEST_COLUMNS) for row in rows])
+
+
+def _read_manifest(path) -> list:
+    """Rows of a manifest as dicts of strings, keyed by column."""
+    _, columns, rows = read_csv(path)
+    return [dict(zip(columns, row)) for row in rows]
 
 
 def _ensure_dir(out_dir) -> str:
@@ -368,11 +355,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
         write_field_csv(v, os.path.join(out_dir, f"v_t{m:04d}.csv"))
     write_path_csv(path, os.path.join(out_dir, "path.csv"))
-    norm_lines = ["m,t,lp_norm\n"]
-    for m, (t, u) in enumerate(zip(sol.times, sol.fields)):
-        norm_lines.append(f"{m},{float(t)!r},{lp_norm(u, cfg.exponent())!r}\n")
-    with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
-        fh.writelines(norm_lines)
+    norms = [(m, t, lp_norm(u, cfg.exponent()))
+             for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
+    write_csv(os.path.join(out_dir, "norms.csv"), ("m", "t", "lp_norm"), norms)
     _write_manifest([_manifest_row(cfg, path.kind, seed, None)],
                     os.path.join(out_dir, "manifest.csv"))
     result = CommandResult(0)
@@ -390,6 +375,18 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     files = sorted(glob.glob(pattern))
     if not files:
         raise ConfigError(f"no run artifacts under {out_dir} (expected u_t*.csv)")
+    manifest = os.path.join(out_dir, "manifest.csv")
+    if not os.path.isfile(manifest):
+        raise ConfigError(f"no manifest.csv under {out_dir}; cannot match the artifacts "
+                          f"to config_hash={cfg.config_hash()}")
+    current = (cfg.config_hash(), TOLERANCE_VERSION)
+    for row in _read_manifest(manifest) or [{}]:
+        written = (row.get("config_hash"), row.get("tolerance_version"))
+        if written != current:
+            raise ConfigError(
+                f"artifacts under {out_dir} were written with config_hash={written[0]} "
+                f"tolerance_version={written[1]}; this config has "
+                f"config_hash={current[0]} tolerance_version={current[1]}")
     fields = [read_field_csv(f) for f in files]
     path = read_path_csv(os.path.join(out_dir, "path.csv"))
     times = np.linspace(0.0, cfg.horizon, len(fields))
@@ -405,11 +402,7 @@ def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None,
     out_dir, seed = _resolve(cfg, out_dir, seed)
     sol = _load_run(cfg, out_dir)
     phis = make_test_functions(sol.grid, cfg.phi_count, seed)
-    b = cfg.drift()
-    if sol.path.kind == "piecewise_linear_bv":
-        report = weak_residual_bv(sol, b, phis=phis)
-    else:
-        report = weak_residual(sol, b, phis=phis)
+    report = weak_residual(sol, cfg.drift(), phis=phis)
     write_weak_report_csv(report, os.path.join(out_dir, "weak_report.csv"))
     worst = report.max_normalized
     ok = worst <= tolerance
@@ -516,9 +509,8 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
                          p=exponent, mollify_epsilon=cfg.mollify_eps)
         for i, lvl in enumerate(levels):
             approx = piecewise_linear_approx(path, lvl)
-            sol = solve_spde_wong_zakai(b, approx, u0, cfg.dt, cfg.horizon,
-                                        scheme=cfg.scheme, p=exponent,
-                                        mollify_epsilon=cfg.mollify_eps)
+            sol = solve_spde(b, approx, u0, cfg.dt, cfg.horizon, scheme=cfg.scheme,
+                             p=exponent, mollify_epsilon=cfg.mollify_eps)
             err = max(lp_norm(ua - ub, exponent)
                       for ua, ub in zip(sol.fields, ref.fields))
             worst[i] = max(worst[i], err)

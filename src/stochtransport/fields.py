@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from .artifacts import read_csv, write_csv
 from .errors import FieldValidationError, KernelResolutionError
 
 __all__ = [
@@ -381,34 +382,24 @@ def mollify(f: ScalarField, spec: MollifierSpec) -> ScalarField:
 def write_field_csv(f: ScalarField, path) -> None:
     """Write a field snapshot: header comment, column names, row-major rows."""
     grid = f.grid
-    cols = ["index"] + [f"x{a + 1}" for a in range(grid.d)] + ["value"]
-    pts = grid.nodes()
-    flat = f.values.ravel()
-    lines = [f"# grid d={grid.d} L={float(grid.half_width)!r} N={grid.n}\n", ",".join(cols) + "\n"]
-    for i in range(flat.size):
-        coords = ",".join(repr(float(c)) for c in pts[i])
-        lines.append(f"{i},{coords},{float(flat[i])!r}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    columns = ["index"] + [f"x{a + 1}" for a in range(grid.d)] + ["value"]
+    coords = [m.ravel().tolist() for m in grid.meshes()]
+    rows = zip(range(grid.size), *coords, f.values.ravel().tolist())
+    header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
+    write_csv(path, columns, rows, header)
 
 
 def read_field_csv(path) -> ScalarField:
     """Read a snapshot written by :func:`write_field_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# grid"):
-            raise FieldValidationError(f"{path}: missing grid header line")
-        meta = dict(tok.split("=") for tok in header[2:].split()[1:])
-        grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
-        fh.readline()  # column names
-        vals = np.empty(grid.size)
-        count = 0
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if int(parts[0]) != count:
-                raise FieldValidationError(f"{path}: rows out of order at {count}")
-            vals[count] = float(parts[-1])
-            count += 1
-        if count != grid.size:
-            raise FieldValidationError(f"{path}: expected {grid.size} rows, got {count}")
+    header, _, rows = read_csv(path)
+    if header is None or header[0] != "grid":
+        raise FieldValidationError(f"{path}: missing grid header line")
+    meta = header[1]
+    grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
+    for count, row in enumerate(rows):
+        if int(row[0]) != count:
+            raise FieldValidationError(f"{path}: rows out of order at {count}")
+    if len(rows) != grid.size:
+        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {len(rows)}")
+    vals = np.array([float(row[-1]) for row in rows])
     return ScalarField(grid, vals.reshape(grid.shape))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv
 from .errors import ConfigError, MeshMismatchError, PathRangeError
 
 __all__ = [
@@ -194,32 +195,22 @@ def total_variation(path: SamplePath) -> float:
 
 def write_path_csv(path: SamplePath, file) -> None:
     """Write knots as rows ``k,t,W1[,W2]`` after a kind/seed header comment."""
-    cols = ["k", "t"] + [f"W{a + 1}" for a in range(path.d)]
-    seed = "none" if path.seed is None else str(path.seed)
-    lines = [f"# path kind={path.kind} seed={seed}\n", ",".join(cols) + "\n"]
-    for k in range(path.times.size):
-        vals = ",".join(repr(float(v)) for v in path.values[k])
-        lines.append(f"{k},{float(path.times[k])!r},{vals}\n")
-    with open(file, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    columns = ["k", "t"] + [f"W{a + 1}" for a in range(path.d)]
+    rows = zip(range(path.times.size), path.times.tolist(), *path.values.T.tolist())
+    seed = "none" if path.seed is None else path.seed
+    write_csv(file, columns, rows, ("path", {"kind": path.kind, "seed": seed}))
 
 
 def read_path_csv(file) -> SamplePath:
-    """Read a path written by :func:`write_path_csv`."""
-    with open(file, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        kind, seed = "brownian", None
-        if first.startswith("#"):
-            meta = dict(tok.split("=") for tok in first[1:].split()[1:])
-            kind = meta.get("kind", "brownian")
-            if meta.get("seed", "none") != "none":
-                seed = int(meta["seed"])
-            fh.readline()  # column names
-        times, rows = [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if not parts or parts[0] == "":
-                continue
-            times.append(float(parts[1]))
-            rows.append([float(v) for v in parts[2:]])
-    return SamplePath(np.asarray(times), np.asarray(rows), kind, seed=seed)
+    """Read a path written by :func:`write_path_csv`.
+
+    A file without the header comment reads as a Brownian path with no seed.
+    """
+    header, _, rows = read_csv(file)
+    meta = {} if header is None else header[1]
+    seed = meta.get("seed", "none")
+    rows = [row for row in rows if row[0] != ""]
+    times = [float(row[1]) for row in rows]
+    values = [[float(v) for v in row[2:]] for row in rows]
+    return SamplePath(np.asarray(times), np.asarray(values), meta.get("kind", "brownian"),
+                      seed=None if seed == "none" else int(seed))

@@ -6,9 +6,9 @@ For a frozen realization of the driving path, the stochastic problem
 
 is solved by marching the deterministic advection problem with the
 path-shifted drift b(t, x + W(t)) and translating each snapshot back:
-u(t, x) = v(t, x - W(t)). The same pipeline accepts bounded-variation
-interpolants of the path, which is what the Wong-Zakai style
-approximation study exercises.
+u(t, x) = v(t, x - W(t)). One entry point serves every driving path:
+a Brownian draw, the zero path, and the bounded-variation interpolants
+that the Wong-Zakai approximation study feeds in.
 
 Renormalization checks integrate a truncated power of the unshifted
 field and compare its growth against the Gronwall envelope driven by
@@ -37,7 +37,6 @@ __all__ = [
     "smoothed_truncated_power",
     "squared_renormalization",
     "solve_spde",
-    "solve_spde_wong_zakai",
     "exact_solution",
     "renormalize_check",
     "time_continuity_modulus",
@@ -80,39 +79,6 @@ class SpdeSolution:
         return self.fields[0]
 
 
-def _assemble(
-    b: DriftField,
-    path: SamplePath,
-    u0: ScalarField,
-    dt: float,
-    horizon: float,
-    scheme: str,
-    n_snapshots: int,
-    p,
-    mollify_epsilon,
-    interp_order: str,
-) -> SpdeSolution:
-    exponent = p if isinstance(p, LebesgueExponent) else LebesgueExponent(float(p))
-    ts = solve_transport(
-        b, path, u0, dt, horizon,
-        scheme=scheme, n_snapshots=n_snapshots,
-        mollify_epsilon=mollify_epsilon, interp_order=interp_order,
-    )
-    shifted = []
-    for s, v in zip(ts.times, ts.fields):
-        delta = eval_path(path, float(s))
-        shifted.append(shift_field(v, delta, order=interp_order))
-    return SpdeSolution(
-        grid=u0.grid,
-        times=ts.times,
-        fields=tuple(shifted),
-        p=exponent,
-        path=path,
-        scheme=scheme,
-        transport=ts,
-    )
-
-
 def solve_spde(
     b: DriftField,
     path: SamplePath,
@@ -123,46 +89,31 @@ def solve_spde(
     n_snapshots: int = 16,
     p=2.0,
     mollify_epsilon: float | None = None,
-    interp_order: str = "cubic",
 ) -> SpdeSolution:
-    """Solve the transport SPDE along a Brownian (or frozen zero) path.
+    """Solve the transport SPDE along a Brownian, zero or bounded-variation path.
 
     Marches v with the path-shifted drift, then translates each snapshot
     by the path position: u(s, x) = v(s, x - W(s)). The first snapshot
-    equals u0 exactly since every path starts at the origin.
+    equals u0 exactly since every path starts at the origin. A
+    piecewise-linear interpolant on the full fine mesh has the knot
+    values of its path bit for bit, so it reproduces the Brownian run
+    bit for bit.
     """
-    if path.kind not in ("brownian", "zero"):
-        raise ConfigError(
-            f"solve_spde drives with a brownian or zero path, got {path.kind!r}"
-        )
-    return _assemble(b, path, u0, dt, horizon, scheme, n_snapshots, p,
-                     mollify_epsilon, interp_order)
-
-
-def solve_spde_wong_zakai(
-    b: DriftField,
-    path: SamplePath,
-    u0: ScalarField,
-    dt: float,
-    horizon: float,
-    scheme: str = "semi_lagrangian",
-    n_snapshots: int = 16,
-    p=2.0,
-    mollify_epsilon: float | None = None,
-    interp_order: str = "cubic",
-) -> SpdeSolution:
-    """Same pipeline driven by a bounded-variation interpolant of the path.
-
-    With the interpolant taken on the full fine mesh the knot values
-    coincide bitwise with the original path, so the output matches
-    :func:`solve_spde` bit for bit.
-    """
-    if path.kind not in ("piecewise_linear_bv", "zero"):
-        raise ConfigError(
-            f"solve_spde_wong_zakai drives with a BV or zero path, got {path.kind!r}"
-        )
-    return _assemble(b, path, u0, dt, horizon, scheme, n_snapshots, p,
-                     mollify_epsilon, interp_order)
+    exponent = p if isinstance(p, LebesgueExponent) else LebesgueExponent(float(p))
+    ts = solve_transport(
+        b, path, u0, dt, horizon,
+        scheme=scheme, n_snapshots=n_snapshots, mollify_epsilon=mollify_epsilon,
+    )
+    shifted = [shift_field(v, eval_path(path, float(s))) for s, v in zip(ts.times, ts.fields)]
+    return SpdeSolution(
+        grid=u0.grid,
+        times=ts.times,
+        fields=tuple(shifted),
+        p=exponent,
+        path=path,
+        scheme=scheme,
+        transport=ts,
+    )
 
 
 def exact_solution(b: DriftField, path: SamplePath, u0_profile: Profile, t: float,

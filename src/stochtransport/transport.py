@@ -196,7 +196,6 @@ def semi_lagrangian_step(
     velocity,
     t: float,
     dt: float,
-    order: str = "cubic",
     diagnostics: dict | None = None,
 ) -> ScalarField:
     """Advance one step: backtrack feet with RK4, read off by clamped interpolation.
@@ -208,7 +207,7 @@ def semi_lagrangian_step(
     """
     grid = v.grid
     feet = _rk4_feet(velocity, grid.nodes(), t, dt)
-    vals = interpolate(v, feet, order=order, clamp=(order == "cubic"))
+    vals = interpolate(v, feet, clamp=True)
     if diagnostics is not None:
         margin = SUPPORT_MARGIN_FRACTION * grid.half_width
         outside = np.any(np.abs(feet) > grid.half_width - margin, axis=-1)
@@ -305,7 +304,6 @@ def solve_transport(
     scheme: str = "semi_lagrangian",
     n_snapshots: int = 16,
     mollify_epsilon: float | None = None,
-    interp_order: str = "cubic",
 ) -> TransportSolution:
     """March the path-shifted advection equation and collect snapshots.
 
@@ -398,8 +396,7 @@ def solve_transport(
         diag.clear()
         try:
             if scheme == "semi_lagrangian":
-                v = semi_lagrangian_step(v, velocity, t, dt, order=interp_order,
-                                         diagnostics=diag)
+                v = semi_lagrangian_step(v, velocity, t, dt, diagnostics=diag)
             else:
                 v = upwind_fv_step(v, velocity, t, dt)
         except FieldValidationError as exc:

@@ -13,23 +13,23 @@ verifier evaluates every term on the snapshot mesh, approximating the
 Stratonovich integral by midpoint (endpoint-average) sums against the
 path increments, and reports the defect. An Ito left-point variant is
 kept as a negative control: on exact solutions it converges to the
-missing correction term, not to zero. For bounded-variation driving
-paths the stochastic term is a plain Riemann-Stieltjes integral and the
-same trapezoid sum applies without any correction.
+missing correction term, not to zero. The same audit serves
+bounded-variation driving paths: there the stochastic term is a plain
+Riemann-Stieltjes integral, and the midpoint sum is its trapezoid rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .artifacts import write_csv
 from .drifts import DriftField, divergence_of, eval_drift
 from .errors import ConfigError, MeshMismatchError
-from .fields import ScalarField, SpatialGrid, lp_norm
+from .fields import SpatialGrid, lp_norm
 from .paths import SamplePath, eval_path
 from .spde import SpdeSolution
 
@@ -39,7 +39,6 @@ __all__ = [
     "WeakResidualSeries",
     "WeakResidualReport",
     "weak_residual",
-    "weak_residual_bv",
     "write_weak_report_csv",
 ]
 
@@ -230,7 +229,7 @@ def _residual_series(
 
     B = eval_path(path, times)  # (M+1, d)
     dB = np.diff(B, axis=0)
-    if rule in ("stratonovich", "bv_trapezoid"):
+    if rule == "stratonovich":
         inc = np.sum(0.5 * (g[:-1] + g[1:]) * dB, axis=-1)
     elif rule == "ito":
         inc = np.sum(g[:-1] * dB, axis=-1)
@@ -279,7 +278,9 @@ def weak_residual(
         Normalizing exponent; defaults to the solution's.
     rule : {"stratonovich", "ito"}
         Midpoint (endpoint-average) sums match the Stratonovich reading
-        of the identity; the left-point Ito sums are a negative control.
+        of the identity, and are the trapezoid rule of the
+        Riemann-Stieltjes integral when the path has bounded variation;
+        the left-point Ito sums are a negative control.
     """
     path = sol.path if path is None else path
     phis = make_test_functions(sol.grid, 10, 0) if phis is None else list(phis)
@@ -294,43 +295,15 @@ def weak_residual(
     return WeakResidualReport(series)
 
 
-def weak_residual_bv(
-    sol: SpdeSolution,
-    b: DriftField,
-    path: SamplePath | None = None,
-    phis=None,
-    p=None,
-) -> WeakResidualReport:
-    """Weak defect against a bounded-variation driving path.
-
-    The stochastic term is the Riemann-Stieltjes integral of the test
-    moment against the BV path, approximated by the same trapezoid sums;
-    no Stratonovich correction enters.
-    """
-    path = sol.path if path is None else path
-    if path.kind not in ("piecewise_linear_bv", "zero"):
-        raise ConfigError(f"BV residual needs a BV or zero path, got {path.kind!r}")
-    phis = make_test_functions(sol.grid, 10, 0) if phis is None else list(phis)
-    exponent = sol.p if p is None else p
-    _check_alignment(sol.times, path)
-    for phi in phis:
-        phi.validate_for(sol.grid)
-    series = tuple(
-        _residual_series(sol.fields, sol.times, b, path, phi, j, exponent, "bv_trapezoid")
-        for j, phi in enumerate(phis)
-    )
-    return WeakResidualReport(series)
-
-
 def write_weak_report_csv(report: WeakResidualReport, path) -> None:
     """One row per (test function, snapshot time) with the term breakdown."""
-    lines = ["phi_index,t,residual,term_initial,term_drift,term_div,term_stoch,normalizer\n"]
+    rows = []
     for s in report.series:
-        for m in range(s.times.size):
-            lines.append(
-                f"{s.phi_index},{float(s.times[m])!r},{float(s.residuals[m])!r},"
-                f"{float(s.term_initial[m])!r},{float(s.term_drift[m])!r},"
-                f"{float(s.term_div[m])!r},{float(s.term_stoch[m])!r},{s.normalizer!r}\n"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        n = s.times.size
+        rows.extend(zip(
+            [s.phi_index] * n, s.times.tolist(), s.residuals.tolist(),
+            s.term_initial.tolist(), s.term_drift.tolist(), s.term_div.tolist(),
+            s.term_stoch.tolist(), [s.normalizer] * n,
+        ))
+    write_csv(path, ("phi_index", "t", "residual", "term_initial", "term_drift",
+                     "term_div", "term_stoch", "normalizer"), rows)

@@ -36,7 +36,6 @@ from stochtransport.spde import (
     renormalize_check,
     smoothed_truncated_power,
     solve_spde,
-    solve_spde_wong_zakai,
 )
 from stochtransport.weakform import make_test_functions, weak_residual
 
@@ -234,11 +233,11 @@ def test_criterion_7_path_approximation_convergence(capsys):
     errs = []
     for n in levels:
         approx = piecewise_linear_approx(path, n)
-        sol = solve_spde_wong_zakai(b, approx, u0, 1.0 / 2048, 1.0, p=2.0)
+        sol = solve_spde(b, approx, u0, 1.0 / 2048, 1.0, p=2.0)
         errs.append(max(lp_norm(ua - ub, 2.0)
                         for ua, ub in zip(sol.fields, ref.fields)))
-    full = solve_spde_wong_zakai(b, piecewise_linear_approx(path, 2048), u0,
-                                 1.0 / 2048, 1.0, p=2.0)
+    full = solve_spde(b, piecewise_linear_approx(path, 2048), u0,
+                      1.0 / 2048, 1.0, p=2.0)
     exact_tie = max(float(np.max(np.abs(ua.values - ub.values)))
                     for ua, ub in zip(full.fields, ref.fields))
     tail = errs[-4:]
@@ -258,7 +257,7 @@ def test_criterion_7_path_approximation_convergence(capsys):
     bound_ok = True
     for n in levels:
         approx = piecewise_linear_approx(path, n)
-        sol = solve_spde_wong_zakai(bz, approx, u0_z, 1.0 / 2048, 1.0, p=2.0)
+        sol = solve_spde(bz, approx, u0_z, 1.0 / 2048, 1.0, p=2.0)
         err_n = max(lp_norm(ua - ub, 2.0)
                     for ua, ub in zip(sol.fields, ref_z.fields))
         bound_n = grad_norm * sup_distance(approx, path) + 2.0 * shift_tol

@@ -1,0 +1,230 @@
+"""Exact text of every CSV artifact kind, pinned on tiny hand-built inputs.
+
+Each writer is fed a small input whose expected file is spelled out in
+full: comment header, column line, one line per row, floats as their
+shortest round-trip text. Every kind includes a float that needs 17
+significant digits (0.1 + 0.2 = 0.30000000000000004), so a writer that
+rounds or reformats floats changes the bytes and fails here.
+"""
+
+import numpy as np
+import pytest
+
+from stochtransport.drifts import HypothesisReport, write_hypothesis_csv
+from stochtransport.errors import FieldValidationError
+from stochtransport.experiments import (ConvergenceTable, ExperimentConfig,
+                                        _write_manifest, cmd_solve)
+from stochtransport.fields import (ScalarField, SpatialGrid, read_field_csv,
+                                   write_field_csv)
+from stochtransport.paths import SamplePath, read_path_csv, write_path_csv
+from stochtransport.weakform import (WeakResidualReport, WeakResidualSeries,
+                                     write_weak_report_csv)
+
+#: A double whose shortest round-trip text has 17 significant digits.
+X17 = 0.1 + 0.2
+X17_TEXT = "0.30000000000000004"
+
+#: Node coordinates of an 8-point axis on L = 4 (h = 1).
+AXIS = ["-4.0", "-3.0", "-2.0", "-1.0", "0.0", "1.0", "2.0", "3.0"]
+
+
+def text(target) -> str:
+    with open(target, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+class TestFieldText:
+    def test_1d(self, tmp_path):
+        grid = SpatialGrid(1, 4.0, 8)
+        vals = np.zeros(8)
+        vals[2] = X17
+        vals[5] = -1.5
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        values = ["0.0"] * 8
+        values[2] = X17_TEXT
+        values[5] = "-1.5"
+        want = "# grid d=1 L=4.0 N=8\nindex,x1,value\n" + "".join(
+            f"{i},{AXIS[i]},{values[i]}\n" for i in range(8))
+        assert text(target) == want
+
+    def test_2d(self, tmp_path):
+        grid = SpatialGrid(2, 4.0, 8)
+        vals = np.zeros((8, 8))
+        vals[1, 3] = X17
+        vals[7, 0] = 2.0
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        values = ["0.0"] * 64
+        values[1 * 8 + 3] = X17_TEXT
+        values[7 * 8 + 0] = "2.0"
+        want = "# grid d=2 L=4.0 N=8\nindex,x1,x2,value\n" + "".join(
+            f"{i},{AXIS[i // 8]},{AXIS[i % 8]},{values[i]}\n" for i in range(64))
+        assert text(target) == want
+
+    def test_round_trip_of_pinned_text(self, tmp_path):
+        grid = SpatialGrid(2, 4.0, 8)
+        vals = np.arange(64.0).reshape(8, 8) / 7.0
+        vals[0, 0] = X17
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        back = read_field_csv(target)
+        assert back.grid == grid
+        assert np.array_equal(back.values, vals)
+
+    def test_rows_out_of_order_rejected(self, tmp_path):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        lines = text(target).splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]
+        target.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FieldValidationError, match="rows out of order at 1"):
+            read_field_csv(target)
+
+    def test_missing_rows_rejected(self, tmp_path):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        lines = text(target).splitlines(keepends=True)
+        target.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(FieldValidationError, match="expected 8 rows, got 7"):
+            read_field_csv(target)
+
+    def test_missing_grid_header_rejected(self, tmp_path):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        target.write_text("".join(text(target).splitlines(keepends=True)[1:]),
+                          encoding="utf-8")
+        with pytest.raises(FieldValidationError, match="missing grid header"):
+            read_field_csv(target)
+
+
+class TestPathText:
+    def test_brownian_1d(self, tmp_path):
+        path = SamplePath(np.array([0.0, 0.5, 1.0]),
+                          np.array([[0.0], [X17], [-1.25]]), "brownian", seed=7)
+        target = tmp_path / "p.csv"
+        write_path_csv(path, target)
+        assert text(target) == (
+            "# path kind=brownian seed=7\nk,t,W1\n"
+            f"0,0.0,0.0\n1,0.5,{X17_TEXT}\n2,1.0,-1.25\n"
+        )
+
+    def test_bv_2d_without_seed(self, tmp_path):
+        path = SamplePath(np.array([0.0, X17]),
+                          np.array([[0.0, 0.0], [0.25, -3.0]]), "piecewise_linear_bv")
+        target = tmp_path / "p.csv"
+        write_path_csv(path, target)
+        assert text(target) == (
+            "# path kind=piecewise_linear_bv seed=none\nk,t,W1,W2\n"
+            f"0,0.0,0.0,0.0\n1,{X17_TEXT},0.25,-3.0\n"
+        )
+
+    def test_missing_comment_line_reads_as_brownian(self, tmp_path):
+        target = tmp_path / "p.csv"
+        target.write_text(f"k,t,W1\n0,0.0,0.0\n1,0.5,{X17_TEXT}\n\n",
+                          encoding="utf-8")
+        back = read_path_csv(target)
+        assert back.kind == "brownian"
+        assert back.seed is None
+        assert back.times.tolist() == [0.0, 0.5]
+        assert back.values.tolist() == [[0.0], [X17]]
+
+
+def test_weak_report_text(tmp_path):
+    series = WeakResidualSeries(
+        phi_index=3,
+        times=np.array([0.0, 0.5]),
+        residuals=np.array([0.0, X17]),
+        term_initial=np.array([0.0, -1.0]),
+        term_drift=np.array([0.0, 0.25]),
+        term_div=np.array([0.0, 0.0]),
+        term_stoch=np.array([0.0, -2.5]),
+        normalizer=X17,
+    )
+    target = tmp_path / "weak.csv"
+    write_weak_report_csv(WeakResidualReport((series,)), target)
+    assert text(target) == (
+        "phi_index,t,residual,term_initial,term_drift,term_div,term_stoch,normalizer\n"
+        f"3,0.0,0.0,0.0,0.0,0.0,0.0,{X17_TEXT}\n"
+        f"3,0.5,{X17_TEXT},-1.0,0.25,0.0,-2.5,{X17_TEXT}\n"
+    )
+
+
+def test_hypotheses_text(tmp_path):
+    report = HypothesisReport(
+        drift_id="power1d", q_used=2.0, window=((-4.0, 4.0),), samples=1000,
+        div_bound=X17, div_ok=False, lq_evidence=1.5, lq_loc_ok=True,
+        w1q_evidence=0.0, w1q_loc_ok=True, growth_evidence=12.0, growth_ok=True,
+        rel_changes={}, divergence_is_exact=True,
+    )
+    target = tmp_path / "hyp.csv"
+    write_hypothesis_csv(report, target)
+    assert text(target) == (
+        "check,ok,evidence,threshold\n"
+        f"div_bound,false,{X17_TEXT},1000000000000.0\n"
+        "lq_loc,true,1.5,1000000000000.0\n"
+        "w1q_loc,true,0.0,1000000000000.0\n"
+        "growth,true,12.0,1000000000000.0\n"
+    )
+
+
+def test_manifest_text(tmp_path):
+    rows = [
+        {"seed": 3, "scheme": "semi_lagrangian", "N": 64, "dt": X17, "p": 1.0,
+         "drift_id": "zero", "path_kind": "brownian", "n_level": "",
+         "config_hash": "0123456789abcdef", "tolerance_version": "1"},
+        {"seed": 4, "scheme": "upwind_fv", "N": 8, "dt": 0.015625, "p": 2.0,
+         "drift_id": "linear", "path_kind": "piecewise_linear_bv", "n_level": 16,
+         "config_hash": "fedcba9876543210", "tolerance_version": "1"},
+    ]
+    target = tmp_path / "manifest.csv"
+    _write_manifest(rows, target)
+    assert text(target) == (
+        "seed,scheme,N,dt,p,drift_id,path_kind,n_level,config_hash,tolerance_version\n"
+        f"3,semi_lagrangian,64,{X17_TEXT},1.0,zero,brownian,,0123456789abcdef,1\n"
+        "4,upwind_fv,8,0.015625,2.0,linear,piecewise_linear_bv,16,fedcba9876543210,1\n"
+    )
+
+
+def test_norms_text(tmp_path):
+    # zero initial data keeps every norm exactly 0.0; T = 0.3 puts
+    # 17-digit snapshot times on the uniform mesh
+    cfg = ExperimentConfig.from_dict({
+        "d": 1, "L": 4.0, "N": 64, "T": 0.3, "dt": 0.3 / 16,
+        "scheme": "semi_lagrangian", "p": 1.0, "seed": 3, "drift": {"id": "zero"},
+        "u0": {"id": "bump", "center": 0.0, "radius": 1.0, "amplitude": 0.0},
+    })
+    cmd_solve(cfg, out_dir=tmp_path / "run")
+    times = ["0.0", "0.01875", "0.0375", "0.056249999999999994", "0.075",
+             "0.09375", "0.11249999999999999", "0.13125", "0.15",
+             "0.16874999999999998", "0.1875", "0.20625", "0.22499999999999998",
+             "0.24375", "0.2625", "0.28125", "0.3"]
+    want = "m,t,lp_norm\n" + "".join(f"{m},{t},0.0\n" for m, t in enumerate(times))
+    assert text(tmp_path / "run" / "norms.csv") == want
+
+
+def test_convergence_table_text(tmp_path):
+    # 4 * X17 is exact, so the first order is exactly 2.0
+    table = ConvergenceTable((4, 8, 16, 32), (4.0 * X17, X17, 0.0, 0.0))
+    target = tmp_path / "table.csv"
+    table.to_csv(target)
+    assert text(target) == (
+        "level,error,empirical_order\n"
+        "4,1.2000000000000002,\n"
+        f"8,{X17_TEXT},2.0\n"
+        "16,0.0,exact\n"
+        "32,0.0,\n"
+    )
+
+
+def test_manifest_round_trip(tmp_path):
+    from stochtransport.experiments import _read_manifest
+
+    rows = [{"seed": 3, "scheme": "semi_lagrangian", "N": 64, "dt": X17, "p": 1.0,
+             "drift_id": "zero", "path_kind": "brownian", "n_level": "",
+             "config_hash": "0123456789abcdef", "tolerance_version": "1"}]
+    target = tmp_path / "manifest.csv"
+    _write_manifest(rows, target)
+    back = _read_manifest(target)
+    assert back == [{k: str(v) for k, v in rows[0].items()}]
+    assert float(back[0]["dt"]) == X17

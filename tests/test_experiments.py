@@ -334,6 +334,21 @@ class TestVerifyWeakCommand:
         with pytest.raises(ConfigError, match="no run artifacts"):
             cmd_verify_weak(cfg, out_dir=tmp_path / "empty")
 
+    def test_missing_manifest_rejected(self, cfg, tmp_path):
+        out = tmp_path / "run"
+        cmd_solve(cfg, out_dir=out)
+        os.remove(out / "manifest.csv")
+        with pytest.raises(ConfigError, match="no manifest.csv"):
+            cmd_verify_weak(cfg, out_dir=out)
+
+    def test_manifest_of_other_tolerance_version_rejected(self, cfg, tmp_path):
+        out = tmp_path / "run"
+        cmd_solve(cfg, out_dir=out)
+        text = (out / "manifest.csv").read_text(encoding="utf-8")
+        (out / "manifest.csv").write_text(text.replace(",1\n", ",0\n"), encoding="utf-8")
+        with pytest.raises(ConfigError, match="tolerance_version=0"):
+            cmd_verify_weak(cfg, out_dir=out)
+
 
 class TestUniquenessCommand:
     def test_zero_drift_schemes_tie_exactly(self, cfg, tmp_path):
@@ -481,6 +496,41 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", config, "--seeds", "2"])
         assert exc.value.code == 2
+
+    def test_path_file_flag_is_replay_only(self, tmp_path):
+        config = self.write_config(tmp_path, base_dict())
+        for command in ("verify-weak", "hypotheses"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", config, "--path-file", "path.csv"])
+            assert exc.value.code == 2
+
+    def _audit_with(self, tmp_path, capsys, **overrides):
+        """Solve a linear-drift run, then audit it with an altered config."""
+        run = base_dict(drift={"id": "linear", "matrix": [[-1.0]]})
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", self.write_config(tmp_path, run),
+                     "--out", out]) == 0
+        audit = tmp_path / "audit.json"
+        audit.write_text(json.dumps(dict(run, **overrides)), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["verify-weak", "--config", str(audit), "--out", out])
+        assert not os.path.exists(os.path.join(out, "weak_report.csv"))
+        hashes = (ExperimentConfig.from_dict(run).config_hash(),
+                  ExperimentConfig.from_json(audit).config_hash())
+        return code, capsys.readouterr().err, hashes
+
+    def test_verify_weak_rejects_other_horizon(self, tmp_path, capsys):
+        code, err, (written, current) = self._audit_with(tmp_path, capsys, T=0.125)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"config_hash={written}" in err and f"config_hash={current}" in err
+
+    def test_verify_weak_rejects_other_drift(self, tmp_path, capsys):
+        code, err, (written, current) = self._audit_with(tmp_path, capsys,
+                                                         drift={"id": "zero"})
+        assert code == 2
+        assert err.startswith("config error:")
+        assert f"config_hash={written}" in err and f"config_hash={current}" in err
 
     def test_wong_zakai_with_seeds(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict())

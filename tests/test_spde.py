@@ -32,7 +32,6 @@ from stochtransport.spde import (
     renormalize_check,
     smoothed_truncated_power,
     solve_spde,
-    solve_spde_wong_zakai,
     squared_renormalization,
     time_continuity_modulus,
 )
@@ -125,19 +124,12 @@ class TestRepresentation:
         for m, t in enumerate(sol.times):
             assert lp_norm(sol.transport.fields[m], 1.0) <= math.exp(1.1 * float(t)) * n0 + 1e-12
 
-    def test_brownian_path_kind_required(self, setting512):
-        g, prof, u0 = setting512
-        bn = piecewise_linear_approx(sample_brownian(24, 1.0, 512, 1), 16)
-        with pytest.raises(ConfigError):
-            solve_spde(zero_drift(1), bn, u0, dt=1.0 / 512, horizon=1.0)
-
 
 class TestWongZakaiPipeline:
     def test_zero_path_reduces_to_deterministic_problem(self, setting512):
         g, prof, u0 = setting512
         w = zero_path(1.0, 512, 1)
-        sol = solve_spde_wong_zakai(constant_drift([0.5]), w, u0,
-                                    dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(constant_drift([0.5]), w, u0, dt=1.0 / 512, horizon=1.0)
         for m in range(len(sol.times)):
             assert np.array_equal(sol.fields[m].values,
                                   sol.transport.fields[m].values)
@@ -147,8 +139,7 @@ class TestWongZakaiPipeline:
         path = sample_brownian(24, 1.0, 512, 1)
         full = piecewise_linear_approx(path, 512)
         ref = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
-        wz = solve_spde_wong_zakai(zero_drift(1), full, u0, dt=1.0 / 512,
-                                   horizon=1.0)
+        wz = solve_spde(zero_drift(1), full, u0, dt=1.0 / 512, horizon=1.0)
         for a, b in zip(ref.fields, wz.fields):
             assert np.array_equal(a.values, b.values)
 
@@ -156,19 +147,11 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         bn = piecewise_linear_approx(path, 32)
-        sol = solve_spde_wong_zakai(zero_drift(1), bn, u0, dt=1.0 / 512,
-                                    horizon=1.0, p=1.0)
+        sol = solve_spde(zero_drift(1), bn, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(bn, float(t)))
             assert lp_norm(sol.fields[m] - want, 1.0) <= tol
-
-    def test_brownian_path_rejected(self, setting512):
-        g, prof, u0 = setting512
-        path = sample_brownian(24, 1.0, 512, 1)
-        with pytest.raises(ConfigError):
-            solve_spde_wong_zakai(zero_drift(1), path, u0, dt=1.0 / 512,
-                                  horizon=1.0)
 
 
 class TestExactSolution:

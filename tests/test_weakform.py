@@ -23,7 +23,6 @@ from stochtransport.weakform import (
     TestFunction as CompactTestFunction,
     make_test_functions,
     weak_residual,
-    weak_residual_bv,
     write_weak_report_csv,
 )
 
@@ -172,8 +171,9 @@ class TestStratonovichResidual:
 
     def test_unknown_rule_rejected(self, grid512, profile, path2048, phis):
         sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
-        with pytest.raises(ConfigError):
-            weak_residual(sol, zero_drift(1), phis=phis, rule="trapezoid")
+        for rule in ("trapezoid", "bv_trapezoid"):
+            with pytest.raises(ConfigError):
+                weak_residual(sol, zero_drift(1), phis=phis, rule=rule)
 
     def test_misaligned_snapshots_rejected(self, grid512, profile, phis):
         path = sample_brownian(24, 1.0, 100, 1)
@@ -200,7 +200,7 @@ class TestBoundedVariationResidual:
         sol = SpdeSolution(grid=grid512, times=times, fields=fields,
                            p=LebesgueExponent(1.0), path=bn,
                            scheme="closed_form", transport=None)
-        rep = weak_residual_bv(sol, zero_drift(1), phis=phis)
+        rep = weak_residual(sol, zero_drift(1), phis=phis)
         assert rep.max_abs == 0.0
 
     def test_residual_vanishes_at_first_order_in_snapshot_spacing(
@@ -212,14 +212,9 @@ class TestBoundedVariationResidual:
         errs = []
         for m in (16, 32, 64, 128):
             sol = closed_form_translation(grid512, prof, bn, m, 1.0)
-            errs.append(weak_residual_bv(sol, zero_drift(1), phis=phis6).max_abs)
+            errs.append(weak_residual(sol, zero_drift(1), phis=phis6).max_abs)
         orders = estimate_order(errs)
         assert min(orders) >= 0.8
-
-    def test_brownian_path_rejected(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
-        with pytest.raises(ConfigError):
-            weak_residual_bv(sol, zero_drift(1), phis=phis)
 
 
 class TestReportCsv:
