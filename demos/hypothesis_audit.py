@@ -24,7 +24,7 @@ def main() -> None:
         r = st.check_hypotheses(b, 2.0, window, 1.0)
         print(f"{label} (q=2, window {window})")
         print(f"  div bound C = {r.div_bound:.6g} (ok={r.div_ok}, "
-              f"analytic divergence: {r.divergence_is_exact})")
+              f"analytic Jacobian: {r.divergence_is_exact})")
         print(f"  Lq_loc evidence {r.lq_evidence:.6g} (ok={r.lq_loc_ok})")
         print(f"  W1q_loc evidence {r.w1q_evidence:.6g} (ok={r.w1q_loc_ok})")
         print(f"  growth quotient {r.growth_evidence:.6g} (ok={r.growth_ok})")

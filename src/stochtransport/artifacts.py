@@ -35,15 +35,23 @@ def read_csv(path):
     """Read a file in the artifact format: ``(header, columns, rows)``.
 
     ``header`` is the ``(tag, {key: value})`` pair of the comment line, or
-    None when the file starts with its column line. Every cell, header
-    values included, is returned as a string.
+    None when the file starts with its column line. ``rows`` is an
+    iterator that reads one row at a time, as a list of cells, and
+    closes the file when exhausted or discarded. Every cell, header
+    values included, is a string.
     """
+    lines = _lines(path)
+    line = next(lines, "")
+    header = None
+    if line.startswith("#"):
+        tag, _, rest = line[1:].strip().partition(" ")
+        header = (tag, dict(tok.split("=", 1) for tok in rest.split()))
+        line = next(lines, "")
+    columns = line.split(",") if line else []
+    return header, columns, (row.split(",") for row in lines)
+
+
+def _lines(path):
     with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline().rstrip("\n")
-        header = None
-        if line.startswith("#"):
-            tag, _, rest = line[1:].strip().partition(" ")
-            header = (tag, dict(tok.split("=", 1) for tok in rest.split()))
-            line = fh.readline().rstrip("\n")
-        columns = line.split(",") if line else []
-        return header, columns, [row.rstrip("\n").split(",") for row in fh]
+        for line in fh:
+            yield line.rstrip("\n")

@@ -31,7 +31,8 @@ from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
 from .spde import SpdeSolution, exact_solution, solve_spde
-from .transport import _snapshot_support_hits_margin, cfl_number
+from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
+                        _step_count, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 
 __all__ = [
@@ -132,24 +133,19 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         grid = self.grid()  # dimension and resolution checks
-        if self.scheme not in ("semi_lagrangian", "upwind_fv"):
+        if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.horizon > 0 and self.dt > 0):
             raise ConfigError("T and dt must be positive")
-        steps = self.n_steps()
-        if abs(steps * self.dt - self.horizon) > 1.0e-9 * self.horizon:
-            raise ConfigError(f"dt={self.dt} does not divide T={self.horizon}")
+        self.n_steps()  # dt must divide T
         if self.p < 1.0:
             raise ConfigError(f"p must satisfy p >= 1, got {self.p}")
         if self.phi_count < 1:
             raise ConfigError("phi_count must be positive")
-        if self.mollify_eps is not None and self.mollify_eps < 0:
-            raise ConfigError("mollify_eps must be nonnegative")
-        if self.mollify_eps and self.mollify_eps < grid.h:
-            raise ConfigError(
-                f"mollify_eps={self.mollify_eps} is below the grid spacing h={grid.h}; "
-                f"use 0 to disable smoothing or a radius of at least h"
-            )
+        if self.mollify_eps is not None:
+            if self.mollify_eps < 0:
+                raise ConfigError("mollify_eps must be nonnegative")
+            _check_mollify_radius(self.mollify_eps, grid.h)
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
         b = self.drift()  # id and parameter checks
@@ -157,7 +153,7 @@ class ExperimentConfig:
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
         u0 = sample_profile(grid, profile)
-        if _snapshot_support_hits_margin(u0, float(np.max(np.abs(u0.values)))):
+        if _support_hits_margin(u0, _margin_band(grid), float(np.max(np.abs(u0.values)))):
             raise ConfigError("initial data does not clear the 10% wrap-around margin")
         if self.scheme == "upwind_fv":
             # Drift-only CFL estimate on box samples; the solver re-checks
@@ -165,8 +161,9 @@ class ExperimentConfig:
             coarse = SpatialGrid(self.d, self.half_width, min(self.n, 64))
             cfl = cfl_number(partial(eval_drift, b), coarse, self.dt,
                              np.linspace(0.0, self.horizon, 5)) * coarse.h / grid.h
-            if cfl > 0.9:
-                raise ConfigError(f"upwind CFL precheck fails: dt*|b|/h = {cfl:.3f} > 0.9")
+            if cfl > _CFL_LIMIT:
+                raise ConfigError(
+                    f"upwind CFL precheck fails: dt*|b|/h = {cfl:.3f} > {_CFL_LIMIT}")
 
     # -- builders ----------------------------------------------------------
 
@@ -177,7 +174,7 @@ class ExperimentConfig:
         return LebesgueExponent(self.p)
 
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return _step_count(self.dt, self.horizon)
 
     def drift(self) -> DriftField:
         return drift_from_spec(self.d, self.half_width, self.drift_spec, self.horizon)
@@ -437,27 +434,17 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
     for n_level in ladder:
         grid = SpatialGrid(cfg.d, cfg.half_width, n_level)
         u0 = sample_profile(grid, profile)
-        sols = {}
-        for scheme in ("semi_lagrangian", "upwind_fv"):
-            sols[scheme] = solve_spde(
-                b, path, u0, cfg.dt, cfg.horizon, scheme=scheme,
-                p=exponent, mollify_epsilon=cfg.mollify_eps,
-            )
-        disc = max(
-            lp_norm(ua - ub, exponent)
-            for ua, ub in zip(sols["semi_lagrangian"].fields, sols["upwind_fv"].fields)
-        )
-        errors.append(disc)
+        sols = [solve_spde(b, path, u0, cfg.dt, cfg.horizon, scheme=scheme,
+                           p=exponent, mollify_epsilon=cfg.mollify_eps)
+                for scheme in SCHEMES]
+        errors.append(max(lp_norm(ua - ub, exponent)
+                          for ua, ub in zip(*(sol.fields for sol in sols))))
         if b.constant_value is not None:
-            oracle_err = 0.0
-            for scheme in ("semi_lagrangian", "upwind_fv"):
-                sol = sols[scheme]
-                worst = max(
-                    lp_norm(u - exact_solution(b, path, profile, t, grid), exponent)
-                    for t, u in zip(sol.times, sol.fields)
-                )
-                oracle_err += worst
-            oracle_sums.append(oracle_err)
+            oracle_sums.append(sum(
+                max(lp_norm(u - exact_solution(b, path, profile, t, grid), exponent)
+                    for t, u in zip(sol.times, sol.fields))
+                for sol in sols
+            ))
         rows.append(_manifest_row(cfg, path.kind, seed, n_level))
 
     table = ConvergenceTable(tuple(ladder), tuple(errors))

@@ -211,10 +211,6 @@ def _axis_locate(grid: SpatialGrid, coords: np.ndarray):
     return base % grid.n, theta
 
 
-def _linear_weights(theta: np.ndarray) -> np.ndarray:
-    return np.stack([1.0 - theta, theta], axis=-1)
-
-
 def _cubic_weights(theta: np.ndarray) -> np.ndarray:
     # Lagrange weights on the 4-point stencil {-1, 0, 1, 2}; exact for
     # cubic polynomials along the axis.
@@ -226,17 +222,17 @@ def _cubic_weights(theta: np.ndarray) -> np.ndarray:
     return np.stack([w_m1, w_0, w_p1, w_p2], axis=-1)
 
 
-def interpolate(f: ScalarField, points, order: str = "cubic", clamp: bool = False):
-    """Evaluate a field at arbitrary points by periodic tensor-product interpolation.
+def interpolate(f: ScalarField, points, clamp: bool = False):
+    """Evaluate a field at arbitrary points by periodic cubic interpolation.
+
+    The tensor-product 4-point Lagrange stencil reproduces cubic
+    polynomials along grid lines and is exact at nodes.
 
     Parameters
     ----------
     f : ScalarField
     points : array_like
         Query points of shape (d,) or (..., d); wrapped into the box.
-    order : {"linear", "cubic"}
-        Cubic uses the 4-point Lagrange stencil per axis and reproduces
-        cubic polynomials along grid lines; both orders are exact at nodes.
     clamp : bool
         Clamp each interpolated value to the range of its local stencil.
         Used by the semi-Lagrangian stepper to enforce a discrete maximum
@@ -247,8 +243,6 @@ def interpolate(f: ScalarField, points, order: str = "cubic", clamp: bool = Fals
     float or ndarray
         Scalar for a single point, else an array of shape ``points.shape[:-1]``.
     """
-    if order not in ("linear", "cubic"):
-        raise FieldValidationError(f"unknown interpolation order {order!r}")
     grid = f.grid
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -260,14 +254,13 @@ def interpolate(f: ScalarField, points, order: str = "cubic", clamp: bool = Fals
     lead_shape = pts.shape[:-1]
     pts = pts.reshape(-1, grid.d)
 
-    offsets = np.array([0, 1]) if order == "linear" else np.array([-1, 0, 1, 2])
-    weight_fn = _linear_weights if order == "linear" else _cubic_weights
+    offsets = np.array([-1, 0, 1, 2])
 
     if grid.d == 1:
         base, theta = _axis_locate(grid, pts[:, 0])
         idx = (base[:, None] + offsets[None, :]) % grid.n
-        stencil = f.values[idx]  # (Q, k)
-        w = weight_fn(theta)
+        stencil = f.values[idx]  # (Q, 4)
+        w = _cubic_weights(theta)
         out = np.einsum("qk,qk->q", w, stencil)
         if clamp:
             out = np.clip(out, stencil.min(axis=1), stencil.max(axis=1))
@@ -276,9 +269,9 @@ def interpolate(f: ScalarField, points, order: str = "cubic", clamp: bool = Fals
         base2, th2 = _axis_locate(grid, pts[:, 1])
         idx1 = (base1[:, None] + offsets[None, :]) % grid.n
         idx2 = (base2[:, None] + offsets[None, :]) % grid.n
-        stencil = f.values[idx1[:, :, None], idx2[:, None, :]]  # (Q, k, k)
-        w1 = weight_fn(th1)
-        w2 = weight_fn(th2)
+        stencil = f.values[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
+        w1 = _cubic_weights(th1)
+        w2 = _cubic_weights(th2)
         out = np.einsum("qi,qij,qj->q", w1, stencil, w2)
         if clamp:
             flat = stencil.reshape(stencil.shape[0], -1)
@@ -288,13 +281,13 @@ def interpolate(f: ScalarField, points, order: str = "cubic", clamp: bool = Fals
     return float(out[0]) if single else out
 
 
-def shift_field(f: ScalarField, delta, order: str = "cubic") -> ScalarField:
+def shift_field(f: ScalarField, delta) -> ScalarField:
     """Translate a field: returns g with g(x) = f(x - delta), periodically.
 
     Shifts that are exact lattice multiples of the spacing h (within a
     relative tolerance of 1e-12) are performed by index rotation, which
     is bit-exact and conserves every Lp norm; other shifts interpolate
-    at the displaced nodes.
+    cubically at the displaced nodes.
     """
     grid = f.grid
     dvec = np.broadcast_to(np.asarray(delta, dtype=float), (grid.d,))
@@ -306,7 +299,7 @@ def shift_field(f: ScalarField, delta, order: str = "cubic") -> ScalarField:
         shifts = (nearest.astype(np.int64) % grid.n).tolist()
         return ScalarField(grid, np.roll(f.values, shifts, axis=tuple(range(grid.d))))
     query = grid.nodes() - dvec[None, :]
-    vals = interpolate(f, query, order=order)
+    vals = interpolate(f, query)
     return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
 
 
@@ -396,10 +389,11 @@ def read_field_csv(path) -> ScalarField:
         raise FieldValidationError(f"{path}: missing grid header line")
     meta = header[1]
     grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
+    vals = []
     for count, row in enumerate(rows):
         if int(row[0]) != count:
             raise FieldValidationError(f"{path}: rows out of order at {count}")
-    if len(rows) != grid.size:
-        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {len(rows)}")
-    vals = np.array([float(row[-1]) for row in rows])
-    return ScalarField(grid, vals.reshape(grid.shape))
+        vals.append(float(row[-1]))
+    if len(vals) != grid.size:
+        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {len(vals)}")
+    return ScalarField(grid, np.array(vals).reshape(grid.shape))

@@ -64,9 +64,10 @@ class TransportSolution:
     """Snapshots of the advected field v on a uniform snapshot mesh.
 
     ``fields[0]`` is the initial condition object itself, bit for bit.
-    ``support_violations`` lists the indices of marching steps whose
-    characteristic feet (or whose field support) touched the wrap-around
-    margin while carrying non-negligible values.
+    ``support_violations`` lists the indices of the marching steps, of
+    either scheme, after which the field carried a value above 1e-9
+    times sup|u0| in the wrap-around margin: the nodes within 10% of the
+    half width of the box edge.
     """
 
     grid: SpatialGrid
@@ -129,7 +130,7 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     g(t) * b(x) (see ``DriftField.factors``) is tabulated through b and
     scaled by g(t) per call, since mollifying commutes with the gain; any
     other time-dependent field is rejected with ``ConfigError``. The
-    divergence rule is the central difference of the table.
+    Jacobian rule is the central difference of the tables.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -149,11 +150,10 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     smooth = [ndimage.convolve(samples[..., a], kernel, mode="nearest") for a in range(d)]
     axis = lattice.axis()
     tables = [ScalarField(lattice, c) for c in smooth]
-    # Differentiating the table never evaluates the base divergence, which
+    # Differentiating the tables never evaluates the base Jacobian, which
     # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
-    div_table = ScalarField(
-        lattice, sum(np.gradient(c, lattice.h, axis=a) for a, c in enumerate(smooth))
-    )
+    jac_tables = [[ScalarField(lattice, np.gradient(c, lattice.h, axis=a)) for a in range(d)]
+                  for c in smooth]
 
     def read(table, t, points):
         pts = np.asarray(points, dtype=float)
@@ -167,11 +167,12 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
             return read(tables[0], t, points)[..., None]
         return np.stack([read(table, t, points) for table in tables], axis=-1)
 
-    def divergence(t, points):
-        return read(div_table, t, points)
+    def jacobian(t, points):
+        return np.stack([np.stack([read(table, t, points) for table in row], axis=-1)
+                         for row in jac_tables], axis=-2)
 
     return DriftField(
-        f"{b.id}~eps", d, fn, divergence, None,
+        f"{b.id}~eps", d, fn, jacobian,
         regularity_tags=(b.regularity_tags | {"smooth", "mollified"}),
         time_dependent=b.time_dependent,
         params={**b.params, "mollify_epsilon": float(epsilon)},
@@ -191,30 +192,14 @@ def _rk4_feet(velocity, points, t: float, dt: float) -> np.ndarray:
     return points - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def semi_lagrangian_step(
-    v: ScalarField,
-    velocity,
-    t: float,
-    dt: float,
-    diagnostics: dict | None = None,
-) -> ScalarField:
+def semi_lagrangian_step(v: ScalarField, velocity, t: float, dt: float) -> ScalarField:
     """Advance one step: backtrack feet with RK4, read off by clamped interpolation.
 
     Clamping the cubic stencil enforces a discrete maximum principle.
-    When a foot leaves the trusted band (more than 10% of the half width
-    beyond the box edge budget) while carrying a non-negligible value,
-    ``diagnostics["support_violation"]`` is set; the step still completes.
     """
     grid = v.grid
     feet = _rk4_feet(velocity, grid.nodes(), t, dt)
     vals = interpolate(v, feet, clamp=True)
-    if diagnostics is not None:
-        margin = SUPPORT_MARGIN_FRACTION * grid.half_width
-        outside = np.any(np.abs(feet) > grid.half_width - margin, axis=-1)
-        if np.any(outside):
-            tol = _SUPPORT_VALUE_RTOL * max(float(np.max(np.abs(v.values))), 1.0e-300)
-            if np.any(np.abs(vals[outside]) > tol):
-                diagnostics["support_violation"] = True
     return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
 
 
@@ -246,25 +231,18 @@ def characteristics_solve(
 
     ``x0`` may be a single point (d,) or a batch (..., d); the returned
     array matches its shape. Positions exceeding ``blowup_radius`` raise
-    ``BlowUpError``. Works in either time direction.
+    ``BlowUpError``. Works in either time direction: each substep is the
+    semi-Lagrangian RK4 step run with the opposite sign.
     """
     span = t1 - t0
     if span == 0.0:
         return np.array(x0, dtype=float)
     n_sub = max(1, int(math.ceil(abs(span) / max_step)))
     dt = span / n_sub
-
-    def velocity(s, pts):
-        return eval_drift(b, s, pts + eval_path(path, float(s)))
-
+    velocity = composed_drift(b, path)
     x = np.array(x0, dtype=float)
     for i in range(n_sub):
-        s = t0 + i * dt
-        k1 = velocity(s, x)
-        k2 = velocity(s + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = velocity(s + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = velocity(s + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_feet(velocity, x, t0 + i * dt + dt, -dt)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_radius:
             raise BlowUpError(f"characteristic left the trusted region at substep {i}", step=i)
     return x
@@ -280,19 +258,36 @@ def cfl_number(velocity, grid: SpatialGrid, dt: float, times) -> float:
     return dt * vmax / grid.h
 
 
-def _snapshot_support_hits_margin(v: ScalarField, v0_sup: float) -> bool:
-    grid = v.grid
-    band = max(1, int(math.ceil(SUPPORT_MARGIN_FRACTION * grid.half_width / grid.h)))
+def _margin_band(grid: SpatialGrid) -> np.ndarray:
+    """Mask of the wrap-around margin: nodes within 10% of the half width
+    (at least one cell) of the box edge along some axis."""
+    width = max(1, int(math.ceil(SUPPORT_MARGIN_FRACTION * grid.half_width / grid.h)))
+    index = np.arange(grid.n)
+    edge = (index < width) | (index >= grid.n - width)
+    return np.logical_or.reduce(np.meshgrid(*[edge] * grid.d, indexing="ij"))
+
+
+def _support_hits_margin(v: ScalarField, band: np.ndarray, v0_sup: float) -> bool:
+    """Whether v exceeds 1e-9 * v0_sup anywhere in the margin ``band``."""
     tol = _SUPPORT_VALUE_RTOL * max(v0_sup, 1.0e-300)
-    for axis in range(grid.d):
-        edge = np.concatenate(
-            [np.take(v.values, range(band), axis=axis),
-             np.take(v.values, range(grid.n - band, grid.n), axis=axis)],
-            axis=axis,
+    return bool(np.any(np.abs(v.values[band]) > tol))
+
+
+def _step_count(dt: float, horizon: float) -> int:
+    """Number of steps of size dt in [0, horizon]; dt must divide the horizon."""
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1.0e-9 * horizon:
+        raise ConfigError(f"dt={dt} does not divide the horizon {horizon}")
+    return n_steps
+
+
+def _check_mollify_radius(epsilon: float, h: float) -> None:
+    """A forced mollifier radius must be zero (no smoothing) or at least h."""
+    if 0.0 < epsilon < h:
+        raise KernelResolutionError(
+            f"mollify_eps={epsilon} is below the grid spacing h={h}; "
+            f"use 0 to disable smoothing or a radius of at least h"
         )
-        if np.any(np.abs(edge) > tol):
-            return True
-    return False
 
 
 def solve_transport(
@@ -347,9 +342,7 @@ def solve_transport(
         raise ConfigError(
             f"path horizon {path.horizon} does not cover the run horizon {horizon}"
         )
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1.0e-9 * horizon:
-        raise ConfigError(f"dt={dt} does not divide the horizon {horizon}")
+    n_steps = _step_count(dt, horizon)
     if n_snapshots < 1 or n_steps % n_snapshots != 0:
         raise ConfigError(
             f"{n_steps} steps cannot be grouped into {n_snapshots} equal snapshot intervals"
@@ -363,11 +356,7 @@ def solve_transport(
         eps = None
     else:
         eps = float(mollify_epsilon)
-        if 0.0 < eps < grid.h:
-            raise KernelResolutionError(
-                f"mollify_epsilon {eps} is below the grid spacing h={grid.h}; "
-                f"use 0 to disable smoothing or a radius of at least h"
-            )
+        _check_mollify_radius(eps, grid.h)
     times = np.linspace(0.0, horizon, n_snapshots + 1)
     b_eff = b
     if eps is not None:
@@ -386,27 +375,23 @@ def solve_transport(
                 f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
             )
 
+    # Looked up per solve, not bound at import, so a replaced module
+    # attribute (a profiler's wrapper) is the one that runs.
+    advance = semi_lagrangian_step if scheme == "semi_lagrangian" else upwind_fv_step
+    band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
     snapshots = [u0]
     violations: list[int] = []
     v = u0
-    diag: dict = {}
     for step in range(n_steps):
-        t = step * dt
-        diag.clear()
         try:
-            if scheme == "semi_lagrangian":
-                v = semi_lagrangian_step(v, velocity, t, dt, diagnostics=diag)
-            else:
-                v = upwind_fv_step(v, velocity, t, dt)
+            v = advance(v, velocity, step * dt, dt)
         except FieldValidationError as exc:
             raise BlowUpError(f"non-finite field at step {step + 1}: {exc}",
                               step=step + 1) from exc
-        if diag.get("support_violation"):
+        if _support_hits_margin(v, band, v0_sup):
             violations.append(step + 1)
         if (step + 1) % stride == 0:
-            if scheme == "upwind_fv" and _snapshot_support_hits_margin(v, v0_sup):
-                violations.append(step + 1)
             snapshots.append(v)
 
     if violations:
@@ -425,5 +410,5 @@ def solve_transport(
         path_seed=path.seed,
         dt=dt,
         mollify_epsilon=eps,
-        support_violations=tuple(sorted(set(violations))),
+        support_violations=tuple(violations),
     )

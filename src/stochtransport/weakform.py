@@ -9,7 +9,10 @@ compactly supported smooth test function phi,
         + sum_i int_0^t ( int D_i phi u dx ) o dW^i,
 
 with the stochastic term read in the Fisk-Stratonovich sense. The
-verifier evaluates every term on the snapshot mesh, approximating the
+verifier evaluates every term on the snapshot mesh, with div b taken as
+its average over each grid cell (the flux difference across the cell
+faces, finite for every W^{1,1} drift, also at a singular node), and
+approximates the
 Stratonovich integral by midpoint (endpoint-average) sums against the
 path increments, and reports the defect. An Ito left-point variant is
 kept as a negative control: on exact solutions it converges to the
@@ -21,16 +24,16 @@ Riemann-Stieltjes integral, and the midpoint sum is its trapezoid rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .artifacts import write_csv
-from .drifts import DriftField, divergence_of, eval_drift
+from .drifts import DriftField, _central_jacobian, eval_drift
 from .errors import ConfigError, MeshMismatchError
 from .fields import SpatialGrid, lp_norm
 from .paths import SamplePath, eval_path
+from .profiles import Profile, bump
 from .spde import SpdeSolution
 
 __all__ = [
@@ -53,14 +56,15 @@ MIN_RADIUS_CELLS = 8
 class TestFunction:
     """Compactly supported bump a * exp(1/((|x-x0|/r)^2 - 1)) on |x-x0| < r.
 
-    The gradient is analytic. ``sup_value`` and ``sup_gradient`` are the
-    extrema used to normalize residuals; the gradient extremum is found
-    on a dense radial sample once per instance.
+    Value and analytic gradient are those of ``profiles.bump``.
+    ``sup_value`` and ``sup_gradient`` are the extrema used to normalize
+    residuals; the gradient extremum is found on a dense radial sample.
     """
 
     center: np.ndarray
     radius: float
     amplitude: float
+    _bump: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float)).copy()
@@ -68,28 +72,17 @@ class TestFunction:
         object.__setattr__(self, "center", c)
         if not (self.radius > 0 and self.amplitude != 0):
             raise ConfigError("test function needs a positive radius and nonzero amplitude")
+        object.__setattr__(self, "_bump", bump(c.size, c, self.radius, self.amplitude))
 
     @property
     def d(self) -> int:
         return self.center.size
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        rel = np.asarray(points, dtype=float) - self.center
-        s = np.sum(rel * rel, axis=-1) / (self.radius * self.radius)
-        out = np.zeros(s.shape)
-        inside = s < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 / (s[inside] - 1.0))
-        return out
+        return self._bump.fn(points)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        rel = np.asarray(points, dtype=float) - self.center
-        s = np.sum(rel * rel, axis=-1) / (self.radius * self.radius)
-        out = np.zeros(rel.shape)
-        inside = s < 1.0
-        si = s[inside] - 1.0
-        scale = -2.0 * self.amplitude * np.exp(1.0 / si) / (si * si * self.radius * self.radius)
-        out[inside] = scale[..., None] * rel[inside]
-        return out
+        return self._bump.gradient(points)
 
     @property
     def sup_value(self) -> float:
@@ -197,61 +190,9 @@ def _check_alignment(times: np.ndarray, path: SamplePath) -> None:
         raise MeshMismatchError("snapshot times do not sit on the path mesh")
 
 
-def _residual_series(
-    fields,
-    times: np.ndarray,
-    b: DriftField,
-    path: SamplePath,
-    phi: TestFunction,
-    phi_index: int,
-    p,
-    rule: str,
-) -> WeakResidualSeries:
-    grid = fields[0].grid
-    nodes = grid.nodes()
-    w = grid.cell_volume
-    phi_vals = phi.value(nodes)
-    phi_grad = phi.gradient(nodes)
-
-    U = np.stack([f.values.ravel() for f in fields])  # (M+1, n)
-    A = U @ phi_vals * w
-    g = U @ phi_grad * w  # (M+1, d)
-
-    drift_rate = np.empty(times.size)
-    div_rate = np.empty(times.size)
-    for m, t in enumerate(times):
-        bx = eval_drift(b, float(t), nodes)
-        drift_rate[m] = float((U[m] * np.sum(bx * phi_grad, axis=-1)).sum()) * w
-        div_vals = divergence_of(b, float(t), nodes, fd_step=1.0e-4 * grid.half_width)
-        div_rate[m] = float((U[m] * div_vals * phi_vals).sum()) * w
-    term_drift = cumulative_trapezoid(drift_rate, times, initial=0.0)
-    term_div = cumulative_trapezoid(div_rate, times, initial=0.0)
-
-    B = eval_path(path, times)  # (M+1, d)
-    dB = np.diff(B, axis=0)
-    if rule == "stratonovich":
-        inc = np.sum(0.5 * (g[:-1] + g[1:]) * dB, axis=-1)
-    elif rule == "ito":
-        inc = np.sum(g[:-1] * dB, axis=-1)
-    else:
-        raise ConfigError(f"unknown stochastic quadrature rule {rule!r}")
-    term_stoch = np.concatenate([[0.0], np.cumsum(inc)])
-
-    term_initial = A - A[0]
-    residuals = term_initial - term_drift - term_div - term_stoch
-    normalizer = lp_norm(fields[0], p) * (phi.sup_value + phi.sup_gradient)
-    if normalizer == 0.0:
-        normalizer = phi.sup_value + phi.sup_gradient
-    return WeakResidualSeries(
-        phi_index=phi_index,
-        times=times,
-        residuals=residuals,
-        term_initial=term_initial,
-        term_drift=term_drift,
-        term_div=term_div,
-        term_stoch=term_stoch,
-        normalizer=normalizer,
-    )
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over t, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def weak_residual(
@@ -282,17 +223,55 @@ def weak_residual(
         Riemann-Stieltjes integral when the path has bounded variation;
         the left-point Ito sums are a negative control.
     """
+    if rule not in ("stratonovich", "ito"):
+        raise ConfigError(f"unknown stochastic quadrature rule {rule!r}")
     path = sol.path if path is None else path
     phis = make_test_functions(sol.grid, 10, 0) if phis is None else list(phis)
     exponent = sol.p if p is None else p
-    _check_alignment(sol.times, path)
+    times = sol.times
+    _check_alignment(times, path)
+    grid = sol.grid
     for phi in phis:
-        phi.validate_for(sol.grid)
-    series = tuple(
-        _residual_series(sol.fields, sol.times, b, path, phi, j, exponent, rule)
-        for j, phi in enumerate(phis)
-    )
-    return WeakResidualReport(series)
+        phi.validate_for(grid)
+    nodes = grid.nodes()
+    w = grid.cell_volume
+    U = np.stack([f.values.ravel() for f in sol.fields])  # (M+1, n)
+    # The drift and its cell-averaged divergence, once per snapshot for
+    # every test function.
+    drift = [eval_drift(b, float(t), nodes) for t in times]
+    div = [np.trace(_central_jacobian(b, float(t), nodes, 0.5 * grid.h), axis1=-2, axis2=-1)
+           for t in times]
+    u0_norm = lp_norm(sol.fields[0], exponent)
+    dB = np.diff(eval_path(path, times), axis=0)  # (M, d)
+
+    series = []
+    for j, phi in enumerate(phis):
+        phi_vals = phi.value(nodes)
+        phi_grad = phi.gradient(nodes)
+        A = U @ phi_vals * w
+        g = U @ phi_grad * w  # (M+1, d)
+        drift_rate = np.array([float((u * np.sum(bx * phi_grad, axis=-1)).sum()) * w
+                               for u, bx in zip(U, drift)])
+        div_rate = np.array([float((u * dv * phi_vals).sum()) * w for u, dv in zip(U, div)])
+        term_drift = _cumulative_trapezoid(drift_rate, times)
+        term_div = _cumulative_trapezoid(div_rate, times)
+        g_step = 0.5 * (g[:-1] + g[1:]) if rule == "stratonovich" else g[:-1]
+        term_stoch = np.concatenate([[0.0], np.cumsum(np.sum(g_step * dB, axis=-1))])
+        term_initial = A - A[0]
+        normalizer = u0_norm * (phi.sup_value + phi.sup_gradient)
+        if normalizer == 0.0:
+            normalizer = phi.sup_value + phi.sup_gradient
+        series.append(WeakResidualSeries(
+            phi_index=j,
+            times=times,
+            residuals=term_initial - term_drift - term_div - term_stoch,
+            term_initial=term_initial,
+            term_drift=term_drift,
+            term_div=term_div,
+            term_stoch=term_stoch,
+            normalizer=normalizer,
+        ))
+    return WeakResidualReport(tuple(series))
 
 
 def write_weak_report_csv(report: WeakResidualReport, path) -> None:

@@ -7,6 +7,8 @@ significant digits (0.1 + 0.2 = 0.30000000000000004), so a writer that
 rounds or reformats floats changes the bytes and fails here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,22 @@ class TestFieldText:
         target.write_text("".join(lines[:-1]), encoding="utf-8")
         with pytest.raises(FieldValidationError, match="expected 8 rows, got 7"):
             read_field_csv(target)
+
+    def test_reader_streams_rows(self, tmp_path):
+        # a 128^2 field is 16,384 rows; holding each row as a list of
+        # strings would take several MB
+        grid = SpatialGrid(2, 4.0, 128)
+        f = ScalarField(grid, np.random.default_rng(3).normal(size=grid.shape))
+        target = tmp_path / "f.csv"
+        write_field_csv(f, target)
+        tracemalloc.start()
+        try:
+            back = read_field_csv(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, f.values)
+        assert peak <= 1_000_000
 
     def test_missing_grid_header_rejected(self, tmp_path):
         target = tmp_path / "f.csv"

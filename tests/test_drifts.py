@@ -27,6 +27,7 @@ from stochtransport.drifts import (
     time_modulated_drift,
     write_hypothesis_csv,
     zero_drift,
+    _jacobian_of,
 )
 from stochtransport.fields import SpatialGrid
 
@@ -94,12 +95,36 @@ class TestDivergence:
     def test_stream_field_finite_difference_divergence(self):
         full = stream_function_drift(4.0)
         bare = type(full)(
-            id=full.id, d=2, fn=full.fn, divergence=None, jacobian=None,
+            id=full.id, d=2, fn=full.fn, jacobian=None,
             regularity_tags=full.regularity_tags, params=full.params,
         )
         rng = np.random.default_rng(4)
         pts = rng.uniform(-4.0, 4.0, size=(300, 2))
         assert float(np.max(np.abs(divergence_of(bare, 0.0, pts)))) <= 1e-5
+
+    @pytest.mark.parametrize("b", [
+        zero_drift(2),
+        constant_drift([2.0, -1.0]),
+        linear_drift([[-1.0, 0.5], [0.25, 0.3]]),
+        stream_function_drift(4.0, amplitude=1.3),
+        shear_drift(4.0),
+        power_drift(0.75, scale=-1.0),
+        time_modulated_drift(power_drift(0.75), "sin_squared", 1.0),
+        time_modulated_drift(stream_function_drift(4.0), "ramp", 1.0),
+    ], ids=lambda b: b.id)
+    def test_divergence_is_trace_of_jacobian(self, b):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-4.0, 4.0, size=(200, b.d))
+        for t in (0.0, 0.4):
+            jac = _jacobian_of(b, t, pts, fd_step=1e-4)
+            assert jac.shape == (200, b.d, b.d)
+            assert np.array_equal(divergence_of(b, t, pts),
+                                  np.trace(jac, axis1=-2, axis2=-1))
+
+    def test_stream_divergence_is_exactly_zero(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-4.0, 4.0, size=(500, 2))
+        assert np.all(divergence_of(stream_function_drift(4.0, 1.7), 0.0, pts) == 0.0)
 
     def test_divergence_bound_of_linear_contraction(self):
         # sup |div b| = 1 at every time, so the time integral over [0,1] is 1

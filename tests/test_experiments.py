@@ -11,6 +11,8 @@ mesh. Reruns of the same config must reproduce artifact bytes exactly.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -454,6 +456,25 @@ class TestCommandLine:
         assert main(["solve", "--config", config, "--out", out]) == 0
         assert main(["verify-weak", "--config", config, "--out", out]) == 0
         assert "PASS verify-weak" in capsys.readouterr().out
+
+    def test_rough_drift_solve_then_verify(self, tmp_path, capsys):
+        # the weak audit's cell-averaged divergence stays finite at the
+        # singular node x = 0 of |x|^(alpha-1)
+        config = self.write_config(tmp_path, base_dict(
+            p=2.0, drift={"id": "power1d", "alpha": 0.75, "scale": -1.0}))
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", config, "--out", out]) == 0
+        assert main(["verify-weak", "--config", config, "--out", out]) == 0
+        assert "PASS verify-weak" in capsys.readouterr().out
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = "import sys, stochtransport.cli; print('scipy.integrate' in sys.modules)"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(colour="red"))

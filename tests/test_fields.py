@@ -112,18 +112,16 @@ class TestInterpolate:
     def test_constant_field_reproduced(self, grid512):
         f = ScalarField.from_function(grid512, lambda p: np.full(p.shape[:-1], 3.7))
         q = np.array([[0.123], [-3.9], [2.0 + grid512.h / 3.0]])
-        for order in ("linear", "cubic"):
-            assert np.max(np.abs(interpolate(f, q, order=order) - 3.7)) <= 1e-13
+        assert np.max(np.abs(interpolate(f, q) - 3.7)) <= 1e-13
 
     def test_nodes_reproduce_nodal_values_exactly(self, bump512, grid512):
         q = grid512.axis()[:, None]
-        for order in ("linear", "cubic"):
-            assert np.array_equal(interpolate(bump512, q, order=order), bump512.values)
+        assert np.array_equal(interpolate(bump512, q), bump512.values)
 
     def test_cubic_hits_analytic_sine(self):
         g = SpatialGrid(d=1, half_width=math.pi, n=512)
         f = ScalarField.from_function(g, lambda p: np.sin(p[..., 0]))
-        got = interpolate(f, np.array([[math.pi / 7.0]]), order="cubic")
+        got = interpolate(f, np.array([[math.pi / 7.0]]))
         assert abs(float(got[0]) - math.sin(math.pi / 7.0)) <= 1e-6
 
     def test_cubic_is_fourth_order_on_smooth_data(self):
@@ -136,7 +134,7 @@ class TestInterpolate:
             f = ScalarField.from_function(
                 g, lambda p: np.sin(2.0 * np.pi * p[..., 0] / 8.0 + 0.3)
             )
-            vals = interpolate(f, q, order="cubic", clamp=False)
+            vals = interpolate(f, q, clamp=False)
             errs.append(float(np.max(np.abs(vals - truth))))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 3.8
@@ -144,7 +142,7 @@ class TestInterpolate:
     def test_clamped_cubic_stays_in_stencil_range(self, bump512):
         rng = np.random.default_rng(11)
         q = rng.uniform(-4.0, 4.0, size=(2000, 1))
-        vals = interpolate(bump512, q, order="cubic", clamp=True)
+        vals = interpolate(bump512, q, clamp=True)
         assert np.min(vals) >= float(bump512.values.min()) - 1e-12
         assert np.max(vals) <= float(bump512.values.max()) + 1e-12
 
@@ -168,7 +166,7 @@ class TestShiftField:
     def test_off_lattice_shift_matches_resampled_profile(self, grid512):
         prof = bump(1, center=0.0, radius=1.0)
         f = sample_profile(grid512, prof)
-        shifted = shift_field(f, [0.3], order="cubic")
+        shifted = shift_field(f, [0.3])
         resampled = ScalarField.from_function(
             grid512, lambda p: prof.fn(p - np.array([0.3]))
         )

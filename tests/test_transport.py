@@ -15,6 +15,7 @@ from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
 from stochtransport.drifts import (
     DriftField,
     constant_drift,
+    divergence_of,
     linear_drift,
     power_drift,
     stream_function_drift,
@@ -245,6 +246,16 @@ class TestSchemeProperties:
             solve_transport(constant_drift([2.8]), w, u0, dt=1.0 / 128,
                             horizon=1.0, n_snapshots=4)
 
+    def test_upwind_support_is_checked_every_step(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        w = zero_path(1.0, 128, 1)
+        with pytest.warns(SupportMarginWarning):
+            sol = solve_transport(constant_drift([2.8]), w, u0, dt=1.0 / 128,
+                                  horizon=1.0, scheme="upwind_fv", n_snapshots=4)
+        stride = 128 // 4
+        assert any(step % stride != 0 for step in sol.support_violations)
+
     def test_mesh_validation(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
@@ -315,7 +326,7 @@ class TestMollifiedDrift:
         assert got.shape == self.PTS_2D.shape
         assert np.max(np.abs(got - ref)) <= 1e-5
         # mollifying commutes with the divergence, which vanishes here
-        assert np.max(np.abs(m.divergence(0.0, self.PTS_2D))) <= 1e-10
+        assert np.max(np.abs(divergence_of(m, 0.0, self.PTS_2D))) <= 1e-10
 
     def test_power1d_divergence_is_slope_of_the_average(self):
         b = power_drift(0.75, scale=-1.0)
@@ -325,7 +336,7 @@ class TestMollifiedDrift:
                  - bump_average(b, 0.0, self.PTS_1D - eta, self.EPS, 20000))[:, 0] / (2 * eta)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = m.divergence(0.0, self.PTS_1D)
+            got = divergence_of(m, 0.0, self.PTS_1D)
         assert np.max(np.abs(got - slope)) <= 1e-3 * np.max(np.abs(slope))
 
     @pytest.mark.parametrize("b, point", [
