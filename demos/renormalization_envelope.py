@@ -18,7 +18,7 @@ def main() -> None:
     u0 = st.sample_profile(grid, st.bump(1, radius=1.2))
     b = st.linear_drift([[-1.0]])
     path = st.sample_brownian(24, 1.0, 1024, 1)
-    sol = st.solve_spde(b, path, u0, dt=1.0 / 1024, horizon=1.0, p=1.0)
+    sol = st.solve_spde(b, path, u0, dt=1.0 / 1024, horizon=1.0)
 
     beta = st.smoothed_truncated_power(M=10.0, p=1.0)
     report = st.renormalize_check(sol, beta, b)
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"{'t':>6} {'int beta(v)':>12} {'envelope':>12} {'exp(-t) mass':>13}")
     n0 = st.lp_norm(u0, 1.0)
     for t, integral, env, v in zip(report.times, report.integrals,
-                                   report.envelope, sol.transport.fields):
+                                   report.envelope, sol.aux_fields):
         print(f"{t:6.3f} {integral:12.6f} {env:12.6f} "
               f"{st.lp_norm(v, 1.0) / (math.exp(-t) * n0):13.6f}")
     print("\nlast column: measured transport-frame mass over the exact "

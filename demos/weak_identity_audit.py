@@ -10,7 +10,7 @@ distinguishes the two senses of the noise term.
 import numpy as np
 
 import stochtransport as st
-from stochtransport.fields import LebesgueExponent, ScalarField
+from stochtransport.fields import ScalarField
 from stochtransport.spde import SpdeSolution
 
 
@@ -19,9 +19,7 @@ def closed_form(grid, profile, path):
         ScalarField.from_function(grid, lambda q, dd=w: profile.fn(q - dd))
         for w in path.values
     )
-    return SpdeSolution(grid=grid, times=path.times, fields=fields,
-                        p=LebesgueExponent(1.0), path=path,
-                        scheme="closed_form", transport=None)
+    return SpdeSolution(grid=grid, times=path.times, fields=fields, path=path)
 
 
 def main() -> None:
@@ -35,11 +33,11 @@ def main() -> None:
     phis = st.make_test_functions(grid_coarse, 10, seed=0)
 
     coarse = st.weak_residual(closed_form(grid_coarse, profile, coarse_path),
-                              b, phis=phis)
+                              b, 1.0, phis=phis)
     fine = st.weak_residual(closed_form(grid_fine, profile, fine_path),
-                            b, phis=phis)
+                            b, 1.0, phis=phis)
     ito = st.weak_residual(closed_form(grid_fine, profile, fine_path),
-                           b, phis=phis, rule="ito")
+                           b, 1.0, phis=phis, rule="ito")
 
     print(f"midpoint rule, N=512/K=2048:  max normalized residual "
           f"{coarse.max_normalized:.3e}")

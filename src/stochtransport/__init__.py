@@ -33,9 +33,8 @@ from .profiles import (Profile, bump, double_bump, profile_from_spec,
 from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
                    exact_solution, renormalize_check, smoothed_truncated_power,
                    solve_spde, squared_renormalization, time_continuity_modulus)
-from .transport import (TransportSolution, cfl_number, characteristics_solve,
-                        composed_drift, mollified_drift, semi_lagrangian_step,
-                        solve_transport, upwind_fv_step)
+from .transport import (cfl_number, characteristics_solve, composed_drift,
+                        mollified_drift, semi_lagrangian_step, upwind_fv_step)
 from .weakform import (TestFunction, WeakResidualReport, WeakResidualSeries,
                        make_test_functions, weak_residual, write_weak_report_csv)
 
@@ -64,9 +63,8 @@ __all__ = [
     "eval_path", "sup_distance", "total_variation", "write_path_csv",
     "read_path_csv",
     # transport
-    "TransportSolution", "composed_drift", "mollified_drift",
-    "semi_lagrangian_step", "upwind_fv_step", "characteristics_solve",
-    "cfl_number", "solve_transport",
+    "composed_drift", "mollified_drift", "semi_lagrangian_step",
+    "upwind_fv_step", "characteristics_solve", "cfl_number",
     # spde
     "SpdeSolution", "solve_spde", "exact_solution",
     "RenormalizationFn", "smoothed_truncated_power", "squared_renormalization",

@@ -35,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="artifact directory override")
-        p.add_argument("--seed", type=int, default=None, help="path seed override")
+        if name != "hypotheses":
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed override: the path, or verify-weak's test functions")
         if name in ("solve", "uniqueness", "wong-zakai"):
             p.add_argument("--path-file", default=None,
                            help="replay a dumped path CSV instead of sampling")
@@ -61,7 +63,7 @@ def main(argv=None) -> int:
             result = cmd_wong_zakai(cfg, out_dir=args.out, seed=args.seed,
                                     n_seeds=args.seeds, path_file=args.path_file)
         else:
-            result = cmd_hypotheses(cfg, out_dir=args.out, seed=args.seed)
+            result = cmd_hypotheses(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .fields import (LebesgueExponent, ScalarField, SpatialGrid, lp_norm,
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .spde import SpdeSolution, exact_solution, solve_spde
+from .spde import SpdeSolution, _step_list, exact_solution, solve_spde
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _step_count, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
@@ -332,6 +332,14 @@ def _resolve(cfg: ExperimentConfig, out_dir, seed) -> tuple[str, int]:
             seed if seed is not None else cfg.seed)
 
 
+def _support_lines(command: str, where: str, sol: SpdeSolution) -> list:
+    """One line when the solve's support touched the wrap-around margin, else none."""
+    if not sol.support_violations:
+        return []
+    return [f"{command}: support touched the wrap-around margin{where} at steps "
+            f"{_step_list(sol.support_violations)}"]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -345,10 +353,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
     u0 = cfg.u0()
     sol = solve_spde(
         cfg.drift(), path, u0, cfg.dt, cfg.horizon,
-        scheme=cfg.scheme, n_snapshots=n_snapshots, p=cfg.exponent(),
-        mollify_epsilon=cfg.mollify_eps,
+        scheme=cfg.scheme, n_snapshots=n_snapshots, mollify_epsilon=cfg.mollify_eps,
     )
-    for m, (u, v) in enumerate(zip(sol.fields, sol.transport.fields)):
+    for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
         write_field_csv(v, os.path.join(out_dir, f"v_t{m:04d}.csv"))
     write_path_csv(path, os.path.join(out_dir, "path.csv"))
@@ -359,11 +366,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
                     os.path.join(out_dir, "manifest.csv"))
     result = CommandResult(0)
     result.add(f"solve: wrote {len(sol.fields)} snapshots to {out_dir}")
-    if sol.transport.support_violations:
-        result.add(
-            f"solve: support touched the wrap-around margin at steps "
-            f"{list(sol.transport.support_violations)[:5]}"
-        )
+    result.lines.extend(_support_lines("solve", "", sol))
     return result
 
 
@@ -387,10 +390,7 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     fields = [read_field_csv(f) for f in files]
     path = read_path_csv(os.path.join(out_dir, "path.csv"))
     times = np.linspace(0.0, cfg.horizon, len(fields))
-    return SpdeSolution(
-        grid=fields[0].grid, times=times, fields=tuple(fields),
-        p=cfg.exponent(), path=path, scheme=cfg.scheme, transport=None,
-    )
+    return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
 
 
 def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None,
@@ -399,7 +399,7 @@ def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None,
     out_dir, seed = _resolve(cfg, out_dir, seed)
     sol = _load_run(cfg, out_dir)
     phis = make_test_functions(sol.grid, cfg.phi_count, seed)
-    report = weak_residual(sol, cfg.drift(), phis=phis)
+    report = weak_residual(sol, cfg.drift(), cfg.exponent(), phis=phis)
     write_weak_report_csv(report, os.path.join(out_dir, "weak_report.csv"))
     worst = report.max_normalized
     ok = worst <= tolerance
@@ -423,20 +423,21 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
     b = cfg.drift()
     profile = cfg.profile()
     exponent = cfg.exponent()
-    q = exponent.q
     window = [(-cfg.half_width, cfg.half_width)] * cfg.d
-    hyp = check_hypotheses(b, q if math.isfinite(q) else math.inf, window, cfg.horizon)
-    exploratory = not hyp.all_ok
+    exploratory = not check_hypotheses(b, exponent.q, window, cfg.horizon).all_ok
 
     errors = []
     oracle_sums = []
     rows = []
+    notes = []
     for n_level in ladder:
         grid = SpatialGrid(cfg.d, cfg.half_width, n_level)
         u0 = sample_profile(grid, profile)
         sols = [solve_spde(b, path, u0, cfg.dt, cfg.horizon, scheme=scheme,
-                           p=exponent, mollify_epsilon=cfg.mollify_eps)
+                           mollify_epsilon=cfg.mollify_eps)
                 for scheme in SCHEMES]
+        for scheme, sol in zip(SCHEMES, sols):
+            notes += _support_lines("uniqueness", f" in the N={n_level} {scheme} solve", sol)
         errors.append(max(lp_norm(ua - ub, exponent)
                           for ua, ub in zip(*(sol.fields for sol in sols))))
         if b.constant_value is not None:
@@ -465,6 +466,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
             f"uniqueness: final discrepancy {errors[-1]:.4g} vs oracle-error sum "
             f"{oracle_sums[-1]:.4g}"
         )
+    result.lines.extend(notes)
     return result
 
 
@@ -490,14 +492,19 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
 
     worst = np.zeros(len(levels))
     rows = []
+    notes = []
     for s in range(seed, seed + n_seeds):
         path = cfg.path(s, path_file)
         ref = solve_spde(b, path, u0, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                         p=exponent, mollify_epsilon=cfg.mollify_eps)
+                         mollify_epsilon=cfg.mollify_eps)
+        notes += _support_lines(
+            "wong-zakai", f" in the seed {s} reference {cfg.scheme} solve", ref)
         for i, lvl in enumerate(levels):
             approx = piecewise_linear_approx(path, lvl)
             sol = solve_spde(b, approx, u0, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                             p=exponent, mollify_epsilon=cfg.mollify_eps)
+                             mollify_epsilon=cfg.mollify_eps)
+            notes += _support_lines(
+                "wong-zakai", f" in the seed {s} level {lvl} {cfg.scheme} solve", sol)
             err = max(lp_norm(ua - ub, exponent)
                       for ua, ub in zip(sol.fields, ref.fields))
             worst[i] = max(worst[i], err)
@@ -517,12 +524,13 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
         + " -> ".join(f"{e:.4g}" for e in worst)
         + f" (final vs {WZ_FINAL_TOL} * |u0|_p = {WZ_FINAL_TOL * u0_norm:.4g})"
     )
+    result.lines.extend(notes)
     return result
 
 
-def cmd_hypotheses(cfg: ExperimentConfig, out_dir=None, seed=None) -> CommandResult:
+def cmd_hypotheses(cfg: ExperimentConfig, out_dir=None) -> CommandResult:
     """Run the drift integrability checks for the configured exponent."""
-    out_dir, _ = _resolve(cfg, out_dir, seed)
+    out_dir, _ = _resolve(cfg, out_dir, None)
     _ensure_dir(out_dir)
     b = cfg.drift()
     q = cfg.exponent().q

@@ -4,31 +4,36 @@ For a frozen realization of the driving path, the stochastic problem
 
     du + b(t, x) . grad u dt + grad u . dW = 0,    u(0) = u0,
 
-is solved by marching the deterministic advection problem with the
-path-shifted drift b(t, x + W(t)) and translating each snapshot back:
-u(t, x) = v(t, x - W(t)). One entry point serves every driving path:
-a Brownian draw, the zero path, and the bounded-variation interpolants
-that the Wong-Zakai approximation study feeds in.
+is solved in one pass: ``solve_spde`` marches the deterministic
+advection problem for v with the path-shifted drift b(t, x + W(t)),
+using the steppers of ``transport``, and translates each snapshot back:
+u(t, x) = v(t, x - W(t)). The one entry point serves every driving
+path: a Brownian draw, the zero path, and the bounded-variation
+interpolants that the Wong-Zakai approximation study feeds in.
 
 Renormalization checks integrate a truncated power of the unshifted
-field and compare its growth against the Gronwall envelope driven by
+field v and compare its growth against the Gronwall envelope driven by
 the time-integrated sup bound on div b.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
+from . import transport
 from .drifts import DriftField, divergence_bound
-from .errors import ConfigError
-from .fields import LebesgueExponent, ScalarField, SpatialGrid, lp_norm, shift_field
+from .errors import BlowUpError, ConfigError, FieldValidationError, SupportMarginWarning
+from .fields import ScalarField, SpatialGrid, lp_norm, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
-from .transport import TransportSolution, solve_transport
+from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
+                        _step_count, _support_hits_margin, cfl_number, composed_drift,
+                        mollified_drift)
 
 __all__ = [
     "SpdeSolution",
@@ -47,18 +52,24 @@ __all__ = [
 class SpdeSolution:
     """Snapshots of the stochastic solution u, tied to their driving path.
 
-    ``transport`` keeps the underlying advected field v when the solution
-    was produced by the solver; it is None for solutions reassembled from
-    dumped artifacts.
+    The solver also fills the remaining fields; a solution rebuilt from
+    dumped artifacts leaves them at their defaults. ``aux_fields`` holds
+    the advected field v at the same times, with ``aux_fields[0]`` the
+    initial condition object itself. ``dt`` is the marching step and
+    ``mollify_epsilon`` the radius the drift was smoothed with (None:
+    not smoothed). ``support_violations`` lists the marching steps after
+    which v carried a value above 1e-9 times sup|u0| in the wrap-around
+    margin: the nodes within 10% of the half width of the box edge.
     """
 
     grid: SpatialGrid
     times: np.ndarray
     fields: tuple
-    p: LebesgueExponent
     path: SamplePath
-    scheme: str
-    transport: Optional[TransportSolution] = None
+    aux_fields: tuple = ()
+    dt: float | None = None
+    mollify_epsilon: float | None = None
+    support_violations: tuple = ()
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -70,13 +81,11 @@ class SpdeSolution:
                 f"{len(self.fields)} snapshots for {self.times.size} snapshot times"
             )
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
-    @property
-    def initial(self) -> ScalarField:
-        return self.fields[0]
+def _step_list(steps, shown: int = 5) -> str:
+    """The first ``shown`` marching steps as a list, ending in "..." when some are cut."""
+    items = [str(s) for s in steps[:shown]] + (["..."] if len(steps) > shown else [])
+    return f"[{', '.join(items)}]"
 
 
 def solve_spde(
@@ -87,33 +96,121 @@ def solve_spde(
     horizon: float,
     scheme: str = "semi_lagrangian",
     n_snapshots: int = 16,
-    p=2.0,
     mollify_epsilon: float | None = None,
 ) -> SpdeSolution:
     """Solve the transport SPDE along a Brownian, zero or bounded-variation path.
 
-    Marches v with the path-shifted drift, then translates each snapshot
+    Marches v with the path-shifted drift and translates each snapshot
     by the path position: u(s, x) = v(s, x - W(s)). The first snapshot
     equals u0 exactly since every path starts at the origin. A
     piecewise-linear interpolant on the full fine mesh has the knot
     values of its path bit for bit, so it reproduces the Brownian run
     bit for bit.
+
+    Parameters
+    ----------
+    b, path, u0
+        Drift field, frozen driving path (defined on at least [0, horizon]),
+        and initial data.
+    dt, horizon
+        Uniform step and final time; dt must divide the snapshot spacing
+        horizon / n_snapshots.
+    scheme : {"semi_lagrangian", "upwind_fv"}
+        The upwind scheme additionally requires dt * sup|b| / h <= 0.9,
+        estimated on the grid nodes at the snapshot times.
+    mollify_epsilon
+        None applies the default policy: drifts not tagged smooth are
+        convolved with a bump of radius 2h before stepping. Zero disables
+        smoothing; a positive value forces that radius and must be at
+        least h. The smoothed drift is tabulated once per solve by
+        :func:`transport.mollified_drift`; time-dependent drifts must be
+        separable.
+
+    A step after which v reaches the wrap-around margin is recorded in
+    ``support_violations``; any such step ends in a ``SupportMarginWarning``.
+
+    Raises
+    ------
+    ConfigError
+        Mesh mismatches, CFL violation, unknown scheme, a sub-grid
+        mollifier radius, a non-separable time-dependent drift to smooth.
+    BlowUpError
+        Non-finite values during marching, with the offending step index,
+        or a drift query beyond the mollifier table.
     """
-    exponent = p if isinstance(p, LebesgueExponent) else LebesgueExponent(float(p))
-    ts = solve_transport(
-        b, path, u0, dt, horizon,
-        scheme=scheme, n_snapshots=n_snapshots, mollify_epsilon=mollify_epsilon,
-    )
-    shifted = [shift_field(v, eval_path(path, float(s))) for s, v in zip(ts.times, ts.fields)]
-    return SpdeSolution(
-        grid=u0.grid,
-        times=ts.times,
-        fields=tuple(shifted),
-        p=exponent,
-        path=path,
-        scheme=scheme,
-        transport=ts,
-    )
+    grid = u0.grid
+    if scheme not in SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    if b.d != grid.d or path.d != grid.d:
+        raise ConfigError(
+            f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
+        )
+    if not (horizon > 0):
+        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if path.horizon < horizon * (1.0 - 1.0e-12):
+        raise ConfigError(
+            f"path horizon {path.horizon} does not cover the run horizon {horizon}"
+        )
+    n_steps = _step_count(dt, horizon)
+    if n_snapshots < 1 or n_steps % n_snapshots != 0:
+        raise ConfigError(
+            f"{n_steps} steps cannot be grouped into {n_snapshots} equal snapshot intervals"
+        )
+    stride = n_steps // n_snapshots
+
+    eps: float | None
+    if mollify_epsilon is None:
+        eps = None if b.is_smooth else 2.0 * grid.h
+    elif mollify_epsilon == 0.0:
+        eps = None
+    else:
+        eps = float(mollify_epsilon)
+        _check_mollify_radius(eps, grid.h)
+    times = np.linspace(0.0, horizon, n_snapshots + 1)
+    b_eff = b
+    if eps is not None:
+        # Drift queries stay within the box shifted by the path, plus one
+        # RK4 stage displacement dt*|b|; the doubling covers speeds between
+        # the probe times and beyond the box.
+        excursion = float(np.max(np.abs(path.values))) if path.values.size else 0.0
+        stage = cfl_number(composed_drift(b, path), grid, dt, times) * grid.h
+        b_eff = mollified_drift(b, eps, grid.half_width + excursion + 2.0 * stage)
+
+    velocity = composed_drift(b_eff, path)
+    if scheme == "upwind_fv":
+        cfl = cfl_number(velocity, grid, dt, times)
+        if cfl > _CFL_LIMIT:
+            raise ConfigError(
+                f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
+            )
+
+    # Looked up per solve, not bound at import, so a replaced module
+    # attribute (a profiler's wrapper) is the one that runs.
+    advance = (transport.semi_lagrangian_step if scheme == "semi_lagrangian"
+               else transport.upwind_fv_step)
+    band = _margin_band(grid)
+    v0_sup = float(np.max(np.abs(u0.values)))
+    aux = [u0]
+    fields = [shift_field(u0, eval_path(path, 0.0))]
+    violations: list[int] = []
+    v = u0
+    for step in range(n_steps):
+        try:
+            v = advance(v, velocity, step * dt, dt)
+        except FieldValidationError as exc:
+            raise BlowUpError(f"non-finite field at step {step + 1}: {exc}",
+                              step=step + 1) from exc
+        if _support_hits_margin(v, band, v0_sup):
+            violations.append(step + 1)
+        if (step + 1) % stride == 0:
+            aux.append(v)
+            fields.append(shift_field(v, eval_path(path, float(times[len(fields)]))))
+
+    if violations:
+        warnings.warn(f"solution support entered the wrap-around margin at steps "
+                      f"{_step_list(violations)}", SupportMarginWarning, stacklevel=2)
+    return SpdeSolution(grid, times, tuple(fields), path, aux_fields=tuple(aux), dt=dt,
+                        mollify_epsilon=eps, support_violations=tuple(violations))
 
 
 def exact_solution(b: DriftField, path: SamplePath, u0_profile: Profile, t: float,
@@ -265,53 +362,51 @@ class RenormalizationReport:
 
 
 def renormalize_check(
-    sol,
+    sol: SpdeSolution,
     beta: RenormalizationFn,
     b: DriftField,
     samples: int = 4096,
 ) -> RenormalizationReport:
     """Check I(t) = int beta(v(t, x)) dx against I(0) * exp((C + slack) t).
 
-    ``sol`` may be an ``SpdeSolution`` (its unshifted transport snapshots
-    are used) or a ``TransportSolution``. C is the trapezoid-in-time
-    integral of the sampled sup of |div b| over the box; the slack is
-    0.1 * C plus a resolution term that vanishes under refinement. When C
-    is not finite the verdict is "inconclusive" rather than a failure.
+    Uses the solver's unshifted snapshots ``sol.aux_fields``. C is the
+    trapezoid-in-time integral of the sampled sup of |div b| over the
+    box; the slack is 0.1 * C plus a resolution term that vanishes under
+    refinement. When C is not finite the verdict is "inconclusive"
+    rather than a failure.
     """
-    ts = sol.transport if isinstance(sol, SpdeSolution) else sol
-    if ts is None:
+    if not sol.aux_fields:
         raise ConfigError("solution carries no transport snapshots to renormalize")
-    grid = ts.grid
-    horizon = ts.horizon
+    grid = sol.grid
+    horizon = float(sol.times[-1])
     window = [(-grid.half_width, grid.half_width)] * grid.d
     C = divergence_bound(b, window, horizon, samples=samples)
     if not math.isfinite(C) or C > 1.0e12:
         return RenormalizationReport(
-            "inconclusive", C, math.nan, ts.times, np.array([]), np.array([])
+            "inconclusive", C, math.nan, sol.times, np.array([]), np.array([])
         )
-    spacing = float(ts.times[1] - ts.times[0])
+    spacing = float(sol.times[1] - sol.times[0])
     if spacing * C >= 0.1:
         raise ConfigError(
             f"snapshot spacing {spacing} too coarse for div bound {C}: need spacing*C < 0.1"
         )
-    slack = 0.1 * C + (grid.h / grid.half_width + ts.dt / horizon) / horizon
+    slack = 0.1 * C + (grid.h / grid.half_width + sol.dt / horizon) / horizon
     integrals = np.array(
-        [float(np.sum(beta.beta(f.values))) * grid.cell_volume for f in ts.fields]
+        [float(np.sum(beta.beta(f.values))) * grid.cell_volume for f in sol.aux_fields]
     )
-    envelope = integrals[0] * np.exp((C + slack) * ts.times)
+    envelope = integrals[0] * np.exp((C + slack) * sol.times)
     ok = bool(np.all(integrals <= envelope * (1.0 + 1.0e-12)))
     return RenormalizationReport(
-        "passed" if ok else "failed", C, slack, ts.times, integrals, envelope
+        "passed" if ok else "failed", C, slack, sol.times, integrals, envelope
     )
 
 
-def time_continuity_modulus(sol: SpdeSolution, p=None) -> float:
+def time_continuity_modulus(sol: SpdeSolution, p) -> float:
     """Largest Lp distance between adjacent snapshots of u."""
     if len(sol.fields) < 3:
         raise ConfigError("need at least three snapshots to estimate a modulus")
-    exponent = sol.p if p is None else p
     gaps = [
-        lp_norm(sol.fields[m + 1] - sol.fields[m], exponent)
+        lp_norm(sol.fields[m + 1] - sol.fields[m], p)
         for m in range(len(sol.fields) - 1)
     ]
     return float(max(gaps))

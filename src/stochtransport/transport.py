@@ -1,4 +1,4 @@
-"""Deterministic transport marching with a path-shifted drift.
+"""Deterministic transport stepping with a path-shifted drift.
 
 The auxiliary problem behind the pathwise representation is the linear
 advection equation
@@ -6,39 +6,35 @@ advection equation
     dv/dt + b(t, x + W(t)) . grad v = 0,    v(0) = u0,
 
 on a periodic box, where W is a frozen realization of the driving path.
-Two schemes are provided: a semi-Lagrangian stepper (RK4 backtracking of
-characteristic feet plus clamped cubic interpolation) and a first-order
-upwind finite-volume stepper in advective form. An RK4 characteristics
-integrator doubles as the convergence oracle for both.
+``spde.solve_spde`` marches it with the two steppers here: semi-Lagrangian
+(RK4 backtracking of characteristic feet plus clamped cubic
+interpolation) and first-order upwind finite volume in advective form.
+An RK4 characteristics integrator doubles as the convergence oracle for
+both.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
-b by its convolution with a bump kernel of radius 2h and records the
-radius it used. The convolution is computed once per solve, on one
-lattice that covers the box, the path excursion and the RK4 stage
-displacements, with the grid kernel of ``fields.MollifierSpec``; every
-velocity call is then a table lookup. A time-modulated drift g(t) * b(x)
-is tabulated through b and scaled by g(t) per call.
+b by its convolution with a bump kernel of radius 2h, computed once per
+solve by ``mollified_drift`` on one lattice that covers the box, the
+path excursion and the RK4 stage displacements, with the grid kernel of
+``fields.MollifierSpec``; every velocity call is then a table lookup. A
+time-modulated drift g(t) * b(x) is tabulated through b and scaled by
+g(t) per call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
-from .errors import (BlowUpError, ConfigError, FieldValidationError, KernelResolutionError,
-                     SupportMarginWarning)
+from .errors import BlowUpError, ConfigError, KernelResolutionError
 from .fields import MollifierSpec, ScalarField, SpatialGrid, interpolate
 from .paths import SamplePath, eval_path
 
 __all__ = [
-    "TransportSolution",
-    "solve_transport",
     "semi_lagrangian_step",
     "upwind_fv_step",
     "characteristics_solve",
@@ -57,44 +53,6 @@ SUPPORT_MARGIN_FRACTION = 0.1
 _SUPPORT_VALUE_RTOL = 1.0e-9
 
 _CFL_LIMIT = 0.9
-
-
-@dataclass(frozen=True)
-class TransportSolution:
-    """Snapshots of the advected field v on a uniform snapshot mesh.
-
-    ``fields[0]`` is the initial condition object itself, bit for bit.
-    ``support_violations`` lists the indices of the marching steps, of
-    either scheme, after which the field carried a value above 1e-9
-    times sup|u0| in the wrap-around margin: the nodes within 10% of the
-    half width of the box edge.
-    """
-
-    grid: SpatialGrid
-    times: np.ndarray
-    fields: tuple
-    scheme: str
-    drift_id: str
-    path_kind: str
-    path_seed: int | None
-    dt: float
-    mollify_epsilon: float | None
-    support_violations: tuple
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fields", tuple(self.fields))
-        object.__setattr__(self, "support_violations", tuple(self.support_violations))
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.fields) - 1
 
 
 def composed_drift(b: DriftField, path: SamplePath) -> Callable[[float, np.ndarray], np.ndarray]:
@@ -288,127 +246,3 @@ def _check_mollify_radius(epsilon: float, h: float) -> None:
             f"mollify_eps={epsilon} is below the grid spacing h={h}; "
             f"use 0 to disable smoothing or a radius of at least h"
         )
-
-
-def solve_transport(
-    b: DriftField,
-    path: SamplePath,
-    u0: ScalarField,
-    dt: float,
-    horizon: float,
-    scheme: str = "semi_lagrangian",
-    n_snapshots: int = 16,
-    mollify_epsilon: float | None = None,
-) -> TransportSolution:
-    """March the path-shifted advection equation and collect snapshots.
-
-    Parameters
-    ----------
-    b, path, u0
-        Drift field, frozen driving path (defined on at least [0, horizon]),
-        and initial data.
-    dt, horizon
-        Uniform step and final time; dt must divide the snapshot spacing
-        horizon / n_snapshots.
-    scheme : {"semi_lagrangian", "upwind_fv"}
-        The upwind scheme additionally requires dt * sup|b| / h <= 0.9,
-        estimated on the grid nodes at the snapshot times.
-    mollify_epsilon
-        None applies the default policy: drifts not tagged smooth are
-        convolved with a bump of radius 2h before stepping. Zero disables
-        smoothing; a positive value forces that radius and must be at
-        least h. The smoothed drift is tabulated once per solve by
-        :func:`mollified_drift`; time-dependent drifts must be separable.
-
-    Raises
-    ------
-    ConfigError
-        Mesh mismatches, CFL violation, unknown scheme, a sub-grid
-        mollifier radius, a non-separable time-dependent drift to smooth.
-    BlowUpError
-        Non-finite values during marching, with the offending step index,
-        or a drift query beyond the mollifier table.
-    """
-    grid = u0.grid
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if b.d != grid.d or path.d != grid.d:
-        raise ConfigError(
-            f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
-        )
-    if not (horizon > 0):
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if path.horizon < horizon * (1.0 - 1.0e-12):
-        raise ConfigError(
-            f"path horizon {path.horizon} does not cover the run horizon {horizon}"
-        )
-    n_steps = _step_count(dt, horizon)
-    if n_snapshots < 1 or n_steps % n_snapshots != 0:
-        raise ConfigError(
-            f"{n_steps} steps cannot be grouped into {n_snapshots} equal snapshot intervals"
-        )
-    stride = n_steps // n_snapshots
-
-    eps: float | None
-    if mollify_epsilon is None:
-        eps = None if b.is_smooth else 2.0 * grid.h
-    elif mollify_epsilon == 0.0:
-        eps = None
-    else:
-        eps = float(mollify_epsilon)
-        _check_mollify_radius(eps, grid.h)
-    times = np.linspace(0.0, horizon, n_snapshots + 1)
-    b_eff = b
-    if eps is not None:
-        # Drift queries stay within the box shifted by the path, plus one
-        # RK4 stage displacement dt*|b|; the doubling covers speeds between
-        # the probe times and beyond the box.
-        excursion = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-        stage = cfl_number(composed_drift(b, path), grid, dt, times) * grid.h
-        b_eff = mollified_drift(b, eps, grid.half_width + excursion + 2.0 * stage)
-
-    velocity = composed_drift(b_eff, path)
-    if scheme == "upwind_fv":
-        cfl = cfl_number(velocity, grid, dt, times)
-        if cfl > _CFL_LIMIT:
-            raise ConfigError(
-                f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
-            )
-
-    # Looked up per solve, not bound at import, so a replaced module
-    # attribute (a profiler's wrapper) is the one that runs.
-    advance = semi_lagrangian_step if scheme == "semi_lagrangian" else upwind_fv_step
-    band = _margin_band(grid)
-    v0_sup = float(np.max(np.abs(u0.values)))
-    snapshots = [u0]
-    violations: list[int] = []
-    v = u0
-    for step in range(n_steps):
-        try:
-            v = advance(v, velocity, step * dt, dt)
-        except FieldValidationError as exc:
-            raise BlowUpError(f"non-finite field at step {step + 1}: {exc}",
-                              step=step + 1) from exc
-        if _support_hits_margin(v, band, v0_sup):
-            violations.append(step + 1)
-        if (step + 1) % stride == 0:
-            snapshots.append(v)
-
-    if violations:
-        warnings.warn(
-            f"solution support entered the wrap-around margin at steps {violations[:3]}...",
-            SupportMarginWarning,
-            stacklevel=2,
-        )
-    return TransportSolution(
-        grid=grid,
-        times=times,
-        fields=tuple(snapshots),
-        scheme=scheme,
-        drift_id=b_eff.id,
-        path_kind=path.kind,
-        path_seed=path.seed,
-        dt=dt,
-        mollify_epsilon=eps,
-        support_violations=tuple(violations),
-    )

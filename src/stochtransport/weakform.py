@@ -19,6 +19,9 @@ kept as a negative control: on exact solutions it converges to the
 missing correction term, not to zero. The same audit serves
 bounded-variation driving paths: there the stochastic term is a plain
 Riemann-Stieltjes integral, and the midpoint sum is its trapezoid rule.
+The audit takes the path from the solution itself and the normalizing
+exponent p from the caller, so it reads a solver's output and a
+solution rebuilt from dumped artifacts alike.
 """
 
 from __future__ import annotations
@@ -198,9 +201,8 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 def weak_residual(
     sol: SpdeSolution,
     b: DriftField,
-    path: SamplePath | None = None,
+    p,
     phis=None,
-    p=None,
     rule: str = "stratonovich",
 ) -> WeakResidualReport:
     """Defect of the weak identity on the solution snapshots.
@@ -208,15 +210,13 @@ def weak_residual(
     Parameters
     ----------
     sol : SpdeSolution
-        Snapshots aligned with the driving path mesh.
+        Snapshots aligned with the mesh of their driving path ``sol.path``.
     b : DriftField
         The drift the solution claims to solve for.
-    path : SamplePath, optional
-        Defaults to the solution's own path.
+    p : exponent
+        Normalizes each series by |u0|_p (sup phi + sup |grad phi|).
     phis : sequence of TestFunction, optional
         Defaults to ten reproducible bumps drawn with seed 0.
-    p : exponent, optional
-        Normalizing exponent; defaults to the solution's.
     rule : {"stratonovich", "ito"}
         Midpoint (endpoint-average) sums match the Stratonovich reading
         of the identity, and are the trapezoid rule of the
@@ -225,9 +225,8 @@ def weak_residual(
     """
     if rule not in ("stratonovich", "ito"):
         raise ConfigError(f"unknown stochastic quadrature rule {rule!r}")
-    path = sol.path if path is None else path
+    path = sol.path
     phis = make_test_functions(sol.grid, 10, 0) if phis is None else list(phis)
-    exponent = sol.p if p is None else p
     times = sol.times
     _check_alignment(times, path)
     grid = sol.grid
@@ -241,7 +240,7 @@ def weak_residual(
     drift = [eval_drift(b, float(t), nodes) for t in times]
     div = [np.trace(_central_jacobian(b, float(t), nodes, 0.5 * grid.h), axis1=-2, axis2=-1)
            for t in times]
-    u0_norm = lp_norm(sol.fields[0], exponent)
+    u0_norm = lp_norm(sol.fields[0], p)
     dB = np.diff(eval_path(path, times), axis=0)  # (M, d)
 
     series = []

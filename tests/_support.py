@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from stochtransport.fields import LebesgueExponent, ScalarField
+from stochtransport.fields import ScalarField
 from stochtransport.paths import eval_path
 from stochtransport.spde import SpdeSolution
 
@@ -19,7 +19,7 @@ def tree_digest(root) -> dict:
     return out
 
 
-def closed_form_translation(grid, profile, path, n_snapshots, p):
+def closed_form_translation(grid, profile, path, n_snapshots):
     """Analytic pure-noise solution u(t, x) = u0(x - W(t)) on snapshot times."""
     times = np.linspace(0.0, path.horizon, n_snapshots + 1)
     fields = []
@@ -28,12 +28,4 @@ def closed_form_translation(grid, profile, path, n_snapshots, p):
         fields.append(
             ScalarField.from_function(grid, lambda q, dd=delta: profile.fn(q - dd))
         )
-    return SpdeSolution(
-        grid=grid,
-        times=times,
-        fields=tuple(fields),
-        p=LebesgueExponent(float(p)),
-        path=path,
-        scheme="closed_form",
-        transport=None,
-    )
+    return SpdeSolution(grid=grid, times=times, fields=tuple(fields), path=path)

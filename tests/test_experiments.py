@@ -386,6 +386,36 @@ class TestUniquenessCommand:
             cmd_uniqueness_crosscheck(c, out_dir="unused")
 
 
+class TestSupportMarginLines:
+    # c = 2.8 carries the unit bump into the edge band of [-4, 4] before T = 1
+    RAW = base_dict(T=1.0, dt=1.0 / 64, drift={"id": "constant", "c": [2.8]})
+
+    def margin_lines(self, result, command):
+        prefix = f"{command}: support touched the wrap-around margin"
+        return [line for line in result.lines if line.startswith(prefix)]
+
+    def test_uniqueness_names_each_offending_solve(self, tmp_path):
+        c = ExperimentConfig.from_dict(self.RAW)
+        with pytest.warns(SupportMarginWarning):
+            result = cmd_uniqueness_crosscheck(c, out_dir=tmp_path / "run")
+        lines = self.margin_lines(result, "uniqueness")
+        assert result.lines[0].startswith("PASS uniqueness")
+        assert result.lines[-len(lines):] == lines
+        for scheme in ("semi_lagrangian", "upwind_fv"):
+            assert any(f" in the N=64 {scheme} solve at steps [" in line for line in lines)
+        assert all(line.endswith(", ...]") for line in lines)
+
+    def test_wong_zakai_names_each_offending_solve(self, tmp_path):
+        c = ExperimentConfig.from_dict(self.RAW)
+        with pytest.warns(SupportMarginWarning):
+            result = cmd_wong_zakai(c, out_dir=tmp_path / "run")
+        lines = self.margin_lines(result, "wong-zakai")
+        wheres = [line.split(" at steps ")[0].split("margin")[1] for line in lines]
+        assert wheres == [" in the seed 3 reference semi_lagrangian solve"] + [
+            f" in the seed 3 level {lvl} semi_lagrangian solve" for lvl in (4, 8, 16)]
+        assert result.lines[1:] == lines
+
+
 class TestWongZakaiCommand:
     def test_pass_and_exact_final_level(self, cfg, tmp_path):
         out = tmp_path / "run"
@@ -524,6 +554,12 @@ class TestCommandLine:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--config", config, "--path-file", "path.csv"])
             assert exc.value.code == 2
+
+    def test_seed_flag_is_for_commands_that_draw(self, tmp_path):
+        config = self.write_config(tmp_path, base_dict())
+        with pytest.raises(SystemExit) as exc:
+            main(["hypotheses", "--config", config, "--seed", "3"])
+        assert exc.value.code == 2
 
     def _audit_with(self, tmp_path, capsys, **overrides):
         """Solve a linear-drift run, then audit it with an altered config."""

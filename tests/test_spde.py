@@ -48,7 +48,7 @@ class TestRepresentation:
     def test_pure_noise_is_translation_of_initial_data(self, setting512):
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
+        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(path, float(t)))
@@ -66,7 +66,7 @@ class TestRepresentation:
         u0 = sample_profile(g, prof)
         path = sample_brownian(24, 1.0, 512, 1)
         b = constant_drift([1.0])
-        sol = solve_spde(b, path, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
+        sol = solve_spde(b, path, u0, dt=1.0 / 512, horizon=1.0)
         truth = exact_solution(b, path, prof, 1.0, g)
         rel = lp_norm(sol.fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
@@ -76,13 +76,13 @@ class TestRepresentation:
         # budget is twice the measured single round-trip defect
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
+        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
         round_trip = lp_norm(
             shift_field(shift_field(u0, [0.37]), [-0.37]) - u0, 1.0
         )
         for m, t in enumerate(sol.times):
             back = shift_field(sol.fields[m], -eval_path(path, float(t)))
-            assert lp_norm(back - sol.transport.fields[m], 1.0) <= 2.0 * round_trip
+            assert lp_norm(back - sol.aux_fields[m], 1.0) <= 2.0 * round_trip
 
     def test_null_initial_data_stays_null_bit_exactly(self, setting512):
         g, prof, u0 = setting512
@@ -101,11 +101,11 @@ class TestRepresentation:
         tol = {"semi_lagrangian": 1e-3, "upwind_fv": 1e-12}
         for scheme in ("semi_lagrangian", "upwind_fv"):
             s_combo = solve_spde(constant_drift([0.5]), path, combo,
-                                 dt=1.0 / 512, horizon=1.0, scheme=scheme, p=1.0)
+                                 dt=1.0 / 512, horizon=1.0, scheme=scheme)
             s_a = solve_spde(constant_drift([0.5]), path, u0,
-                             dt=1.0 / 512, horizon=1.0, scheme=scheme, p=1.0)
+                             dt=1.0 / 512, horizon=1.0, scheme=scheme)
             s_b = solve_spde(constant_drift([0.5]), path, u0b,
-                             dt=1.0 / 512, horizon=1.0, scheme=scheme, p=1.0)
+                             dt=1.0 / 512, horizon=1.0, scheme=scheme)
             worst = max(
                 lp_norm(s_combo.fields[m] - (s_a.fields[m] * a + s_b.fields[m]), 1.0)
                 for m in range(len(s_combo.times))
@@ -119,10 +119,10 @@ class TestRepresentation:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         path = sample_brownian(24, 1.0, 1024, 1)
         sol = solve_spde(linear_drift([[-1.0]]), path, u0, dt=1.0 / 1024,
-                         horizon=1.0, p=1.0)
+                         horizon=1.0)
         n0 = lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
-            assert lp_norm(sol.transport.fields[m], 1.0) <= math.exp(1.1 * float(t)) * n0 + 1e-12
+            assert lp_norm(sol.aux_fields[m], 1.0) <= math.exp(1.1 * float(t)) * n0 + 1e-12
 
 
 class TestWongZakaiPipeline:
@@ -132,7 +132,7 @@ class TestWongZakaiPipeline:
         sol = solve_spde(constant_drift([0.5]), w, u0, dt=1.0 / 512, horizon=1.0)
         for m in range(len(sol.times)):
             assert np.array_equal(sol.fields[m].values,
-                                  sol.transport.fields[m].values)
+                                  sol.aux_fields[m].values)
 
     def test_finest_approximant_matches_brownian_run_bitwise(self, setting512):
         g, prof, u0 = setting512
@@ -147,7 +147,7 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         bn = piecewise_linear_approx(path, 32)
-        sol = solve_spde(zero_drift(1), bn, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
+        sol = solve_spde(zero_drift(1), bn, u0, dt=1.0 / 512, horizon=1.0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(bn, float(t)))
@@ -202,7 +202,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 128, 2)
-        sol = solve_spde(b, path, u0, dt=1.0 / 128, horizon=1.0, p=2.0)
+        sol = solve_spde(b, path, u0, dt=1.0 / 128, horizon=1.0)
         rep = renormalize_check(sol, squared_renormalization(), b)
         assert rep.passed
         assert rep.div_bound == 0.0
@@ -224,7 +224,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         b = linear_drift([[-1.0]])
         path = sample_brownian(24, 1.0, 1024, 1)
-        sol = solve_spde(b, path, u0, dt=1.0 / 1024, horizon=1.0, p=1.0)
+        sol = solve_spde(b, path, u0, dt=1.0 / 1024, horizon=1.0)
         beta = smoothed_truncated_power(M=10.0, p=1.0)
         rep = renormalize_check(sol, beta, b)
         assert rep.passed
@@ -260,14 +260,14 @@ class TestTimeContinuity:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         sol = solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0)
-        assert time_continuity_modulus(sol) == 0.0
+        assert time_continuity_modulus(sol, 2.0) == 0.0
 
     def test_pure_noise_modulus_obeys_translation_bound(self):
         g = SpatialGrid(d=1, half_width=4.0, n=512)
         prof = bump(1, center=0.0, radius=1.0)
         u0 = sample_profile(g, prof)
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0, p=1.0)
+        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
         grad = ScalarField.from_function(
             g, lambda p: np.abs(prof.gradient(p)[..., 0])
         )
@@ -275,7 +275,7 @@ class TestTimeContinuity:
             [eval_path(path, float(t))[0] for t in sol.times]
         ))
         bound = lp_norm(grad, 1.0) * float(np.max(incs))
-        modulus = time_continuity_modulus(sol)
+        modulus = time_continuity_modulus(sol, 1.0)
         assert 0.5 * bound <= modulus <= 1.02 * bound
 
     def test_halving_snapshot_spacing_does_not_inflate_modulus(self):
@@ -283,7 +283,7 @@ class TestTimeContinuity:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         path = sample_brownian(24, 1.0, 512, 1)
         coarse = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0,
-                            p=1.0, n_snapshots=16)
+                            n_snapshots=16)
         fine = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0,
-                          p=1.0, n_snapshots=32)
-        assert time_continuity_modulus(fine) <= 1.05 * time_continuity_modulus(coarse)
+                          n_snapshots=32)
+        assert time_continuity_modulus(fine, 1.0) <= 1.05 * time_continuity_modulus(coarse, 1.0)

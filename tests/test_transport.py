@@ -26,12 +26,12 @@ from stochtransport.experiments import estimate_order
 from stochtransport.fields import ScalarField, SpatialGrid, bump_profile, lp_norm
 from stochtransport.paths import sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
+from stochtransport.spde import solve_spde
 from stochtransport.transport import (
     _rk4_feet,
     cfl_number,
     characteristics_solve,
     mollified_drift,
-    solve_transport,
     upwind_fv_step,
 )
 
@@ -95,38 +95,38 @@ class TestSemiLagrangian:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_transport(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
-                              n_snapshots=4)
-        assert all(np.array_equal(f.values, u0.values) for f in sol.fields)
+        sol = solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
+                         n_snapshots=4)
+        assert all(np.array_equal(f.values, u0.values) for f in sol.aux_fields)
 
     def test_initial_snapshot_is_initial_field(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_transport(constant_drift([0.3]), w, u0, dt=1.0 / 128,
-                              horizon=1.0, n_snapshots=4)
-        assert np.array_equal(sol.fields[0].values, u0.values)
-        assert all(np.all(np.isfinite(f.values)) for f in sol.fields)
+        sol = solve_spde(constant_drift([0.3]), w, u0, dt=1.0 / 128,
+                         horizon=1.0, n_snapshots=4)
+        assert np.array_equal(sol.aux_fields[0].values, u0.values)
+        assert all(np.all(np.isfinite(f.values)) for f in sol.aux_fields)
 
     def test_constant_drift_matches_translation(self):
         g = SpatialGrid(d=1, half_width=8.0, n=512)
         prof = bump(1, center=-0.5, radius=2.0)
         u0 = sample_profile(g, prof)
         w = zero_path(1.0, 512, 1)
-        sol = solve_transport(constant_drift([1.0]), w, u0, dt=1.0 / 512,
-                              horizon=1.0, n_snapshots=4)
+        sol = solve_spde(constant_drift([1.0]), w, u0, dt=1.0 / 512,
+                         horizon=1.0, n_snapshots=4)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p - 1.0))
-        assert lp_norm(sol.fields[-1] - truth, 1.0) <= 1e-3 * lp_norm(u0, 1.0)
+        assert lp_norm(sol.aux_fields[-1] - truth, 1.0) <= 1e-3 * lp_norm(u0, 1.0)
 
     def test_contraction_matches_closed_form(self):
         g = SpatialGrid(d=1, half_width=8.0, n=1024)
         prof = bump(1, center=0.0, radius=1.0)
         u0 = sample_profile(g, prof)
         w = zero_path(0.5, 512, 1)
-        sol = solve_transport(linear_drift([[-1.0]]), w, u0, dt=0.5 / 512,
-                              horizon=0.5, n_snapshots=4)
+        sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=0.5 / 512,
+                         horizon=0.5, n_snapshots=4)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p * math.exp(0.5)))
-        rel = lp_norm(sol.fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
+        rel = lp_norm(sol.aux_fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
 
     def test_agrees_with_characteristics_oracle_at_high_order(self):
@@ -137,12 +137,12 @@ class TestSemiLagrangian:
             u0 = sample_profile(g, prof)
             steps = n // 4
             w = zero_path(0.25, steps, 1)
-            sol = solve_transport(linear_drift([[-1.0]]), w, u0, dt=0.25 / steps,
-                                  horizon=0.25, n_snapshots=2)
+            sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=0.25 / steps,
+                             horizon=0.25, n_snapshots=2)
             feet = characteristics_solve(linear_drift([[-1.0]]), w, g.nodes(),
                                          0.25, 0.0)
             truth = ScalarField(g, prof.fn(feet).reshape(g.shape))
-            errs.append(lp_norm(sol.fields[-1] - truth, 1.0))
+            errs.append(lp_norm(sol.aux_fields[-1] - truth, 1.0))
         orders = estimate_order(errs)
         assert orders[-1] >= 2.5
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -187,8 +187,8 @@ class TestUpwind:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError):
-            solve_transport(constant_drift([3.0]), w, u0, dt=1.0 / 16,
-                            horizon=1.0, scheme="upwind_fv", n_snapshots=4)
+            solve_spde(constant_drift([3.0]), w, u0, dt=1.0 / 16,
+                       horizon=1.0, scheme="upwind_fv", n_snapshots=4)
 
 
 class TestSchemeProperties:
@@ -197,10 +197,10 @@ class TestSchemeProperties:
         g = SpatialGrid(d=1, half_width=8.0, n=256)
         u0 = sample_profile(g, bump(1, center=0.5, radius=2.0))
         w = sample_brownian(3, 1.0, 256, 1)
-        sol = solve_transport(linear_drift([[-1.0]]), w, u0, dt=1.0 / 256,
-                              horizon=1.0, scheme=scheme, n_snapshots=8)
+        sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=1.0 / 256,
+                         horizon=1.0, scheme=scheme, n_snapshots=8)
         lo, hi = float(u0.values.min()), float(u0.values.max())
-        for f in sol.fields:
+        for f in sol.aux_fields:
             assert float(f.values.min()) >= lo - 1e-12
             assert float(f.values.max()) <= hi + 1e-12
 
@@ -210,10 +210,10 @@ class TestSchemeProperties:
             g = SpatialGrid(d=2, half_width=4.0, n=n)
             u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
             w = zero_path(0.5, n, 2)
-            sol = solve_transport(stream_function_drift(4.0), w, u0, dt=0.5 / n,
-                                  horizon=0.5, n_snapshots=4)
+            sol = solve_spde(stream_function_drift(4.0), w, u0, dt=0.5 / n,
+                             horizon=0.5, n_snapshots=4)
             rel = max(
-                abs(lp_norm(f, 1.0) - lp_norm(u0, 1.0)) for f in sol.fields
+                abs(lp_norm(f, 1.0) - lp_norm(u0, 1.0)) for f in sol.aux_fields
             ) / lp_norm(u0, 1.0)
             drifts.append(rel)
         assert drifts[1] <= 0.5 * drifts[0]
@@ -227,14 +227,14 @@ class TestSchemeProperties:
             w = zero_path(1.0, 4 * n, 1)
             runs = {}
             for scheme in ("semi_lagrangian", "upwind_fv"):
-                runs[scheme] = solve_transport(
+                runs[scheme] = solve_spde(
                     constant_drift([0.6]), w, u0, dt=1.0 / (4 * n), horizon=1.0,
                     scheme=scheme, n_snapshots=4,
                 )
             discs.append(max(
                 lp_norm(a - b, 1.0)
-                for a, b in zip(runs["semi_lagrangian"].fields,
-                                runs["upwind_fv"].fields)
+                for a, b in zip(runs["semi_lagrangian"].aux_fields,
+                                runs["upwind_fv"].aux_fields)
             ))
         assert discs[1] < discs[0]
 
@@ -243,16 +243,16 @@ class TestSchemeProperties:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            solve_transport(constant_drift([2.8]), w, u0, dt=1.0 / 128,
-                            horizon=1.0, n_snapshots=4)
+            solve_spde(constant_drift([2.8]), w, u0, dt=1.0 / 128,
+                       horizon=1.0, n_snapshots=4)
 
     def test_upwind_support_is_checked_every_step(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            sol = solve_transport(constant_drift([2.8]), w, u0, dt=1.0 / 128,
-                                  horizon=1.0, scheme="upwind_fv", n_snapshots=4)
+            sol = solve_spde(constant_drift([2.8]), w, u0, dt=1.0 / 128,
+                             horizon=1.0, scheme="upwind_fv", n_snapshots=4)
         stride = 128 // 4
         assert any(step % stride != 0 for step in sol.support_violations)
 
@@ -261,12 +261,12 @@ class TestSchemeProperties:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.raises(ConfigError):
-            solve_transport(zero_drift(1), w, u0, dt=0.3, horizon=1.0)
+            solve_spde(zero_drift(1), w, u0, dt=0.3, horizon=1.0)
         with pytest.raises(ConfigError):
-            solve_transport(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
-                            n_snapshots=7)
+            solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
+                       n_snapshots=7)
         with pytest.raises(ConfigError):
-            solve_transport(zero_drift(1), w, u0, dt=1.0 / 128, horizon=2.0)
+            solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=2.0)
 
     def test_cfl_number_reports_worst_case(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
@@ -367,8 +367,8 @@ class TestMollifiedDrift:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError, match="grid spacing"):
-            solve_transport(power_drift(0.75), w, u0, dt=1.0 / 16, horizon=1.0,
-                            n_snapshots=4, mollify_epsilon=0.5 * g.h)
+            solve_spde(power_drift(0.75), w, u0, dt=1.0 / 16, horizon=1.0,
+                       n_snapshots=4, mollify_epsilon=0.5 * g.h)
 
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     def test_rough_solves_emit_no_runtime_warning(self, scheme):
@@ -379,6 +379,6 @@ class TestMollifiedDrift:
         for b in (base, time_modulated_drift(base, "sin_squared", 0.25)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                sol = solve_transport(b, w, u0, dt=0.25 / 64, horizon=0.25,
-                                      scheme=scheme, n_snapshots=4)
+                sol = solve_spde(b, w, u0, dt=0.25 / 64, horizon=0.25,
+                                 scheme=scheme, n_snapshots=4)
             assert sol.mollify_epsilon == 2.0 * g.h

@@ -15,7 +15,7 @@ from _support import closed_form_translation
 from stochtransport.errors import ConfigError, MeshMismatchError
 from stochtransport.drifts import zero_drift
 from stochtransport.experiments import estimate_order
-from stochtransport.fields import LebesgueExponent, ScalarField, SpatialGrid, lp_norm
+from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
 from stochtransport.paths import piecewise_linear_approx, sample_brownian
 from stochtransport.profiles import bump
 from stochtransport.spde import SpdeSolution
@@ -104,20 +104,16 @@ class TestStratonovichResidual:
     def test_zero_solution_residual_is_exactly_zero(self, grid512, path2048, phis):
         times = np.linspace(0.0, 1.0, 17)
         fields = tuple(ScalarField.zeros(grid512) for _ in times)
-        sol = SpdeSolution(grid=grid512, times=times, fields=fields,
-                           p=LebesgueExponent(1.0), path=path2048,
-                           scheme="closed_form", transport=None)
-        rep = weak_residual(sol, zero_drift(1), phis=phis)
+        sol = SpdeSolution(grid=grid512, times=times, fields=fields, path=path2048)
+        rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs == 0.0
 
     def test_residual_is_linear_in_the_solution(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
+        sol = closed_form_translation(grid512, profile, path2048, 16)
         scaled = SpdeSolution(grid=grid512, times=sol.times,
-                              fields=tuple(f * -2.5 for f in sol.fields),
-                              p=sol.p, path=path2048, scheme="closed_form",
-                              transport=None)
-        r1 = weak_residual(sol, zero_drift(1), phis=phis)
-        r2 = weak_residual(scaled, zero_drift(1), phis=phis)
+                              fields=tuple(f * -2.5 for f in sol.fields), path=path2048)
+        r1 = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
+        r2 = weak_residual(scaled, zero_drift(1), 1.0, phis=phis)
         for s1, s2 in zip(r1.series, r2.series):
             assert float(np.max(np.abs(s2.residuals - (-2.5) * s1.residuals))) <= 1e-13
 
@@ -133,18 +129,18 @@ class TestStratonovichResidual:
         g_fine = SpatialGrid(d=1, half_width=4.0, n=1024)
         phis10 = make_test_functions(g_coarse, 10, 0)
         coarse = weak_residual(
-            closed_form_translation(g_coarse, profile, coarse_path, 2048, 1.0),
-            zero_drift(1), phis=phis10,
+            closed_form_translation(g_coarse, profile, coarse_path, 2048),
+            zero_drift(1), 1.0, phis=phis10,
         )
         fine = weak_residual(
-            closed_form_translation(g_fine, profile, fine_path, 4096, 1.0),
-            zero_drift(1), phis=phis10,
+            closed_form_translation(g_fine, profile, fine_path, 4096),
+            zero_drift(1), 1.0, phis=phis10,
         )
         assert coarse.max_normalized <= 1e-2
         assert coarse.max_normalized >= 3.0 * fine.max_normalized
 
     def test_injected_defect_is_detected(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
+        sol = closed_form_translation(grid512, profile, path2048, 16)
         phi = phis[0]
         phi_field = ScalarField.from_function(grid512, phi.value)
         int_phi_sq = float(np.sum(phi_field.values**2)) * grid512.cell_volume
@@ -152,10 +148,8 @@ class TestStratonovichResidual:
             f + (phi_field * 0.1) if t > 0.5 else f
             for f, t in zip(sol.fields, sol.times)
         ]
-        bad = SpdeSolution(grid=grid512, times=sol.times, fields=tuple(fields),
-                           p=sol.p, path=path2048, scheme="closed_form",
-                           transport=None)
-        rep = weak_residual(bad, zero_drift(1), phis=phis)
+        bad = SpdeSolution(grid=grid512, times=sol.times, fields=tuple(fields), path=path2048)
+        rep = weak_residual(bad, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs >= 0.05 * int_phi_sq
 
     def test_left_point_rule_keeps_a_finite_defect(self, grid512, profile, phis):
@@ -163,32 +157,30 @@ class TestStratonovichResidual:
         # converge, left-point sums converge to the missing correction
         g = SpatialGrid(d=1, half_width=8.0, n=1024)
         path = sample_brownian(24, 1.0, 4096, 1)
-        sol = closed_form_translation(g, profile, path, 16, 1.0)
+        sol = closed_form_translation(g, profile, path, 16)
         phis_fine = make_test_functions(g, 10, 0)
-        strat = weak_residual(sol, zero_drift(1), phis=phis_fine, rule="stratonovich")
-        ito = weak_residual(sol, zero_drift(1), phis=phis_fine, rule="ito")
+        strat = weak_residual(sol, zero_drift(1), 1.0, phis=phis_fine, rule="stratonovich")
+        ito = weak_residual(sol, zero_drift(1), 1.0, phis=phis_fine, rule="ito")
         assert ito.max_abs >= 5.0 * strat.max_abs
 
     def test_unknown_rule_rejected(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
+        sol = closed_form_translation(grid512, profile, path2048, 16)
         for rule in ("trapezoid", "bv_trapezoid"):
             with pytest.raises(ConfigError):
-                weak_residual(sol, zero_drift(1), phis=phis, rule=rule)
+                weak_residual(sol, zero_drift(1), 1.0, phis=phis, rule=rule)
 
     def test_misaligned_snapshots_rejected(self, grid512, profile, phis):
         path = sample_brownian(24, 1.0, 100, 1)
-        sol = closed_form_translation(grid512, profile, path, 16, 1.0)
+        sol = closed_form_translation(grid512, profile, path, 16)
         with pytest.raises(MeshMismatchError):
-            weak_residual(sol, zero_drift(1), phis=phis)
+            weak_residual(sol, zero_drift(1), 1.0, phis=phis)
 
     def test_normalizer_is_scale_free(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
-        rep = weak_residual(sol, zero_drift(1), phis=phis)
+        sol = closed_form_translation(grid512, profile, path2048, 16)
+        rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         scaled = SpdeSolution(grid=grid512, times=sol.times,
-                              fields=tuple(f * 10.0 for f in sol.fields),
-                              p=sol.p, path=path2048, scheme="closed_form",
-                              transport=None)
-        rep10 = weak_residual(scaled, zero_drift(1), phis=phis)
+                              fields=tuple(f * 10.0 for f in sol.fields), path=path2048)
+        rep10 = weak_residual(scaled, zero_drift(1), 1.0, phis=phis)
         assert rep10.max_normalized == pytest.approx(rep.max_normalized, rel=1e-9)
 
 
@@ -197,10 +189,8 @@ class TestBoundedVariationResidual:
         bn = piecewise_linear_approx(path2048, 16)
         times = np.linspace(0.0, 1.0, 17)
         fields = tuple(ScalarField.zeros(grid512) for _ in times)
-        sol = SpdeSolution(grid=grid512, times=times, fields=fields,
-                           p=LebesgueExponent(1.0), path=bn,
-                           scheme="closed_form", transport=None)
-        rep = weak_residual(sol, zero_drift(1), phis=phis)
+        sol = SpdeSolution(grid=grid512, times=times, fields=fields, path=bn)
+        rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs == 0.0
 
     def test_residual_vanishes_at_first_order_in_snapshot_spacing(
@@ -211,16 +201,16 @@ class TestBoundedVariationResidual:
         phis6 = make_test_functions(grid512, 6, 0)
         errs = []
         for m in (16, 32, 64, 128):
-            sol = closed_form_translation(grid512, prof, bn, m, 1.0)
-            errs.append(weak_residual(sol, zero_drift(1), phis=phis6).max_abs)
+            sol = closed_form_translation(grid512, prof, bn, m)
+            errs.append(weak_residual(sol, zero_drift(1), 1.0, phis=phis6).max_abs)
         orders = estimate_order(errs)
         assert min(orders) >= 0.8
 
 
 class TestReportCsv:
     def test_report_csv_is_tidy(self, tmp_path, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16, 1.0)
-        rep = weak_residual(sol, zero_drift(1), phis=phis)
+        sol = closed_form_translation(grid512, profile, path2048, 16)
+        rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         target = tmp_path / "weak.csv"
         write_weak_report_csv(rep, target)
         lines = target.read_text().splitlines()
