@@ -34,7 +34,8 @@ from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
                    exact_solution, renormalize_check, smoothed_truncated_power,
                    solve_spde, squared_renormalization, time_continuity_modulus)
 from .transport import (cfl_number, characteristics_solve, composed_drift,
-                        mollified_drift, semi_lagrangian_step, upwind_fv_step)
+                        mollified_drift, path_table, semi_lagrangian_step,
+                        upwind_fv_step)
 from .weakform import (TestFunction, WeakResidualReport, WeakResidualSeries,
                        make_test_functions, weak_residual, write_weak_report_csv)
 
@@ -63,7 +64,7 @@ __all__ = [
     "eval_path", "sup_distance", "total_variation", "write_path_csv",
     "read_path_csv",
     # transport
-    "composed_drift", "mollified_drift", "semi_lagrangian_step",
+    "composed_drift", "path_table", "mollified_drift", "semi_lagrangian_step",
     "upwind_fv_step", "characteristics_solve", "cfl_number",
     # spde
     "SpdeSolution", "solve_spde", "exact_solution",

@@ -64,6 +64,23 @@ _OPTIONAL_KEYS = ("phi_count", "wz_levels", "mollify_eps", "out_dir")
 _DEFAULT_WZ_LEVELS = (4, 8, 16, 32, 64, 128, 256)
 
 
+def _integer(key: str, value) -> int:
+    """An integral JSON number, not a bool, as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    """A config value as a finite float."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated run parameters; see the JSON key set in the class docs.
@@ -98,21 +115,24 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
         try:
+            levels = raw.get("wz_levels", _DEFAULT_WZ_LEVELS)
+            if not isinstance(levels, (list, tuple)):
+                raise TypeError(f"wz_levels must be a list, got {levels!r}")
             cfg = cls(
-                d=int(raw["d"]),
-                half_width=float(raw["L"]),
-                n=int(raw["N"]),
-                horizon=float(raw["T"]),
-                dt=float(raw["dt"]),
+                d=_integer("d", raw["d"]),
+                half_width=_real("L", raw["L"]),
+                n=_integer("N", raw["N"]),
+                horizon=_real("T", raw["T"]),
+                dt=_real("dt", raw["dt"]),
                 scheme=str(raw["scheme"]),
-                p=float(raw["p"]),
-                seed=int(raw["seed"]),
+                p=_real("p", raw["p"]),
+                seed=_integer("seed", raw["seed"]),
                 drift_spec=dict(raw["drift"]),
                 u0_spec=dict(raw["u0"]),
-                phi_count=int(raw.get("phi_count", 10)),
-                wz_levels=tuple(int(v) for v in raw.get("wz_levels", _DEFAULT_WZ_LEVELS)),
+                phi_count=_integer("phi_count", raw.get("phi_count", 10)),
+                wz_levels=tuple(_integer("wz_levels entry", v) for v in levels),
                 mollify_eps=(None if raw.get("mollify_eps") is None
-                             else float(raw["mollify_eps"])),
+                             else _real("mollify_eps", raw["mollify_eps"])),
                 out_dir=str(raw.get("out_dir", "runs")),
             )
         except (TypeError, ValueError) as exc:
@@ -153,7 +173,7 @@ class ExperimentConfig:
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
         u0 = sample_profile(grid, profile)
-        if _support_hits_margin(u0, _margin_band(grid), float(np.max(np.abs(u0.values)))):
+        if _support_hits_margin(u0.values, _margin_band(grid), float(np.max(np.abs(u0.values)))):
             raise ConfigError("initial data does not clear the 10% wrap-around margin")
         if self.scheme == "upwind_fv":
             # Drift-only CFL estimate on box samples; the solver re-checks

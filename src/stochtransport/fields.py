@@ -86,12 +86,21 @@ class SpatialGrid:
         return -self.half_width + self.h * np.arange(self.n)
 
     def nodes(self) -> np.ndarray:
-        """All node coordinates as an array of shape (n**d, d), row-major."""
-        ax = self.axis()
-        if self.d == 1:
-            return ax[:, None]
-        x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([x1.ravel(), x2.ravel()], axis=-1)
+        """All node coordinates as a read-only array of shape (n**d, d), row-major.
+
+        Built on the first call; every later call returns the same array.
+        """
+        nodes = self.__dict__.get("_nodes")
+        if nodes is None:
+            ax = self.axis()
+            if self.d == 1:
+                nodes = ax[:, None]
+            else:
+                x1, x2 = np.meshgrid(ax, ax, indexing="ij")
+                nodes = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+            nodes.setflags(write=False)
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays of shape ``self.shape``, one per axis."""
@@ -251,34 +260,35 @@ def interpolate(f: ScalarField, points, clamp: bool = False):
         raise FieldValidationError(
             f"points have dimension {pts.shape[-1]}, grid has dimension {grid.d}"
         )
-    lead_shape = pts.shape[:-1]
-    pts = pts.reshape(-1, grid.d)
+    out = _cubic_read(grid, f.values, pts.reshape(-1, grid.d), clamp).reshape(pts.shape[:-1])
+    return float(out[0]) if single else out
 
+
+def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
+                clamp: bool) -> np.ndarray:
+    """The cubic rule of :func:`interpolate` on raw nodal values, at points (Q, d)."""
     offsets = np.array([-1, 0, 1, 2])
-
     if grid.d == 1:
         base, theta = _axis_locate(grid, pts[:, 0])
         idx = (base[:, None] + offsets[None, :]) % grid.n
-        stencil = f.values[idx]  # (Q, 4)
+        stencil = values[idx]  # (Q, 4)
         w = _cubic_weights(theta)
         out = np.einsum("qk,qk->q", w, stencil)
         if clamp:
             out = np.clip(out, stencil.min(axis=1), stencil.max(axis=1))
-    else:
-        base1, th1 = _axis_locate(grid, pts[:, 0])
-        base2, th2 = _axis_locate(grid, pts[:, 1])
-        idx1 = (base1[:, None] + offsets[None, :]) % grid.n
-        idx2 = (base2[:, None] + offsets[None, :]) % grid.n
-        stencil = f.values[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
-        w1 = _cubic_weights(th1)
-        w2 = _cubic_weights(th2)
-        out = np.einsum("qi,qij,qj->q", w1, stencil, w2)
-        if clamp:
-            flat = stencil.reshape(stencil.shape[0], -1)
-            out = np.clip(out, flat.min(axis=1), flat.max(axis=1))
-
-    out = out.reshape(lead_shape)
-    return float(out[0]) if single else out
+        return out
+    base1, th1 = _axis_locate(grid, pts[:, 0])
+    base2, th2 = _axis_locate(grid, pts[:, 1])
+    idx1 = (base1[:, None] + offsets[None, :]) % grid.n
+    idx2 = (base2[:, None] + offsets[None, :]) % grid.n
+    stencil = values[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
+    w1 = _cubic_weights(th1)
+    w2 = _cubic_weights(th2)
+    out = np.einsum("qi,qij,qj->q", w1, stencil, w2)
+    if clamp:
+        flat = stencil.reshape(stencil.shape[0], -1)
+        out = np.clip(out, flat.min(axis=1), flat.max(axis=1))
+    return out
 
 
 def shift_field(f: ScalarField, delta) -> ScalarField:

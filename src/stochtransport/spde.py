@@ -11,6 +11,12 @@ u(t, x) = v(t, x - W(t)). The one entry point serves every driving
 path: a Brownian draw, the zero path, and the bounded-variation
 interpolants that the Wong-Zakai approximation study feeds in.
 
+The path is evaluated once per solve, at every RK4 stage time and every
+snapshot time (``transport.path_table``). The march then runs on raw
+nodal arrays: after each step it checks that the values are finite
+(``BlowUpError`` names the step) and that they clear the wrap-around
+margin, and it builds a ``ScalarField`` only at the snapshots.
+
 Renormalization checks integrate a truncated power of the unshifted
 field v and compare its growth against the Gronwall envelope driven by
 the time-integrated sup bound on div b.
@@ -27,13 +33,13 @@ import numpy as np
 
 from . import transport
 from .drifts import DriftField, divergence_bound
-from .errors import BlowUpError, ConfigError, FieldValidationError, SupportMarginWarning
+from .errors import BlowUpError, ConfigError, SupportMarginWarning
 from .fields import ScalarField, SpatialGrid, lp_norm, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
-                        _step_count, _support_hits_margin, cfl_number, composed_drift,
-                        mollified_drift)
+                        _stage_times, _step_count, _support_hits_margin, cfl_number,
+                        composed_drift, mollified_drift, path_table)
 
 __all__ = [
     "SpdeSolution",
@@ -135,8 +141,8 @@ def solve_spde(
         Mesh mismatches, CFL violation, unknown scheme, a sub-grid
         mollifier radius, a non-separable time-dependent drift to smooth.
     BlowUpError
-        Non-finite values during marching, with the offending step index,
-        or a drift query beyond the mollifier table.
+        Non-finite values after a marching step, with its index, or a
+        drift query beyond the mollifier table.
     """
     grid = u0.grid
     if scheme not in SCHEMES:
@@ -167,16 +173,20 @@ def solve_spde(
         eps = float(mollify_epsilon)
         _check_mollify_radius(eps, grid.h)
     times = np.linspace(0.0, horizon, n_snapshots + 1)
+    # Every time the march reads the path: the RK4 stage times of each step
+    # (upwind reads the last of them, the step's start) and the snapshot times.
+    shifts = path_table(path, [s for step in range(n_steps)
+                                for s in _stage_times(step * dt, dt)] + list(times))
     b_eff = b
     if eps is not None:
         # Drift queries stay within the box shifted by the path, plus one
         # RK4 stage displacement dt*|b|; the doubling covers speeds between
         # the probe times and beyond the box.
         excursion = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-        stage = cfl_number(composed_drift(b, path), grid, dt, times) * grid.h
+        stage = cfl_number(composed_drift(b, shifts), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, grid.half_width + excursion + 2.0 * stage)
 
-    velocity = composed_drift(b_eff, path)
+    velocity = composed_drift(b_eff, shifts)
     if scheme == "upwind_fv":
         cfl = cfl_number(velocity, grid, dt, times)
         if cfl > _CFL_LIMIT:
@@ -191,20 +201,19 @@ def solve_spde(
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
     aux = [u0]
-    fields = [shift_field(u0, eval_path(path, 0.0))]
+    fields = [shift_field(u0, shifts[0.0])]
     violations: list[int] = []
-    v = u0
+    vals = u0.values
     for step in range(n_steps):
-        try:
-            v = advance(v, velocity, step * dt, dt)
-        except FieldValidationError as exc:
-            raise BlowUpError(f"non-finite field at step {step + 1}: {exc}",
-                              step=step + 1) from exc
-        if _support_hits_margin(v, band, v0_sup):
+        vals = advance(grid, vals, velocity, step * dt, dt)
+        if not np.isfinite(vals).all():
+            raise BlowUpError(f"non-finite field at step {step + 1}", step=step + 1)
+        if _support_hits_margin(vals, band, v0_sup):
             violations.append(step + 1)
         if (step + 1) % stride == 0:
+            v = ScalarField(grid, vals)
             aux.append(v)
-            fields.append(shift_field(v, eval_path(path, float(times[len(fields)]))))
+            fields.append(shift_field(v, shifts[float(times[len(fields)])]))
 
     if violations:
         warnings.warn(f"solution support entered the wrap-around margin at steps "

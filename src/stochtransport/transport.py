@@ -9,8 +9,15 @@ on a periodic box, where W is a frozen realization of the driving path.
 ``spde.solve_spde`` marches it with the two steppers here: semi-Lagrangian
 (RK4 backtracking of characteristic feet plus clamped cubic
 interpolation) and first-order upwind finite volume in advective form.
-An RK4 characteristics integrator doubles as the convergence oracle for
-both.
+Both step raw nodal arrays, (grid, values) -> new values, with no field
+object per step. An RK4 characteristics integrator doubles as the
+convergence oracle for both.
+
+Since the path is frozen, every time a march will query is known before
+it starts: ``_stage_times`` gives the three RK4 stage times of a step,
+``path_table`` evaluates W at all of them in one vectorized
+``eval_path`` call, and ``composed_drift`` reads its shift W(t) from that
+table. A query at a time the table lacks is an error, not a fallback.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
 b by its convolution with a bump kernel of radius 2h, computed once per
@@ -31,7 +38,7 @@ from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import MollifierSpec, ScalarField, SpatialGrid, interpolate
+from .fields import MollifierSpec, ScalarField, SpatialGrid, _cubic_read, interpolate
 from .paths import SamplePath, eval_path
 
 __all__ = [
@@ -40,6 +47,7 @@ __all__ = [
     "characteristics_solve",
     "mollified_drift",
     "composed_drift",
+    "path_table",
     "cfl_number",
 ]
 
@@ -55,11 +63,35 @@ _SUPPORT_VALUE_RTOL = 1.0e-9
 _CFL_LIMIT = 0.9
 
 
-def composed_drift(b: DriftField, path: SamplePath) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The shifted velocity (t, x) -> b(t, x + W(t)) used by the marchers."""
+def _stage_times(t: float, dt: float) -> tuple[float, float, float]:
+    """The times one RK4 step from t + dt back to t reads the velocity at."""
+    return (t + dt, t + 0.5 * dt, t)
+
+
+def path_table(path: SamplePath, times) -> dict:
+    """W at each of ``times``, from one vectorized ``eval_path`` call, keyed by the time.
+
+    The keys are the times as floats, so a marcher that recomputes a
+    query time by the same expression (``_stage_times``) finds its row.
+    """
+    keys = [float(t) for t in times]
+    return dict(zip(keys, eval_path(path, np.array(keys))))
+
+
+def composed_drift(b: DriftField, shifts: dict) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The shifted velocity (t, x) -> b(t, x + W(t)) used by the marchers.
+
+    ``shifts`` is the ``path_table`` of every time the caller will query:
+    the path is evaluated once per solve, before the march, and each call
+    reads its shift from that table. A time not in the table raises
+    ``KeyError``; the path is never evaluated per call.
+    """
 
     def velocity(t, points):
-        shift = eval_path(path, float(t))
+        try:
+            shift = shifts[t]
+        except KeyError:
+            raise KeyError(f"no path shift tabulated for t={t!r}") from None
         return eval_drift(b, t, np.asarray(points, dtype=float) + shift)
 
     return velocity
@@ -143,29 +175,31 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
 
 def _rk4_feet(velocity, points, t: float, dt: float) -> np.ndarray:
     """One backward RK4 step of the characteristic ODE from t+dt down to t."""
-    k1 = velocity(t + dt, points)
-    k2 = velocity(t + 0.5 * dt, points - 0.5 * dt * k1)
-    k3 = velocity(t + 0.5 * dt, points - 0.5 * dt * k2)
-    k4 = velocity(t, points - dt * k3)
+    t_end, t_mid, t_start = _stage_times(t, dt)
+    k1 = velocity(t_end, points)
+    k2 = velocity(t_mid, points - 0.5 * dt * k1)
+    k3 = velocity(t_mid, points - 0.5 * dt * k2)
+    k4 = velocity(t_start, points - dt * k3)
     return points - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def semi_lagrangian_step(v: ScalarField, velocity, t: float, dt: float) -> ScalarField:
-    """Advance one step: backtrack feet with RK4, read off by clamped interpolation.
+def semi_lagrangian_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
+                         dt: float) -> np.ndarray:
+    """Advance the nodal values one step: backtrack feet with RK4, read off by
+    clamped cubic interpolation.
 
     Clamping the cubic stencil enforces a discrete maximum principle.
+    Returns a new array of shape ``grid.shape``.
     """
-    grid = v.grid
     feet = _rk4_feet(velocity, grid.nodes(), t, dt)
-    vals = interpolate(v, feet, clamp=True)
-    return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
+    return _cubic_read(grid, vals, feet, clamp=True).reshape(grid.shape)
 
 
-def upwind_fv_step(v: ScalarField, velocity, t: float, dt: float) -> ScalarField:
-    """One first-order upwind step of the advective form, split by axis sign."""
-    grid = v.grid
+def upwind_fv_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
+                   dt: float) -> np.ndarray:
+    """One first-order upwind step of the advective form on the nodal values,
+    split by axis sign. Returns a new array of shape ``grid.shape``."""
     vel = velocity(t, grid.nodes()).reshape(grid.shape + (grid.d,))
-    vals = v.values
     new = vals.copy()
     h = grid.h
     for axis in range(grid.d):
@@ -173,7 +207,7 @@ def upwind_fv_step(v: ScalarField, velocity, t: float, dt: float) -> ScalarField
         back = (vals - np.roll(vals, 1, axis=axis)) / h
         fwd = (np.roll(vals, -1, axis=axis) - vals) / h
         new -= dt * (np.maximum(c, 0.0) * back + np.minimum(c, 0.0) * fwd)
-    return ScalarField(grid, new)
+    return new
 
 
 def characteristics_solve(
@@ -197,10 +231,12 @@ def characteristics_solve(
         return np.array(x0, dtype=float)
     n_sub = max(1, int(math.ceil(abs(span) / max_step)))
     dt = span / n_sub
-    velocity = composed_drift(b, path)
+    starts = [t0 + i * dt + dt for i in range(n_sub)]
+    velocity = composed_drift(
+        b, path_table(path, [s for t in starts for s in _stage_times(t, -dt)]))
     x = np.array(x0, dtype=float)
-    for i in range(n_sub):
-        x = _rk4_feet(velocity, x, t0 + i * dt + dt, -dt)
+    for i, t in enumerate(starts):
+        x = _rk4_feet(velocity, x, t, -dt)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_radius:
             raise BlowUpError(f"characteristic left the trusted region at substep {i}", step=i)
     return x
@@ -225,10 +261,10 @@ def _margin_band(grid: SpatialGrid) -> np.ndarray:
     return np.logical_or.reduce(np.meshgrid(*[edge] * grid.d, indexing="ij"))
 
 
-def _support_hits_margin(v: ScalarField, band: np.ndarray, v0_sup: float) -> bool:
-    """Whether v exceeds 1e-9 * v0_sup anywhere in the margin ``band``."""
+def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float) -> bool:
+    """Whether the nodal values exceed 1e-9 * v0_sup anywhere in the margin ``band``."""
     tol = _SUPPORT_VALUE_RTOL * max(v0_sup, 1.0e-300)
-    return bool(np.any(np.abs(v.values[band]) > tol))
+    return bool(np.any(np.abs(vals[band]) > tol))
 
 
 def _step_count(dt: float, horizon: float) -> int:

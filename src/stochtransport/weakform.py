@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,8 @@ class TestFunction:
 
     Value and analytic gradient are those of ``profiles.bump``.
     ``sup_value`` and ``sup_gradient`` are the extrema used to normalize
-    residuals; the gradient extremum is found on a dense radial sample.
+    residuals; the gradient extremum is found on a dense radial sample,
+    once per instance.
     """
 
     center: np.ndarray
@@ -91,7 +93,7 @@ class TestFunction:
     def sup_value(self) -> float:
         return abs(self.amplitude) * math.exp(-1.0)
 
-    @property
+    @cached_property
     def sup_gradient(self) -> float:
         rho = np.linspace(0.0, self.radius, 20001)[1:-1]
         s = rho * rho / (self.radius * self.radius)

@@ -511,6 +511,23 @@ class TestCommandLine:
         assert main(["solve", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", 64.9), ("d", 1.7), ("seed", 3.9), ("seed", True), ("phi_count", 2.5),
+        ("wz_levels", [4, 8.5]), ("wz_levels", "48"),
+        ("p", "inf"), ("p", "nan"), ("L", "nan"),
+    ])
+    def test_ill_typed_or_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        config = self.write_config(tmp_path, base_dict(**{key: value}))
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config value:")
+        assert key in err
+
+    def test_integral_float_reads_as_its_integer(self, cfg):
+        same = ExperimentConfig.from_dict(base_dict(N=64.0, wz_levels=[4.0, 8, 16]))
+        assert same == cfg
+        assert same.config_hash() == cfg.config_hash()
+
     def test_sub_grid_mollifier_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(mollify_eps=1e-6))
         assert main(["solve", "--config", config]) == 2

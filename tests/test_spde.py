@@ -6,19 +6,23 @@ scales the L1 mass by e^{-t} exactly in the continuum.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from stochtransport.errors import ConfigError
+from stochtransport import paths as paths_module
+from stochtransport.errors import BlowUpError, ConfigError
 from stochtransport.drifts import (
     constant_drift,
+    eval_drift,
     linear_drift,
+    power_drift,
     stream_function_drift,
     zero_drift,
 )
-from stochtransport.fields import ScalarField, SpatialGrid, lp_norm, shift_field
+from stochtransport.fields import ScalarField, SpatialGrid, interpolate, lp_norm, shift_field
 from stochtransport.paths import (
     SamplePath,
     eval_path,
@@ -26,7 +30,7 @@ from stochtransport.paths import (
     sample_brownian,
     zero_path,
 )
-from stochtransport.profiles import bump, sample_profile
+from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import (
     exact_solution,
     renormalize_check,
@@ -35,6 +39,7 @@ from stochtransport.spde import (
     squared_renormalization,
     time_continuity_modulus,
 )
+from stochtransport.transport import cfl_number, mollified_drift
 
 
 @pytest.fixture
@@ -287,3 +292,129 @@ class TestTimeContinuity:
         fine = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0,
                           n_snapshots=32)
         assert time_continuity_modulus(fine, 1.0) <= 1.05 * time_continuity_modulus(coarse, 1.0)
+
+
+def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
+    """The unshifted snapshots of ``solve_spde``, marched the plain way: the
+    path is evaluated at every RK4 stage, and every step builds a validated
+    ``ScalarField``. The default mollifier policy is repeated as written."""
+    grid = u0.grid
+    n_steps = int(round(horizon / dt))
+    stride = n_steps // n_snapshots
+    times = np.linspace(0.0, horizon, n_snapshots + 1)
+
+    def shifted(drift):
+        return lambda t, x: eval_drift(drift, t, np.asarray(x, dtype=float)
+                                       + eval_path(path, float(t)))
+
+    if not b.is_smooth:
+        excursion = float(np.max(np.abs(path.values)))
+        stage = cfl_number(shifted(b), grid, dt, times) * grid.h
+        b = mollified_drift(b, 2.0 * grid.h, grid.half_width + excursion + 2.0 * stage)
+    velocity = shifted(b)
+    nodes = grid.nodes()
+    v = u0
+    snapshots = [u0]
+    for k in range(n_steps):
+        t = k * dt
+        if scheme == "semi_lagrangian":
+            k1 = velocity(t + dt, nodes)
+            k2 = velocity(t + 0.5 * dt, nodes - 0.5 * dt * k1)
+            k3 = velocity(t + 0.5 * dt, nodes - 0.5 * dt * k2)
+            k4 = velocity(t, nodes - dt * k3)
+            feet = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            new = interpolate(v, feet, clamp=True).reshape(grid.shape)
+        else:
+            vel = velocity(t, nodes).reshape(grid.shape + (grid.d,))
+            new = v.values.copy()
+            for axis in range(grid.d):
+                c = vel[..., axis]
+                back = (v.values - np.roll(v.values, 1, axis=axis)) / grid.h
+                fwd = (np.roll(v.values, -1, axis=axis) - v.values) / grid.h
+                new -= dt * (np.maximum(c, 0.0) * back + np.minimum(c, 0.0) * fwd)
+        v = ScalarField(grid, new)
+        if (k + 1) % stride == 0:
+            snapshots.append(v)
+    return times, snapshots
+
+
+def _case(name):
+    """(drift, initial field) of a mollified 1D power solve or a small 2D stream solve."""
+    if name == "power1d":
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        return power_drift(0.75, -1.0), sample_profile(g, bump(1, center=0.0, radius=1.0))
+    g = SpatialGrid(d=2, half_width=4.0, n=16)
+    return (stream_function_drift(4.0),
+            sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.5)))
+
+
+def _count_eval_path(monkeypatch) -> list:
+    """Replace ``eval_path`` in every package module by a counting wrapper."""
+    calls = []
+    real = paths_module.eval_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stochtransport") and getattr(module, "eval_path", None) is real:
+            monkeypatch.setattr(module, "eval_path", counting)
+    return calls
+
+
+class TestArrayMarch:
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    @pytest.mark.parametrize("kind", ["brownian", "bv"])
+    @pytest.mark.parametrize("case", ["power1d", "stream"])
+    def test_matches_reference_march_bitwise(self, scheme, kind, case):
+        b, u0 = _case(case)
+        dt, horizon = 1.0 / 128, 0.25
+        path = sample_brownian(5, horizon, 32, u0.grid.d)
+        if kind == "bv":
+            path = piecewise_linear_approx(path, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = solve_spde(b, path, u0, dt=dt, horizon=horizon, scheme=scheme,
+                             n_snapshots=4)
+            times, ref = reference_march(b, path, u0, dt, horizon, scheme, 4)
+        assert (sol.mollify_epsilon is None) == (case == "stream")
+        assert np.array_equal(sol.times, times)
+        for m, t in enumerate(times):
+            assert np.array_equal(sol.aux_fields[m].values, ref[m].values)
+            want = shift_field(ref[m], eval_path(path, float(t)))
+            assert np.array_equal(sol.fields[m].values, want.values)
+
+    def test_overflow_is_caught_at_its_step(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = ScalarField(g, 1.0e308 * sample_profile(g, step(1, center=0.0, half_width=1.0)).values)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as err:
+            solve_spde(constant_drift([0.5]), zero_path(1.0, 64, 1), u0, dt=1.0 / 64,
+                       horizon=1.0, scheme="upwind_fv")
+        assert err.value.step == 1
+        assert "non-finite field at step 1" in str(err.value)
+
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    def test_path_evaluations_do_not_grow_with_steps(self, monkeypatch, scheme):
+        calls = _count_eval_path(monkeypatch)
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        counts = []
+        for n_steps in (32, 128):
+            path = sample_brownian(5, 0.25, n_steps, 1)
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                solve_spde(power_drift(0.75, -1.0), path, u0, dt=0.25 / n_steps,
+                           horizon=0.25, scheme=scheme, n_snapshots=4)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grid_nodes_are_built_once_and_read_only(self, d):
+        g = SpatialGrid(d=d, half_width=4.0, n=16)
+        nodes = g.nodes()
+        assert g.nodes() is nodes
+        assert nodes.shape == (16**d, d)
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 1.0

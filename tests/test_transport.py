@@ -24,14 +24,16 @@ from stochtransport.drifts import (
 )
 from stochtransport.experiments import estimate_order
 from stochtransport.fields import ScalarField, SpatialGrid, bump_profile, lp_norm
-from stochtransport.paths import sample_brownian, zero_path
+from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import solve_spde
 from stochtransport.transport import (
     _rk4_feet,
     cfl_number,
     characteristics_solve,
+    composed_drift,
     mollified_drift,
+    path_table,
     upwind_fv_step,
 )
 
@@ -60,6 +62,22 @@ class TestRk4Feet:
             errs.append(float(np.max(np.abs(feet - pts * math.exp(dt)))))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 4.5
+
+
+class TestPathTable:
+    def test_rows_are_the_path_values_bitwise(self):
+        w = sample_brownian(7, 1.0, 64, 2)
+        times = [0.0, 1.0 / 3.0, 0.5, 1.0 / 64 + 0.5 / 64, 1.0]
+        table = path_table(w, times)
+        assert all(np.array_equal(table[t], eval_path(w, t)) for t in times)
+
+    def test_velocity_reads_its_shift_from_the_table(self):
+        w = sample_brownian(7, 1.0, 64, 1)
+        velocity = composed_drift(linear_drift([[-1.0]]), path_table(w, [0.25]))
+        pts = np.array([[0.5], [-1.0]])
+        assert np.array_equal(velocity(0.25, pts), -(pts + eval_path(w, 0.25)))
+        with pytest.raises(KeyError, match="no path shift tabulated"):
+            velocity(0.3, pts)
 
 
 class TestCharacteristics:
@@ -152,16 +170,16 @@ class TestUpwind:
     def test_zero_velocity_leaves_field_unchanged(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         f = sample_profile(g, step(1, center=0.0, half_width=1.0))
-        out = upwind_fv_step(f, lambda t, p: np.zeros_like(p), 0.0, 0.01)
-        assert np.array_equal(out.values, f.values)
+        out = upwind_fv_step(g, f.values, lambda t, p: np.zeros_like(p), 0.0, 0.01)
+        assert np.array_equal(out, f.values)
 
     def test_single_step_preserves_mass(self):
         for n in (128, 256, 512):
             g = SpatialGrid(d=1, half_width=4.0, n=n)
             f = sample_profile(g, step(1, center=-1.0, half_width=0.5))
-            out = upwind_fv_step(f, lambda t, p: np.full_like(p, 0.8), 0.0,
+            out = upwind_fv_step(g, f.values, lambda t, p: np.full_like(p, 0.8), 0.0,
                                  0.2 * g.h / 0.8)
-            assert abs(float(np.sum(out.values)) - float(np.sum(f.values))) <= 1e-12
+            assert abs(float(np.sum(out)) - float(np.sum(f.values))) <= 1e-12
 
     def test_translation_of_step_converges_at_half_order(self):
         # L1 error on a discontinuity behaves like h^(1/2) at fixed CFL
@@ -172,13 +190,13 @@ class TestUpwind:
             f = sample_profile(g, step(1, center=-1.0, half_width=0.5))
             steps = int(math.ceil(horizon * c / (cfl * g.h)))
             dt = horizon / steps
-            v = f
+            v = f.values
             for k in range(steps):
-                v = upwind_fv_step(v, lambda t, p: np.full_like(p, c), k * dt, dt)
+                v = upwind_fv_step(g, v, lambda t, p: np.full_like(p, c), k * dt, dt)
             moved = sample_profile(
                 g, step(1, center=-1.0 + c * horizon, half_width=0.5)
             )
-            errs.append(lp_norm(v - moved, 1.0))
+            errs.append(lp_norm(ScalarField(g, v) - moved, 1.0))
         orders = estimate_order(errs)
         assert all(0.4 <= o <= 0.6 for o in orders)
 
