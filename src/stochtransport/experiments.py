@@ -30,7 +30,7 @@ from .fields import (LebesgueExponent, ScalarField, SpatialGrid, lp_norm,
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .spde import SpdeSolution, _step_list, exact_solution, solve_spde
+from .spde import SpdeSolution, _step_list, exact_solution, solve_spde, solve_spde_batch
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _step_count, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
@@ -74,11 +74,20 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """A config value as a finite float."""
+    """A finite JSON number, not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return out
+
+
+def _object(key: str, value) -> dict:
+    """A JSON object, as a copy."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be an object, got {value!r}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -127,8 +136,8 @@ class ExperimentConfig:
                 scheme=str(raw["scheme"]),
                 p=_real("p", raw["p"]),
                 seed=_integer("seed", raw["seed"]),
-                drift_spec=dict(raw["drift"]),
-                u0_spec=dict(raw["u0"]),
+                drift_spec=_object("drift", raw["drift"]),
+                u0_spec=_object("u0", raw["u0"]),
                 phi_count=_integer("phi_count", raw.get("phi_count", 10)),
                 wz_levels=tuple(_integer("wz_levels entry", v) for v in levels),
                 mollify_eps=(None if raw.get("mollify_eps") is None
@@ -515,14 +524,13 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
     notes = []
     for s in range(seed, seed + n_seeds):
         path = cfg.path(s, path_file)
-        ref = solve_spde(b, path, u0, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                         mollify_epsilon=cfg.mollify_eps)
+        # The reference and every level march together, as one batch.
+        ref, *sols = solve_spde_batch(
+            b, [path] + [piecewise_linear_approx(path, lvl) for lvl in levels], u0,
+            cfg.dt, cfg.horizon, scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
         notes += _support_lines(
             "wong-zakai", f" in the seed {s} reference {cfg.scheme} solve", ref)
-        for i, lvl in enumerate(levels):
-            approx = piecewise_linear_approx(path, lvl)
-            sol = solve_spde(b, approx, u0, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                             mollify_epsilon=cfg.mollify_eps)
+        for i, (lvl, sol) in enumerate(zip(levels, sols)):
             notes += _support_lines(
                 "wong-zakai", f" in the seed {s} level {lvl} {cfg.scheme} solve", sol)
             err = max(lp_norm(ua - ub, exponent)

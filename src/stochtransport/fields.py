@@ -260,35 +260,55 @@ def interpolate(f: ScalarField, points, clamp: bool = False):
         raise FieldValidationError(
             f"points have dimension {pts.shape[-1]}, grid has dimension {grid.d}"
         )
-    out = _cubic_read(grid, f.values, pts.reshape(-1, grid.d), clamp).reshape(pts.shape[:-1])
+    out = _cubic_read(grid, f.values[None], pts.reshape(1, -1, grid.d), clamp)
+    out = out.reshape(pts.shape[:-1])
     return float(out[0]) if single else out
 
 
 def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
                 clamp: bool) -> np.ndarray:
-    """The cubic rule of :func:`interpolate` on raw nodal values, at points (Q, d)."""
+    """The cubic rule of :func:`interpolate` on a batch of raw nodal values.
+
+    ``values`` has shape (P, *grid.shape) and ``pts`` (P, Q, d): row p of
+    the points reads field p. Returns shape (P, Q). The P fields are read
+    as one stack along the first axis, by the same arithmetic whatever P
+    is.
+    """
+    n_fields, n_pts = pts.shape[:2]
+    pts = pts.reshape(-1, grid.d)
+    stacked = values.reshape((-1,) + grid.shape[1:])  # (P * n, n) in 2D
     offsets = np.array([-1, 0, 1, 2])
     if grid.d == 1:
         base, theta = _axis_locate(grid, pts[:, 0])
         idx = (base[:, None] + offsets[None, :]) % grid.n
-        stencil = values[idx]  # (Q, 4)
+        _offset_by_field(idx, n_fields, grid.n)
+        stencil = stacked[idx]  # (Q, 4)
         w = _cubic_weights(theta)
         out = np.einsum("qk,qk->q", w, stencil)
         if clamp:
             out = np.clip(out, stencil.min(axis=1), stencil.max(axis=1))
-        return out
+        return out.reshape(n_fields, n_pts)
     base1, th1 = _axis_locate(grid, pts[:, 0])
     base2, th2 = _axis_locate(grid, pts[:, 1])
     idx1 = (base1[:, None] + offsets[None, :]) % grid.n
+    _offset_by_field(idx1, n_fields, grid.n)
     idx2 = (base2[:, None] + offsets[None, :]) % grid.n
-    stencil = values[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
+    stencil = stacked[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
     w1 = _cubic_weights(th1)
     w2 = _cubic_weights(th2)
     out = np.einsum("qi,qij,qj->q", w1, stencil, w2)
     if clamp:
         flat = stencil.reshape(stencil.shape[0], -1)
         out = np.clip(out, flat.min(axis=1), flat.max(axis=1))
-    return out
+    return out.reshape(n_fields, n_pts)
+
+
+def _offset_by_field(idx: np.ndarray, n_fields: int, n: int) -> None:
+    """Shift, in place, the first-axis indices of each field's block of
+    points, shape (n_fields * Q, 4), by n per field: field p's nodes are
+    rows p*n .. p*n + n - 1 of the stack."""
+    if n_fields > 1:  # the first field's offset is zero
+        idx.reshape(n_fields, -1)[...] += (np.arange(n_fields) * n)[:, None]
 
 
 def shift_field(f: ScalarField, delta) -> ScalarField:

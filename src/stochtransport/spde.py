@@ -4,18 +4,24 @@ For a frozen realization of the driving path, the stochastic problem
 
     du + b(t, x) . grad u dt + grad u . dW = 0,    u(0) = u0,
 
-is solved in one pass: ``solve_spde`` marches the deterministic
+is solved in one pass: ``solve_spde_batch`` marches the deterministic
 advection problem for v with the path-shifted drift b(t, x + W(t)),
 using the steppers of ``transport``, and translates each snapshot back:
-u(t, x) = v(t, x - W(t)). The one entry point serves every driving
-path: a Brownian draw, the zero path, and the bounded-variation
-interpolants that the Wong-Zakai approximation study feeds in.
+u(t, x) = v(t, x - W(t)). It is the one march loop, and it serves every
+driving path: a Brownian draw, the zero path, and the bounded-variation
+interpolants that the Wong-Zakai approximation study feeds in. It takes
+a batch of P paths on one grid, drift and initial field and steps them
+together, with a leading path axis on every array; ``solve_spde`` is its
+one-path case. Each path's result is the same, bit for bit, whether it
+is solved alone or in any batch.
 
-The path is evaluated once per solve, at every RK4 stage time and every
-snapshot time (``transport.path_table``). The march then runs on raw
-nodal arrays: after each step it checks that the values are finite
-(``BlowUpError`` names the step) and that they clear the wrap-around
-margin, and it builds a ``ScalarField`` only at the snapshots.
+The paths are evaluated once per batch, at every RK4 stage time and
+every snapshot time (``transport.path_table``), and a rough drift is
+tabulated once per batch (``transport.mollified_drift``). The march then
+runs on raw nodal arrays: after each step it checks that the values are
+finite (``BlowUpError`` names the step and the path) and, path by path,
+that they clear the wrap-around margin, and it builds a ``ScalarField``
+only at the snapshots.
 
 Renormalization checks integrate a truncated power of the unshifted
 field v and compare its growth against the Gronwall envelope driven by
@@ -104,59 +110,91 @@ def solve_spde(
     n_snapshots: int = 16,
     mollify_epsilon: float | None = None,
 ) -> SpdeSolution:
-    """Solve the transport SPDE along a Brownian, zero or bounded-variation path.
+    """Solve the transport SPDE along one Brownian, zero or bounded-variation path.
 
-    Marches v with the path-shifted drift and translates each snapshot
-    by the path position: u(s, x) = v(s, x - W(s)). The first snapshot
-    equals u0 exactly since every path starts at the origin. A
-    piecewise-linear interpolant on the full fine mesh has the knot
-    values of its path bit for bit, so it reproduces the Brownian run
-    bit for bit.
+    The one-path case of :func:`solve_spde_batch`, which documents the
+    parameters, the mollifier policy and the errors.
+    """
+    return solve_spde_batch(b, (path,), u0, dt, horizon, scheme, n_snapshots,
+                            mollify_epsilon)[0]
+
+
+def solve_spde_batch(
+    b: DriftField,
+    paths,
+    u0: ScalarField,
+    dt: float,
+    horizon: float,
+    scheme: str = "semi_lagrangian",
+    n_snapshots: int = 16,
+    mollify_epsilon: float | None = None,
+) -> tuple[SpdeSolution, ...]:
+    """Solve the transport SPDE along each path of a batch, in one march.
+
+    Marches v for every path at once, values of shape (P, *grid.shape),
+    with the path-shifted drift, and translates each snapshot by its path
+    position: u(s, x) = v(s, x - W(s)). The first snapshot equals u0
+    exactly since every path starts at the origin. A piecewise-linear
+    interpolant on the full fine mesh has the knot values of its path bit
+    for bit, so it reproduces the Brownian run bit for bit. Every value a
+    path reads does not depend on the other paths of the batch, so each
+    solution equals the path's solve alone, bit for bit.
 
     Parameters
     ----------
-    b, path, u0
-        Drift field, frozen driving path (defined on at least [0, horizon]),
-        and initial data.
+    b, paths, u0
+        Drift field, a non-empty sequence of frozen driving paths (each
+        defined on at least [0, horizon]), and the initial data they share.
     dt, horizon
         Uniform step and final time; dt must divide the snapshot spacing
         horizon / n_snapshots.
     scheme : {"semi_lagrangian", "upwind_fv"}
         The upwind scheme additionally requires dt * sup|b| / h <= 0.9,
-        estimated on the grid nodes at the snapshot times.
+        estimated on the grid nodes at the snapshot times, for every path.
     mollify_epsilon
         None applies the default policy: drifts not tagged smooth are
         convolved with a bump of radius 2h before stepping. Zero disables
         smoothing; a positive value forces that radius and must be at
-        least h. The smoothed drift is tabulated once per solve by
-        :func:`transport.mollified_drift`; time-dependent drifts must be
-        separable.
+        least h. The smoothed drift is tabulated once per batch by
+        :func:`transport.mollified_drift`, with the largest reach of the
+        batch; time-dependent drifts must be separable.
 
-    A step after which v reaches the wrap-around margin is recorded in
-    ``support_violations``; any such step ends in a ``SupportMarginWarning``.
+    A step after which a path's v reaches the wrap-around margin is
+    recorded in that solution's ``support_violations``; each path with
+    such a step ends in a ``SupportMarginWarning``.
+
+    Returns
+    -------
+    tuple of SpdeSolution
+        One solution per path, in the order of ``paths``.
 
     Raises
     ------
     ConfigError
-        Mesh mismatches, CFL violation, unknown scheme, a sub-grid
-        mollifier radius, a non-separable time-dependent drift to smooth.
+        Mesh mismatches, an empty batch, CFL violation, unknown scheme, a
+        sub-grid mollifier radius, a non-separable time-dependent drift to
+        smooth.
     BlowUpError
-        Non-finite values after a marching step, with its index, or a
-        drift query beyond the mollifier table.
+        Non-finite values after a marching step, naming the step and the
+        path, or a drift query beyond the mollifier table.
     """
     grid = u0.grid
+    paths = tuple(paths)
+    if not paths:
+        raise ConfigError("a batch needs at least one path")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if b.d != grid.d or path.d != grid.d:
-        raise ConfigError(
-            f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
-        )
     if not (horizon > 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    if path.horizon < horizon * (1.0 - 1.0e-12):
-        raise ConfigError(
-            f"path horizon {path.horizon} does not cover the run horizon {horizon}"
-        )
+    for path in paths:
+        if b.d != grid.d or path.d != grid.d:
+            raise ConfigError(
+                f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
+            )
+        if path.horizon < horizon * (1.0 - 1.0e-12):
+            raise ConfigError(
+                f"path horizon {path.horizon} does not cover the run horizon {horizon}"
+            )
     n_steps = _step_count(dt, horizon)
     if n_snapshots < 1 or n_steps % n_snapshots != 0:
         raise ConfigError(
@@ -173,22 +211,25 @@ def solve_spde(
         eps = float(mollify_epsilon)
         _check_mollify_radius(eps, grid.h)
     times = np.linspace(0.0, horizon, n_snapshots + 1)
-    # Every time the march reads the path: the RK4 stage times of each step
+    # Every time the march reads the paths: the RK4 stage times of each step
     # (upwind reads the last of them, the step's start) and the snapshot times.
-    shifts = path_table(path, [s for step in range(n_steps)
-                                for s in _stage_times(step * dt, dt)] + list(times))
+    table = path_table(paths, np.concatenate(_stage_times(np.arange(n_steps) * dt, dt)
+                                             + (times,)))
+    rows, shifts = table
     b_eff = b
     if eps is not None:
         # Drift queries stay within the box shifted by the path, plus one
         # RK4 stage displacement dt*|b|; the doubling covers speeds between
-        # the probe times and beyond the box.
-        excursion = float(np.max(np.abs(path.values))) if path.values.size else 0.0
-        stage = cfl_number(composed_drift(b, shifts), grid, dt, times) * grid.h
-        b_eff = mollified_drift(b, eps, grid.half_width + excursion + 2.0 * stage)
+        # the probe times and beyond the box. One table serves the batch,
+        # so it covers the largest of the paths' reaches.
+        excursion = np.array([float(np.max(np.abs(path.values))) if path.values.size else 0.0
+                              for path in paths])
+        stage = cfl_number(composed_drift(b, table), grid, dt, times) * grid.h
+        b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
-    velocity = composed_drift(b_eff, shifts)
+    velocity = composed_drift(b_eff, table)
     if scheme == "upwind_fv":
-        cfl = cfl_number(velocity, grid, dt, times)
+        cfl = float(np.max(cfl_number(velocity, grid, dt, times)))
         if cfl > _CFL_LIMIT:
             raise ConfigError(
                 f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
@@ -200,26 +241,37 @@ def solve_spde(
                else transport.upwind_fv_step)
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
-    aux = [u0]
-    fields = [shift_field(u0, shifts[0.0])]
-    violations: list[int] = []
-    vals = u0.values
+    batch = range(len(paths))
+    aux = [[u0] for _ in batch]
+    fields = [[shift_field(u0, shifts[rows[0.0], p])] for p in batch]
+    violations: list[list[int]] = [[] for _ in batch]
+    vals = np.stack([u0.values] * len(paths))
     for step in range(n_steps):
         vals = advance(grid, vals, velocity, step * dt, dt)
         if not np.isfinite(vals).all():
-            raise BlowUpError(f"non-finite field at step {step + 1}", step=step + 1)
-        if _support_hits_margin(vals, band, v0_sup):
-            violations.append(step + 1)
+            p = int(np.argmin(np.isfinite(vals).reshape(len(paths), -1).all(axis=1)))
+            raise BlowUpError(f"non-finite field at step {step + 1} of path {p}",
+                              step=step + 1)
+        hits = _support_hits_margin(vals, band, v0_sup)
+        if hits.any():
+            for p in np.flatnonzero(hits):
+                violations[p].append(step + 1)
         if (step + 1) % stride == 0:
-            v = ScalarField(grid, vals)
-            aux.append(v)
-            fields.append(shift_field(v, shifts[float(times[len(fields)])]))
+            row = rows[float(times[len(fields[0])])]
+            for p in batch:
+                v = ScalarField(grid, vals[p])
+                aux[p].append(v)
+                fields[p].append(shift_field(v, shifts[row, p]))
 
-    if violations:
-        warnings.warn(f"solution support entered the wrap-around margin at steps "
-                      f"{_step_list(violations)}", SupportMarginWarning, stacklevel=2)
-    return SpdeSolution(grid, times, tuple(fields), path, aux_fields=tuple(aux), dt=dt,
-                        mollify_epsilon=eps, support_violations=tuple(violations))
+    for p in batch:
+        if violations[p]:
+            where = f" in path {p}" if len(paths) > 1 else ""
+            warnings.warn(f"solution support entered the wrap-around margin{where} at steps "
+                          f"{_step_list(violations[p])}", SupportMarginWarning, stacklevel=2)
+    return tuple(
+        SpdeSolution(grid, times, tuple(fields[p]), paths[p], aux_fields=tuple(aux[p]), dt=dt,
+                     mollify_epsilon=eps, support_violations=tuple(violations[p]))
+        for p in batch)
 
 
 def exact_solution(b: DriftField, path: SamplePath, u0_profile: Profile, t: float,

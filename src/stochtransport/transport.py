@@ -6,24 +6,30 @@ advection equation
     dv/dt + b(t, x + W(t)) . grad v = 0,    v(0) = u0,
 
 on a periodic box, where W is a frozen realization of the driving path.
-``spde.solve_spde`` marches it with the two steppers here: semi-Lagrangian
-(RK4 backtracking of characteristic feet plus clamped cubic
-interpolation) and first-order upwind finite volume in advective form.
-Both step raw nodal arrays, (grid, values) -> new values, with no field
-object per step. An RK4 characteristics integrator doubles as the
-convergence oracle for both.
+``spde.solve_spde_batch`` marches it for a batch of P paths at once with
+the two steppers here: semi-Lagrangian (RK4 backtracking of
+characteristic feet plus clamped cubic interpolation) and first-order
+upwind finite volume in advective form. Both step raw nodal arrays with
+a leading path axis, (grid, values of shape (P, *grid.shape)) -> new
+values, with no field object per step; the velocity is read at (P, Q, d)
+points. An RK4 characteristics integrator doubles as the convergence
+oracle for both.
 
-Since the path is frozen, every time a march will query is known before
-it starts: ``_stage_times`` gives the three RK4 stage times of a step,
-``path_table`` evaluates W at all of them in one vectorized
-``eval_path`` call, and ``composed_drift`` reads its shift W(t) from that
+Since the paths are frozen, every time a march will query is known
+before it starts: ``_stage_times`` gives the three RK4 stage times of a
+step, ``path_table`` evaluates every path at all of them, one vectorized
+``eval_path`` call per path, into one (M, P, d) array with one time ->
+row dict, and ``composed_drift`` reads its shifts W_p(t) from that
 table. A query at a time the table lacks is an error, not a fallback.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
 b by its convolution with a bump kernel of radius 2h, computed once per
-solve by ``mollified_drift`` on one lattice that covers the box, the
-path excursion and the RK4 stage displacements, with the grid kernel of
-``fields.MollifierSpec``; every velocity call is then a table lookup. A
+batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
+delta * k for integer k) that covers the box, the largest path excursion
+of the batch and the RK4 stage displacements, with the grid kernel of
+``fields.MollifierSpec``; every velocity call is then a table lookup.
+A larger reach only adds nodes, so every value a path reads is the same,
+bit for bit, whether it is solved alone or in any batch. A
 time-modulated drift g(t) * b(x) is tabulated through b and scaled by
 g(t) per call.
 """
@@ -38,7 +44,7 @@ from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import MollifierSpec, ScalarField, SpatialGrid, _cubic_read, interpolate
+from .fields import MollifierSpec, SpatialGrid, _cubic_read, _cubic_weights
 from .paths import SamplePath, eval_path
 
 __all__ = [
@@ -63,36 +69,46 @@ _SUPPORT_VALUE_RTOL = 1.0e-9
 _CFL_LIMIT = 0.9
 
 
-def _stage_times(t: float, dt: float) -> tuple[float, float, float]:
-    """The times one RK4 step from t + dt back to t reads the velocity at."""
+def _stage_times(t, dt: float):
+    """The times one RK4 step from t + dt back to t reads the velocity at.
+
+    ``t`` may be an array of step starts; the arithmetic is the same.
+    """
     return (t + dt, t + 0.5 * dt, t)
 
 
-def path_table(path: SamplePath, times) -> dict:
-    """W at each of ``times``, from one vectorized ``eval_path`` call, keyed by the time.
+def path_table(paths, times) -> tuple[dict, np.ndarray]:
+    """Every path of a batch at each of ``times``: one vectorized ``eval_path`` call per path.
 
-    The keys are the times as floats, so a marcher that recomputes a
-    query time by the same expression (``_stage_times``) finds its row.
+    Returns ``(rows, shifts)``. ``shifts`` has shape (M, P, d), one row
+    per distinct time and one column per path, and ``rows`` maps each
+    time, as a float, to its row. A marcher that recomputes a query time
+    by the same expression (``_stage_times``) finds its row.
     """
-    keys = [float(t) for t in times]
-    return dict(zip(keys, eval_path(path, np.array(keys))))
+    keys = np.unique(np.asarray(times, dtype=float))
+    rows = dict(zip(keys.tolist(), range(keys.size)))
+    return rows, np.stack([eval_path(path, keys) for path in paths], axis=1)
 
 
-def composed_drift(b: DriftField, shifts: dict) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The shifted velocity (t, x) -> b(t, x + W(t)) used by the marchers.
+def composed_drift(b: DriftField, table) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The shifted velocities (t, x) -> b(t, x + W_p(t)) of a batch of paths.
 
-    ``shifts`` is the ``path_table`` of every time the caller will query:
-    the path is evaluated once per solve, before the march, and each call
-    reads its shift from that table. A time not in the table raises
-    ``KeyError``; the path is never evaluated per call.
+    ``table`` is the ``path_table`` of every time the caller will query:
+    the paths are evaluated once per batch, before the march, and each
+    call reads its shifts from that table. A time not in the table raises
+    ``KeyError``; no path is evaluated per call. The points have shape
+    (Q, d), shared by every path, or (P, Q, d), one row per path; the
+    velocities have shape (P, Q, d).
     """
+    rows, shifts = table
+    shifts = shifts[:, :, None, :]  # each row broadcasts over the points
 
     def velocity(t, points):
         try:
-            shift = shifts[t]
+            row = rows[t]
         except KeyError:
             raise KeyError(f"no path shift tabulated for t={t!r}") from None
-        return eval_drift(b, t, np.asarray(points, dtype=float) + shift)
+        return eval_drift(b, t, np.asarray(points, dtype=float) + shifts[row])
 
     return velocity
 
@@ -111,16 +127,21 @@ _STEPS_PER_RADIUS = {1: 64, 2: 8}
 def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     """Smooth a drift in space by convolution with the radius-epsilon bump.
 
-    The drift's autonomous factor is sampled once on a lattice of spacing
-    epsilon/64 (1D) or epsilon/8 (2D) that covers the cube |x_i| <= reach
+    The drift's autonomous factor is sampled once on the lattice of nodes
+    delta * k, for integers |k| <= K, with delta = epsilon/64 (1D) or
+    epsilon/8 (2D) and K large enough to cover the cube |x_i| <= reach
     plus the kernel radius and the interpolation stencil, and convolved
-    there with ``MollifierSpec(epsilon, d).grid_kernel``. Each call is then
-    a lookup: linear interpolation in 1D, cubic ``interpolate`` in 2D; a
-    query beyond the reach raises ``BlowUpError``. A time-modulated field
-    g(t) * b(x) (see ``DriftField.factors``) is tabulated through b and
-    scaled by g(t) per call, since mollifying commutes with the gain; any
-    other time-dependent field is rejected with ``ConfigError``. The
-    Jacobian rule is the central difference of the tables.
+    there with ``MollifierSpec(epsilon, d).grid_kernel``. The lattice is
+    anchored at the origin, so a larger reach only adds nodes: every
+    value read within a reach is the same, bit for bit, on every table
+    that covers it. Each call is then a lookup: linear interpolation in
+    1D; in 2D one cubic read of all components at once, which locates a
+    point by q = x/delta, k = floor(q), theta = q - k. A query beyond the
+    reach raises ``BlowUpError``. A time-modulated field g(t) * b(x) (see
+    ``DriftField.factors``) is tabulated through b and scaled by g(t) per
+    call, since mollifying commutes with the gain; any other
+    time-dependent field is rejected with ``ConfigError``. The Jacobian
+    rule is the central difference of the tables.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -133,33 +154,37 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         )
     d = b.d
     delta = epsilon / _STEPS_PER_RADIUS[d]
-    n = int(math.ceil(2.0 * (reach + epsilon + 3.0 * delta) / delta))
-    lattice = SpatialGrid(d, 0.5 * n * delta, n)
-    samples = eval_drift(base, 0.0, lattice.nodes()).reshape(lattice.shape + (d,))
-    kernel = MollifierSpec(epsilon, d).grid_kernel(lattice.h)
+    K = int(math.ceil((reach + epsilon) / delta)) + 3
+    axis = delta * np.arange(-K, K + 1)
+    nodes = axis[:, None] if d == 1 else np.stack(
+        [m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
+    kernel = MollifierSpec(epsilon, d).grid_kernel(delta)
     smooth = [ndimage.convolve(samples[..., a], kernel, mode="nearest") for a in range(d)]
-    axis = lattice.axis()
-    tables = [ScalarField(lattice, c) for c in smooth]
     # Differentiating the tables never evaluates the base Jacobian, which
     # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
-    jac_tables = [[ScalarField(lattice, np.gradient(c, lattice.h, axis=a)) for a in range(d)]
-                  for c in smooth]
+    slopes = [np.gradient(c, delta, axis=a) for c in smooth for a in range(d)]
+    if d == 1:
+        values, jac_values = smooth[0], slopes[0]
+    else:  # component tables stacked channel first and flattened, (channels, n * n)
+        values = np.stack(smooth).reshape(d, -1)
+        jac_values = np.stack(slopes).reshape(d * d, -1)
 
     def read(table, t, points):
         pts = np.asarray(points, dtype=float)
         if np.abs(pts).max(initial=0.0) > reach:
             raise BlowUpError(f"mollified drift queried at |x_i| > {reach}, beyond its table")
-        out = np.interp(pts[..., 0], axis, table.values) if d == 1 else interpolate(table, pts)
+        if d == 1:
+            out = np.interp(pts[..., 0], axis, table)[..., None]
+        else:
+            out = _anchored_cubic_read(table, delta, K, pts)
         return out if gain is None else gain(t) * out
 
     def fn(t, points):
-        if d == 1:
-            return read(tables[0], t, points)[..., None]
-        return np.stack([read(table, t, points) for table in tables], axis=-1)
+        return read(values, t, points)
 
     def jacobian(t, points):
-        return np.stack([np.stack([read(table, t, points) for table in row], axis=-1)
-                         for row in jac_tables], axis=-2)
+        return read(jac_values, t, points).reshape(np.shape(points)[:-1] + (d, d))
 
     return DriftField(
         f"{b.id}~eps", d, fn, jacobian,
@@ -167,6 +192,25 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         time_dependent=b.time_dependent,
         params={**b.params, "mollify_epsilon": float(epsilon)},
     )
+
+
+def _anchored_cubic_read(table: np.ndarray, delta: float, K: int, pts: np.ndarray) -> np.ndarray:
+    """Cubic read of a 2D table with node (i, j) at delta * (i - K, j - K), at points (..., 2).
+
+    ``table`` holds C channels of the (2K + 1)**2 nodes, shape (C, (2K + 1)**2);
+    all channels share one stencil locate and one gather. Returns shape (..., C).
+    """
+    flat = pts.reshape(-1, 2) / delta
+    k = np.floor(flat)
+    w1 = _cubic_weights(flat[:, 0] - k[:, 0])
+    w2 = _cubic_weights(flat[:, 1] - k[:, 1])
+    first = k.astype(np.int64) + (K - 1)  # stencil {-1, 0, 1, 2} around node k
+    offsets = np.arange(4)
+    rows = (first[:, 0, None] + offsets) * (2 * K + 1)
+    idx = rows[:, :, None] + (first[:, 1, None] + offsets)[:, None, :]  # (Q, 4, 4)
+    stencil = np.take(table, idx, axis=1)  # (C, Q, 4, 4)
+    out = ((stencil * w2[:, None, :]).sum(axis=-1) * w1).sum(axis=-1)  # (C, Q)
+    return out.T.reshape(pts.shape[:-1] + (table.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -185,27 +229,35 @@ def _rk4_feet(velocity, points, t: float, dt: float) -> np.ndarray:
 
 def semi_lagrangian_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
                          dt: float) -> np.ndarray:
-    """Advance the nodal values one step: backtrack feet with RK4, read off by
-    clamped cubic interpolation.
+    """Advance a batch of nodal values one step: backtrack feet with RK4,
+    read off by clamped cubic interpolation.
 
-    Clamping the cubic stencil enforces a discrete maximum principle.
-    Returns a new array of shape ``grid.shape``.
+    ``vals`` has shape (P, *grid.shape) and ``velocity`` returns (P, Q, d)
+    velocities at the grid nodes; each path's feet are read from its own
+    values. Clamping the cubic stencil enforces a discrete maximum
+    principle. Returns a new array of the shape of ``vals``.
     """
     feet = _rk4_feet(velocity, grid.nodes(), t, dt)
-    return _cubic_read(grid, vals, feet, clamp=True).reshape(grid.shape)
+    return _cubic_read(grid, vals, feet, clamp=True).reshape(vals.shape)
 
 
 def upwind_fv_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
                    dt: float) -> np.ndarray:
-    """One first-order upwind step of the advective form on the nodal values,
-    split by axis sign. Returns a new array of shape ``grid.shape``."""
-    vel = velocity(t, grid.nodes()).reshape(grid.shape + (grid.d,))
+    """One first-order upwind step of the advective form on a batch of nodal
+    values, split by axis sign.
+
+    ``vals`` has shape (P, *grid.shape), or ``grid.shape`` for a single
+    field, and ``velocity`` returns matching velocities at the grid nodes.
+    Returns a new array of the shape of ``vals``.
+    """
+    vel = velocity(t, grid.nodes()).reshape(vals.shape + (grid.d,))
     new = vals.copy()
     h = grid.h
     for axis in range(grid.d):
         c = vel[..., axis]
-        back = (vals - np.roll(vals, 1, axis=axis)) / h
-        fwd = (np.roll(vals, -1, axis=axis) - vals) / h
+        along = axis - grid.d  # the spatial axes are the trailing ones
+        back = (vals - np.roll(vals, 1, axis=along)) / h
+        fwd = (np.roll(vals, -1, axis=along) - vals) / h
         new -= dt * (np.maximum(c, 0.0) * back + np.minimum(c, 0.0) * fwd)
     return new
 
@@ -233,22 +285,26 @@ def characteristics_solve(
     dt = span / n_sub
     starts = [t0 + i * dt + dt for i in range(n_sub)]
     velocity = composed_drift(
-        b, path_table(path, [s for t in starts for s in _stage_times(t, -dt)]))
-    x = np.array(x0, dtype=float)
+        b, path_table([path], [s for t in starts for s in _stage_times(t, -dt)]))
+    shape = np.shape(x0)
+    x = np.array(x0, dtype=float).reshape(1, -1, shape[-1])  # a batch of one path
     for i, t in enumerate(starts):
         x = _rk4_feet(velocity, x, t, -dt)
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_radius:
             raise BlowUpError(f"characteristic left the trusted region at substep {i}", step=i)
-    return x
+    return x.reshape(shape)
 
 
-def cfl_number(velocity, grid: SpatialGrid, dt: float, times) -> float:
-    """Largest dt * |velocity|_1 / h over the grid nodes at the sampled times."""
+def cfl_number(velocity, grid: SpatialGrid, dt: float, times):
+    """Largest dt * |velocity|_1 / h over the grid nodes at the sampled times.
+
+    A batched velocity, of shape (P, Q, d), gives one number per path.
+    """
     nodes = grid.nodes()
     vmax = 0.0
     for t in np.atleast_1d(times):
         vel = velocity(float(t), nodes)
-        vmax = max(vmax, float(np.max(np.sum(np.abs(vel), axis=-1))))
+        vmax = np.maximum(vmax, np.max(np.sum(np.abs(vel), axis=-1), axis=-1))
     return dt * vmax / grid.h
 
 
@@ -261,10 +317,11 @@ def _margin_band(grid: SpatialGrid) -> np.ndarray:
     return np.logical_or.reduce(np.meshgrid(*[edge] * grid.d, indexing="ij"))
 
 
-def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float) -> bool:
-    """Whether the nodal values exceed 1e-9 * v0_sup anywhere in the margin ``band``."""
+def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float):
+    """Whether the nodal values exceed 1e-9 * v0_sup anywhere in the margin ``band``:
+    one bool for values of ``grid.shape``, one per path for (P, *grid.shape)."""
     tol = _SUPPORT_VALUE_RTOL * max(v0_sup, 1.0e-300)
-    return bool(np.any(np.abs(vals[band]) > tol))
+    return np.any(np.abs(vals[..., band]) > tol, axis=-1)
 
 
 def _step_count(dt: float, horizon: float) -> int:

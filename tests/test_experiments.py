@@ -523,6 +523,16 @@ class TestCommandLine:
         assert err.startswith("config error: malformed config value:")
         assert key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("p", True), ("L", "4.0"), ("drift", [["id", "zero"]]), ("u0", "bump"),
+    ])
+    def test_bool_string_or_non_object_value_exits_2(self, tmp_path, capsys, key, value):
+        config = self.write_config(tmp_path, base_dict(**{key: value}))
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config value:")
+        assert key in err
+
     def test_integral_float_reads_as_its_integer(self, cfg):
         same = ExperimentConfig.from_dict(base_dict(N=64.0, wz_levels=[4.0, 8, 16]))
         assert same == cfg

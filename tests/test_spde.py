@@ -12,9 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
+from stochtransport import drifts as drifts_module
 from stochtransport import paths as paths_module
-from stochtransport.errors import BlowUpError, ConfigError
+from stochtransport import transport as transport_module
+from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
 from stochtransport.drifts import (
+    DriftField,
     constant_drift,
     eval_drift,
     linear_drift,
@@ -36,6 +39,7 @@ from stochtransport.spde import (
     renormalize_check,
     smoothed_truncated_power,
     solve_spde,
+    solve_spde_batch,
     squared_renormalization,
     time_continuity_modulus,
 )
@@ -348,19 +352,25 @@ def _case(name):
             sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.5)))
 
 
-def _count_eval_path(monkeypatch) -> list:
-    """Replace ``eval_path`` in every package module by a counting wrapper."""
+def _count_calls(monkeypatch, module, attr) -> list:
+    """Replace ``module.attr`` in every package module that binds it by a
+    wrapper that records the calls' second arguments."""
     calls = []
-    real = paths_module.eval_path
+    real = getattr(module, attr)
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("stochtransport") and getattr(module, "eval_path", None) is real:
-            monkeypatch.setattr(module, "eval_path", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("stochtransport") and getattr(mod, attr, None) is real:
+            monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+def _count_eval_path(monkeypatch) -> list:
+    """Replace ``eval_path`` in every package module by a counting wrapper."""
+    return _count_calls(monkeypatch, paths_module, "eval_path")
 
 
 class TestArrayMarch:
@@ -418,3 +428,122 @@ class TestArrayMarch:
         assert nodes.shape == (16**d, d)
         with pytest.raises(ValueError):
             nodes[0, 0] = 1.0
+
+
+def _batch_case(name):
+    """(drift, initial field, mollify_epsilon) of a mollified 1D power solve, a
+    forced-epsilon 2D stream solve or an unmollified 2D stream solve. The
+    mollifier lattice spacings, 2h/64 and 0.7/8, are not dyadic, so a
+    lattice that moved with the table's reach would round its nodes
+    differently."""
+    if name == "power1d":
+        g = SpatialGrid(d=1, half_width=3.3, n=64)
+        return power_drift(0.75, -1.0), sample_profile(g, bump(1, center=0.0, radius=1.0)), None
+    b, u0 = _case("stream")
+    return b, u0, (0.7 if name == "stream_forced_eps" else None)
+
+
+def _same_solution(a, b) -> bool:
+    return (np.array_equal(a.times, b.times)
+            and all(np.array_equal(x.values, y.values) for x, y in zip(a.fields, b.fields))
+            and all(np.array_equal(x.values, y.values)
+                    for x, y in zip(a.aux_fields, b.aux_fields))
+            and a.support_violations == b.support_violations
+            and a.mollify_epsilon == b.mollify_epsilon)
+
+
+class TestBatchMarch:
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    @pytest.mark.parametrize("kind", ["brownian", "bv"])
+    @pytest.mark.parametrize("case", ["power1d", "stream_forced_eps", "stream"])
+    def test_path_alone_equals_path_in_batch_bitwise(self, scheme, kind, case):
+        b, u0, eps = _batch_case(case)
+        d = u0.grid.d
+        dt, horizon = 1.0 / 128, 0.25
+        path = sample_brownian(5, horizon, 32, d)
+        if kind == "bv":
+            path = piecewise_linear_approx(path, 4)
+        # Companions with other, larger excursions: the batch's mollifier
+        # table reaches further than the path's own.
+        wide = SamplePath(path.times, 3.0 * sample_brownian(9, horizon, 32, d).values,
+                          "brownian")
+        other = sample_brownian(11, horizon, 32, d)
+        kwargs = dict(dt=dt, horizon=horizon, scheme=scheme, n_snapshots=4,
+                      mollify_epsilon=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = solve_spde(b, path, u0, **kwargs)
+            first = solve_spde_batch(b, [wide, path, other], u0, **kwargs)
+            second = solve_spde_batch(b, [path, other, path], u0, **kwargs)
+        assert (alone.mollify_epsilon is None) == (case == "stream")
+        assert all(sol.path is p for sol, p in zip(first, [wide, path, other]))
+        for sol in (first[1], second[0], second[2]):
+            assert _same_solution(sol, alone)
+
+    def test_support_violations_are_recorded_per_path(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        b = linear_drift([[1.0]])
+        quiet = zero_path(1.0, 64, 1)
+        # a straight path to W(1) = 4 pushes v out to about 5.6 > 3.6
+        pushed = SamplePath(quiet.times, 4.0 * quiet.times[:, None],
+                            "piecewise_linear_bv")
+        with pytest.warns(SupportMarginWarning, match="in path 1"):
+            sols = solve_spde_batch(b, [quiet, pushed, quiet], u0, dt=1.0 / 64, horizon=1.0)
+        with pytest.warns(SupportMarginWarning):
+            alone = solve_spde(b, pushed, u0, dt=1.0 / 64, horizon=1.0)
+        assert sols[0].support_violations == sols[2].support_violations == ()
+        assert sols[1].support_violations == alone.support_violations
+        assert len(alone.support_violations) > 0
+
+    def test_blow_up_names_its_step_and_path(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        # 1e308 beyond x = 50: the RK4 sum overflows, so the feet and then
+        # the values of the one path that reaches that far are not finite
+        cliff = DriftField("cliff", 1,
+                           lambda t, x: np.where(np.asarray(x) > 50.0, 1.0e308, 0.0),
+                           regularity_tags=frozenset({"smooth"}))
+        quiet = zero_path(1.0, 64, 1)
+        far = SamplePath(quiet.times, 100.0 * quiet.times[:, None], "piecewise_linear_bv")
+        with np.errstate(all="ignore"):
+            with pytest.raises(BlowUpError) as alone:
+                solve_spde(cliff, far, u0, dt=1.0 / 64, horizon=1.0)
+            with pytest.raises(BlowUpError) as err:
+                solve_spde_batch(cliff, [quiet, quiet, far], u0, dt=1.0 / 64, horizon=1.0)
+        assert 1 < alone.value.step < 64
+        assert err.value.step == alone.value.step
+        assert f"non-finite field at step {alone.value.step} of path 2" in str(err.value)
+
+    def test_mollifier_is_tabulated_once_per_batch(self, monkeypatch):
+        calls = _count_calls(monkeypatch, transport_module, "mollified_drift")
+        b, u0 = _case("power1d")
+        paths = [sample_brownian(seed, 0.25, 32, 1) for seed in (5, 6, 7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solve_spde_batch(b, paths, u0, dt=1.0 / 128, horizon=0.25, n_snapshots=4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme, per_step", [("semi_lagrangian", 4), ("upwind_fv", 1)])
+    def test_drift_reads_per_step_do_not_grow_with_the_batch(self, monkeypatch, scheme,
+                                                              per_step):
+        calls = _count_calls(monkeypatch, drifts_module, "eval_drift")
+        b, u0 = _case("power1d")
+        counts = {}
+        for n_paths in (1, 4):
+            for n_steps in (32, 64):
+                paths = [sample_brownian(seed, 0.25, n_steps, 1) for seed in range(n_paths)]
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    solve_spde_batch(b, paths, u0, dt=0.25 / n_steps, horizon=0.25,
+                                     scheme=scheme, n_snapshots=4)
+                counts[n_paths, n_steps] = len(calls)
+        for n_paths in (1, 4):
+            assert counts[n_paths, 64] - counts[n_paths, 32] == per_step * 32
+        assert counts[1, 32] == counts[4, 32]
+
+    def test_empty_batch_rejected(self):
+        b, u0 = _case("power1d")
+        with pytest.raises(ConfigError, match="at least one path"):
+            solve_spde_batch(b, [], u0, dt=1.0 / 128, horizon=0.25, n_snapshots=4)

@@ -6,6 +6,7 @@ The mollified drift is checked against a direct bump quadrature.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,16 +69,31 @@ class TestPathTable:
     def test_rows_are_the_path_values_bitwise(self):
         w = sample_brownian(7, 1.0, 64, 2)
         times = [0.0, 1.0 / 3.0, 0.5, 1.0 / 64 + 0.5 / 64, 1.0]
-        table = path_table(w, times)
-        assert all(np.array_equal(table[t], eval_path(w, t)) for t in times)
+        rows, shifts = path_table([w], times)
+        assert all(np.array_equal(shifts[rows[t], 0], eval_path(w, t)) for t in times)
 
     def test_velocity_reads_its_shift_from_the_table(self):
         w = sample_brownian(7, 1.0, 64, 1)
-        velocity = composed_drift(linear_drift([[-1.0]]), path_table(w, [0.25]))
+        velocity = composed_drift(linear_drift([[-1.0]]), path_table([w], [0.25]))
         pts = np.array([[0.5], [-1.0]])
-        assert np.array_equal(velocity(0.25, pts), -(pts + eval_path(w, 0.25)))
+        assert np.array_equal(velocity(0.25, pts)[0], -(pts + eval_path(w, 0.25)))
         with pytest.raises(KeyError, match="no path shift tabulated"):
             velocity(0.3, pts)
+
+    def test_ladder_solve_peaks_below_a_row_view_per_time(self):
+        # N = 256, K = 2048: a table holding one row view per stage time
+        # peaked at 1.35 MB; one (M, P, d) array with a time -> row dict at 0.85 MB
+        g = SpatialGrid(d=1, half_width=4.0, n=256)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
+        w = sample_brownian(24, 1.0, 2048, 1)
+        b = power_drift(0.75, scale=-1.0)
+        tracemalloc.start()
+        try:
+            solve_spde(b, w, u0, dt=1.0 / 2048, horizon=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6
 
 
 class TestCharacteristics:
@@ -356,6 +372,21 @@ class TestMollifiedDrift:
             warnings.simplefilter("error", RuntimeWarning)
             got = divergence_of(m, 0.0, self.PTS_1D)
         assert np.max(np.abs(got - slope)) <= 1e-3 * np.max(np.abs(slope))
+
+    @pytest.mark.parametrize("b, eps", [
+        (power_drift(0.75, scale=-1.0), 0.1),
+        (stream_function_drift(4.0), 0.3),
+    ])
+    def test_tables_of_different_reach_agree_bitwise(self, b, eps):
+        near = mollified_drift(b, eps, reach=2.0)
+        far = mollified_drift(b, eps, reach=5.0)
+        delta = eps / (64 if b.d == 1 else 8)
+        axis = delta * np.arange(-int(2.0 / delta), int(2.0 / delta) + 1)
+        nodes = np.stack(np.meshgrid(*[axis] * b.d, indexing="ij"), axis=-1).reshape(-1, b.d)
+        between = np.random.default_rng(3).uniform(-2.0, 2.0, size=(500, b.d))
+        for pts in (nodes, between):
+            assert np.array_equal(near.fn(0.0, pts), far.fn(0.0, pts))
+            assert np.array_equal(near.jacobian(0.0, pts), far.jacobian(0.0, pts))
 
     @pytest.mark.parametrize("b, point", [
         (power_drift(0.75), [[2.01]]),
