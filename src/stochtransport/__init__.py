@@ -22,12 +22,11 @@ from .errors import (BlowUpError, ConfigError, DriftEvaluationError,
 from .experiments import (CommandResult, ConvergenceTable, ExperimentConfig,
                           cmd_hypotheses, cmd_solve, cmd_uniqueness_crosscheck,
                           cmd_verify_weak, cmd_wong_zakai, estimate_order)
-from .fields import (LebesgueExponent, MollifierSpec, ScalarField, SpatialGrid,
-                     bump_profile, interpolate, lp_norm, mollify,
+from .fields import (ScalarField, SpatialGrid, interpolate, lp_norm,
                      read_field_csv, shift_field, write_field_csv)
 from .paths import (SamplePath, eval_path, piecewise_linear_approx,
                     read_path_csv, sample_brownian, sup_distance,
-                    total_variation, write_path_csv, zero_path)
+                    write_path_csv, zero_path)
 from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, sinusoid, step)
 from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
@@ -49,8 +48,7 @@ __all__ = [
     "MeshMismatchError", "PathRangeError", "ConfigError",
     "KernelResolutionError", "BlowUpError", "SupportMarginWarning",
     # fields
-    "SpatialGrid", "LebesgueExponent", "ScalarField", "MollifierSpec",
-    "lp_norm", "interpolate", "shift_field", "mollify", "bump_profile",
+    "SpatialGrid", "ScalarField", "lp_norm", "interpolate", "shift_field",
     "write_field_csv", "read_field_csv",
     # profiles
     "Profile", "bump", "double_bump", "step", "sinusoid",
@@ -62,8 +60,7 @@ __all__ = [
     "check_hypotheses", "divergence_bound", "write_hypothesis_csv",
     # paths
     "SamplePath", "sample_brownian", "zero_path", "piecewise_linear_approx",
-    "eval_path", "sup_distance", "total_variation", "write_path_csv",
-    "read_path_csv",
+    "eval_path", "sup_distance", "write_path_csv", "read_path_csv",
     # transport
     "composed_drift", "path_table", "mollified_drift", "semi_lagrangian_step",
     "upwind_fv_step", "characteristics_solve", "cfl_number",

@@ -485,7 +485,7 @@ def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int
 
 def check_hypotheses(
     b: DriftField,
-    q,
+    q: float,
     window,
     horizon: float,
     samples: int = 4096,
@@ -496,10 +496,9 @@ def check_hypotheses(
     Parameters
     ----------
     b : DriftField
-    q : float or LebesgueExponent
-        Conjugate exponent used for the local integrability checks. A
-        LebesgueExponent is resolved to its conjugate ``.q``; q = inf is
-        handled by replacing the q-integrals with sup norms.
+    q : float
+        Conjugate exponent used for the local integrability checks;
+        q = inf is handled by replacing the q-integrals with sup norms.
     window : sequence of (lo, hi) pairs
         One bounded interval per axis.
     horizon : float
@@ -517,7 +516,7 @@ def check_hypotheses(
     jitter of 1e-9, so points cannot land exactly on the singular sets of
     the catalog fields; the whole procedure is reproducible bit for bit.
     """
-    qv = float(q.q) if hasattr(q, "q") else float(q)
+    qv = float(q)
     if not (qv >= 1.0):
         raise ConfigError(f"conjugate exponent must satisfy q >= 1, got {qv}")
     if samples < 1000:

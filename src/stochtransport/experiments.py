@@ -25,8 +25,7 @@ from .artifacts import read_csv, write_csv
 from .drifts import (DriftField, check_hypotheses, drift_from_spec, eval_drift,
                      write_hypothesis_csv)
 from .errors import ConfigError
-from .fields import (LebesgueExponent, ScalarField, SpatialGrid, lp_norm,
-                     read_field_csv, write_field_csv)
+from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_field_csv
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
@@ -83,6 +82,13 @@ def _real(key: str, value) -> float:
     return out
 
 
+def _string(key: str, value) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _object(key: str, value) -> dict:
     """A JSON object, as a copy."""
     if not isinstance(value, dict):
@@ -133,7 +139,7 @@ class ExperimentConfig:
                 n=_integer("N", raw["N"]),
                 horizon=_real("T", raw["T"]),
                 dt=_real("dt", raw["dt"]),
-                scheme=str(raw["scheme"]),
+                scheme=_string("scheme", raw["scheme"]),
                 p=_real("p", raw["p"]),
                 seed=_integer("seed", raw["seed"]),
                 drift_spec=_object("drift", raw["drift"]),
@@ -142,7 +148,7 @@ class ExperimentConfig:
                 wz_levels=tuple(_integer("wz_levels entry", v) for v in levels),
                 mollify_eps=(None if raw.get("mollify_eps") is None
                              else _real("mollify_eps", raw["mollify_eps"])),
-                out_dir=str(raw.get("out_dir", "runs")),
+                out_dir=_string("out_dir", raw.get("out_dir", "runs")),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -175,6 +181,8 @@ class ExperimentConfig:
             if self.mollify_eps < 0:
                 raise ConfigError("mollify_eps must be nonnegative")
             _check_mollify_radius(self.mollify_eps, grid.h)
+        if not self.wz_levels:
+            raise ConfigError("wz_levels needs at least one level")
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
         b = self.drift()  # id and parameter checks
@@ -199,8 +207,10 @@ class ExperimentConfig:
     def grid(self) -> SpatialGrid:
         return SpatialGrid(d=self.d, half_width=self.half_width, n=self.n)
 
-    def exponent(self) -> LebesgueExponent:
-        return LebesgueExponent(self.p)
+    @property
+    def q(self) -> float:
+        """The conjugate exponent p/(p - 1); +inf when p == 1."""
+        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
     def n_steps(self) -> int:
         return _step_count(self.dt, self.horizon)
@@ -388,7 +398,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
         write_field_csv(v, os.path.join(out_dir, f"v_t{m:04d}.csv"))
     write_path_csv(path, os.path.join(out_dir, "path.csv"))
-    norms = [(m, t, lp_norm(u, cfg.exponent()))
+    norms = [(m, t, lp_norm(u, cfg.p))
              for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
     write_csv(os.path.join(out_dir, "norms.csv"), ("m", "t", "lp_norm"), norms)
     _write_manifest([_manifest_row(cfg, path.kind, seed, None)],
@@ -428,7 +438,7 @@ def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None,
     out_dir, seed = _resolve(cfg, out_dir, seed)
     sol = _load_run(cfg, out_dir)
     phis = make_test_functions(sol.grid, cfg.phi_count, seed)
-    report = weak_residual(sol, cfg.drift(), cfg.exponent(), phis=phis)
+    report = weak_residual(sol, cfg.drift(), cfg.p, phis=phis)
     write_weak_report_csv(report, os.path.join(out_dir, "weak_report.csv"))
     worst = report.max_normalized
     ok = worst <= tolerance
@@ -451,9 +461,8 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
     path = cfg.path(seed, path_file)
     b = cfg.drift()
     profile = cfg.profile()
-    exponent = cfg.exponent()
     window = [(-cfg.half_width, cfg.half_width)] * cfg.d
-    exploratory = not check_hypotheses(b, exponent.q, window, cfg.horizon).all_ok
+    exploratory = not check_hypotheses(b, cfg.q, window, cfg.horizon).all_ok
 
     errors = []
     oracle_sums = []
@@ -467,11 +476,11 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
                 for scheme in SCHEMES]
         for scheme, sol in zip(SCHEMES, sols):
             notes += _support_lines("uniqueness", f" in the N={n_level} {scheme} solve", sol)
-        errors.append(max(lp_norm(ua - ub, exponent)
+        errors.append(max(lp_norm(ua - ub, cfg.p)
                           for ua, ub in zip(*(sol.fields for sol in sols))))
         if b.constant_value is not None:
             oracle_sums.append(sum(
-                max(lp_norm(u - exact_solution(b, path, profile, t, grid), exponent)
+                max(lp_norm(u - exact_solution(b, path, profile, t, grid), cfg.p)
                     for t, u in zip(sol.times, sol.fields))
                 for sol in sols
             ))
@@ -516,8 +525,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
                 f"wong-zakai level {lvl} does not divide {steps} path steps")
     b = cfg.drift()
     u0 = cfg.u0()
-    exponent = cfg.exponent()
-    u0_norm = lp_norm(u0, exponent)
+    u0_norm = lp_norm(u0, cfg.p)
 
     worst = np.zeros(len(levels))
     rows = []
@@ -533,7 +541,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
         for i, (lvl, sol) in enumerate(zip(levels, sols)):
             notes += _support_lines(
                 "wong-zakai", f" in the seed {s} level {lvl} {cfg.scheme} solve", sol)
-            err = max(lp_norm(ua - ub, exponent)
+            err = max(lp_norm(ua - ub, cfg.p)
                       for ua, ub in zip(sol.fields, ref.fields))
             worst[i] = max(worst[i], err)
             rows.append(_manifest_row(cfg, "piecewise_linear_bv", s, lvl))
@@ -561,9 +569,8 @@ def cmd_hypotheses(cfg: ExperimentConfig, out_dir=None) -> CommandResult:
     out_dir, _ = _resolve(cfg, out_dir, None)
     _ensure_dir(out_dir)
     b = cfg.drift()
-    q = cfg.exponent().q
     window = [(-cfg.half_width, cfg.half_width)] * cfg.d
-    report = check_hypotheses(b, q, window, cfg.horizon)
+    report = check_hypotheses(b, cfg.q, window, cfg.horizon)
     write_hypothesis_csv(report, os.path.join(out_dir, "hypotheses.csv"))
     result = CommandResult(0 if report.all_ok else 1)
     verdict = "PASS" if report.all_ok else "FAIL"

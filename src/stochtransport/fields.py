@@ -4,7 +4,8 @@ Everything downstream (transport marching, path shifting, weak-form
 quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
-shifting, and mollification by a compactly supported bump kernel.
+shifting, and the field CSV format. Smoothing is applied to drifts
+only, by ``transport.mollified_drift``.
 """
 
 from __future__ import annotations
@@ -13,21 +14,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .artifacts import read_csv, write_csv
-from .errors import FieldValidationError, KernelResolutionError
+from .errors import FieldValidationError
 
 __all__ = [
     "SpatialGrid",
-    "LebesgueExponent",
     "ScalarField",
-    "MollifierSpec",
-    "bump_profile",
     "lp_norm",
     "interpolate",
     "shift_field",
-    "mollify",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -109,36 +105,6 @@ class SpatialGrid:
             return (ax,)
         return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map points into the fundamental box [-L, L), componentwise."""
-        L = self.half_width
-        return np.mod(np.asarray(x, dtype=float) + L, 2.0 * L) - L
-
-
-@dataclass(frozen=True)
-class LebesgueExponent:
-    """Integrability exponent p >= 1 with its conjugate q = p/(p-1)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0 and math.isfinite(self.p)):
-            raise FieldValidationError(f"exponent must satisfy p >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        """Conjugate exponent; +inf when p == 1."""
-        if self.p == 1.0:
-            return math.inf
-        return self.p / (self.p - 1.0)
-
-
-def _pvalue(p) -> float:
-    val = p.p if isinstance(p, LebesgueExponent) else float(p)
-    if not (val >= 1.0 and math.isfinite(val)):
-        raise FieldValidationError(f"exponent must satisfy 1 <= p < inf, got {val}")
-    return val
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -191,14 +157,16 @@ class ScalarField:
             raise FieldValidationError("fields live on different grids")
 
 
-def lp_norm(f: ScalarField, p) -> float:
+def lp_norm(f: ScalarField, p: float) -> float:
     """Discrete Lp norm by the rectangle rule: (sum |f_i|^p h^d)^(1/p).
 
     The sum is exactly rounded (math.fsum), so any permutation of the
     nodal values, in particular a lattice shift, yields the identical
     float.
     """
-    pv = _pvalue(p)
+    pv = float(p)
+    if not (pv >= 1.0 and math.isfinite(pv)):
+        raise FieldValidationError(f"exponent must satisfy 1 <= p < inf, got {pv}")
     vals = f.values
     if not np.all(np.isfinite(vals)):
         raise FieldValidationError("cannot take the norm of a non-finite field")
@@ -331,75 +299,6 @@ def shift_field(f: ScalarField, delta) -> ScalarField:
     query = grid.nodes() - dvec[None, :]
     vals = interpolate(f, query)
     return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
-
-
-def bump_profile(z: np.ndarray) -> np.ndarray:
-    """The standard bump exp(1/(z^2 - 1)) on |z| < 1, zero outside."""
-    z = np.asarray(z, dtype=float)
-    out = np.zeros(z.shape)
-    inside = np.abs(z) < 1.0
-    zi = z[inside]
-    out[inside] = np.exp(1.0 / (zi * zi - 1.0))
-    return out
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Compactly supported smoothing kernel of radius epsilon.
-
-    The kernel is the radial bump exp(1/((|x|/eps)^2 - 1)) on |x| < eps.
-    ``grid_kernel`` discretizes it on grid offsets and renormalizes so
-    the discrete integral is exactly one; the kernel is nonnegative by
-    construction.
-    """
-
-    epsilon: float
-    d: int
-
-    def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise FieldValidationError(f"mollifier radius must be positive, got {self.epsilon}")
-        if self.d not in (1, 2):
-            raise FieldValidationError(f"mollifier dimension must be 1 or 2, got {self.d}")
-
-    def grid_kernel(self, h: float) -> np.ndarray:
-        """Discretized kernel on offsets of spacing h, summing to exactly 1."""
-        if self.epsilon < h:
-            raise KernelResolutionError(
-                f"mollifier radius {self.epsilon} is under-resolved on spacing {h}"
-            )
-        reach = int(math.floor(self.epsilon / h))
-        offs = h * np.arange(-reach, reach + 1)
-        if self.d == 1:
-            w = bump_profile(offs / self.epsilon)
-        else:
-            o1, o2 = np.meshgrid(offs, offs, indexing="ij")
-            w = bump_profile(np.hypot(o1, o2) / self.epsilon)
-        total = w.sum()
-        if total <= 0.0:
-            raise KernelResolutionError("discretized mollifier kernel vanished")
-        return w / total
-
-
-def mollify(f: ScalarField, spec: MollifierSpec) -> ScalarField:
-    """Periodic convolution with the discretized, renormalized bump kernel.
-
-    Preserves the grid mean exactly (the kernel weights sum to one) and
-    can only shrink the sup norm; nonnegative input stays nonnegative up
-    to floating-point rounding.
-    """
-    grid = f.grid
-    if spec.d != grid.d:
-        raise FieldValidationError(
-            f"mollifier dimension {spec.d} does not match grid dimension {grid.d}"
-        )
-    kern = spec.grid_kernel(grid.h)
-    if kern.shape[0] > grid.n:
-        raise KernelResolutionError(
-            f"mollifier radius {spec.epsilon} wraps around the box of {grid.n} cells"
-        )
-    smoothed = ndimage.convolve(f.values, kern, mode="wrap")
-    return ScalarField(grid, smoothed)
 
 
 def write_field_csv(f: ScalarField, path) -> None:

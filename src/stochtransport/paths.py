@@ -24,7 +24,6 @@ __all__ = [
     "piecewise_linear_approx",
     "eval_path",
     "sup_distance",
-    "total_variation",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -185,12 +184,6 @@ def sup_distance(a: SamplePath, b: SamplePath) -> float:
     va = eval_path(a, mesh)
     vb = eval_path(b, mesh)
     return float(np.max(np.abs(va - vb)))
-
-
-def total_variation(path: SamplePath) -> float:
-    """Total variation: the sum of Euclidean chord increments between knots."""
-    chords = np.diff(path.values, axis=0)
-    return float(np.sum(np.sqrt(np.sum(chords * chords, axis=-1))))
 
 
 def write_path_csv(path: SamplePath, file) -> None:

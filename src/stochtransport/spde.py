@@ -295,8 +295,7 @@ def exact_solution(b: DriftField, path: SamplePath, u0_profile: Profile, t: floa
 class RenormalizationFn:
     """A C^1 function beta with bounded derivative, for composition checks.
 
-    ``derivative_bound`` is the declared sup of |beta'|; ``validate``
-    samples a range and asserts the declaration.
+    ``derivative_bound`` is the declared sup of |beta'|.
     """
 
     id: str
@@ -304,14 +303,6 @@ class RenormalizationFn:
     beta_prime: Callable[[np.ndarray], np.ndarray]
     derivative_bound: float
     params: dict = field(default_factory=dict)
-
-    def validate(self, lo: float = -100.0, hi: float = 100.0, samples: int = 20001) -> None:
-        s = np.linspace(lo, hi, samples)
-        worst = float(np.max(np.abs(self.beta_prime(s))))
-        if worst > self.derivative_bound * (1.0 + 1.0e-12):
-            raise ConfigError(
-                f"beta_prime reaches {worst}, above the declared bound {self.derivative_bound}"
-            )
 
 
 def smoothed_truncated_power(M: float, p: float, blend_fraction: float = 1.0e-3

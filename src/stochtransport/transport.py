@@ -26,8 +26,9 @@ Rough drifts are smoothed in space before stepping: the solver replaces
 b by its convolution with a bump kernel of radius 2h, computed once per
 batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
 delta * k for integer k) that covers the box, the largest path excursion
-of the batch and the RK4 stage displacements, with the grid kernel of
-``fields.MollifierSpec``; every velocity call is then a table lookup.
+of the batch and the RK4 stage displacements, with the kernel
+``profiles.bump`` sampled on that lattice; every velocity call is then a
+table lookup.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. A
 time-modulated drift g(t) * b(x) is tabulated through b and scaled by
@@ -44,8 +45,9 @@ from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import MollifierSpec, SpatialGrid, _cubic_read, _cubic_weights
+from .fields import SpatialGrid, _cubic_read, _cubic_weights
 from .paths import SamplePath, eval_path
+from .profiles import bump
 
 __all__ = [
     "semi_lagrangian_step",
@@ -131,7 +133,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     delta * k, for integers |k| <= K, with delta = epsilon/64 (1D) or
     epsilon/8 (2D) and K large enough to cover the cube |x_i| <= reach
     plus the kernel radius and the interpolation stencil, and convolved
-    there with ``MollifierSpec(epsilon, d).grid_kernel``. The lattice is
+    there with ``profiles.bump(d, 0, epsilon)`` sampled at the lattice
+    offsets and scaled to unit sum (``_bump_kernel``). The lattice is
     anchored at the origin, so a larger reach only adds nodes: every
     value read within a reach is the same, bit for bit, on every table
     that covers it. Each call is then a lookup: linear interpolation in
@@ -159,7 +162,7 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     nodes = axis[:, None] if d == 1 else np.stack(
         [m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
     samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
-    kernel = MollifierSpec(epsilon, d).grid_kernel(delta)
+    kernel = _bump_kernel(d, epsilon, delta)
     smooth = [ndimage.convolve(samples[..., a], kernel, mode="nearest") for a in range(d)]
     # Differentiating the tables never evaluates the base Jacobian, which
     # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
@@ -192,6 +195,16 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         time_dependent=b.time_dependent,
         params={**b.params, "mollify_epsilon": float(epsilon)},
     )
+
+
+def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:
+    """The radius-epsilon bump at the offsets delta * k with |k_i| * delta <= epsilon,
+    divided by its sum: nonnegative weights that sum to one, shape (2r + 1,) * d."""
+    reach = int(math.floor(epsilon / delta))
+    offs = delta * np.arange(-reach, reach + 1)
+    pts = offs[:, None] if d == 1 else np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
+    w = bump(d, 0.0, epsilon).fn(pts)
+    return w / w.sum()
 
 
 def _anchored_cubic_read(table: np.ndarray, delta: float, K: int, pts: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each demo runs to completion in its own interpreter, with ``src`` on
 ``PYTHONPATH`` (about 20 s for all six). Each is also parsed: every
 ``st.<name>`` must be in ``stochtransport.__all__``, and every ``from
-stochtransport.<module> import <name>`` must resolve.
+stochtransport.<module> import <name>`` must resolve. Every name in the
+package's and each module's ``__all__`` must resolve too.
 """
 
 import ast
@@ -39,6 +40,18 @@ def test_demo_names_are_public(demo):
             module = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+
+
+def test_every_public_name_resolves():
+    # bench/tracer.py wraps each module's __all__ through getattr; a stale
+    # entry would crash a traced benchmark run.
+    modules = [stochtransport] + [
+        importlib.import_module(f"stochtransport.{path.stem}")
+        for path in sorted((ROOT / "src" / "stochtransport").glob("*.py"))
+        if not path.stem.startswith("__")]
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -525,6 +525,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("key, value", [
         ("p", True), ("L", "4.0"), ("drift", [["id", "zero"]]), ("u0", "bump"),
+        ("out_dir", None), ("out_dir", 7), ("scheme", None),
     ])
     def test_bool_string_or_non_object_value_exits_2(self, tmp_path, capsys, key, value):
         config = self.write_config(tmp_path, base_dict(**{key: value}))
@@ -532,6 +533,13 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error: malformed config value:")
         assert key in err
+
+    def test_empty_wz_levels_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, base_dict(wz_levels=[]))
+        assert main(["wong-zakai", "--config", config, "--out", str(tmp_path / "wz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "wz_levels" in err
 
     def test_integral_float_reads_as_its_integer(self, cfg):
         same = ExperimentConfig.from_dict(base_dict(N=64.0, wz_levels=[4.0, 8, 16]))

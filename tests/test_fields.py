@@ -1,4 +1,4 @@
-"""Grid, norm, interpolation, shift, and mollifier behavior.
+"""Grid, norm, interpolation, shift, and field CSV behavior.
 
 Reference values come from closed forms evaluated inline (analytic
 integrals, exact translations) or from resampling the same analytic
@@ -10,20 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from stochtransport.errors import FieldValidationError, KernelResolutionError
+from stochtransport.errors import FieldValidationError
 from stochtransport.fields import (
-    LebesgueExponent,
-    MollifierSpec,
     ScalarField,
     SpatialGrid,
     interpolate,
     lp_norm,
-    mollify,
     read_field_csv,
     shift_field,
     write_field_csv,
 )
-from stochtransport.profiles import bump, sample_profile, step
+from stochtransport.profiles import bump, sample_profile
 
 
 @pytest.fixture
@@ -41,14 +38,6 @@ class TestSpatialGrid:
         ax = grid512.axis()
         rebuilt = -grid512.half_width + np.arange(grid512.n) * grid512.h
         assert np.array_equal(ax, rebuilt)
-
-    def test_wrap_maps_into_fundamental_box(self, grid512):
-        pts = np.array([4.0, -4.0, 5.5, -11.0, 3.999])
-        wrapped = grid512.wrap(pts)
-        assert np.all(wrapped >= -4.0)
-        assert np.all(wrapped < 4.0)
-        assert wrapped[0] == -4.0
-        assert wrapped[2] == pytest.approx(-2.5, abs=1e-12)
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(FieldValidationError):
@@ -103,9 +92,9 @@ class TestLpNorm:
         with pytest.raises(FieldValidationError):
             lp_norm(ScalarField(grid512, vals), 1.0)
 
-    def test_exponent_must_be_at_least_one(self):
+    def test_exponent_must_be_at_least_one(self, bump512):
         with pytest.raises(FieldValidationError):
-            LebesgueExponent(0.5)
+            lp_norm(bump512, 0.5)
 
 
 class TestInterpolate:
@@ -182,46 +171,6 @@ class TestShiftField:
     def test_non_finite_shift_rejected(self, bump512):
         with pytest.raises(FieldValidationError):
             shift_field(bump512, [math.nan])
-
-
-class TestMollify:
-    def test_constant_field_reproduced(self, grid512):
-        f = ScalarField.from_function(grid512, lambda p: np.full(p.shape[:-1], 3.7))
-        out = mollify(f, MollifierSpec(epsilon=4 * grid512.h, d=1))
-        assert float(np.max(np.abs(out.values - 3.7))) <= 1e-10
-
-    def test_nonnegative_data_stays_nonnegative(self, grid512):
-        f = sample_profile(grid512, step(1, center=0.0, half_width=1.0))
-        out = mollify(f, MollifierSpec(epsilon=4 * grid512.h, d=1))
-        assert float(out.values.min()) >= -1e-12
-
-    def test_step_smoothing_is_monotone_and_mass_preserving(self, grid512):
-        f = sample_profile(grid512, step(1, center=0.0, half_width=1.0))
-        out = mollify(f, MollifierSpec(epsilon=4 * grid512.h, d=1))
-        mass_in = float(np.sum(f.values)) * grid512.cell_volume
-        mass_out = float(np.sum(out.values)) * grid512.cell_volume
-        assert abs(mass_out - mass_in) <= 1e-8
-        ax = grid512.axis()
-        diffs = np.diff(out.values)
-        down = (ax[:-1] > 0.0) & (ax[:-1] < 2.0)
-        up = (ax[:-1] > -2.0) & (ax[:-1] < 0.0)
-        assert np.all(diffs[down] <= 1e-14)
-        assert np.all(diffs[up] >= -1e-14)
-
-    def test_norm_does_not_increase(self, grid512):
-        f = sample_profile(grid512, step(1, center=0.0, half_width=1.0))
-        out = mollify(f, MollifierSpec(epsilon=4 * grid512.h, d=1))
-        for p in (1.0, 2.0):
-            assert lp_norm(out, p) <= lp_norm(f, p) + 1e-8
-
-    def test_kernel_has_unit_mass_and_no_negative_weights(self, grid512):
-        k = MollifierSpec(epsilon=4 * grid512.h, d=1).grid_kernel(grid512.h)
-        assert float(k.sum()) == pytest.approx(1.0, abs=1e-15)
-        assert np.all(k >= 0.0)
-
-    def test_under_resolved_kernel_rejected(self, grid512):
-        with pytest.raises(KernelResolutionError):
-            MollifierSpec(epsilon=0.5 * grid512.h, d=1).grid_kernel(grid512.h)
 
 
 class TestFieldCsv:

@@ -15,7 +15,6 @@ from stochtransport.paths import (
     read_path_csv,
     sample_brownian,
     sup_distance,
-    total_variation,
     write_path_csv,
     zero_path,
 )
@@ -130,19 +129,6 @@ class TestSupDistance:
         b = sample_brownian(1, 2.0, 64, 1)
         with pytest.raises(MeshMismatchError):
             sup_distance(a, b)
-
-
-class TestTotalVariation:
-    def test_equals_sum_of_chord_increments(self):
-        p = sample_brownian(24, 1.0, 256, 1)
-        bn = piecewise_linear_approx(p, 16)
-        knots = p.values[::16, 0]
-        assert total_variation(bn) == pytest.approx(
-            float(np.sum(np.abs(np.diff(knots)))), abs=1e-12
-        )
-
-    def test_zero_path_has_zero_variation(self):
-        assert total_variation(zero_path(1.0, 16, 1)) == 0.0
 
 
 class TestEvalPath:

@@ -248,7 +248,6 @@ class TestRenormalization:
         h = 1e-7
         for p in (1.0, 2.0):
             beta = smoothed_truncated_power(M=10.0, p=p)
-            beta.validate()
             s = np.linspace(-15.0, 15.0, 30001)
             num = (beta.beta(s + h) - beta.beta(s - h)) / (2.0 * h)
             ana = beta.beta_prime(s)

@@ -24,11 +24,12 @@ from stochtransport.drifts import (
     zero_drift,
 )
 from stochtransport.experiments import estimate_order
-from stochtransport.fields import ScalarField, SpatialGrid, bump_profile, lp_norm
+from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
 from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import solve_spde
 from stochtransport.transport import (
+    _bump_kernel,
     _rk4_feet,
     cfl_number,
     characteristics_solve,
@@ -309,17 +310,21 @@ class TestSchemeProperties:
 
 
 def bump_average(b, t, points, eps, per_axis):
-    """Reference mollification: midpoint rule for the radius-eps bump average."""
+    """Reference mollification: midpoint rule for the radius-eps bump average.
+
+    The bump exp(1/(z^2 - 1)), z = |offset|/eps, is written out here, apart
+    from ``profiles.bump``, which the solver's kernel samples.
+    """
     z = eps * (2.0 * (np.arange(per_axis) + 0.5) / per_axis - 1.0)
     if b.d == 1:
         offsets = z[:, None]
-        w = bump_profile(z / eps)
     else:
         z1, z2 = np.meshgrid(z, z, indexing="ij")
         offsets = np.stack([z1.ravel(), z2.ravel()], axis=-1)
-        w = bump_profile(np.hypot(z1, z2).ravel() / eps)
-    keep = w > 0
-    offsets, w = offsets[keep], w[keep] / w[keep].sum()
+    zz = np.sum(offsets * offsets, axis=-1) / (eps * eps)
+    keep = zz < 1.0
+    offsets, w = offsets[keep], np.exp(1.0 / (zz[keep] - 1.0))
+    w = w / w.sum()
     pts = np.asarray(points, dtype=float)
     return np.stack([w @ b.fn(t, p - offsets) for p in pts])
 
@@ -328,6 +333,13 @@ class TestMollifiedDrift:
     EPS = 1.0 / 16
     PTS_1D = np.array([[-5.9], [-1.0], [-0.03], [0.0], [0.01], [0.5], [3.3]])
     PTS_2D = np.array([[0.0, 0.0], [-4.7, 1.3], [2.05, -3.9], [0.6, 0.11]])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_has_unit_mass_and_no_negative_weights(self, d):
+        k = _bump_kernel(d, self.EPS, self.EPS / 8)
+        assert k.shape == (17,) * d
+        assert float(k.sum()) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(k >= 0.0)
 
     def test_power1d_matches_bump_quadrature(self):
         b = power_drift(0.75, scale=-1.0)

@@ -90,6 +90,15 @@ class TestMakeTestFunctions:
             scale = max(phi.sup_gradient, 1.0)
             assert float(np.max(np.abs(ana - num))) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sup_gradient_matches_closed_form(self, d):
+        # |grad phi| peaks at (|x - x0|/r)^2 = 1/sqrt(3), where
+        # w = (|x - x0|/r)^2 - 1 solves 3w^2 + 6w + 2 = 0.
+        phi = CompactTestFunction(np.full(d, 5.0), 1.7, -2.5)
+        w = 1.0 / math.sqrt(3.0) - 1.0
+        peak = 2.0 * 2.5 * 3.0 ** -0.25 * math.exp(1.0 / w) / (w * w * 1.7)
+        assert phi.sup_gradient == pytest.approx(peak, rel=1e-8)
+
     def test_count_must_be_positive(self, grid512):
         with pytest.raises(ConfigError):
             make_test_functions(grid512, 0, 0)
