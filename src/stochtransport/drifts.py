@@ -20,7 +20,7 @@ doubling of the sample count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +61,11 @@ class DriftField:
     """A velocity field b(t, x) with an optional analytic Jacobian.
 
     ``fn`` and ``jacobian`` are vectorized over points of shape (..., d);
-    the Jacobian returns (..., d, d) with entries d b_i / d x_j. ``constant_value``
-    is set only for spatially constant fields, and unlocks closed-form
-    transported solutions downstream. ``factors`` is set only for
+    the Jacobian returns (..., d, d) with entries d b_i / d x_j. ``smooth``
+    marks fields the solver steps as they are; the others are mollified
+    first (see ``spde.solve_spde_batch``). ``constant_value`` is set only
+    for spatially constant fields, and unlocks closed-form transported
+    solutions downstream. ``factors`` is set only for
     separable fields b(t, x) = gain(t) * base(x), as the pair
     ``(gain, base)``; the mollifier uses it to tabulate the base once.
     """
@@ -72,15 +74,10 @@ class DriftField:
     d: int
     fn: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    regularity_tags: frozenset = frozenset()
+    smooth: bool = False
     time_dependent: bool = False
     constant_value: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
     factors: Optional[tuple] = None
-
-    @property
-    def is_smooth(self) -> bool:
-        return "smooth" in self.regularity_tags
 
 
 def eval_drift(b: DriftField, t: float, points: np.ndarray) -> np.ndarray:
@@ -144,11 +141,7 @@ def zero_drift(d: int) -> DriftField:
     def jac(t, x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
 
-    return DriftField(
-        "zero", d, fn, jac,
-        regularity_tags=frozenset({"smooth", "divergence_free"}),
-        constant_value=zero,
-    )
+    return DriftField("zero", d, fn, jac, smooth=True, constant_value=zero)
 
 
 def constant_drift(c) -> DriftField:
@@ -163,12 +156,7 @@ def constant_drift(c) -> DriftField:
     def jac(t, x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
 
-    return DriftField(
-        "constant", d, fn, jac,
-        regularity_tags=frozenset({"smooth", "divergence_free"}),
-        constant_value=cvec,
-        params={"c": cvec.tolist()},
-    )
+    return DriftField("constant", d, fn, jac, smooth=True, constant_value=cvec)
 
 
 def linear_drift(matrix) -> DriftField:
@@ -177,10 +165,6 @@ def linear_drift(matrix) -> DriftField:
     if A.shape[0] != A.shape[1]:
         raise ConfigError(f"linear drift matrix must be square, got shape {A.shape}")
     d = A.shape[0]
-    trace = float(np.trace(A))
-    tags = {"smooth"}
-    if trace == 0.0:
-        tags.add("divergence_free")
 
     def fn(t, x):
         return np.asarray(x) @ A.T
@@ -188,11 +172,7 @@ def linear_drift(matrix) -> DriftField:
     def jac(t, x):
         return np.broadcast_to(A, np.asarray(x).shape[:-1] + (d, d)).copy()
 
-    return DriftField(
-        "linear", d, fn, jac,
-        regularity_tags=frozenset(tags),
-        params={"matrix": A.tolist()},
-    )
+    return DriftField("linear", d, fn, jac, smooth=True)
 
 
 def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
@@ -221,11 +201,7 @@ def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftFie
         out[..., 1, 1] = amplitude * k * k * np.sin(k * x1) * np.sin(k * x2)
         return out
 
-    return DriftField(
-        "stream", 2, fn, jac,
-        regularity_tags=frozenset({"smooth", "divergence_free"}),
-        params={"half_width": L, "amplitude": amplitude},
-    )
+    return DriftField("stream", 2, fn, jac, smooth=True)
 
 
 def shear_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
@@ -246,11 +222,7 @@ def shear_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
         out[..., 0, 1] = amplitude * k * np.cos(k * x[..., 1])
         return out
 
-    return DriftField(
-        "shear", 2, fn, jac,
-        regularity_tags=frozenset({"smooth", "divergence_free"}),
-        params={"half_width": L, "amplitude": amplitude},
-    )
+    return DriftField("shear", 2, fn, jac, smooth=True)
 
 
 def power_drift(alpha: float, scale: float = 1.0) -> DriftField:
@@ -270,11 +242,7 @@ def power_drift(alpha: float, scale: float = 1.0) -> DriftField:
         x = np.asarray(x, dtype=float)[..., :1, None]
         return scale * alpha * np.abs(x) ** (alpha - 1.0)
 
-    return DriftField(
-        "power1d", 1, fn, jac,
-        regularity_tags=frozenset({"sobolev"}),
-        params={"alpha": alpha, "scale": scale},
-    )
+    return DriftField("power1d", 1, fn, jac)
 
 
 _GAIN_RULES = {
@@ -311,9 +279,8 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
 
     return DriftField(
         f"{base.id}*{gain_id}", base.d, fn, jac,
-        regularity_tags=base.regularity_tags,
+        smooth=base.smooth,
         time_dependent=True,
-        params={"base": base.id, "gain": gain_id, "horizon": T},
         factors=(total_gain, root),
     )
 
@@ -368,9 +335,6 @@ class HypothesisReport:
     """
 
     drift_id: str
-    q_used: float
-    window: tuple
-    samples: int
     div_bound: float
     div_ok: bool
     lq_evidence: float
@@ -438,7 +402,7 @@ def _probe_points(window, d: int, jitter: float) -> np.ndarray:
     return np.stack(pts, axis=0)
 
 
-def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int, n_time: int):
+def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int):
     win = window
     volume = float(np.prod([hi - lo for lo, hi in win]))
     max_width = max(hi - lo for lo, hi in win)
@@ -450,12 +414,12 @@ def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int
     # integrable singularity would otherwise dominate the mean.
     probes = _probe_points(win, b.d, _JITTER_SCALE * (4096.0 / samples))
     sup_pts = np.concatenate([pts, probes], axis=0)
-    times = np.linspace(0.0, horizon, n_time)
+    times = np.linspace(0.0, horizon, 17)
 
     sup_based = math.isinf(q)
-    sup_div = np.empty(n_time)
-    lq_slice = np.empty(n_time)
-    w1q_slice = np.empty(n_time)
+    sup_div = np.empty(times.size)
+    lq_slice = np.empty(times.size)
+    w1q_slice = np.empty(times.size)
     growth = 0.0
     denom = 1.0 + np.sqrt(np.sum(sup_pts * sup_pts, axis=-1))
     for j, t in enumerate(times):
@@ -489,7 +453,6 @@ def check_hypotheses(
     window,
     horizon: float,
     samples: int = 4096,
-    n_time: int = 17,
 ) -> HypothesisReport:
     """Estimate the integrability evidence for a drift on ``window`` x [0, horizon].
 
@@ -507,14 +470,13 @@ def check_hypotheses(
         Spatial sample count per time slice; at least 1000. The check
         runs twice, at ``samples`` and ``2 * samples``, and an evidence
         value is accepted only when the two passes agree within 5%.
-    n_time : int
-        Number of time slices for the trapezoid rule in t.
 
     Notes
     -----
     Sampling is a deterministic midpoint lattice per axis with a relative
     jitter of 1e-9, so points cannot land exactly on the singular sets of
     the catalog fields; the whole procedure is reproducible bit for bit.
+    The trapezoid rule in t uses 17 equally spaced time slices.
     """
     qv = float(q)
     if not (qv >= 1.0):
@@ -525,8 +487,8 @@ def check_hypotheses(
         raise ConfigError(f"horizon must be positive, got {horizon}")
     win = _window_extent(window, b.d)
 
-    coarse = _evidence_pass(b, qv, win, horizon, samples, n_time)
-    fine = _evidence_pass(b, qv, win, horizon, 2 * samples, n_time)
+    coarse = _evidence_pass(b, qv, win, horizon, samples)
+    fine = _evidence_pass(b, qv, win, horizon, 2 * samples)
 
     rel_changes = {}
     verdict = {}
@@ -539,9 +501,6 @@ def check_hypotheses(
 
     return HypothesisReport(
         drift_id=b.id,
-        q_used=qv,
-        window=tuple(win),
-        samples=samples,
         div_bound=fine["div"],
         div_ok=verdict["div"],
         lq_evidence=fine["lq"],
@@ -555,14 +514,16 @@ def check_hypotheses(
     )
 
 
-def divergence_bound(b: DriftField, window, horizon: float, samples: int = 4096,
-                     n_time: int = 33) -> float:
-    """Trapezoid-in-time integral of the sampled sup of |div b| over the window."""
+def divergence_bound(b: DriftField, window, horizon: float) -> float:
+    """Trapezoid-in-time integral of the sampled sup of |div b| over the window.
+
+    The sup is taken over a 4096-point lattice at 33 equally spaced times.
+    """
     win = _window_extent(window, b.d)
     max_width = max(hi - lo for lo, hi in win)
-    pts = _lattice_points(win, samples, b.d)
-    times = np.linspace(0.0, horizon, n_time)
-    sup_div = np.empty(n_time)
+    pts = _lattice_points(win, 4096, b.d)
+    times = np.linspace(0.0, horizon, 33)
+    sup_div = np.empty(times.size)
     for j, t in enumerate(times):
         div = divergence_of(b, t, pts, fd_step=1.0e-4 * max_width)
         sup_div[j] = float(np.max(np.abs(div)))

@@ -54,6 +54,10 @@ TOLERANCE_VERSION = "1"
 #: Normalized weak-residual threshold for the verify-weak command.
 DEFAULT_WEAK_TOL = 0.05
 
+#: Snapshot intervals of a ``solve`` run: it writes, and ``verify-weak``
+#: reads, the snapshots u_t0000.csv to u_t0016.csv.
+_SNAPSHOT_INTERVALS = 16
+
 #: Wong-Zakai: the finest-level error must stay below this fraction of |u0|_p.
 WZ_FINAL_TOL = 0.05
 
@@ -306,10 +310,6 @@ class ConvergenceTable:
         if any(e < 0 for e in self.errors):
             raise ConfigError("ladder errors must be nonnegative")
 
-    @property
-    def orders(self) -> list:
-        return estimate_order(self.errors)
-
     def to_csv(self, path) -> None:
         rows = []
         prev = None
@@ -383,8 +383,8 @@ def _support_lines(command: str, where: str, sol: SpdeSolution) -> list:
 # commands
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
-              n_snapshots: int = 16) -> CommandResult:
+def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
+              path_file=None) -> CommandResult:
     """Solve one configured run and dump snapshots, path, norms and manifest."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
     _ensure_dir(out_dir)
@@ -392,7 +392,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
     u0 = cfg.u0()
     sol = solve_spde(
         cfg.drift(), path, u0, cfg.dt, cfg.horizon,
-        scheme=cfg.scheme, n_snapshots=n_snapshots, mollify_epsilon=cfg.mollify_eps,
+        scheme=cfg.scheme, n_snapshots=_SNAPSHOT_INTERVALS, mollify_epsilon=cfg.mollify_eps,
     )
     for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
@@ -410,10 +410,19 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None, path_file=None,
 
 
 def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
-    pattern = os.path.join(out_dir, "u_t*.csv")
-    files = sorted(glob.glob(pattern))
-    if not files:
-        raise ConfigError(f"no run artifacts under {out_dir} (expected u_t*.csv)")
+    """The snapshots ``cmd_solve`` wrote under ``out_dir``: exactly u_t0000.csv
+    to u_t0016.csv, written under this config."""
+    names = [f"u_t{m:04d}.csv" for m in range(_SNAPSHOT_INTERVALS + 1)]
+    found = {os.path.basename(f) for f in glob.glob(os.path.join(out_dir, "u_t*.csv"))}
+    if not found:
+        raise ConfigError(f"no run artifacts under {out_dir} "
+                          f"(expected {names[0]} to {names[-1]})")
+    missing = [name for name in names if name not in found]
+    extra = sorted(found - set(names))
+    if missing or extra:
+        raise ConfigError(
+            f"{'missing' if missing else 'unexpected'} snapshot files under {out_dir}: "
+            f"{', '.join(missing or extra)}; solve writes exactly {names[0]} to {names[-1]}")
     manifest = os.path.join(out_dir, "manifest.csv")
     if not os.path.isfile(manifest):
         raise ConfigError(f"no manifest.csv under {out_dir}; cannot match the artifacts "
@@ -426,26 +435,25 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
                 f"artifacts under {out_dir} were written with config_hash={written[0]} "
                 f"tolerance_version={written[1]}; this config has "
                 f"config_hash={current[0]} tolerance_version={current[1]}")
-    fields = [read_field_csv(f) for f in files]
+    fields = [read_field_csv(os.path.join(out_dir, name)) for name in names]
     path = read_path_csv(os.path.join(out_dir, "path.csv"))
-    times = np.linspace(0.0, cfg.horizon, len(fields))
+    times = np.linspace(0.0, cfg.horizon, _SNAPSHOT_INTERVALS + 1)
     return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
 
 
-def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None,
-                    tolerance: float = DEFAULT_WEAK_TOL) -> CommandResult:
+def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None) -> CommandResult:
     """Audit dumped run artifacts against the weak identity."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
     sol = _load_run(cfg, out_dir)
     phis = make_test_functions(sol.grid, cfg.phi_count, seed)
-    report = weak_residual(sol, cfg.drift(), cfg.p, phis=phis)
+    report = weak_residual(sol, cfg.drift(), cfg.p, phis)
     write_weak_report_csv(report, os.path.join(out_dir, "weak_report.csv"))
     worst = report.max_normalized
-    ok = worst <= tolerance
+    ok = worst <= DEFAULT_WEAK_TOL
     result = CommandResult(0 if ok else 1)
     result.add(
         f"{'PASS' if ok else 'FAIL'} verify-weak: max normalized residual "
-        f"{worst:.6g} {'<=' if ok else '>'} {tolerance}"
+        f"{worst:.6g} {'<=' if ok else '>'} {DEFAULT_WEAK_TOL}"
     )
     return result
 

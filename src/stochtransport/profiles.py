@@ -8,7 +8,7 @@ points, so the rules must be defined on all of R^d, not just the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,14 +31,9 @@ __all__ = [
 class Profile:
     """An analytic scalar function with optional analytic gradient."""
 
-    id: str
     d: int
     fn: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(points, dtype=float))
 
 
 def _bump_parts(points, center, radius):
@@ -69,19 +64,15 @@ def bump(d: int, center=0.0, radius: float = 1.0, amplitude: float = 1.0) -> Pro
         out[inside] = scale[..., None] * rel[inside]
         return out
 
-    return Profile(
-        "bump", d, fn, grad, {"center": c.tolist(), "radius": radius, "amplitude": amplitude}
-    )
+    return Profile(d, fn, grad)
 
 
 def double_bump(
     d: int, centers=(-1.5, 1.5), radius: float = 1.0, amplitudes=(1.0, 0.5)
 ) -> Profile:
     """Superposition of two smooth bumps with a common radius."""
-    c0 = np.broadcast_to(np.asarray(centers[0], dtype=float), (d,)).copy()
-    c1 = np.broadcast_to(np.asarray(centers[1], dtype=float), (d,)).copy()
-    b0 = bump(d, c0, radius, amplitudes[0])
-    b1 = bump(d, c1, radius, amplitudes[1])
+    b0 = bump(d, centers[0], radius, amplitudes[0])
+    b1 = bump(d, centers[1], radius, amplitudes[1])
 
     def fn(points):
         return b0.fn(points) + b1.fn(points)
@@ -89,13 +80,7 @@ def double_bump(
     def grad(points):
         return b0.gradient(points) + b1.gradient(points)
 
-    return Profile(
-        "double_bump",
-        d,
-        fn,
-        grad,
-        {"centers": [c0.tolist(), c1.tolist()], "radius": radius, "amplitudes": list(amplitudes)},
-    )
+    return Profile(d, fn, grad)
 
 
 def step(d: int, center=0.0, half_width: float = 1.0, amplitude: float = 1.0) -> Profile:
@@ -109,9 +94,7 @@ def step(d: int, center=0.0, half_width: float = 1.0, amplitude: float = 1.0) ->
         inside = np.all(np.abs(x - c) <= half_width, axis=-1)
         return amplitude * inside.astype(float)
 
-    return Profile(
-        "step", d, fn, None, {"center": c.tolist(), "half_width": half_width, "amplitude": amplitude}
-    )
+    return Profile(d, fn)
 
 
 def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -> Profile:
@@ -133,9 +116,7 @@ def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -
             out[..., a] = amplitude * k * np.cos(k * x[..., a]) * others
         return out
 
-    return Profile(
-        "sinusoid", d, fn, grad, {"half_width": half_width, "mode": mode, "amplitude": amplitude}
-    )
+    return Profile(d, fn, grad)
 
 
 def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:

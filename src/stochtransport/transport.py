@@ -144,7 +144,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     ``DriftField.factors``) is tabulated through b and scaled by g(t) per
     call, since mollifying commutes with the gain; any other
     time-dependent field is rejected with ``ConfigError``. The Jacobian
-    rule is the central difference of the tables.
+    rule is the central difference of the tables. The result is marked
+    ``smooth``, so a solver steps it as it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -189,12 +190,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     def jacobian(t, points):
         return read(jac_values, t, points).reshape(np.shape(points)[:-1] + (d, d))
 
-    return DriftField(
-        f"{b.id}~eps", d, fn, jacobian,
-        regularity_tags=(b.regularity_tags | {"smooth", "mollified"}),
-        time_dependent=b.time_dependent,
-        params={**b.params, "mollify_epsilon": float(epsilon)},
-    )
+    return DriftField(f"{b.id}~eps", d, fn, jacobian, smooth=True,
+                      time_dependent=b.time_dependent)
 
 
 def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:
@@ -281,7 +278,6 @@ def characteristics_solve(
     x0,
     t0: float,
     t1: float,
-    max_step: float = 1.0e-2,
     blowup_radius: float = math.inf,
 ) -> np.ndarray:
     """Trace characteristics dX/ds = b(s, X + W(s)) from t0 to t1 with RK4.
@@ -289,12 +285,13 @@ def characteristics_solve(
     ``x0`` may be a single point (d,) or a batch (..., d); the returned
     array matches its shape. Positions exceeding ``blowup_radius`` raise
     ``BlowUpError``. Works in either time direction: each substep is the
-    semi-Lagrangian RK4 step run with the opposite sign.
+    semi-Lagrangian RK4 step run with the opposite sign. The substeps are
+    equal and at most 0.01 long.
     """
     span = t1 - t0
     if span == 0.0:
         return np.array(x0, dtype=float)
-    n_sub = max(1, int(math.ceil(abs(span) / max_step)))
+    n_sub = max(1, int(math.ceil(abs(span) / 1.0e-2)))
     dt = span / n_sub
     starts = [t0 + i * dt + dt for i in range(n_sub)]
     velocity = composed_drift(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -62,8 +61,7 @@ class TestFunction:
 
     Value and analytic gradient are those of ``profiles.bump``.
     ``sup_value`` and ``sup_gradient`` are the extrema used to normalize
-    residuals; the gradient extremum is the largest |gradient| on a dense
-    radial sample, once per instance.
+    residuals, both in closed form.
     """
 
     center: np.ndarray
@@ -93,11 +91,13 @@ class TestFunction:
     def sup_value(self) -> float:
         return abs(self.amplitude) * math.exp(-1.0)
 
-    @cached_property
+    @property
     def sup_gradient(self) -> float:
-        rho = np.linspace(0.0, self.radius, 20001)[1:-1]
-        ray = self.center + rho[:, None] * np.eye(self.d)[0]  # the bump is radial
-        return float(np.max(np.linalg.norm(self.gradient(ray), axis=-1)))
+        # |grad phi| = 2|a| sqrt(s) e^{1/w} / (w^2 r) with s = (|x - x0|/r)^2
+        # and w = s - 1; it peaks where 3w^2 + 6w + 2 = 0, at s = 1/sqrt(3).
+        w = 1.0 / math.sqrt(3.0) - 1.0
+        return (2.0 * abs(self.amplitude) * 3.0 ** -0.25 * math.exp(1.0 / w)
+                / (w * w * self.radius))
 
     def validate_for(self, grid: SpatialGrid) -> None:
         """Check the support ball clears the box edge by the margin."""
@@ -173,11 +173,6 @@ class WeakResidualReport:
     def max_normalized(self) -> float:
         return max(s.max_normalized for s in self.series)
 
-    @property
-    def rms(self) -> float:
-        stacked = np.concatenate([s.residuals for s in self.series])
-        return float(np.sqrt(np.mean(stacked * stacked)))
-
 
 def _check_alignment(times: np.ndarray, path: SamplePath) -> None:
     T = max(path.horizon, 1.0e-300)
@@ -201,7 +196,7 @@ def weak_residual(
     sol: SpdeSolution,
     b: DriftField,
     p: float,
-    phis=None,
+    phis,
     rule: str = "stratonovich",
 ) -> WeakResidualReport:
     """Defect of the weak identity on the solution snapshots.
@@ -215,8 +210,8 @@ def weak_residual(
     p : float
         The exponent, p >= 1, that normalizes each series by
         |u0|_p (sup phi + sup |grad phi|).
-    phis : sequence of TestFunction, optional
-        Defaults to ten reproducible bumps drawn with seed 0.
+    phis : sequence of TestFunction
+        The test functions, for instance from :func:`make_test_functions`.
     rule : {"stratonovich", "ito"}
         Midpoint (endpoint-average) sums match the Stratonovich reading
         of the identity, and are the trapezoid rule of the
@@ -226,15 +221,12 @@ def weak_residual(
     if rule not in ("stratonovich", "ito"):
         raise ConfigError(f"unknown stochastic quadrature rule {rule!r}")
     path = sol.path
-    phis = make_test_functions(sol.grid, 10, 0) if phis is None else list(phis)
+    phis = list(phis)
     times = sol.times
     _check_alignment(times, path)
     grid = sol.grid
     for phi in phis:
         phi.validate_for(grid)
-    # The sup norms before the snapshot stacks below, so that the radial
-    # samples behind sup_gradient do not add to the peak heap.
-    sups = [phi.sup_value + phi.sup_gradient for phi in phis]
     nodes = grid.nodes()
     w = grid.cell_volume
     U = np.stack([f.values.ravel() for f in sol.fields])  # (M+1, n)
@@ -260,9 +252,10 @@ def weak_residual(
         g_step = 0.5 * (g[:-1] + g[1:]) if rule == "stratonovich" else g[:-1]
         term_stoch = np.concatenate([[0.0], np.cumsum(np.sum(g_step * dB, axis=-1))])
         term_initial = A - A[0]
-        normalizer = u0_norm * sups[j]
+        sup = phi.sup_value + phi.sup_gradient
+        normalizer = u0_norm * sup
         if normalizer == 0.0:
-            normalizer = sups[j]
+            normalizer = sup
         series.append(WeakResidualSeries(
             phi_index=j,
             times=times,

@@ -170,8 +170,7 @@ def test_weak_report_text(tmp_path):
 
 def test_hypotheses_text(tmp_path):
     report = HypothesisReport(
-        drift_id="power1d", q_used=2.0, window=((-4.0, 4.0),), samples=1000,
-        div_bound=X17, div_ok=False, lq_evidence=1.5, lq_loc_ok=True,
+        drift_id="power1d", div_bound=X17, div_ok=False, lq_evidence=1.5, lq_loc_ok=True,
         w1q_evidence=0.0, w1q_loc_ok=True, growth_evidence=12.0, growth_ok=True,
         rel_changes={}, divergence_is_exact=True,
     )

@@ -4,13 +4,15 @@ Each demo runs to completion in its own interpreter, with ``src`` on
 ``PYTHONPATH`` (about 20 s for all six). Each is also parsed: every
 ``st.<name>`` must be in ``stochtransport.__all__``, and every ``from
 stochtransport.<module> import <name>`` must resolve. Every name in the
-package's and each module's ``__all__`` must resolve too.
+package's and each module's ``__all__`` must resolve too, and the
+README's code fences must pair up.
 """
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -52,6 +54,23 @@ def test_every_public_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_readme_code_fences_pair_up():
+    # A closing fence carries no text: GitHub reads a fence line with text
+    # after it as more code, down to the next bare fence.
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    opened = None
+    for number, line in enumerate(lines, start=1):
+        if not line.startswith("```"):
+            continue
+        if opened is None:
+            assert re.fullmatch(r"```[\w+-]*", line), f"README.md:{number}: bad opening fence"
+            opened = number
+        else:
+            assert line == "```", f"README.md:{number}: closing fence carries text"
+            opened = None
+    assert opened is None, f"README.md:{opened}: fence never closed"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

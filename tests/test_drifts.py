@@ -94,10 +94,7 @@ class TestDivergence:
 
     def test_stream_field_finite_difference_divergence(self):
         full = stream_function_drift(4.0)
-        bare = type(full)(
-            id=full.id, d=2, fn=full.fn, jacobian=None,
-            regularity_tags=full.regularity_tags, params=full.params,
-        )
+        bare = type(full)(id=full.id, d=2, fn=full.fn, jacobian=None, smooth=full.smooth)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-4.0, 4.0, size=(300, 2))
         assert float(np.max(np.abs(divergence_of(bare, 0.0, pts)))) <= 1e-5

@@ -11,6 +11,7 @@ mesh. Reruns of the same config must reproduce artifact bytes exactly.
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -197,10 +198,6 @@ class TestEstimateOrder:
 
 
 class TestConvergenceTable:
-    def test_orders_match_estimator(self):
-        table = ConvergenceTable((64, 128, 256), (0.4, 0.2, 0.1))
-        assert table.orders == estimate_order((0.4, 0.2, 0.1))
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="differ in length"):
             ConvergenceTable((64, 128), (0.4,))
@@ -533,6 +530,26 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error: malformed config value:")
         assert key in err
+
+    @pytest.mark.parametrize("remove, add, named", [
+        (["u_t0005.csv"], [], "u_t0005.csv"),
+        ([f"u_t{m:04d}.csv" for m in range(3, 17)], [], "u_t0003.csv"),
+        ([], ["u_t0017.csv"], "u_t0017.csv"),
+    ], ids=["one-missing", "only-first-three", "one-extra"])
+    def test_snapshot_set_other_than_solve_wrote_exits_2(self, tmp_path, capsys,
+                                                         remove, add, named):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        for name in remove:
+            os.remove(out / name)
+        for name in add:
+            shutil.copy(out / "u_t0016.csv", out / name)
+        capsys.readouterr()
+        assert main(["verify-weak", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
 
     def test_empty_wz_levels_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(wz_levels=[]))

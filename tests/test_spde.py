@@ -242,6 +242,17 @@ class TestRenormalization:
         target = np.exp(-np.asarray(rep.times))
         assert float(np.max(np.abs(decay - target))) <= 0.02
 
+    def test_divergence_bound_above_ceiling_is_inconclusive(self):
+        # C = 2e12 exceeds the 1e12 ceiling: no envelope is built
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        sol = solve_spde(zero_drift(1), zero_path(1.0, 64, 1), u0, dt=1.0 / 64, horizon=1.0)
+        rep = renormalize_check(sol, squared_renormalization(), linear_drift([[2e12]]))
+        assert rep.status == "inconclusive"
+        assert not rep.passed
+        assert rep.div_bound == 2e12
+        assert math.isnan(rep.slack)
+
     def test_smoothed_power_is_c1_with_declared_bound(self):
         # a centered difference with h far below the blend width exposes
         # any remaining derivative jump as an O(jump) error
@@ -310,7 +321,7 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
         return lambda t, x: eval_drift(drift, t, np.asarray(x, dtype=float)
                                        + eval_path(path, float(t)))
 
-    if not b.is_smooth:
+    if not b.smooth:
         excursion = float(np.max(np.abs(path.values)))
         stage = cfl_number(shifted(b), grid, dt, times) * grid.h
         b = mollified_drift(b, 2.0 * grid.h, grid.half_width + excursion + 2.0 * stage)
@@ -502,7 +513,7 @@ class TestBatchMarch:
         # the values of the one path that reaches that far are not finite
         cliff = DriftField("cliff", 1,
                            lambda t, x: np.where(np.asarray(x) > 50.0, 1.0e308, 0.0),
-                           regularity_tags=frozenset({"smooth"}))
+                           smooth=True)
         quiet = zero_path(1.0, 64, 1)
         far = SamplePath(quiet.times, 100.0 * quiet.times[:, None], "piecewise_linear_bv")
         with np.errstate(all="ignore"):

@@ -98,6 +98,13 @@ class TestMakeTestFunctions:
         w = 1.0 / math.sqrt(3.0) - 1.0
         peak = 2.0 * 2.5 * 3.0 ** -0.25 * math.exp(1.0 / w) / (w * w * 1.7)
         assert phi.sup_gradient == pytest.approx(peak, rel=1e-8)
+        # Reference: the largest |grad phi| on a dense sample of a ray from
+        # the centre; the bump is radial.
+        rho = np.linspace(0.0, phi.radius, 20001)[1:-1]
+        ray = phi.center + rho[:, None] * np.eye(d)[0]
+        sampled = np.linalg.norm(phi.gradient(ray), axis=-1)
+        assert np.all(phi.sup_gradient >= sampled)
+        assert phi.sup_gradient - sampled.max() <= 1e-8 * phi.sup_gradient
 
     def test_count_must_be_positive(self, grid512):
         with pytest.raises(ConfigError):
