@@ -8,8 +8,6 @@ the time-integrated sup of |div b| (here C = 1).
 
 import math
 
-import numpy as np
-
 import stochtransport as st
 
 

@@ -7,8 +7,6 @@ and the path mesh cuts it several-fold. Swapping in the left-point
 distinguishes the two senses of the noise term.
 """
 
-import numpy as np
-
 import stochtransport as st
 from stochtransport.fields import ScalarField
 from stochtransport.spde import SpdeSolution

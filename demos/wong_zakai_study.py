@@ -6,8 +6,6 @@ knot set. The sup-over-snapshots Lp gap shrinks as the knot set refines
 and vanishes identically once the interpolant matches the full mesh.
 """
 
-import numpy as np
-
 import stochtransport as st
 
 

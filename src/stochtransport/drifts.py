@@ -369,10 +369,7 @@ def _lattice_points(window, n_total: int, d: int) -> np.ndarray:
         width = hi - lo
         pts = lo + (np.arange(per_axis) + 0.5) * width / per_axis
         axes.append(pts + _JITTER_SCALE * width)
-    if d == 1:
-        return axes[0][:, None]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def _probe_points(window, d: int, jitter: float) -> np.ndarray:

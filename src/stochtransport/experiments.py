@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import read_csv, write_csv
 from .drifts import (DriftField, check_hypotheses, drift_from_spec, eval_drift,
                      write_hypothesis_csv)
-from .errors import ConfigError
+from .errors import ConfigError, FieldValidationError
 from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_field_csv
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
@@ -171,7 +171,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
-        grid = self.grid()  # dimension and resolution checks
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.horizon > 0 and self.dt > 0):
@@ -181,19 +180,27 @@ class ExperimentConfig:
             raise ConfigError(f"p must satisfy p >= 1, got {self.p}")
         if self.phi_count < 1:
             raise ConfigError("phi_count must be positive")
-        if self.mollify_eps is not None:
-            if self.mollify_eps < 0:
-                raise ConfigError("mollify_eps must be nonnegative")
-            _check_mollify_radius(self.mollify_eps, grid.h)
         if not self.wz_levels:
             raise ConfigError("wz_levels needs at least one level")
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
-        b = self.drift()  # id and parameter checks
-        profile = self.profile()
+        # The grid, drift and initial data meet their builders here, once,
+        # so a value they reject is a config error and not a failure mid-run.
+        try:
+            grid = self.grid()
+            b = self.drift()
+            u0 = sample_profile(grid, self.profile())
+            eval_drift(b, 0.0, grid.nodes())
+        except KeyError as exc:
+            raise ConfigError(f"malformed config value: missing key {exc}") from exc
+        except (FieldValidationError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
+        if self.mollify_eps is not None:
+            if self.mollify_eps < 0:
+                raise ConfigError("mollify_eps must be nonnegative")
+            _check_mollify_radius(self.mollify_eps, grid.h)
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
-        u0 = sample_profile(grid, profile)
         if _support_hits_margin(u0.values, _margin_band(grid), float(np.max(np.abs(u0.values)))):
             raise ConfigError("initial data does not clear the 10% wrap-around margin")
         if self.scheme == "upwind_fv":
@@ -411,7 +418,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
 
 def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     """The snapshots ``cmd_solve`` wrote under ``out_dir``: exactly u_t0000.csv
-    to u_t0016.csv, written under this config."""
+    to u_t0016.csv, written under this config, and the path.csv that drove
+    them, which must match the config as a ``--path-file`` replay must."""
     names = [f"u_t{m:04d}.csv" for m in range(_SNAPSHOT_INTERVALS + 1)]
     found = {os.path.basename(f) for f in glob.glob(os.path.join(out_dir, "u_t*.csv"))}
     if not found:
@@ -435,8 +443,11 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
                 f"artifacts under {out_dir} were written with config_hash={written[0]} "
                 f"tolerance_version={written[1]}; this config has "
                 f"config_hash={current[0]} tolerance_version={current[1]}")
+    path_file = os.path.join(out_dir, "path.csv")
+    if not os.path.isfile(path_file):
+        raise ConfigError(f"no path.csv under {out_dir}; solve writes it with the snapshots")
+    path = cfg.path(path_file=path_file)
     fields = [read_field_csv(os.path.join(out_dir, name)) for name in names]
-    path = read_path_csv(os.path.join(out_dir, "path.csv"))
     times = np.linspace(0.0, cfg.horizon, _SNAPSHOT_INTERVALS + 1)
     return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
 

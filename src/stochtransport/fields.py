@@ -88,22 +88,11 @@ class SpatialGrid:
         """
         nodes = self.__dict__.get("_nodes")
         if nodes is None:
-            ax = self.axis()
-            if self.d == 1:
-                nodes = ax[:, None]
-            else:
-                x1, x2 = np.meshgrid(ax, ax, indexing="ij")
-                nodes = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+            axes = [self.axis()] * self.d
+            nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
             nodes.setflags(write=False)
             object.__setattr__(self, "_nodes", nodes)
         return nodes
-
-    def meshes(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of shape ``self.shape``, one per axis."""
-        ax = self.axis()
-        if self.d == 1:
-            return (ax,)
-        return tuple(np.meshgrid(ax, ax, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -305,7 +294,7 @@ def write_field_csv(f: ScalarField, path) -> None:
     """Write a field snapshot: header comment, column names, row-major rows."""
     grid = f.grid
     columns = ["index"] + [f"x{a + 1}" for a in range(grid.d)] + ["value"]
-    coords = [m.ravel().tolist() for m in grid.meshes()]
+    coords = grid.nodes().T.tolist()
     rows = zip(range(grid.size), *coords, f.values.ravel().tolist())
     header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
     write_csv(path, columns, rows, header)

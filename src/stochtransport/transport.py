@@ -41,7 +41,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
@@ -160,11 +159,10 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     delta = epsilon / _STEPS_PER_RADIUS[d]
     K = int(math.ceil((reach + epsilon) / delta)) + 3
     axis = delta * np.arange(-K, K + 1)
-    nodes = axis[:, None] if d == 1 else np.stack(
-        [m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=-1)
+    nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
     kernel = _bump_kernel(d, epsilon, delta)
-    smooth = [ndimage.convolve(samples[..., a], kernel, mode="nearest") for a in range(d)]
+    smooth = [_convolve_nearest(samples[..., a], kernel) for a in range(d)]
     # Differentiating the tables never evaluates the base Jacobian, which
     # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
     slopes = [np.gradient(c, delta, axis=a) for c in smooth for a in range(d)]
@@ -199,9 +197,27 @@ def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:
     divided by its sum: nonnegative weights that sum to one, shape (2r + 1,) * d."""
     reach = int(math.floor(epsilon / delta))
     offs = delta * np.arange(-reach, reach + 1)
-    pts = offs[:, None] if d == 1 else np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
+    pts = np.stack(np.meshgrid(*[offs] * d, indexing="ij"), axis=-1)
     w = bump(d, 0.0, epsilon).fn(pts)
     return w / w.sum()
+
+
+def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Convolve ``table`` with a symmetric ``kernel`` of odd side, the table
+    extended beyond its edges by its edge values.
+
+    The sum starts from zero and adds window * w for each nonzero tap, in C
+    order. A symmetric kernel makes convolution and correlation the same
+    sum. The tests hold it equal, bit for bit, to a reference "nearest"-mode
+    convolution on 1D and 2D drift tables with ``_bump_kernel`` weights.
+    """
+    r = kernel.shape[0] // 2
+    padded = np.pad(table, r, mode="edge")
+    out = np.zeros(table.shape)
+    for tap in np.argwhere(kernel):
+        window = padded[tuple(slice(k, k + n) for k, n in zip(tap, table.shape))]
+        out += window * kernel[tuple(tap)]
+    return out
 
 
 def _anchored_cubic_read(table: np.ndarray, delta: float, K: int, pts: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Each demo runs to completion in its own interpreter, with ``src`` on
 ``PYTHONPATH`` (about 20 s for all six). Each is also parsed: every
 ``st.<name>`` must be in ``stochtransport.__all__``, and every ``from
 stochtransport.<module> import <name>`` must resolve. Every name in the
-package's and each module's ``__all__`` must resolve too, and the
-README's code fences must pair up.
+package's and each module's ``__all__`` must resolve too, the README's
+code fences must pair up, and no module imports a name it never uses.
 """
 
 import ast
@@ -71,6 +71,29 @@ def test_readme_code_fences_pair_up():
             assert line == "```", f"README.md:{number}: closing fence carries text"
             opened = None
     assert opened is None, f"README.md:{opened}: fence never closed"
+
+
+def test_no_unused_imports():
+    # A package __init__ imports to re-export, so it is not scanned.
+    unused = []
+    for top in ("src", "tests", "demos"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                imported.update(dict.fromkeys(names, node.lineno))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                       for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

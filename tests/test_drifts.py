@@ -6,8 +6,6 @@ integrals over the window [-1, 1]: with b(x) = sign(x) |x|^a,
 2a - 1 > 0 (a = 0.75 gives 2.25) and diverges when a = 0.25.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,6 @@ from stochtransport.drifts import (
     zero_drift,
     _jacobian_of,
 )
-from stochtransport.fields import SpatialGrid
 
 
 BOX2 = [(-4.0, 4.0), (-4.0, 4.0)]

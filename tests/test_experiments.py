@@ -35,7 +35,7 @@ from stochtransport.experiments import (
 )
 from stochtransport.cli import main
 from stochtransport.fields import read_field_csv
-from stochtransport.paths import read_path_csv, sample_brownian, write_path_csv
+from stochtransport.paths import SamplePath, sample_brownian, write_path_csv
 from stochtransport.profiles import sample_profile
 
 
@@ -494,14 +494,31 @@ class TestCommandLine:
         assert main(["verify-weak", "--config", config, "--out", out]) == 0
         assert "PASS verify-weak" in capsys.readouterr().out
 
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        code = "import sys, stochtransport.cli; print('scipy.integrate' in sys.modules)"
+    def test_cli_and_mollified_solves_load_no_scipy(self):
+        # numpy is the only runtime dependency: neither the CLI import nor a
+        # mollified 1D solve or 2D table loads any scipy module.
+        code = "\n".join([
+            "import sys",
+            "import stochtransport.cli",
+            "from stochtransport.drifts import power_drift, stream_function_drift",
+            "from stochtransport.fields import SpatialGrid",
+            "from stochtransport.paths import sample_brownian",
+            "from stochtransport.profiles import bump, sample_profile",
+            "from stochtransport.spde import solve_spde",
+            "from stochtransport.transport import mollified_drift",
+            "u0 = sample_profile(SpatialGrid(1, 4.0, 64), bump(1, center=0.0, radius=1.2))",
+            "sol = solve_spde(power_drift(0.75, scale=-1.0), sample_brownian(3, 0.25, 32, 1),",
+            "                 u0, 0.25 / 32, 0.25)",
+            "assert sol.mollify_epsilon > 0",
+            "mollified_drift(stream_function_drift(4.0), 0.5, reach=5.0)",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ])
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(colour="red"))
@@ -551,6 +568,45 @@ class TestCommandLine:
         assert err.startswith("config error:")
         assert named in err
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"d": 3}, "dimension"),
+        ({"N": 4}, "points per axis"),
+        ({"L": -1.0}, "half_width"),
+        ({"u0": {"id": "bump", "center": [0.0, 1.0]}}, "broadcast"),
+        ({"drift": {"id": "linear", "matrix": "abc"}}, "could not convert"),
+        ({"drift": {"id": "time_modulated", "gain_id": "ramp"}}, "'base'"),
+        ({"drift": {"id": "power1d", "alpha": 0.5, "scale": "x"}}, "ufunc"),
+    ], ids=["d-3", "N-4", "L-negative", "u0-center-2d", "matrix-string",
+            "modulated-without-base", "scale-string"])
+    def test_value_a_builder_rejects_exits_2(self, tmp_path, capsys, overrides, named):
+        raw = dict(base_dict(T=1.0, dt=1.0 / 128, p=2.0, seed=24,
+                             drift={"id": "linear", "matrix": [[-1.0]]},
+                             u0={"id": "bump", "center": 0.0, "radius": 1.2}), **overrides)
+        config = self.write_config(tmp_path, raw)
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+
+    @pytest.mark.parametrize("knots, named", [
+        (None, "no path.csv under"),
+        (3, "replayed path horizon 0.03125 != T=0.25"),
+    ], ids=["deleted", "first-three-knots"])
+    def test_missing_or_mismatched_path_csv_exits_2(self, tmp_path, capsys, knots, named):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        if knots is None:
+            os.remove(out / "path.csv")
+        else:  # the header comment and column names, then the first knots
+            lines = (out / "path.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+            (out / "path.csv").write_text("".join(lines[:2 + knots]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify-weak", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+
     def test_empty_wz_levels_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(wz_levels=[]))
         assert main(["wong-zakai", "--config", config, "--out", str(tmp_path / "wz")]) == 2
@@ -588,8 +644,11 @@ class TestCommandLine:
         config = self.write_config(tmp_path, base_dict())
         out = str(tmp_path / "run")
         main(["solve", "--config", config, "--out", out])
-        # snapshots no longer line up with the replaced path's knots
-        write_path_csv(sample_brownian(3, 0.25, 10, 1),
+        # a path of the configured horizon and step count whose knots no
+        # longer line up with the snapshot times
+        w = sample_brownian(3, 0.25, 16, 1)
+        times = w.times + np.where((w.times > 0) & (w.times < 0.25), 0.25 / 64, 0.0)
+        write_path_csv(SamplePath(times, w.values, w.kind, seed=w.seed),
                        os.path.join(out, "path.csv"))
         assert main(["verify-weak", "--config", config, "--out", out]) == 3
         assert capsys.readouterr().err.startswith("runtime error:")

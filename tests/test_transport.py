@@ -2,7 +2,8 @@
 
 Closed-form flows provide the oracles: constant drift translates,
 b(x) = -x contracts by e^{-t} (so backward feet expand by e^{dt}).
-The mollified drift is checked against a direct bump quadrature.
+The mollified drift is checked against a direct bump quadrature, and its
+table convolution against ``scipy.ndimage`` bit for bit.
 """
 
 import math
@@ -28,6 +29,7 @@ from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
 from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import solve_spde
+from stochtransport import transport
 from stochtransport.transport import (
     _bump_kernel,
     _rk4_feet,
@@ -399,6 +401,32 @@ class TestMollifiedDrift:
         for pts in (nodes, between):
             assert np.array_equal(near.fn(0.0, pts), far.fn(0.0, pts))
             assert np.array_equal(near.jacobian(0.0, pts), far.jacobian(0.0, pts))
+
+    @pytest.mark.parametrize("b, eps", [
+        *[(power_drift(0.75, scale=-1.0), 2.0 * 8.0 / n) for n in (32, 64, 128, 256, 512, 1024)],
+        (power_drift(0.75, scale=-1.0), 0.1),
+        (power_drift(0.75, scale=-1.0), 0.37),
+        (time_modulated_drift(power_drift(0.75, scale=-1.0), "sin_squared", 1.0), 1.0 / 16),
+        (stream_function_drift(4.0), 0.7),
+        (stream_function_drift(4.0), 0.5),
+        (stream_function_drift(4.0), 0.25),
+    ])
+    def test_tap_sum_equals_ndimage_convolve_bitwise(self, monkeypatch, b, eps):
+        # ndimage adds the taps above DBL_EPSILON in C order from 0.0; the
+        # bump kernel's smallest nonzero tap is above that, so the sums match.
+        from scipy import ndimage
+
+        tap_sum = transport._convolve_nearest
+        tables = []
+
+        def checked(table, kernel):
+            out = tap_sum(table, kernel)
+            tables.append(np.array_equal(out, ndimage.convolve(table, kernel, mode="nearest")))
+            return out
+
+        monkeypatch.setattr(transport, "_convolve_nearest", checked)
+        mollified_drift(b, eps, reach=6.0)
+        assert tables == [True] * b.d
 
     @pytest.mark.parametrize("b, point", [
         (power_drift(0.75), [[2.01]]),

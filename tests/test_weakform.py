@@ -15,7 +15,7 @@ from _support import closed_form_translation
 from stochtransport.errors import ConfigError, MeshMismatchError
 from stochtransport.drifts import zero_drift
 from stochtransport.experiments import estimate_order
-from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
+from stochtransport.fields import ScalarField, SpatialGrid
 from stochtransport.paths import piecewise_linear_approx, sample_brownian
 from stochtransport.profiles import bump
 from stochtransport.spde import SpdeSolution
