@@ -4,8 +4,10 @@ Everything downstream (transport marching, path shifting, weak-form
 quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
-shifting, and the field CSV format. Smoothing is applied to drifts
-only, by ``transport.mollified_drift``.
+shifting, and the field CSV format. A read gathers each point's stencil
+as one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
+which also reads the 2D mollifier tables).
+Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
 from __future__ import annotations
@@ -169,11 +171,7 @@ def _axis_locate(grid: SpatialGrid, coords: np.ndarray):
     s = np.mod(coords + L, 2.0 * L) / grid.h
     base = np.floor(s).astype(np.int64)
     theta = s - base
-    # np.mod can return exactly 2L for inputs just below a period boundary;
-    # fold that case back onto node 0.
-    over = base >= grid.n
-    if np.any(over):
-        base = np.where(over, base - grid.n, base)
+    # np.mod can return exactly 2L just below a period boundary: base n wraps to node 0.
     return base % grid.n, theta
 
 
@@ -230,42 +228,47 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     the points reads field p. Returns shape (P, Q). The P fields are read
     as one stack along the first axis, by the same arithmetic whatever P
     is.
+
+    The stack is wrap-padded once, by 1 node before and 2 after on each
+    spatial axis, so every stencil is a 4-node window of it per axis and
+    no index needs a modulo; the clamp bounds are running minima and
+    maxima over the padded stack, not a reduction per point.
     """
     n_fields, n_pts = pts.shape[:2]
-    pts = pts.reshape(-1, grid.d)
-    stacked = values.reshape((-1,) + grid.shape[1:])  # (P * n, n) in 2D
-    offsets = np.array([-1, 0, 1, 2])
-    if grid.d == 1:
-        base, theta = _axis_locate(grid, pts[:, 0])
-        idx = (base[:, None] + offsets[None, :]) % grid.n
-        _offset_by_field(idx, n_fields, grid.n)
-        stencil = stacked[idx]  # (Q, 4)
-        w = _cubic_weights(theta)
-        out = np.einsum("qk,qk->q", w, stencil)
-        if clamp:
-            out = np.clip(out, stencil.min(axis=1), stencil.max(axis=1))
-        return out.reshape(n_fields, n_pts)
-    base1, th1 = _axis_locate(grid, pts[:, 0])
-    base2, th2 = _axis_locate(grid, pts[:, 1])
-    idx1 = (base1[:, None] + offsets[None, :]) % grid.n
-    _offset_by_field(idx1, n_fields, grid.n)
-    idx2 = (base2[:, None] + offsets[None, :]) % grid.n
-    stencil = stacked[idx1[:, :, None], idx2[:, None, :]]  # (Q, 4, 4)
-    w1 = _cubic_weights(th1)
-    w2 = _cubic_weights(th2)
-    out = np.einsum("qi,qij,qj->q", w1, stencil, w2)
+    base, theta = _axis_locate(grid, pts.reshape(-1, grid.d))
+    # Node i sits at padded index i + 1, so the stencil around node base starts at base.
+    wrap = np.arange(-1, grid.n + 2) % grid.n
+    padded = values
+    for axis in range(1, grid.d + 1):
+        padded = np.take(padded, wrap, axis=axis)
+    at = (np.repeat(np.arange(n_fields), n_pts), *base.T)
+    out = _window_sum(padded, at, theta)
     if clamp:
-        flat = stencil.reshape(stencil.shape[0], -1)
-        out = np.clip(out, flat.min(axis=1), flat.max(axis=1))
+        lo = hi = padded
+        for axis in range(1, grid.d + 1):
+            for step in (1, 2):  # extremes of 2, then 4 nodes
+                head = (slice(None),) * axis + (slice(None, -step),)
+                tail = (slice(None),) * axis + (slice(step, None),)
+                lo, hi = np.minimum(lo[head], lo[tail]), np.maximum(hi[head], hi[tail])
+        out = np.clip(out, lo[at], hi[at])
     return out.reshape(n_fields, n_pts)
 
 
-def _offset_by_field(idx: np.ndarray, n_fields: int, n: int) -> None:
-    """Shift, in place, the first-axis indices of each field's block of
-    points, shape (n_fields * Q, 4), by n per field: field p's nodes are
-    rows p*n .. p*n + n - 1 of the stack."""
-    if n_fields > 1:  # the first field's offset is zero
-        idx.reshape(n_fields, -1)[...] += (np.arange(n_fields) * n)[:, None]
+def _window_sum(stack: np.ndarray, at: tuple, theta: np.ndarray) -> np.ndarray:
+    """The cubic rule on 4-node windows of a C-contiguous stack of 1D or 2D
+    tables: point q reads the window whose first node is ``at[1:]`` at q,
+    weighted by ``_cubic_weights(theta[q])`` per axis. ``at[0]`` picks one
+    table per point, giving shape (Q,), or is ``slice(None)``, every table,
+    giving shape (C, Q)."""
+    d = theta.shape[1]
+    # Every window as one strided view of the stack: window i starts at node i.
+    windows = np.ndarray(stack.shape[:1] + tuple(n - 3 for n in stack.shape[1:]) + (4,) * d,
+                         stack.dtype, stack, strides=stack.strides + stack.strides[1:])
+    stencil = windows[at]
+    if d == 1:
+        return np.einsum("qi,...qi->...q", _cubic_weights(theta[:, 0]), stencil)
+    w1, w2 = _cubic_weights(theta[:, 0]), _cubic_weights(theta[:, 1])
+    return np.einsum("qi,...qij,qj->...q", w1, stencil, w2)
 
 
 def shift_field(f: ScalarField, delta) -> ScalarField:

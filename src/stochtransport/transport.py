@@ -28,7 +28,7 @@ batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
 delta * k for integer k) that covers the box, the largest path excursion
 of the batch and the RK4 stage displacements, with the kernel
 ``profiles.bump`` sampled on that lattice; every velocity call is then a
-table lookup.
+table lookup, in 2D by the 4 x 4 window read of the grid fields.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. A
 time-modulated drift g(t) * b(x) is tabulated through b and scaled by
@@ -44,7 +44,7 @@ import numpy as np
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import SpatialGrid, _cubic_read, _cubic_weights
+from .fields import SpatialGrid, _cubic_read, _window_sum
 from .paths import SamplePath, eval_path
 from .profiles import bump
 
@@ -137,12 +137,14 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     anchored at the origin, so a larger reach only adds nodes: every
     value read within a reach is the same, bit for bit, on every table
     that covers it. Each call is then a lookup: linear interpolation in
-    1D; in 2D one cubic read of all components at once, which locates a
-    point by q = x/delta, k = floor(q), theta = q - k. A query beyond the
-    reach raises ``BlowUpError``. A time-modulated field g(t) * b(x) (see
-    ``DriftField.factors``) is tabulated through b and scaled by g(t) per
-    call, since mollifying commutes with the gain; any other
-    time-dependent field is rejected with ``ConfigError``. The Jacobian
+    1D; in 2D the cubic rule of ``fields.interpolate``, whose stencil
+    around node k = floor(x/delta) is one 4 x 4 window of every component
+    table: the lattice holds the stencil margin, so the tables need no
+    padding. A query beyond the reach raises ``BlowUpError``. A
+    time-modulated field g(t) * b(x) (see ``DriftField.factors``) is
+    tabulated through b and scaled by g(t) per call, since mollifying
+    commutes with the gain; any other time-dependent field is rejected
+    with ``ConfigError``. The Jacobian
     rule is the central difference of the tables. The result is marked
     ``smooth``, so a solver steps it as it is.
     """
@@ -168,9 +170,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     slopes = [np.gradient(c, delta, axis=a) for c in smooth for a in range(d)]
     if d == 1:
         values, jac_values = smooth[0], slopes[0]
-    else:  # component tables stacked channel first and flattened, (channels, n * n)
-        values = np.stack(smooth).reshape(d, -1)
-        jac_values = np.stack(slopes).reshape(d * d, -1)
+    else:  # component tables stacked channel first, (channels, 2K + 1, 2K + 1)
+        values, jac_values = np.stack(smooth), np.stack(slopes)
 
     def read(table, t, points):
         pts = np.asarray(points, dtype=float)
@@ -179,7 +180,11 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         if d == 1:
             out = np.interp(pts[..., 0], axis, table)[..., None]
         else:
-            out = _anchored_cubic_read(table, delta, K, pts)
+            q = pts.reshape(-1, 2) / delta
+            k = np.floor(q)
+            first = k.astype(np.int64) + (K - 1)  # the stencil around node k starts here
+            out = _window_sum(table, (slice(None), *first.T), q - k)
+            out = out.T.reshape(pts.shape[:-1] + (table.shape[0],))
         return out if gain is None else gain(t) * out
 
     def fn(t, points):
@@ -218,25 +223,6 @@ def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         window = padded[tuple(slice(k, k + n) for k, n in zip(tap, table.shape))]
         out += window * kernel[tuple(tap)]
     return out
-
-
-def _anchored_cubic_read(table: np.ndarray, delta: float, K: int, pts: np.ndarray) -> np.ndarray:
-    """Cubic read of a 2D table with node (i, j) at delta * (i - K, j - K), at points (..., 2).
-
-    ``table`` holds C channels of the (2K + 1)**2 nodes, shape (C, (2K + 1)**2);
-    all channels share one stencil locate and one gather. Returns shape (..., C).
-    """
-    flat = pts.reshape(-1, 2) / delta
-    k = np.floor(flat)
-    w1 = _cubic_weights(flat[:, 0] - k[:, 0])
-    w2 = _cubic_weights(flat[:, 1] - k[:, 1])
-    first = k.astype(np.int64) + (K - 1)  # stencil {-1, 0, 1, 2} around node k
-    offsets = np.arange(4)
-    rows = (first[:, 0, None] + offsets) * (2 * K + 1)
-    idx = rows[:, :, None] + (first[:, 1, None] + offsets)[:, None, :]  # (Q, 4, 4)
-    stencil = np.take(table, idx, axis=1)  # (C, Q, 4, 4)
-    out = ((stencil * w2[:, None, :]).sum(axis=-1) * w1).sum(axis=-1)  # (C, Q)
-    return out.T.reshape(pts.shape[:-1] + (table.shape[0],))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ integrals, exact translations) or from resampling the same analytic
 profile; no value is copied from solver output.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from stochtransport.errors import FieldValidationError
 from stochtransport.fields import (
     ScalarField,
     SpatialGrid,
+    _cubic_read,
+    _cubic_weights,
     interpolate,
     lp_norm,
     read_field_csv,
@@ -134,6 +137,88 @@ class TestInterpolate:
         vals = interpolate(bump512, q, clamp=True)
         assert np.min(vals) >= float(bump512.values.min()) - 1e-12
         assert np.max(vals) <= float(bump512.values.max()) + 1e-12
+
+
+def _modulo_read(grid, values, pts, clamp):
+    """Reference cubic read: modulo stencil indices, one (Q, 4) or (Q, 4, 4) gather."""
+    L, n = grid.half_width, grid.n
+    s = np.mod(pts + L, 2.0 * L) / grid.h
+    base = np.floor(s).astype(np.int64)
+    theta = s - base
+    base = np.where(base >= n, base - n, base) % n
+    idx = (base[..., None] + np.array([-1, 0, 1, 2])) % n  # (P, Q, d, 4)
+    path = np.arange(values.shape[0])[:, None, None]
+    w = [_cubic_weights(theta[..., a].ravel()) for a in range(grid.d)]
+    if grid.d == 1:
+        flat = values[path, idx[..., 0, :]].reshape(-1, 4)
+        out = np.einsum("qk,qk->q", w[0], flat)
+    else:
+        flat = values[path[..., None], idx[..., 0, :, None], idx[..., 1, None, :]].reshape(-1, 4, 4)
+        out = np.einsum("qi,qij,qj->q", w[0], flat, w[1])
+    if clamp:
+        bounds = tuple(range(1, flat.ndim))
+        out = np.clip(out, flat.min(axis=bounds), flat.max(axis=bounds))
+    return out.reshape(pts.shape[:2]), flat
+
+
+class TestWindowRead:
+    @staticmethod
+    def _query(grid, n_fields, rng):
+        """Off-node points, nodes, the box edges and points periods outside it."""
+        L, d = grid.half_width, grid.d
+        edges = [-L, L, np.nextafter(L, 0.0), np.nextafter(-L, -np.inf), 0.0]
+        corners = np.array(list(itertools.product(edges, repeat=d)))
+        nodes = grid.nodes()[::7]
+        far = rng.uniform(-L, L, size=(40, d)) + 2.0 * L * rng.integers(-5, 6, size=(40, d))
+        far_nodes = nodes[:20] + 2.0 * L * np.array([3.0, -4.0])[:d]
+        inside = rng.uniform(-L, L, size=(300, d))
+        pts = np.concatenate([inside, corners, nodes, far, far_nodes])
+        return np.stack([pts + 0.05 * p for p in range(n_fields)])
+
+    @pytest.mark.parametrize("d, n_fields", [(1, 1), (1, 8), (2, 1), (2, 3)])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_window_read_equals_modulo_gather(self, d, n_fields, clamp):
+        rng = np.random.default_rng(17 + n_fields)
+        grid = SpatialGrid(d=d, half_width=4.0, n=24)
+        values = rng.standard_normal((n_fields,) + grid.shape)
+        values[:, :3] = 0.0  # flat patches: ties in the clamp bounds
+        pts = self._query(grid, n_fields, rng)
+        expected, _ = _modulo_read(grid, values, pts, clamp)
+        assert np.array_equal(_cubic_read(grid, values, pts, clamp), expected)
+
+
+class TestInterpolate2D:
+    @pytest.mark.parametrize("n_fields", [1, 3])
+    def test_nodes_reproduce_nodal_values_exactly(self, n_fields):
+        rng = np.random.default_rng(3)
+        grid = SpatialGrid(d=2, half_width=4.0, n=32)
+        values = rng.standard_normal((n_fields,) + grid.shape)
+        shifted = grid.nodes() + 2.0 * grid.half_width * np.array([2.0, -3.0])
+        for pts in (grid.nodes(), shifted):
+            for clamp in (False, True):
+                got = _cubic_read(grid, values, np.stack([pts] * n_fields), clamp)
+                assert np.array_equal(got, values.reshape(n_fields, -1))
+
+    def test_nodes_of_a_field_read_exactly(self):
+        g = SpatialGrid(d=2, half_width=4.0, n=64)
+        f = sample_profile(g, bump(2, center=0.3, radius=1.5))
+        assert np.array_equal(interpolate(f, g.nodes()), f.values.ravel())
+
+    @pytest.mark.parametrize("n_fields", [1, 3])
+    def test_clamped_cubic_stays_in_stencil_range(self, n_fields):
+        rng = np.random.default_rng(29)
+        grid = SpatialGrid(d=2, half_width=4.0, n=32)
+        # a step per field: the unclamped cubic overshoots next to the jump
+        values = np.stack([(grid.nodes()[:, p % 2] > 0.5 * p).reshape(grid.shape)
+                           for p in range(n_fields)]).astype(float)
+        pts = rng.uniform(-4.0, 4.0, size=(n_fields, 3000, 2))
+        free = _cubic_read(grid, values, pts, clamp=False)
+        clamped = _cubic_read(grid, values, pts, clamp=True)
+        _, stencil = _modulo_read(grid, values, pts, clamp=False)
+        lo = stencil.min(axis=(1, 2)).reshape(pts.shape[:2])
+        hi = stencil.max(axis=(1, 2)).reshape(pts.shape[:2])
+        assert np.any((free < lo) | (free > hi))
+        assert np.all((lo <= clamped) & (clamped <= hi))
 
 
 class TestShiftField:
