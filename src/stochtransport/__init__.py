@@ -31,8 +31,7 @@ from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, sinusoid, step)
 from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
                    exact_solution, renormalize_check, smoothed_truncated_power,
-                   solve_spde, solve_spde_batch, squared_renormalization,
-                   time_continuity_modulus)
+                   solve_spde, solve_spde_batch, squared_renormalization)
 from .transport import (cfl_number, characteristics_solve, composed_drift,
                         mollified_drift, path_table, semi_lagrangian_step,
                         upwind_fv_step)
@@ -67,7 +66,7 @@ __all__ = [
     # spde
     "SpdeSolution", "solve_spde", "solve_spde_batch", "exact_solution",
     "RenormalizationFn", "smoothed_truncated_power", "squared_renormalization",
-    "RenormalizationReport", "renormalize_check", "time_continuity_modulus",
+    "RenormalizationReport", "renormalize_check",
     # weak form
     "TestFunction", "make_test_functions", "WeakResidualSeries",
     "WeakResidualReport", "weak_residual", "write_weak_report_csv",

@@ -7,11 +7,17 @@ line ends in ``\\n`` and the text is UTF-8. Cells are written with
 ``repr``), so a value read back with ``float`` is the same float bit for
 bit. Callers pass Python scalars (``ndarray.tolist()``); NumPy scalars
 are not part of the format.
+
+:func:`write_body` is the only code that opens an artifact for writing:
+it writes the comment and column lines, then a body of rows that are
+already text. :func:`write_csv` formats its rows' cells and hands them to
+it; a writer that keeps some cells as text from one file to the next
+(``fields.write_field_csv``) builds its body itself.
 """
 
 from __future__ import annotations
 
-__all__ = ["write_csv", "read_csv"]
+__all__ = ["write_csv", "write_body", "read_csv"]
 
 
 def write_csv(path, columns, rows, header=None) -> None:
@@ -20,15 +26,22 @@ def write_csv(path, columns, rows, header=None) -> None:
     ``header`` is None or a ``(tag, {key: value})`` pair, written first as
     ``# tag key=value ...``.
     """
-    lines = []
+    row_format = ",".join(["%s"] * len(columns)) + "\n"
+    write_body(path, columns, "".join(row_format % row for row in rows), header)
+
+
+def write_body(path, columns, body: str, header=None) -> None:
+    """Write an artifact whose rows are already text: ``body`` is every row
+    line, each ending in ``\\n``, in file order. ``columns`` and ``header``
+    are as in :func:`write_csv`."""
+    head = ""
     if header is not None:
         tag, meta = header
-        lines.append(" ".join(["#", tag] + [f"{k}={v}" for k, v in meta.items()]) + "\n")
-    lines.append(",".join(columns) + "\n")
-    row_format = ",".join(["%s"] * len(columns)) + "\n"
-    lines.extend(row_format % row for row in rows)
+        head = " ".join(["#", tag] + [f"{k}={v}" for k, v in meta.items()]) + "\n"
+    head += ",".join(columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+        fh.write(head)
+        fh.write(body)
 
 
 def read_csv(path):

@@ -419,7 +419,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
 def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     """The snapshots ``cmd_solve`` wrote under ``out_dir``: exactly u_t0000.csv
     to u_t0016.csv, written under this config, and the path.csv that drove
-    them, which must match the config as a ``--path-file`` replay must."""
+    them, which must match the config as a ``--path-file`` replay must. A
+    snapshot that does not read back as a field is a ``ConfigError``."""
     names = [f"u_t{m:04d}.csv" for m in range(_SNAPSHOT_INTERVALS + 1)]
     found = {os.path.basename(f) for f in glob.glob(os.path.join(out_dir, "u_t*.csv"))}
     if not found:
@@ -447,7 +448,12 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     if not os.path.isfile(path_file):
         raise ConfigError(f"no path.csv under {out_dir}; solve writes it with the snapshots")
     path = cfg.path(path_file=path_file)
-    fields = [read_field_csv(os.path.join(out_dir, name)) for name in names]
+    fields = []
+    for name in names:
+        try:
+            fields.append(read_field_csv(os.path.join(out_dir, name)))
+        except (FieldValidationError, OSError, ValueError) as exc:
+            raise ConfigError(f"unreadable snapshot {name}: {exc}") from None
     times = np.linspace(0.0, cfg.horizon, _SNAPSHOT_INTERVALS + 1)
     return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
 

@@ -6,7 +6,10 @@ This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read gathers each point's stencil
 as one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables).
+which also reads the 2D mollifier tables). A snapshot's ``index`` and
+coordinate cells are formatted once per grid (``SpatialGrid._row_prefixes``),
+so each write formats only its values and hands the body to
+``artifacts.write_body``.
 Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
+from .artifacts import read_csv, write_body
 from .errors import FieldValidationError
 
 __all__ = [
@@ -95,6 +98,19 @@ class SpatialGrid:
             nodes.setflags(write=False)
             object.__setattr__(self, "_nodes", nodes)
         return nodes
+
+    def _row_prefixes(self) -> tuple:
+        """The leading cells ``"i,x1[,x2],"`` of every snapshot row, row-major.
+
+        Formatted on the first call; every later call returns the same tuple.
+        """
+        prefixes = self.__dict__.get("_prefixes")
+        if prefixes is None:
+            cells = "%s," * (self.d + 1)
+            prefixes = tuple(cells % row
+                             for row in zip(range(self.size), *self.nodes().T.tolist()))
+            object.__setattr__(self, "_prefixes", prefixes)
+        return prefixes
 
 
 @dataclass(frozen=True)
@@ -297,24 +313,47 @@ def write_field_csv(f: ScalarField, path) -> None:
     """Write a field snapshot: header comment, column names, row-major rows."""
     grid = f.grid
     columns = ["index"] + [f"x{a + 1}" for a in range(grid.d)] + ["value"]
-    coords = grid.nodes().T.tolist()
-    rows = zip(range(grid.size), *coords, f.values.ravel().tolist())
     header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
-    write_csv(path, columns, rows, header)
+    values = map(repr, f.values.ravel().tolist())
+    body = "\n".join(map(str.__add__, grid._row_prefixes(), values)) + "\n"
+    write_body(path, columns, body, header)
 
 
 def read_field_csv(path) -> ScalarField:
-    """Read a snapshot written by :func:`write_field_csv`."""
+    """Read a snapshot written by :func:`write_field_csv`.
+
+    A missing or malformed grid header, an index that is not the row's
+    integer position, a value that is not a finite number, or a row count
+    other than the grid's raises :class:`FieldValidationError` naming the
+    file (and the row).
+    """
     header, _, rows = read_csv(path)
     if header is None or header[0] != "grid":
         raise FieldValidationError(f"{path}: missing grid header line")
     meta = header[1]
-    grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
+    try:
+        grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
+    except (KeyError, ValueError, FieldValidationError) as exc:
+        raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
     vals = []
     for count, row in enumerate(rows):
-        if int(row[0]) != count:
+        try:
+            index = int(row[0])
+        except ValueError:
+            raise FieldValidationError(
+                f"{path}: row {count}: index {row[0]!r} is not an integer") from None
+        if index != count:
             raise FieldValidationError(f"{path}: rows out of order at {count}")
-        vals.append(float(row[-1]))
+        try:
+            vals.append(float(row[-1]))
+        except ValueError:
+            raise FieldValidationError(
+                f"{path}: row {count}: value {row[-1]!r} is not a number") from None
     if len(vals) != grid.size:
         raise FieldValidationError(f"{path}: expected {grid.size} rows, got {len(vals)}")
-    return ScalarField(grid, np.array(vals).reshape(grid.shape))
+    values = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FieldValidationError(
+            f"{path}: row {bad[0]}: value {vals[bad[0]]!r} is not finite")
+    return ScalarField(grid, values.reshape(grid.shape))

@@ -40,7 +40,7 @@ import numpy as np
 from . import transport
 from .drifts import DriftField, divergence_bound
 from .errors import BlowUpError, ConfigError, SupportMarginWarning
-from .fields import ScalarField, SpatialGrid, lp_norm, shift_field
+from .fields import ScalarField, SpatialGrid, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
@@ -56,7 +56,6 @@ __all__ = [
     "solve_spde",
     "exact_solution",
     "renormalize_check",
-    "time_continuity_modulus",
 ]
 
 
@@ -443,14 +442,3 @@ def renormalize_check(
     return RenormalizationReport(
         "passed" if ok else "failed", C, slack, sol.times, integrals, envelope
     )
-
-
-def time_continuity_modulus(sol: SpdeSolution, p) -> float:
-    """Largest Lp distance between adjacent snapshots of u."""
-    if len(sol.fields) < 3:
-        raise ConfigError("need at least three snapshots to estimate a modulus")
-    gaps = [
-        lp_norm(sol.fields[m + 1] - sol.fields[m], p)
-        for m in range(len(sol.fields) - 1)
-    ]
-    return float(max(gaps))

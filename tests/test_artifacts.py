@@ -7,6 +7,8 @@ significant digits (0.1 + 0.2 = 0.30000000000000004), so a writer that
 rounds or reformats floats changes the bytes and fails here.
 """
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,6 +66,71 @@ class TestFieldText:
             f"{i},{AXIS[i // 8]},{AXIS[i % 8]},{values[i]}\n" for i in range(64))
         assert text(target) == want
 
+    def test_1d_edge_floats(self, tmp_path):
+        grid = SpatialGrid(1, 4.0, 8)
+        vals = np.array([-0.0, 5e-324, 1e-05, 1e16, 1e22, X17, 0.0, -1.0])
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        assert text(target) == (
+            "# grid d=1 L=4.0 N=8\nindex,x1,value\n"
+            "0,-4.0,-0.0\n1,-3.0,5e-324\n2,-2.0,1e-05\n3,-1.0,1e+16\n"
+            f"4,0.0,1e+22\n5,1.0,{X17_TEXT}\n6,2.0,0.0\n7,3.0,-1.0\n"
+        )
+
+    def test_2d_edge_floats(self, tmp_path):
+        grid = SpatialGrid(2, 4.0, 8)
+        vals = np.zeros((8, 8))
+        vals[0, 1], vals[2, 7], vals[4, 4], vals[6, 0], vals[7, 7] = (
+            -0.0, 5e-324, 1e-05, 1e16, 1e22)
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        values = ["0.0"] * 64
+        values[1], values[23], values[36], values[48], values[63] = (
+            "-0.0", "5e-324", "1e-05", "1e+16", "1e+22")
+        want = "# grid d=2 L=4.0 N=8\nindex,x1,x2,value\n" + "".join(
+            f"{i},{AXIS[i // 8]},{AXIS[i % 8]},{values[i]}\n" for i in range(64))
+        assert text(target) == want
+
+    @pytest.mark.parametrize("d, n", [(2, 128), (1, 256)])
+    def test_bytes_of_the_row_formatter(self, tmp_path, d, n):
+        # the reference formats every cell of every row with str; two fields
+        # on one grid, so the second write reuses the first's prefixes
+        grid = SpatialGrid(d, 4.0, n)
+        rng = np.random.default_rng(5)
+        for k in range(2):
+            vals = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-30, 30, size=grid.shape)
+            vals.ravel()[:5] = [-0.0, 5e-324, 1e-05, 1e16, 1e22]
+            target = tmp_path / f"f{k}.csv"
+            write_field_csv(ScalarField(grid, vals), target)
+            row_format = ",".join(["%s"] * (d + 2)) + "\n"
+            rows = zip(range(grid.size), *grid.nodes().T.tolist(), vals.ravel().tolist())
+            want = (f"# grid d={d} L=4.0 N={n}\n"
+                    + ",".join(["index"] + [f"x{a + 1}" for a in range(d)] + ["value"]) + "\n"
+                    + "".join(row_format % row for row in rows))
+            assert target.read_bytes() == want.encode("utf-8")
+
+    def test_equal_grids_write_identical_files(self, tmp_path):
+        first, second = SpatialGrid(2, 4.0, 16), SpatialGrid(2, 4.0, 16)
+        assert first == second and first is not second
+        vals = np.random.default_rng(7).normal(size=first.shape)
+        write_field_csv(ScalarField(first, vals), tmp_path / "a.csv")
+        write_field_csv(ScalarField(second, vals), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_row_prefixes_are_immutable(self):
+        grid = SpatialGrid(2, 4.0, 8)
+        prefixes = grid._row_prefixes()
+        assert isinstance(prefixes, tuple)
+        assert prefixes[:2] == ("0,-4.0,-4.0,", "1,-4.0,-3.0,")
+        assert grid._row_prefixes() is prefixes
+        with pytest.raises(TypeError):
+            prefixes[0] = "0,0.0,0.0,"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid._prefixes = ()
+        # the cache is not part of the grid's value
+        assert grid == SpatialGrid(2, 4.0, 8)
+        assert hash(grid) == hash(SpatialGrid(2, 4.0, 8))
+
     def test_round_trip_of_pinned_text(self, tmp_path):
         grid = SpatialGrid(2, 4.0, 8)
         vals = np.arange(64.0).reshape(8, 8) / 7.0
@@ -91,6 +158,25 @@ class TestFieldText:
         with pytest.raises(FieldValidationError, match="expected 8 rows, got 7"):
             read_field_csv(target)
 
+    @pytest.mark.parametrize("row, col, cell, named", [
+        (3, 0, "x", "row 3: index 'x' is not an integer"),
+        (3, 0, "3.0", "row 3: index '3.0' is not an integer"),
+        (5, -1, "abc", "row 5: value 'abc' is not a number"),
+        (6, -1, "nan", "row 6: value nan is not finite"),
+        (7, -1, "-inf", "row 7: value -inf is not finite"),
+    ])
+    def test_malformed_cell_rejected(self, tmp_path, row, col, cell, named):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        lines = text(target).splitlines(keepends=True)
+        cells = lines[2 + row].rstrip("\n").split(",")
+        cells[col] = cell
+        lines[2 + row] = ",".join(cells) + "\n"
+        target.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FieldValidationError) as exc:
+            read_field_csv(target)
+        assert str(exc.value) == f"{target}: {named}"
+
     def test_reader_streams_rows(self, tmp_path):
         # a 128^2 field is 16,384 rows; holding each row as a list of
         # strings would take several MB
@@ -113,6 +199,19 @@ class TestFieldText:
         target.write_text("".join(text(target).splitlines(keepends=True)[1:]),
                           encoding="utf-8")
         with pytest.raises(FieldValidationError, match="missing grid header"):
+            read_field_csv(target)
+
+    @pytest.mark.parametrize("header, named", [
+        ("# grid d=1 L=4.0", "bad grid header: 'N'"),
+        ("# grid d=1 L=4.0 N=x", "bad grid header: invalid literal for int()"),
+        ("# grid d=1 L=4.0 N=4", "bad grid header: need at least 8 points per axis"),
+    ], ids=["no-N", "N-not-integer", "N-too-small"])
+    def test_bad_grid_header_rejected(self, tmp_path, header, named):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        lines = text(target).splitlines(keepends=True)
+        target.write_text("".join([header + "\n"] + lines[1:]), encoding="utf-8")
+        with pytest.raises(FieldValidationError, match="^" + re.escape(f"{target}: {named}")):
             read_field_csv(target)
 
 

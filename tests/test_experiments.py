@@ -471,6 +471,13 @@ class TestHypothesesCommand:
         assert result.lines[0].startswith("FAIL hypotheses[")
 
 
+def _with_cell(lines, row, col, cell):
+    """Snapshot ``lines`` with cell ``col`` of data row ``row`` replaced."""
+    cells = lines[2 + row].rstrip("\n").split(",")
+    cells[col] = cell
+    return lines[:2 + row] + [",".join(cells) + "\n"] + lines[3 + row:]
+
+
 class TestCommandLine:
     def write_config(self, tmp_path, raw) -> str:
         p = tmp_path / "config.json"
@@ -567,6 +574,43 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda lines: _with_cell(lines, 5, 0, "x"),
+         "row 5: index 'x' is not an integer"),
+        (lambda lines: _with_cell(lines, 7, -1, "abc"),
+         "row 7: value 'abc' is not a number"),
+        (lambda lines: _with_cell(lines, 9, -1, "nan"),
+         "row 9: value nan is not finite"),
+        (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], "rows out of order at 1"),
+        (lambda lines: lines[:-1], "expected 64 rows, got 63"),
+        (lambda lines: lines[1:], "missing grid header line"),
+    ], ids=["non-integer-index", "non-numeric-value", "non-finite-value",
+            "rows-out-of-order", "missing-rows", "missing-grid-header"])
+    def test_corrupt_snapshot_exits_2(self, tmp_path, capsys, corrupt, named):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        target = out / "u_t0008.csv"
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        target.write_text("".join(corrupt(lines)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["verify-weak", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unreadable snapshot u_t0008.csv:")
+        assert f"{target}: {named}" in err
+        assert not (out / "weak_report.csv").exists()
+
+    def test_undecodable_snapshot_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        (out / "u_t0008.csv").write_bytes(b"# grid d=1 L=4.0 N=64\n\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["verify-weak", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unreadable snapshot u_t0008.csv:")
+        assert "'utf-8' codec can't decode" in err
 
     @pytest.mark.parametrize("overrides, named", [
         ({"d": 3}, "dimension"),

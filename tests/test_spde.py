@@ -41,7 +41,6 @@ from stochtransport.spde import (
     solve_spde,
     solve_spde_batch,
     squared_renormalization,
-    time_continuity_modulus,
 )
 from stochtransport.transport import cfl_number, mollified_drift
 
@@ -271,41 +270,6 @@ class TestRenormalization:
         s = np.array([0.5, 3.0, 9.9, 12.0, -4.0])
         raw = np.minimum(np.abs(s), 10.0) ** 2
         assert np.max(np.abs(beta.beta(s) - raw)) <= 10.0 * 2 * 10.0 * 1e-3 * 2
-
-
-class TestTimeContinuity:
-    def test_frozen_solution_has_zero_modulus(self):
-        g = SpatialGrid(d=1, half_width=4.0, n=128)
-        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
-        w = zero_path(1.0, 128, 1)
-        sol = solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0)
-        assert time_continuity_modulus(sol, 2.0) == 0.0
-
-    def test_pure_noise_modulus_obeys_translation_bound(self):
-        g = SpatialGrid(d=1, half_width=4.0, n=512)
-        prof = bump(1, center=0.0, radius=1.0)
-        u0 = sample_profile(g, prof)
-        path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
-        grad = ScalarField.from_function(
-            g, lambda p: np.abs(prof.gradient(p)[..., 0])
-        )
-        incs = np.abs(np.diff(
-            [eval_path(path, float(t))[0] for t in sol.times]
-        ))
-        bound = lp_norm(grad, 1.0) * float(np.max(incs))
-        modulus = time_continuity_modulus(sol, 1.0)
-        assert 0.5 * bound <= modulus <= 1.02 * bound
-
-    def test_halving_snapshot_spacing_does_not_inflate_modulus(self):
-        g = SpatialGrid(d=1, half_width=4.0, n=512)
-        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
-        path = sample_brownian(24, 1.0, 512, 1)
-        coarse = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0,
-                            n_snapshots=16)
-        fine = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0,
-                          n_snapshots=32)
-        assert time_continuity_modulus(fine, 1.0) <= 1.05 * time_continuity_modulus(coarse, 1.0)
 
 
 def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):

@@ -90,6 +90,9 @@ class TestPathTable:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         w = sample_brownian(24, 1.0, 2048, 1)
         b = power_drift(0.75, scale=-1.0)
+        # an untraced solve first, so one-off process growth (the first
+        # np.unique imports numpy.ma) falls outside the traced window
+        solve_spde(b, w, u0, dt=1.0 / 2048, horizon=1.0)
         tracemalloc.start()
         try:
             solve_spde(b, w, u0, dt=1.0 / 2048, horizon=1.0)
