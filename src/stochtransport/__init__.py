@@ -11,10 +11,9 @@ reproducible runs.
 """
 
 from .drifts import (DriftField, HypothesisReport, check_hypotheses,
-                     constant_drift, divergence_bound, divergence_of,
-                     drift_from_spec, eval_drift, linear_drift, power_drift,
-                     shear_drift, stream_function_drift, time_modulated_drift,
-                     write_hypothesis_csv, zero_drift)
+                     constant_drift, drift_from_spec, eval_drift, linear_drift,
+                     power_drift, shear_drift, stream_function_drift,
+                     time_modulated_drift, write_hypothesis_csv, zero_drift)
 from .errors import (BlowUpError, ConfigError, DriftEvaluationError,
                      FieldValidationError, KernelResolutionError,
                      MeshMismatchError, PathRangeError, StochTransportError,
@@ -29,9 +28,9 @@ from .paths import (SamplePath, eval_path, piecewise_linear_approx,
                     write_path_csv, zero_path)
 from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, sinusoid, step)
-from .spde import (RenormalizationFn, RenormalizationReport, SpdeSolution,
-                   exact_solution, renormalize_check, smoothed_truncated_power,
-                   solve_spde, solve_spde_batch, squared_renormalization)
+from .spde import (RenormalizationReport, SpdeSolution, exact_solution,
+                   renormalize_check, smoothed_truncated_power, solve_spde,
+                   solve_spde_batch)
 from .transport import (cfl_number, characteristics_solve, composed_drift,
                         mollified_drift, path_table, semi_lagrangian_step,
                         upwind_fv_step)
@@ -55,8 +54,8 @@ __all__ = [
     # drifts
     "DriftField", "HypothesisReport", "zero_drift", "constant_drift",
     "linear_drift", "stream_function_drift", "shear_drift", "power_drift",
-    "time_modulated_drift", "drift_from_spec", "eval_drift", "divergence_of",
-    "check_hypotheses", "divergence_bound", "write_hypothesis_csv",
+    "time_modulated_drift", "drift_from_spec", "eval_drift", "check_hypotheses",
+    "write_hypothesis_csv",
     # paths
     "SamplePath", "sample_brownian", "zero_path", "piecewise_linear_approx",
     "eval_path", "sup_distance", "write_path_csv", "read_path_csv",
@@ -65,8 +64,7 @@ __all__ = [
     "upwind_fv_step", "characteristics_solve", "cfl_number",
     # spde
     "SpdeSolution", "solve_spde", "solve_spde_batch", "exact_solution",
-    "RenormalizationFn", "smoothed_truncated_power", "squared_renormalization",
-    "RenormalizationReport", "renormalize_check",
+    "smoothed_truncated_power", "RenormalizationReport", "renormalize_check",
     # weak form
     "TestFunction", "make_test_functions", "WeakResidualSeries",
     "WeakResidualReport", "weak_residual", "write_weak_report_csv",

@@ -51,14 +51,19 @@ def read_csv(path):
     None when the file starts with its column line. ``rows`` is an
     iterator that reads one row at a time, as a list of cells, and
     closes the file when exhausted or discarded. Every cell, header
-    values included, is a string.
+    values included, is a string. A header token without ``=`` raises
+    ``ValueError``.
     """
     lines = _lines(path)
     line = next(lines, "")
     header = None
     if line.startswith("#"):
         tag, _, rest = line[1:].strip().partition(" ")
-        header = (tag, dict(tok.split("=", 1) for tok in rest.split()))
+        pairs = [tok.partition("=") for tok in rest.split()]
+        for key, eq, _ in pairs:
+            if not eq:
+                raise ValueError(f"header token {key!r} is not key=value")
+        header = (tag, {key: value for key, _, value in pairs})
         line = next(lines, "")
     columns = line.split(",") if line else []
     return header, columns, (row.split(",") for row in lines)

@@ -32,9 +32,7 @@ __all__ = [
     "DriftField",
     "HypothesisReport",
     "eval_drift",
-    "divergence_of",
     "check_hypotheses",
-    "divergence_bound",
     "zero_drift",
     "constant_drift",
     "linear_drift",
@@ -88,17 +86,9 @@ def eval_drift(b: DriftField, t: float, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence_of(b: DriftField, t: float, points: np.ndarray, fd_step: float = 1.0e-4):
-    """Divergence of b at given points: the trace of its Jacobian.
-
-    The Jacobian is analytic when ``b.jacobian`` is set, else centered
-    differences with the supplied step (callers pass 1e-4 times the box
-    half width); see :func:`_jacobian_of`.
-    """
-    return np.trace(_jacobian_of(b, t, points, fd_step), axis1=-2, axis2=-1)
-
-
 def _jacobian_of(b: DriftField, t: float, points: np.ndarray, fd_step: float):
+    """The (..., d, d) Jacobian of b, whose trace is div b: analytic when
+    ``b.jacobian`` is set, else centered differences of step ``fd_step``."""
     pts = np.asarray(points, dtype=float)
     if b.jacobian is not None:
         out = np.asarray(b.jacobian(t, pts), dtype=float)
@@ -509,22 +499,6 @@ def check_hypotheses(
         rel_changes=rel_changes,
         divergence_is_exact=b.jacobian is not None,
     )
-
-
-def divergence_bound(b: DriftField, window, horizon: float) -> float:
-    """Trapezoid-in-time integral of the sampled sup of |div b| over the window.
-
-    The sup is taken over a 4096-point lattice at 33 equally spaced times.
-    """
-    win = _window_extent(window, b.d)
-    max_width = max(hi - lo for lo, hi in win)
-    pts = _lattice_points(win, 4096, b.d)
-    times = np.linspace(0.0, horizon, 33)
-    sup_div = np.empty(times.size)
-    for j, t in enumerate(times):
-        div = divergence_of(b, t, pts, fd_step=1.0e-4 * max_width)
-        sup_div[j] = float(np.max(np.abs(div)))
-    return float(np.trapezoid(sup_div, times))
 
 
 def write_hypothesis_csv(report: HypothesisReport, path) -> None:

@@ -184,6 +184,9 @@ class ExperimentConfig:
             raise ConfigError("wz_levels needs at least one level")
         if any(lvl < 1 for lvl in self.wz_levels):
             raise ConfigError("wong-zakai levels must be positive")
+        # The verdict reads the errors as a refining ladder.
+        if any(a >= b for a, b in zip(self.wz_levels, self.wz_levels[1:])):
+            raise ConfigError(f"wz_levels must strictly increase, got {list(self.wz_levels)}")
         # The grid, drift and initial data meet their builders here, once,
         # so a value they reject is a config error and not a failure mid-run.
         try:
@@ -341,16 +344,17 @@ _MANIFEST_COLUMNS = ("seed", "scheme", "N", "dt", "p", "drift_id", "path_kind",
                      "n_level", "config_hash", "tolerance_version")
 
 
-def _manifest_row(cfg: ExperimentConfig, path_kind: str, seed: int,
-                  n_level: int | None) -> dict:
+def _manifest_row(cfg: ExperimentConfig, path: SamplePath, n_level: int | None) -> dict:
+    """One manifest row of a solve driven by ``path``: the seed and kind are
+    the path's own, and a path without a seed gets an empty seed cell."""
     return {
-        "seed": seed,
+        "seed": "" if path.seed is None else path.seed,
         "scheme": cfg.scheme,
         "N": cfg.n,
         "dt": cfg.dt,
         "p": cfg.p,
         "drift_id": cfg.drift_spec.get("id", "?"),
-        "path_kind": path_kind,
+        "path_kind": path.kind,
         "n_level": "" if n_level is None else n_level,
         "config_hash": cfg.config_hash(),
         "tolerance_version": TOLERANCE_VERSION,
@@ -408,7 +412,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
     norms = [(m, t, lp_norm(u, cfg.p))
              for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
     write_csv(os.path.join(out_dir, "norms.csv"), ("m", "t", "lp_norm"), norms)
-    _write_manifest([_manifest_row(cfg, path.kind, seed, None)],
+    _write_manifest([_manifest_row(cfg, path, None)],
                     os.path.join(out_dir, "manifest.csv"))
     result = CommandResult(0)
     result.add(f"solve: wrote {len(sol.fields)} snapshots to {out_dir}")
@@ -509,7 +513,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
                     for t, u in zip(sol.times, sol.fields))
                 for sol in sols
             ))
-        rows.append(_manifest_row(cfg, path.kind, seed, n_level))
+        rows.append(_manifest_row(cfg, path, n_level))
 
     table = ConvergenceTable(tuple(ladder), tuple(errors))
     table.to_csv(os.path.join(out_dir, "crosscheck.csv"))
@@ -569,7 +573,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
             err = max(lp_norm(ua - ub, cfg.p)
                       for ua, ub in zip(sol.fields, ref.fields))
             worst[i] = max(worst[i], err)
-            rows.append(_manifest_row(cfg, "piecewise_linear_bv", s, lvl))
+            rows.append(_manifest_row(cfg, sol.path, lvl))
 
     table = ConvergenceTable(tuple(levels), tuple(worst))
     table.to_csv(os.path.join(out_dir, "wong_zakai.csv"))

@@ -198,12 +198,31 @@ def read_path_csv(file) -> SamplePath:
     """Read a path written by :func:`write_path_csv`.
 
     A file without the header comment reads as a Brownian path with no seed.
+    A header that does not parse, a seed that is not an integer, a row
+    whose cell count differs from the column line's or a ``t`` or ``W``
+    cell that is not a number raises ``ConfigError`` naming the file (and the row).
     """
-    header, _, rows = read_csv(file)
+    try:
+        header, columns, rows = read_csv(file)
+        rows = [row for row in rows if row[0] != ""]
+    except ValueError as exc:  # a malformed header token, or text that is not UTF-8
+        raise ConfigError(f"{file}: {exc}") from None
     meta = {} if header is None else header[1]
     seed = meta.get("seed", "none")
-    rows = [row for row in rows if row[0] != ""]
-    times = [float(row[1]) for row in rows]
-    values = [[float(v) for v in row[2:]] for row in rows]
+    try:
+        seed = None if seed == "none" else int(seed)
+    except ValueError:
+        raise ConfigError(f"{file}: seed {seed!r} is not an integer") from None
+    times, values = [], []
+    for count, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ConfigError(
+                f"{file}: row {count}: {len(row)} cells for {len(columns)} columns")
+        try:
+            t, *w = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"{file}: row {count}: {exc}") from None
+        times.append(t)
+        values.append(w)
     return SamplePath(np.asarray(times), np.asarray(values), meta.get("kind", "brownian"),
-                      seed=None if seed == "none" else int(seed))
+                      seed=seed)

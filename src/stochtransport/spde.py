@@ -23,9 +23,9 @@ finite (``BlowUpError`` names the step and the path) and, path by path,
 that they clear the wrap-around margin, and it builds a ``ScalarField``
 only at the snapshots.
 
-Renormalization checks integrate a truncated power of the unshifted
-field v and compare its growth against the Gronwall envelope driven by
-the time-integrated sup bound on div b.
+Renormalization checks integrate beta(v) of the unshifted field v, for
+any vectorized beta, and compare its growth against the Gronwall envelope
+driven by the divergence bound of ``drifts.check_hypotheses``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import transport
-from .drifts import DriftField, divergence_bound
+from .drifts import EVIDENCE_CEILING, DriftField, check_hypotheses
 from .errors import BlowUpError, ConfigError, SupportMarginWarning
 from .fields import ScalarField, SpatialGrid, shift_field
 from .paths import SamplePath, eval_path
@@ -49,10 +49,8 @@ from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band
 
 __all__ = [
     "SpdeSolution",
-    "RenormalizationFn",
     "RenormalizationReport",
     "smoothed_truncated_power",
-    "squared_renormalization",
     "solve_spde",
     "exact_solution",
     "renormalize_check",
@@ -290,25 +288,14 @@ def exact_solution(b: DriftField, path: SamplePath, u0_profile: Profile, t: floa
 # renormalization
 
 
-@dataclass(frozen=True)
-class RenormalizationFn:
-    """A C^1 function beta with bounded derivative, for composition checks.
+def smoothed_truncated_power(M: float, p: float) -> Callable[[np.ndarray], np.ndarray]:
+    """C^1 regularization beta of s -> (min(|s|, M))^p with blend width 1e-3 * M.
 
-    ``derivative_bound`` is the declared sup of |beta'|.
-    """
-
-    beta: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Callable[[np.ndarray], np.ndarray]
-    derivative_bound: float
-
-
-def smoothed_truncated_power(M: float, p: float) -> RenormalizationFn:
-    """C^1 regularization of s -> (min(|s|, M))^p with blend width 1e-3 * M.
-
-    The raw truncated power has a derivative kink at |s| = M (and at the
-    origin when p = 1); both are replaced by linear-derivative ramps over
-    a band of width delta = 1e-3 * M, which keeps |beta'| below
-    p * M^(p-1) while changing values only within O(delta * M^(p-1)).
+    Returns beta as a plain vectorized function of s. The raw truncated
+    power has a derivative kink at |s| = M (and at the origin when
+    p = 1); both are replaced by linear-derivative ramps over a band of
+    width delta = 1e-3 * M, which keeps |beta'| below p * M^(p-1) while
+    changing values only within O(delta * M^(p-1)).
     """
     if not (M > 0):
         raise ConfigError(f"truncation level must be positive, got {M}")
@@ -327,18 +314,6 @@ def smoothed_truncated_power(M: float, p: float) -> RenormalizationFn:
             out[blend] = M - delta / 2.0 - (M + delta - rb) ** 2 / (4.0 * delta)
             out[r >= M + delta] = M - delta / 2.0
             return out
-
-        def gp(r):
-            out = np.zeros(r.shape)
-            ramp = r < delta
-            mid = (r >= delta) & (r < M - delta)
-            blend = (r >= M - delta) & (r < M + delta)
-            out[ramp] = r[ramp] / delta
-            out[mid] = 1.0
-            out[blend] = (M + delta - r[blend]) / (2.0 * delta)
-            return out
-
-        bound = 1.0
     else:
         slope = p * (M - delta) ** (p - 1.0)
         cap = (M - delta) ** p + slope * delta
@@ -355,38 +330,10 @@ def smoothed_truncated_power(M: float, p: float) -> RenormalizationFn:
             out[r >= M + delta] = cap
             return out
 
-        def gp(r):
-            out = np.zeros(r.shape)
-            power = r < M - delta
-            blend = (r >= M - delta) & (r < M + delta)
-            out[power] = p * r[power] ** (p - 1.0)
-            out[blend] = slope * (M + delta - r[blend]) / (2.0 * delta)
-            return out
-
-        bound = slope
-
     def beta(s):
-        s = np.asarray(s, dtype=float)
-        return g(np.abs(s))
+        return g(np.abs(np.asarray(s, dtype=float)))
 
-    def beta_prime(s):
-        s = np.asarray(s, dtype=float)
-        return np.sign(s) * gp(np.abs(s))
-
-    return RenormalizationFn(beta, beta_prime, bound)
-
-
-def squared_renormalization() -> RenormalizationFn:
-    """beta(s) = s^2, with the derivative bound 200 declared on |s| <= 100."""
-
-    def beta(s):
-        s = np.asarray(s, dtype=float)
-        return s * s
-
-    def beta_prime(s):
-        return 2.0 * np.asarray(s, dtype=float)
-
-    return RenormalizationFn(beta, beta_prime, 200.0)
+    return beta
 
 
 @dataclass(frozen=True)
@@ -407,24 +354,26 @@ class RenormalizationReport:
 
 def renormalize_check(
     sol: SpdeSolution,
-    beta: RenormalizationFn,
+    beta: Callable[[np.ndarray], np.ndarray],
     b: DriftField,
 ) -> RenormalizationReport:
     """Check I(t) = int beta(v(t, x)) dx against I(0) * exp((C + slack) t).
 
-    Uses the solver's unshifted snapshots ``sol.aux_fields``. C is the
-    trapezoid-in-time integral of the sampled sup of |div b| over the
-    box; the slack is 0.1 * C plus a resolution term that vanishes under
-    refinement. When C is not finite or exceeds 1e12 the verdict is
-    "inconclusive", with a NaN slack, rather than a failure.
+    ``beta`` is any vectorized function, such as the one
+    :func:`smoothed_truncated_power` returns, applied to the solver's
+    unshifted snapshots ``sol.aux_fields``. C is the ``div_bound`` of
+    ``drifts.check_hypotheses`` on the box; the slack is 0.1 * C plus a
+    resolution term that vanishes under refinement. When C is not finite
+    or exceeds ``drifts.EVIDENCE_CEILING`` the verdict is "inconclusive",
+    with a NaN slack, rather than a failure.
     """
     if not sol.aux_fields:
         raise ConfigError("solution carries no transport snapshots to renormalize")
     grid = sol.grid
     horizon = float(sol.times[-1])
     window = [(-grid.half_width, grid.half_width)] * grid.d
-    C = divergence_bound(b, window, horizon)
-    if not math.isfinite(C) or C > 1.0e12:
+    C = check_hypotheses(b, math.inf, window, horizon).div_bound
+    if not math.isfinite(C) or C > EVIDENCE_CEILING:
         return RenormalizationReport(
             "inconclusive", C, math.nan, sol.times, np.array([]), np.array([])
         )
@@ -435,7 +384,7 @@ def renormalize_check(
         )
     slack = 0.1 * C + (grid.h / grid.half_width + sol.dt / horizon) / horizon
     integrals = np.array(
-        [float(np.sum(beta.beta(f.values))) * grid.cell_volume for f in sol.aux_fields]
+        [float(np.sum(beta(f.values))) * grid.cell_volume for f in sol.aux_fields]
     )
     envelope = integrals[0] * np.exp((C + slack) * sol.times)
     ok = bool(np.all(integrals <= envelope * (1.0 + 1.0e-12)))

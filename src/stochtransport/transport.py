@@ -27,8 +27,9 @@ b by its convolution with a bump kernel of radius 2h, computed once per
 batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
 delta * k for integer k) that covers the box, the largest path excursion
 of the batch and the RK4 stage displacements, with the kernel
-``profiles.bump`` sampled on that lattice; every velocity call is then a
-table lookup, in 2D by the 4 x 4 window read of the grid fields.
+``profiles.bump`` sampled on that lattice. The tables hold drift values
+only, no derivatives; every velocity call is then a table lookup, in 2D
+by the 4 x 4 window read of the grid fields.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. A
 time-modulated drift g(t) * b(x) is tabulated through b and scaled by
@@ -144,9 +145,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     time-modulated field g(t) * b(x) (see ``DriftField.factors``) is
     tabulated through b and scaled by g(t) per call, since mollifying
     commutes with the gain; any other time-dependent field is rejected
-    with ``ConfigError``. The Jacobian
-    rule is the central difference of the tables. The result is marked
-    ``smooth``, so a solver steps it as it is.
+    with ``ConfigError``. The tables hold values only, so the result states
+    no Jacobian; it is marked ``smooth``, so a solver steps it as it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -165,15 +165,10 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
     kernel = _bump_kernel(d, epsilon, delta)
     smooth = [_convolve_nearest(samples[..., a], kernel) for a in range(d)]
-    # Differentiating the tables never evaluates the base Jacobian, which
-    # may be singular on a lattice node (|x|^(alpha-1) at x = 0).
-    slopes = [np.gradient(c, delta, axis=a) for c in smooth for a in range(d)]
-    if d == 1:
-        values, jac_values = smooth[0], slopes[0]
-    else:  # component tables stacked channel first, (channels, 2K + 1, 2K + 1)
-        values, jac_values = np.stack(smooth), np.stack(slopes)
+    # 1D: one table; 2D: the component tables channel first, (2, 2K + 1, 2K + 1)
+    table = smooth[0] if d == 1 else np.stack(smooth)
 
-    def read(table, t, points):
+    def fn(t, points):
         pts = np.asarray(points, dtype=float)
         if np.abs(pts).max(initial=0.0) > reach:
             raise BlowUpError(f"mollified drift queried at |x_i| > {reach}, beyond its table")
@@ -187,14 +182,7 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
             out = out.T.reshape(pts.shape[:-1] + (table.shape[0],))
         return out if gain is None else gain(t) * out
 
-    def fn(t, points):
-        return read(values, t, points)
-
-    def jacobian(t, points):
-        return read(jac_values, t, points).reshape(np.shape(points)[:-1] + (d, d))
-
-    return DriftField(f"{b.id}~eps", d, fn, jacobian, smooth=True,
-                      time_dependent=b.time_dependent)
+    return DriftField(f"{b.id}~eps", d, fn, smooth=True, time_dependent=b.time_dependent)
 
 
 def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:

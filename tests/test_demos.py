@@ -2,7 +2,8 @@
 
 Each demo runs to completion in its own interpreter, with ``src`` on
 ``PYTHONPATH`` (about 20 s for all six). Each is also parsed: every
-``st.<name>`` must be in ``stochtransport.__all__``, and every ``from
+``st.<name>`` must be in ``stochtransport.__all__``, as must every
+``st.<name>`` the README mentions, and every ``from
 stochtransport.<module> import <name>`` must resolve. Every name in the
 package's and each module's ``__all__`` must resolve too, the README's
 code fences must pair up, and no module imports a name it never uses.
@@ -54,6 +55,15 @@ def test_every_public_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_readme_names_are_public():
+    # A name deleted from the package must leave the README with it.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\bst\.([A-Za-z_]\w*)", text))
+    assert named, "README.md names no st.<name>"
+    missing = sorted(named - set(stochtransport.__all__))
+    assert not missing, f"README.md names st.<name> outside stochtransport.__all__: {missing}"
 
 
 def test_readme_code_fences_pair_up():

@@ -14,8 +14,6 @@ from stochtransport.drifts import (
     STABILITY_RTOL,
     check_hypotheses,
     constant_drift,
-    divergence_bound,
-    divergence_of,
     drift_from_spec,
     eval_drift,
     linear_drift,
@@ -25,12 +23,18 @@ from stochtransport.drifts import (
     time_modulated_drift,
     write_hypothesis_csv,
     zero_drift,
+    _central_jacobian,
     _jacobian_of,
 )
 
 
 BOX2 = [(-4.0, 4.0), (-4.0, 4.0)]
 BOX1 = [(-1.0, 1.0)]
+
+
+def divergence(b, t, pts, fd_step=1e-4):
+    """The divergence the checker reads: the trace of the drift's Jacobian."""
+    return np.trace(_jacobian_of(b, t, pts, fd_step), axis1=-2, axis2=-1)
 
 
 class TestCatalogEvaluation:
@@ -77,24 +81,24 @@ class TestDivergence:
     def test_constant_is_divergence_free(self):
         b = constant_drift([2.0, -1.0])
         pts = np.array([[0.5, 0.5], [-1.0, 2.0]])
-        assert np.all(divergence_of(b, 0.0, pts) == 0.0)
+        assert np.all(divergence(b, 0.0, pts) == 0.0)
 
     def test_linear_contraction(self):
         b = linear_drift([[-1.0]])
-        assert float(divergence_of(b, 0.0, np.array([[1.5]]))[0]) == -1.0
+        assert float(divergence(b, 0.0, np.array([[1.5]]))[0]) == -1.0
 
     def test_stream_field_analytic_divergence(self):
         b = stream_function_drift(4.0)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-4.0, 4.0, size=(300, 2))
-        assert float(np.max(np.abs(divergence_of(b, 0.0, pts)))) <= 1e-8
+        assert float(np.max(np.abs(divergence(b, 0.0, pts)))) <= 1e-8
 
     def test_stream_field_finite_difference_divergence(self):
         full = stream_function_drift(4.0)
         bare = type(full)(id=full.id, d=2, fn=full.fn, jacobian=None, smooth=full.smooth)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-4.0, 4.0, size=(300, 2))
-        assert float(np.max(np.abs(divergence_of(bare, 0.0, pts)))) <= 1e-5
+        assert float(np.max(np.abs(divergence(bare, 0.0, pts)))) <= 1e-5
 
     @pytest.mark.parametrize("b", [
         zero_drift(2),
@@ -107,22 +111,26 @@ class TestDivergence:
         time_modulated_drift(stream_function_drift(4.0), "ramp", 1.0),
     ], ids=lambda b: b.id)
     def test_divergence_is_trace_of_jacobian(self, b):
+        # the checker reads the drift's analytic Jacobian, whose trace is
+        # the divergence of b itself
         rng = np.random.default_rng(8)
         pts = rng.uniform(-4.0, 4.0, size=(200, b.d))
         for t in (0.0, 0.4):
             jac = _jacobian_of(b, t, pts, fd_step=1e-4)
             assert jac.shape == (200, b.d, b.d)
-            assert np.array_equal(divergence_of(b, t, pts),
-                                  np.trace(jac, axis1=-2, axis2=-1))
+            assert np.array_equal(divergence(b, t, pts),
+                                  np.trace(b.jacobian(t, pts), axis1=-2, axis2=-1))
+            central = np.trace(_central_jacobian(b, t, pts, 1e-4), axis1=-2, axis2=-1)
+            assert np.allclose(divergence(b, t, pts), central, rtol=1e-5, atol=1e-6)
 
     def test_stream_divergence_is_exactly_zero(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-4.0, 4.0, size=(500, 2))
-        assert np.all(divergence_of(stream_function_drift(4.0, 1.7), 0.0, pts) == 0.0)
+        assert np.all(divergence(stream_function_drift(4.0, 1.7), 0.0, pts) == 0.0)
 
     def test_divergence_bound_of_linear_contraction(self):
         # sup |div b| = 1 at every time, so the time integral over [0,1] is 1
-        C = divergence_bound(linear_drift([[-1.0]]), [(-8.0, 8.0)], 1.0)
+        C = check_hypotheses(linear_drift([[-1.0]]), np.inf, [(-8.0, 8.0)], 1.0).div_bound
         assert C == pytest.approx(1.0, abs=1e-12)
 
 
@@ -236,4 +244,4 @@ class TestZeroDrift:
         b = zero_drift(2)
         pts = np.array([[1.0, 2.0], [0.0, 0.0]])
         assert np.all(eval_drift(b, 0.5, pts) == 0.0)
-        assert np.all(divergence_of(b, 0.5, pts) == 0.0)
+        assert np.all(divergence(b, 0.5, pts) == 0.0)

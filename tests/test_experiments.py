@@ -651,6 +651,57 @@ class TestCommandLine:
         assert err.startswith("config error:")
         assert named in err
 
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda lines: _with_cell(lines, 3, 1, "abc"),
+         "row 3: could not convert string to float: 'abc'"),
+        (lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0] + "\n"] + lines[8:],
+         "row 5: 2 cells for 3 columns"),
+        (lambda lines: [lines[0].replace("seed=3", "seed=x")] + lines[1:],
+         "seed 'x' is not an integer"),
+        (lambda lines: [lines[0].rstrip("\n") + " junk\n"] + lines[1:],
+         "header token 'junk' is not key=value"),
+    ], ids=["non-numeric-t", "missing-W1", "non-integer-seed", "token-without-equals"])
+    def test_corrupt_path_csv_exits_2(self, tmp_path, capsys, corrupt, named):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        target = out / "path.csv"
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        target.write_text("".join(corrupt(lines)), encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["verify-weak", "--out", str(out)],
+                     ["solve", "--out", str(tmp_path / "replay"), "--path-file", str(target)]):
+            assert main(argv[:1] + ["--config", config] + argv[1:]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert f"{target}: {named}" in err
+
+    @pytest.mark.parametrize("levels", [[16, 8, 4, 2], [4, 4, 4, 4]],
+                             ids=["decreasing", "repeated"])
+    def test_wz_levels_that_do_not_increase_exit_2(self, tmp_path, capsys, levels):
+        config = self.write_config(tmp_path, base_dict(wz_levels=levels))
+        assert main(["wong-zakai", "--config", config, "--out", str(tmp_path / "wz")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: wz_levels must strictly increase, got {levels}")
+
+    def test_manifest_seed_is_the_driving_paths(self, tmp_path):
+        # a seed-7 path replayed under the config's seed 3 is attributed to
+        # seed 7; the same knots without the header comment have no seed
+        config = self.write_config(tmp_path, base_dict())
+        drawn = tmp_path / "drawn"
+        assert main(["solve", "--config", config, "--out", str(drawn), "--seed", "7"]) == 0
+        lines = (drawn / "path.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == "# path kind=brownian seed=7\n"
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(lines[1:]), encoding="utf-8")
+        for path_file, seed in ((drawn / "path.csv", "7"), (bare, "")):
+            for command in ("solve", "uniqueness", "wong-zakai"):
+                out = tmp_path / f"{command}-{seed or 'none'}"
+                assert main([command, "--config", config, "--out", str(out),
+                             "--path-file", str(path_file)]) in (0, 1)
+                rows = (out / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]
+                assert rows and {row.split(",")[0] for row in rows} == {seed}
+
     def test_empty_wz_levels_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(wz_levels=[]))
         assert main(["wong-zakai", "--config", config, "--out", str(tmp_path / "wz")]) == 2

@@ -18,10 +18,12 @@ from stochtransport import transport as transport_module
 from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
 from stochtransport.drifts import (
     DriftField,
+    check_hypotheses,
     constant_drift,
     eval_drift,
     linear_drift,
     power_drift,
+    shear_drift,
     stream_function_drift,
     zero_drift,
 )
@@ -40,7 +42,6 @@ from stochtransport.spde import (
     smoothed_truncated_power,
     solve_spde,
     solve_spde_batch,
-    squared_renormalization,
 )
 from stochtransport.transport import cfl_number, mollified_drift
 
@@ -211,7 +212,7 @@ class TestRenormalization:
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 128, 2)
         sol = solve_spde(b, path, u0, dt=1.0 / 128, horizon=1.0)
-        rep = renormalize_check(sol, squared_renormalization(), b)
+        rep = renormalize_check(sol, lambda s: s * s, b)
         assert rep.passed
         assert rep.div_bound == 0.0
         drift = float(np.max(np.abs(rep.integrals - rep.integrals[0])))
@@ -222,7 +223,7 @@ class TestRenormalization:
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 64, 2)
         sol = solve_spde(b, path, ScalarField.zeros(g), dt=1.0 / 64, horizon=1.0)
-        rep = renormalize_check(sol, squared_renormalization(), b)
+        rep = renormalize_check(sol, lambda s: s * s, b)
         assert np.all(rep.integrals == 0.0)
 
     def test_contraction_decays_mass_at_unit_rate(self):
@@ -246,30 +247,51 @@ class TestRenormalization:
         g = SpatialGrid(d=1, half_width=4.0, n=64)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         sol = solve_spde(zero_drift(1), zero_path(1.0, 64, 1), u0, dt=1.0 / 64, horizon=1.0)
-        rep = renormalize_check(sol, squared_renormalization(), linear_drift([[2e12]]))
+        rep = renormalize_check(sol, lambda s: s * s, linear_drift([[2e12]]))
         assert rep.status == "inconclusive"
         assert not rep.passed
         assert rep.div_bound == 2e12
         assert math.isnan(rep.slack)
 
+    @pytest.mark.parametrize("b", [
+        linear_drift([[-1.0]]), stream_function_drift(4.0), shear_drift(4.0),
+    ], ids=lambda b: b.id)
+    def test_gronwall_constant_is_the_hypotheses_div_bound(self, b):
+        g = SpatialGrid(d=b.d, half_width=4.0, n=32)
+        u0 = sample_profile(g, bump(b.d, radius=1.2))
+        sol = solve_spde(b, zero_path(1.0, 64, b.d), u0, dt=1.0 / 64, horizon=1.0)
+        rep = renormalize_check(sol, lambda s: s * s, b)
+        box = [(-4.0, 4.0)] * b.d
+        assert rep.div_bound == check_hypotheses(b, math.inf, box, 1.0).div_bound
+
     def test_smoothed_power_is_c1_with_declared_bound(self):
-        # a centered difference with h far below the blend width exposes
-        # any remaining derivative jump as an O(jump) error
-        h = 1e-7
+        # Difference quotients of beta alone, with steps far below the blend
+        # width delta = 1e-2. A derivative jump J at s shows as a gap J
+        # between the forward and backward quotients there, at every step;
+        # for a C^1 beta the gap is O(h sup|beta''|), and the centered
+        # quotients of the two steps agree. The samples include the kinks
+        # of the raw truncated power and the ends of every blend band.
+        M, delta = 10.0, 1e-2
+        edges = np.array([0.0, delta, M - delta, M, M + delta])
+        s = np.concatenate([np.linspace(-15.0, 15.0, 30001), edges, -edges])
         for p in (1.0, 2.0):
-            beta = smoothed_truncated_power(M=10.0, p=p)
-            s = np.linspace(-15.0, 15.0, 30001)
-            num = (beta.beta(s + h) - beta.beta(s - h)) / (2.0 * h)
-            ana = beta.beta_prime(s)
-            assert float(np.max(np.abs(num - ana))) <= 1e-3 * beta.derivative_bound
-            assert float(np.max(np.abs(ana))) <= beta.derivative_bound * (1 + 1e-12)
-            assert beta.beta(np.array([0.0]))[0] <= 1e-2
+            beta = smoothed_truncated_power(M=M, p=p)
+            bound = p * M ** (p - 1.0)
+            centered = []
+            for h in (1e-6, 2e-6):
+                fwd = (beta(s + h) - beta(s)) / h
+                bwd = (beta(s) - beta(s - h)) / h
+                assert float(np.max(np.abs(fwd - bwd))) <= 1e-3 * bound
+                centered.append(0.5 * (fwd + bwd))
+            assert float(np.max(np.abs(centered[0] - centered[1]))) <= 1e-3 * bound
+            assert float(np.max(np.abs(centered[0]))) <= bound * (1 + 1e-6)
+            assert beta(np.array([0.0]))[0] <= 1e-2
 
     def test_smoothed_power_tracks_raw_truncation(self):
         beta = smoothed_truncated_power(M=10.0, p=2.0)
         s = np.array([0.5, 3.0, 9.9, 12.0, -4.0])
         raw = np.minimum(np.abs(s), 10.0) ** 2
-        assert np.max(np.abs(beta.beta(s) - raw)) <= 10.0 * 2 * 10.0 * 1e-3 * 2
+        assert np.max(np.abs(beta(s) - raw)) <= 10.0 * 2 * 10.0 * 1e-3 * 2
 
 
 def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
