@@ -25,7 +25,7 @@ def main() -> None:
         grid = st.SpatialGrid(1, 4.0, n)
         u0 = st.sample_profile(grid, profile)
         for scheme, sink in errors.items():
-            sol = st.solve_spde(b, path, u0, dt=1.0 / 2048, horizon=1.0, scheme=scheme)
+            sol = st.solve_spde(b, path, u0, scheme=scheme)
             sink.append(max(
                 st.lp_norm(u - st.exact_solution(b, path, profile, t, grid), 1.0)
                 for t, u in zip(sol.times, sol.fields)))

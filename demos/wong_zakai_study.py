@@ -17,7 +17,7 @@ def main() -> None:
     levels = (4, 8, 16, 32, 64, 128, 256, 2048)
     approxes = [st.piecewise_linear_approx(path, level) for level in levels]
     # the reference and every level march together, as one batch
-    ref, *sols = st.solve_spde_batch(b, [path] + approxes, u0, dt=1.0 / 2048, horizon=1.0)
+    ref, *sols = st.solve_spde_batch(b, [path] + approxes, u0)
     u0_norm = st.lp_norm(u0, 2.0)
 
     print(f"{'knots':>6} {'sup |B_n - B|':>14} {'sup-t L2 error':>15}")

@@ -29,7 +29,8 @@ from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_fie
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .spde import SpdeSolution, _step_list, exact_solution, solve_spde, solve_spde_batch
+from .spde import (SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde,
+                   solve_spde_batch)
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _step_count, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
@@ -53,10 +54,6 @@ TOLERANCE_VERSION = "1"
 
 #: Normalized weak-residual threshold for the verify-weak command.
 DEFAULT_WEAK_TOL = 0.05
-
-#: Snapshot intervals of a ``solve`` run: it writes, and ``verify-weak``
-#: reads, the snapshots u_t0000.csv to u_t0016.csv.
-_SNAPSHOT_INTERVALS = 16
 
 #: Wong-Zakai: the finest-level error must stay below this fraction of |u0|_p.
 WZ_FINAL_TOL = 0.05
@@ -401,10 +398,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
     _ensure_dir(out_dir)
     path = cfg.path(seed, path_file)
     u0 = cfg.u0()
-    sol = solve_spde(
-        cfg.drift(), path, u0, cfg.dt, cfg.horizon,
-        scheme=cfg.scheme, n_snapshots=_SNAPSHOT_INTERVALS, mollify_epsilon=cfg.mollify_eps,
-    )
+    sol = solve_spde(cfg.drift(), path, u0, scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
     for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
         write_field_csv(v, os.path.join(out_dir, f"v_t{m:04d}.csv"))
@@ -425,7 +419,7 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     to u_t0016.csv, written under this config, and the path.csv that drove
     them, which must match the config as a ``--path-file`` replay must. A
     snapshot that does not read back as a field is a ``ConfigError``."""
-    names = [f"u_t{m:04d}.csv" for m in range(_SNAPSHOT_INTERVALS + 1)]
+    names = [f"u_t{m:04d}.csv" for m in range(SNAPSHOT_INTERVALS + 1)]
     found = {os.path.basename(f) for f in glob.glob(os.path.join(out_dir, "u_t*.csv"))}
     if not found:
         raise ConfigError(f"no run artifacts under {out_dir} "
@@ -458,7 +452,7 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
             fields.append(read_field_csv(os.path.join(out_dir, name)))
         except (FieldValidationError, OSError, ValueError) as exc:
             raise ConfigError(f"unreadable snapshot {name}: {exc}") from None
-    times = np.linspace(0.0, cfg.horizon, _SNAPSHOT_INTERVALS + 1)
+    times = np.linspace(0.0, path.horizon, SNAPSHOT_INTERVALS + 1)
     return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
 
 
@@ -500,8 +494,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
     for n_level in ladder:
         grid = SpatialGrid(cfg.d, cfg.half_width, n_level)
         u0 = sample_profile(grid, profile)
-        sols = [solve_spde(b, path, u0, cfg.dt, cfg.horizon, scheme=scheme,
-                           mollify_epsilon=cfg.mollify_eps)
+        sols = [solve_spde(b, path, u0, scheme=scheme, mollify_epsilon=cfg.mollify_eps)
                 for scheme in SCHEMES]
         for scheme, sol in zip(SCHEMES, sols):
             notes += _support_lines("uniqueness", f" in the N={n_level} {scheme} solve", sol)
@@ -564,7 +557,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
         # The reference and every level march together, as one batch.
         ref, *sols = solve_spde_batch(
             b, [path] + [piecewise_linear_approx(path, lvl) for lvl in levels], u0,
-            cfg.dt, cfg.horizon, scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
+            scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
         notes += _support_lines(
             "wong-zakai", f" in the seed {s} reference {cfg.scheme} solve", ref)
         for i, (lvl, sol) in enumerate(zip(levels, sols)):

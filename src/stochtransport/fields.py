@@ -202,7 +202,7 @@ def _cubic_weights(theta: np.ndarray) -> np.ndarray:
     return np.stack([w_m1, w_0, w_p1, w_p2], axis=-1)
 
 
-def interpolate(f: ScalarField, points, clamp: bool = False):
+def interpolate(f: ScalarField, points):
     """Evaluate a field at arbitrary points by periodic cubic interpolation.
 
     The tensor-product 4-point Lagrange stencil reproduces cubic
@@ -213,10 +213,6 @@ def interpolate(f: ScalarField, points, clamp: bool = False):
     f : ScalarField
     points : array_like
         Query points of shape (d,) or (..., d); wrapped into the box.
-    clamp : bool
-        Clamp each interpolated value to the range of its local stencil.
-        Used by the semi-Lagrangian stepper to enforce a discrete maximum
-        principle; off by default since clamping breaks cubic exactness.
 
     Returns
     -------
@@ -231,7 +227,7 @@ def interpolate(f: ScalarField, points, clamp: bool = False):
         raise FieldValidationError(
             f"points have dimension {pts.shape[-1]}, grid has dimension {grid.d}"
         )
-    out = _cubic_read(grid, f.values[None], pts.reshape(1, -1, grid.d), clamp)
+    out = _cubic_read(grid, f.values[None], pts.reshape(1, -1, grid.d), clamp=False)
     out = out.reshape(pts.shape[:-1])
     return float(out[0]) if single else out
 
@@ -243,7 +239,9 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     ``values`` has shape (P, *grid.shape) and ``pts`` (P, Q, d): row p of
     the points reads field p. Returns shape (P, Q). The P fields are read
     as one stack along the first axis, by the same arithmetic whatever P
-    is.
+    is. ``clamp`` clips each value to the range of its stencil: the
+    semi-Lagrangian stepper's discrete maximum principle, at the price of
+    cubic exactness.
 
     The stack is wrap-padded once, by 1 node before and 2 after on each
     spatial axis, so every stencil is a 4-node window of it per axis and

@@ -198,14 +198,16 @@ def read_path_csv(file) -> SamplePath:
     """Read a path written by :func:`write_path_csv`.
 
     A file without the header comment reads as a Brownian path with no seed.
-    A header that does not parse, a seed that is not an integer, a row
-    whose cell count differs from the column line's or a ``t`` or ``W``
-    cell that is not a number raises ``ConfigError`` naming the file (and the row).
+    A file that cannot be read, a header that does not parse, a seed that
+    is not an integer, a row whose cell count differs from the column
+    line's, a ``k`` cell that is not the row's integer position or a ``t``
+    or ``W`` cell that is not a number raises ``ConfigError`` naming the
+    file (and the row).
     """
     try:
         header, columns, rows = read_csv(file)
         rows = [row for row in rows if row[0] != ""]
-    except ValueError as exc:  # a malformed header token, or text that is not UTF-8
+    except (OSError, ValueError) as exc:  # no such file, a malformed header token, not UTF-8
         raise ConfigError(f"{file}: {exc}") from None
     meta = {} if header is None else header[1]
     seed = meta.get("seed", "none")
@@ -219,9 +221,12 @@ def read_path_csv(file) -> SamplePath:
             raise ConfigError(
                 f"{file}: row {count}: {len(row)} cells for {len(columns)} columns")
         try:
+            k = int(row[0])
             t, *w = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise ConfigError(f"{file}: row {count}: {exc}") from None
+        if k != count:
+            raise ConfigError(f"{file}: row {count}: k={k} is not the row's position")
         times.append(t)
         values.append(w)
     return SamplePath(np.asarray(times), np.asarray(values), meta.get("kind", "brownian"),

@@ -12,8 +12,9 @@ driving path: a Brownian draw, the zero path, and the bounded-variation
 interpolants that the Wong-Zakai approximation study feeds in. It takes
 a batch of P paths on one grid, drift and initial field and steps them
 together, with a leading path axis on every array; ``solve_spde`` is its
-one-path case. Each path's result is the same, bit for bit, whether it
-is solved alone or in any batch.
+one-path case. The paths set the clock: a batch marches to their common
+horizon T in their common K steps of T / K. Each path's result is the
+same, bit for bit, whether it is solved alone or in any batch.
 
 The paths are evaluated once per batch, at every RK4 stage time and
 every snapshot time (``transport.path_table``), and a rough drift is
@@ -44,7 +45,7 @@ from .fields import ScalarField, SpatialGrid, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
-                        _stage_times, _step_count, _support_hits_margin, cfl_number,
+                        _stage_times, _support_hits_margin, cfl_number,
                         composed_drift, mollified_drift, path_table)
 
 __all__ = [
@@ -55,6 +56,10 @@ __all__ = [
     "exact_solution",
     "renormalize_check",
 ]
+
+#: Snapshot intervals of every solve: its snapshots sit at
+#: linspace(0, T, SNAPSHOT_INTERVALS + 1), and K must be a multiple of it.
+SNAPSHOT_INTERVALS = 16
 
 
 @dataclass(frozen=True)
@@ -101,32 +106,31 @@ def solve_spde(
     b: DriftField,
     path: SamplePath,
     u0: ScalarField,
-    dt: float,
-    horizon: float,
     scheme: str = "semi_lagrangian",
-    n_snapshots: int = 16,
     mollify_epsilon: float | None = None,
 ) -> SpdeSolution:
     """Solve the transport SPDE along one Brownian, zero or bounded-variation path.
 
     The one-path case of :func:`solve_spde_batch`, which documents the
-    parameters, the mollifier policy and the errors.
+    parameters, the clock, the mollifier policy and the errors.
     """
-    return solve_spde_batch(b, (path,), u0, dt, horizon, scheme, n_snapshots,
-                            mollify_epsilon)[0]
+    return solve_spde_batch(b, (path,), u0, scheme, mollify_epsilon)[0]
 
 
 def solve_spde_batch(
     b: DriftField,
     paths,
     u0: ScalarField,
-    dt: float,
-    horizon: float,
     scheme: str = "semi_lagrangian",
-    n_snapshots: int = 16,
     mollify_epsilon: float | None = None,
 ) -> tuple[SpdeSolution, ...]:
     """Solve the transport SPDE along each path of a batch, in one march.
+
+    The paths set the clock: the march runs to T = ``paths[0].horizon``
+    in K = ``paths[0].n_steps`` steps of dt = T / K, and every path of the
+    batch must have the same T and K. K must be a multiple of
+    ``SNAPSHOT_INTERVALS``; the snapshots are taken at
+    ``linspace(0, T, SNAPSHOT_INTERVALS + 1)``.
 
     Marches v for every path at once, values of shape (P, *grid.shape),
     with the path-shifted drift, and translates each snapshot by its path
@@ -140,11 +144,8 @@ def solve_spde_batch(
     Parameters
     ----------
     b, paths, u0
-        Drift field, a non-empty sequence of frozen driving paths (each
-        defined on at least [0, horizon]), and the initial data they share.
-    dt, horizon
-        Uniform step and final time; dt must divide the snapshot spacing
-        horizon / n_snapshots.
+        Drift field, a non-empty sequence of frozen driving paths, and the
+        initial data they share.
     scheme : {"semi_lagrangian", "upwind_fv"}
         The upwind scheme additionally requires dt * sup|b| / h <= 0.9,
         estimated on the grid nodes at the snapshot times, for every path.
@@ -168,9 +169,10 @@ def solve_spde_batch(
     Raises
     ------
     ConfigError
-        Mesh mismatches, an empty batch, CFL violation, unknown scheme, a
-        sub-grid mollifier radius, a non-separable time-dependent drift to
-        smooth.
+        Paths of differing horizon or step count, a step count that is not
+        a multiple of ``SNAPSHOT_INTERVALS``, a dimension mismatch, an empty
+        batch, CFL violation, unknown scheme, a sub-grid mollifier radius,
+        a non-separable time-dependent drift to smooth.
     BlowUpError
         Non-finite values after a marching step, naming the step and the
         path, or a drift query beyond the mollifier table.
@@ -181,23 +183,21 @@ def solve_spde_batch(
         raise ConfigError("a batch needs at least one path")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if not (horizon > 0):
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    horizon, n_steps = paths[0].horizon, paths[0].n_steps
     for path in paths:
         if b.d != grid.d or path.d != grid.d:
             raise ConfigError(
                 f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
             )
-        if path.horizon < horizon * (1.0 - 1.0e-12):
+        if (path.horizon, path.n_steps) != (horizon, n_steps):
             raise ConfigError(
-                f"path horizon {path.horizon} does not cover the run horizon {horizon}"
-            )
-    n_steps = _step_count(dt, horizon)
-    if n_snapshots < 1 or n_steps % n_snapshots != 0:
-        raise ConfigError(
-            f"{n_steps} steps cannot be grouped into {n_snapshots} equal snapshot intervals"
-        )
-    stride = n_steps // n_snapshots
+                f"the paths of a batch share one clock: horizon {path.horizon} in "
+                f"{path.n_steps} steps against {horizon} in {n_steps}")
+    if n_steps % SNAPSHOT_INTERVALS != 0:
+        raise ConfigError(f"{n_steps} steps cannot be grouped into {SNAPSHOT_INTERVALS} "
+                          "equal snapshot intervals")
+    dt = horizon / n_steps
+    stride = n_steps // SNAPSHOT_INTERVALS
 
     eps: float | None
     if mollify_epsilon is None:
@@ -207,7 +207,7 @@ def solve_spde_batch(
     else:
         eps = float(mollify_epsilon)
         _check_mollify_radius(eps, grid.h)
-    times = np.linspace(0.0, horizon, n_snapshots + 1)
+    times = np.linspace(0.0, horizon, SNAPSHOT_INTERVALS + 1)
     # Every time the march reads the paths: the RK4 stage times of each step
     # (upwind reads the last of them, the step's start) and the snapshot times.
     table = path_table(paths, np.concatenate(_stage_times(np.arange(n_steps) * dt, dt)

@@ -7,7 +7,7 @@ import numpy as np
 
 from stochtransport.fields import ScalarField
 from stochtransport.paths import eval_path
-from stochtransport.spde import SpdeSolution
+from stochtransport.spde import SNAPSHOT_INTERVALS, SpdeSolution
 
 
 def tree_digest(root) -> dict:
@@ -19,7 +19,7 @@ def tree_digest(root) -> dict:
     return out
 
 
-def closed_form_translation(grid, profile, path, n_snapshots):
+def closed_form_translation(grid, profile, path, n_snapshots=SNAPSHOT_INTERVALS):
     """Analytic pure-noise solution u(t, x) = u0(x - W(t)) on snapshot times."""
     times = np.linspace(0.0, path.horizon, n_snapshots + 1)
     fields = []

@@ -471,6 +471,13 @@ class TestHypothesesCommand:
         assert result.lines[0].startswith("FAIL hypotheses[")
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _with_cell(lines, row, col, cell):
     """Snapshot ``lines`` with cell ``col`` of data row ``row`` replaced."""
     cells = lines[2 + row].rstrip("\n").split(",")
@@ -514,17 +521,13 @@ class TestCommandLine:
             "from stochtransport.spde import solve_spde",
             "from stochtransport.transport import mollified_drift",
             "u0 = sample_profile(SpatialGrid(1, 4.0, 64), bump(1, center=0.0, radius=1.2))",
-            "sol = solve_spde(power_drift(0.75, scale=-1.0), sample_brownian(3, 0.25, 32, 1),",
-            "                 u0, 0.25 / 32, 0.25)",
+            "sol = solve_spde(power_drift(0.75, scale=-1.0), sample_brownian(3, 0.25, 32, 1), u0)",
             "assert sol.mollify_epsilon > 0",
             "mollified_drift(stream_function_drift(4.0), 0.5, reach=5.0)",
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
         ])
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, env=env, check=True)
+                             text=True, env=_src_env(), check=True)
         assert out.stdout.strip() == "[]"
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -660,7 +663,11 @@ class TestCommandLine:
          "seed 'x' is not an integer"),
         (lambda lines: [lines[0].rstrip("\n") + " junk\n"] + lines[1:],
          "header token 'junk' is not key=value"),
-    ], ids=["non-numeric-t", "missing-W1", "non-integer-seed", "token-without-equals"])
+        (lambda lines: _with_cell(lines, 0, 0, "x"),
+         "row 0: invalid literal for int() with base 10: 'x'"),
+        (lambda lines: _with_cell(lines, 1, 0, "7"), "row 1: k=7 is not the row's position"),
+    ], ids=["non-numeric-t", "missing-W1", "non-integer-seed", "token-without-equals",
+            "non-integer-k", "k-out-of-place"])
     def test_corrupt_path_csv_exits_2(self, tmp_path, capsys, corrupt, named):
         config = self.write_config(tmp_path, base_dict())
         out = tmp_path / "run"
@@ -675,6 +682,17 @@ class TestCommandLine:
             err = capsys.readouterr().err
             assert err.startswith("config error:")
             assert f"{target}: {named}" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_path_file_that_cannot_be_opened_exits_2(self, tmp_path, capsys, kind):
+        config = self.write_config(tmp_path, base_dict())
+        target = tmp_path / "nothere.csv"
+        if kind == "directory":
+            target.mkdir()
+        for command in ("solve", "uniqueness", "wong-zakai"):
+            assert main([command, "--config", config, "--out", str(tmp_path / command),
+                         "--path-file", str(target)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {target}: [Errno")
 
     @pytest.mark.parametrize("levels", [[16, 8, 4, 2], [4, 4, 4, 4]],
                              ids=["decreasing", "repeated"])
@@ -801,6 +819,18 @@ class TestCommandLine:
         assert main(["wong-zakai", "--config", config, "--out", out,
                      "--seeds", "2"]) == 0
         assert "PASS wong-zakai" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["stochtransport", "stochtransport.cli"])
+    def test_documented_entry_points_run(self, tmp_path, module):
+        config = self.write_config(tmp_path, base_dict())
+        runs = [subprocess.run([sys.executable, "-m", module, "hypotheses", "--config", c,
+                                "--out", str(tmp_path / "out")],
+                               capture_output=True, text=True, env=_src_env())
+                for c in (config, str(tmp_path / "absent.json"))]
+        assert runs[0].returncode == 0
+        assert runs[0].stdout.startswith("PASS hypotheses[zero]")
+        assert runs[1].returncode == 2
+        assert runs[1].stderr.startswith("config error: cannot read config")
 
     def test_config_flag_is_required(self):
         with pytest.raises(SystemExit) as exc:

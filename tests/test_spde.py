@@ -27,7 +27,7 @@ from stochtransport.drifts import (
     stream_function_drift,
     zero_drift,
 )
-from stochtransport.fields import ScalarField, SpatialGrid, interpolate, lp_norm, shift_field
+from stochtransport.fields import ScalarField, SpatialGrid, _cubic_read, lp_norm, shift_field
 from stochtransport.paths import (
     SamplePath,
     eval_path,
@@ -37,6 +37,7 @@ from stochtransport.paths import (
 )
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import (
+    SNAPSHOT_INTERVALS,
     exact_solution,
     renormalize_check,
     smoothed_truncated_power,
@@ -57,7 +58,7 @@ class TestRepresentation:
     def test_pure_noise_is_translation_of_initial_data(self, setting512):
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(zero_drift(1), path, u0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(path, float(t)))
@@ -66,7 +67,7 @@ class TestRepresentation:
     def test_first_snapshot_is_initial_data(self, setting512):
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(zero_drift(1), path, u0)
         assert np.array_equal(sol.fields[0].values, u0.values)
 
     def test_constant_drift_closed_form(self):
@@ -75,7 +76,7 @@ class TestRepresentation:
         u0 = sample_profile(g, prof)
         path = sample_brownian(24, 1.0, 512, 1)
         b = constant_drift([1.0])
-        sol = solve_spde(b, path, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(b, path, u0)
         truth = exact_solution(b, path, prof, 1.0, g)
         rel = lp_norm(sol.fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
@@ -85,7 +86,7 @@ class TestRepresentation:
         # budget is twice the measured single round-trip defect
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(zero_drift(1), path, u0)
         round_trip = lp_norm(
             shift_field(shift_field(u0, [0.37]), [-0.37]) - u0, 1.0
         )
@@ -97,8 +98,7 @@ class TestRepresentation:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         for scheme in ("semi_lagrangian", "upwind_fv"):
-            sol = solve_spde(constant_drift([0.5]), path, ScalarField.zeros(g),
-                             dt=1.0 / 512, horizon=1.0, scheme=scheme)
+            sol = solve_spde(constant_drift([0.5]), path, ScalarField.zeros(g), scheme=scheme)
             assert all(np.all(f.values == 0.0) for f in sol.fields)
 
     def test_linearity_within_scheme_tolerance(self, setting512):
@@ -109,12 +109,9 @@ class TestRepresentation:
         combo = ScalarField(g, a * u0.values + u0b.values)
         tol = {"semi_lagrangian": 1e-3, "upwind_fv": 1e-12}
         for scheme in ("semi_lagrangian", "upwind_fv"):
-            s_combo = solve_spde(constant_drift([0.5]), path, combo,
-                                 dt=1.0 / 512, horizon=1.0, scheme=scheme)
-            s_a = solve_spde(constant_drift([0.5]), path, u0,
-                             dt=1.0 / 512, horizon=1.0, scheme=scheme)
-            s_b = solve_spde(constant_drift([0.5]), path, u0b,
-                             dt=1.0 / 512, horizon=1.0, scheme=scheme)
+            s_combo = solve_spde(constant_drift([0.5]), path, combo, scheme=scheme)
+            s_a = solve_spde(constant_drift([0.5]), path, u0, scheme=scheme)
+            s_b = solve_spde(constant_drift([0.5]), path, u0b, scheme=scheme)
             worst = max(
                 lp_norm(s_combo.fields[m] - (s_a.fields[m] * a + s_b.fields[m]), 1.0)
                 for m in range(len(s_combo.times))
@@ -127,8 +124,7 @@ class TestRepresentation:
         g = SpatialGrid(d=1, half_width=8.0, n=512)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         path = sample_brownian(24, 1.0, 1024, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), path, u0, dt=1.0 / 1024,
-                         horizon=1.0)
+        sol = solve_spde(linear_drift([[-1.0]]), path, u0)
         n0 = lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             assert lp_norm(sol.aux_fields[m], 1.0) <= math.exp(1.1 * float(t)) * n0 + 1e-12
@@ -138,7 +134,7 @@ class TestWongZakaiPipeline:
     def test_zero_path_reduces_to_deterministic_problem(self, setting512):
         g, prof, u0 = setting512
         w = zero_path(1.0, 512, 1)
-        sol = solve_spde(constant_drift([0.5]), w, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(constant_drift([0.5]), w, u0)
         for m in range(len(sol.times)):
             assert np.array_equal(sol.fields[m].values,
                                   sol.aux_fields[m].values)
@@ -147,8 +143,8 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         full = piecewise_linear_approx(path, 512)
-        ref = solve_spde(zero_drift(1), path, u0, dt=1.0 / 512, horizon=1.0)
-        wz = solve_spde(zero_drift(1), full, u0, dt=1.0 / 512, horizon=1.0)
+        ref = solve_spde(zero_drift(1), path, u0)
+        wz = solve_spde(zero_drift(1), full, u0)
         for a, b in zip(ref.fields, wz.fields):
             assert np.array_equal(a.values, b.values)
 
@@ -156,7 +152,7 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         bn = piecewise_linear_approx(path, 32)
-        sol = solve_spde(zero_drift(1), bn, u0, dt=1.0 / 512, horizon=1.0)
+        sol = solve_spde(zero_drift(1), bn, u0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(bn, float(t)))
@@ -211,7 +207,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 128, 2)
-        sol = solve_spde(b, path, u0, dt=1.0 / 128, horizon=1.0)
+        sol = solve_spde(b, path, u0)
         rep = renormalize_check(sol, lambda s: s * s, b)
         assert rep.passed
         assert rep.div_bound == 0.0
@@ -222,7 +218,7 @@ class TestRenormalization:
         g = SpatialGrid(d=2, half_width=4.0, n=64)
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 64, 2)
-        sol = solve_spde(b, path, ScalarField.zeros(g), dt=1.0 / 64, horizon=1.0)
+        sol = solve_spde(b, path, ScalarField.zeros(g))
         rep = renormalize_check(sol, lambda s: s * s, b)
         assert np.all(rep.integrals == 0.0)
 
@@ -233,7 +229,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         b = linear_drift([[-1.0]])
         path = sample_brownian(24, 1.0, 1024, 1)
-        sol = solve_spde(b, path, u0, dt=1.0 / 1024, horizon=1.0)
+        sol = solve_spde(b, path, u0)
         beta = smoothed_truncated_power(M=10.0, p=1.0)
         rep = renormalize_check(sol, beta, b)
         assert rep.passed
@@ -246,7 +242,7 @@ class TestRenormalization:
         # C = 2e12 exceeds the 1e12 ceiling: no envelope is built
         g = SpatialGrid(d=1, half_width=4.0, n=64)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
-        sol = solve_spde(zero_drift(1), zero_path(1.0, 64, 1), u0, dt=1.0 / 64, horizon=1.0)
+        sol = solve_spde(zero_drift(1), zero_path(1.0, 64, 1), u0)
         rep = renormalize_check(sol, lambda s: s * s, linear_drift([[2e12]]))
         assert rep.status == "inconclusive"
         assert not rep.passed
@@ -259,7 +255,7 @@ class TestRenormalization:
     def test_gronwall_constant_is_the_hypotheses_div_bound(self, b):
         g = SpatialGrid(d=b.d, half_width=4.0, n=32)
         u0 = sample_profile(g, bump(b.d, radius=1.2))
-        sol = solve_spde(b, zero_path(1.0, 64, b.d), u0, dt=1.0 / 64, horizon=1.0)
+        sol = solve_spde(b, zero_path(1.0, 64, b.d), u0)
         rep = renormalize_check(sol, lambda s: s * s, b)
         box = [(-4.0, 4.0)] * b.d
         assert rep.div_bound == check_hypotheses(b, math.inf, box, 1.0).div_bound
@@ -323,7 +319,7 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
             k3 = velocity(t + 0.5 * dt, nodes - 0.5 * dt * k2)
             k4 = velocity(t, nodes - dt * k3)
             feet = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new = interpolate(v, feet, clamp=True).reshape(grid.shape)
+            new = _cubic_read(grid, v.values[None], feet[None], clamp=True).reshape(grid.shape)
         else:
             vel = velocity(t, nodes).reshape(grid.shape + (grid.d,))
             new = v.values.copy()
@@ -381,9 +377,8 @@ class TestArrayMarch:
             path = piecewise_linear_approx(path, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_spde(b, path, u0, dt=dt, horizon=horizon, scheme=scheme,
-                             n_snapshots=4)
-            times, ref = reference_march(b, path, u0, dt, horizon, scheme, 4)
+            sol = solve_spde(b, path, u0, scheme=scheme)
+            times, ref = reference_march(b, path, u0, dt, horizon, scheme, SNAPSHOT_INTERVALS)
         assert (sol.mollify_epsilon is None) == (case == "stream")
         assert np.array_equal(sol.times, times)
         for m, t in enumerate(times):
@@ -395,8 +390,7 @@ class TestArrayMarch:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = ScalarField(g, 1.0e308 * sample_profile(g, step(1, center=0.0, half_width=1.0)).values)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as err:
-            solve_spde(constant_drift([0.5]), zero_path(1.0, 64, 1), u0, dt=1.0 / 64,
-                       horizon=1.0, scheme="upwind_fv")
+            solve_spde(constant_drift([0.5]), zero_path(1.0, 64, 1), u0, scheme="upwind_fv")
         assert err.value.step == 1
         assert "non-finite field at step 1" in str(err.value)
 
@@ -411,8 +405,7 @@ class TestArrayMarch:
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                solve_spde(power_drift(0.75, -1.0), path, u0, dt=0.25 / n_steps,
-                           horizon=0.25, scheme=scheme, n_snapshots=4)
+                solve_spde(power_drift(0.75, -1.0), path, u0, scheme=scheme)
             counts.append(len(calls))
         assert counts == [1, 1]
 
@@ -455,7 +448,7 @@ class TestBatchMarch:
     def test_path_alone_equals_path_in_batch_bitwise(self, scheme, kind, case):
         b, u0, eps = _batch_case(case)
         d = u0.grid.d
-        dt, horizon = 1.0 / 128, 0.25
+        horizon = 0.25
         path = sample_brownian(5, horizon, 32, d)
         if kind == "bv":
             path = piecewise_linear_approx(path, 4)
@@ -464,8 +457,7 @@ class TestBatchMarch:
         wide = SamplePath(path.times, 3.0 * sample_brownian(9, horizon, 32, d).values,
                           "brownian")
         other = sample_brownian(11, horizon, 32, d)
-        kwargs = dict(dt=dt, horizon=horizon, scheme=scheme, n_snapshots=4,
-                      mollify_epsilon=eps)
+        kwargs = dict(scheme=scheme, mollify_epsilon=eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             alone = solve_spde(b, path, u0, **kwargs)
@@ -485,9 +477,9 @@ class TestBatchMarch:
         pushed = SamplePath(quiet.times, 4.0 * quiet.times[:, None],
                             "piecewise_linear_bv")
         with pytest.warns(SupportMarginWarning, match="in path 1"):
-            sols = solve_spde_batch(b, [quiet, pushed, quiet], u0, dt=1.0 / 64, horizon=1.0)
+            sols = solve_spde_batch(b, [quiet, pushed, quiet], u0)
         with pytest.warns(SupportMarginWarning):
-            alone = solve_spde(b, pushed, u0, dt=1.0 / 64, horizon=1.0)
+            alone = solve_spde(b, pushed, u0)
         assert sols[0].support_violations == sols[2].support_violations == ()
         assert sols[1].support_violations == alone.support_violations
         assert len(alone.support_violations) > 0
@@ -504,9 +496,9 @@ class TestBatchMarch:
         far = SamplePath(quiet.times, 100.0 * quiet.times[:, None], "piecewise_linear_bv")
         with np.errstate(all="ignore"):
             with pytest.raises(BlowUpError) as alone:
-                solve_spde(cliff, far, u0, dt=1.0 / 64, horizon=1.0)
+                solve_spde(cliff, far, u0)
             with pytest.raises(BlowUpError) as err:
-                solve_spde_batch(cliff, [quiet, quiet, far], u0, dt=1.0 / 64, horizon=1.0)
+                solve_spde_batch(cliff, [quiet, quiet, far], u0)
         assert 1 < alone.value.step < 64
         assert err.value.step == alone.value.step
         assert f"non-finite field at step {alone.value.step} of path 2" in str(err.value)
@@ -517,7 +509,7 @@ class TestBatchMarch:
         paths = [sample_brownian(seed, 0.25, 32, 1) for seed in (5, 6, 7)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            solve_spde_batch(b, paths, u0, dt=1.0 / 128, horizon=0.25, n_snapshots=4)
+            solve_spde_batch(b, paths, u0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("scheme, per_step", [("semi_lagrangian", 4), ("upwind_fv", 1)])
@@ -532,8 +524,7 @@ class TestBatchMarch:
                 calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    solve_spde_batch(b, paths, u0, dt=0.25 / n_steps, horizon=0.25,
-                                     scheme=scheme, n_snapshots=4)
+                    solve_spde_batch(b, paths, u0, scheme=scheme)
                 counts[n_paths, n_steps] = len(calls)
         for n_paths in (1, 4):
             assert counts[n_paths, 64] - counts[n_paths, 32] == per_step * 32
@@ -542,4 +533,4 @@ class TestBatchMarch:
     def test_empty_batch_rejected(self):
         b, u0 = _case("power1d")
         with pytest.raises(ConfigError, match="at least one path"):
-            solve_spde_batch(b, [], u0, dt=1.0 / 128, horizon=0.25, n_snapshots=4)
+            solve_spde_batch(b, [], u0)

@@ -27,7 +27,7 @@ from stochtransport.experiments import estimate_order
 from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
 from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
-from stochtransport.spde import solve_spde
+from stochtransport.spde import SNAPSHOT_INTERVALS, solve_spde, solve_spde_batch
 from stochtransport import transport
 from stochtransport.transport import (
     _bump_kernel,
@@ -91,10 +91,10 @@ class TestPathTable:
         b = power_drift(0.75, scale=-1.0)
         # an untraced solve first, so one-off process growth (the first
         # np.unique imports numpy.ma) falls outside the traced window
-        solve_spde(b, w, u0, dt=1.0 / 2048, horizon=1.0)
+        solve_spde(b, w, u0)
         tracemalloc.start()
         try:
-            solve_spde(b, w, u0, dt=1.0 / 2048, horizon=1.0)
+            solve_spde(b, w, u0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -134,16 +134,14 @@ class TestSemiLagrangian:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
-                         n_snapshots=4)
+        sol = solve_spde(zero_drift(1), w, u0)
         assert all(np.array_equal(f.values, u0.values) for f in sol.aux_fields)
 
     def test_initial_snapshot_is_initial_field(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_spde(constant_drift([0.3]), w, u0, dt=1.0 / 128,
-                         horizon=1.0, n_snapshots=4)
+        sol = solve_spde(constant_drift([0.3]), w, u0)
         assert np.array_equal(sol.aux_fields[0].values, u0.values)
         assert all(np.all(np.isfinite(f.values)) for f in sol.aux_fields)
 
@@ -152,8 +150,7 @@ class TestSemiLagrangian:
         prof = bump(1, center=-0.5, radius=2.0)
         u0 = sample_profile(g, prof)
         w = zero_path(1.0, 512, 1)
-        sol = solve_spde(constant_drift([1.0]), w, u0, dt=1.0 / 512,
-                         horizon=1.0, n_snapshots=4)
+        sol = solve_spde(constant_drift([1.0]), w, u0)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p - 1.0))
         assert lp_norm(sol.aux_fields[-1] - truth, 1.0) <= 1e-3 * lp_norm(u0, 1.0)
 
@@ -162,8 +159,7 @@ class TestSemiLagrangian:
         prof = bump(1, center=0.0, radius=1.0)
         u0 = sample_profile(g, prof)
         w = zero_path(0.5, 512, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=0.5 / 512,
-                         horizon=0.5, n_snapshots=4)
+        sol = solve_spde(linear_drift([[-1.0]]), w, u0)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p * math.exp(0.5)))
         rel = lp_norm(sol.aux_fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
@@ -176,8 +172,7 @@ class TestSemiLagrangian:
             u0 = sample_profile(g, prof)
             steps = n // 4
             w = zero_path(0.25, steps, 1)
-            sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=0.25 / steps,
-                             horizon=0.25, n_snapshots=2)
+            sol = solve_spde(linear_drift([[-1.0]]), w, u0)
             feet = characteristics_solve(linear_drift([[-1.0]]), w, g.nodes(),
                                          0.25, 0.0)
             truth = ScalarField(g, prof.fn(feet).reshape(g.shape))
@@ -226,8 +221,7 @@ class TestUpwind:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError):
-            solve_spde(constant_drift([3.0]), w, u0, dt=1.0 / 16,
-                       horizon=1.0, scheme="upwind_fv", n_snapshots=4)
+            solve_spde(constant_drift([3.0]), w, u0, scheme="upwind_fv")
 
 
 class TestSchemeProperties:
@@ -236,8 +230,7 @@ class TestSchemeProperties:
         g = SpatialGrid(d=1, half_width=8.0, n=256)
         u0 = sample_profile(g, bump(1, center=0.5, radius=2.0))
         w = sample_brownian(3, 1.0, 256, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), w, u0, dt=1.0 / 256,
-                         horizon=1.0, scheme=scheme, n_snapshots=8)
+        sol = solve_spde(linear_drift([[-1.0]]), w, u0, scheme=scheme)
         lo, hi = float(u0.values.min()), float(u0.values.max())
         for f in sol.aux_fields:
             assert float(f.values.min()) >= lo - 1e-12
@@ -249,8 +242,7 @@ class TestSchemeProperties:
             g = SpatialGrid(d=2, half_width=4.0, n=n)
             u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
             w = zero_path(0.5, n, 2)
-            sol = solve_spde(stream_function_drift(4.0), w, u0, dt=0.5 / n,
-                             horizon=0.5, n_snapshots=4)
+            sol = solve_spde(stream_function_drift(4.0), w, u0)
             rel = max(
                 abs(lp_norm(f, 1.0) - lp_norm(u0, 1.0)) for f in sol.aux_fields
             ) / lp_norm(u0, 1.0)
@@ -266,10 +258,7 @@ class TestSchemeProperties:
             w = zero_path(1.0, 4 * n, 1)
             runs = {}
             for scheme in ("semi_lagrangian", "upwind_fv"):
-                runs[scheme] = solve_spde(
-                    constant_drift([0.6]), w, u0, dt=1.0 / (4 * n), horizon=1.0,
-                    scheme=scheme, n_snapshots=4,
-                )
+                runs[scheme] = solve_spde(constant_drift([0.6]), w, u0, scheme=scheme)
             discs.append(max(
                 lp_norm(a - b, 1.0)
                 for a, b in zip(runs["semi_lagrangian"].aux_fields,
@@ -282,30 +271,35 @@ class TestSchemeProperties:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            solve_spde(constant_drift([2.8]), w, u0, dt=1.0 / 128,
-                       horizon=1.0, n_snapshots=4)
+            solve_spde(constant_drift([2.8]), w, u0)
 
     def test_upwind_support_is_checked_every_step(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            sol = solve_spde(constant_drift([2.8]), w, u0, dt=1.0 / 128,
-                             horizon=1.0, scheme="upwind_fv", n_snapshots=4)
-        stride = 128 // 4
+            sol = solve_spde(constant_drift([2.8]), w, u0, scheme="upwind_fv")
+        stride = 128 // SNAPSHOT_INTERVALS
         assert any(step % stride != 0 for step in sol.support_violations)
 
     def test_mesh_validation(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
-        with pytest.raises(ConfigError):
-            solve_spde(zero_drift(1), w, u0, dt=0.3, horizon=1.0)
-        with pytest.raises(ConfigError):
-            solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=1.0,
-                       n_snapshots=7)
-        with pytest.raises(ConfigError):
-            solve_spde(zero_drift(1), w, u0, dt=1.0 / 128, horizon=2.0)
+        with pytest.raises(ConfigError, match="8 steps cannot be grouped into 16"):
+            solve_spde(zero_drift(1), zero_path(1.0, 8, 1), u0)
+        with pytest.raises(ConfigError, match="share one clock"):
+            solve_spde_batch(zero_drift(1), [w, zero_path(1.0, 64, 1)], u0)
+        with pytest.raises(ConfigError, match="share one clock"):
+            solve_spde_batch(zero_drift(1), [w, zero_path(2.0, 128, 1)], u0)
+
+    def test_the_path_sets_the_clock(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        path = sample_brownian(3, 0.3, 48, 1)
+        sol = solve_spde(constant_drift([0.5]), path, u0)
+        assert sol.dt == path.horizon / path.n_steps
+        assert np.array_equal(sol.times, np.linspace(0.0, path.horizon, 17))
 
     def test_cfl_number_reports_worst_case(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
@@ -444,8 +438,7 @@ class TestMollifiedDrift:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError, match="grid spacing"):
-            solve_spde(power_drift(0.75), w, u0, dt=1.0 / 16, horizon=1.0,
-                       n_snapshots=4, mollify_epsilon=0.5 * g.h)
+            solve_spde(power_drift(0.75), w, u0, mollify_epsilon=0.5 * g.h)
 
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     def test_rough_solves_emit_no_runtime_warning(self, scheme):
@@ -456,6 +449,5 @@ class TestMollifiedDrift:
         for b in (base, time_modulated_drift(base, "sin_squared", 0.25)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                sol = solve_spde(b, w, u0, dt=0.25 / 64, horizon=0.25,
-                                 scheme=scheme, n_snapshots=4)
+                sol = solve_spde(b, w, u0, scheme=scheme)
             assert sol.mollify_epsilon == 2.0 * g.h

@@ -125,7 +125,7 @@ class TestStratonovichResidual:
         assert rep.max_abs == 0.0
 
     def test_residual_is_linear_in_the_solution(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16)
+        sol = closed_form_translation(grid512, profile, path2048)
         scaled = SpdeSolution(grid=grid512, times=sol.times,
                               fields=tuple(f * -2.5 for f in sol.fields), path=path2048)
         r1 = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
@@ -156,7 +156,7 @@ class TestStratonovichResidual:
         assert coarse.max_normalized >= 3.0 * fine.max_normalized
 
     def test_injected_defect_is_detected(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16)
+        sol = closed_form_translation(grid512, profile, path2048)
         phi = phis[0]
         phi_field = ScalarField.from_function(grid512, phi.value)
         int_phi_sq = float(np.sum(phi_field.values**2)) * grid512.cell_volume
@@ -173,26 +173,26 @@ class TestStratonovichResidual:
         # converge, left-point sums converge to the missing correction
         g = SpatialGrid(d=1, half_width=8.0, n=1024)
         path = sample_brownian(24, 1.0, 4096, 1)
-        sol = closed_form_translation(g, profile, path, 16)
+        sol = closed_form_translation(g, profile, path)
         phis_fine = make_test_functions(g, 10, 0)
         strat = weak_residual(sol, zero_drift(1), 1.0, phis=phis_fine, rule="stratonovich")
         ito = weak_residual(sol, zero_drift(1), 1.0, phis=phis_fine, rule="ito")
         assert ito.max_abs >= 5.0 * strat.max_abs
 
     def test_unknown_rule_rejected(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16)
+        sol = closed_form_translation(grid512, profile, path2048)
         for rule in ("trapezoid", "bv_trapezoid"):
             with pytest.raises(ConfigError):
                 weak_residual(sol, zero_drift(1), 1.0, phis=phis, rule=rule)
 
     def test_misaligned_snapshots_rejected(self, grid512, profile, phis):
         path = sample_brownian(24, 1.0, 100, 1)
-        sol = closed_form_translation(grid512, profile, path, 16)
+        sol = closed_form_translation(grid512, profile, path)
         with pytest.raises(MeshMismatchError):
             weak_residual(sol, zero_drift(1), 1.0, phis=phis)
 
     def test_normalizer_is_scale_free(self, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16)
+        sol = closed_form_translation(grid512, profile, path2048)
         rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         scaled = SpdeSolution(grid=grid512, times=sol.times,
                               fields=tuple(f * 10.0 for f in sol.fields), path=path2048)
@@ -225,7 +225,7 @@ class TestBoundedVariationResidual:
 
 class TestReportCsv:
     def test_report_csv_is_tidy(self, tmp_path, grid512, profile, path2048, phis):
-        sol = closed_form_translation(grid512, profile, path2048, 16)
+        sol = closed_form_translation(grid512, profile, path2048)
         rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         target = tmp_path / "weak.csv"
         write_weak_report_csv(rep, target)
