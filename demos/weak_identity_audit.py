@@ -24,7 +24,7 @@ def main() -> None:
     profile = st.bump(1, center=-0.5, radius=2.0)
     b = st.zero_drift(1)
     fine_path = st.sample_brownian(24, 1.0, 4096, 1)
-    coarse_path = st.SamplePath(kind="brownian", times=fine_path.times[::2],
+    coarse_path = st.SamplePath(kind="brownian", horizon=fine_path.horizon,
                                 values=fine_path.values[::2], seed=24)
     grid_coarse = st.SpatialGrid(1, 4.0, 512)
     grid_fine = st.SpatialGrid(1, 4.0, 1024)

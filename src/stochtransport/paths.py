@@ -1,14 +1,16 @@
-"""Driving paths on uniform time meshes.
+"""Driving paths: K + 1 values on the uniform mesh of [0, T].
 
-Brownian paths are sampled with the counter-based Philox generator so
-that a seed pins the whole trajectory bit for bit, across platforms and
-across repeated calls. Piecewise-linear interpolants of a Brownian path
-on coarser dyadic meshes provide the bounded-variation approximations
-used by the Wong-Zakai convergence study.
+A path holds W(t_k) at t_k = k T / K and is linear in between. Brownian
+paths are sampled with the counter-based Philox generator so that a seed
+pins the whole trajectory bit for bit, across platforms and across
+repeated calls. Piecewise-linear interpolants of a Brownian path through
+coarser dyadic knots provide the bounded-variation approximations used
+by the Wong-Zakai convergence study.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,54 +38,47 @@ _TIME_RTOL = 1.0e-9
 
 @dataclass(frozen=True)
 class SamplePath:
-    """A continuous path observed on a time mesh, linear between knots.
+    """A continuous path on the uniform mesh of [0, T], linear between knots.
 
-    ``times`` is the strictly increasing mesh 0 = t_0 < ... < t_K = T and
-    ``values`` holds W(t_k) with shape (K+1, d); every path starts at the
-    origin. ``kind`` is one of ``brownian``, ``piecewise_linear_bv`` or
-    ``zero``.
+    ``values`` holds W(t_k) with shape (K+1, d), K >= 1, and every path
+    starts at the origin; ``horizon`` is T > 0. The knots are not stored:
+    ``times`` is ``linspace(0, T, K + 1)``. ``kind`` is one of
+    ``brownian``, ``piecewise_linear_bv`` or ``zero``.
     """
 
-    times: np.ndarray
     values: np.ndarray
+    horizon: float
     kind: str
     seed: int | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
+        horizon = float(self.horizon)
         if self.kind not in PATH_KINDS:
             raise ConfigError(f"unknown path kind {self.kind!r}")
-        if times.ndim != 1 or times.size < 2:
-            raise ConfigError("a path needs at least two knots")
-        if values.ndim != 2 or values.shape[0] != times.size:
-            raise ConfigError(
-                f"values shape {values.shape} does not match {times.size} knots"
-            )
-        if times[0] != 0.0:
-            raise ConfigError("paths start at time 0")
-        if not np.all(np.diff(times) > 0):
-            raise ConfigError("knot times must be strictly increasing")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        if values.ndim != 2 or values.shape[0] < 2:
+            raise ConfigError(f"path values need shape (K + 1, d), K >= 1, not {values.shape}")
+        if not (horizon > 0 and math.isfinite(horizon)):
+            raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+        if not np.all(np.isfinite(values)):
             raise ConfigError("path knots must be finite")
         if np.any(values[0] != 0.0):
             raise ConfigError("paths start at the origin, W(0) = 0")
         if self.kind == "zero" and np.any(values != 0.0):
             raise ConfigError("a zero path must vanish at every knot")
-        times = times.copy()
-        values = values.copy()
-        times.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "horizon", horizon)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        times = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        times.setflags(write=False)
+        return times
 
     @property
     def n_steps(self) -> int:
-        return self.times.size - 1
+        return self.values.shape[0] - 1
 
     @property
     def d(self) -> int:
@@ -109,14 +104,12 @@ def sample_brownian(seed: int, horizon: float, n_steps: int, d: int) -> SamplePa
     dt = horizon / n_steps
     increments = rng.standard_normal((n_steps, d)) * math.sqrt(dt)
     values = np.vstack([np.zeros((1, d)), np.cumsum(increments, axis=0)])
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    return SamplePath(times, values, "brownian", seed=int(seed))
+    return SamplePath(values, horizon, "brownian", seed=int(seed))
 
 
 def zero_path(horizon: float, n_steps: int, d: int) -> SamplePath:
     """The path that stays at the origin, on the same mesh layout as Brownian ones."""
-    times = np.linspace(0.0, float(horizon), n_steps + 1)
-    return SamplePath(times, np.zeros((n_steps + 1, d)), "zero")
+    return SamplePath(np.zeros((n_steps + 1, d)), horizon, "zero")
 
 
 def piecewise_linear_approx(path: SamplePath, n_knots: int) -> SamplePath:
@@ -139,7 +132,7 @@ def piecewise_linear_approx(path: SamplePath, n_knots: int) -> SamplePath:
     segments = coarse[:-1, None, :] * (1.0 - frac) + coarse[1:, None, :] * frac
     fine = np.vstack([segments.reshape(n_knots * stride, path.d), coarse[-1:]])
     fine[::stride] = coarse  # knots agree bitwise, no roundoff from the blend
-    return SamplePath(path.times, fine, "piecewise_linear_bv", seed=path.seed)
+    return SamplePath(fine, path.horizon, "piecewise_linear_bv", seed=path.seed)
 
 
 def eval_path(path: SamplePath, t) -> np.ndarray:
@@ -153,14 +146,12 @@ def eval_path(path: SamplePath, t) -> np.ndarray:
     T = path.horizon
     slack = _TIME_RTOL * T
     if np.any(times < -slack) or np.any(times > T + slack):
-        raise PathRangeError(
-            f"time {times.min()}..{times.max()} outside the path horizon [0, {T}]"
-        )
+        raise PathRangeError(f"time {times.min()}..{times.max()} outside the path "
+                             f"horizon [0, {T}]")
     clipped = np.clip(times, 0.0, T)
     idx = np.searchsorted(path.times, clipped, side="right") - 1
     idx = np.clip(idx, 0, path.n_steps - 1)
-    t0 = path.times[idx]
-    t1 = path.times[idx + 1]
+    t0, t1 = path.times[idx], path.times[idx + 1]
     w = (clipped - t0) / (t1 - t0)
     exact = clipped == t0
     out = path.values[idx] * (1.0 - w[:, None]) + path.values[idx + 1] * w[:, None]
@@ -170,20 +161,16 @@ def eval_path(path: SamplePath, t) -> np.ndarray:
 
 
 def sup_distance(a: SamplePath, b: SamplePath) -> float:
-    """Uniform distance max_t max_i |a_i(t) - b_i(t)| over the union mesh.
+    """Uniform distance max_t max_i |a_i(t) - b_i(t)| of two paths on one mesh.
 
-    Both paths are piecewise linear, so the supremum over [0, T] is
-    attained at a knot of one of them.
+    Both paths are linear between the knots of their common mesh, so the
+    supremum over [0, T] is attained at a knot. Paths of differing
+    dimension, horizon or step count raise ``MeshMismatchError``.
     """
-    if a.d != b.d:
-        raise MeshMismatchError(f"paths have dimensions {a.d} and {b.d}")
-    if abs(a.horizon - b.horizon) > _TIME_RTOL * max(a.horizon, b.horizon):
-        raise MeshMismatchError(f"paths have horizons {a.horizon} and {b.horizon}")
-    mesh = np.union1d(a.times, b.times)
-    mesh = np.clip(mesh, 0.0, min(a.horizon, b.horizon))
-    va = eval_path(a, mesh)
-    vb = eval_path(b, mesh)
-    return float(np.max(np.abs(va - vb)))
+    if (a.d, a.horizon, a.n_steps) != (b.d, b.horizon, b.n_steps):
+        raise MeshMismatchError(f"paths with (d, T, K) = {(a.d, a.horizon, a.n_steps)} and "
+                                f"{(b.d, b.horizon, b.n_steps)} do not share one mesh")
+    return float(np.max(np.abs(a.values - b.values)))
 
 
 def write_path_csv(path: SamplePath, file) -> None:
@@ -200,9 +187,11 @@ def read_path_csv(file) -> SamplePath:
     A file without the header comment reads as a Brownian path with no seed.
     A file that cannot be read, a header that does not parse, a seed that
     is not an integer, a row whose cell count differs from the column
-    line's, a ``k`` cell that is not the row's integer position or a ``t``
-    or ``W`` cell that is not a number raises ``ConfigError`` naming the
-    file (and the row).
+    line's, a ``k`` cell that is not the row's integer position, a ``t``
+    or ``W`` cell that is not a number, values that make no path, or a
+    ``t`` column other than the uniform mesh ``linspace(0, t_K, K + 1)``,
+    bit for bit, raises ``ConfigError`` naming the file (and the row).
+    The writer prints ``t`` by ``repr``, so every file it writes reads back.
     """
     try:
         header, columns, rows = read_csv(file)
@@ -229,5 +218,12 @@ def read_path_csv(file) -> SamplePath:
             raise ConfigError(f"{file}: row {count}: k={k} is not the row's position")
         times.append(t)
         values.append(w)
-    return SamplePath(np.asarray(times), np.asarray(values), meta.get("kind", "brownian"),
-                      seed=seed)
+    try:
+        path = SamplePath(values, times[-1] if times else 0.0, meta.get("kind", "brownian"), seed)
+    except ConfigError as exc:
+        raise ConfigError(f"{file}: {exc}") from None
+    off = np.flatnonzero(np.asarray(times) != path.times)
+    if off.size:
+        raise ConfigError(f"{file}: row {off[0]}: t={times[off[0]]!r} is off the uniform mesh "
+                          f"linspace(0, {path.horizon!r}, {path.n_steps + 1})")
+    return path

@@ -114,7 +114,7 @@ def solve_spde(
     The one-path case of :func:`solve_spde_batch`, which documents the
     parameters, the clock, the mollifier policy and the errors.
     """
-    return solve_spde_batch(b, (path,), u0, scheme, mollify_epsilon)[0]
+    return _march(b, (path,), u0, scheme, mollify_epsilon)[0]
 
 
 def solve_spde_batch(
@@ -177,8 +177,12 @@ def solve_spde_batch(
         Non-finite values after a marching step, naming the step and the
         path, or a drift query beyond the mollifier table.
     """
+    return _march(b, tuple(paths), u0, scheme, mollify_epsilon)
+
+
+def _march(b, paths, u0, scheme, mollify_epsilon):
+    """The march of both entry points; it warns at the frame that called either."""
     grid = u0.grid
-    paths = tuple(paths)
     if not paths:
         raise ConfigError("a batch needs at least one path")
     if scheme not in SCHEMES:
@@ -219,8 +223,7 @@ def solve_spde_batch(
         # RK4 stage displacement dt*|b|; the doubling covers speeds between
         # the probe times and beyond the box. One table serves the batch,
         # so it covers the largest of the paths' reaches.
-        excursion = np.array([float(np.max(np.abs(path.values))) if path.values.size else 0.0
-                              for path in paths])
+        excursion = np.array([np.max(np.abs(path.values)) for path in paths])
         stage = cfl_number(composed_drift(b, table), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
@@ -264,7 +267,7 @@ def solve_spde_batch(
         if violations[p]:
             where = f" in path {p}" if len(paths) > 1 else ""
             warnings.warn(f"solution support entered the wrap-around margin{where} at steps "
-                          f"{_step_list(violations[p])}", SupportMarginWarning, stacklevel=2)
+                          f"{_step_list(violations[p])}", SupportMarginWarning, stacklevel=3)
     return tuple(
         SpdeSolution(grid, times, tuple(fields[p]), paths[p], aux_fields=tuple(aux[p]), dt=dt,
                      mollify_epsilon=eps, support_violations=tuple(violations[p]))

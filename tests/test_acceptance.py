@@ -155,7 +155,7 @@ def test_criterion_5_weak_identity_refinement_and_rule(capsys):
     profile = bump(1, center=-0.5, radius=2.0)
     b = zero_drift(1)
     fine_path = sample_brownian(SEED_1D, 1.0, 4096, 1)
-    coarse_path = SamplePath(kind="brownian", times=fine_path.times[::2],
+    coarse_path = SamplePath(kind="brownian", horizon=fine_path.horizon,
                              values=fine_path.values[::2], seed=SEED_1D)
     grid_coarse = SpatialGrid(1, 4.0, 512)
     grid_fine = SpatialGrid(1, 4.0, 1024)

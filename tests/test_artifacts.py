@@ -217,8 +217,7 @@ class TestFieldText:
 
 class TestPathText:
     def test_brownian_1d(self, tmp_path):
-        path = SamplePath(np.array([0.0, 0.5, 1.0]),
-                          np.array([[0.0], [X17], [-1.25]]), "brownian", seed=7)
+        path = SamplePath(np.array([[0.0], [X17], [-1.25]]), 1.0, "brownian", seed=7)
         target = tmp_path / "p.csv"
         write_path_csv(path, target)
         assert text(target) == (
@@ -227,8 +226,7 @@ class TestPathText:
         )
 
     def test_bv_2d_without_seed(self, tmp_path):
-        path = SamplePath(np.array([0.0, X17]),
-                          np.array([[0.0, 0.0], [0.25, -3.0]]), "piecewise_linear_bv")
+        path = SamplePath(np.array([[0.0, 0.0], [0.25, -3.0]]), X17, "piecewise_linear_bv")
         target = tmp_path / "p.csv"
         write_path_csv(path, target)
         assert text(target) == (

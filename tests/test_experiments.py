@@ -35,7 +35,7 @@ from stochtransport.experiments import (
 )
 from stochtransport.cli import main
 from stochtransport.fields import read_field_csv
-from stochtransport.paths import SamplePath, sample_brownian, write_path_csv
+from stochtransport.paths import sample_brownian, write_path_csv
 from stochtransport.profiles import sample_profile
 
 
@@ -485,6 +485,13 @@ def _with_cell(lines, row, col, cell):
     return lines[:2 + row] + [",".join(cells) + "\n"] + lines[3 + row:]
 
 
+def _with_t(lines, moved):
+    """Path ``lines`` with the t cell of each data row k in ``moved`` set to ``moved[k]``."""
+    for k, t in moved.items():
+        lines = _with_cell(lines, k, 1, repr(t))
+    return lines
+
+
 class TestCommandLine:
     def write_config(self, tmp_path, raw) -> str:
         p = tmp_path / "config.json"
@@ -666,8 +673,14 @@ class TestCommandLine:
         (lambda lines: _with_cell(lines, 0, 0, "x"),
          "row 0: invalid literal for int() with base 10: 'x'"),
         (lambda lines: _with_cell(lines, 1, 0, "7"), "row 1: k=7 is not the row's position"),
+        # the inner knots moved by T/64: the configured horizon and step
+        # count, but knots off the snapshot times
+        (lambda lines: _with_t(lines, {k: k / 64 + 0.25 / 64 for k in range(1, 16)}),
+         "row 1: t=0.01953125 is off the uniform mesh linspace(0, 0.25, 17)"),
+        (lambda lines: _with_t(lines, {2: 3 / 64, 3: 2 / 64}),
+         "row 2: t=0.046875 is off the uniform mesh linspace(0, 0.25, 17)"),
     ], ids=["non-numeric-t", "missing-W1", "non-integer-seed", "token-without-equals",
-            "non-integer-k", "k-out-of-place"])
+            "non-integer-k", "k-out-of-place", "moved-knots", "non-increasing-t"])
     def test_corrupt_path_csv_exits_2(self, tmp_path, capsys, corrupt, named):
         config = self.write_config(tmp_path, base_dict())
         out = tmp_path / "run"
@@ -754,17 +767,13 @@ class TestCommandLine:
         assert main(["verify-weak", "--config", config, "--out", out]) == 1
 
     def test_runtime_error_exits_3(self, tmp_path, capsys):
-        config = self.write_config(tmp_path, base_dict())
-        out = str(tmp_path / "run")
-        main(["solve", "--config", config, "--out", out])
-        # a path of the configured horizon and step count whose knots no
-        # longer line up with the snapshot times
-        w = sample_brownian(3, 0.25, 16, 1)
-        times = w.times + np.where((w.times > 0) & (w.times < 0.25), 0.25 / 64, 0.0)
-        write_path_csv(SamplePath(times, w.values, w.kind, seed=w.seed),
-                       os.path.join(out, "path.csv"))
-        assert main(["verify-weak", "--config", config, "--out", out]) == 3
-        assert capsys.readouterr().err.startswith("runtime error:")
+        # a valid config whose drift overflows on the grid
+        config = self.write_config(tmp_path, base_dict(drift={"id": "linear",
+                                                              "matrix": [[1e200]]}))
+        with np.errstate(over="ignore"):
+            assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime error: drift 'linear' returned non-finite values")
 
     def test_seeds_flag_is_wong_zakai_only(self, tmp_path):
         config = self.write_config(tmp_path, base_dict())

@@ -124,6 +124,12 @@ class TestSupDistance:
         oracle = float(np.max(np.abs(p.values[odd] - chord_mid)))
         assert sup_distance(half, p) == oracle
 
+    def test_mismatched_step_counts_rejected(self):
+        a = sample_brownian(1, 1.0, 64, 1)
+        b = sample_brownian(1, 1.0, 128, 1)
+        with pytest.raises(MeshMismatchError, match="do not share one mesh"):
+            sup_distance(a, b)
+
     def test_mismatched_horizons_rejected(self):
         a = sample_brownian(1, 1.0, 64, 1)
         b = sample_brownian(1, 2.0, 64, 1)
@@ -174,14 +180,21 @@ class TestPathCsv:
 
 
 class TestSamplePathValidation:
-    def test_nonmonotone_times_rejected(self):
-        times = np.array([0.0, 0.5, 0.4, 1.0])
-        vals = np.zeros((4, 1))
-        with pytest.raises(ConfigError):
-            SamplePath(kind="zero", times=times, values=vals, seed=None)
-
     def test_nonzero_start_rejected_for_brownian(self):
-        times = np.linspace(0.0, 1.0, 5)
         vals = np.ones((5, 1))
         with pytest.raises(ConfigError):
-            SamplePath(kind="brownian", times=times, values=vals, seed=0)
+            SamplePath(kind="brownian", horizon=1.0, values=vals, seed=0)
+
+    def test_times_are_the_uniform_mesh_and_read_only(self):
+        p = SamplePath(np.zeros((9, 2)), 0.3, "zero")
+        assert np.array_equal(p.times, np.linspace(0.0, 0.3, 9))
+        assert p.horizon == 0.3 and p.n_steps == 8
+        with pytest.raises(ValueError):
+            p.times[1] = 0.5
+        with pytest.raises(AttributeError):
+            p.times = np.linspace(0.0, 1.0, 9)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+            SamplePath(np.zeros((5, 1)), horizon, "zero")

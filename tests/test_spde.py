@@ -170,10 +170,9 @@ class TestExactSolution:
     def test_lattice_displacement_is_exact_index_shift(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         prof = bump(1, center=0.0, radius=1.0)
-        times = np.linspace(0.0, 1.0, 9)
         vals = np.zeros((9, 1))
         vals[-1, 0] = 5.0 * g.h
-        path = SamplePath(kind="piecewise_linear_bv", times=times, values=vals,
+        path = SamplePath(kind="piecewise_linear_bv", horizon=1.0, values=vals,
                           seed=None)
         got = exact_solution(constant_drift([0.0]), path, prof, 1.0, g)
         u0 = sample_profile(g, prof)
@@ -182,10 +181,9 @@ class TestExactSolution:
     def test_constant_drift_combines_displacements(self):
         g = SpatialGrid(d=2, half_width=4.0, n=64)
         prof = bump(2, center=(0.0, 0.0), radius=1.0)
-        times = np.linspace(0.0, 1.0, 9)
         vals = np.zeros((9, 2))
         vals[-1] = [0.3, -0.2]
-        path = SamplePath(kind="piecewise_linear_bv", times=times, values=vals,
+        path = SamplePath(kind="piecewise_linear_bv", horizon=1.0, values=vals,
                           seed=None)
         got = exact_solution(constant_drift([1.0, 0.0]), path, prof, 1.0, g)
         want = ScalarField.from_function(
@@ -454,7 +452,7 @@ class TestBatchMarch:
             path = piecewise_linear_approx(path, 4)
         # Companions with other, larger excursions: the batch's mollifier
         # table reaches further than the path's own.
-        wide = SamplePath(path.times, 3.0 * sample_brownian(9, horizon, 32, d).values,
+        wide = SamplePath(3.0 * sample_brownian(9, horizon, 32, d).values, horizon,
                           "brownian")
         other = sample_brownian(11, horizon, 32, d)
         kwargs = dict(scheme=scheme, mollify_epsilon=eps)
@@ -474,7 +472,7 @@ class TestBatchMarch:
         b = linear_drift([[1.0]])
         quiet = zero_path(1.0, 64, 1)
         # a straight path to W(1) = 4 pushes v out to about 5.6 > 3.6
-        pushed = SamplePath(quiet.times, 4.0 * quiet.times[:, None],
+        pushed = SamplePath(4.0 * quiet.times[:, None], quiet.horizon,
                             "piecewise_linear_bv")
         with pytest.warns(SupportMarginWarning, match="in path 1"):
             sols = solve_spde_batch(b, [quiet, pushed, quiet], u0)
@@ -483,6 +481,20 @@ class TestBatchMarch:
         assert sols[0].support_violations == sols[2].support_violations == ()
         assert sols[1].support_violations == alone.support_violations
         assert len(alone.support_violations) > 0
+
+    def test_margin_warning_names_the_caller_of_either_entry_point(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        b = linear_drift([[1.0]])
+        quiet = zero_path(1.0, 64, 1)
+        pushed = SamplePath(4.0 * quiet.times[:, None], quiet.horizon, "piecewise_linear_bv")
+        with pytest.warns(SupportMarginWarning) as alone:
+            solve_spde(b, pushed, u0)
+        with pytest.warns(SupportMarginWarning) as batch:
+            solve_spde_batch(b, [quiet, pushed], u0)
+        for record in (alone, batch):
+            assert [w.filename for w in record
+                    if issubclass(w.category, SupportMarginWarning)] == [__file__]
 
     def test_blow_up_names_its_step_and_path(self):
         g = SpatialGrid(d=1, half_width=4.0, n=64)
@@ -493,7 +505,7 @@ class TestBatchMarch:
                            lambda t, x: np.where(np.asarray(x) > 50.0, 1.0e308, 0.0),
                            smooth=True)
         quiet = zero_path(1.0, 64, 1)
-        far = SamplePath(quiet.times, 100.0 * quiet.times[:, None], "piecewise_linear_bv")
+        far = SamplePath(100.0 * quiet.times[:, None], quiet.horizon, "piecewise_linear_bv")
         with np.errstate(all="ignore"):
             with pytest.raises(BlowUpError) as alone:
                 solve_spde(cliff, far, u0)

@@ -139,7 +139,7 @@ class TestStratonovichResidual:
         from stochtransport.paths import SamplePath
 
         fine_path = sample_brownian(24, 1.0, 4096, 1)
-        coarse_path = SamplePath(kind="brownian", times=fine_path.times[::2],
+        coarse_path = SamplePath(kind="brownian", horizon=fine_path.horizon,
                                  values=fine_path.values[::2], seed=24)
         g_coarse = SpatialGrid(d=1, half_width=4.0, n=512)
         g_fine = SpatialGrid(d=1, half_width=4.0, n=1024)
