@@ -65,7 +65,8 @@ class DriftField:
     for spatially constant fields, and unlocks closed-form transported
     solutions downstream. ``factors`` is set only for
     separable fields b(t, x) = gain(t) * base(x), as the pair
-    ``(gain, base)``; the mollifier uses it to tabulate the base once.
+    ``(gain, base)``; the mollifier uses it to tabulate the base once, and
+    ``eval_drift`` to read the base once for many times.
     """
 
     id: str
@@ -78,10 +79,36 @@ class DriftField:
     factors: Optional[tuple] = None
 
 
-def eval_drift(b: DriftField, t: float, points: np.ndarray) -> np.ndarray:
-    """Evaluate b(t, x), guarding against non-finite output."""
-    out = np.asarray(b.fn(t, np.asarray(points, dtype=float)), dtype=float)
-    if not np.all(np.isfinite(out)):
+def eval_drift(b: DriftField, t, points: np.ndarray) -> np.ndarray:
+    """Evaluate b(t, x), guarding against non-finite output.
+
+    ``t`` is one time, or a 1-D array of B times with points of shape
+    (B, ..., d), row i read at time i. Then an autonomous drift is read
+    once for all of them, a separable one g(t) * b(x) (``factors``) once
+    through b and scaled by g at each time, and any other once per time.
+    The drift runs with numpy's floating-point warnings off: a non-finite
+    value raises ``DriftEvaluationError`` naming the first time that
+    gave one.
+    """
+    pts = np.asarray(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if np.ndim(t) == 0:
+            out = np.asarray(b.fn(t, pts), dtype=float)
+        else:
+            times = np.asarray(t, dtype=float).tolist()
+            gain, base = b.factors or (None, b)
+            if not b.time_dependent:
+                out = np.asarray(b.fn(times[0], pts), dtype=float)
+            elif gain is not None and not base.time_dependent:
+                scale = np.array([gain(s) for s in times]).reshape((-1,) + (1,) * (pts.ndim - 1))
+                out = np.asarray(base.fn(times[0], pts), dtype=float) * scale
+            else:
+                out = np.stack([np.asarray(b.fn(s, x), dtype=float)
+                                for s, x in zip(times, pts)])
+    finite = np.isfinite(out)
+    if not finite.all():
+        if np.ndim(t):
+            t = times[int(np.argmin(finite.reshape(len(times), -1).all(axis=1)))]
         raise DriftEvaluationError(f"drift {b.id!r} returned non-finite values at t={t}")
     return out
 
@@ -259,13 +286,15 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
     def total_gain(t):
         return gain(t, T) * inner_gain(t)
 
+    # One product for every route: g(t) * root(x) through ``fn`` equals the
+    # scaled base read of ``eval_drift``, bit for bit.
     def fn(t, x):
-        return gain(t, T) * base.fn(t, x)
+        return total_gain(t) * root.fn(t, x)
 
     jac = None
-    if base.jacobian is not None:
+    if root.jacobian is not None:
         def jac(t, x):
-            return gain(t, T) * base.jacobian(t, x)
+            return total_gain(t) * root.jacobian(t, x)
 
     return DriftField(
         f"{base.id}*{gain_id}", base.d, fn, jac,

@@ -6,7 +6,10 @@ This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read gathers each point's stencil
 as one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables). A snapshot's ``index`` and
+which also reads the 2D mollifier tables). A read is a plan, the flat
+index of each point's window and its weights (``_cubic_plan``), then its
+application to the values (``_cubic_apply``); the march plans a block of
+steps at once and applies one plan per step. A snapshot's ``index`` and
 coordinate cells are formatted once per grid (``SpatialGrid._row_prefixes``),
 so each write formats only its values and hands the body to
 ``artifacts.write_body``.
@@ -241,48 +244,77 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     as one stack along the first axis, by the same arithmetic whatever P
     is. ``clamp`` clips each value to the range of its stencil: the
     semi-Lagrangian stepper's discrete maximum principle, at the price of
-    cubic exactness.
+    cubic exactness. It is :func:`_cubic_plan` followed by
+    :func:`_cubic_apply`.
+    """
+    return _cubic_apply(grid, values, _cubic_plan(grid, pts[None])[0], clamp)
+
+
+def _cubic_plan(grid: SpatialGrid, pts: np.ndarray) -> list:
+    """Where and with what weights the cubic rule reads points of shape (S, P, Q, d).
+
+    The S sets of points are located and weighed in one pass. Returns one
+    plan per set for :func:`_cubic_apply`: the flat index, in the
+    wrap-padded stack of the P fields, of the first node of each point's
+    stencil, and the (P * Q, 4) weights per axis. A plan depends on the
+    points only, so a read of any values may reuse it.
+    """
+    n_sets, n_fields, n_pts, d = pts.shape
+    base, theta = _axis_locate(grid, pts.reshape(-1, d))
+    base = base.reshape(n_sets, -1, d)
+    side = grid.n + 3  # the padded length of an axis
+    start = np.repeat(np.arange(n_fields) * side**d, n_pts)
+    for a in range(d):
+        start = start + base[..., a] * side ** (d - 1 - a)
+    weights = [_cubic_weights(theta[:, a]).reshape(n_sets, -1, 4) for a in range(d)]
+    return [(start[s], [w[s] for w in weights]) for s in range(n_sets)]
+
+
+def _cubic_apply(grid: SpatialGrid, values: np.ndarray, plan, clamp: bool) -> np.ndarray:
+    """Read a stack of P fields, shape (P, *grid.shape), by a plan of
+    :func:`_cubic_plan`; returns shape (P, Q).
 
     The stack is wrap-padded once, by 1 node before and 2 after on each
     spatial axis, so every stencil is a 4-node window of it per axis and
-    no index needs a modulo; the clamp bounds are running minima and
-    maxima over the padded stack, not a reduction per point.
+    no index needs a modulo. The padded stack is read as one table, the
+    P fields one after another along its first axis, so one flat index
+    locates a stencil. The clamp bounds are running minima and maxima
+    over the flat padded stack, not a reduction per point.
     """
-    n_fields, n_pts = pts.shape[:2]
-    base, theta = _axis_locate(grid, pts.reshape(-1, grid.d))
+    start, weights = plan
     # Node i sits at padded index i + 1, so the stencil around node base starts at base.
     wrap = np.arange(-1, grid.n + 2) % grid.n
     padded = values
     for axis in range(1, grid.d + 1):
         padded = np.take(padded, wrap, axis=axis)
-    at = (np.repeat(np.arange(n_fields), n_pts), *base.T)
-    out = _window_sum(padded, at, theta)
+    out = _window_sum(padded.reshape((1, -1) + padded.shape[2:]), start, weights)[0]
     if clamp:
-        lo = hi = padded
-        for axis in range(1, grid.d + 1):
-            for step in (1, 2):  # extremes of 2, then 4 nodes
-                head = (slice(None),) * axis + (slice(None, -step),)
-                tail = (slice(None),) * axis + (slice(step, None),)
-                lo, hi = np.minimum(lo[head], lo[tail]), np.maximum(hi[head], hi[tail])
-        out = np.clip(out, lo[at], hi[at])
-    return out.reshape(n_fields, n_pts)
+        lo = hi = padded.reshape(-1)
+        for step in (1, 2, grid.n + 3, 2 * (grid.n + 3))[: 2 * grid.d]:
+            # extremes of 2, then 4 nodes along the rows, then of 2 and 4 rows
+            lo, hi = np.minimum(lo[:-step], lo[step:]), np.maximum(hi[:-step], hi[step:])
+        out = np.clip(out, np.take(lo, start), np.take(hi, start))
+    return out.reshape(values.shape[0], -1)
 
 
-def _window_sum(stack: np.ndarray, at: tuple, theta: np.ndarray) -> np.ndarray:
-    """The cubic rule on 4-node windows of a C-contiguous stack of 1D or 2D
-    tables: point q reads the window whose first node is ``at[1:]`` at q,
-    weighted by ``_cubic_weights(theta[q])`` per axis. ``at[0]`` picks one
-    table per point, giving shape (Q,), or is ``slice(None)``, every table,
-    giving shape (C, Q)."""
-    d = theta.shape[1]
-    # Every window as one strided view of the stack: window i starts at node i.
-    windows = np.ndarray(stack.shape[:1] + tuple(n - 3 for n in stack.shape[1:]) + (4,) * d,
-                         stack.dtype, stack, strides=stack.strides + stack.strides[1:])
-    stencil = windows[at]
+def _window_sum(stack: np.ndarray, start: np.ndarray, weights) -> np.ndarray:
+    """The cubic rule on 4-node windows of a C-contiguous stack of C tables
+    of 1D or 2D: point q reads, in every table, the window whose first node
+    has flat index ``start[q]`` in the table, weighted by row q of
+    ``weights``, one (Q, 4) array of ``_cubic_weights`` per axis. Returns
+    shape (C, Q)."""
+    d = len(weights)
+    flat = stack.reshape(len(stack), -1)
+    item = flat.strides[1]
+    steps = (stack.shape[-1], 1) if d == 2 else (1,)  # flat distance to the next row, node
+    # Every window as one strided view: window k starts at flat node k of its table.
+    windows = np.ndarray((len(flat), flat.shape[1] - 3 * sum(steps)) + (4,) * d,
+                         flat.dtype, flat,
+                         strides=(flat.strides[0], item) + tuple(item * s for s in steps))
+    stencil = windows[:, start]
     if d == 1:
-        return np.einsum("qi,...qi->...q", _cubic_weights(theta[:, 0]), stencil)
-    w1, w2 = _cubic_weights(theta[:, 0]), _cubic_weights(theta[:, 1])
-    return np.einsum("qi,...qij,qj->...q", w1, stencil, w2)
+        return np.einsum("qi,...qi->...q", weights[0], stencil)
+    return np.einsum("qi,...qij,qj->...q", weights[0], stencil, weights[1])
 
 
 def shift_field(f: ScalarField, delta) -> ScalarField:

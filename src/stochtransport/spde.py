@@ -19,10 +19,16 @@ same, bit for bit, whether it is solved alone or in any batch.
 The paths are evaluated once per batch, at every RK4 stage time and
 every snapshot time (``transport.path_table``), and a rough drift is
 tabulated once per batch (``transport.mollified_drift``). The march then
-runs on raw nodal arrays: after each step it checks that the values are
-finite (``BlowUpError`` names the step and the path) and, path by path,
-that they clear the wrap-around margin, and it builds a ``ScalarField``
-only at the snapshots.
+runs on raw nodal arrays, in blocks of B = min(K / 16, max(1, 1024 // Q))
+steps on a grid of Q nodes. Once the path is frozen, v solves a linear
+transport equation whose characteristics do not depend on v, so a block
+reads the velocity at all its steps' stage times in one pass per RK4
+stage, plans the cubic reads of all its feet in one pass, and then
+steps only the values. After each block it checks, on the block's
+stacked values, that they are finite (``BlowUpError`` names the first
+failing step and its path) and, path by path, that they clear the
+wrap-around margin, and it builds a ``ScalarField`` only at the
+snapshots, which a block may straddle.
 
 Renormalization checks integrate beta(v) of the unshifted field v, for
 any vectorized beta, and compare its growth against the Gronwall envelope
@@ -38,15 +44,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import transport
 from .drifts import EVIDENCE_CEILING, DriftField, check_hypotheses
 from .errors import BlowUpError, ConfigError, SupportMarginWarning
 from .fields import ScalarField, SpatialGrid, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
-                        _stage_times, _support_hits_margin, cfl_number,
-                        composed_drift, mollified_drift, path_table)
+                        _semi_lagrangian_block, _stage_times, _support_hits_margin,
+                        _upwind_block, cfl_number, composed_drift, mollified_drift,
+                        path_table)
 
 __all__ = [
     "SpdeSolution",
@@ -235,10 +241,10 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
                 f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
             )
 
-    # Looked up per solve, not bound at import, so a replaced module
-    # attribute (a profiler's wrapper) is the one that runs.
-    advance = (transport.semi_lagrangian_step if scheme == "semi_lagrangian"
-               else transport.upwind_fv_step)
+    advance = _semi_lagrangian_block if scheme == "semi_lagrangian" else _upwind_block
+    # Steps per block: at most 1024 node-steps of every path, and never
+    # more than a snapshot interval, so a block's arrays stay small.
+    block = min(stride, max(1, 1024 // grid.size))
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
     batch = range(len(paths))
@@ -246,22 +252,28 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
     fields = [[shift_field(u0, shifts[rows[0.0], p])] for p in batch]
     violations: list[list[int]] = [[] for _ in batch]
     vals = np.stack([u0.values] * len(paths))
-    for step in range(n_steps):
-        vals = advance(grid, vals, velocity, step * dt, dt)
-        if not np.isfinite(vals).all():
-            p = int(np.argmin(np.isfinite(vals).reshape(len(paths), -1).all(axis=1)))
-            raise BlowUpError(f"non-finite field at step {step + 1} of path {p}",
-                              step=step + 1)
-        hits = _support_hits_margin(vals, band, v0_sup)
-        if hits.any():
-            for p in np.flatnonzero(hits):
-                violations[p].append(step + 1)
-        if (step + 1) % stride == 0:
-            row = rows[float(times[len(fields[0])])]
-            for p in batch:
-                v = ScalarField(grid, vals[p])
-                aux[p].append(v)
-                fields[p].append(shift_field(v, shifts[row, p]))
+    for start in range(0, n_steps, block):
+        steps = np.arange(start, min(start + block, n_steps))
+        # The checks below report what overflows here, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            after = advance(grid, vals, velocity, steps * dt, dt)
+        # A one-step block is stacked as a view: no copy of a large 2D field per step.
+        stack = after[0][None] if len(after) == 1 else np.stack(after)
+        finite = np.isfinite(stack).reshape(len(steps), len(paths), -1).all(axis=2)
+        if not finite.all():
+            i, p = np.argwhere(~finite)[0].tolist()
+            raise BlowUpError(f"non-finite field at step {start + i + 1} of path {p}",
+                              step=start + i + 1)
+        for i, p in np.argwhere(_support_hits_margin(stack, band, v0_sup)).tolist():
+            violations[p].append(start + i + 1)
+        for i, step in enumerate(steps.tolist()):
+            if (step + 1) % stride == 0:
+                row = rows[float(times[len(fields[0])])]
+                for p in batch:
+                    v = ScalarField(grid, stack[i, p])
+                    aux[p].append(v)
+                    fields[p].append(shift_field(v, shifts[row, p]))
+        vals = after[-1]
 
     for p in batch:
         if violations[p]:

@@ -12,8 +12,13 @@ characteristic feet plus clamped cubic interpolation) and first-order
 upwind finite volume in advective form. Both step raw nodal arrays with
 a leading path axis, (grid, values of shape (P, *grid.shape)) -> new
 values, with no field object per step; the velocity is read at (P, Q, d)
-points. An RK4 characteristics integrator doubles as the convergence
-oracle for both.
+points. The march steps in blocks: ``_semi_lagrangian_block`` traces the
+feet of B steps with one velocity read per RK4 stage, at (B, P, Q, d)
+points, and plans their cubic reads at once; ``_upwind_block`` reads
+the nodal velocities of B steps at once. Each then steps only the
+values. ``semi_lagrangian_step`` and ``upwind_fv_step`` are their
+one-step cases. An RK4 characteristics integrator doubles as the
+convergence oracle for both.
 
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
@@ -28,12 +33,13 @@ batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
 delta * k for integer k) that covers the box, the largest path excursion
 of the batch and the RK4 stage displacements, with the kernel
 ``profiles.bump`` sampled on that lattice. The tables hold drift values
-only, no derivatives; every velocity call is then a table lookup, in 2D
-by the 4 x 4 window read of the grid fields.
+only, no derivatives; every velocity call is then a table lookup: in 1D
+linear interpolation located by lattice index, not by search, in 2D the
+4 x 4 window read of the grid fields.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. A
 time-modulated drift g(t) * b(x) is tabulated through b and scaled by
-g(t) per call.
+g(t) per call; a read at a block's times looks the table up once.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import numpy as np
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import SpatialGrid, _cubic_read, _window_sum
+from .fields import SpatialGrid, _cubic_apply, _cubic_plan, _cubic_weights, _window_sum
 from .paths import SamplePath, eval_path
 from .profiles import bump
 
@@ -92,7 +98,7 @@ def path_table(paths, times) -> tuple[dict, np.ndarray]:
     return rows, np.stack([eval_path(path, keys) for path in paths], axis=1)
 
 
-def composed_drift(b: DriftField, table) -> Callable[[float, np.ndarray], np.ndarray]:
+def composed_drift(b: DriftField, table) -> Callable:
     """The shifted velocities (t, x) -> b(t, x + W_p(t)) of a batch of paths.
 
     ``table`` is the ``path_table`` of every time the caller will query:
@@ -100,17 +106,19 @@ def composed_drift(b: DriftField, table) -> Callable[[float, np.ndarray], np.nda
     call reads its shifts from that table. A time not in the table raises
     ``KeyError``; no path is evaluated per call. The points have shape
     (Q, d), shared by every path, or (P, Q, d), one row per path; the
-    velocities have shape (P, Q, d).
+    velocities have shape (P, Q, d). ``t`` may also be a 1-D array of B
+    times, with points of shape (Q, d) or (B, P, Q, d): the velocities
+    then have shape (B, P, Q, d), from one ``eval_drift`` call.
     """
     rows, shifts = table
     shifts = shifts[:, :, None, :]  # each row broadcasts over the points
 
     def velocity(t, points):
         try:
-            row = rows[t]
-        except KeyError:
-            raise KeyError(f"no path shift tabulated for t={t!r}") from None
-        return eval_drift(b, t, np.asarray(points, dtype=float) + shifts[row])
+            at = [rows[s] for s in np.ravel(t).tolist()] if np.ndim(t) else rows[t]
+        except KeyError as exc:
+            raise KeyError(f"no path shift tabulated for t={exc.args[0]!r}") from None
+        return eval_drift(b, t, np.asarray(points, dtype=float) + shifts[at])
 
     return velocity
 
@@ -120,9 +128,9 @@ def composed_drift(b: DriftField, table) -> Callable[[float, np.ndarray], np.nda
 
 
 #: Lattice steps per mollifier radius. The 1D table is read by linear
-#: interpolation (np.interp) and needs the finer lattice; the 2D table is
-#: read by cubic interpolation, which resolves the kernel on a coarser
-#: lattice and keeps the n**2 table small.
+#: interpolation (``_lattice_interp``) and needs the finer lattice; the 2D
+#: table is read by cubic interpolation, which resolves the kernel on a
+#: coarser lattice and keeps the n**2 table small.
 _STEPS_PER_RADIUS = {1: 64, 2: 8}
 
 
@@ -137,16 +145,20 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     offsets and scaled to unit sum (``_bump_kernel``). The lattice is
     anchored at the origin, so a larger reach only adds nodes: every
     value read within a reach is the same, bit for bit, on every table
-    that covers it. Each call is then a lookup: linear interpolation in
-    1D; in 2D the cubic rule of ``fields.interpolate``, whose stencil
-    around node k = floor(x/delta) is one 4 x 4 window of every component
-    table: the lattice holds the stencil margin, so the tables need no
-    padding. A query beyond the reach raises ``BlowUpError``. A
+    that covers it. Each call is then a lookup: in 1D linear
+    interpolation, located by lattice index (``_lattice_interp``, equal
+    to ``np.interp`` bit for bit); in 2D the cubic rule of
+    ``fields.interpolate``, whose stencil around node k = floor(x/delta)
+    is one 4 x 4 window of every component table: the lattice holds the
+    stencil margin, so the tables need no padding. A query beyond the
+    reach, or at a non-finite point, raises ``BlowUpError``. A
     time-modulated field g(t) * b(x) (see ``DriftField.factors``) is
     tabulated through b and scaled by g(t) per call, since mollifying
-    commutes with the gain; any other time-dependent field is rejected
-    with ``ConfigError``. The tables hold values only, so the result states
-    no Jacobian; it is marked ``smooth``, so a solver steps it as it is.
+    commutes with the gain; the result records the factors, the gain and
+    the table lookup, so a read at many times looks up once. Any other
+    time-dependent field is rejected with ``ConfigError``. The tables
+    hold values only, so the result states no Jacobian; it is marked
+    ``smooth``, so a solver steps it as it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -158,6 +170,42 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
             f"cannot mollify {b.id!r}: a time-dependent drift must be separable, g(t) * b(x)"
         )
     d = b.d
+    delta, K, table = _mollified_table(base, epsilon, reach)
+    if d == 1:
+        interp = _lattice_interp(delta, table)
+
+    def lookup(t, points):
+        pts = np.asarray(points, dtype=float)
+        if not np.abs(pts).max(initial=0.0) <= reach:
+            raise BlowUpError(f"mollified drift queried at |x_i| > {reach} or at a "
+                              "non-finite point, beyond its table")
+        if d == 1:
+            return interp(pts[..., 0])[..., None]
+        q = pts.reshape(-1, 2) / delta
+        k = np.floor(q)
+        first = k.astype(np.int64) + (K - 1)  # the stencil around node k starts here
+        theta = q - k
+        out = _window_sum(table, first[:, 0] * (2 * K + 1) + first[:, 1],
+                          [_cubic_weights(theta[:, a]) for a in range(2)])
+        return out.T.reshape(pts.shape[:-1] + (table.shape[0],))
+
+    smooth = DriftField(f"{base.id}~eps", d, lookup, smooth=True)
+    if gain is None:
+        return smooth
+
+    def fn(t, points):
+        return gain(t) * lookup(t, points)
+
+    return DriftField(f"{b.id}~eps", d, fn, smooth=True, time_dependent=True,
+                      factors=(gain, smooth))
+
+
+def _mollified_table(base: DriftField, epsilon: float, reach: float):
+    """``(delta, K, table)``: the autonomous drift ``base`` smoothed by the
+    radius-epsilon bump on the lattice delta * k, |k_i| <= K, of
+    :func:`mollified_drift`. 1D: one table, shape (2K + 1,); 2D: the
+    component tables channel first, shape (2, 2K + 1, 2K + 1)."""
+    d = base.d
     delta = epsilon / _STEPS_PER_RADIUS[d]
     K = int(math.ceil((reach + epsilon) / delta)) + 3
     axis = delta * np.arange(-K, K + 1)
@@ -165,24 +213,33 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
     kernel = _bump_kernel(d, epsilon, delta)
     smooth = [_convolve_nearest(samples[..., a], kernel) for a in range(d)]
-    # 1D: one table; 2D: the component tables channel first, (2, 2K + 1, 2K + 1)
-    table = smooth[0] if d == 1 else np.stack(smooth)
+    return delta, K, smooth[0] if d == 1 else np.stack(smooth)
 
-    def fn(t, points):
-        pts = np.asarray(points, dtype=float)
-        if np.abs(pts).max(initial=0.0) > reach:
-            raise BlowUpError(f"mollified drift queried at |x_i| > {reach}, beyond its table")
-        if d == 1:
-            out = np.interp(pts[..., 0], axis, table)[..., None]
-        else:
-            q = pts.reshape(-1, 2) / delta
-            k = np.floor(q)
-            first = k.astype(np.int64) + (K - 1)  # the stencil around node k starts here
-            out = _window_sum(table, (slice(None), *first.T), q - k)
-            out = out.T.reshape(pts.shape[:-1] + (table.shape[0],))
-        return out if gain is None else gain(t) * out
 
-    return DriftField(f"{b.id}~eps", d, fn, smooth=True, time_dependent=b.time_dependent)
+def _lattice_interp(delta: float, table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.interp(x, axis, table)`` on the lattice axis = delta * arange(-K, K + 1),
+    bit for bit, for every x with axis[0] <= x < axis[-1].
+
+    The interval of x is found by index, k = floor(x / delta), corrected
+    by one node where the division rounded across a node, instead of by
+    binary search; node k sits at delta * k, the very product that makes
+    the axis. Within it the value is np.interp's: slope * (x - node) +
+    table[node], with slope = diff(table) / diff(axis); x on a node
+    returns the table value itself.
+    """
+    K = (table.size - 1) // 2
+    slopes = np.diff(table) / np.diff(delta * np.arange(-K, K + 1))
+
+    def interp(x):
+        k = np.floor(x / delta)
+        k -= delta * k > x
+        k += delta * (k + 1.0) <= x
+        node = delta * k
+        j = k.astype(np.int64) + K
+        value = np.take(table, j)
+        return np.where(node == x, value, np.take(slopes, j) * (x - node) + value)
+
+    return interp
 
 
 def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:
@@ -217,14 +274,24 @@ def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # stepping
 
 
-def _rk4_feet(velocity, points, t: float, dt: float) -> np.ndarray:
-    """One backward RK4 step of the characteristic ODE from t+dt down to t."""
+def _rk4_feet(velocity, points, t, dt: float) -> np.ndarray:
+    """One backward RK4 step of the characteristic ODE from t+dt down to t.
+
+    ``t`` is one step start, or a 1-D array of B of them: each stage then
+    reads the velocity once at all B stage times, and the feet carry a
+    leading axis of length B. The stages are summed in the order
+    ((k1 + 2 k2) + 2 k3) + k4, each dropped once it is added.
+    """
     t_end, t_mid, t_start = _stage_times(t, dt)
-    k1 = velocity(t_end, points)
-    k2 = velocity(t_mid, points - 0.5 * dt * k1)
-    k3 = velocity(t_mid, points - 0.5 * dt * k2)
-    k4 = velocity(t_start, points - dt * k3)
-    return points - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = velocity(t_end, points)
+    total = k
+    k = velocity(t_mid, points - 0.5 * dt * k)
+    total = total + 2.0 * k
+    k = velocity(t_mid, points - 0.5 * dt * k)
+    total += 2.0 * k
+    k = velocity(t_start, points - dt * k)
+    total += k
+    return points - (dt / 6.0) * total
 
 
 def semi_lagrangian_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
@@ -235,10 +302,30 @@ def semi_lagrangian_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float
     ``vals`` has shape (P, *grid.shape) and ``velocity`` returns (P, Q, d)
     velocities at the grid nodes; each path's feet are read from its own
     values. Clamping the cubic stencil enforces a discrete maximum
-    principle. Returns a new array of the shape of ``vals``.
+    principle. Returns a new array of the shape of ``vals``. The one-step
+    case of :func:`_semi_lagrangian_block`.
     """
-    feet = _rk4_feet(velocity, grid.nodes(), t, dt)
-    return _cubic_read(grid, vals, feet, clamp=True).reshape(vals.shape)
+    return _semi_lagrangian_block(grid, vals, velocity, np.array([t]), dt)[0]
+
+
+def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
+                           dt: float) -> list:
+    """Advance a batch of nodal values by the steps starting at ``times``.
+
+    The feet do not depend on the values, so the block's feet are traced
+    in one pass (``velocity`` takes the array of times) and planned in one
+    pass (``fields._cubic_plan``); each step then only reads its values.
+    Velocities without the leading time or path axis broadcast over it.
+    Returns the values after each step, a list of arrays of the shape of
+    ``vals``.
+    """
+    feet = _rk4_feet(velocity, grid.nodes(), times, dt)
+    feet = np.broadcast_to(feet, (len(times), len(vals), grid.size, grid.d))
+    out = []
+    for plan in _cubic_plan(grid, feet):
+        vals = _cubic_apply(grid, vals, plan, clamp=True).reshape(vals.shape)
+        out.append(vals)
+    return out
 
 
 def upwind_fv_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
@@ -248,18 +335,45 @@ def upwind_fv_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
 
     ``vals`` has shape (P, *grid.shape), or ``grid.shape`` for a single
     field, and ``velocity`` returns matching velocities at the grid nodes.
-    Returns a new array of the shape of ``vals``.
+    Returns a new array of the shape of ``vals``. The one-step case of
+    :func:`_upwind_block`.
     """
-    vel = velocity(t, grid.nodes()).reshape(vals.shape + (grid.d,))
-    new = vals.copy()
+    return _upwind_block(grid, vals, velocity, np.array([t]), dt)[0]
+
+
+def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
+                  dt: float) -> list:
+    """Upwind steps starting at ``times``, with the block's nodal velocities
+    read in one pass; returns the values after each step, a list of arrays
+    of the shape of ``vals``.
+
+    A neighbour difference reads a copy of the values wrap-padded by one
+    node on each side along its axis.
+    """
+    vel = velocity(times, grid.nodes()).reshape((len(times),) + vals.shape + (grid.d,))
+    c_plus, c_minus = np.maximum(vel, 0.0), np.minimum(vel, 0.0)
+    wrap = np.arange(-1, grid.n + 1) % grid.n
     h = grid.h
-    for axis in range(grid.d):
-        c = vel[..., axis]
-        along = axis - grid.d  # the spatial axes are the trailing ones
-        back = (vals - np.roll(vals, 1, axis=along)) / h
-        fwd = (np.roll(vals, -1, axis=along) - vals) / h
-        new -= dt * (np.maximum(c, 0.0) * back + np.minimum(c, 0.0) * fwd)
-    return new
+    out = []
+    for s in range(len(times)):
+        new = vals.copy()
+        for axis in range(grid.d):
+            along = axis - grid.d  # the spatial axes are the trailing ones
+            padded = np.take(vals, wrap, axis=along)
+            back = (vals - _window(padded, along, 0)) / h
+            fwd = (_window(padded, along, 2) - vals) / h
+            new -= dt * (c_plus[s, ..., axis] * back + c_minus[s, ..., axis] * fwd)
+        vals = new
+        out.append(vals)
+    return out
+
+
+def _window(padded: np.ndarray, axis: int, start: int) -> np.ndarray:
+    """The n nodes of ``padded`` from ``start`` on along ``axis``: with one node
+    of wrap padding, start 0 is every node's predecessor and 2 its successor."""
+    index = [slice(None)] * padded.ndim
+    index[axis] = slice(start, start + padded.shape[axis] - 2)
+    return padded[tuple(index)]
 
 
 def characteristics_solve(

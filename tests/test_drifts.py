@@ -9,8 +9,9 @@ integrals over the window [-1, 1]: with b(x) = sign(x) |x|^a,
 import numpy as np
 import pytest
 
-from stochtransport.errors import ConfigError
+from stochtransport.errors import ConfigError, DriftEvaluationError
 from stochtransport.drifts import (
+    DriftField,
     STABILITY_RTOL,
     check_hypotheses,
     constant_drift,
@@ -75,6 +76,29 @@ class TestCatalogEvaluation:
     def test_unknown_gain_rejected(self):
         with pytest.raises(ConfigError):
             time_modulated_drift(constant_drift([1.0]), "chirp", horizon=1.0)
+
+    @pytest.mark.parametrize("kind", ["autonomous", "separable", "nested", "general"])
+    def test_read_at_many_times_equals_reads_one_at_a_time_bitwise(self, kind):
+        b = stream_function_drift(4.0)
+        if kind in ("separable", "nested"):
+            b = time_modulated_drift(b, "sin_squared", horizon=1.0)
+        if kind == "nested":
+            b = time_modulated_drift(b, "ramp", horizon=1.0)
+        if kind == "general":
+            b = DriftField("swirl", 2, lambda t, x: np.sin(t * np.asarray(x)),
+                           time_dependent=True)
+        times = np.array([0.1, 0.35, 0.6, 0.85])
+        pts = np.random.default_rng(2).uniform(-4.0, 4.0, size=(4, 3, 50, 2))
+        got = eval_drift(b, times, pts)
+        assert np.array_equal(got, np.stack([eval_drift(b, t, x) for t, x in zip(times, pts)]))
+
+    def test_read_at_many_times_names_the_first_non_finite_time(self):
+        cliff = DriftField("cliff", 1, lambda t, x: np.where(t * np.asarray(x) > 1.0,
+                                                             np.inf, 0.0),
+                           time_dependent=True)
+        pts = np.ones((3, 5, 1))
+        with pytest.raises(DriftEvaluationError, match=r"non-finite values at t=1.5$"):
+            eval_drift(cliff, np.array([0.5, 1.5, 2.5]), pts)
 
 
 class TestDivergence:

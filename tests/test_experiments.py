@@ -11,6 +11,7 @@ mesh. Reruns of the same config must reproduce artifact bytes exactly.
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from stochtransport.cli import main
 from stochtransport.fields import read_field_csv
 from stochtransport.paths import sample_brownian, write_path_csv
 from stochtransport.profiles import sample_profile
+from stochtransport.spde import SNAPSHOT_INTERVALS
 
 
 def base_dict(**overrides) -> dict:
@@ -770,10 +772,19 @@ class TestCommandLine:
         # a valid config whose drift overflows on the grid
         config = self.write_config(tmp_path, base_dict(drift={"id": "linear",
                                                               "matrix": [[1e200]]}))
-        with np.errstate(over="ignore"):
-            assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err.startswith(
             "runtime error: drift 'linear' returned non-finite values")
+
+    def test_runtime_error_is_the_only_line_on_stderr(self, tmp_path):
+        config = self.write_config(tmp_path, base_dict(drift={"id": "linear",
+                                                              "matrix": [[1e200]]}))
+        run = subprocess.run([sys.executable, "-m", "stochtransport", "solve", "--config", config,
+                              "--out", str(tmp_path / "run")],
+                             capture_output=True, text=True, env=_src_env())
+        assert run.returncode == 3
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("runtime error: drift 'linear' returned non-finite values")
 
     def test_seeds_flag_is_wong_zakai_only(self, tmp_path):
         config = self.write_config(tmp_path, base_dict())
@@ -851,6 +862,14 @@ class TestConstants:
     def test_documented_tolerances(self):
         assert DEFAULT_WEAK_TOL == 0.05
         assert TOLERANCE_VERSION == "1"
+
+    def test_benchmark_copies_the_solver_constants(self):
+        # The benchmark restates two constants; read its module from source
+        # (no bytecode is written) and hold the copies to the originals.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+        bench = runpy.run_path(path, run_name="bench_workloads")
+        assert bench["WEAK_TOL"] == DEFAULT_WEAK_TOL
+        assert bench["_SNAPSHOT_FILES"] == SNAPSHOT_INTERVALS + 1
 
     def test_command_result_accumulates(self):
         r = CommandResult(0)

@@ -25,6 +25,7 @@ from stochtransport.drifts import (
     power_drift,
     shear_drift,
     stream_function_drift,
+    time_modulated_drift,
     zero_drift,
 )
 from stochtransport.fields import ScalarField, SpatialGrid, _cubic_read, lp_norm, shift_field
@@ -333,10 +334,15 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
 
 
 def _case(name):
-    """(drift, initial field) of a mollified 1D power solve or a small 2D stream solve."""
-    if name == "power1d":
-        g = SpatialGrid(d=1, half_width=4.0, n=64)
-        return power_drift(0.75, -1.0), sample_profile(g, bump(1, center=0.0, radius=1.0))
+    """(drift, initial field) of a mollified 1D power solve, the same with the
+    sin_squared gain over a horizon of 0.25, the power solve on 96 nodes, or
+    a small 2D stream solve."""
+    if name in ("power1d", "power1d_tm", "straddle"):
+        g = SpatialGrid(d=1, half_width=4.0, n=96 if name == "straddle" else 64)
+        b = power_drift(0.75, -1.0)
+        if name == "power1d_tm":
+            b = time_modulated_drift(b, "sin_squared", 0.25)
+        return b, sample_profile(g, bump(1, center=0.0, radius=1.0))
     g = SpatialGrid(d=2, half_width=4.0, n=16)
     return (stream_function_drift(4.0),
             sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.5)))
@@ -366,11 +372,14 @@ def _count_eval_path(monkeypatch) -> list:
 class TestArrayMarch:
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     @pytest.mark.parametrize("kind", ["brownian", "bv"])
-    @pytest.mark.parametrize("case", ["power1d", "stream"])
+    @pytest.mark.parametrize("case", ["power1d", "stream", "power1d_tm", "straddle"])
     def test_matches_reference_march_bitwise(self, scheme, kind, case):
         b, u0 = _case(case)
-        dt, horizon = 1.0 / 128, 0.25
-        path = sample_brownian(5, horizon, 32, u0.grid.d)
+        # 96 nodes march in blocks of 1024 // 96 = 10 steps: with 256 steps,
+        # 16 per snapshot, blocks straddle snapshots and the last one is short
+        n_steps = 256 if case == "straddle" else 32
+        dt, horizon = 0.25 / n_steps, 0.25
+        path = sample_brownian(5, horizon, n_steps, u0.grid.d)
         if kind == "bv":
             path = piecewise_linear_approx(path, 4)
         with warnings.catch_warnings():
@@ -524,23 +533,27 @@ class TestBatchMarch:
             solve_spde_batch(b, paths, u0)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("scheme, per_step", [("semi_lagrangian", 4), ("upwind_fv", 1)])
+    @pytest.mark.parametrize("scheme, stages", [("semi_lagrangian", 4), ("upwind_fv", 1)])
     def test_drift_reads_per_step_do_not_grow_with_the_batch(self, monkeypatch, scheme,
-                                                              per_step):
+                                                              stages):
         calls = _count_calls(monkeypatch, drifts_module, "eval_drift")
         b, u0 = _case("power1d")
         counts = {}
         for n_paths in (1, 4):
-            for n_steps in (32, 64):
+            for n_steps in (32, 512):
                 paths = [sample_brownian(seed, 0.25, n_steps, 1) for seed in range(n_paths)]
                 calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     solve_spde_batch(b, paths, u0, scheme=scheme)
-                counts[n_paths, n_steps] = len(calls)
+                # the march reads at arrays of times; the set-up, at single times
+                counts[n_paths, n_steps] = (sum(np.ndim(t) == 1 for t in calls), len(calls))
+        # 64 nodes: blocks of min(K / 16, 1024 // 64) steps, 16 of 2 steps
+        # for K = 32 and 32 of 16 steps for K = 512
         for n_paths in (1, 4):
-            assert counts[n_paths, 64] - counts[n_paths, 32] == per_step * 32
-        assert counts[1, 32] == counts[4, 32]
+            assert counts[n_paths, 32][0] == stages * 16
+            assert counts[n_paths, 512][0] == stages * 32
+        assert counts[1, 32] == counts[4, 32] and counts[1, 512] == counts[4, 512]
 
     def test_empty_batch_rejected(self):
         b, u0 = _case("power1d")

@@ -129,6 +129,31 @@ class TestCharacteristics:
         assert err.value.step is not None
 
 
+class TestBlockSteps:
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_block_equals_its_steps_one_at_a_time_bitwise(self, scheme, d):
+        g = SpatialGrid(d=d, half_width=4.0, n=64 if d == 1 else 16)
+        u0 = sample_profile(g, bump(d, center=[0.0] * d, radius=1.0))
+        base = power_drift(0.75, scale=-1.0) if d == 1 else stream_function_drift(4.0)
+        # a mollified time-modulated drift: the block reads its table once per stage
+        b = mollified_drift(time_modulated_drift(base, "sin_squared", 0.25), 0.25, reach=8.0)
+        dt = 1.0 / 64
+        starts = np.arange(5) * dt
+        paths = [sample_brownian(seed, 0.25, 16, d) for seed in (1, 2)]
+        velocity = composed_drift(b, path_table(paths, np.concatenate(
+            transport._stage_times(starts, dt))))
+        block, step = ((transport._semi_lagrangian_block, transport.semi_lagrangian_step)
+                       if scheme == "semi_lagrangian"
+                       else (transport._upwind_block, upwind_fv_step))
+        vals = np.stack([u0.values] * len(paths))
+        after = block(g, vals, velocity, starts, dt)
+        assert len(after) == len(starts)
+        for t, want in zip(starts.tolist(), after):
+            vals = step(g, vals, velocity, t, dt)
+            assert np.array_equal(vals, want)
+
+
 class TestSemiLagrangian:
     def test_zero_drift_any_path_is_bit_exact(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
@@ -409,6 +434,24 @@ class TestMollifiedDrift:
         monkeypatch.setattr(transport, "_convolve_nearest", checked)
         mollified_drift(b, eps, reach=6.0)
         assert tables == [True] * b.d
+
+    @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (64, 256, 1024)] + [0.1, 0.37])
+    def test_lattice_lookup_equals_np_interp_bitwise(self, eps):
+        delta, K, table = transport._mollified_table(power_drift(0.75, scale=-1.0), eps, 4.5)
+        axis = delta * np.arange(-K, K + 1)
+        inner = axis[1:-1]
+        x = np.concatenate([
+            np.random.default_rng(7).uniform(axis[0], axis[-1], 20000),
+            axis[:-1],  # every node of the lookup's domain [axis[0], axis[-1])
+            np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+            [np.nextafter(axis[0], np.inf), -0.0],
+        ])
+        zeros = table.copy()  # the table with signed zero entries
+        zeros[::97], zeros[1::89] = -0.0, 0.0
+        for values in (table, zeros):
+            got = transport._lattice_interp(delta, values)(x)
+            want = np.interp(x, axis, values)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("b, point", [
         (power_drift(0.75), [[2.01]]),
