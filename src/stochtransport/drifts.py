@@ -1,13 +1,14 @@
 """Drift velocity fields and integrability diagnostics.
 
-A drift is a vectorized rule b(t, x) on points of shape (..., d),
-optionally carrying an analytic Jacobian rule. The Jacobian is the only
+A drift is b(t, x) = gain(t) * fn(x): a vectorized autonomous rule
+fn on points of shape (..., d), optionally carrying an analytic Jacobian
+rule, times an optional scalar gain of time. The Jacobian is the only
 derivative a drift states: its divergence is the trace, and a drift
 without the rule is differentiated by centered differences. The
 catalog covers the regimes exercised by the solvers: constants, linear
 fields, divergence-free stream-function fields, a one-dimensional
 power-law field with a Sobolev-but-not-Lipschitz kink at the origin,
-and time-modulated wrappers.
+and time modulation by a gain.
 
 ``check_hypotheses`` estimates, by deterministic quadrature sampling,
 the quantities a well-posed transport problem needs from its drift: a
@@ -20,7 +21,7 @@ doubling of the sample count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,69 +57,61 @@ _JITTER_SCALE = 1.0e-9
 
 @dataclass(frozen=True)
 class DriftField:
-    """A velocity field b(t, x) with an optional analytic Jacobian.
+    """A velocity field b(t, x) = gain(t) * fn(x) with an optional analytic Jacobian.
 
-    ``fn`` and ``jacobian`` are vectorized over points of shape (..., d);
-    the Jacobian returns (..., d, d) with entries d b_i / d x_j. ``smooth``
-    marks fields the solver steps as they are; the others are mollified
-    first (see ``spde.solve_spde_batch``). ``constant_value`` is set only
-    for spatially constant fields, and unlocks closed-form transported
-    solutions downstream. ``factors`` is set only for
-    separable fields b(t, x) = gain(t) * base(x), as the pair
-    ``(gain, base)``; the mollifier uses it to tabulate the base once, and
-    ``eval_drift`` to read the base once for many times.
+    ``fn`` and ``jacobian`` are autonomous and vectorized over points of
+    shape (..., d); the Jacobian returns (..., d, d) with entries
+    d fn_i / d x_j. ``gain`` is a scalar rule of time, None for an
+    autonomous field. ``smooth`` marks fields the solver steps as they
+    are; the others are mollified first (see ``spde.solve_spde_batch``).
+    ``constant_value`` is set only for fields constant in space and time,
+    and unlocks closed-form transported solutions downstream.
     """
 
     id: str
     d: int
-    fn: Callable[[float, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    fn: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     smooth: bool = False
-    time_dependent: bool = False
     constant_value: Optional[np.ndarray] = None
-    factors: Optional[tuple] = None
+    gain: Optional[Callable[[float], float]] = None
 
 
 def eval_drift(b: DriftField, t, points: np.ndarray) -> np.ndarray:
-    """Evaluate b(t, x), guarding against non-finite output.
+    """Evaluate b(t, x) = gain(t) * fn(x), guarding against non-finite output.
 
     ``t`` is one time, or a 1-D array of B times with points of shape
-    (B, ..., d), row i read at time i. Then an autonomous drift is read
-    once for all of them, a separable one g(t) * b(x) (``factors``) once
-    through b and scaled by g at each time, and any other once per time.
-    The drift runs with numpy's floating-point warnings off: a non-finite
-    value raises ``DriftEvaluationError`` naming the first time that
-    gave one.
+    (B, ..., d), row i read at time i. ``fn`` is read once for all of
+    them and scaled by the gain at each time. The drift runs with numpy's
+    floating-point warnings off: a non-finite value raises
+    ``DriftEvaluationError`` naming the first time that gave one.
     """
     pts = np.asarray(points, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.ndim(t) == 0:
-            out = np.asarray(b.fn(t, pts), dtype=float)
-        else:
-            times = np.asarray(t, dtype=float).tolist()
-            gain, base = b.factors or (None, b)
-            if not b.time_dependent:
-                out = np.asarray(b.fn(times[0], pts), dtype=float)
-            elif gain is not None and not base.time_dependent:
-                scale = np.array([gain(s) for s in times]).reshape((-1,) + (1,) * (pts.ndim - 1))
-                out = np.asarray(base.fn(times[0], pts), dtype=float) * scale
+        out = np.asarray(b.fn(pts), dtype=float)
+        if b.gain is not None:
+            if np.ndim(t) == 0:
+                out = b.gain(t) * out
             else:
-                out = np.stack([np.asarray(b.fn(s, x), dtype=float)
-                                for s, x in zip(times, pts)])
+                scale = np.array([b.gain(s) for s in np.asarray(t, dtype=float).tolist()])
+                out = out * scale.reshape((-1,) + (1,) * (pts.ndim - 1))
     finite = np.isfinite(out)
     if not finite.all():
         if np.ndim(t):
-            t = times[int(np.argmin(finite.reshape(len(times), -1).all(axis=1)))]
+            t = float(np.ravel(t)[np.argmin(finite.reshape(np.size(t), -1).all(axis=1))])
         raise DriftEvaluationError(f"drift {b.id!r} returned non-finite values at t={t}")
     return out
 
 
 def _jacobian_of(b: DriftField, t: float, points: np.ndarray, fd_step: float):
-    """The (..., d, d) Jacobian of b, whose trace is div b: analytic when
-    ``b.jacobian`` is set, else centered differences of step ``fd_step``."""
+    """The (..., d, d) Jacobian of b at time t, whose trace is div b:
+    ``b.jacobian`` times the gain when the rule is set, else centered
+    differences of step ``fd_step``."""
     pts = np.asarray(points, dtype=float)
     if b.jacobian is not None:
-        out = np.asarray(b.jacobian(t, pts), dtype=float)
+        out = np.asarray(b.jacobian(pts), dtype=float)
+        if b.gain is not None:
+            out = b.gain(t) * out
         if not np.all(np.isfinite(out)):
             raise DriftEvaluationError(f"drift {b.id!r} Jacobian non-finite at t={t}")
         return out
@@ -151,11 +144,11 @@ def zero_drift(d: int) -> DriftField:
     """The trivial field b = 0."""
     zero = np.zeros(d)
 
-    def fn(t, x):
+    def fn(x):
         return np.zeros(np.asarray(x).shape)
 
 
-    def jac(t, x):
+    def jac(x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
 
     return DriftField("zero", d, fn, jac, smooth=True, constant_value=zero)
@@ -166,11 +159,11 @@ def constant_drift(c) -> DriftField:
     cvec = np.atleast_1d(np.asarray(c, dtype=float))
     d = cvec.size
 
-    def fn(t, x):
+    def fn(x):
         return np.broadcast_to(cvec, np.asarray(x).shape).copy()
 
 
-    def jac(t, x):
+    def jac(x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
 
     return DriftField("constant", d, fn, jac, smooth=True, constant_value=cvec)
@@ -183,10 +176,10 @@ def linear_drift(matrix) -> DriftField:
         raise ConfigError(f"linear drift matrix must be square, got shape {A.shape}")
     d = A.shape[0]
 
-    def fn(t, x):
+    def fn(x):
         return np.asarray(x) @ A.T
 
-    def jac(t, x):
+    def jac(x):
         return np.broadcast_to(A, np.asarray(x).shape[:-1] + (d, d)).copy()
 
     return DriftField("linear", d, fn, jac, smooth=True)
@@ -199,7 +192,7 @@ def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftFie
     L = float(half_width)
     k = np.pi / L
 
-    def fn(t, x):
+    def fn(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         out = np.empty(x.shape)
@@ -208,7 +201,7 @@ def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftFie
         return out
 
 
-    def jac(t, x):
+    def jac(x):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
         out = np.empty(x.shape[:-1] + (2, 2))
@@ -226,14 +219,14 @@ def shear_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
     L = float(half_width)
     k = np.pi / L
 
-    def fn(t, x):
+    def fn(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
         out[..., 0] = amplitude * np.sin(k * x[..., 1])
         return out
 
 
-    def jac(t, x):
+    def jac(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (2, 2))
         out[..., 0, 1] = amplitude * k * np.cos(k * x[..., 1])
@@ -251,11 +244,11 @@ def power_drift(alpha: float, scale: float = 1.0) -> DriftField:
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"power drift exponent must lie in (0, 1), got {alpha}")
 
-    def fn(t, x):
+    def fn(x):
         x = np.asarray(x, dtype=float)
         return scale * np.sign(x) * np.abs(x) ** alpha
 
-    def jac(t, x):
+    def jac(x):
         x = np.asarray(x, dtype=float)[..., :1, None]
         return scale * alpha * np.abs(x) ** (alpha - 1.0)
 
@@ -273,35 +266,20 @@ _GAIN_RULES = {
 def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> DriftField:
     """Separable time modulation g(t) * b(x) with g from a small catalog.
 
-    The result records its ``factors``: modulating an already modulated
-    field multiplies the two gains and keeps the innermost base.
+    Modulating an already modulated field multiplies the two gains, the
+    new one first. The result states no ``constant_value``: it is not
+    constant in time.
     """
     if gain_id not in _GAIN_RULES:
         raise ConfigError(f"unknown gain id {gain_id!r}; choose from {sorted(_GAIN_RULES)}")
-    gain = _GAIN_RULES[gain_id]
+    rule = _GAIN_RULES[gain_id]
     T = float(horizon)
+    inner = base.gain
 
-    inner_gain, root = base.factors or (lambda t: 1.0, base)
+    def gain(t):
+        return rule(t, T) if inner is None else rule(t, T) * inner(t)
 
-    def total_gain(t):
-        return gain(t, T) * inner_gain(t)
-
-    # One product for every route: g(t) * root(x) through ``fn`` equals the
-    # scaled base read of ``eval_drift``, bit for bit.
-    def fn(t, x):
-        return total_gain(t) * root.fn(t, x)
-
-    jac = None
-    if root.jacobian is not None:
-        def jac(t, x):
-            return total_gain(t) * root.jacobian(t, x)
-
-    return DriftField(
-        f"{base.id}*{gain_id}", base.d, fn, jac,
-        smooth=base.smooth,
-        time_dependent=True,
-        factors=(total_gain, root),
-    )
+    return replace(base, id=f"{base.id}*{gain_id}", constant_value=None, gain=gain)
 
 
 def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0) -> DriftField:

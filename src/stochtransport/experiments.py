@@ -32,7 +32,7 @@ from .profiles import Profile, profile_from_spec, sample_profile
 from .spde import (SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde,
                    solve_spde_batch)
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
-                        _step_count, _support_hits_margin, cfl_number)
+                        _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 
 __all__ = [
@@ -224,7 +224,11 @@ class ExperimentConfig:
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
     def n_steps(self) -> int:
-        return _step_count(self.dt, self.horizon)
+        """Number of steps of size dt in [0, T]; dt must divide the horizon."""
+        n_steps = int(round(self.horizon / self.dt))
+        if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1.0e-9 * self.horizon:
+            raise ConfigError(f"dt={self.dt} does not divide the horizon {self.horizon}")
+        return n_steps
 
     def drift(self) -> DriftField:
         return drift_from_spec(self.d, self.half_width, self.drift_spec, self.horizon)

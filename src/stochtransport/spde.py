@@ -4,9 +4,10 @@ For a frozen realization of the driving path, the stochastic problem
 
     du + b(t, x) . grad u dt + grad u . dW = 0,    u(0) = u0,
 
-is solved in one pass: ``solve_spde_batch`` marches the deterministic
-advection problem for v with the path-shifted drift b(t, x + W(t)),
-using the steppers of ``transport``, and translates each snapshot back:
+with b(t, x) = gain(t) * fn(x) (``drifts.DriftField``), is solved in
+one pass: ``solve_spde_batch`` marches the deterministic advection
+problem for v with the path-shifted drift b(t, x + W(t)), using the
+steppers of ``transport``, and translates each snapshot back:
 u(t, x) = v(t, x - W(t)). It is the one march loop, and it serves every
 driving path: a Brownian draw, the zero path, and the bounded-variation
 interpolants that the Wong-Zakai approximation study feeds in. It takes
@@ -161,7 +162,7 @@ def solve_spde_batch(
         Zero disables smoothing; a positive value forces that radius and
         must be at least h. The smoothed drift is tabulated once per batch by
         :func:`transport.mollified_drift`, with the largest reach of the
-        batch; time-dependent drifts must be separable.
+        batch; the table holds ``b.fn``, and the gain is applied per read.
 
     A step after which a path's v reaches the wrap-around margin is
     recorded in that solution's ``support_violations``; each path with
@@ -177,8 +178,7 @@ def solve_spde_batch(
     ConfigError
         Paths of differing horizon or step count, a step count that is not
         a multiple of ``SNAPSHOT_INTERVALS``, a dimension mismatch, an empty
-        batch, CFL violation, unknown scheme, a sub-grid mollifier radius,
-        a non-separable time-dependent drift to smooth.
+        batch, CFL violation, unknown scheme, a sub-grid mollifier radius.
     BlowUpError
         Non-finite values after a marching step, naming the step and the
         path, or a drift query beyond the mollifier table.

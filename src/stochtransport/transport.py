@@ -37,14 +37,16 @@ only, no derivatives; every velocity call is then a table lookup: in 1D
 linear interpolation located by lattice index, not by search, in 2D the
 4 x 4 window read of the grid fields.
 A larger reach only adds nodes, so every value a path reads is the same,
-bit for bit, whether it is solved alone or in any batch. A
-time-modulated drift g(t) * b(x) is tabulated through b and scaled by
-g(t) per call; a read at a block's times looks the table up once.
+bit for bit, whether it is solved alone or in any batch. Only the
+autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the
+smoothed drift keeps the gain, so a read at a block's times looks the
+table up once and scales it by the gain at each time.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -137,44 +139,36 @@ _STEPS_PER_RADIUS = {1: 64, 2: 8}
 def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     """Smooth a drift in space by convolution with the radius-epsilon bump.
 
-    The drift's autonomous factor is sampled once on the lattice of nodes
-    delta * k, for integers |k| <= K, with delta = epsilon/64 (1D) or
-    epsilon/8 (2D) and K large enough to cover the cube |x_i| <= reach
-    plus the kernel radius and the interpolation stencil, and convolved
-    there with ``profiles.bump(d, 0, epsilon)`` sampled at the lattice
-    offsets and scaled to unit sum (``_bump_kernel``). The lattice is
-    anchored at the origin, so a larger reach only adds nodes: every
-    value read within a reach is the same, bit for bit, on every table
-    that covers it. Each call is then a lookup: in 1D linear
+    The drift's autonomous factor ``b.fn`` is sampled once on the lattice
+    of nodes delta * k, for integers |k| <= K, with delta = epsilon/64
+    (1D) or epsilon/8 (2D) and K large enough to cover the cube
+    |x_i| <= reach plus the kernel radius and the interpolation stencil,
+    and convolved there with ``profiles.bump(d, 0, epsilon)`` sampled at
+    the lattice offsets and scaled to unit sum (``_bump_kernel``). The
+    lattice is anchored at the origin, so a larger reach only adds nodes:
+    every value read within a reach is the same, bit for bit, on every
+    table that covers it. Each call is then a lookup: in 1D linear
     interpolation, located by lattice index (``_lattice_interp``, equal
     to ``np.interp`` bit for bit); in 2D the cubic rule of
     ``fields.interpolate``, whose stencil around node k = floor(x/delta)
     is one 4 x 4 window of every component table: the lattice holds the
     stencil margin, so the tables need no padding. A query beyond the
-    reach, or at a non-finite point, raises ``BlowUpError``. A
-    time-modulated field g(t) * b(x) (see ``DriftField.factors``) is
-    tabulated through b and scaled by g(t) per call, since mollifying
-    commutes with the gain; the result records the factors, the gain and
-    the table lookup, so a read at many times looks up once. Any other
-    time-dependent field is rejected with ``ConfigError``. The tables
-    hold values only, so the result states no Jacobian; it is marked
-    ``smooth``, so a solver steps it as it is.
+    reach, or at a non-finite point, raises ``BlowUpError``. Mollifying
+    in space commutes with the gain of b(t, x) = gain(t) * fn(x), so the
+    result keeps ``b.gain``. The tables hold values only, so the result
+    states no Jacobian; it is marked ``smooth``, so a solver steps it as
+    it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
     if not (reach > 0 and math.isfinite(reach)):
         raise ConfigError(f"mollifier table reach must be positive, got {reach}")
-    gain, base = b.factors or (None, b)
-    if base.time_dependent:
-        raise ConfigError(
-            f"cannot mollify {b.id!r}: a time-dependent drift must be separable, g(t) * b(x)"
-        )
     d = b.d
-    delta, K, table = _mollified_table(base, epsilon, reach)
+    delta, K, table = _mollified_table(b, epsilon, reach)
     if d == 1:
         interp = _lattice_interp(delta, table)
 
-    def lookup(t, points):
+    def lookup(points):
         pts = np.asarray(points, dtype=float)
         if not np.abs(pts).max(initial=0.0) <= reach:
             raise BlowUpError(f"mollified drift queried at |x_i| > {reach} or at a "
@@ -189,28 +183,20 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
                           [_cubic_weights(theta[:, a]) for a in range(2)])
         return out.T.reshape(pts.shape[:-1] + (table.shape[0],))
 
-    smooth = DriftField(f"{base.id}~eps", d, lookup, smooth=True)
-    if gain is None:
-        return smooth
-
-    def fn(t, points):
-        return gain(t) * lookup(t, points)
-
-    return DriftField(f"{b.id}~eps", d, fn, smooth=True, time_dependent=True,
-                      factors=(gain, smooth))
+    return DriftField(f"{b.id}~eps", d, lookup, smooth=True, gain=b.gain)
 
 
-def _mollified_table(base: DriftField, epsilon: float, reach: float):
-    """``(delta, K, table)``: the autonomous drift ``base`` smoothed by the
+def _mollified_table(b: DriftField, epsilon: float, reach: float):
+    """``(delta, K, table)``: the autonomous factor ``b.fn`` smoothed by the
     radius-epsilon bump on the lattice delta * k, |k_i| <= K, of
     :func:`mollified_drift`. 1D: one table, shape (2K + 1,); 2D: the
     component tables channel first, shape (2, 2K + 1, 2K + 1)."""
-    d = base.d
+    d = b.d
     delta = epsilon / _STEPS_PER_RADIUS[d]
     K = int(math.ceil((reach + epsilon) / delta)) + 3
     axis = delta * np.arange(-K, K + 1)
     nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-    samples = eval_drift(base, 0.0, nodes).reshape((axis.size,) * d + (d,))
+    samples = eval_drift(replace(b, gain=None), 0.0, nodes).reshape((axis.size,) * d + (d,))
     kernel = _bump_kernel(d, epsilon, delta)
     smooth = [_convolve_nearest(samples[..., a], kernel) for a in range(d)]
     return delta, K, smooth[0] if d == 1 else np.stack(smooth)
@@ -436,14 +422,6 @@ def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float):
     one bool for values of ``grid.shape``, one per path for (P, *grid.shape)."""
     tol = _SUPPORT_VALUE_RTOL * max(v0_sup, 1.0e-300)
     return np.any(np.abs(vals[..., band]) > tol, axis=-1)
-
-
-def _step_count(dt: float, horizon: float) -> int:
-    """Number of steps of size dt in [0, horizon]; dt must divide the horizon."""
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1.0e-9 * horizon:
-        raise ConfigError(f"dt={dt} does not divide the horizon {horizon}")
-    return n_steps
 
 
 def _check_mollify_radius(epsilon: float, h: float) -> None:

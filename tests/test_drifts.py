@@ -6,6 +6,8 @@ integrals over the window [-1, 1]: with b(x) = sign(x) |x|^a,
 2a - 1 > 0 (a = 0.75 gives 2.25) and diverges when a = 0.25.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from stochtransport.drifts import (
     _central_jacobian,
     _jacobian_of,
 )
+from stochtransport.transport import mollified_drift
 
 
 BOX2 = [(-4.0, 4.0), (-4.0, 4.0)]
@@ -77,25 +80,34 @@ class TestCatalogEvaluation:
         with pytest.raises(ConfigError):
             time_modulated_drift(constant_drift([1.0]), "chirp", horizon=1.0)
 
-    @pytest.mark.parametrize("kind", ["autonomous", "separable", "nested", "general"])
-    def test_read_at_many_times_equals_reads_one_at_a_time_bitwise(self, kind):
-        b = stream_function_drift(4.0)
-        if kind in ("separable", "nested"):
-            b = time_modulated_drift(b, "sin_squared", horizon=1.0)
-        if kind == "nested":
-            b = time_modulated_drift(b, "ramp", horizon=1.0)
-        if kind == "general":
-            b = DriftField("swirl", 2, lambda t, x: np.sin(t * np.asarray(x)),
-                           time_dependent=True)
+    @pytest.mark.parametrize("d, spec, mollify", [
+        (2, {"id": "zero"}, False),
+        (2, {"id": "constant", "c": [0.5, -1.0]}, False),
+        (2, {"id": "linear", "matrix": [[-1.0, 0.5], [0.25, 0.3]]}, False),
+        (2, {"id": "stream"}, False),
+        (2, {"id": "shear"}, False),
+        (1, {"id": "power1d", "alpha": 0.75}, False),
+        (2, {"id": "time_modulated", "gain_id": "sin_squared", "base": {"id": "stream"}},
+         False),
+        (2, {"id": "time_modulated", "gain_id": "ramp", "base": {
+            "id": "time_modulated", "gain_id": "sin_squared", "base": {"id": "stream"}}},
+         False),
+        (1, {"id": "time_modulated", "gain_id": "sin_squared",
+             "base": {"id": "power1d", "alpha": 0.75}}, True),
+    ], ids=["zero", "constant", "linear", "stream", "shear", "power1d", "stream*sin_squared",
+            "stream*sin_squared*ramp", "power1d*sin_squared~eps"])
+    def test_read_at_many_times_equals_reads_one_at_a_time_bitwise(self, d, spec, mollify):
+        b = drift_from_spec(d, 4.0, spec)
+        if mollify:
+            b = mollified_drift(b, 1.0 / 16, reach=6.0)
         times = np.array([0.1, 0.35, 0.6, 0.85])
-        pts = np.random.default_rng(2).uniform(-4.0, 4.0, size=(4, 3, 50, 2))
+        pts = np.random.default_rng(2).uniform(-4.0, 4.0, size=(4, 3, 50, b.d))
         got = eval_drift(b, times, pts)
         assert np.array_equal(got, np.stack([eval_drift(b, t, x) for t, x in zip(times, pts)]))
 
     def test_read_at_many_times_names_the_first_non_finite_time(self):
-        cliff = DriftField("cliff", 1, lambda t, x: np.where(t * np.asarray(x) > 1.0,
-                                                             np.inf, 0.0),
-                           time_dependent=True)
+        cliff = DriftField("cliff", 1, lambda x: np.ones(np.shape(x)),
+                           gain=lambda t: math.inf if t > 1.0 else 1.0)
         pts = np.ones((3, 5, 1))
         with pytest.raises(DriftEvaluationError, match=r"non-finite values at t=1.5$"):
             eval_drift(cliff, np.array([0.5, 1.5, 2.5]), pts)
@@ -142,8 +154,9 @@ class TestDivergence:
         for t in (0.0, 0.4):
             jac = _jacobian_of(b, t, pts, fd_step=1e-4)
             assert jac.shape == (200, b.d, b.d)
+            gain = 1.0 if b.gain is None else b.gain(t)
             assert np.array_equal(divergence(b, t, pts),
-                                  np.trace(b.jacobian(t, pts), axis1=-2, axis2=-1))
+                                  np.trace(gain * b.jacobian(pts), axis1=-2, axis2=-1))
             central = np.trace(_central_jacobian(b, t, pts, 1e-4), axis1=-2, axis2=-1)
             assert np.allclose(divergence(b, t, pts), central, rtol=1e-5, atol=1e-6)
 

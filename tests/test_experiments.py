@@ -15,6 +15,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,16 @@ class TestUniquenessCommand:
         manifest = (out / "manifest.csv").read_text(encoding="utf-8").splitlines()
         assert len(manifest) == 5
         assert [r.split(",")[7] for r in manifest[1:]] == ["16", "32", "64", "128"]
+
+    def test_modulated_constant_prints_no_oracle_line(self, tmp_path):
+        # g(t) * c has no closed form; the plain constant's oracle must not leak
+        c = ExperimentConfig.from_dict(base_dict(drift={
+            "id": "time_modulated", "gain_id": "ramp", "base": {"id": "constant", "c": [0.5]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportMarginWarning)
+            result = cmd_uniqueness_crosscheck(c, out_dir=tmp_path / "run")
+        assert result.lines[0].split()[1] == "uniqueness:"
+        assert not any("oracle" in line for line in result.lines)
 
     def test_ladder_needs_room(self):
         c = ExperimentConfig.from_dict(base_dict(N=32))
@@ -870,6 +881,30 @@ class TestConstants:
         bench = runpy.run_path(path, run_name="bench_workloads")
         assert bench["WEAK_TOL"] == DEFAULT_WEAK_TOL
         assert bench["_SNAPSHOT_FILES"] == SNAPSHOT_INTERVALS + 1
+
+    def test_benchmark_tracer_sees_every_mollified_read(self, tmp_path):
+        # The benchmark's trace mode re-wraps each mollified drift's ``fn``
+        # with ``dataclasses.replace``. Its wrappers stay installed, so it
+        # runs in a fresh process, reading the tracer from source.
+        tracer = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        config = tmp_path / "rough.json"
+        config.write_text(json.dumps(base_dict(drift={
+            "id": "time_modulated", "gain_id": "sin_squared",
+            "base": {"id": "power1d", "alpha": 0.75}})), encoding="utf-8")
+        script = "; ".join([
+            "import runpy, sys",
+            "import stochtransport.cli as cli",
+            "tracer = runpy.run_path(sys.argv[1], run_name='bench_tracer')['Tracer']()",
+            "tracer.install()",
+            "code = cli.main(['solve', '--config', sys.argv[2], '--out', sys.argv[3]])",
+            "print(code, tracer.stats['transport.mollified_fn'].calls)",
+        ])
+        run = subprocess.run([sys.executable, "-c", script, os.path.abspath(tracer),
+                              str(config), str(tmp_path / "out")],
+                             capture_output=True, text=True, env=_src_env())
+        assert run.returncode == 0, run.stderr
+        # 64 nodes, 16 steps: 16 blocks of 1 step, one read per RK4 stage
+        assert run.stdout.splitlines()[-1] == f"0 {4 * 16}"
 
     def test_command_result_accumulates(self):
         r = CommandResult(0)

@@ -5,6 +5,7 @@ constant drift adds a uniform displacement; contraction by b(x) = -x
 scales the L1 mass by e^{-t} exactly in the continuum.
 """
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -192,6 +193,14 @@ class TestExactSolution:
         )
         assert np.array_equal(got.values, want.values)
 
+    def test_no_closed_form_for_modulated_constant(self):
+        # g(t) * c is not constant in time: modulation drops the closed form
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        prof = bump(1, center=0.0, radius=1.0)
+        b = time_modulated_drift(constant_drift([0.5]), "ramp", 1.0)
+        with pytest.raises(ConfigError, match="no closed-form"):
+            exact_solution(b, zero_path(1.0, 8, 1), prof, 1.0, g)
+
     def test_no_closed_form_for_general_drift(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         prof = bump(1, center=0.0, radius=1.0)
@@ -348,19 +357,28 @@ def _case(name):
             sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.5)))
 
 
+def _replace_everywhere(monkeypatch, module, attr, wrap):
+    """Replace ``module.attr`` in every package module that binds it by
+    ``wrap(real)``."""
+    real = getattr(module, attr)
+    wrapper = wrap(real)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("stochtransport") and getattr(mod, attr, None) is real:
+            monkeypatch.setattr(mod, attr, wrapper)
+
+
 def _count_calls(monkeypatch, module, attr) -> list:
     """Replace ``module.attr`` in every package module that binds it by a
     wrapper that records the calls' second arguments."""
     calls = []
-    real = getattr(module, attr)
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def wrap(real):
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        return counting
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("stochtransport") and getattr(mod, attr, None) is real:
-            monkeypatch.setattr(mod, attr, counting)
+    _replace_everywhere(monkeypatch, module, attr, wrap)
     return calls
 
 
@@ -511,7 +529,7 @@ class TestBatchMarch:
         # 1e308 beyond x = 50: the RK4 sum overflows, so the feet and then
         # the values of the one path that reaches that far are not finite
         cliff = DriftField("cliff", 1,
-                           lambda t, x: np.where(np.asarray(x) > 50.0, 1.0e308, 0.0),
+                           lambda x: np.where(np.asarray(x) > 50.0, 1.0e308, 0.0),
                            smooth=True)
         quiet = zero_path(1.0, 64, 1)
         far = SamplePath(100.0 * quiet.times[:, None], quiet.horizon, "piecewise_linear_bv")
@@ -554,6 +572,35 @@ class TestBatchMarch:
             assert counts[n_paths, 32][0] == stages * 16
             assert counts[n_paths, 512][0] == stages * 32
         assert counts[1, 32] == counts[4, 32] and counts[1, 512] == counts[4, 512]
+
+    @pytest.mark.parametrize("scheme, stages", [("semi_lagrangian", 4), ("upwind_fv", 1)])
+    def test_every_march_read_goes_through_the_mollified_fn(self, monkeypatch, scheme,
+                                                             stages):
+        # Wrapping the ``fn`` of the mollified drift sees every velocity read
+        # of the march, gain or no gain.
+        shapes = []
+
+        def wrap(real):
+            def mollified(*args, **kwargs):
+                m = real(*args, **kwargs)
+
+                def fn(points):
+                    shapes.append(np.shape(points))
+                    return m.fn(points)
+                return dataclasses.replace(m, fn=fn)
+            return mollified
+
+        _replace_everywhere(monkeypatch, transport_module, "mollified_drift", wrap)
+        b, u0 = _case("power1d_tm")
+        paths = [sample_brownian(seed, 0.25, 32, 1) for seed in (5, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solve_spde_batch(b, paths, u0, scheme=scheme)
+        # upwind first probes its CFL number at the snapshot times, at
+        # (P, Q, d) points; then 64 nodes and 32 steps march in 16 blocks of
+        # 2 steps, each read once per stage at (B, P, Q, d) points
+        probes = SNAPSHOT_INTERVALS + 1 if scheme == "upwind_fv" else 0
+        assert shapes == [(2, 64, 1)] * probes + [(2, 2, 64, 1)] * (stages * 16)
 
     def test_empty_batch_rejected(self):
         b, u0 = _case("power1d")

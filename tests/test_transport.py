@@ -15,8 +15,8 @@ import pytest
 
 from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
 from stochtransport.drifts import (
-    DriftField,
     constant_drift,
+    eval_drift,
     linear_drift,
     power_drift,
     stream_function_drift,
@@ -349,7 +349,7 @@ def bump_average(b, t, points, eps, per_axis):
     offsets, w = offsets[keep], np.exp(1.0 / (zz[keep] - 1.0))
     w = w / w.sum()
     pts = np.asarray(points, dtype=float)
-    return np.stack([w @ b.fn(t, p - offsets) for p in pts])
+    return np.stack([w @ eval_drift(b, t, p - offsets) for p in pts])
 
 
 class TestMollifiedDrift:
@@ -366,7 +366,7 @@ class TestMollifiedDrift:
 
     def test_power1d_matches_bump_quadrature(self):
         b = power_drift(0.75, scale=-1.0)
-        got = mollified_drift(b, self.EPS, reach=6.0).fn(0.0, self.PTS_1D)
+        got = mollified_drift(b, self.EPS, reach=6.0).fn(self.PTS_1D)
         ref = bump_average(b, 0.0, self.PTS_1D, self.EPS, 20000)
         assert got.shape == self.PTS_1D.shape
         assert np.max(np.abs(got - ref)) <= 1e-5
@@ -375,22 +375,22 @@ class TestMollifiedDrift:
         base = power_drift(0.75, scale=-1.0)
         once = time_modulated_drift(base, "sin_squared", 1.0)
         twice = time_modulated_drift(once, "ramp", 1.0)
-        smooth_base = mollified_drift(base, self.EPS, reach=6.0).fn(0.0, self.PTS_1D)
+        smooth_base = mollified_drift(base, self.EPS, reach=6.0).fn(self.PTS_1D)
         m_once = mollified_drift(once, self.EPS, reach=6.0)
         m_twice = mollified_drift(twice, self.EPS, reach=6.0)
         for t in (0.0, 0.3, 0.8):
             gain = math.sin(math.pi * t) ** 2
-            assert np.allclose(m_once.fn(t, self.PTS_1D), gain * smooth_base,
+            assert np.allclose(eval_drift(m_once, t, self.PTS_1D), gain * smooth_base,
                                rtol=1e-14, atol=0.0)
-            assert np.allclose(m_twice.fn(t, self.PTS_1D), t * gain * smooth_base,
+            assert np.allclose(eval_drift(m_twice, t, self.PTS_1D), t * gain * smooth_base,
                                rtol=1e-14, atol=0.0)
             ref = bump_average(twice, t, self.PTS_1D, self.EPS, 20000)
-            assert np.max(np.abs(m_twice.fn(t, self.PTS_1D) - ref)) <= 1e-5
+            assert np.max(np.abs(eval_drift(m_twice, t, self.PTS_1D) - ref)) <= 1e-5
 
     def test_forced_2d_stream_matches_bump_quadrature(self):
         b = stream_function_drift(4.0)
         m = mollified_drift(b, 0.25, reach=5.0)
-        got = m.fn(0.0, self.PTS_2D)
+        got = m.fn(self.PTS_2D)
         ref = bump_average(b, 0.0, self.PTS_2D, 0.25, 400)
         assert got.shape == self.PTS_2D.shape
         assert np.max(np.abs(got - ref)) <= 1e-5
@@ -407,7 +407,7 @@ class TestMollifiedDrift:
         nodes = np.stack(np.meshgrid(*[axis] * b.d, indexing="ij"), axis=-1).reshape(-1, b.d)
         between = np.random.default_rng(3).uniform(-2.0, 2.0, size=(500, b.d))
         for pts in (nodes, between):
-            assert np.array_equal(near.fn(0.0, pts), far.fn(0.0, pts))
+            assert np.array_equal(near.fn(pts), far.fn(pts))
 
     @pytest.mark.parametrize("b, eps", [
         *[(power_drift(0.75, scale=-1.0), 2.0 * 8.0 / n) for n in (32, 64, 128, 256, 512, 1024)],
@@ -459,22 +459,14 @@ class TestMollifiedDrift:
     ])
     def test_query_beyond_the_table_raises(self, b, point):
         m = mollified_drift(b, 0.25, reach=2.0)
-        m.fn(0.0, np.full((1, b.d), 2.0))
+        m.fn(np.full((1, b.d), 2.0))
         with pytest.raises(BlowUpError):
-            m.fn(0.0, point)
+            m.fn(point)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1])
     def test_nonpositive_radius_rejected(self, eps):
         with pytest.raises(ConfigError):
             mollified_drift(power_drift(0.75), eps, reach=2.0)
-
-    def test_non_separable_time_dependent_drift_rejected(self):
-        swirl = DriftField("swirl", 1, lambda t, x: np.sin(t * np.asarray(x)),
-                           time_dependent=True)
-        with pytest.raises(ConfigError, match="separable"):
-            mollified_drift(swirl, self.EPS, reach=2.0)
-        with pytest.raises(ConfigError, match="separable"):
-            mollified_drift(time_modulated_drift(swirl, "ramp", 1.0), self.EPS, reach=2.0)
 
     def test_sub_grid_radius_rejected_by_solver(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
