@@ -73,6 +73,12 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _check_seed(name: str, seed: int) -> None:
+    """A seed keys ``numpy.random.Philox``, which takes no negative key."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {seed}")
+
+
 def _real(key: str, value) -> float:
     """A finite JSON number, not a bool, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -173,6 +179,7 @@ class ExperimentConfig:
         if not (self.horizon > 0 and self.dt > 0):
             raise ConfigError("T and dt must be positive")
         self.n_steps()  # dt must divide T
+        _check_seed("seed", self.seed)
         if self.p < 1.0:
             raise ConfigError(f"p must satisfy p >= 1, got {self.p}")
         if self.phi_count < 1:
@@ -379,8 +386,11 @@ def _ensure_dir(out_dir) -> str:
 
 
 def _resolve(cfg: ExperimentConfig, out_dir, seed) -> tuple[str, int]:
-    return (out_dir if out_dir is not None else cfg.out_dir,
-            seed if seed is not None else cfg.seed)
+    if seed is None:
+        seed = cfg.seed
+    else:
+        _check_seed("--seed", seed)
+    return (out_dir if out_dir is not None else cfg.out_dir), seed
 
 
 def _support_lines(command: str, where: str, sol: SpdeSolution) -> list:

@@ -4,9 +4,11 @@ Everything downstream (transport marching, path shifting, weak-form
 quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
-shifting, and the field CSV format. A read gathers each point's stencil
-as one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables). A read is a plan, the flat
+shifting, and the field CSV format. A read sums each point's stencil,
+one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
+which also reads the 2D mollifier tables): in 1D from one strided view
+of every window, in 2D tap by tap, 16 gathers with no (Q, 4, 4)
+stencil array. A read is a plan, the flat
 index of each point's window and its weights (``_cubic_plan``), then its
 application to the values (``_cubic_apply``); the march plans a block of
 steps at once and applies one plan per step. A snapshot's ``index`` and
@@ -302,19 +304,33 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights) -> np.ndarray:
     of 1D or 2D: point q reads, in every table, the window whose first node
     has flat index ``start[q]`` in the table, weighted by row q of
     ``weights``, one (Q, 4) array of ``_cubic_weights`` per axis. Returns
-    shape (C, Q)."""
-    d = len(weights)
+    shape (C, Q).
+
+    1D reads every window as one strided view and sums it by ``np.einsum``.
+    2D gathers the 16 taps one at a time, each a contiguous (C, Q) array,
+    and adds (w0_i * tap_ij) * w1_j to one zeroed sum in row-major (i, j)
+    order: the three-operand einsum's sum, bit for bit, without its
+    (C, Q, 4, 4) stencil.
+    """
     flat = stack.reshape(len(stack), -1)
-    item = flat.strides[1]
-    steps = (stack.shape[-1], 1) if d == 2 else (1,)  # flat distance to the next row, node
-    # Every window as one strided view: window k starts at flat node k of its table.
-    windows = np.ndarray((len(flat), flat.shape[1] - 3 * sum(steps)) + (4,) * d,
-                         flat.dtype, flat,
-                         strides=(flat.strides[0], item) + tuple(item * s for s in steps))
-    stencil = windows[:, start]
-    if d == 1:
-        return np.einsum("qi,...qi->...q", weights[0], stencil)
-    return np.einsum("qi,...qij,qj->...q", weights[0], stencil, weights[1])
+    if len(weights) == 1:
+        item = flat.strides[1]
+        # Every window as one strided view: window k starts at flat node k of its table.
+        windows = np.ndarray((len(flat), flat.shape[1] - 3, 4), flat.dtype, flat,
+                             strides=(flat.strides[0], item, item))
+        return np.einsum("qi,...qi->...q", weights[0], windows[:, start])
+    row = stack.shape[-1]  # flat distance to the next row
+    out = np.zeros((len(flat), len(start)))
+    tap = np.empty_like(out)
+    for i in range(4):
+        for j in range(4):
+            # tap (i, j) of every window: the stack read from i rows and j nodes on;
+            # the indices are in range by construction, and "clip" spares take a buffer
+            np.take(flat[:, i * row + j:], start, axis=1, out=tap, mode="clip")
+            tap *= weights[0][:, i]
+            tap *= weights[1][:, j]
+            out += tap
+    return out
 
 
 def shift_field(f: ScalarField, delta) -> ScalarField:

@@ -18,10 +18,12 @@ horizon T in their common K steps of T / K. Each path's result is the
 same, bit for bit, whether it is solved alone or in any batch.
 
 The paths are evaluated once per batch, at every RK4 stage time and
-every snapshot time (``transport.path_table``), and a rough drift is
-tabulated once per batch (``transport.mollified_drift``). The march then
-runs on raw nodal arrays, in blocks of B = min(K / 16, max(1, 1024 // Q))
-steps on a grid of Q nodes. Once the path is frozen, v solves a linear
+every snapshot time, into one array of shifts whose rows follow one
+sorted array of those times (``transport.path_table``), and a rough
+drift is tabulated once per batch (``transport.mollified_drift``). The
+march then runs on raw nodal arrays, in blocks of
+B = min(K / 16, max(1, 4096 // Q)) steps on a grid of Q nodes
+(``_block_steps``). Once the path is frozen, v solves a linear
 transport equation whose characteristics do not depend on v, so a block
 reads the velocity at all its steps' stage times in one pass per RK4
 stage, plans the cubic reads of all its feet in one pass, and then
@@ -52,8 +54,8 @@ from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _semi_lagrangian_block, _stage_times, _support_hits_margin,
-                        _upwind_block, cfl_number, composed_drift, mollified_drift,
-                        path_table)
+                        _table_rows, _upwind_block, cfl_number, composed_drift,
+                        mollified_drift, path_table)
 
 __all__ = [
     "SpdeSolution",
@@ -101,6 +103,12 @@ class SpdeSolution:
             raise ConfigError(
                 f"{len(self.fields)} snapshots for {self.times.size} snapshot times"
             )
+
+
+def _block_steps(n_steps: int, n_nodes: int) -> int:
+    """Steps per march block: at most 4096 node-steps of every path, and
+    never more than a snapshot interval, so a block's arrays stay small."""
+    return min(n_steps // SNAPSHOT_INTERVALS, max(1, 4096 // n_nodes))
 
 
 def _step_list(steps, shown: int = 5) -> str:
@@ -222,7 +230,7 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
     # (upwind reads the last of them, the step's start) and the snapshot times.
     table = path_table(paths, np.concatenate(_stage_times(np.arange(n_steps) * dt, dt)
                                              + (times,)))
-    rows, shifts = table
+    keys, shifts = table
     b_eff = b
     if eps is not None:
         # Drift queries stay within the box shifted by the path, plus one
@@ -242,14 +250,13 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
             )
 
     advance = _semi_lagrangian_block if scheme == "semi_lagrangian" else _upwind_block
-    # Steps per block: at most 1024 node-steps of every path, and never
-    # more than a snapshot interval, so a block's arrays stay small.
-    block = min(stride, max(1, 1024 // grid.size))
+    block = _block_steps(n_steps, grid.size)
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
     batch = range(len(paths))
     aux = [[u0] for _ in batch]
-    fields = [[shift_field(u0, shifts[rows[0.0], p])] for p in batch]
+    snap_rows = _table_rows(keys, times)
+    fields = [[shift_field(u0, shifts[snap_rows[0], p])] for p in batch]
     violations: list[list[int]] = [[] for _ in batch]
     vals = np.stack([u0.values] * len(paths))
     for start in range(0, n_steps, block):
@@ -268,7 +275,7 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
             violations[p].append(start + i + 1)
         for i, step in enumerate(steps.tolist()):
             if (step + 1) % stride == 0:
-                row = rows[float(times[len(fields[0])])]
+                row = snap_rows[len(fields[0])]
                 for p in batch:
                     v = ScalarField(grid, stack[i, p])
                     aux[p].append(v)

@@ -23,9 +23,11 @@ convergence oracle for both.
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
 step, ``path_table`` evaluates every path at all of them, one vectorized
-``eval_path`` call per path, into one (M, P, d) array with one time ->
-row dict, and ``composed_drift`` reads its shifts W_p(t) from that
-table. A query at a time the table lacks is an error, not a fallback.
+``eval_path`` call per path, into one (M, P, d) array whose rows follow
+one sorted array of the M distinct times, and ``composed_drift`` reads
+its shifts W_p(t) from that table: ``_table_rows`` finds a time's row by
+binary search and requires the row's time to equal it exactly. A query
+at a time the table lacks is an error, not a fallback.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
 b by its convolution with a bump kernel of radius 2h, computed once per
@@ -87,17 +89,32 @@ def _stage_times(t, dt: float):
     return (t + dt, t + 0.5 * dt, t)
 
 
-def path_table(paths, times) -> tuple[dict, np.ndarray]:
+def path_table(paths, times) -> tuple[np.ndarray, np.ndarray]:
     """Every path of a batch at each of ``times``: one vectorized ``eval_path`` call per path.
 
-    Returns ``(rows, shifts)``. ``shifts`` has shape (M, P, d), one row
-    per distinct time and one column per path, and ``rows`` maps each
-    time, as a float, to its row. A marcher that recomputes a query time
-    by the same expression (``_stage_times``) finds its row.
+    Returns ``(keys, shifts)``. ``keys`` holds the distinct times, sorted,
+    as one float64 array, and ``shifts`` has shape (M, P, d): row m holds
+    every path at ``keys[m]``, one column per path. ``_table_rows`` finds
+    the rows of query times; a marcher that recomputes a query time by the
+    same expression (``_stage_times``) finds its row.
     """
     keys = np.unique(np.asarray(times, dtype=float))
-    rows = dict(zip(keys.tolist(), range(keys.size)))
-    return rows, np.stack([eval_path(path, keys) for path in paths], axis=1)
+    return keys, np.stack([eval_path(path, keys) for path in paths], axis=1)
+
+
+def _table_rows(keys: np.ndarray, t):
+    """The rows of ``path_table`` keys at time ``t``, a float or a 1-D array.
+
+    A row is found by binary search and must hold exactly the time asked
+    for: a time the table lacks raises ``KeyError`` naming the first such
+    time.
+    """
+    at = np.searchsorted(keys, t)
+    found = keys[np.minimum(at, keys.size - 1)] == t
+    if not np.all(found):
+        missing = np.ravel(t)[np.argmin(np.ravel(found))]
+        raise KeyError(f"no path shift tabulated for t={float(missing)!r}")
+    return at
 
 
 def composed_drift(b: DriftField, table) -> Callable:
@@ -112,14 +129,11 @@ def composed_drift(b: DriftField, table) -> Callable:
     times, with points of shape (Q, d) or (B, P, Q, d): the velocities
     then have shape (B, P, Q, d), from one ``eval_drift`` call.
     """
-    rows, shifts = table
+    keys, shifts = table
     shifts = shifts[:, :, None, :]  # each row broadcasts over the points
 
     def velocity(t, points):
-        try:
-            at = [rows[s] for s in np.ravel(t).tolist()] if np.ndim(t) else rows[t]
-        except KeyError as exc:
-            raise KeyError(f"no path shift tabulated for t={exc.args[0]!r}") from None
+        at = _table_rows(keys, t)
         return eval_drift(b, t, np.asarray(points, dtype=float) + shifts[at])
 
     return velocity

@@ -816,6 +816,21 @@ class TestCommandLine:
             main(["hypotheses", "--config", config, "--seed", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "verify-weak", "uniqueness", "wong-zakai",
+                                         "hypotheses"])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, command):
+        config = self.write_config(tmp_path, base_dict(seed=-1))
+        assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify-weak", "uniqueness", "wong-zakai"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        config = self.write_config(tmp_path, base_dict())
+        out = tmp_path / "run"
+        assert main([command, "--config", config, "--out", str(out), "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be nonnegative, got -5\n"
+        assert not out.exists()
+
     def _audit_with(self, tmp_path, capsys, **overrides):
         """Solve a linear-drift run, then audit it with an altered config."""
         run = base_dict(drift={"id": "linear", "matrix": [[-1.0]]})

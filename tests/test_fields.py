@@ -17,13 +17,16 @@ from stochtransport.fields import (
     SpatialGrid,
     _cubic_read,
     _cubic_weights,
+    _window_sum,
     interpolate,
     lp_norm,
     read_field_csv,
     shift_field,
     write_field_csv,
 )
+from stochtransport.drifts import stream_function_drift
 from stochtransport.profiles import bump, sample_profile
+from stochtransport.transport import _mollified_table
 
 
 @pytest.fixture
@@ -185,6 +188,31 @@ class TestWindowRead:
         pts = self._query(grid, n_fields, rng)
         expected, _ = _modulo_read(grid, values, pts, clamp)
         assert np.array_equal(_cubic_read(grid, values, pts, clamp), expected)
+
+    @pytest.mark.parametrize("tables", ["padded_128", "mollifier"])
+    def test_2d_tap_sum_equals_the_einsum_bitwise(self, tables):
+        rng = np.random.default_rng(5)
+        if tables == "padded_128":  # one wrap-padded 128 x 128 field, with signed zeros
+            stack = rng.standard_normal((1, 131, 131)) * 10.0 ** rng.uniform(-3, 3, (1, 131, 131))
+            stack[rng.random(stack.shape) < 0.1] = 0.0
+            stack[rng.random(stack.shape) < 0.1] = -0.0
+        else:  # the two component tables of a forced-radius 2D mollifier
+            stack = _mollified_table(stream_function_drift(4.0), 0.7, 4.5)[2]
+        n = stack.shape[-1]
+        corner = rng.integers(0, n - 3, size=(128 * 128, 2))
+        start = corner[:, 0] * n + corner[:, 1]
+        theta = rng.random((start.size, 2))
+        theta[::5] = 0.0  # node hits: weights of both signs of zero
+        weights = [_cubic_weights(theta[:, a]) for a in range(2)]
+        # the oracle: every window as one strided (C, Q, 4, 4) stencil, summed by einsum
+        flat = stack.reshape(len(stack), -1)
+        item = flat.strides[1]
+        windows = np.ndarray((len(flat), flat.shape[1] - 3 * (n + 1), 4, 4), flat.dtype, flat,
+                             strides=(flat.strides[0], item, item * n, item))
+        want = np.einsum("qi,...qij,qj->...q", weights[0], windows[:, start], weights[1])
+        got = _window_sum(stack, start, weights)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestInterpolate2D:

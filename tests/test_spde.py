@@ -40,6 +40,7 @@ from stochtransport.paths import (
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import (
     SNAPSHOT_INTERVALS,
+    _block_steps,
     exact_solution,
     renormalize_check,
     smoothed_truncated_power,
@@ -344,10 +345,10 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
 
 def _case(name):
     """(drift, initial field) of a mollified 1D power solve, the same with the
-    sin_squared gain over a horizon of 0.25, the power solve on 96 nodes, or
+    sin_squared gain over a horizon of 0.25, the power solve on 400 nodes, or
     a small 2D stream solve."""
     if name in ("power1d", "power1d_tm", "straddle"):
-        g = SpatialGrid(d=1, half_width=4.0, n=96 if name == "straddle" else 64)
+        g = SpatialGrid(d=1, half_width=4.0, n=400 if name == "straddle" else 64)
         b = power_drift(0.75, -1.0)
         if name == "power1d_tm":
             b = time_modulated_drift(b, "sin_squared", 0.25)
@@ -393,9 +394,12 @@ class TestArrayMarch:
     @pytest.mark.parametrize("case", ["power1d", "stream", "power1d_tm", "straddle"])
     def test_matches_reference_march_bitwise(self, scheme, kind, case):
         b, u0 = _case(case)
-        # 96 nodes march in blocks of 1024 // 96 = 10 steps: with 256 steps,
-        # 16 per snapshot, blocks straddle snapshots and the last one is short
+        # 400 nodes march in blocks of 4096 // 400 = 10 steps: with 256 steps,
+        # 16 per snapshot, blocks straddle snapshots and the last one is 6 steps
         n_steps = 256 if case == "straddle" else 32
+        if case == "straddle":
+            block = _block_steps(n_steps, u0.grid.size)
+            assert (n_steps // SNAPSHOT_INTERVALS) % block != 0 and n_steps % block != 0
         dt, horizon = 0.25 / n_steps, 0.25
         path = sample_brownian(5, horizon, n_steps, u0.grid.d)
         if kind == "bv":
@@ -566,11 +570,11 @@ class TestBatchMarch:
                     solve_spde_batch(b, paths, u0, scheme=scheme)
                 # the march reads at arrays of times; the set-up, at single times
                 counts[n_paths, n_steps] = (sum(np.ndim(t) == 1 for t in calls), len(calls))
-        # 64 nodes: blocks of min(K / 16, 1024 // 64) steps, 16 of 2 steps
-        # for K = 32 and 32 of 16 steps for K = 512
+        # 64 nodes: blocks of min(K / 16, 4096 // 64) steps, 16 of 2 steps
+        # for K = 32 and 16 of 32 steps for K = 512
         for n_paths in (1, 4):
             assert counts[n_paths, 32][0] == stages * 16
-            assert counts[n_paths, 512][0] == stages * 32
+            assert counts[n_paths, 512][0] == stages * 16
         assert counts[1, 32] == counts[4, 32] and counts[1, 512] == counts[4, 512]
 
     @pytest.mark.parametrize("scheme, stages", [("semi_lagrangian", 4), ("upwind_fv", 1)])
