@@ -22,7 +22,7 @@ def main() -> None:
     print(f"driving path: {path.n_steps} steps, max |W| = "
           f"{float(np.max(np.abs(path.values))):.3f}")
 
-    sol = st.solve_spde(b, path, u0)
+    (sol,) = st.solve_spde(b, [path], u0)
     print(f"{'t':>6} {'L1 error vs u0(x - W(t))':>26} {'norm drift':>12}")
     for t, u in zip(sol.times, sol.fields):
         truth = st.exact_solution(b, path, profile, t, grid)

@@ -16,7 +16,7 @@ def main() -> None:
     u0 = st.sample_profile(grid, st.bump(1, radius=1.2))
     b = st.linear_drift([[-1.0]])
     path = st.sample_brownian(24, 1.0, 1024, 1)
-    sol = st.solve_spde(b, path, u0)
+    (sol,) = st.solve_spde(b, [path], u0)
 
     beta = st.smoothed_truncated_power(M=10.0, p=1.0)
     report = st.renormalize_check(sol, beta, b)

@@ -17,7 +17,7 @@ def closed_form(grid, profile, path):
         ScalarField.from_function(grid, lambda q, dd=w: profile.fn(q - dd))
         for w in path.values
     )
-    return SpdeSolution(grid=grid, times=path.times, fields=fields, path=path)
+    return SpdeSolution(fields, path)
 
 
 def main() -> None:

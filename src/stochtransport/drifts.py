@@ -63,7 +63,7 @@ class DriftField:
     shape (..., d); the Jacobian returns (..., d, d) with entries
     d fn_i / d x_j. ``gain`` is a scalar rule of time, None for an
     autonomous field. ``smooth`` marks fields the solver steps as they
-    are; the others are mollified first (see ``spde.solve_spde_batch``).
+    are; the others are mollified first (see ``spde.solve_spde``).
     ``constant_value`` is set only for fields constant in space and time,
     and unlocks closed-form transported solutions downstream.
     """

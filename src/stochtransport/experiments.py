@@ -29,8 +29,7 @@ from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_fie
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .spde import (SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde,
-                   solve_spde_batch)
+from .spde import SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
@@ -74,9 +73,11 @@ def _integer(key: str, value) -> int:
 
 
 def _check_seed(name: str, seed: int) -> None:
-    """A seed keys ``numpy.random.Philox``, which takes no negative key."""
+    """A seed keys ``numpy.random.Philox``, which takes keys 0 <= key < 2**128 only."""
     if seed < 0:
         raise ConfigError(f"{name} must be nonnegative, got {seed}")
+    if seed >= 2**128:
+        raise ConfigError(f"{name} must be below 2**128, got {seed}")
 
 
 def _real(key: str, value) -> float:
@@ -412,7 +413,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
     _ensure_dir(out_dir)
     path = cfg.path(seed, path_file)
     u0 = cfg.u0()
-    sol = solve_spde(cfg.drift(), path, u0, scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
+    (sol,) = solve_spde(cfg.drift(), [path], u0, scheme=cfg.scheme,
+                        mollify_epsilon=cfg.mollify_eps)
     for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
         write_field_csv(u, os.path.join(out_dir, f"u_t{m:04d}.csv"))
         write_field_csv(v, os.path.join(out_dir, f"v_t{m:04d}.csv"))
@@ -466,8 +468,7 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
             fields.append(read_field_csv(os.path.join(out_dir, name)))
         except (FieldValidationError, OSError, ValueError) as exc:
             raise ConfigError(f"unreadable snapshot {name}: {exc}") from None
-    times = np.linspace(0.0, path.horizon, SNAPSHOT_INTERVALS + 1)
-    return SpdeSolution(grid=fields[0].grid, times=times, fields=tuple(fields), path=path)
+    return SpdeSolution(tuple(fields), path)
 
 
 def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None) -> CommandResult:
@@ -508,7 +509,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
     for n_level in ladder:
         grid = SpatialGrid(cfg.d, cfg.half_width, n_level)
         u0 = sample_profile(grid, profile)
-        sols = [solve_spde(b, path, u0, scheme=scheme, mollify_epsilon=cfg.mollify_eps)
+        sols = [solve_spde(b, [path], u0, scheme=scheme, mollify_epsilon=cfg.mollify_eps)[0]
                 for scheme in SCHEMES]
         for scheme, sol in zip(SCHEMES, sols):
             notes += _support_lines("uniqueness", f" in the N={n_level} {scheme} solve", sol)
@@ -551,6 +552,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
     _ensure_dir(out_dir)
     if n_seeds < 1:
         raise ConfigError("--seeds must be positive")
+    _check_seed(f"the last seed of --seeds {n_seeds}", seed + n_seeds - 1)
     if path_file is not None and n_seeds != 1:
         raise ConfigError("--path-file replays a single path; use --seeds 1")
     levels = list(cfg.wz_levels)
@@ -569,7 +571,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
     for s in range(seed, seed + n_seeds):
         path = cfg.path(s, path_file)
         # The reference and every level march together, as one batch.
-        ref, *sols = solve_spde_batch(
+        ref, *sols = solve_spde(
             b, [path] + [piecewise_linear_approx(path, lvl) for lvl in levels], u0,
             scheme=cfg.scheme, mollify_epsilon=cfg.mollify_eps)
         notes += _support_lines(

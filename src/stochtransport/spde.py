@@ -5,17 +5,20 @@ For a frozen realization of the driving path, the stochastic problem
     du + b(t, x) . grad u dt + grad u . dW = 0,    u(0) = u0,
 
 with b(t, x) = gain(t) * fn(x) (``drifts.DriftField``), is solved in
-one pass: ``solve_spde_batch`` marches the deterministic advection
-problem for v with the path-shifted drift b(t, x + W(t)), using the
-steppers of ``transport``, and translates each snapshot back:
-u(t, x) = v(t, x - W(t)). It is the one march loop, and it serves every
-driving path: a Brownian draw, the zero path, and the bounded-variation
-interpolants that the Wong-Zakai approximation study feeds in. It takes
-a batch of P paths on one grid, drift and initial field and steps them
-together, with a leading path axis on every array; ``solve_spde`` is its
-one-path case. The paths set the clock: a batch marches to their common
-horizon T in their common K steps of T / K. Each path's result is the
-same, bit for bit, whether it is solved alone or in any batch.
+one pass: ``solve_spde`` marches the deterministic advection problem for
+v with the path-shifted drift b(t, x + W(t)), using the block steppers
+of ``transport``, and translates each snapshot back:
+u(t, x) = v(t, x - W(t)). It is the one solve entry point and the one
+march loop, and it serves every driving path: a Brownian draw, the zero
+path, and the bounded-variation interpolants that the Wong-Zakai
+approximation study feeds in. It takes a batch of P paths on one grid,
+drift and initial field and steps them together, with a leading path
+axis on every array; one path is a batch of one. The paths set the
+clock: a batch marches to their common horizon T in their common K steps
+of T / K. Each path's result is the same, bit for bit, whether it is
+solved alone or in any batch. A ``SpdeSolution`` stores its snapshots
+and path and derives the rest from them: its grid, its snapshot times
+and its step dt.
 
 The paths are evaluated once per batch, at every RK4 stage time and
 every snapshot time, into one array of shifts whose rows follow one
@@ -40,6 +43,7 @@ driven by the divergence bound of ``drifts.check_hypotheses``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .drifts import EVIDENCE_CEILING, DriftField, check_hypotheses
-from .errors import BlowUpError, ConfigError, SupportMarginWarning
+from .errors import BlowUpError, ConfigError, MeshMismatchError, SupportMarginWarning
 from .fields import ScalarField, SpatialGrid, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
@@ -75,34 +79,48 @@ SNAPSHOT_INTERVALS = 16
 class SpdeSolution:
     """Snapshots of the stochastic solution u, tied to their driving path.
 
-    The solver also fills the remaining fields; a solution rebuilt from
-    dumped artifacts leaves them at their defaults. ``aux_fields`` holds
-    the advected field v at the same times, with ``aux_fields[0]`` the
-    initial condition object itself. ``dt`` is the marching step and
-    ``mollify_epsilon`` the radius the drift was smoothed with (None:
+    ``fields`` holds u at ``times``, the read-only
+    ``linspace(0, T, len(fields))`` on the horizon T of ``path``; ``grid``
+    is the grid of the snapshots and ``dt`` the marching step T / K of the
+    path's K steps. At least two snapshots are needed, and their intervals
+    must divide K, so that every snapshot sits on the path mesh; anything
+    else raises ``MeshMismatchError``. The solver also fills the remaining
+    fields; a solution rebuilt from dumped artifacts leaves them at their
+    defaults. ``aux_fields`` holds the advected field v at the same
+    times, with ``aux_fields[0]`` the initial condition object itself.
+    ``mollify_epsilon`` is the radius the drift was smoothed with (None:
     not smoothed). ``support_violations`` lists the marching steps after
     which v carried a value above 1e-9 times sup|u0| in the wrap-around
     margin: the nodes within 10% of the half width of the box edge.
     """
 
-    grid: SpatialGrid
-    times: np.ndarray
     fields: tuple
     path: SamplePath
     aux_fields: tuple = ()
-    dt: float | None = None
     mollify_epsilon: float | None = None
     support_violations: tuple = ()
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "fields", tuple(self.fields))
-        if len(self.fields) != self.times.size:
-            raise ConfigError(
-                f"{len(self.fields)} snapshots for {self.times.size} snapshot times"
-            )
+        intervals = len(self.fields) - 1
+        if intervals < 1 or self.path.n_steps % intervals != 0:
+            raise MeshMismatchError(
+                f"{len(self.fields)} snapshots do not sit on the mesh of a path of "
+                f"{self.path.n_steps} steps: need at least two, with intervals dividing it")
+
+    @property
+    def grid(self) -> SpatialGrid:
+        return self.fields[0].grid
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        times = np.linspace(0.0, self.path.horizon, len(self.fields))
+        times.setflags(write=False)
+        return times
+
+    @property
+    def dt(self) -> float:
+        return self.path.horizon / self.path.n_steps
 
 
 def _block_steps(n_steps: int, n_nodes: int) -> int:
@@ -119,21 +137,6 @@ def _step_list(steps, shown: int = 5) -> str:
 
 def solve_spde(
     b: DriftField,
-    path: SamplePath,
-    u0: ScalarField,
-    scheme: str = "semi_lagrangian",
-    mollify_epsilon: float | None = None,
-) -> SpdeSolution:
-    """Solve the transport SPDE along one Brownian, zero or bounded-variation path.
-
-    The one-path case of :func:`solve_spde_batch`, which documents the
-    parameters, the clock, the mollifier policy and the errors.
-    """
-    return _march(b, (path,), u0, scheme, mollify_epsilon)[0]
-
-
-def solve_spde_batch(
-    b: DriftField,
     paths,
     u0: ScalarField,
     scheme: str = "semi_lagrangian",
@@ -141,6 +144,7 @@ def solve_spde_batch(
 ) -> tuple[SpdeSolution, ...]:
     """Solve the transport SPDE along each path of a batch, in one march.
 
+    One path is a batch of one: ``(sol,) = solve_spde(b, [path], u0)``.
     The paths set the clock: the march runs to T = ``paths[0].horizon``
     in K = ``paths[0].n_steps`` steps of dt = T / K, and every path of the
     batch must have the same T and K. K must be a multiple of
@@ -159,7 +163,8 @@ def solve_spde_batch(
     Parameters
     ----------
     b, paths, u0
-        Drift field, a non-empty sequence of frozen driving paths, and the
+        Drift field, a non-empty sequence of frozen driving paths
+        (``SamplePath``: Brownian, zero or bounded-variation), and the
         initial data they share.
     scheme : {"semi_lagrangian", "upwind_fv"}
         The upwind scheme additionally requires dt * sup|b| / h <= 0.9,
@@ -184,33 +189,36 @@ def solve_spde_batch(
     Raises
     ------
     ConfigError
-        Paths of differing horizon or step count, a step count that is not
-        a multiple of ``SNAPSHOT_INTERVALS``, a dimension mismatch, an empty
-        batch, CFL violation, unknown scheme, a sub-grid mollifier radius.
+        A ``paths`` element that is not a ``SamplePath`` (a bare path
+        included), paths of differing horizon or step count, a step count
+        that is not a multiple of ``SNAPSHOT_INTERVALS``, a dimension
+        mismatch, an empty batch, CFL violation, unknown scheme, a sub-grid
+        mollifier radius.
     BlowUpError
         Non-finite values after a marching step, naming the step and the
         path, or a drift query beyond the mollifier table.
     """
-    return _march(b, tuple(paths), u0, scheme, mollify_epsilon)
-
-
-def _march(b, paths, u0, scheme, mollify_epsilon):
-    """The march of both entry points; it warns at the frame that called either."""
     grid = u0.grid
+    if isinstance(paths, SamplePath):
+        raise ConfigError("solve_spde takes a sequence of paths: pass [path] for one")
+    paths = tuple(paths)
     if not paths:
         raise ConfigError("a batch needs at least one path")
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    horizon, n_steps = paths[0].horizon, paths[0].n_steps
-    for path in paths:
+    for p, path in enumerate(paths):
+        if not isinstance(path, SamplePath):
+            raise ConfigError(f"path {p} of the batch is a {type(path).__name__}, "
+                              "not a SamplePath")
         if b.d != grid.d or path.d != grid.d:
             raise ConfigError(
                 f"dimension mismatch: grid d={grid.d}, drift d={b.d}, path d={path.d}"
             )
-        if (path.horizon, path.n_steps) != (horizon, n_steps):
+        if (path.horizon, path.n_steps) != (paths[0].horizon, paths[0].n_steps):
             raise ConfigError(
                 f"the paths of a batch share one clock: horizon {path.horizon} in "
-                f"{path.n_steps} steps against {horizon} in {n_steps}")
+                f"{path.n_steps} steps against {paths[0].horizon} in {paths[0].n_steps}")
+    horizon, n_steps = paths[0].horizon, paths[0].n_steps
     if n_steps % SNAPSHOT_INTERVALS != 0:
         raise ConfigError(f"{n_steps} steps cannot be grouped into {SNAPSHOT_INTERVALS} "
                           "equal snapshot intervals")
@@ -286,9 +294,9 @@ def _march(b, paths, u0, scheme, mollify_epsilon):
         if violations[p]:
             where = f" in path {p}" if len(paths) > 1 else ""
             warnings.warn(f"solution support entered the wrap-around margin{where} at steps "
-                          f"{_step_list(violations[p])}", SupportMarginWarning, stacklevel=3)
+                          f"{_step_list(violations[p])}", SupportMarginWarning, stacklevel=2)
     return tuple(
-        SpdeSolution(grid, times, tuple(fields[p]), paths[p], aux_fields=tuple(aux[p]), dt=dt,
+        SpdeSolution(tuple(fields[p]), paths[p], aux_fields=tuple(aux[p]),
                      mollify_epsilon=eps, support_violations=tuple(violations[p]))
         for p in batch)
 

@@ -6,19 +6,18 @@ advection equation
     dv/dt + b(t, x + W(t)) . grad v = 0,    v(0) = u0,
 
 on a periodic box, where W is a frozen realization of the driving path.
-``spde.solve_spde_batch`` marches it for a batch of P paths at once with
-the two steppers here: semi-Lagrangian (RK4 backtracking of
+``spde.solve_spde`` marches it for a batch of P paths at once with the
+two block steppers here: semi-Lagrangian (RK4 backtracking of
 characteristic feet plus clamped cubic interpolation) and first-order
 upwind finite volume in advective form. Both step raw nodal arrays with
-a leading path axis, (grid, values of shape (P, *grid.shape)) -> new
-values, with no field object per step; the velocity is read at (P, Q, d)
-points. The march steps in blocks: ``_semi_lagrangian_block`` traces the
-feet of B steps with one velocity read per RK4 stage, at (B, P, Q, d)
-points, and plans their cubic reads at once; ``_upwind_block`` reads
-the nodal velocities of B steps at once. Each then steps only the
-values. ``semi_lagrangian_step`` and ``upwind_fv_step`` are their
-one-step cases. An RK4 characteristics integrator doubles as the
-convergence oracle for both.
+a leading path axis, values of shape (P, *grid.shape), by the B steps
+that start at an array of times, and return the values after each step,
+with no field object per step; one step is a block of one.
+``_semi_lagrangian_block`` traces the feet of B steps with one velocity
+read per RK4 stage, at (B, P, Q, d) points, and plans their cubic reads
+at once; ``_upwind_block`` reads the nodal velocities of B steps at
+once. Each then steps only the values. An RK4 characteristics
+integrator doubles as the convergence oracle for both.
 
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
@@ -60,8 +59,6 @@ from .paths import SamplePath, eval_path
 from .profiles import bump
 
 __all__ = [
-    "semi_lagrangian_step",
-    "upwind_fv_step",
     "characteristics_solve",
     "mollified_drift",
     "composed_drift",
@@ -294,30 +291,19 @@ def _rk4_feet(velocity, points, t, dt: float) -> np.ndarray:
     return points - (dt / 6.0) * total
 
 
-def semi_lagrangian_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
-                         dt: float) -> np.ndarray:
-    """Advance a batch of nodal values one step: backtrack feet with RK4,
-    read off by clamped cubic interpolation.
-
-    ``vals`` has shape (P, *grid.shape) and ``velocity`` returns (P, Q, d)
-    velocities at the grid nodes; each path's feet are read from its own
-    values. Clamping the cubic stencil enforces a discrete maximum
-    principle. Returns a new array of the shape of ``vals``. The one-step
-    case of :func:`_semi_lagrangian_block`.
-    """
-    return _semi_lagrangian_block(grid, vals, velocity, np.array([t]), dt)[0]
-
-
 def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
                            dt: float) -> list:
-    """Advance a batch of nodal values by the steps starting at ``times``.
+    """Advance a batch of nodal values, shape (P, *grid.shape), by the steps
+    starting at ``times``: backtrack feet with RK4, read off by clamped
+    cubic interpolation.
 
     The feet do not depend on the values, so the block's feet are traced
     in one pass (``velocity`` takes the array of times) and planned in one
-    pass (``fields._cubic_plan``); each step then only reads its values.
-    Velocities without the leading time or path axis broadcast over it.
-    Returns the values after each step, a list of arrays of the shape of
-    ``vals``.
+    pass (``fields._cubic_plan``); each step then only reads its values,
+    each path's feet from its own values. Velocities without the leading
+    time or path axis broadcast over it. Clamping the cubic stencil
+    enforces a discrete maximum principle. Returns the values after each
+    step, a list of arrays of the shape of ``vals``.
     """
     feet = _rk4_feet(velocity, grid.nodes(), times, dt)
     feet = np.broadcast_to(feet, (len(times), len(vals), grid.size, grid.d))
@@ -328,24 +314,13 @@ def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times:
     return out
 
 
-def upwind_fv_step(grid: SpatialGrid, vals: np.ndarray, velocity, t: float,
-                   dt: float) -> np.ndarray:
-    """One first-order upwind step of the advective form on a batch of nodal
-    values, split by axis sign.
-
-    ``vals`` has shape (P, *grid.shape), or ``grid.shape`` for a single
-    field, and ``velocity`` returns matching velocities at the grid nodes.
-    Returns a new array of the shape of ``vals``. The one-step case of
-    :func:`_upwind_block`.
-    """
-    return _upwind_block(grid, vals, velocity, np.array([t]), dt)[0]
-
-
 def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
                   dt: float) -> list:
-    """Upwind steps starting at ``times``, with the block's nodal velocities
-    read in one pass; returns the values after each step, a list of arrays
-    of the shape of ``vals``.
+    """First-order upwind steps of the advective form, split by axis sign, on
+    a batch of nodal values, shape (P, *grid.shape), starting at ``times``.
+
+    The block's nodal velocities are read in one pass; returns the values
+    after each step, a list of arrays of the shape of ``vals``.
 
     A neighbour difference reads a copy of the values wrap-padded by one
     node on each side along its axis.

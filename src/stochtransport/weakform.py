@@ -33,9 +33,9 @@ import numpy as np
 
 from .artifacts import write_csv
 from .drifts import DriftField, _central_jacobian, eval_drift
-from .errors import ConfigError, MeshMismatchError
+from .errors import ConfigError
 from .fields import SpatialGrid, lp_norm
-from .paths import SamplePath, eval_path
+from .paths import eval_path
 from .profiles import Profile, bump
 from .spde import SpdeSolution
 
@@ -174,19 +174,6 @@ class WeakResidualReport:
         return max(s.max_normalized for s in self.series)
 
 
-def _check_alignment(times: np.ndarray, path: SamplePath) -> None:
-    T = max(path.horizon, 1.0e-300)
-    knots = path.times
-    idx = np.searchsorted(knots, times)
-    idx = np.clip(idx, 0, knots.size - 1)
-    near = np.minimum(
-        np.abs(knots[idx] - times),
-        np.abs(knots[np.maximum(idx - 1, 0)] - times),
-    )
-    if np.any(near > 1.0e-9 * T):
-        raise MeshMismatchError("snapshot times do not sit on the path mesh")
-
-
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of y over t, starting at 0."""
     return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
@@ -204,7 +191,8 @@ def weak_residual(
     Parameters
     ----------
     sol : SpdeSolution
-        Snapshots aligned with the mesh of their driving path ``sol.path``.
+        Snapshots at ``sol.times`` on the mesh of their driving path
+        ``sol.path``; ``SpdeSolution`` admits no other.
     b : DriftField
         The drift the solution claims to solve for.
     p : float
@@ -223,7 +211,6 @@ def weak_residual(
     path = sol.path
     phis = list(phis)
     times = sol.times
-    _check_alignment(times, path)
     grid = sol.grid
     for phi in phis:
         phi.validate_for(grid)

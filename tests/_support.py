@@ -28,4 +28,4 @@ def closed_form_translation(grid, profile, path, n_snapshots=SNAPSHOT_INTERVALS)
         fields.append(
             ScalarField.from_function(grid, lambda q, dd=delta: profile.fn(q - dd))
         )
-    return SpdeSolution(grid=grid, times=times, fields=tuple(fields), path=path)
+    return SpdeSolution(tuple(fields), path)

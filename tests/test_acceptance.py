@@ -62,7 +62,7 @@ def test_criterion_1_pure_noise_oracle(capsys):
     b = zero_drift(1)
     path = sample_brownian(SEED_1D, 1.0, 2048, 1)
     start = time.perf_counter()
-    sol = solve_spde(b, path, u0)
+    (sol,) = solve_spde(b, [path], u0)
     runtime = time.perf_counter() - start
     err = max(
         lp_norm(u - exact_solution(b, path, profile, t, grid), 1.0)
@@ -85,7 +85,7 @@ def test_criterion_2_constant_drift_representation(capsys):
         grid = SpatialGrid(1, 4.0, n)
         u0 = sample_profile(grid, profile)
         for scheme, sink in errors.items():
-            sol = solve_spde(b, path, u0, scheme=scheme)
+            (sol,) = solve_spde(b, [path], u0, scheme=scheme)
             sink.append(max(
                 lp_norm(u - exact_solution(b, path, profile, t, grid), 1.0)
                 for t, u in zip(sol.times, sol.fields)
@@ -111,7 +111,7 @@ def test_criterion_3_norm_conservation_divergence_free(capsys):
     grid = SpatialGrid(2, 4.0, 256)
     u0 = sample_profile(grid, profile)
     path = sample_brownian(SEED_2D, 1.0, 128, 2)
-    sol = solve_spde(b, path, u0)
+    (sol,) = solve_spde(b, [path], u0)
     drifts = {}
     for p in (1.0, 2.0):
         n0 = lp_norm(u0, p)
@@ -130,7 +130,7 @@ def test_criterion_4_gronwall_envelope_and_decay(capsys):
     grid = SpatialGrid(1, 4.0, 512)
     u0 = sample_profile(grid, profile)
     path = sample_brownian(SEED_1D, 1.0, 1024, 1)
-    sol = solve_spde(b, path, u0)
+    (sol,) = solve_spde(b, [path], u0)
     beta = smoothed_truncated_power(M=10.0, p=1.0)
     report = renormalize_check(sol, beta, b)
     integrals = np.asarray(report.integrals)
@@ -188,7 +188,7 @@ def test_criterion_6_cross_scheme_uniqueness_evidence(capsys):
             grid = SpatialGrid(1, 4.0, n)
             u0 = sample_profile(grid, profile)
             sols = {
-                scheme: solve_spde(b, path, u0, scheme=scheme)
+                scheme: solve_spde(b, [path], u0, scheme=scheme)[0]
                 for scheme in ("semi_lagrangian", "upwind_fv")
             }
             discs.append(max(
@@ -227,14 +227,14 @@ def test_criterion_7_path_approximation_convergence(capsys):
     grid = SpatialGrid(1, 4.0, 256)
     u0 = sample_profile(grid, profile)
     u0_norm = lp_norm(u0, 2.0)
-    ref = solve_spde(b, path, u0)
+    (ref,) = solve_spde(b, [path], u0)
     errs = []
     for n in levels:
         approx = piecewise_linear_approx(path, n)
-        sol = solve_spde(b, approx, u0)
+        (sol,) = solve_spde(b, [approx], u0)
         errs.append(max(lp_norm(ua - ub, 2.0)
                         for ua, ub in zip(sol.fields, ref.fields)))
-    full = solve_spde(b, piecewise_linear_approx(path, 2048), u0)
+    (full,) = solve_spde(b, [piecewise_linear_approx(path, 2048)], u0)
     exact_tie = max(float(np.max(np.abs(ua.values - ub.values)))
                     for ua, ub in zip(full.fields, ref.fields))
     tail = errs[-4:]
@@ -250,11 +250,11 @@ def test_criterion_7_path_approximation_convergence(capsys):
         np.asarray(profile.gradient(grid_z.nodes())) ** 2, axis=-1))
     grad_norm = lp_norm(ScalarField(grid_z, grad_mag.reshape(grid_z.shape)), 2.0)
     shift_tol = 1.0e-3 * lp_norm(u0_z, 2.0)
-    ref_z = solve_spde(bz, path, u0_z)
+    (ref_z,) = solve_spde(bz, [path], u0_z)
     bound_ok = True
     for n in levels:
         approx = piecewise_linear_approx(path, n)
-        sol = solve_spde(bz, approx, u0_z)
+        (sol,) = solve_spde(bz, [approx], u0_z)
         err_n = max(lp_norm(ua - ub, 2.0)
                     for ua, ub in zip(sol.fields, ref_z.fields))
         bound_n = grad_norm * sup_distance(approx, path) + 2.0 * shift_tol

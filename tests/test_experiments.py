@@ -541,7 +541,7 @@ class TestCommandLine:
             "from stochtransport.spde import solve_spde",
             "from stochtransport.transport import mollified_drift",
             "u0 = sample_profile(SpatialGrid(1, 4.0, 64), bump(1, center=0.0, radius=1.2))",
-            "sol = solve_spde(power_drift(0.75, scale=-1.0), sample_brownian(3, 0.25, 32, 1), u0)",
+            "(sol,) = solve_spde(power_drift(0.75, scale=-1.0), [sample_brownian(3, 0.25, 32, 1)], u0)",
             "assert sol.mollify_epsilon > 0",
             "mollified_drift(stream_function_drift(4.0), 0.5, reach=5.0)",
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
@@ -816,20 +816,36 @@ class TestCommandLine:
             main(["hypotheses", "--config", config, "--seed", "3"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["solve", "verify-weak", "uniqueness", "wong-zakai",
-                                         "hypotheses"])
-    def test_negative_config_seed_exits_2(self, tmp_path, capsys, command):
-        config = self.write_config(tmp_path, base_dict(seed=-1))
+    # A seed keys numpy.random.Philox, which takes keys 0 <= key < 2**128 only.
+    @pytest.mark.parametrize("command, seed, why", [
+        case for command in ("solve", "verify-weak", "uniqueness", "wong-zakai", "hypotheses")
+        for case in (pytest.param(command, -1, "be nonnegative", id=command),
+                     pytest.param(command, 2**130, "be below 2**128", id=f"{command}-2**130"))])
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys, command, seed, why):
+        config = self.write_config(tmp_path, base_dict(seed=seed))
         assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
-        assert capsys.readouterr().err == "config error: seed must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == f"config error: seed must {why}, got {seed}\n"
 
-    @pytest.mark.parametrize("command", ["solve", "verify-weak", "uniqueness", "wong-zakai"])
-    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, seed, why", [
+        case for command in ("solve", "verify-weak", "uniqueness", "wong-zakai")
+        for case in (pytest.param(command, -5, "be nonnegative", id=command),
+                     pytest.param(command, 2**128, "be below 2**128", id=f"{command}-2**128"))])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command, seed, why):
         config = self.write_config(tmp_path, base_dict())
         out = tmp_path / "run"
-        assert main([command, "--config", config, "--out", str(out), "--seed", "-5"]) == 2
-        assert capsys.readouterr().err == "config error: --seed must be nonnegative, got -5\n"
+        assert main([command, "--config", config, "--out", str(out), "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == f"config error: --seed must {why}, got {seed}\n"
         assert not out.exists()
+
+    def test_seeds_past_the_key_range_exit_2(self, tmp_path, capsys):
+        # the seed is valid, but the third of three seeds from it is 2**128
+        config = self.write_config(tmp_path, base_dict())
+        argv = ["wong-zakai", "--config", config, "--out", str(tmp_path / "run"),
+                "--seed", str(2**128 - 2), "--seeds", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the last seed of --seeds 3 must be below 2**128, got {2**128}\n")
+        assert main(argv[:-1] + ["2"]) == 0
 
     def _audit_with(self, tmp_path, capsys, **overrides):
         """Solve a linear-drift run, then audit it with an altered config."""
@@ -920,6 +936,27 @@ class TestConstants:
         assert run.returncode == 0, run.stderr
         # 64 nodes, 16 steps: 16 blocks of 1 step, one read per RK4 stage
         assert run.stdout.splitlines()[-1] == f"0 {4 * 16}"
+
+    def test_benchmark_tracer_sees_the_wong_zakai_batch(self, tmp_path):
+        # The reference and every level of a seed march in one solve_spde
+        # call, so the trace mode counts one solve per seed.
+        tracer = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        config = tmp_path / "wz.json"
+        config.write_text(json.dumps(base_dict()), encoding="utf-8")
+        script = "; ".join([
+            "import runpy, sys",
+            "import stochtransport.cli as cli",
+            "tracer = runpy.run_path(sys.argv[1], run_name='bench_tracer')['Tracer']()",
+            "tracer.install()",
+            "code = cli.main(['wong-zakai', '--config', sys.argv[2], '--out', sys.argv[3],"
+            " '--seeds', '3'])",
+            "print(code, tracer.stats['spde.solve_spde'].calls)",
+        ])
+        run = subprocess.run([sys.executable, "-c", script, os.path.abspath(tracer),
+                              str(config), str(tmp_path / "out")],
+                             capture_output=True, text=True, env=_src_env())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 3"
 
     def test_command_result_accumulates(self):
         r = CommandResult(0)

@@ -40,12 +40,12 @@ from stochtransport.paths import (
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import (
     SNAPSHOT_INTERVALS,
+    SpdeSolution,
     _block_steps,
     exact_solution,
     renormalize_check,
     smoothed_truncated_power,
     solve_spde,
-    solve_spde_batch,
 )
 from stochtransport.transport import cfl_number, mollified_drift
 
@@ -61,7 +61,7 @@ class TestRepresentation:
     def test_pure_noise_is_translation_of_initial_data(self, setting512):
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0)
+        (sol,) = solve_spde(zero_drift(1), [path], u0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(path, float(t)))
@@ -70,7 +70,7 @@ class TestRepresentation:
     def test_first_snapshot_is_initial_data(self, setting512):
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0)
+        (sol,) = solve_spde(zero_drift(1), [path], u0)
         assert np.array_equal(sol.fields[0].values, u0.values)
 
     def test_constant_drift_closed_form(self):
@@ -79,7 +79,7 @@ class TestRepresentation:
         u0 = sample_profile(g, prof)
         path = sample_brownian(24, 1.0, 512, 1)
         b = constant_drift([1.0])
-        sol = solve_spde(b, path, u0)
+        (sol,) = solve_spde(b, [path], u0)
         truth = exact_solution(b, path, prof, 1.0, g)
         rel = lp_norm(sol.fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
@@ -89,7 +89,7 @@ class TestRepresentation:
         # budget is twice the measured single round-trip defect
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
-        sol = solve_spde(zero_drift(1), path, u0)
+        (sol,) = solve_spde(zero_drift(1), [path], u0)
         round_trip = lp_norm(
             shift_field(shift_field(u0, [0.37]), [-0.37]) - u0, 1.0
         )
@@ -101,7 +101,7 @@ class TestRepresentation:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         for scheme in ("semi_lagrangian", "upwind_fv"):
-            sol = solve_spde(constant_drift([0.5]), path, ScalarField.zeros(g), scheme=scheme)
+            (sol,) = solve_spde(constant_drift([0.5]), [path], ScalarField.zeros(g), scheme=scheme)
             assert all(np.all(f.values == 0.0) for f in sol.fields)
 
     def test_linearity_within_scheme_tolerance(self, setting512):
@@ -112,9 +112,9 @@ class TestRepresentation:
         combo = ScalarField(g, a * u0.values + u0b.values)
         tol = {"semi_lagrangian": 1e-3, "upwind_fv": 1e-12}
         for scheme in ("semi_lagrangian", "upwind_fv"):
-            s_combo = solve_spde(constant_drift([0.5]), path, combo, scheme=scheme)
-            s_a = solve_spde(constant_drift([0.5]), path, u0, scheme=scheme)
-            s_b = solve_spde(constant_drift([0.5]), path, u0b, scheme=scheme)
+            (s_combo,) = solve_spde(constant_drift([0.5]), [path], combo, scheme=scheme)
+            (s_a,) = solve_spde(constant_drift([0.5]), [path], u0, scheme=scheme)
+            (s_b,) = solve_spde(constant_drift([0.5]), [path], u0b, scheme=scheme)
             worst = max(
                 lp_norm(s_combo.fields[m] - (s_a.fields[m] * a + s_b.fields[m]), 1.0)
                 for m in range(len(s_combo.times))
@@ -127,7 +127,7 @@ class TestRepresentation:
         g = SpatialGrid(d=1, half_width=8.0, n=512)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         path = sample_brownian(24, 1.0, 1024, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), path, u0)
+        (sol,) = solve_spde(linear_drift([[-1.0]]), [path], u0)
         n0 = lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             assert lp_norm(sol.aux_fields[m], 1.0) <= math.exp(1.1 * float(t)) * n0 + 1e-12
@@ -137,7 +137,7 @@ class TestWongZakaiPipeline:
     def test_zero_path_reduces_to_deterministic_problem(self, setting512):
         g, prof, u0 = setting512
         w = zero_path(1.0, 512, 1)
-        sol = solve_spde(constant_drift([0.5]), w, u0)
+        (sol,) = solve_spde(constant_drift([0.5]), [w], u0)
         for m in range(len(sol.times)):
             assert np.array_equal(sol.fields[m].values,
                                   sol.aux_fields[m].values)
@@ -146,8 +146,8 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         full = piecewise_linear_approx(path, 512)
-        ref = solve_spde(zero_drift(1), path, u0)
-        wz = solve_spde(zero_drift(1), full, u0)
+        (ref,) = solve_spde(zero_drift(1), [path], u0)
+        (wz,) = solve_spde(zero_drift(1), [full], u0)
         for a, b in zip(ref.fields, wz.fields):
             assert np.array_equal(a.values, b.values)
 
@@ -155,7 +155,7 @@ class TestWongZakaiPipeline:
         g, prof, u0 = setting512
         path = sample_brownian(24, 1.0, 512, 1)
         bn = piecewise_linear_approx(path, 32)
-        sol = solve_spde(zero_drift(1), bn, u0)
+        (sol,) = solve_spde(zero_drift(1), [bn], u0)
         tol = 1e-3 * lp_norm(u0, 1.0)
         for m, t in enumerate(sol.times):
             want = shift_field(u0, eval_path(bn, float(t)))
@@ -216,7 +216,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 128, 2)
-        sol = solve_spde(b, path, u0)
+        (sol,) = solve_spde(b, [path], u0)
         rep = renormalize_check(sol, lambda s: s * s, b)
         assert rep.passed
         assert rep.div_bound == 0.0
@@ -227,7 +227,7 @@ class TestRenormalization:
         g = SpatialGrid(d=2, half_width=4.0, n=64)
         b = stream_function_drift(4.0)
         path = sample_brownian(14, 1.0, 64, 2)
-        sol = solve_spde(b, path, ScalarField.zeros(g))
+        (sol,) = solve_spde(b, [path], ScalarField.zeros(g))
         rep = renormalize_check(sol, lambda s: s * s, b)
         assert np.all(rep.integrals == 0.0)
 
@@ -238,7 +238,7 @@ class TestRenormalization:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         b = linear_drift([[-1.0]])
         path = sample_brownian(24, 1.0, 1024, 1)
-        sol = solve_spde(b, path, u0)
+        (sol,) = solve_spde(b, [path], u0)
         beta = smoothed_truncated_power(M=10.0, p=1.0)
         rep = renormalize_check(sol, beta, b)
         assert rep.passed
@@ -251,7 +251,7 @@ class TestRenormalization:
         # C = 2e12 exceeds the 1e12 ceiling: no envelope is built
         g = SpatialGrid(d=1, half_width=4.0, n=64)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
-        sol = solve_spde(zero_drift(1), zero_path(1.0, 64, 1), u0)
+        (sol,) = solve_spde(zero_drift(1), [zero_path(1.0, 64, 1)], u0)
         rep = renormalize_check(sol, lambda s: s * s, linear_drift([[2e12]]))
         assert rep.status == "inconclusive"
         assert not rep.passed
@@ -264,7 +264,7 @@ class TestRenormalization:
     def test_gronwall_constant_is_the_hypotheses_div_bound(self, b):
         g = SpatialGrid(d=b.d, half_width=4.0, n=32)
         u0 = sample_profile(g, bump(b.d, radius=1.2))
-        sol = solve_spde(b, zero_path(1.0, 64, b.d), u0)
+        (sol,) = solve_spde(b, [zero_path(1.0, 64, b.d)], u0)
         rep = renormalize_check(sol, lambda s: s * s, b)
         box = [(-4.0, 4.0)] * b.d
         assert rep.div_bound == check_hypotheses(b, math.inf, box, 1.0).div_bound
@@ -406,7 +406,7 @@ class TestArrayMarch:
             path = piecewise_linear_approx(path, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sol = solve_spde(b, path, u0, scheme=scheme)
+            (sol,) = solve_spde(b, [path], u0, scheme=scheme)
             times, ref = reference_march(b, path, u0, dt, horizon, scheme, SNAPSHOT_INTERVALS)
         assert (sol.mollify_epsilon is None) == (case == "stream")
         assert np.array_equal(sol.times, times)
@@ -419,7 +419,7 @@ class TestArrayMarch:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = ScalarField(g, 1.0e308 * sample_profile(g, step(1, center=0.0, half_width=1.0)).values)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as err:
-            solve_spde(constant_drift([0.5]), zero_path(1.0, 64, 1), u0, scheme="upwind_fv")
+            solve_spde(constant_drift([0.5]), [zero_path(1.0, 64, 1)], u0, scheme="upwind_fv")
         assert err.value.step == 1
         assert "non-finite field at step 1" in str(err.value)
 
@@ -434,7 +434,7 @@ class TestArrayMarch:
             calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                solve_spde(power_drift(0.75, -1.0), path, u0, scheme=scheme)
+                solve_spde(power_drift(0.75, -1.0), [path], u0, scheme=scheme)
             counts.append(len(calls))
         assert counts == [1, 1]
 
@@ -489,9 +489,9 @@ class TestBatchMarch:
         kwargs = dict(scheme=scheme, mollify_epsilon=eps)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            alone = solve_spde(b, path, u0, **kwargs)
-            first = solve_spde_batch(b, [wide, path, other], u0, **kwargs)
-            second = solve_spde_batch(b, [path, other, path], u0, **kwargs)
+            (alone,) = solve_spde(b, [path], u0, **kwargs)
+            first = solve_spde(b, [wide, path, other], u0, **kwargs)
+            second = solve_spde(b, [path, other, path], u0, **kwargs)
         assert (alone.mollify_epsilon is None) == (case == "stream")
         assert all(sol.path is p for sol, p in zip(first, [wide, path, other]))
         for sol in (first[1], second[0], second[2]):
@@ -506,23 +506,23 @@ class TestBatchMarch:
         pushed = SamplePath(4.0 * quiet.times[:, None], quiet.horizon,
                             "piecewise_linear_bv")
         with pytest.warns(SupportMarginWarning, match="in path 1"):
-            sols = solve_spde_batch(b, [quiet, pushed, quiet], u0)
+            sols = solve_spde(b, [quiet, pushed, quiet], u0)
         with pytest.warns(SupportMarginWarning):
-            alone = solve_spde(b, pushed, u0)
+            (alone,) = solve_spde(b, [pushed], u0)
         assert sols[0].support_violations == sols[2].support_violations == ()
         assert sols[1].support_violations == alone.support_violations
         assert len(alone.support_violations) > 0
 
-    def test_margin_warning_names_the_caller_of_either_entry_point(self):
+    def test_margin_warning_names_the_caller(self):
         g = SpatialGrid(d=1, half_width=4.0, n=64)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         b = linear_drift([[1.0]])
         quiet = zero_path(1.0, 64, 1)
         pushed = SamplePath(4.0 * quiet.times[:, None], quiet.horizon, "piecewise_linear_bv")
         with pytest.warns(SupportMarginWarning) as alone:
-            solve_spde(b, pushed, u0)
+            solve_spde(b, [pushed], u0)
         with pytest.warns(SupportMarginWarning) as batch:
-            solve_spde_batch(b, [quiet, pushed], u0)
+            solve_spde(b, [quiet, pushed], u0)
         for record in (alone, batch):
             assert [w.filename for w in record
                     if issubclass(w.category, SupportMarginWarning)] == [__file__]
@@ -539,9 +539,9 @@ class TestBatchMarch:
         far = SamplePath(100.0 * quiet.times[:, None], quiet.horizon, "piecewise_linear_bv")
         with np.errstate(all="ignore"):
             with pytest.raises(BlowUpError) as alone:
-                solve_spde(cliff, far, u0)
+                solve_spde(cliff, [far], u0)
             with pytest.raises(BlowUpError) as err:
-                solve_spde_batch(cliff, [quiet, quiet, far], u0)
+                solve_spde(cliff, [quiet, quiet, far], u0)
         assert 1 < alone.value.step < 64
         assert err.value.step == alone.value.step
         assert f"non-finite field at step {alone.value.step} of path 2" in str(err.value)
@@ -552,7 +552,7 @@ class TestBatchMarch:
         paths = [sample_brownian(seed, 0.25, 32, 1) for seed in (5, 6, 7)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            solve_spde_batch(b, paths, u0)
+            solve_spde(b, paths, u0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("scheme, stages", [("semi_lagrangian", 4), ("upwind_fv", 1)])
@@ -567,7 +567,7 @@ class TestBatchMarch:
                 calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    solve_spde_batch(b, paths, u0, scheme=scheme)
+                    solve_spde(b, paths, u0, scheme=scheme)
                 # the march reads at arrays of times; the set-up, at single times
                 counts[n_paths, n_steps] = (sum(np.ndim(t) == 1 for t in calls), len(calls))
         # 64 nodes: blocks of min(K / 16, 4096 // 64) steps, 16 of 2 steps
@@ -599,7 +599,7 @@ class TestBatchMarch:
         paths = [sample_brownian(seed, 0.25, 32, 1) for seed in (5, 6)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            solve_spde_batch(b, paths, u0, scheme=scheme)
+            solve_spde(b, paths, u0, scheme=scheme)
         # upwind first probes its CFL number at the snapshot times, at
         # (P, Q, d) points; then 64 nodes and 32 steps march in 16 blocks of
         # 2 steps, each read once per stage at (B, P, Q, d) points
@@ -609,4 +609,36 @@ class TestBatchMarch:
     def test_empty_batch_rejected(self):
         b, u0 = _case("power1d")
         with pytest.raises(ConfigError, match="at least one path"):
-            solve_spde_batch(b, [], u0)
+            solve_spde(b, [], u0)
+
+    def test_a_bare_path_or_an_element_that_is_no_path_is_rejected(self):
+        b, u0 = _case("power1d")
+        path = sample_brownian(5, 0.25, 32, 1)
+        with pytest.raises(ConfigError, match=r"pass \[path\] for one"):
+            solve_spde(b, path, u0)
+        with pytest.raises(ConfigError, match="path 1 of the batch is a ndarray"):
+            solve_spde(b, [path, path.values], u0)
+
+
+class TestSolutionRecord:
+    def test_grid_times_and_dt_are_derived_and_read_only(self):
+        b, u0 = _case("power1d")
+        path = sample_brownian(5, 0.3, 48, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (sol,) = solve_spde(b, [path], u0)
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "fields", "path", "aux_fields", "mollify_epsilon", "support_violations"]
+        assert sol.grid is u0.grid
+        assert np.array_equal(sol.times, np.linspace(0.0, 0.3, SNAPSHOT_INTERVALS + 1))
+        assert sol.dt == 0.3 / 48
+        for name in ("grid", "times", "dt"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, name, None)
+        with pytest.raises(ValueError):
+            sol.times[0] = 1.0
+        # a solution rebuilt from its snapshots, as from dumped artifacts
+        rebuilt = SpdeSolution(sol.fields, path)
+        assert rebuilt.grid is sol.grid and rebuilt.dt == sol.dt
+        assert np.array_equal(rebuilt.times, sol.times)
+        assert rebuilt.aux_fields == () and rebuilt.mollify_epsilon is None

@@ -27,7 +27,7 @@ from stochtransport.experiments import estimate_order
 from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
 from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
-from stochtransport.spde import SNAPSHOT_INTERVALS, solve_spde, solve_spde_batch
+from stochtransport.spde import SNAPSHOT_INTERVALS, solve_spde
 from stochtransport import transport
 from stochtransport.transport import (
     _bump_kernel,
@@ -37,7 +37,6 @@ from stochtransport.transport import (
     composed_drift,
     mollified_drift,
     path_table,
-    upwind_fv_step,
 )
 
 
@@ -107,10 +106,10 @@ class TestPathTable:
         b = power_drift(0.75, scale=-1.0)
         # an untraced solve first, so one-off process growth (the first
         # np.unique imports numpy.ma) falls outside the traced window
-        solve_spde(b, w, u0)
+        solve_spde(b, [w], u0)
         tracemalloc.start()
         try:
-            solve_spde(b, w, u0)
+            solve_spde(b, [w], u0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -159,14 +158,13 @@ class TestBlockSteps:
         paths = [sample_brownian(seed, 0.25, 16, d) for seed in (1, 2)]
         velocity = composed_drift(b, path_table(paths, np.concatenate(
             transport._stage_times(starts, dt))))
-        block, step = ((transport._semi_lagrangian_block, transport.semi_lagrangian_step)
-                       if scheme == "semi_lagrangian"
-                       else (transport._upwind_block, upwind_fv_step))
+        block = (transport._semi_lagrangian_block if scheme == "semi_lagrangian"
+                 else transport._upwind_block)
         vals = np.stack([u0.values] * len(paths))
         after = block(g, vals, velocity, starts, dt)
         assert len(after) == len(starts)
         for t, want in zip(starts.tolist(), after):
-            vals = step(g, vals, velocity, t, dt)
+            (vals,) = block(g, vals, velocity, np.array([t]), dt)
             assert np.array_equal(vals, want)
 
 
@@ -175,14 +173,14 @@ class TestSemiLagrangian:
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_spde(zero_drift(1), w, u0)
+        (sol,) = solve_spde(zero_drift(1), [w], u0)
         assert all(np.array_equal(f.values, u0.values) for f in sol.aux_fields)
 
     def test_initial_snapshot_is_initial_field(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = sample_brownian(7, 1.0, 128, 1)
-        sol = solve_spde(constant_drift([0.3]), w, u0)
+        (sol,) = solve_spde(constant_drift([0.3]), [w], u0)
         assert np.array_equal(sol.aux_fields[0].values, u0.values)
         assert all(np.all(np.isfinite(f.values)) for f in sol.aux_fields)
 
@@ -191,7 +189,7 @@ class TestSemiLagrangian:
         prof = bump(1, center=-0.5, radius=2.0)
         u0 = sample_profile(g, prof)
         w = zero_path(1.0, 512, 1)
-        sol = solve_spde(constant_drift([1.0]), w, u0)
+        (sol,) = solve_spde(constant_drift([1.0]), [w], u0)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p - 1.0))
         assert lp_norm(sol.aux_fields[-1] - truth, 1.0) <= 1e-3 * lp_norm(u0, 1.0)
 
@@ -200,7 +198,7 @@ class TestSemiLagrangian:
         prof = bump(1, center=0.0, radius=1.0)
         u0 = sample_profile(g, prof)
         w = zero_path(0.5, 512, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), w, u0)
+        (sol,) = solve_spde(linear_drift([[-1.0]]), [w], u0)
         truth = ScalarField.from_function(g, lambda p: prof.fn(p * math.exp(0.5)))
         rel = lp_norm(sol.aux_fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
@@ -213,7 +211,7 @@ class TestSemiLagrangian:
             u0 = sample_profile(g, prof)
             steps = n // 4
             w = zero_path(0.25, steps, 1)
-            sol = solve_spde(linear_drift([[-1.0]]), w, u0)
+            (sol,) = solve_spde(linear_drift([[-1.0]]), [w], u0)
             feet = characteristics_solve(linear_drift([[-1.0]]), w, g.nodes(),
                                          0.25, 0.0)
             truth = ScalarField(g, prof.fn(feet).reshape(g.shape))
@@ -227,15 +225,17 @@ class TestUpwind:
     def test_zero_velocity_leaves_field_unchanged(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         f = sample_profile(g, step(1, center=0.0, half_width=1.0))
-        out = upwind_fv_step(g, f.values, lambda t, p: np.zeros_like(p), 0.0, 0.01)
-        assert np.array_equal(out, f.values)
+        (out,) = transport._upwind_block(g, f.values[None], lambda t, p: np.zeros_like(p),
+                                         np.array([0.0]), 0.01)
+        assert np.array_equal(out[0], f.values)
 
     def test_single_step_preserves_mass(self):
         for n in (128, 256, 512):
             g = SpatialGrid(d=1, half_width=4.0, n=n)
             f = sample_profile(g, step(1, center=-1.0, half_width=0.5))
-            out = upwind_fv_step(g, f.values, lambda t, p: np.full_like(p, 0.8), 0.0,
-                                 0.2 * g.h / 0.8)
+            (out,) = transport._upwind_block(g, f.values[None],
+                                             lambda t, p: np.full_like(p, 0.8),
+                                             np.array([0.0]), 0.2 * g.h / 0.8)
             assert abs(float(np.sum(out)) - float(np.sum(f.values))) <= 1e-12
 
     def test_translation_of_step_converges_at_half_order(self):
@@ -247,13 +247,14 @@ class TestUpwind:
             f = sample_profile(g, step(1, center=-1.0, half_width=0.5))
             steps = int(math.ceil(horizon * c / (cfl * g.h)))
             dt = horizon / steps
-            v = f.values
+            v = f.values[None]
             for k in range(steps):
-                v = upwind_fv_step(g, v, lambda t, p: np.full_like(p, c), k * dt, dt)
+                (v,) = transport._upwind_block(g, v, lambda t, p: np.full_like(p, c),
+                                               np.array([k * dt]), dt)
             moved = sample_profile(
                 g, step(1, center=-1.0 + c * horizon, half_width=0.5)
             )
-            errs.append(lp_norm(ScalarField(g, v) - moved, 1.0))
+            errs.append(lp_norm(ScalarField(g, v[0]) - moved, 1.0))
         orders = estimate_order(errs)
         assert all(0.4 <= o <= 0.6 for o in orders)
 
@@ -262,7 +263,7 @@ class TestUpwind:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError):
-            solve_spde(constant_drift([3.0]), w, u0, scheme="upwind_fv")
+            solve_spde(constant_drift([3.0]), [w], u0, scheme="upwind_fv")
 
 
 class TestSchemeProperties:
@@ -271,7 +272,7 @@ class TestSchemeProperties:
         g = SpatialGrid(d=1, half_width=8.0, n=256)
         u0 = sample_profile(g, bump(1, center=0.5, radius=2.0))
         w = sample_brownian(3, 1.0, 256, 1)
-        sol = solve_spde(linear_drift([[-1.0]]), w, u0, scheme=scheme)
+        (sol,) = solve_spde(linear_drift([[-1.0]]), [w], u0, scheme=scheme)
         lo, hi = float(u0.values.min()), float(u0.values.max())
         for f in sol.aux_fields:
             assert float(f.values.min()) >= lo - 1e-12
@@ -283,7 +284,7 @@ class TestSchemeProperties:
             g = SpatialGrid(d=2, half_width=4.0, n=n)
             u0 = sample_profile(g, bump(2, center=(0.0, 0.0), radius=1.2))
             w = zero_path(0.5, n, 2)
-            sol = solve_spde(stream_function_drift(4.0), w, u0)
+            (sol,) = solve_spde(stream_function_drift(4.0), [w], u0)
             rel = max(
                 abs(lp_norm(f, 1.0) - lp_norm(u0, 1.0)) for f in sol.aux_fields
             ) / lp_norm(u0, 1.0)
@@ -299,7 +300,7 @@ class TestSchemeProperties:
             w = zero_path(1.0, 4 * n, 1)
             runs = {}
             for scheme in ("semi_lagrangian", "upwind_fv"):
-                runs[scheme] = solve_spde(constant_drift([0.6]), w, u0, scheme=scheme)
+                (runs[scheme],) = solve_spde(constant_drift([0.6]), [w], u0, scheme=scheme)
             discs.append(max(
                 lp_norm(a - b, 1.0)
                 for a, b in zip(runs["semi_lagrangian"].aux_fields,
@@ -312,14 +313,14 @@ class TestSchemeProperties:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            solve_spde(constant_drift([2.8]), w, u0)
+            solve_spde(constant_drift([2.8]), [w], u0)
 
     def test_upwind_support_is_checked_every_step(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.warns(SupportMarginWarning):
-            sol = solve_spde(constant_drift([2.8]), w, u0, scheme="upwind_fv")
+            (sol,) = solve_spde(constant_drift([2.8]), [w], u0, scheme="upwind_fv")
         stride = 128 // SNAPSHOT_INTERVALS
         assert any(step % stride != 0 for step in sol.support_violations)
 
@@ -328,17 +329,17 @@ class TestSchemeProperties:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 128, 1)
         with pytest.raises(ConfigError, match="8 steps cannot be grouped into 16"):
-            solve_spde(zero_drift(1), zero_path(1.0, 8, 1), u0)
+            solve_spde(zero_drift(1), [zero_path(1.0, 8, 1)], u0)
         with pytest.raises(ConfigError, match="share one clock"):
-            solve_spde_batch(zero_drift(1), [w, zero_path(1.0, 64, 1)], u0)
+            solve_spde(zero_drift(1), [w, zero_path(1.0, 64, 1)], u0)
         with pytest.raises(ConfigError, match="share one clock"):
-            solve_spde_batch(zero_drift(1), [w, zero_path(2.0, 128, 1)], u0)
+            solve_spde(zero_drift(1), [w, zero_path(2.0, 128, 1)], u0)
 
     def test_the_path_sets_the_clock(self):
         g = SpatialGrid(d=1, half_width=4.0, n=64)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         path = sample_brownian(3, 0.3, 48, 1)
-        sol = solve_spde(constant_drift([0.5]), path, u0)
+        (sol,) = solve_spde(constant_drift([0.5]), [path], u0)
         assert sol.dt == path.horizon / path.n_steps
         assert np.array_equal(sol.times, np.linspace(0.0, path.horizon, 17))
 
@@ -489,7 +490,7 @@ class TestMollifiedDrift:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError, match="grid spacing"):
-            solve_spde(power_drift(0.75), w, u0, mollify_epsilon=0.5 * g.h)
+            solve_spde(power_drift(0.75), [w], u0, mollify_epsilon=0.5 * g.h)
 
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     def test_rough_solves_emit_no_runtime_warning(self, scheme):
@@ -500,5 +501,5 @@ class TestMollifiedDrift:
         for b in (base, time_modulated_drift(base, "sin_squared", 0.25)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                sol = solve_spde(b, w, u0, scheme=scheme)
+                (sol,) = solve_spde(b, [w], u0, scheme=scheme)
             assert sol.mollify_epsilon == 2.0 * g.h

@@ -120,14 +120,13 @@ class TestStratonovichResidual:
     def test_zero_solution_residual_is_exactly_zero(self, grid512, path2048, phis):
         times = np.linspace(0.0, 1.0, 17)
         fields = tuple(ScalarField.zeros(grid512) for _ in times)
-        sol = SpdeSolution(grid=grid512, times=times, fields=fields, path=path2048)
+        sol = SpdeSolution(fields, path2048)
         rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs == 0.0
 
     def test_residual_is_linear_in_the_solution(self, grid512, profile, path2048, phis):
         sol = closed_form_translation(grid512, profile, path2048)
-        scaled = SpdeSolution(grid=grid512, times=sol.times,
-                              fields=tuple(f * -2.5 for f in sol.fields), path=path2048)
+        scaled = SpdeSolution(tuple(f * -2.5 for f in sol.fields), path2048)
         r1 = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         r2 = weak_residual(scaled, zero_drift(1), 1.0, phis=phis)
         for s1, s2 in zip(r1.series, r2.series):
@@ -164,7 +163,7 @@ class TestStratonovichResidual:
             f + (phi_field * 0.1) if t > 0.5 else f
             for f, t in zip(sol.fields, sol.times)
         ]
-        bad = SpdeSolution(grid=grid512, times=sol.times, fields=tuple(fields), path=path2048)
+        bad = SpdeSolution(tuple(fields), path2048)
         rep = weak_residual(bad, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs >= 0.05 * int_phi_sq
 
@@ -185,17 +184,21 @@ class TestStratonovichResidual:
             with pytest.raises(ConfigError):
                 weak_residual(sol, zero_drift(1), 1.0, phis=phis, rule=rule)
 
-    def test_misaligned_snapshots_rejected(self, grid512, profile, phis):
+    def test_misaligned_snapshots_rejected(self, grid512, profile):
+        # 16 snapshot intervals do not divide K = 100, so some snapshot
+        # would sit off the path mesh: no solution of them can be built
         path = sample_brownian(24, 1.0, 100, 1)
-        sol = closed_form_translation(grid512, profile, path)
-        with pytest.raises(MeshMismatchError):
-            weak_residual(sol, zero_drift(1), 1.0, phis=phis)
+        with pytest.raises(MeshMismatchError, match="17 snapshots"):
+            closed_form_translation(grid512, profile, path)
+
+    def test_single_snapshot_rejected(self, grid512, path2048):
+        with pytest.raises(MeshMismatchError, match="1 snapshots"):
+            SpdeSolution((ScalarField.zeros(grid512),), path2048)
 
     def test_normalizer_is_scale_free(self, grid512, profile, path2048, phis):
         sol = closed_form_translation(grid512, profile, path2048)
         rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
-        scaled = SpdeSolution(grid=grid512, times=sol.times,
-                              fields=tuple(f * 10.0 for f in sol.fields), path=path2048)
+        scaled = SpdeSolution(tuple(f * 10.0 for f in sol.fields), path2048)
         rep10 = weak_residual(scaled, zero_drift(1), 1.0, phis=phis)
         assert rep10.max_normalized == pytest.approx(rep.max_normalized, rel=1e-9)
 
@@ -205,7 +208,7 @@ class TestBoundedVariationResidual:
         bn = piecewise_linear_approx(path2048, 16)
         times = np.linspace(0.0, 1.0, 17)
         fields = tuple(ScalarField.zeros(grid512) for _ in times)
-        sol = SpdeSolution(grid=grid512, times=times, fields=fields, path=bn)
+        sol = SpdeSolution(fields, bn)
         rep = weak_residual(sol, zero_drift(1), 1.0, phis=phis)
         assert rep.max_abs == 0.0
 
