@@ -12,12 +12,14 @@ are not part of the format.
 it writes the comment and column lines, then a body of rows that are
 already text. :func:`write_csv` formats its rows' cells and hands them to
 it; a writer that keeps some cells as text from one file to the next
-(``fields.write_field_csv``) builds its body itself.
+(``fields.write_field_csv``) builds its body itself. :func:`read_csv`
+splits each row into its cells; :func:`read_body` hands over each row's
+line, for a reader that checks its text (``fields.read_field_csv``).
 """
 
 from __future__ import annotations
 
-__all__ = ["write_csv", "write_body", "read_csv"]
+__all__ = ["write_csv", "write_body", "read_csv", "read_body"]
 
 
 def write_csv(path, columns, rows, header=None) -> None:
@@ -54,6 +56,13 @@ def read_csv(path):
     values included, is a string. A header token without ``=`` raises
     ``ValueError``.
     """
+    header, columns, lines = read_body(path)
+    return header, columns, (row.split(",") for row in lines)
+
+
+def read_body(path):
+    """:func:`read_csv` with each row left as its line of text, without its
+    ``\n``: the reader of :func:`write_body`."""
     lines = _lines(path)
     line = next(lines, "")
     header = None
@@ -66,7 +75,7 @@ def read_csv(path):
         header = (tag, {key: value for key, _, value in pairs})
         line = next(lines, "")
     columns = line.split(",") if line else []
-    return header, columns, (row.split(",") for row in lines)
+    return header, columns, lines
 
 
 def _lines(path):

@@ -194,21 +194,21 @@ def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftFie
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
+        kx1, kx2 = k * x[..., 0], k * x[..., 1]
         out = np.empty(x.shape)
-        out[..., 0] = amplitude * k * np.cos(k * x1) * np.sin(k * x2)
-        out[..., 1] = -amplitude * k * np.sin(k * x1) * np.cos(k * x2)
+        out[..., 0] = amplitude * k * np.cos(kx1) * np.sin(kx2)
+        out[..., 1] = -amplitude * k * np.sin(kx1) * np.cos(kx2)
         return out
-
 
     def jac(x):
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
+        kx1, kx2 = k * x[..., 0], k * x[..., 1]
+        sin1, cos1, sin2, cos2 = np.sin(kx1), np.cos(kx1), np.sin(kx2), np.cos(kx2)
         out = np.empty(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = -amplitude * k * k * np.sin(k * x1) * np.sin(k * x2)
-        out[..., 0, 1] = amplitude * k * k * np.cos(k * x1) * np.cos(k * x2)
-        out[..., 1, 0] = -amplitude * k * k * np.cos(k * x1) * np.cos(k * x2)
-        out[..., 1, 1] = amplitude * k * k * np.sin(k * x1) * np.sin(k * x2)
+        out[..., 0, 0] = -amplitude * k * k * sin1 * sin2
+        out[..., 0, 1] = amplitude * k * k * cos1 * cos2
+        out[..., 1, 0] = -amplitude * k * k * cos1 * cos2
+        out[..., 1, 1] = amplitude * k * k * sin1 * sin2
         return out
 
     return DriftField("stream", 2, fn, jac, smooth=True)
@@ -282,12 +282,44 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
     return replace(base, id=f"{base.id}*{gain_id}", constant_value=None, gain=gain)
 
 
+#: The numeric parameters of each catalog drift: numbers, or nested lists of them.
+_NUMBER_PARAMS = {"constant": ("c",), "linear": ("matrix",),
+                  "stream": ("half_width", "amplitude"), "shear": ("half_width", "amplitude"),
+                  "power1d": ("alpha", "scale")}
+
+
+def _check_no_bools(kind: str, key: str, value) -> None:
+    """No entry of ``value`` may be a bool, which numpy would take as 0 or 1."""
+    if any(isinstance(item, bool) for item in np.asarray(value, dtype=object).ravel().tolist()):
+        raise ConfigError(f"drift {kind!r}: {key} must hold numbers, not true or false, "
+                          f"got {value!r}")
+
+
+def _check_period(kind: str, drift_half_width, half_width: float) -> None:
+    """A ``stream`` or ``shear`` drift of half width L / m, for a whole m >= 1,
+    is periodic on the box [-L, L)^2; any other half width is an error, and
+    one that is no number raises ``TypeError``."""
+    periods = half_width / drift_half_width if drift_half_width > 0 else 0.0
+    if not (periods >= 1.0 and abs(periods - round(periods)) <= 1.0e-12 * periods):
+        raise ConfigError(f"drift {kind!r}: half_width {drift_half_width!r} is not L / m for "
+                          f"a whole m >= 1 with L = {half_width}, so the drift is not periodic "
+                          "on the box")
+
+
 def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0) -> DriftField:
-    """Build a catalog drift from a config dictionary like {"id": "power1d", "alpha": 0.75}."""
+    """Build a catalog drift from a config dictionary like {"id": "power1d", "alpha": 0.75}.
+
+    A numeric parameter must not be a bool. The ``half_width`` of a
+    ``stream`` or ``shear`` drift, L by default, must be L / m for a whole
+    m >= 1, so that the drift is periodic on the box [-L, L)^2.
+    """
     if not isinstance(spec, dict) or "id" not in spec:
         raise ConfigError(f"drift spec must be a dict with an 'id', got {spec!r}")
     kind = spec["id"]
     kwargs = {k: v for k, v in spec.items() if k != "id"}
+    for key in _NUMBER_PARAMS.get(kind, ()):
+        if key in kwargs:
+            _check_no_bools(kind, key, kwargs[key])
     try:
         if kind == "zero":
             b = zero_drift(d, **kwargs)
@@ -296,12 +328,10 @@ def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0)
             b = constant_drift(**kwargs)
         elif kind == "linear":
             b = linear_drift(**kwargs)
-        elif kind == "stream":
+        elif kind in ("stream", "shear"):
             kwargs.setdefault("half_width", half_width)
-            b = stream_function_drift(**kwargs)
-        elif kind == "shear":
-            kwargs.setdefault("half_width", half_width)
-            b = shear_drift(**kwargs)
+            _check_period(kind, kwargs["half_width"], half_width)
+            b = (stream_function_drift if kind == "stream" else shear_drift)(**kwargs)
         elif kind == "power1d":
             b = power_drift(**kwargs)
         elif kind == "time_modulated":

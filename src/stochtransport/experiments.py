@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import read_csv, write_csv
 from .drifts import (DriftField, check_hypotheses, drift_from_spec, eval_drift,
                      write_hypothesis_csv)
-from .errors import ConfigError, FieldValidationError
+from .errors import ConfigError, DriftEvaluationError, FieldValidationError
 from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_field_csv
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
@@ -201,7 +201,7 @@ class ExperimentConfig:
             eval_drift(b, 0.0, grid.nodes())
         except KeyError as exc:
             raise ConfigError(f"malformed config value: missing key {exc}") from exc
-        except (FieldValidationError, TypeError, ValueError) as exc:
+        except (DriftEvaluationError, FieldValidationError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         if self.mollify_eps is not None:
             if self.mollify_eps < 0:
@@ -462,10 +462,11 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     if not os.path.isfile(path_file):
         raise ConfigError(f"no path.csv under {out_dir}; solve writes it with the snapshots")
     path = cfg.path(path_file=path_file)
+    grid = cfg.grid()  # one grid, so its row prefixes are formatted once for all snapshots
     fields = []
     for name in names:
         try:
-            fields.append(read_field_csv(os.path.join(out_dir, name)))
+            fields.append(read_field_csv(os.path.join(out_dir, name), grid))
         except (FieldValidationError, OSError, ValueError) as exc:
             raise ConfigError(f"unreadable snapshot {name}: {exc}") from None
     return SpdeSolution(tuple(fields), path)

@@ -6,26 +6,32 @@ This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read sums each point's stencil,
 one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables): in 1D from one strided view
-of every window, in 2D tap by tap, 16 gathers with no (Q, 4, 4)
-stencil array. A read is a plan, the flat
+which also reads the 2D mollifier tables): in 1D from one gather of
+every window's four nodes, in 2D tap by tap, 16 gathers with no
+(Q, 4, 4) stencil array. A read is a plan, the flat
 index of each point's window and its weights (``_cubic_plan``), then its
-application to the values (``_cubic_apply``); the march plans a block of
-steps at once and applies one plan per step. A snapshot's ``index`` and
-coordinate cells are formatted once per grid (``SpatialGrid._row_prefixes``),
-so each write formats only its values and hands the body to
-``artifacts.write_body``.
+application to the values (``_cubic_reader``); the march plans a block of
+steps at once and applies one plan per step. Both write every array
+they make into a workspace (``_Workspace``): named scratch arrays that a
+solve allocates at its first block and reuses at every later step, so
+the march's reads allocate nothing. ``interpolate`` and ``shift_field``
+take the same code path with a fresh workspace per call. A snapshot's
+``index`` and coordinate cells are formatted once per grid
+(``SpatialGrid._row_prefixes``), so each write formats only its values
+and hands the body to ``artifacts.write_body``; the reader requires
+each row to be exactly those cells and one value.
 Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_csv, write_body
+from .artifacts import read_body, write_body
 from .errors import FieldValidationError
 
 __all__ = [
@@ -105,17 +111,23 @@ class SpatialGrid:
         return nodes
 
     def _row_prefixes(self) -> tuple:
-        """The leading cells ``"i,x1[,x2],"`` of every snapshot row, row-major.
+        """The leading cells ``"i,x1[,x2],"`` of every snapshot row, row-major,
+        as :meth:`_iter_row_prefixes` formats them.
 
         Formatted on the first call; every later call returns the same tuple.
         """
         prefixes = self.__dict__.get("_prefixes")
         if prefixes is None:
-            cells = "%s," * (self.d + 1)
-            prefixes = tuple(cells % row
-                             for row in zip(range(self.size), *self.nodes().T.tolist()))
+            prefixes = tuple(self._iter_row_prefixes())
             object.__setattr__(self, "_prefixes", prefixes)
         return prefixes
+
+    def _iter_row_prefixes(self):
+        """The leading cells of each snapshot row, formatted one row at a time:
+        the index, then each coordinate as its shortest round-trip text."""
+        axis = [f"{x}," for x in self.axis().tolist()]
+        coords = axis if self.d == 1 else itertools.starmap(str.__add__, itertools.product(axis, axis))
+        return (f"{i},{cells}" for i, cells in enumerate(coords))
 
 
 @dataclass(frozen=True)
@@ -186,25 +198,107 @@ def lp_norm(f: ScalarField, p: float) -> float:
     return total ** (1.0 / pv)
 
 
-def _axis_locate(grid: SpatialGrid, coords: np.ndarray):
-    """Base index and fractional offset of query coordinates along one axis."""
+class _Workspace:
+    """Scratch arrays of one march, reused from step to step.
+
+    ``array(name, shape, dtype)`` returns the leading elements of slot
+    ``name``, one flat array, as an uninitialized array of that shape. A
+    slot is allocated at its first request and replaced only by a larger
+    one, so after a march's first block its steps allocate none of the
+    arrays below. Each view is made once per shape and kept; a view taken
+    before its slot was replaced keeps the old array. A call without a
+    workspace (``interpolate``, ``shift_field``, a block stepper called
+    alone) makes a fresh one and takes the same code path.
+
+    Views of one slot overlap, so each phase of a step uses a slot only
+    while no other phase needs what it holds. The slots, by the phase of a
+    semi-Lagrangian step that writes them:
+
+    - ``"x0"``, ``"x1"``, ``"x2"``, float scratch. The RK4 trace
+      (``transport._rk4_feet``) keeps its stage points in x1 and its
+      running sum, then the feet, in x2; ``transport.composed_drift`` shifts
+      the points it is asked about into x0. The plan (:func:`_cubic_plan`)
+      reads the feet and writes theta to x0 and the stencil bases to x1.
+      A read (:func:`_cubic_reader`) pads the values into x0, gathers the
+      taps into x1, and takes its running extremes in x1, x2 and x0.
+    - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block.
+    - ``"index"`` (int64): the stencil nodes of a 1D read; ``"mask"``
+      (bool): the plan's scratch.
+    - ``"values"``: the values after each step of a block.
+    """
+
+    def __init__(self):
+        self._slots = {}
+        self._views = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            size = math.prod(shape)
+            slot = self._slots.get(name)
+            if slot is None or slot.size < size or slot.dtype != dtype:
+                slot = self._slots[name] = np.empty(size, dtype)
+                # views of the old array keep it alive for whoever holds them
+                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            view = self._views[key] = slot[:size].reshape(shape)
+        return view
+
+
+def _axis_locate(grid: SpatialGrid, coords: np.ndarray, base: np.ndarray,
+                 theta: np.ndarray, mask: np.ndarray) -> None:
+    """The stencil base node and fractional offset of query coordinates along
+    each axis, written into ``base`` and ``theta``, float arrays of the shape
+    of ``coords``; a base is a node index held as a float. ``mask`` is a
+    bool array of that shape, for scratch.
+
+    The offset into the period is np.mod(coords + L, 2L), bit for bit,
+    taken as numpy takes it: fmod, plus 2L where fmod is negative. Only its
+    sign of zero may differ (numpy returns +0.0), which moves neither the
+    fractional offset nor the node index.
+    """
     L = grid.half_width
-    s = np.mod(coords + L, 2.0 * L) / grid.h
-    base = np.floor(s).astype(np.int64)
-    theta = s - base
-    # np.mod can return exactly 2L just below a period boundary: base n wraps to node 0.
-    return base % grid.n, theta
+    np.add(coords, L, out=theta)
+    np.fmod(theta, 2.0 * L, out=theta)
+    np.add(theta, 2.0 * L, out=theta, where=np.less(theta, 0.0, out=mask))
+    theta /= grid.h
+    np.floor(theta, out=base)
+    theta -= base
+    # The offset can be exactly 2L just below a period boundary: base n wraps to node 0.
+    np.copyto(base, 0.0, where=np.greater_equal(base, grid.n, out=mask))
 
 
-def _cubic_weights(theta: np.ndarray) -> np.ndarray:
-    # Lagrange weights on the 4-point stencil {-1, 0, 1, 2}; exact for
-    # cubic polynomials along the axis.
+def _cubic_weights(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Lagrange weights on the 4-point stencil {-1, 0, 1, 2}, exact for cubic
+    polynomials along the axis: shape ``theta.shape + (4,)``.
+
+    Written into ``out`` when given, with no temporary: until their own
+    turn, column 1 holds t - 2 and column 3 holds t + 1, then t - 1, then
+    t * t - 1. Each weight is the same product, bit for bit, as the
+    formula written in its comment.
+    """
     t = theta
-    w_m1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w_0 = (t * t - 1.0) * (t - 2.0) / 2.0
-    w_p1 = -t * (t + 1.0) * (t - 2.0) / 2.0
-    w_p2 = t * (t * t - 1.0) / 6.0
-    return np.stack([w_m1, w_0, w_p1, w_p2], axis=-1)
+    if out is None:
+        out = np.empty(np.shape(t) + (4,))
+    w_m1, w_0, w_p1, w_p2 = (out[..., i] for i in range(4))
+    np.subtract(t, 2.0, out=w_0)
+    np.add(t, 1.0, out=w_p2)
+    np.negative(t, out=w_p1)
+    w_p1 *= w_p2
+    w_p1 *= w_0
+    w_p1 /= 2.0  # -t * (t + 1) * (t - 2) / 2
+    np.subtract(t, 1.0, out=w_p2)
+    np.negative(t, out=w_m1)
+    w_m1 *= w_p2
+    w_m1 *= w_0
+    w_m1 /= 6.0  # -t * (t - 1) * (t - 2) / 6
+    np.multiply(t, t, out=w_p2)
+    w_p2 -= 1.0
+    w_0 *= w_p2
+    w_0 /= 2.0  # (t * t - 1) * (t - 2) / 2
+    w_p2 *= t
+    w_p2 /= 6.0  # t * (t * t - 1) / 6
+    return out
 
 
 def interpolate(f: ScalarField, points):
@@ -246,87 +340,157 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     as one stack along the first axis, by the same arithmetic whatever P
     is. ``clamp`` clips each value to the range of its stencil: the
     semi-Lagrangian stepper's discrete maximum principle, at the price of
-    cubic exactness. It is :func:`_cubic_plan` followed by
-    :func:`_cubic_apply`.
+    cubic exactness. It is :func:`_cubic_plan` followed by a read of
+    :func:`_cubic_reader`, in one fresh workspace.
     """
-    return _cubic_apply(grid, values, _cubic_plan(grid, pts[None])[0], clamp)
+    ws = _Workspace()
+    (plan,) = _cubic_plan(grid, pts[None], ws)
+    return _cubic_reader(grid, *pts.shape[:2], clamp, ws)(values, plan)
 
 
-def _cubic_plan(grid: SpatialGrid, pts: np.ndarray) -> list:
+def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace | None = None) -> list:
     """Where and with what weights the cubic rule reads points of shape (S, P, Q, d).
 
     The S sets of points are located and weighed in one pass. Returns one
-    plan per set for :func:`_cubic_apply`: the flat index, in the
+    plan per set for :func:`_cubic_reader`: the flat index, in the
     wrap-padded stack of the P fields, of the first node of each point's
     stencil, and the (P * Q, 4) weights per axis. A plan depends on the
-    points only, so a read of any values may reuse it.
+    points only, so a read of any values may reuse it. The plans are views
+    of the workspace ``ws``, valid until its next plan.
     """
+    ws = _Workspace() if ws is None else ws
     n_sets, n_fields, n_pts, d = pts.shape
-    base, theta = _axis_locate(grid, pts.reshape(-1, d))
-    base = base.reshape(n_sets, -1, d)
+    theta, base = ws.array("x0", pts.shape), ws.array("x1", pts.shape)
+    _axis_locate(grid, pts, base, theta, ws.array("mask", pts.shape, np.bool_))
     side = grid.n + 3  # the padded length of an axis
-    start = np.repeat(np.arange(n_fields) * side**d, n_pts)
-    for a in range(d):
-        start = start + base[..., a] * side ** (d - 1 - a)
-    weights = [_cubic_weights(theta[:, a]).reshape(n_sets, -1, 4) for a in range(d)]
-    return [(start[s], [w[s] for w in weights]) for s in range(n_sets)]
+    # The flat index, summed in floats: every term is an integer far below 2**53.
+    first = base[..., 0]
+    for a in range(1, d):
+        first *= side
+        first += base[..., a]
+    first += (np.arange(n_fields) * side**d)[:, None]
+    start = ws.array("start", first.shape, np.int64)
+    np.copyto(start, first, casting="unsafe")
+    weights = [_cubic_weights(theta[..., a], ws.array(f"w{a}", first.shape + (4,)))
+               for a in range(d)]
+    return [(start[s].reshape(-1), [w[s].reshape(-1, 4) for w in weights])
+            for s in range(n_sets)]
 
 
-def _cubic_apply(grid: SpatialGrid, values: np.ndarray, plan, clamp: bool) -> np.ndarray:
-    """Read a stack of P fields, shape (P, *grid.shape), by a plan of
-    :func:`_cubic_plan`; returns shape (P, Q).
+def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
+                  ws: _Workspace | None = None):
+    """The reader of stacks of P = ``n_fields`` fields, shape (P, *grid.shape),
+    by plans of :func:`_cubic_plan` for Q = ``n_pts`` points per field:
+    ``read(values, plan, out=None)`` returns shape (P, Q), written into
+    ``out``, a C-contiguous array, when given. ``out`` may be ``values``
+    itself: the values are read once, into the padded stack, before ``out``
+    is written.
 
-    The stack is wrap-padded once, by 1 node before and 2 after on each
-    spatial axis, so every stencil is a 4-node window of it per axis and
-    no index needs a modulo. The padded stack is read as one table, the
+    The stack is wrap-padded once per read, by 1 node before and 2 after on
+    each spatial axis, so every stencil is a 4-node window of it per axis
+    and no index needs a modulo. The padded stack is read as one table, the
     P fields one after another along its first axis, so one flat index
     locates a stencil. The clamp bounds are running minima and maxima
-    over the flat padded stack, not a reduction per point.
+    over the flat padded stack, not a reduction per point. Every scratch
+    array of a read is a view of the workspace ``ws`` taken here, once, so
+    a march makes one reader per block and its reads allocate nothing.
     """
-    start, weights = plan
-    # Node i sits at padded index i + 1, so the stencil around node base starts at base.
-    wrap = np.arange(-1, grid.n + 2) % grid.n
-    padded = values
-    for axis in range(1, grid.d + 1):
-        padded = np.take(padded, wrap, axis=axis)
-    out = _window_sum(padded.reshape((1, -1) + padded.shape[2:]), start, weights)[0]
+    ws = _Workspace() if ws is None else ws
+    n, d, side = grid.n, grid.d, grid.n + 3
+    padded = ws.array("x0", (n_fields,) + (side,) * d)
+    # Padded node j of an axis is node (j - 1) mod n, so the stencil around
+    # node base starts at padded index base.
+    interior = padded[(slice(None),) + (slice(1, n + 1),) * d]
+    wraps = []
+    for axis in range(1, d + 1):
+        head = (slice(None),) * axis
+        wraps += [(padded[head + (0,)], padded[head + (n,)]),
+                  (padded[head + (slice(n + 1, n + 3),)], padded[head + (slice(1, 3),)])]
+    stack = padded.reshape((1, -1) + padded.shape[2:])
     if clamp:
-        lo = hi = padded.reshape(-1)
-        for step in (1, 2, grid.n + 3, 2 * (grid.n + 3))[: 2 * grid.d]:
-            # extremes of 2, then 4 nodes along the rows, then of 2 and 4 rows
-            lo, hi = np.minimum(lo[:-step], lo[step:]), np.maximum(hi[:-step], hi[step:])
-        out = np.clip(out, np.take(lo, start), np.take(hi, start))
-    return out.reshape(values.shape[0], -1)
+        flat = padded.reshape(-1)
+        steps = (1, 2, side, 2 * side)[: 2 * d]
+        # An even number of steps ends the minima in x2, so x1 takes their
+        # gather; the maxima then overwrite the padded stack in x0 once their
+        # first step has read it.
+        lo_steps = _running_extreme(flat, steps, ws, ("x1", "x2"))
+        hi_steps = _running_extreme(flat, steps, ws, ("x2", "x0"))
+        lo, hi = ws.array("x1", (n_fields * n_pts,)), ws.array("x2", (n_fields * n_pts,))
+
+    def read(values: np.ndarray, plan, out: np.ndarray | None = None) -> np.ndarray:
+        start, weights = plan
+        np.copyto(interior, values)
+        for wrap, source in wraps:
+            np.copyto(wrap, source)
+        if out is None:
+            out = np.empty((n_fields, n_pts))
+        total = out.reshape(1, -1)
+        _window_sum(stack, start, weights, ws, total)
+        if clamp:
+            for below, above, extremes in lo_steps:
+                np.minimum(below, above, out=extremes)
+            np.take(lo_steps[-1][2], start, out=lo, mode="clip")
+            for below, above, extremes in hi_steps:
+                np.maximum(below, above, out=extremes)
+            np.take(hi_steps[-1][2], start, out=hi, mode="clip")
+            np.clip(total[0], lo, hi, out=total[0])
+        return out.reshape(n_fields, -1)
+
+    return read
 
 
-def _window_sum(stack: np.ndarray, start: np.ndarray, weights) -> np.ndarray:
+def _running_extreme(flat: np.ndarray, steps, ws: _Workspace, pair) -> list:
+    """The operands of a running extreme (np.minimum or np.maximum) of
+    ``flat`` over ``steps``: extremes of 2, then 4 nodes along the rows,
+    then of 2 and 4 rows. Step i is one (below, above, out) triple whose
+    ``out`` is a view of slot ``pair[i % 2]``: running into an overlapping
+    view of its own input would make numpy copy. The last ``out`` holds the
+    extremes of every stencil, at the flat index of its first node."""
+    triples = []
+    for i, step in enumerate(steps):
+        out = ws.array(pair[i % 2], (flat.size - step,))
+        triples.append((flat[:-step], flat[step:], out))
+        flat = out
+    return triples
+
+
+#: The offsets of a 1D window's four nodes from its first.
+_STENCIL = np.arange(4)
+
+
+def _window_sum(stack: np.ndarray, start: np.ndarray, weights,
+                ws: _Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The cubic rule on 4-node windows of a C-contiguous stack of C tables
     of 1D or 2D: point q reads, in every table, the window whose first node
     has flat index ``start[q]`` in the table, weighted by row q of
     ``weights``, one (Q, 4) array of ``_cubic_weights`` per axis. Returns
-    shape (C, Q).
+    shape (C, Q), written into ``out`` when given.
 
-    1D reads every window as one strided view and sums it by ``np.einsum``.
-    2D gathers the 16 taps one at a time, each a contiguous (C, Q) array,
-    and adds (w0_i * tap_ij) * w1_j to one zeroed sum in row-major (i, j)
-    order: the three-operand einsum's sum, bit for bit, without its
-    (C, Q, 4, 4) stencil.
+    1D gathers every window's four nodes into one (C, Q, 4) array and sums
+    it by ``np.einsum``. 2D gathers the 16 taps one at a time, each a
+    contiguous (C, Q) array, and adds (w0_i * tap_ij) * w1_j to one zeroed
+    sum in row-major (i, j) order: the three-operand einsum's sum, bit for
+    bit, without its (C, Q, 4, 4) stencil.
     """
+    ws = _Workspace() if ws is None else ws
     flat = stack.reshape(len(stack), -1)
+    # The indices are in range by construction, and "clip" spares np.take a buffer.
     if len(weights) == 1:
-        item = flat.strides[1]
-        # Every window as one strided view: window k starts at flat node k of its table.
-        windows = np.ndarray((len(flat), flat.shape[1] - 3, 4), flat.dtype, flat,
-                             strides=(flat.strides[0], item, item))
-        return np.einsum("qi,...qi->...q", weights[0], windows[:, start])
+        index = np.add(start[:, None], _STENCIL, out=ws.array("index", (len(start), 4), np.int64))
+        taps = np.take(flat, index, axis=1, out=ws.array("x1", (len(flat), len(start), 4)),
+                       mode="clip")
+        return np.einsum("qi,...qi->...q", weights[0], taps, out=out)
     row = stack.shape[-1]  # flat distance to the next row
-    out = np.zeros((len(flat), len(start)))
-    tap = np.empty_like(out)
+    if out is None:
+        out = np.empty((len(flat), len(start)))
+    out.fill(0.0)
+    tap = ws.array("x1", out.shape)
     for i in range(4):
         for j in range(4):
-            # tap (i, j) of every window: the stack read from i rows and j nodes on;
-            # the indices are in range by construction, and "clip" spares take a buffer
-            np.take(flat[:, i * row + j:], start, axis=1, out=tap, mode="clip")
+            # tap (i, j) of every window: each table read from i rows and j nodes on,
+            # table by table, since np.take would copy a strided view of all of them
+            for table, table_tap in zip(flat, tap):
+                np.take(table[i * row + j:], start, out=table_tap, mode="clip")
             tap *= weights[0][:, i]
             tap *= weights[1][:, j]
             out += tap
@@ -355,51 +519,89 @@ def shift_field(f: ScalarField, delta) -> ScalarField:
     return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
 
 
+def _field_columns(d: int) -> list:
+    """The column names of a snapshot of a d-dimensional grid."""
+    return ["index"] + [f"x{a + 1}" for a in range(d)] + ["value"]
+
+
 def write_field_csv(f: ScalarField, path) -> None:
     """Write a field snapshot: header comment, column names, row-major rows."""
     grid = f.grid
-    columns = ["index"] + [f"x{a + 1}" for a in range(grid.d)] + ["value"]
     header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
     values = map(repr, f.values.ravel().tolist())
     body = "\n".join(map(str.__add__, grid._row_prefixes(), values)) + "\n"
-    write_body(path, columns, body, header)
+    write_body(path, _field_columns(grid.d), body, header)
 
 
-def read_field_csv(path) -> ScalarField:
-    """Read a snapshot written by :func:`write_field_csv`.
+def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
+    """Read a snapshot written by :func:`write_field_csv`, one row at a time.
 
-    A missing or malformed grid header, an index that is not the row's
-    integer position, a value that is not a finite number, or a row count
-    other than the grid's raises :class:`FieldValidationError` naming the
-    file (and the row).
+    Every row must be the writer's own text: the index and coordinate
+    cells the writer formats for the grid of the header, then one value
+    cell, a finite number. ``grid``, when given, is the grid the header
+    must state, and its cached row prefixes (``SpatialGrid._row_prefixes``)
+    are the reference, so a caller that reads many snapshots of one grid
+    passes it; without it each row's prefix is formatted as the row is
+    read. A missing or malformed grid header, a header of another grid,
+    other column names, a row that breaks the rule, or a row count other
+    than the grid's raises :class:`FieldValidationError` naming the file,
+    and the row and the cell where there is one.
     """
-    header, _, rows = read_csv(path)
+    header, columns, lines = read_body(path)
     if header is None or header[0] != "grid":
         raise FieldValidationError(f"{path}: missing grid header line")
     meta = header[1]
     try:
-        grid = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
+        stated = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
     except (KeyError, ValueError, FieldValidationError) as exc:
         raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
+    if grid is None:
+        grid, prefixes = stated, stated._iter_row_prefixes()
+    elif stated != grid:
+        raise FieldValidationError(f"{path}: the header states {stated}, expected {grid}")
+    else:
+        prefixes = grid._row_prefixes()
+    names = _field_columns(grid.d)
+    if columns != names:
+        raise FieldValidationError(
+            f"{path}: columns {','.join(columns)!r}, expected {','.join(names)!r}")
     vals = []
-    for count, row in enumerate(rows):
+    for count, (prefix, line) in enumerate(zip(prefixes, lines)):
+        # The row is its prefix and one cell exactly when its last comma ends the prefix.
+        head, _, cell = line.rpartition(",")
+        if len(head) + 1 != len(prefix) or not line.startswith(prefix):
+            raise FieldValidationError(f"{path}: {_row_fault(line, prefix, count, names)}")
         try:
-            index = int(row[0])
+            vals.append(float(cell))
         except ValueError:
             raise FieldValidationError(
-                f"{path}: row {count}: index {row[0]!r} is not an integer") from None
-        if index != count:
-            raise FieldValidationError(f"{path}: rows out of order at {count}")
-        try:
-            vals.append(float(row[-1]))
-        except ValueError:
-            raise FieldValidationError(
-                f"{path}: row {count}: value {row[-1]!r} is not a number") from None
-    if len(vals) != grid.size:
-        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {len(vals)}")
+                f"{path}: row {count}: value {cell!r} is not a number") from None
+    n_rows = len(vals) + sum(1 for _ in lines)
+    if n_rows != grid.size:
+        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {n_rows}")
     values = np.array(vals)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise FieldValidationError(
             f"{path}: row {bad[0]}: value {vals[bad[0]]!r} is not finite")
     return ScalarField(grid, values.reshape(grid.shape))
+
+
+def _row_fault(line: str, prefix: str, count: int, names: list) -> str:
+    """Why snapshot row ``count`` is not ``prefix`` plus one value cell, naming
+    the first cell at fault."""
+    cells = line.split(",")
+    try:
+        index = int(cells[0])
+    except ValueError:
+        return f"row {count}: index {cells[0]!r} is not an integer"
+    if index != count:
+        return f"rows out of order at {count}"
+    if len(cells) > len(names):
+        return f"row {count}: cell {cells[len(names)]!r} follows the value cell"
+    if len(cells) < len(names):
+        return f"row {count}: {len(cells)} cells, expected {len(names)}: {','.join(names)}"
+    for name, cell, written in zip(names, cells, prefix.split(",")):
+        if cell != written:
+            return f"row {count}: {name} {cell!r} is not the grid's {written!r}"
+    return f"row {count}: {line!r} is not {prefix!r} and one value cell"

@@ -30,7 +30,11 @@ B = min(K / 16, max(1, 4096 // Q)) steps on a grid of Q nodes
 transport equation whose characteristics do not depend on v, so a block
 reads the velocity at all its steps' stage times in one pass per RK4
 stage, plans the cubic reads of all its feet in one pass, and then
-steps only the values. After each block it checks, on the block's
+steps only the values. One workspace per solve (``fields._Workspace``),
+made when the march starts and dropped when the solve returns, holds
+every scratch array of a semi-Lagrangian step and the values of the
+block, so the heap does not grow and shrink at each step; nothing in it
+outlives the solve. After each block it checks, on the block's
 stacked values, that they are finite (``BlowUpError`` names the first
 failing step and its path) and, path by path, that they clear the
 wrap-around margin, and it builds a ``ScalarField`` only at the
@@ -53,7 +57,7 @@ import numpy as np
 
 from .drifts import EVIDENCE_CEILING, DriftField, check_hypotheses
 from .errors import BlowUpError, ConfigError, MeshMismatchError, SupportMarginWarning
-from .fields import ScalarField, SpatialGrid, shift_field
+from .fields import ScalarField, SpatialGrid, _Workspace, shift_field
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
@@ -249,7 +253,9 @@ def solve_spde(
         stage = cfl_number(composed_drift(b, table), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
-    velocity = composed_drift(b_eff, table)
+    # One workspace holds the march's scratch arrays: a step allocates none of them.
+    ws = _Workspace()
+    velocity = composed_drift(b_eff, table, ws)
     if scheme == "upwind_fv":
         cfl = float(np.max(cfl_number(velocity, grid, dt, times)))
         if cfl > _CFL_LIMIT:
@@ -257,7 +263,8 @@ def solve_spde(
                 f"CFL number {cfl:.3f} exceeds {_CFL_LIMIT} for the upwind scheme"
             )
 
-    advance = _semi_lagrangian_block if scheme == "semi_lagrangian" else _upwind_block
+    advance = (functools.partial(_semi_lagrangian_block, ws=ws) if scheme == "semi_lagrangian"
+               else _upwind_block)
     block = _block_steps(n_steps, grid.size)
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
@@ -271,9 +278,7 @@ def solve_spde(
         steps = np.arange(start, min(start + block, n_steps))
         # The checks below report what overflows here, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            after = advance(grid, vals, velocity, steps * dt, dt)
-        # A one-step block is stacked as a view: no copy of a large 2D field per step.
-        stack = after[0][None] if len(after) == 1 else np.stack(after)
+            stack = advance(grid, vals, velocity, steps * dt, dt)
         finite = np.isfinite(stack).reshape(len(steps), len(paths), -1).all(axis=2)
         if not finite.all():
             i, p = np.argwhere(~finite)[0].tolist()
@@ -288,7 +293,7 @@ def solve_spde(
                     v = ScalarField(grid, stack[i, p])
                     aux[p].append(v)
                     fields[p].append(shift_field(v, shifts[row, p]))
-        vals = after[-1]
+        vals = stack[-1]
 
     for p in batch:
         if violations[p]:

@@ -16,7 +16,12 @@ with no field object per step; one step is a block of one.
 ``_semi_lagrangian_block`` traces the feet of B steps with one velocity
 read per RK4 stage, at (B, P, Q, d) points, and plans their cubic reads
 at once; ``_upwind_block`` reads the nodal velocities of B steps at
-once. Each then steps only the values. An RK4 characteristics
+once. Each then steps only the values. The semi-Lagrangian block writes
+its RK4 stage points and running sum, its plans and its stepped values
+into the solve's workspace (``fields._Workspace``), and
+``composed_drift`` shifts the points it is asked about into it too, so
+that after the first block a step allocates no array of its own; only a
+drift's ``fn`` allocates its output. An RK4 characteristics
 integrator doubles as the convergence oracle for both.
 
 Since the paths are frozen, every time a march will query is known
@@ -54,7 +59,8 @@ import numpy as np
 
 from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
-from .fields import SpatialGrid, _cubic_apply, _cubic_plan, _cubic_weights, _window_sum
+from .fields import (SpatialGrid, _cubic_plan, _cubic_reader, _cubic_weights, _window_sum,
+                     _Workspace)
 from .paths import SamplePath, eval_path
 from .profiles import bump
 
@@ -114,7 +120,7 @@ def _table_rows(keys: np.ndarray, t):
     return at
 
 
-def composed_drift(b: DriftField, table) -> Callable:
+def composed_drift(b: DriftField, table, ws: _Workspace | None = None) -> Callable:
     """The shifted velocities (t, x) -> b(t, x + W_p(t)) of a batch of paths.
 
     ``table`` is the ``path_table`` of every time the caller will query:
@@ -124,14 +130,23 @@ def composed_drift(b: DriftField, table) -> Callable:
     (Q, d), shared by every path, or (P, Q, d), one row per path; the
     velocities have shape (P, Q, d). ``t`` may also be a 1-D array of B
     times, with points of shape (Q, d) or (B, P, Q, d): the velocities
-    then have shape (B, P, Q, d), from one ``eval_drift`` call.
+    then have shape (B, P, Q, d), from one ``eval_drift`` call. Given a
+    workspace, the shifted points go to its slot x0, so the points asked
+    about must not live there.
     """
     keys, shifts = table
     shifts = shifts[:, :, None, :]  # each row broadcasts over the points
 
     def velocity(t, points):
         at = _table_rows(keys, t)
-        return eval_drift(b, t, np.asarray(points, dtype=float) + shifts[at])
+        points = np.asarray(points, dtype=float)
+        shift = shifts[at]
+        shape = np.broadcast_shapes(points.shape, shift.shape)
+        out = np.empty(shape) if ws is None else ws.array("x0", shape)
+        # axis by axis: numpy adds a shift broadcast over the points in loops of d elements
+        for a in range(shape[-1]):
+            np.add(points[..., a], shift[..., a], out=out[..., a])
+        return eval_drift(b, t, out)
 
     return velocity
 
@@ -271,28 +286,43 @@ def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # stepping
 
 
-def _rk4_feet(velocity, points, t, dt: float) -> np.ndarray:
+def _rk4_feet(velocity, points, t, dt: float, ws: _Workspace | None = None) -> np.ndarray:
     """One backward RK4 step of the characteristic ODE from t+dt down to t.
 
     ``t`` is one step start, or a 1-D array of B of them: each stage then
     reads the velocity once at all B stage times, and the feet carry a
     leading axis of length B. The stages are summed in the order
-    ((k1 + 2 k2) + 2 k3) + k4, each dropped once it is added.
+    ((k1 + 2 k2) + 2 k3) + k4. The stage points and the running sum, then
+    the feet, live in slots x1 and x2 of the workspace ``ws`` (a fresh one
+    when None). The sum starts from a copy of k1, and each k is read before
+    the next velocity call, so a velocity may return a view of slot x0 (a
+    drift's ``fn`` may return the points it is given), but not of the
+    stage points it is asked about.
     """
+    ws = _Workspace() if ws is None else ws
     t_end, t_mid, t_start = _stage_times(t, dt)
     k = velocity(t_end, points)
-    total = k
-    k = velocity(t_mid, points - 0.5 * dt * k)
-    total = total + 2.0 * k
-    k = velocity(t_mid, points - 0.5 * dt * k)
-    total += 2.0 * k
-    k = velocity(t_start, points - dt * k)
+    shape = np.broadcast_shapes(np.shape(points), k.shape)
+    stage, total = ws.array("x1", shape), ws.array("x2", shape)
+    np.copyto(total, k)
+    k = velocity(t_mid, _stage_point(points, k, 0.5 * dt, stage))
+    total += np.multiply(k, 2.0, out=stage)
+    k = velocity(t_mid, _stage_point(points, k, 0.5 * dt, stage))
+    total += np.multiply(k, 2.0, out=stage)
+    k = velocity(t_start, _stage_point(points, k, dt, stage))
     total += k
-    return points - (dt / 6.0) * total
+    total *= dt / 6.0
+    return np.subtract(points, total, out=total)
+
+
+def _stage_point(points, k: np.ndarray, reach: float, out: np.ndarray) -> np.ndarray:
+    """points - reach * k, written into ``out``."""
+    np.multiply(k, reach, out=out)
+    return np.subtract(points, out, out=out)
 
 
 def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
-                           dt: float) -> list:
+                           dt: float, ws: _Workspace | None = None) -> np.ndarray:
     """Advance a batch of nodal values, shape (P, *grid.shape), by the steps
     starting at ``times``: backtrack feet with RK4, read off by clamped
     cubic interpolation.
@@ -303,24 +333,29 @@ def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times:
     each path's feet from its own values. Velocities without the leading
     time or path axis broadcast over it. Clamping the cubic stencil
     enforces a discrete maximum principle. Returns the values after each
-    step, a list of arrays of the shape of ``vals``.
+    step, shape (len(times), *vals.shape): slot "values" of the workspace
+    ``ws`` (a fresh one when None), valid until its next block. The block's
+    feet, plans and stepped values are all written into ``ws``.
     """
-    feet = _rk4_feet(velocity, grid.nodes(), times, dt)
+    ws = _Workspace() if ws is None else ws
+    feet = _rk4_feet(velocity, grid.nodes(), times, dt, ws)
     feet = np.broadcast_to(feet, (len(times), len(vals), grid.size, grid.d))
-    out = []
-    for plan in _cubic_plan(grid, feet):
-        vals = _cubic_apply(grid, vals, plan, clamp=True).reshape(vals.shape)
-        out.append(vals)
+    out = ws.array("values", (len(times),) + vals.shape)
+    plans = _cubic_plan(grid, feet, ws)
+    read = _cubic_reader(grid, len(vals), grid.size, True, ws)
+    for step, plan in zip(out, plans):
+        read(vals, plan, step)
+        vals = step
     return out
 
 
 def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
-                  dt: float) -> list:
+                  dt: float) -> np.ndarray:
     """First-order upwind steps of the advective form, split by axis sign, on
     a batch of nodal values, shape (P, *grid.shape), starting at ``times``.
 
     The block's nodal velocities are read in one pass; returns the values
-    after each step, a list of arrays of the shape of ``vals``.
+    after each step, a new array of shape (len(times), *vals.shape).
 
     A neighbour difference reads a copy of the values wrap-padded by one
     node on each side along its axis.
@@ -329,9 +364,10 @@ def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarr
     c_plus, c_minus = np.maximum(vel, 0.0), np.minimum(vel, 0.0)
     wrap = np.arange(-1, grid.n + 1) % grid.n
     h = grid.h
-    out = []
+    out = np.empty((len(times),) + vals.shape)
     for s in range(len(times)):
-        new = vals.copy()
+        new = out[s]
+        new[...] = vals
         for axis in range(grid.d):
             along = axis - grid.d  # the spatial axes are the trailing ones
             padded = np.take(vals, wrap, axis=along)
@@ -339,7 +375,6 @@ def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarr
             fwd = (_window(padded, along, 2) - vals) / h
             new -= dt * (c_plus[s, ..., axis] * back + c_minus[s, ..., axis] * fwd)
         vals = new
-        out.append(vals)
     return out
 
 

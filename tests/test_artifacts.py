@@ -215,6 +215,42 @@ class TestFieldText:
             read_field_csv(target)
 
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda rows: rows.__setitem__(3, "3,99.0,0.0"), "row 3: x1 '99.0' is not the grid's '-1.0'"),
+        (lambda rows: rows.__setitem__(3, "3,-1.0,0.0,junk,7"),
+         "row 3: cell 'junk' follows the value cell"),
+        (lambda rows: rows.__setitem__(3, "3,0.0"), "row 3: 2 cells, expected 3: index,x1,value"),
+        (lambda rows: rows.__setitem__(3, "03,-1.0,0.0"), "row 3: index '03' is not the grid's '3'"),
+        (lambda rows: rows.__setitem__(3, "3,-1.00,0.0"), "row 3: x1 '-1.00' is not the grid's '-1.0'"),
+        (lambda rows: rows.__setitem__(3, "3,-1.0,"), "row 3: value '' is not a number"),
+        (lambda rows: rows.append(""), "expected 8 rows, got 9"),
+    ], ids=["wrong-coordinate", "extra-cells", "missing-cell", "index-text", "coordinate-text",
+            "empty-value", "extra-row"])
+    def test_every_cell_of_a_row_is_checked(self, tmp_path, edit, named):
+        target = tmp_path / "f.csv"
+        write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
+        head, columns, *rows = text(target).splitlines()
+        edit(rows)
+        target.write_text("\n".join([head, columns] + rows) + "\n", encoding="utf-8")
+        for grid in (None, SpatialGrid(1, 4.0, 8)):
+            with pytest.raises(FieldValidationError) as exc:
+                read_field_csv(target, grid)
+            assert str(exc.value) == f"{target}: {named}"
+
+    def test_header_and_columns_must_match(self, tmp_path):
+        target = tmp_path / "f.csv"
+        vals = np.arange(8.0)
+        write_field_csv(ScalarField(SpatialGrid(1, 4.0, 8), vals), target)
+        assert np.array_equal(read_field_csv(target, SpatialGrid(1, 4.0, 8)).values, vals)
+        with pytest.raises(FieldValidationError, match="the header states .* expected"):
+            read_field_csv(target, SpatialGrid(1, 2.0, 8))
+        head, _, *rows = text(target).splitlines()
+        target.write_text("\n".join([head, "index,x,value"] + rows) + "\n", encoding="utf-8")
+        with pytest.raises(FieldValidationError, match="columns 'index,x,value', expected "
+                                                       "'index,x1,value'"):
+            read_field_csv(target)
+
+
 class TestPathText:
     def test_brownian_1d(self, tmp_path):
         path = SamplePath(np.array([[0.0], [X17], [-1.25]]), 1.0, "brownian", seed=7)

@@ -195,6 +195,29 @@ class TestDriftFromSpec:
         with pytest.raises(ConfigError):
             drift_from_spec(1, 4.0, {"id": "constant", "speed": 1.0})
 
+    @pytest.mark.parametrize("kind", ["stream", "shear"])
+    def test_half_width_must_be_the_box_over_a_whole_number(self, kind):
+        for half_width in (4.0, 2.0, 4.0 / 3.0, 1.0):
+            assert drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width}).d == 2
+        for half_width in (3.0, 8.0, 0.0, -4.0):
+            with pytest.raises(ConfigError, match="not periodic on the box"):
+                drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width})
+        with pytest.raises(ConfigError, match="bad parameters"):
+            drift_from_spec(2, 4.0, {"id": kind, "half_width": "4"})
+
+    @pytest.mark.parametrize("spec", [
+        {"id": "stream", "amplitude": True},
+        {"id": "shear", "half_width": True},
+        {"id": "power1d", "alpha": 0.75, "scale": True},
+        {"id": "constant", "c": [1.0, True]},
+        {"id": "linear", "matrix": [[1.0, False], [0.0, 1.0]]},
+        {"id": "time_modulated", "gain_id": "ramp", "base": {"id": "stream", "amplitude": True}},
+    ], ids=["amplitude", "half-width", "scale", "c", "matrix", "nested-base"])
+    def test_a_bool_is_no_number(self, spec):
+        d = 1 if spec["id"] in ("power1d", "linear") else 2
+        with pytest.raises(ConfigError, match="must hold numbers, not true or false"):
+            drift_from_spec(d, 4.0, spec)
+
 
 class TestHypothesisChecker:
     def test_constant_passes_everything_with_zero_bound(self):

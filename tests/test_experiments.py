@@ -491,6 +491,12 @@ def _src_env() -> dict:
         [os.path.abspath(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def _stream2d(kind, **params) -> dict:
+    """Config overrides for a 2D run of a ``stream`` or ``shear`` drift."""
+    return {"d": 2, "drift": dict({"id": kind}, **params),
+            "u0": {"id": "bump", "center": [0.0, 0.0], "radius": 1.2}}
+
+
 def _with_cell(lines, row, col, cell):
     """Snapshot ``lines`` with cell ``col`` of data row ``row`` replaced."""
     cells = lines[2 + row].rstrip("\n").split(",")
@@ -608,8 +614,17 @@ class TestCommandLine:
         (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], "rows out of order at 1"),
         (lambda lines: lines[:-1], "expected 64 rows, got 63"),
         (lambda lines: lines[1:], "missing grid header line"),
+        (lambda lines: _with_cell(lines, 10, 1, "99.0"),
+         "row 10: x1 '99.0' is not the grid's '-2.75'"),
+        (lambda lines: lines[:13] + [lines[13].rstrip("\n") + ",junk,7\n"] + lines[14:],
+         "row 11: cell 'junk' follows the value cell"),
+        (lambda lines: lines[:14] + [lines[14].rpartition(",")[0] + "\n"] + lines[15:],
+         "row 12: 2 cells, expected 3: index,x1,value"),
+        (lambda lines: _with_cell(_with_cell(lines, 3, 1, "-3.5"), 4, 1, "-3.625"),
+         "row 3: x1 '-3.5' is not the grid's '-3.625'"),
     ], ids=["non-integer-index", "non-numeric-value", "non-finite-value",
-            "rows-out-of-order", "missing-rows", "missing-grid-header"])
+            "rows-out-of-order", "missing-rows", "missing-grid-header", "wrong-coordinate",
+            "extra-cells", "missing-cell", "swapped-coordinates"])
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys, corrupt, named):
         config = self.write_config(tmp_path, base_dict())
         out = tmp_path / "run"
@@ -643,8 +658,13 @@ class TestCommandLine:
         ({"drift": {"id": "linear", "matrix": "abc"}}, "could not convert"),
         ({"drift": {"id": "time_modulated", "gain_id": "ramp"}}, "'base'"),
         ({"drift": {"id": "power1d", "alpha": 0.5, "scale": "x"}}, "ufunc"),
+        (_stream2d("stream", half_width=3.0), "not periodic on the box"),
+        (_stream2d("shear", half_width=3.0), "not periodic on the box"),
+        (_stream2d("stream", amplitude=math.nan), "drift 'stream' returned non-finite values"),
+        (_stream2d("stream", amplitude=True), "amplitude must hold numbers, not true or false"),
     ], ids=["d-3", "N-4", "L-negative", "u0-center-2d", "matrix-string",
-            "modulated-without-base", "scale-string"])
+            "modulated-without-base", "scale-string", "stream-half-width-3",
+            "shear-half-width-3", "amplitude-nan", "amplitude-true"])
     def test_value_a_builder_rejects_exits_2(self, tmp_path, capsys, overrides, named):
         raw = dict(base_dict(T=1.0, dt=1.0 / 128, p=2.0, seed=24,
                              drift={"id": "linear", "matrix": [[-1.0]]},

@@ -18,6 +18,7 @@ from stochtransport.fields import (
     _cubic_read,
     _cubic_weights,
     _window_sum,
+    _Workspace,
     interpolate,
     lp_norm,
     read_field_csv,
@@ -189,6 +190,18 @@ class TestWindowRead:
         expected, _ = _modulo_read(grid, values, pts, clamp)
         assert np.array_equal(_cubic_read(grid, values, pts, clamp), expected)
 
+    def test_a_point_just_below_the_box_wraps_to_node_0(self):
+        # x + L rounds to exactly 2L in np.mod and (x + L) mod 2L / h to just
+        # above n, so the stencil base is n, which must wrap to node 0; a huge
+        # value at node 2 shows any other stencil
+        grid = SpatialGrid(d=1, half_width=3.0, n=47)
+        values = np.zeros((1, 47))
+        values[0, 2] = 1e30
+        pts = np.array([[[np.nextafter(-3.0, -np.inf)]]])
+        expected, _ = _modulo_read(grid, values, pts, False)
+        assert expected[0, 0] != 0.0
+        assert np.array_equal(_cubic_read(grid, values, pts, False), expected)
+
     @pytest.mark.parametrize("tables", ["padded_128", "mollifier"])
     def test_2d_tap_sum_equals_the_einsum_bitwise(self, tables):
         rng = np.random.default_rng(5)
@@ -213,6 +226,33 @@ class TestWindowRead:
         got = _window_sum(stack, start, weights)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestWorkspace:
+    def test_a_slot_is_reused_and_grows_only_for_a_larger_request(self):
+        ws = _Workspace()
+        a = ws.array("x0", (4, 3))
+        assert ws.array("x0", (4, 3)) is a
+        b = ws.array("x0", (2, 5))
+        assert b.shape == (2, 5) and np.shares_memory(a, b)
+        assert not np.shares_memory(a, ws.array("x1", (4, 3)))
+        a[...] = 1.0
+        c = ws.array("x0", (5, 5))
+        # a larger request takes a new array; views of the old one keep it
+        assert not np.shares_memory(a, c) and np.all(a == 1.0)
+        assert np.shares_memory(ws.array("x0", (2, 5)), c)
+        assert ws.array("start", (3,), np.int64).dtype == np.int64
+
+    def test_weights_written_in_place_equal_the_formula_bitwise(self):
+        t = np.concatenate([np.random.default_rng(8).random(1000),
+                            [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), 1e-300]])
+        want = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0, (t * t - 1.0) * (t - 2.0) / 2.0,
+                         -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t * t - 1.0) / 6.0], axis=-1)
+        out = np.empty((len(t), 4))
+        for got in (_cubic_weights(t), _cubic_weights(t, out)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert _cubic_weights(t, out) is out
 
 
 class TestInterpolate2D:

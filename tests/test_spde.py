@@ -29,7 +29,7 @@ from stochtransport.drifts import (
     time_modulated_drift,
     zero_drift,
 )
-from stochtransport.fields import ScalarField, SpatialGrid, _cubic_read, lp_norm, shift_field
+from stochtransport.fields import ScalarField, SpatialGrid, lp_norm, shift_field
 from stochtransport.paths import (
     SamplePath,
     eval_path,
@@ -299,10 +299,40 @@ class TestRenormalization:
         assert np.max(np.abs(beta(s) - raw)) <= 10.0 * 2 * 10.0 * 1e-3 * 2
 
 
+def _reference_read(grid, values, feet):
+    """The clamped cubic read of one field at the feet, the plain way: modulo
+    stencil indices into copies of the values rolled by ``np.roll``, and the
+    Lagrange weights written out. 1D sums the (Q, 4) stencil by ``np.einsum``;
+    2D adds (w0_i * tap_ij) * w1_j to a zeroed sum in row-major (i, j)
+    order. The sum is clipped to the range of its stencil."""
+    L, n = grid.half_width, grid.n
+    s = np.mod(feet + L, 2.0 * L) / grid.h
+    base = np.floor(s).astype(np.int64)
+    t = s - base
+    base %= n
+    w = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0, (t * t - 1.0) * (t - 2.0) / 2.0,
+                  -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t * t - 1.0) / 6.0], axis=-1)
+    # tap i along an axis is node base + i - 1: the values rolled by 1 - i, read at base
+    if grid.d == 1:
+        stencil = np.stack([np.roll(values, 1 - i)[base[:, 0]] for i in range(4)], axis=-1)
+        out = np.einsum("qi,qi->q", w[:, 0], stencil)
+    else:
+        out = np.zeros(len(feet))
+        taps = []
+        for i in range(4):
+            for j in range(4):
+                tap = np.roll(values, (1 - i, 1 - j), axis=(0, 1))[base[:, 0], base[:, 1]]
+                out += (tap * w[:, 0, i]) * w[:, 1, j]
+                taps.append(tap)
+        stencil = np.stack(taps, axis=-1)
+    return np.clip(out, stencil.min(axis=-1), stencil.max(axis=-1)).reshape(grid.shape)
+
+
 def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
     """The unshifted snapshots of ``solve_spde``, marched the plain way: the
-    path is evaluated at every RK4 stage, and every step builds a validated
-    ``ScalarField``. The default mollifier policy is repeated as written."""
+    path is evaluated at every RK4 stage, every step reads its values by
+    ``_reference_read`` and builds a validated ``ScalarField``. The default
+    mollifier policy is repeated as written."""
     grid = u0.grid
     n_steps = int(round(horizon / dt))
     stride = n_steps // n_snapshots
@@ -328,7 +358,7 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
             k3 = velocity(t + 0.5 * dt, nodes - 0.5 * dt * k2)
             k4 = velocity(t, nodes - dt * k3)
             feet = nodes - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            new = _cubic_read(grid, v.values[None], feet[None], clamp=True).reshape(grid.shape)
+            new = _reference_read(grid, v.values, feet)
         else:
             vel = velocity(t, nodes).reshape(grid.shape + (grid.d,))
             new = v.values.copy()
@@ -345,15 +375,16 @@ def reference_march(b, path, u0, dt, horizon, scheme, n_snapshots):
 
 def _case(name):
     """(drift, initial field) of a mollified 1D power solve, the same with the
-    sin_squared gain over a horizon of 0.25, the power solve on 400 nodes, or
-    a small 2D stream solve."""
+    sin_squared gain over a horizon of 0.25, the power solve on 400 nodes, a
+    small 2D stream solve, or the stream solve on 128 x 128 nodes, whose
+    arrays are as large as a benchmark's."""
     if name in ("power1d", "power1d_tm", "straddle"):
         g = SpatialGrid(d=1, half_width=4.0, n=400 if name == "straddle" else 64)
         b = power_drift(0.75, -1.0)
         if name == "power1d_tm":
             b = time_modulated_drift(b, "sin_squared", 0.25)
         return b, sample_profile(g, bump(1, center=0.0, radius=1.0))
-    g = SpatialGrid(d=2, half_width=4.0, n=16)
+    g = SpatialGrid(d=2, half_width=4.0, n=128 if name == "stream128" else 16)
     return (stream_function_drift(4.0),
             sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.5)))
 
@@ -391,7 +422,8 @@ def _count_eval_path(monkeypatch) -> list:
 class TestArrayMarch:
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     @pytest.mark.parametrize("kind", ["brownian", "bv"])
-    @pytest.mark.parametrize("case", ["power1d", "stream", "power1d_tm", "straddle"])
+    @pytest.mark.parametrize("case", ["power1d", "stream", "power1d_tm", "straddle",
+                                      "stream128"])
     def test_matches_reference_march_bitwise(self, scheme, kind, case):
         b, u0 = _case(case)
         # 400 nodes march in blocks of 4096 // 400 = 10 steps: with 256 steps,
@@ -408,7 +440,7 @@ class TestArrayMarch:
             warnings.simplefilter("ignore")
             (sol,) = solve_spde(b, [path], u0, scheme=scheme)
             times, ref = reference_march(b, path, u0, dt, horizon, scheme, SNAPSHOT_INTERVALS)
-        assert (sol.mollify_epsilon is None) == (case == "stream")
+        assert (sol.mollify_epsilon is None) == case.startswith("stream")
         assert np.array_equal(sol.times, times)
         for m, t in enumerate(times):
             assert np.array_equal(sol.aux_fields[m].values, ref[m].values)
@@ -496,6 +528,20 @@ class TestBatchMarch:
         assert all(sol.path is p for sol, p in zip(first, [wide, path, other]))
         for sol in (first[1], second[0], second[2]):
             assert _same_solution(sol, alone)
+
+    def test_no_state_carries_from_one_solve_to_the_next(self):
+        # a 2D solve on 128 x 128 nodes, a 1D batch of three with other
+        # array shapes, then the 2D solve again
+        b2, u2 = _case("stream128")
+        path2 = sample_brownian(5, 0.25, 32, 2)
+        b1, u1, _ = _batch_case("power1d")
+        paths1 = [sample_brownian(seed, 0.25, 32, 1) for seed in (1, 2, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (first,) = solve_spde(b2, [path2], u2)
+            solve_spde(b1, paths1, u1)
+            (again,) = solve_spde(b2, [path2], u2)
+        assert _same_solution(first, again)
 
     def test_support_violations_are_recorded_per_path(self):
         g = SpatialGrid(d=1, half_width=4.0, n=64)
