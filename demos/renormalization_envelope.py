@@ -1,9 +1,9 @@
 """Renormalized-growth audit for a compressing drift.
 
-For b(x) = -x the flow contracts space, the transport-frame mass decays
-like exp(-t), and any smooth truncation beta of the absolute value must
-keep its integral under the Gronwall envelope exp((C + slack) t) with C
-the time-integrated sup of |div b| (here C = 1).
+For b(x) = -x the flow contracts space, the mass of the solution u
+decays like exp(-t), and any smooth truncation beta of the absolute
+value must keep its integral under the Gronwall envelope
+exp((C + slack) t) with C the time-integrated sup of |div b| (here C = 1).
 """
 
 import math
@@ -22,13 +22,13 @@ def main() -> None:
     report = st.renormalize_check(sol, beta, b)
     print(f"divergence bound C = {report.div_bound:.6f}, "
           f"slack = {report.slack:.4f}, status = {report.status}")
-    print(f"{'t':>6} {'int beta(v)':>12} {'envelope':>12} {'exp(-t) mass':>13}")
+    print(f"{'t':>6} {'int beta(u)':>12} {'envelope':>12} {'exp(-t) mass':>13}")
     n0 = st.lp_norm(u0, 1.0)
-    for t, integral, env, v in zip(report.times, report.integrals,
-                                   report.envelope, sol.aux_fields):
+    for t, integral, env, u in zip(report.times, report.integrals,
+                                   report.envelope, sol.fields):
         print(f"{t:6.3f} {integral:12.6f} {env:12.6f} "
-              f"{st.lp_norm(v, 1.0) / (math.exp(-t) * n0):13.6f}")
-    print("\nlast column: measured transport-frame mass over the exact "
+              f"{st.lp_norm(u, 1.0) / (math.exp(-t) * n0):13.6f}")
+    print("\nlast column: measured mass of u over the exact "
           "exp(-t) decay (1 means perfect agreement)")
 
 

@@ -30,8 +30,6 @@ from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, sinusoid, step)
 from .spde import (RenormalizationReport, SpdeSolution, exact_solution,
                    renormalize_check, smoothed_truncated_power, solve_spde)
-from .transport import (cfl_number, characteristics_solve, composed_drift,
-                        mollified_drift, path_table)
 from .weakform import (TestFunction, WeakResidualReport, WeakResidualSeries,
                        make_test_functions, weak_residual, write_weak_report_csv)
 
@@ -57,9 +55,6 @@ __all__ = [
     # paths
     "SamplePath", "sample_brownian", "zero_path", "piecewise_linear_approx",
     "eval_path", "sup_distance", "write_path_csv", "read_path_csv",
-    # transport
-    "composed_drift", "path_table", "mollified_drift", "characteristics_solve",
-    "cfl_number",
     # spde
     "SpdeSolution", "solve_spde", "exact_solution",
     "smoothed_truncated_power", "RenormalizationReport", "renormalize_check",

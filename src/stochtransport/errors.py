@@ -26,7 +26,7 @@ class ConfigError(StochTransportError):
 
 
 class KernelResolutionError(ConfigError):
-    """Mollifier radius falls below the grid spacing."""
+    """Mollifier radius below the grid spacing or above the box half-width."""
 
 
 class BlowUpError(StochTransportError):

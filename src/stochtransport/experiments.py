@@ -206,7 +206,7 @@ class ExperimentConfig:
         if self.mollify_eps is not None:
             if self.mollify_eps < 0:
                 raise ConfigError("mollify_eps must be nonnegative")
-            _check_mollify_radius(self.mollify_eps, grid.h)
+            _check_mollify_radius(self.mollify_eps, grid)
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
         if _support_hits_margin(u0.values, _margin_band(grid), float(np.max(np.abs(u0.values)))):
@@ -381,9 +381,14 @@ def _read_manifest(path) -> list:
     return [dict(zip(columns, row)) for row in rows]
 
 
-def _ensure_dir(out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _ensure_dir(out_dir) -> None:
+    """Make the artifact directory. A command calls it after its checks, so a
+    rejected command leaves none behind; an ``out_dir`` that names a file or
+    cannot be made is a ``ConfigError``."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the artifact directory {out_dir}: {exc}") from None
 
 
 def _resolve(cfg: ExperimentConfig, out_dir, seed) -> tuple[str, int]:
@@ -410,8 +415,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
               path_file=None) -> CommandResult:
     """Solve one configured run and dump snapshots, path, norms and manifest."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
-    _ensure_dir(out_dir)
     path = cfg.path(seed, path_file)
+    _ensure_dir(out_dir)
     u0 = cfg.u0()
     (sol,) = solve_spde(cfg.drift(), [path], u0, scheme=cfg.scheme,
                         mollify_epsilon=cfg.mollify_eps)
@@ -493,11 +498,15 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
                               path_file=None) -> CommandResult:
     """Compare the two schemes on one path across a spatial refinement ladder."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
-    _ensure_dir(out_dir)
     ladder = [cfg.n // 8, cfg.n // 4, cfg.n // 2, cfg.n]
     if ladder[0] < 8:
         raise ConfigError(f"N={cfg.n} leaves no room for an N/8 ladder")
+    # Each level must halve the spacing of the one before, as the orders read it.
+    if cfg.n % 8 != 0:
+        raise ConfigError(f"N={cfg.n} is not a multiple of 8, so its N/8 ladder "
+                          "does not halve the spacing at each level")
     path = cfg.path(seed, path_file)
+    _ensure_dir(out_dir)
     b = cfg.drift()
     profile = cfg.profile()
     window = [(-cfg.half_width, cfg.half_width)] * cfg.d
@@ -550,7 +559,6 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
                    n_seeds: int = 1, path_file=None) -> CommandResult:
     """Drive the run with BV interpolants of the path at dyadic knot counts."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
-    _ensure_dir(out_dir)
     if n_seeds < 1:
         raise ConfigError("--seeds must be positive")
     _check_seed(f"the last seed of --seeds {n_seeds}", seed + n_seeds - 1)
@@ -562,6 +570,8 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
         if steps % lvl != 0:
             raise ConfigError(
                 f"wong-zakai level {lvl} does not divide {steps} path steps")
+    replay = None if path_file is None else cfg.path(path_file=path_file)
+    _ensure_dir(out_dir)
     b = cfg.drift()
     u0 = cfg.u0()
     u0_norm = lp_norm(u0, cfg.p)
@@ -570,7 +580,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
     rows = []
     notes = []
     for s in range(seed, seed + n_seeds):
-        path = cfg.path(s, path_file)
+        path = cfg.path(s) if replay is None else replay
         # The reference and every level march together, as one batch.
         ref, *sols = solve_spde(
             b, [path] + [piecewise_linear_approx(path, lvl) for lvl in levels], u0,

@@ -206,9 +206,10 @@ class _Workspace:
     slot is allocated at its first request and replaced only by a larger
     one, so after a march's first block its steps allocate none of the
     arrays below. Each view is made once per shape and kept; a view taken
-    before its slot was replaced keeps the old array. A call without a
-    workspace (``interpolate``, ``shift_field``, a block stepper called
-    alone) makes a fresh one and takes the same code path.
+    before its slot was replaced keeps the old array. Every plan, reader
+    and RK4 trace takes a workspace; ``interpolate`` and ``shift_field``
+    pass a fresh one per call (``_cubic_read``) and take the same code
+    path.
 
     Views of one slot overlap, so each phase of a step uses a slot only
     while no other phase needs what it holds. The slots, by the phase of a
@@ -216,7 +217,7 @@ class _Workspace:
 
     - ``"x0"``, ``"x1"``, ``"x2"``, float scratch. The RK4 trace
       (``transport._rk4_feet``) keeps its stage points in x1 and its
-      running sum, then the feet, in x2; ``transport.composed_drift`` shifts
+      running sum, then the feet, in x2; ``transport._composed_drift`` shifts
       the points it is asked about into x0. The plan (:func:`_cubic_plan`)
       reads the feet and writes theta to x0 and the stencil bases to x1.
       A read (:func:`_cubic_reader`) pads the values into x0, gathers the
@@ -348,7 +349,7 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     return _cubic_reader(grid, *pts.shape[:2], clamp, ws)(values, plan)
 
 
-def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace | None = None) -> list:
+def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     """Where and with what weights the cubic rule reads points of shape (S, P, Q, d).
 
     The S sets of points are located and weighed in one pass. Returns one
@@ -358,7 +359,6 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace | None = None
     points only, so a read of any values may reuse it. The plans are views
     of the workspace ``ws``, valid until its next plan.
     """
-    ws = _Workspace() if ws is None else ws
     n_sets, n_fields, n_pts, d = pts.shape
     theta, base = ws.array("x0", pts.shape), ws.array("x1", pts.shape)
     _axis_locate(grid, pts, base, theta, ws.array("mask", pts.shape, np.bool_))
@@ -378,7 +378,7 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace | None = None
 
 
 def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
-                  ws: _Workspace | None = None):
+                  ws: _Workspace):
     """The reader of stacks of P = ``n_fields`` fields, shape (P, *grid.shape),
     by plans of :func:`_cubic_plan` for Q = ``n_pts`` points per field:
     ``read(values, plan, out=None)`` returns shape (P, Q), written into
@@ -395,7 +395,6 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
     array of a read is a view of the workspace ``ws`` taken here, once, so
     a march makes one reader per block and its reads allocate nothing.
     """
-    ws = _Workspace() if ws is None else ws
     n, d, side = grid.n, grid.d, grid.n + 3
     padded = ws.array("x0", (n_fields,) + (side,) * d)
     # Padded node j of an axis is node (j - 1) mod n, so the stencil around
@@ -470,7 +469,8 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights,
     it by ``np.einsum``. 2D gathers the 16 taps one at a time, each a
     contiguous (C, Q) array, and adds (w0_i * tap_ij) * w1_j to one zeroed
     sum in row-major (i, j) order: the three-operand einsum's sum, bit for
-    bit, without its (C, Q, 4, 4) stencil.
+    bit, without its (C, Q, 4, 4) stencil. The 2D mollified drift's lookup
+    calls it without ``ws`` or ``out``, and then it makes its own.
     """
     ws = _Workspace() if ws is None else ws
     flat = stack.reshape(len(stack), -1)

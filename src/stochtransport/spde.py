@@ -22,7 +22,7 @@ and its step dt.
 
 The paths are evaluated once per batch, at every RK4 stage time and
 every snapshot time, into one array of shifts whose rows follow one
-sorted array of those times (``transport.path_table``), and a rough
+sorted array of those times (``transport._path_table``), and a rough
 drift is tabulated once per batch (``transport.mollified_drift``). The
 march then runs on raw nodal arrays, in blocks of
 B = min(K / 16, max(1, 4096 // Q)) steps on a grid of Q nodes
@@ -40,9 +40,13 @@ failing step and its path) and, path by path, that they clear the
 wrap-around margin, and it builds a ``ScalarField`` only at the
 snapshots, which a block may straddle.
 
-Renormalization checks integrate beta(v) of the unshifted field v, for
-any vectorized beta, and compare its growth against the Gronwall envelope
-driven by the divergence bound of ``drifts.check_hypotheses``.
+Renormalization checks integrate beta(u) of the snapshots u, in the
+paper's frame, for any vectorized beta, and compare its growth against
+the Gronwall envelope driven by the divergence bound of
+``drifts.check_hypotheses``. On the periodic box the integral of
+beta(u(t)) is that of beta(v(t)), since u(t) is v(t) translated by W(t),
+so a solution rebuilt from dumped snapshots is audited as the solver's
+own.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _semi_lagrangian_block, _stage_times, _support_hits_margin,
-                        _table_rows, _upwind_block, cfl_number, composed_drift,
-                        mollified_drift, path_table)
+                        _composed_drift, _path_table, _table_rows, _upwind_block,
+                        cfl_number, mollified_drift)
 
 __all__ = [
     "SpdeSolution",
@@ -177,9 +181,10 @@ def solve_spde(
         None applies the default policy: drifts whose ``smooth`` flag is
         unset are convolved with a bump of radius 2h before stepping.
         Zero disables smoothing; a positive value forces that radius and
-        must be at least h. The smoothed drift is tabulated once per batch by
-        :func:`transport.mollified_drift`, with the largest reach of the
-        batch; the table holds ``b.fn``, and the gain is applied per read.
+        must lie between h and the box half-width L. The smoothed drift
+        is tabulated once per batch by :func:`transport.mollified_drift`,
+        with the largest reach of the batch; the table holds ``b.fn``, and
+        the gain is applied per read.
 
     A step after which a path's v reaches the wrap-around margin is
     recorded in that solution's ``support_violations``; each path with
@@ -196,8 +201,8 @@ def solve_spde(
         A ``paths`` element that is not a ``SamplePath`` (a bare path
         included), paths of differing horizon or step count, a step count
         that is not a multiple of ``SNAPSHOT_INTERVALS``, a dimension
-        mismatch, an empty batch, CFL violation, unknown scheme, a sub-grid
-        mollifier radius.
+        mismatch, an empty batch, CFL violation, unknown scheme, a forced
+        mollifier radius below h or above the box half-width L.
     BlowUpError
         Non-finite values after a marching step, naming the step and the
         path, or a drift query beyond the mollifier table.
@@ -236,26 +241,27 @@ def solve_spde(
         eps = None
     else:
         eps = float(mollify_epsilon)
-        _check_mollify_radius(eps, grid.h)
+        _check_mollify_radius(eps, grid)
     times = np.linspace(0.0, horizon, SNAPSHOT_INTERVALS + 1)
     # Every time the march reads the paths: the RK4 stage times of each step
     # (upwind reads the last of them, the step's start) and the snapshot times.
-    table = path_table(paths, np.concatenate(_stage_times(np.arange(n_steps) * dt, dt)
-                                             + (times,)))
+    table = _path_table(paths, np.concatenate(_stage_times(np.arange(n_steps) * dt, dt)
+                                              + (times,)))
     keys, shifts = table
     b_eff = b
     if eps is not None:
         # Drift queries stay within the box shifted by the path, plus one
         # RK4 stage displacement dt*|b|; the doubling covers speeds between
         # the probe times and beyond the box. One table serves the batch,
-        # so it covers the largest of the paths' reaches.
+        # so it covers the largest of the paths' reaches. The probe gets a
+        # workspace of its own, dropped before the march sizes its slots.
         excursion = np.array([np.max(np.abs(path.values)) for path in paths])
-        stage = cfl_number(composed_drift(b, table), grid, dt, times) * grid.h
+        stage = cfl_number(_composed_drift(b, table, _Workspace()), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
     # One workspace holds the march's scratch arrays: a step allocates none of them.
     ws = _Workspace()
-    velocity = composed_drift(b_eff, table, ws)
+    velocity = _composed_drift(b_eff, table, ws)
     if scheme == "upwind_fv":
         cfl = float(np.max(cfl_number(velocity, grid, dt, times)))
         if cfl > _CFL_LIMIT:
@@ -373,7 +379,7 @@ def smoothed_truncated_power(M: float, p: float) -> Callable[[np.ndarray], np.nd
 
 @dataclass(frozen=True)
 class RenormalizationReport:
-    """Growth audit of I(t) = integral of beta(v(t)) against its envelope."""
+    """Growth audit of I(t) = integral of beta(u(t)) against its envelope."""
 
     status: str  # "passed" | "failed" | "inconclusive"
     div_bound: float
@@ -392,18 +398,17 @@ def renormalize_check(
     beta: Callable[[np.ndarray], np.ndarray],
     b: DriftField,
 ) -> RenormalizationReport:
-    """Check I(t) = int beta(v(t, x)) dx against I(0) * exp((C + slack) t).
+    """Check I(t) = int beta(u(t, x)) dx against I(0) * exp((C + slack) t).
 
     ``beta`` is any vectorized function, such as the one
-    :func:`smoothed_truncated_power` returns, applied to the solver's
-    unshifted snapshots ``sol.aux_fields``. C is the ``div_bound`` of
-    ``drifts.check_hypotheses`` on the box; the slack is 0.1 * C plus a
-    resolution term that vanishes under refinement. When C is not finite
-    or exceeds ``drifts.EVIDENCE_CEILING`` the verdict is "inconclusive",
-    with a NaN slack, rather than a failure.
+    :func:`smoothed_truncated_power` returns, applied to the snapshots
+    ``sol.fields``, so a solution rebuilt from artifacts is audited too.
+    C is the ``div_bound`` of ``drifts.check_hypotheses`` on the box; the
+    slack is 0.1 * C plus a resolution term that vanishes under
+    refinement. When C is not finite or exceeds
+    ``drifts.EVIDENCE_CEILING`` the verdict is "inconclusive", with a NaN
+    slack, rather than a failure.
     """
-    if not sol.aux_fields:
-        raise ConfigError("solution carries no transport snapshots to renormalize")
     grid = sol.grid
     horizon = float(sol.times[-1])
     window = [(-grid.half_width, grid.half_width)] * grid.d
@@ -419,7 +424,7 @@ def renormalize_check(
         )
     slack = 0.1 * C + (grid.h / grid.half_width + sol.dt / horizon) / horizon
     integrals = np.array(
-        [float(np.sum(beta(f.values))) * grid.cell_volume for f in sol.aux_fields]
+        [float(np.sum(beta(f.values))) * grid.cell_volume for f in sol.fields]
     )
     envelope = integrals[0] * np.exp((C + slack) * sol.times)
     ok = bool(np.all(integrals <= envelope * (1.0 + 1.0e-12)))

@@ -19,16 +19,15 @@ at once; ``_upwind_block`` reads the nodal velocities of B steps at
 once. Each then steps only the values. The semi-Lagrangian block writes
 its RK4 stage points and running sum, its plans and its stepped values
 into the solve's workspace (``fields._Workspace``), and
-``composed_drift`` shifts the points it is asked about into it too, so
+``_composed_drift`` shifts the points it is asked about into it too, so
 that after the first block a step allocates no array of its own; only a
-drift's ``fn`` allocates its output. An RK4 characteristics
-integrator doubles as the convergence oracle for both.
+drift's ``fn`` allocates its output.
 
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
-step, ``path_table`` evaluates every path at all of them, one vectorized
+step, ``_path_table`` evaluates every path at all of them, one vectorized
 ``eval_path`` call per path, into one (M, P, d) array whose rows follow
-one sorted array of the M distinct times, and ``composed_drift`` reads
+one sorted array of the M distinct times, and ``_composed_drift`` reads
 its shifts W_p(t) from that table: ``_table_rows`` finds a time's row by
 binary search and requires the row's time to equal it exactly. A query
 at a time the table lacks is an error, not a fallback.
@@ -61,14 +60,11 @@ from .drifts import DriftField, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
 from .fields import (SpatialGrid, _cubic_plan, _cubic_reader, _cubic_weights, _window_sum,
                      _Workspace)
-from .paths import SamplePath, eval_path
+from .paths import eval_path
 from .profiles import bump
 
 __all__ = [
-    "characteristics_solve",
     "mollified_drift",
-    "composed_drift",
-    "path_table",
     "cfl_number",
 ]
 
@@ -92,7 +88,7 @@ def _stage_times(t, dt: float):
     return (t + dt, t + 0.5 * dt, t)
 
 
-def path_table(paths, times) -> tuple[np.ndarray, np.ndarray]:
+def _path_table(paths, times) -> tuple[np.ndarray, np.ndarray]:
     """Every path of a batch at each of ``times``: one vectorized ``eval_path`` call per path.
 
     Returns ``(keys, shifts)``. ``keys`` holds the distinct times, sorted,
@@ -106,7 +102,7 @@ def path_table(paths, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _table_rows(keys: np.ndarray, t):
-    """The rows of ``path_table`` keys at time ``t``, a float or a 1-D array.
+    """The rows of ``_path_table`` keys at time ``t``, a float or a 1-D array.
 
     A row is found by binary search and must hold exactly the time asked
     for: a time the table lacks raises ``KeyError`` naming the first such
@@ -120,19 +116,19 @@ def _table_rows(keys: np.ndarray, t):
     return at
 
 
-def composed_drift(b: DriftField, table, ws: _Workspace | None = None) -> Callable:
+def _composed_drift(b: DriftField, table, ws: _Workspace) -> Callable:
     """The shifted velocities (t, x) -> b(t, x + W_p(t)) of a batch of paths.
 
-    ``table`` is the ``path_table`` of every time the caller will query:
+    ``table`` is the ``_path_table`` of every time the caller will query:
     the paths are evaluated once per batch, before the march, and each
     call reads its shifts from that table. A time not in the table raises
     ``KeyError``; no path is evaluated per call. The points have shape
     (Q, d), shared by every path, or (P, Q, d), one row per path; the
     velocities have shape (P, Q, d). ``t`` may also be a 1-D array of B
     times, with points of shape (Q, d) or (B, P, Q, d): the velocities
-    then have shape (B, P, Q, d), from one ``eval_drift`` call. Given a
-    workspace, the shifted points go to its slot x0, so the points asked
-    about must not live there.
+    then have shape (B, P, Q, d), from one ``eval_drift`` call. The
+    shifted points go to slot x0 of the workspace ``ws``, so the points
+    asked about must not live there.
     """
     keys, shifts = table
     shifts = shifts[:, :, None, :]  # each row broadcasts over the points
@@ -142,7 +138,7 @@ def composed_drift(b: DriftField, table, ws: _Workspace | None = None) -> Callab
         points = np.asarray(points, dtype=float)
         shift = shifts[at]
         shape = np.broadcast_shapes(points.shape, shift.shape)
-        out = np.empty(shape) if ws is None else ws.array("x0", shape)
+        out = ws.array("x0", shape)
         # axis by axis: numpy adds a shift broadcast over the points in loops of d elements
         for a in range(shape[-1]):
             np.add(points[..., a], shift[..., a], out=out[..., a])
@@ -286,20 +282,19 @@ def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 # stepping
 
 
-def _rk4_feet(velocity, points, t, dt: float, ws: _Workspace | None = None) -> np.ndarray:
+def _rk4_feet(velocity, points, t, dt: float, ws: _Workspace) -> np.ndarray:
     """One backward RK4 step of the characteristic ODE from t+dt down to t.
 
     ``t`` is one step start, or a 1-D array of B of them: each stage then
     reads the velocity once at all B stage times, and the feet carry a
     leading axis of length B. The stages are summed in the order
     ((k1 + 2 k2) + 2 k3) + k4. The stage points and the running sum, then
-    the feet, live in slots x1 and x2 of the workspace ``ws`` (a fresh one
-    when None). The sum starts from a copy of k1, and each k is read before
-    the next velocity call, so a velocity may return a view of slot x0 (a
-    drift's ``fn`` may return the points it is given), but not of the
-    stage points it is asked about.
+    the feet, live in slots x1 and x2 of the workspace ``ws``. The sum
+    starts from a copy of k1, and each k is read before the next velocity
+    call, so a velocity may return a view of slot x0 (a drift's ``fn`` may
+    return the points it is given), but not of the stage points it is
+    asked about.
     """
-    ws = _Workspace() if ws is None else ws
     t_end, t_mid, t_start = _stage_times(t, dt)
     k = velocity(t_end, points)
     shape = np.broadcast_shapes(np.shape(points), k.shape)
@@ -322,7 +317,7 @@ def _stage_point(points, k: np.ndarray, reach: float, out: np.ndarray) -> np.nda
 
 
 def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarray,
-                           dt: float, ws: _Workspace | None = None) -> np.ndarray:
+                           dt: float, ws: _Workspace) -> np.ndarray:
     """Advance a batch of nodal values, shape (P, *grid.shape), by the steps
     starting at ``times``: backtrack feet with RK4, read off by clamped
     cubic interpolation.
@@ -334,10 +329,9 @@ def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times:
     time or path axis broadcast over it. Clamping the cubic stencil
     enforces a discrete maximum principle. Returns the values after each
     step, shape (len(times), *vals.shape): slot "values" of the workspace
-    ``ws`` (a fresh one when None), valid until its next block. The block's
-    feet, plans and stepped values are all written into ``ws``.
+    ``ws``, valid until its next block. The block's feet, plans and stepped
+    values are all written into ``ws``.
     """
-    ws = _Workspace() if ws is None else ws
     feet = _rk4_feet(velocity, grid.nodes(), times, dt, ws)
     feet = np.broadcast_to(feet, (len(times), len(vals), grid.size, grid.d))
     out = ws.array("values", (len(times),) + vals.shape)
@@ -386,39 +380,6 @@ def _window(padded: np.ndarray, axis: int, start: int) -> np.ndarray:
     return padded[tuple(index)]
 
 
-def characteristics_solve(
-    b: DriftField,
-    path: SamplePath,
-    x0,
-    t0: float,
-    t1: float,
-    blowup_radius: float = math.inf,
-) -> np.ndarray:
-    """Trace characteristics dX/ds = b(s, X + W(s)) from t0 to t1 with RK4.
-
-    ``x0`` may be a single point (d,) or a batch (..., d); the returned
-    array matches its shape. Positions exceeding ``blowup_radius`` raise
-    ``BlowUpError``. Works in either time direction: each substep is the
-    semi-Lagrangian RK4 step run with the opposite sign. The substeps are
-    equal and at most 0.01 long.
-    """
-    span = t1 - t0
-    if span == 0.0:
-        return np.array(x0, dtype=float)
-    n_sub = max(1, int(math.ceil(abs(span) / 1.0e-2)))
-    dt = span / n_sub
-    starts = [t0 + i * dt + dt for i in range(n_sub)]
-    velocity = composed_drift(
-        b, path_table([path], [s for t in starts for s in _stage_times(t, -dt)]))
-    shape = np.shape(x0)
-    x = np.array(x0, dtype=float).reshape(1, -1, shape[-1])  # a batch of one path
-    for i, t in enumerate(starts):
-        x = _rk4_feet(velocity, x, t, -dt)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > blowup_radius:
-            raise BlowUpError(f"characteristic left the trusted region at substep {i}", step=i)
-    return x.reshape(shape)
-
-
 def cfl_number(velocity, grid: SpatialGrid, dt: float, times):
     """Largest dt * |velocity|_1 / h over the grid nodes at the sampled times.
 
@@ -448,10 +409,17 @@ def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float):
     return np.any(np.abs(vals[..., band]) > tol, axis=-1)
 
 
-def _check_mollify_radius(epsilon: float, h: float) -> None:
-    """A forced mollifier radius must be zero (no smoothing) or at least h."""
-    if 0.0 < epsilon < h:
+def _check_mollify_radius(epsilon: float, grid: SpatialGrid) -> None:
+    """A forced mollifier radius must be zero (no smoothing) or between the
+    grid spacing h and the box half-width L. A wider kernel than the box
+    smooths across it, and at huge radii its lattice offsets overflow."""
+    if 0.0 < epsilon < grid.h:
         raise KernelResolutionError(
-            f"mollify_eps={epsilon} is below the grid spacing h={h}; "
+            f"mollify_eps={epsilon} is below the grid spacing h={grid.h}; "
             f"use 0 to disable smoothing or a radius of at least h"
+        )
+    if epsilon > grid.half_width:
+        raise KernelResolutionError(
+            f"mollify_eps={epsilon} exceeds the box half-width L={grid.half_width}; "
+            "a forced radius must be at most L"
         )

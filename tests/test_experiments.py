@@ -390,10 +390,12 @@ class TestUniquenessCommand:
         assert result.lines[0].split()[1] == "uniqueness:"
         assert not any("oracle" in line for line in result.lines)
 
-    def test_ladder_needs_room(self):
+    def test_ladder_needs_room(self, tmp_path):
         c = ExperimentConfig.from_dict(base_dict(N=32))
+        out = tmp_path / "unused"
         with pytest.raises(ConfigError, match="ladder"):
-            cmd_uniqueness_crosscheck(c, out_dir="unused")
+            cmd_uniqueness_crosscheck(c, out_dir=out)
+        assert not out.exists()
 
 
 class TestSupportMarginLines:
@@ -784,6 +786,53 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "mollify_eps=1e-06 is below the grid spacing" in err
+
+    @pytest.mark.parametrize("eps", [1e150, 1e308])
+    def test_mollifier_wider_than_the_box_exits_2(self, tmp_path, capsys, eps):
+        drift = {"id": "power1d", "alpha": 0.75}
+        config = self.write_config(tmp_path, base_dict(drift=drift, mollify_eps=eps))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: mollify_eps={eps} exceeds the box half-width "
+                       "L=4.0; a forced radius must be at most L\n")
+        assert not out.exists()
+        # the half-width itself is a radius the config accepts
+        assert ExperimentConfig.from_dict(base_dict(mollify_eps=4.0)).mollify_eps == 4.0
+
+    @pytest.mark.parametrize("command, overrides, flags, named", [
+        ("solve", {}, ["--path-file", "absent.csv"], "absent.csv: [Errno 2]"),
+        ("uniqueness", {}, ["--path-file", "absent.csv"], "absent.csv: [Errno 2]"),
+        # unchecked, N = 100 marches a 12/25/50/100 ladder whose ratios read as order 2
+        ("uniqueness", {"N": 100}, [], "N=100 is not a multiple of 8, so its N/8 ladder"),
+        ("wong-zakai", {}, ["--path-file", "absent.csv"], "absent.csv: [Errno 2]"),
+        ("wong-zakai", {}, ["--seeds", "0"], "--seeds must be positive"),
+        ("wong-zakai", {}, ["--seeds", "2", "--path-file", "absent.csv"],
+         "--path-file replays a single path"),
+        ("wong-zakai", {"wz_levels": [3]}, [], "wong-zakai level 3 does not divide"),
+    ], ids=["solve-path-file", "uniqueness-path-file", "uniqueness-N100",
+            "wong-zakai-path-file", "wong-zakai-seeds0", "wong-zakai-replay-seeds",
+            "wong-zakai-level"])
+    def test_rejected_command_leaves_no_out(self, tmp_path, capsys, command, overrides, flags,
+                                            named):
+        config = self.write_config(tmp_path, base_dict(**overrides))
+        out = tmp_path / "run"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main([command, "--config", config, "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "uniqueness", "wong-zakai", "hypotheses"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, command):
+        config = self.write_config(tmp_path, base_dict())
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        for out in (taken, taken / "run"):  # a file, and a directory under a file
+            assert main([command, "--config", config, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: cannot make the artifact directory {out}: [Errno")
+        assert taken.read_text(encoding="utf-8") == "kept\n"
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2

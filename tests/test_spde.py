@@ -29,7 +29,8 @@ from stochtransport.drifts import (
     time_modulated_drift,
     zero_drift,
 )
-from stochtransport.fields import ScalarField, SpatialGrid, lp_norm, shift_field
+from stochtransport.fields import (ScalarField, SpatialGrid, lp_norm, read_field_csv,
+                                   shift_field, write_field_csv)
 from stochtransport.paths import (
     SamplePath,
     eval_path,
@@ -246,6 +247,24 @@ class TestRenormalization:
         decay = rep.integrals / rep.integrals[0]
         target = np.exp(-np.asarray(rep.times))
         assert float(np.max(np.abs(decay - target))) <= 0.02
+
+    def test_a_solution_rebuilt_from_artifacts_is_audited_as_solved(self, tmp_path):
+        # the audit reads u, the frame that dumped snapshots carry
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = sample_profile(g, bump(1, radius=1.2))
+        b = linear_drift([[-1.0]])
+        path = sample_brownian(24, 1.0, 256, 1)
+        (sol,) = solve_spde(b, [path], u0)
+        fields = []
+        for m, u in enumerate(sol.fields):
+            write_field_csv(u, tmp_path / f"u_t{m:04d}.csv")
+            fields.append(read_field_csv(tmp_path / f"u_t{m:04d}.csv", g))
+        beta = smoothed_truncated_power(M=10.0, p=1.0)
+        solved = renormalize_check(sol, beta, b)
+        rebuilt = renormalize_check(SpdeSolution(tuple(fields), path), beta, b)
+        assert rebuilt.passed
+        assert np.array_equal(rebuilt.integrals, solved.integrals)
+        assert np.array_equal(rebuilt.envelope, solved.envelope)
 
     def test_divergence_bound_above_ceiling_is_inconclusive(self):
         # C = 2e12 exceeds the 1e12 ceiling: no envelope is built

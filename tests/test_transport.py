@@ -6,6 +6,7 @@ The mollified drift is checked against a direct bump quadrature, and its
 table convolution against ``scipy.ndimage`` bit for bit.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -24,43 +25,42 @@ from stochtransport.drifts import (
     zero_drift,
 )
 from stochtransport.experiments import estimate_order
-from stochtransport.fields import ScalarField, SpatialGrid, lp_norm
+from stochtransport.fields import ScalarField, SpatialGrid, _Workspace, lp_norm
 from stochtransport.paths import eval_path, sample_brownian, zero_path
 from stochtransport.profiles import bump, sample_profile, step
 from stochtransport.spde import SNAPSHOT_INTERVALS, solve_spde
 from stochtransport import transport
 from stochtransport.transport import (
     _bump_kernel,
+    _composed_drift,
+    _path_table,
     _rk4_feet,
     cfl_number,
-    characteristics_solve,
-    composed_drift,
     mollified_drift,
-    path_table,
 )
 
 
 class TestRk4Feet:
     def test_zero_velocity_returns_points(self):
         pts = np.linspace(-3.0, 3.0, 13)[:, None]
-        feet = _rk4_feet(lambda t, p: np.zeros_like(p), pts, 0.0, 0.1)
+        feet = _rk4_feet(lambda t, p: np.zeros_like(p), pts, 0.0, 0.1, _Workspace())
         assert np.array_equal(feet, pts)
 
     def test_constant_velocity_is_exact(self):
         pts = np.linspace(-3.0, 3.0, 13)[:, None]
-        feet = _rk4_feet(lambda t, p: np.full_like(p, 0.7), pts, 0.0, 0.1)
+        feet = _rk4_feet(lambda t, p: np.full_like(p, 0.7), pts, 0.0, 0.1, _Workspace())
         assert np.max(np.abs(feet - (pts - 0.07))) <= 1e-15
 
     def test_contracting_field_foot_matches_exponential(self):
         pts = np.linspace(-3.0, 3.0, 13)[:, None]
-        feet = _rk4_feet(lambda t, p: -p, pts, 0.0, 0.01)
+        feet = _rk4_feet(lambda t, p: -p, pts, 0.0, 0.01, _Workspace())
         assert np.max(np.abs(feet - pts * math.exp(0.01))) <= 1e-9
 
     def test_single_step_is_high_order(self):
         pts = np.linspace(-3.0, 3.0, 13)[:, None]
         errs = []
         for dt in (0.4, 0.2, 0.1, 0.05):
-            feet = _rk4_feet(lambda t, p: -p, pts, 0.0, dt)
+            feet = _rk4_feet(lambda t, p: -p, pts, 0.0, dt, _Workspace())
             errs.append(float(np.max(np.abs(feet - pts * math.exp(dt)))))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 4.5
@@ -70,14 +70,14 @@ class TestPathTable:
     def test_rows_are_the_path_values_bitwise(self):
         w = sample_brownian(7, 1.0, 64, 2)
         times = [0.0, 1.0 / 3.0, 0.5, 1.0 / 64 + 0.5 / 64, 1.0]
-        keys, shifts = path_table([w], times + times[::-1])
+        keys, shifts = _path_table([w], times + times[::-1])
         assert keys.dtype == np.float64 and keys.tolist() == sorted(times)
         assert all(np.array_equal(shifts[m, 0], eval_path(w, t))
                    for m, t in enumerate(keys.tolist()))
 
     def test_velocity_reads_its_shift_from_the_table(self):
         w = sample_brownian(7, 1.0, 64, 1)
-        velocity = composed_drift(linear_drift([[-1.0]]), path_table([w], [0.25]))
+        velocity = _composed_drift(linear_drift([[-1.0]]), _path_table([w], [0.25]), _Workspace())
         pts = np.array([[0.5], [-1.0]])
         assert np.array_equal(velocity(0.25, pts)[0], -(pts + eval_path(w, 0.25)))
         with pytest.raises(KeyError, match="no path shift tabulated"):
@@ -87,7 +87,8 @@ class TestPathTable:
     def test_array_query_names_the_untabulated_time(self, missing):
         # before the first, between two and after the last tabulated time
         w = sample_brownian(7, 1.0, 64, 1)
-        velocity = composed_drift(linear_drift([[-1.0]]), path_table([w], [0.25, 0.5, 0.75]))
+        velocity = _composed_drift(linear_drift([[-1.0]]), _path_table([w], [0.25, 0.5, 0.75]),
+                                   _Workspace())
         pts = np.array([[0.5], [-1.0]])
         at = np.array([0.25, 0.5, 0.75])
         assert velocity(at, pts).shape == (3, 1, 2, 1)
@@ -116,34 +117,6 @@ class TestPathTable:
         assert peak < 1.0e6
 
 
-class TestCharacteristics:
-    def test_zero_drift_returns_start(self):
-        w = zero_path(1.0, 16, 1)
-        x = np.array([[0.5], [-2.0]])
-        got = characteristics_solve(zero_drift(1), w, x, 0.0, 1.0)
-        assert np.array_equal(got, x)
-
-    def test_constant_drift_translates_exactly(self):
-        w = zero_path(1.0, 16, 1)
-        x = np.array([[0.5], [-2.0]])
-        got = characteristics_solve(constant_drift([0.7]), w, x, 0.0, 1.0)
-        assert np.max(np.abs(got - (x + 0.7))) <= 1e-13
-
-    def test_contraction_flow_matches_exponential(self):
-        w = zero_path(1.0, 16, 1)
-        x = np.linspace(-3.0, 3.0, 13)[:, None]
-        got = characteristics_solve(linear_drift([[-1.0]]), w, x, 0.0, 1.0)
-        assert np.max(np.abs(got - x * math.exp(-1.0))) <= 1e-8
-
-    def test_blowup_raises_with_step_index(self):
-        w = zero_path(1.0, 16, 1)
-        x = np.array([[1.0]])
-        with pytest.raises(BlowUpError) as err:
-            characteristics_solve(linear_drift([[4.0]]), w, x, 0.0, 1.0,
-                                  blowup_radius=2.0)
-        assert err.value.step is not None
-
-
 class TestBlockSteps:
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     @pytest.mark.parametrize("d", [1, 2])
@@ -156,12 +129,14 @@ class TestBlockSteps:
         dt = 1.0 / 64
         starts = np.arange(5) * dt
         paths = [sample_brownian(seed, 0.25, 16, d) for seed in (1, 2)]
-        velocity = composed_drift(b, path_table(paths, np.concatenate(
-            transport._stage_times(starts, dt))))
-        block = (transport._semi_lagrangian_block if scheme == "semi_lagrangian"
-                 else transport._upwind_block)
+        ws = _Workspace()
+        velocity = _composed_drift(b, _path_table(paths, np.concatenate(
+            transport._stage_times(starts, dt))), ws)
+        block = (functools.partial(transport._semi_lagrangian_block, ws=ws)
+                 if scheme == "semi_lagrangian" else transport._upwind_block)
         vals = np.stack([u0.values] * len(paths))
-        after = block(g, vals, velocity, starts, dt)
+        # a copy: the semi-Lagrangian block's values are the workspace's, reused by the next
+        after = block(g, vals, velocity, starts, dt).copy()
         assert len(after) == len(starts)
         for t, want in zip(starts.tolist(), after):
             (vals,) = block(g, vals, velocity, np.array([t]), dt)
@@ -203,7 +178,8 @@ class TestSemiLagrangian:
         rel = lp_norm(sol.aux_fields[-1] - truth, 1.0) / lp_norm(u0, 1.0)
         assert rel <= 5e-3
 
-    def test_agrees_with_characteristics_oracle_at_high_order(self):
+    def test_agrees_with_closed_form_flow_at_high_order(self):
+        # b = -x on the zero path: the backward flow from T = 0.25 is x * e^0.25
         errs = []
         for n in (128, 256, 512):
             g = SpatialGrid(d=1, half_width=8.0, n=n)
@@ -212,9 +188,7 @@ class TestSemiLagrangian:
             steps = n // 4
             w = zero_path(0.25, steps, 1)
             (sol,) = solve_spde(linear_drift([[-1.0]]), [w], u0)
-            feet = characteristics_solve(linear_drift([[-1.0]]), w, g.nodes(),
-                                         0.25, 0.0)
-            truth = ScalarField(g, prof.fn(feet).reshape(g.shape))
+            truth = ScalarField.from_function(g, lambda p: prof.fn(p * math.exp(0.25)))
             errs.append(lp_norm(sol.aux_fields[-1] - truth, 1.0))
         orders = estimate_order(errs)
         assert orders[-1] >= 2.5
@@ -491,6 +465,18 @@ class TestMollifiedDrift:
         w = zero_path(1.0, 16, 1)
         with pytest.raises(ConfigError, match="grid spacing"):
             solve_spde(power_drift(0.75), [w], u0, mollify_epsilon=0.5 * g.h)
+
+    @pytest.mark.parametrize("eps", [4.5, 1e150, 1e308])
+    def test_radius_above_the_half_width_rejected_by_solver(self, eps):
+        # unchecked, 1e308 overflows the kernel offsets to a centre-only kernel
+        # and 1e150 reads the table beyond its reach
+        g = SpatialGrid(d=1, half_width=4.0, n=128)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
+        w = zero_path(1.0, 16, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="exceeds the box half-width L=4.0"):
+                solve_spde(power_drift(0.75), [w], u0, mollify_epsilon=eps)
 
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     def test_rough_solves_emit_no_runtime_warning(self, scheme):
