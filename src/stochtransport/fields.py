@@ -7,15 +7,17 @@ quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read sums each point's stencil,
 one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
 which also reads the 2D mollifier tables): in 1D from one gather of
-every window's four nodes, in 2D tap by tap, 16 gathers with no
-(Q, 4, 4) stencil array. A read is a plan, the flat
+every window's four nodes, summed by an einsum with (Q, 4) weights; in
+2D tap by tap, 16 gathers with no (Q, 4, 4) stencil array, each scaled
+by a contiguous row of (4, Q) weights. A read is a plan, the flat
 index of each point's window and its weights (``_cubic_plan``), then its
 application to the values (``_cubic_reader``); the march plans a block of
 steps at once and applies one plan per step. Both write every array
 they make into a workspace (``_Workspace``): named scratch arrays that a
 solve allocates at its first block and reuses at every later step, so
 the march's reads allocate nothing. ``interpolate`` and ``shift_field``
-take the same code path with a fresh workspace per call. A snapshot's
+take the same code path with a fresh workspace per call; a mollified
+drift's lookup writes into a workspace of its table's. A snapshot's
 ``index`` and coordinate cells are formatted once per grid
 (``SpatialGrid._row_prefixes``), so each write formats only its values
 and hands the body to ``artifacts.write_body``; the reader requires
@@ -209,7 +211,8 @@ class _Workspace:
     before its slot was replaced keeps the old array. Every plan, reader
     and RK4 trace takes a workspace; ``interpolate`` and ``shift_field``
     pass a fresh one per call (``_cubic_read``) and take the same code
-    path.
+    path. A mollified drift's table (``transport.mollified_drift``) has a
+    workspace of its own for its lookups, so a solve holds two.
 
     Views of one slot overlap, so each phase of a step uses a slot only
     while no other phase needs what it holds. The slots, by the phase of a
@@ -222,10 +225,17 @@ class _Workspace:
       reads the feet and writes theta to x0 and the stencil bases to x1.
       A read (:func:`_cubic_reader`) pads the values into x0, gathers the
       taps into x1, and takes its running extremes in x1, x2 and x0.
-    - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block.
+    - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block,
+      the weights (S, P, Q, 4) in 1D and (4, S, P, Q) per axis in 2D.
     - ``"index"`` (int64): the stencil nodes of a 1D read; ``"mask"``
       (bool): the plan's scratch.
     - ``"values"``: the values after each step of a block.
+
+    The slots of a mollified table's workspace, by its lookup's steps: in
+    1D ``"k"``, ``"node"``, ``"mask"`` (bool), ``"j"`` (int64) and
+    ``"value"`` (``transport._lattice_interp``); in 2D the weights
+    ``"w0"`` and ``"w1"``, and the taps in ``"x1"`` (:func:`_window_sum`).
+    Each lookup returns a fresh array.
     """
 
     def __init__(self):
@@ -269,19 +279,19 @@ def _axis_locate(grid: SpatialGrid, coords: np.ndarray, base: np.ndarray,
     np.copyto(base, 0.0, where=np.greater_equal(base, grid.n, out=mask))
 
 
-def _cubic_weights(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _cubic_weights(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Lagrange weights on the 4-point stencil {-1, 0, 1, 2}, exact for cubic
-    polynomials along the axis: shape ``theta.shape + (4,)``.
+    polynomials along the axis: weight i of each offset is written into
+    ``out[i]``, of shape ``(4,) + theta.shape``, and ``out`` is returned.
 
-    Written into ``out`` when given, with no temporary: until their own
-    turn, column 1 holds t - 2 and column 3 holds t + 1, then t - 1, then
-    t * t - 1. Each weight is the same product, bit for bit, as the
-    formula written in its comment.
+    The weights take no temporary: until their own turn, ``out[1]`` holds
+    t - 2 and ``out[3]`` holds t + 1, then t - 1, then t * t - 1. Each
+    weight is the same product, bit for bit, as the formula written in its
+    comment. The 2D plan passes contiguous rows; the 1D plan passes
+    ``np.moveaxis`` of the (..., 4) array its einsum reads.
     """
     t = theta
-    if out is None:
-        out = np.empty(np.shape(t) + (4,))
-    w_m1, w_0, w_p1, w_p2 = (out[..., i] for i in range(4))
+    w_m1, w_0, w_p1, w_p2 = out
     np.subtract(t, 2.0, out=w_0)
     np.add(t, 1.0, out=w_p2)
     np.negative(t, out=w_p1)
@@ -355,7 +365,9 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     The S sets of points are located and weighed in one pass. Returns one
     plan per set for :func:`_cubic_reader`: the flat index, in the
     wrap-padded stack of the P fields, of the first node of each point's
-    stencil, and the (P * Q, 4) weights per axis. A plan depends on the
+    stencil, and the weights per axis in the layout :func:`_window_sum`
+    reads: in 1D one (P * Q, 4) array, in 2D two (4, P * Q) arrays of
+    contiguous rows. A plan depends on the
     points only, so a read of any values may reuse it. The plans are views
     of the workspace ``ws``, valid until its next plan.
     """
@@ -371,9 +383,13 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     first += (np.arange(n_fields) * side**d)[:, None]
     start = ws.array("start", first.shape, np.int64)
     np.copyto(start, first, casting="unsafe")
-    weights = [_cubic_weights(theta[..., a], ws.array(f"w{a}", first.shape + (4,)))
+    if d == 1:
+        w = ws.array("w0", first.shape + (4,))
+        _cubic_weights(theta[..., 0], np.moveaxis(w, -1, 0))
+        return [(start[s].reshape(-1), [w[s].reshape(-1, 4)]) for s in range(n_sets)]
+    weights = [_cubic_weights(theta[..., a], ws.array(f"w{a}", (4,) + first.shape))
                for a in range(d)]
-    return [(start[s].reshape(-1), [w[s].reshape(-1, 4) for w in weights])
+    return [(start[s].reshape(-1), [w[:, s].reshape(4, -1) for w in weights])
             for s in range(n_sets)]
 
 
@@ -457,22 +473,22 @@ def _running_extreme(flat: np.ndarray, steps, ws: _Workspace, pair) -> list:
 _STENCIL = np.arange(4)
 
 
-def _window_sum(stack: np.ndarray, start: np.ndarray, weights,
-                ws: _Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _window_sum(stack: np.ndarray, start: np.ndarray, weights, ws: _Workspace,
+                out: np.ndarray) -> np.ndarray:
     """The cubic rule on 4-node windows of a C-contiguous stack of C tables
     of 1D or 2D: point q reads, in every table, the window whose first node
-    has flat index ``start[q]`` in the table, weighted by row q of
-    ``weights``, one (Q, 4) array of ``_cubic_weights`` per axis. Returns
-    shape (C, Q), written into ``out`` when given.
+    has flat index ``start[q]`` in the table, weighted by the ``_cubic_weights``
+    of each axis: in 1D row q of one (Q, 4) array, in 2D column q of two
+    (4, Q) arrays. Returns ``out``, shape (C, Q); its scratch is in ``ws``.
 
     1D gathers every window's four nodes into one (C, Q, 4) array and sums
-    it by ``np.einsum``. 2D gathers the 16 taps one at a time, each a
-    contiguous (C, Q) array, and adds (w0_i * tap_ij) * w1_j to one zeroed
-    sum in row-major (i, j) order: the three-operand einsum's sum, bit for
-    bit, without its (C, Q, 4, 4) stencil. The 2D mollified drift's lookup
-    calls it without ``ws`` or ``out``, and then it makes its own.
+    it by ``np.einsum``; its weights stay (Q, 4), since the einsum's bits
+    depend on their layout. 2D gathers the 16 taps one at a time, each a
+    contiguous (C, Q) array, scales it by the contiguous weight rows
+    ``weights[0][i]`` and ``weights[1][j]``, and adds (w0_i * tap_ij) * w1_j
+    to one zeroed sum in row-major (i, j) order: the three-operand einsum's
+    sum, bit for bit, without its (C, Q, 4, 4) stencil.
     """
-    ws = _Workspace() if ws is None else ws
     flat = stack.reshape(len(stack), -1)
     # The indices are in range by construction, and "clip" spares np.take a buffer.
     if len(weights) == 1:
@@ -481,8 +497,6 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights,
                        mode="clip")
         return np.einsum("qi,...qi->...q", weights[0], taps, out=out)
     row = stack.shape[-1]  # flat distance to the next row
-    if out is None:
-        out = np.empty((len(flat), len(start)))
     out.fill(0.0)
     tap = ws.array("x1", out.shape)
     for i in range(4):
@@ -491,8 +505,8 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights,
             # table by table, since np.take would copy a strided view of all of them
             for table, table_tap in zip(flat, tap):
                 np.take(table[i * row + j:], start, out=table_tap, mode="clip")
-            tap *= weights[0][:, i]
-            tap *= weights[1][:, j]
+            tap *= weights[0][i]
+            tap *= weights[1][j]
             out += tap
     return out
 

@@ -21,7 +21,9 @@ its RK4 stage points and running sum, its plans and its stepped values
 into the solve's workspace (``fields._Workspace``), and
 ``_composed_drift`` shifts the points it is asked about into it too, so
 that after the first block a step allocates no array of its own; only a
-drift's ``fn`` allocates its output.
+drift's ``fn`` allocates its output. A mollified drift's ``fn`` writes
+its lookup's steps into a workspace of its table's and allocates only
+the array it returns.
 
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
@@ -40,7 +42,8 @@ of the batch and the RK4 stage displacements, with the kernel
 ``profiles.bump`` sampled on that lattice. The tables hold drift values
 only, no derivatives; every velocity call is then a table lookup: in 1D
 linear interpolation located by lattice index, not by search, in 2D the
-4 x 4 window read of the grid fields.
+4 x 4 window read of the grid fields, with the weights of each stencil
+offset in one contiguous row.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. Only the
 autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the
@@ -175,11 +178,12 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     ``fields.interpolate``, whose stencil around node k = floor(x/delta)
     is one 4 x 4 window of every component table: the lattice holds the
     stencil margin, so the tables need no padding. A query beyond the
-    reach, or at a non-finite point, raises ``BlowUpError``. Mollifying
-    in space commutes with the gain of b(t, x) = gain(t) * fn(x), so the
-    result keeps ``b.gain``. The tables hold values only, so the result
-    states no Jacobian; it is marked ``smooth``, so a solver steps it as
-    it is.
+    reach, or at a non-finite point, raises ``BlowUpError``. A lookup
+    writes its steps into a workspace made once with the table and
+    returns a fresh array. Mollifying in space commutes with the gain of
+    b(t, x) = gain(t) * fn(x), so the result keeps ``b.gain``. The tables
+    hold values only, so the result states no Jacobian; it is marked
+    ``smooth``, so a solver steps it as it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise ConfigError(f"mollification radius must be positive, got {epsilon}")
@@ -187,12 +191,14 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         raise ConfigError(f"mollifier table reach must be positive, got {reach}")
     d = b.d
     delta, K, table = _mollified_table(b, epsilon, reach)
+    ws = _Workspace()
     if d == 1:
-        interp = _lattice_interp(delta, table)
+        interp = _lattice_interp(delta, table, ws)
 
     def lookup(points):
         pts = np.asarray(points, dtype=float)
-        if not np.abs(pts).max(initial=0.0) <= reach:
+        # NaN fails both comparisons; an empty query passes both
+        if not (pts.max(initial=-np.inf) <= reach and pts.min(initial=np.inf) >= -reach):
             raise BlowUpError(f"mollified drift queried at |x_i| > {reach} or at a "
                               "non-finite point, beyond its table")
         if d == 1:
@@ -201,8 +207,9 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
         k = np.floor(q)
         first = k.astype(np.int64) + (K - 1)  # the stencil around node k starts here
         theta = q - k
-        out = _window_sum(table, first[:, 0] * (2 * K + 1) + first[:, 1],
-                          [_cubic_weights(theta[:, a]) for a in range(2)])
+        weights = [_cubic_weights(theta[:, a], ws.array(f"w{a}", (4, len(q)))) for a in range(2)]
+        out = _window_sum(table, first[:, 0] * (2 * K + 1) + first[:, 1], weights, ws,
+                          np.empty((2, len(q))))
         return out.T.reshape(pts.shape[:-1] + (table.shape[0],))
 
     return DriftField(f"{b.id}~eps", d, lookup, smooth=True, gain=b.gain)
@@ -224,7 +231,8 @@ def _mollified_table(b: DriftField, epsilon: float, reach: float):
     return delta, K, smooth[0] if d == 1 else np.stack(smooth)
 
 
-def _lattice_interp(delta: float, table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _lattice_interp(delta: float, table: np.ndarray,
+                    ws: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
     """``np.interp(x, axis, table)`` on the lattice axis = delta * arange(-K, K + 1),
     bit for bit, for every x with axis[0] <= x < axis[-1].
 
@@ -233,19 +241,32 @@ def _lattice_interp(delta: float, table: np.ndarray) -> Callable[[np.ndarray], n
     binary search; node k sits at delta * k, the very product that makes
     the axis. Within it the value is np.interp's: slope * (x - node) +
     table[node], with slope = diff(table) / diff(axis); x on a node
-    returns the table value itself.
+    returns the table value itself. Each step writes into a slot of the
+    workspace ``ws`` (k, node, mask, j and value), so a call allocates
+    only the array it returns. The caller keeps x in the domain: the
+    table reads clip their indices rather than check them.
     """
     K = (table.size - 1) // 2
     slopes = np.diff(table) / np.diff(delta * np.arange(-K, K + 1))
 
     def interp(x):
-        k = np.floor(x / delta)
-        k -= delta * k > x
-        k += delta * (k + 1.0) <= x
-        node = delta * k
-        j = k.astype(np.int64) + K
-        value = np.take(table, j)
-        return np.where(node == x, value, np.take(slopes, j) * (x - node) + value)
+        k, node = ws.array("k", x.shape), ws.array("node", x.shape)
+        mask, j = ws.array("mask", x.shape, np.bool_), ws.array("j", x.shape, np.int64)
+        np.floor(np.divide(x, delta, out=k), out=k)
+        # k -= delta * k > x, then k += delta * (k + 1.0) <= x
+        np.subtract(k, 1.0, out=k, where=np.greater(np.multiply(k, delta, out=node), x, out=mask))
+        np.multiply(np.add(k, 1.0, out=node), delta, out=node)
+        np.add(k, 1.0, out=k, where=np.less_equal(node, x, out=mask))
+        np.multiply(k, delta, out=node)
+        np.copyto(j, k, casting="unsafe")
+        j += K
+        value = np.take(table, j, out=ws.array("value", x.shape), mode="clip")
+        # slope * (x - node) + value, or the value itself on a node
+        out = np.subtract(x, node)
+        out *= np.take(slopes, j, out=k, mode="clip")
+        out += value
+        np.copyto(out, value, where=np.equal(node, x, out=mask))
+        return out
 
     return interp
 

@@ -143,6 +143,14 @@ class TestInterpolate:
         assert np.max(vals) <= float(bump512.values.max()) + 1e-12
 
 
+def _weights_by_point(theta):
+    """``_cubic_weights`` as one C-contiguous (Q, 4) array, the layout the 1D plan
+    hands to its einsum (an einsum's bits depend on its operands' layout)."""
+    out = np.empty(theta.shape + (4,))
+    _cubic_weights(theta, np.moveaxis(out, -1, 0))
+    return out
+
+
 def _modulo_read(grid, values, pts, clamp):
     """Reference cubic read: modulo stencil indices, one (Q, 4) or (Q, 4, 4) gather."""
     L, n = grid.half_width, grid.n
@@ -152,7 +160,7 @@ def _modulo_read(grid, values, pts, clamp):
     base = np.where(base >= n, base - n, base) % n
     idx = (base[..., None] + np.array([-1, 0, 1, 2])) % n  # (P, Q, d, 4)
     path = np.arange(values.shape[0])[:, None, None]
-    w = [_cubic_weights(theta[..., a].ravel()) for a in range(grid.d)]
+    w = [_weights_by_point(theta[..., a].ravel()) for a in range(grid.d)]
     if grid.d == 1:
         flat = values[path, idx[..., 0, :]].reshape(-1, 4)
         out = np.einsum("qk,qk->q", w[0], flat)
@@ -216,14 +224,16 @@ class TestWindowRead:
         start = corner[:, 0] * n + corner[:, 1]
         theta = rng.random((start.size, 2))
         theta[::5] = 0.0  # node hits: weights of both signs of zero
-        weights = [_cubic_weights(theta[:, a]) for a in range(2)]
+        weights = [_weights_by_point(theta[:, a]) for a in range(2)]
         # the oracle: every window as one strided (C, Q, 4, 4) stencil, summed by einsum
         flat = stack.reshape(len(stack), -1)
         item = flat.strides[1]
         windows = np.ndarray((len(flat), flat.shape[1] - 3 * (n + 1), 4, 4), flat.dtype, flat,
                              strides=(flat.strides[0], item, item * n, item))
         want = np.einsum("qi,...qij,qj->...q", weights[0], windows[:, start], weights[1])
-        got = _window_sum(stack, start, weights)
+        # the tap sum reads the weights of each offset as one contiguous row
+        rows = [_cubic_weights(theta[:, a], np.empty((4, start.size))) for a in range(2)]
+        got = _window_sum(stack, start, rows, _Workspace(), np.empty((len(stack), start.size)))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -248,11 +258,11 @@ class TestWorkspace:
                             [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), 1e-300]])
         want = np.stack([-t * (t - 1.0) * (t - 2.0) / 6.0, (t * t - 1.0) * (t - 2.0) / 2.0,
                          -t * (t + 1.0) * (t - 2.0) / 2.0, t * (t * t - 1.0) / 6.0], axis=-1)
-        out = np.empty((len(t), 4))
-        for got in (_cubic_weights(t), _cubic_weights(t, out)):
+        rows = np.empty((4, len(t)))
+        for got in (_weights_by_point(t), _cubic_weights(t, rows).T):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert _cubic_weights(t, out) is out
+        assert _cubic_weights(t, rows) is rows
 
 
 class TestInterpolate2D:

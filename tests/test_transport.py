@@ -428,21 +428,80 @@ class TestMollifiedDrift:
 
     @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (64, 256, 1024)] + [0.1, 0.37])
     def test_lattice_lookup_equals_np_interp_bitwise(self, eps):
-        delta, K, table = transport._mollified_table(power_drift(0.75, scale=-1.0), eps, 4.5)
+        b, reach = power_drift(0.75, scale=-1.0), 4.5
+        delta, K, table = transport._mollified_table(b, eps, reach)
         axis = delta * np.arange(-K, K + 1)
         inner = axis[1:-1]
+        rng = np.random.default_rng(7)
         x = np.concatenate([
-            np.random.default_rng(7).uniform(axis[0], axis[-1], 20000),
+            rng.uniform(axis[0], axis[-1], 20000),
             axis[:-1],  # every node of the lookup's domain [axis[0], axis[-1])
             np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
-            [np.nextafter(axis[0], np.inf), -0.0],
+            [np.nextafter(axis[0], np.inf), -0.0, -reach, reach],
         ])
+        # (B, P, Q) batches, as the march asks: nodes, one ulp below them and
+        # the reach itself, all within the reach, the rest uniform in it
+        within = axis[np.abs(axis) <= reach]
+        edge = np.concatenate([within, np.nextafter(within, -np.inf), [-reach, reach]])
+        edge = edge[np.abs(edge) <= reach]
+        batches = [np.concatenate([rng.permutation(edge), rng.uniform(-reach, reach, 16 * 8 * 256)])
+                   [: math.prod(shape)].reshape(shape) for shape in [(16, 8, 256), (3, 8, 100)]]
         zeros = table.copy()  # the table with signed zero entries
         zeros[::97], zeros[1::89] = -0.0, 0.0
         for values in (table, zeros):
-            got = transport._lattice_interp(delta, values)(x)
-            want = np.interp(x, axis, values)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            interp = transport._lattice_interp(delta, values, _Workspace())
+            for pts in [x] + batches:
+                got = interp(pts)
+                want = np.interp(pts, axis, values)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        fn = mollified_drift(b, eps, reach).fn
+        for pts in batches:
+            got = fn(pts[..., None])
+            assert got.shape == pts.shape + (1,)
+            assert np.array_equal(got[..., 0].view(np.int64),
+                                  np.interp(pts, axis, table).view(np.int64))
+
+    @pytest.mark.parametrize("b", [power_drift(0.75), stream_function_drift(4.0)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("bad", ["above", "below", "nan"])
+    def test_a_point_one_ulp_past_the_reach_or_nan_raises(self, b, bad):
+        # the table reads clip their indices, so the reach check is what keeps them in range
+        reach = 2.0
+        m = mollified_drift(b, 0.25, reach=reach)
+        pts = np.random.default_rng(5).uniform(-reach, reach, (4, 8, 32, b.d))
+        pts[0, 0, 0, -1], pts[1, 0, 0, 0] = reach, -reach
+        m.fn(pts)
+        pts[3, 7, 31, 0] = {"above": np.nextafter(reach, np.inf),
+                            "below": np.nextafter(-reach, -np.inf), "nan": np.nan}[bad]
+        with pytest.raises(BlowUpError):
+            m.fn(pts)
+
+    @pytest.mark.parametrize("b", [power_drift(0.75, scale=-1.0), stream_function_drift(4.0)],
+                             ids=["1d", "2d"])
+    def test_a_held_result_is_unchanged_by_later_calls(self, b):
+        # the lookup writes its steps into a workspace of the table's; what it
+        # returns must not be one of its slots or of their views per shape
+        m = mollified_drift(b, 0.3, reach=4.0)
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-4.0, 4.0, (3, 8, 50, b.d))
+        held = m.fn(pts)
+        kept = held.copy()
+        for shape in [(7, b.d), (5, 8, 60, b.d), pts.shape]:
+            m.fn(rng.uniform(-4.0, 4.0, shape))
+        assert np.array_equal(held, kept)
+        assert np.array_equal(held, mollified_drift(b, 0.3, reach=4.0).fn(pts))
+
+    def test_a_repeated_1d_lookup_allocates_only_its_output(self):
+        m = mollified_drift(power_drift(0.75, scale=-1.0), 1.0 / 16, reach=6.0)
+        pts = np.random.default_rng(4).uniform(-5.0, 5.0, (16, 8, 256, 1))
+        m.fn(pts)  # the first call sizes the workspace
+        tracemalloc.start()
+        try:
+            out = m.fn(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     @pytest.mark.parametrize("b, point", [
         (power_drift(0.75), [[2.01]]),
