@@ -6,13 +6,14 @@ This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read sums each point's stencil,
 one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables): in 1D from one gather of
-every window's four nodes, summed by an einsum with (Q, 4) weights; in
-2D tap by tap, 16 gathers with no (Q, 4, 4) stencil array, each scaled
-by a contiguous row of (4, Q) weights. A read is a plan, the flat
-index of each point's window and its weights (``_cubic_plan``), then its
-application to the values (``_cubic_reader``); the march plans a block of
-steps at once and applies one plan per step. Both write every array
+which also reads the 2D mollifier tables). In every dimension the
+weights of an axis are (4, Q), one contiguous row per stencil offset.
+1D gathers every window's four taps in one take and adds them in a
+stated order; 2D reads tap by tap, 16 gathers with no (Q, 4, 4) stencil
+array. A read is a plan, the flat index of each point's window and its
+weights (``_cubic_plan``), then its application to the values
+(``_cubic_reader``); the march plans a block of steps at once and
+applies one plan per step. Both write every array
 they make into a workspace (``_Workspace``): named scratch arrays that a
 solve allocates at its first block and reuses at every later step, so
 the march's reads allocate nothing. ``interpolate`` and ``shift_field``
@@ -226,9 +227,9 @@ class _Workspace:
       A read (:func:`_cubic_reader`) pads the values into x0, gathers the
       taps into x1, and takes its running extremes in x1, x2 and x0.
     - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block,
-      the weights (S, P, Q, 4) in 1D and (4, S, P, Q) per axis in 2D.
-    - ``"index"`` (int64): the stencil nodes of a 1D read; ``"mask"``
-      (bool): the plan's scratch.
+      the weights (4, S, P, Q) per axis in every dimension.
+    - ``"index"`` (int64): the stencil nodes of a 1D read, (4, Q), one row
+      per tap; ``"mask"`` (bool): the plan's scratch.
     - ``"values"``: the values after each step of a block.
 
     The slots of a mollified table's workspace, by its lookup's steps: in
@@ -287,8 +288,7 @@ def _cubic_weights(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     The weights take no temporary: until their own turn, ``out[1]`` holds
     t - 2 and ``out[3]`` holds t + 1, then t - 1, then t * t - 1. Each
     weight is the same product, bit for bit, as the formula written in its
-    comment. The 2D plan passes contiguous rows; the 1D plan passes
-    ``np.moveaxis`` of the (..., 4) array its einsum reads.
+    comment. Every caller passes contiguous rows.
     """
     t = theta
     w_m1, w_0, w_p1, w_p2 = out
@@ -322,7 +322,8 @@ def interpolate(f: ScalarField, points):
     ----------
     f : ScalarField
     points : array_like
-        Query points of shape (d,) or (..., d); wrapped into the box.
+        Finite query points of shape (d,) or (..., d); wrapped into the box.
+        A non-finite coordinate raises ``FieldValidationError``.
 
     Returns
     -------
@@ -337,6 +338,8 @@ def interpolate(f: ScalarField, points):
         raise FieldValidationError(
             f"points have dimension {pts.shape[-1]}, grid has dimension {grid.d}"
         )
+    if not np.all(np.isfinite(pts)):
+        raise FieldValidationError("interpolation points must be finite")
     out = _cubic_read(grid, f.values[None], pts.reshape(1, -1, grid.d), clamp=False)
     out = out.reshape(pts.shape[:-1])
     return float(out[0]) if single else out
@@ -365,11 +368,10 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     The S sets of points are located and weighed in one pass. Returns one
     plan per set for :func:`_cubic_reader`: the flat index, in the
     wrap-padded stack of the P fields, of the first node of each point's
-    stencil, and the weights per axis in the layout :func:`_window_sum`
-    reads: in 1D one (P * Q, 4) array, in 2D two (4, P * Q) arrays of
-    contiguous rows. A plan depends on the
-    points only, so a read of any values may reuse it. The plans are views
-    of the workspace ``ws``, valid until its next plan.
+    stencil, and the weights of each axis as one (4, P * Q) array of
+    contiguous rows, the layout :func:`_window_sum` reads. A plan depends
+    on the points only, so a read of any values may reuse it. The plans
+    are views of the workspace ``ws``, valid until its next plan.
     """
     n_sets, n_fields, n_pts, d = pts.shape
     theta, base = ws.array("x0", pts.shape), ws.array("x1", pts.shape)
@@ -383,10 +385,6 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     first += (np.arange(n_fields) * side**d)[:, None]
     start = ws.array("start", first.shape, np.int64)
     np.copyto(start, first, casting="unsafe")
-    if d == 1:
-        w = ws.array("w0", first.shape + (4,))
-        _cubic_weights(theta[..., 0], np.moveaxis(w, -1, 0))
-        return [(start[s].reshape(-1), [w[s].reshape(-1, 4)]) for s in range(n_sets)]
     weights = [_cubic_weights(theta[..., a], ws.array(f"w{a}", (4,) + first.shape))
                for a in range(d)]
     return [(start[s].reshape(-1), [w[:, s].reshape(4, -1) for w in weights])
@@ -469,33 +467,41 @@ def _running_extreme(flat: np.ndarray, steps, ws: _Workspace, pair) -> list:
     return triples
 
 
-#: The offsets of a 1D window's four nodes from its first.
-_STENCIL = np.arange(4)
+#: The offsets of a 1D window's four nodes from its first, one row per tap.
+_STENCIL = np.arange(4)[:, None]
 
 
 def _window_sum(stack: np.ndarray, start: np.ndarray, weights, ws: _Workspace,
                 out: np.ndarray) -> np.ndarray:
     """The cubic rule on 4-node windows of a C-contiguous stack of C tables
     of 1D or 2D: point q reads, in every table, the window whose first node
-    has flat index ``start[q]`` in the table, weighted by the ``_cubic_weights``
-    of each axis: in 1D row q of one (Q, 4) array, in 2D column q of two
-    (4, Q) arrays. Returns ``out``, shape (C, Q); its scratch is in ``ws``.
+    has flat index ``start[q]`` in the table, weighted by column q of the
+    (4, Q) ``_cubic_weights`` of each axis. Returns ``out``, shape (C, Q);
+    its scratch is in ``ws``.
 
-    1D gathers every window's four nodes into one (C, Q, 4) array and sums
-    it by ``np.einsum``; its weights stay (Q, 4), since the einsum's bits
-    depend on their layout. 2D gathers the 16 taps one at a time, each a
-    contiguous (C, Q) array, scales it by the contiguous weight rows
-    ``weights[0][i]`` and ``weights[1][j]``, and adds (w0_i * tap_ij) * w1_j
-    to one zeroed sum in row-major (i, j) order: the three-operand einsum's
-    sum, bit for bit, without its (C, Q, 4, 4) stencil.
+    1D gathers every window's four taps tap-major, into one (C, 4, Q)
+    array, by one take of a (4, Q) index, scales them by the weight rows
+    in one multiply, and adds them as ((0 + t0) + t2) + ((0 + t1) + t3):
+    two running sums from +0.0, one of the even taps and one of the odd,
+    written (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is
+    +0.0. 2D gathers the 16 taps one at a time, each a contiguous (C, Q)
+    array, scales it by the weight rows ``weights[0][i]`` and
+    ``weights[1][j]``, and adds (w0_i * tap_ij) * w1_j to one zeroed sum in
+    row-major (i, j) order, with no (C, Q, 4, 4) stencil.
     """
     flat = stack.reshape(len(stack), -1)
     # The indices are in range by construction, and "clip" spares np.take a buffer.
     if len(weights) == 1:
-        index = np.add(start[:, None], _STENCIL, out=ws.array("index", (len(start), 4), np.int64))
-        taps = np.take(flat, index, axis=1, out=ws.array("x1", (len(flat), len(start), 4)),
+        index = np.add(start, _STENCIL, out=ws.array("index", (4, len(start)), np.int64))
+        taps = np.take(flat, index, axis=1, out=ws.array("x1", (len(flat), 4, len(start))),
                        mode="clip")
-        return np.einsum("qi,...qi->...q", weights[0], taps, out=out)
+        taps *= weights[0]
+        t0, t1, t2, t3 = taps.transpose(1, 0, 2)
+        np.add(t0, t2, out=out)
+        t1 += t3
+        out += t1
+        out += 0.0  # a zero sum is +0.0, as when the sum starts from +0.0
+        return out
     row = stack.shape[-1]  # flat distance to the next row
     out.fill(0.0)
     tap = ws.array("x1", out.shape)
@@ -526,7 +532,8 @@ def shift_field(f: ScalarField, delta) -> ScalarField:
     ratio = dvec / grid.h
     nearest = np.round(ratio)
     if np.all(np.abs(ratio - nearest) <= _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))):
-        shifts = (nearest.astype(np.int64) % grid.n).tolist()
+        # the remainder is exact in floats, and far below 2**63 when cast
+        shifts = (np.fmod(nearest, grid.n).astype(np.int64) % grid.n).tolist()
         return ScalarField(grid, np.roll(f.values, shifts, axis=tuple(range(grid.d))))
     query = grid.nodes() - dvec[None, :]
     vals = interpolate(f, query)

@@ -139,13 +139,14 @@ def eval_path(path: SamplePath, t) -> np.ndarray:
     """Evaluate a path by linear interpolation; exact at knots.
 
     Accepts a scalar time or an array of times; returns shape (d,) or
-    (len(t), d). Times outside [0, T] (beyond a relative slack of 1e-9)
-    raise ``PathRangeError``.
+    (len(t), d). Times outside [0, T] (beyond a relative slack of 1e-9),
+    and NaN times, raise ``PathRangeError``.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     T = path.horizon
     slack = _TIME_RTOL * T
-    if np.any(times < -slack) or np.any(times > T + slack):
+    # NaN fails both comparisons
+    if not (np.all(times >= -slack) and np.all(times <= T + slack)):
         raise PathRangeError(f"time {times.min()}..{times.max()} outside the path "
                              f"horizon [0, {T}]")
     clipped = np.clip(times, 0.0, T)

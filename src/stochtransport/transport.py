@@ -42,8 +42,9 @@ of the batch and the RK4 stage displacements, with the kernel
 ``profiles.bump`` sampled on that lattice. The tables hold drift values
 only, no derivatives; every velocity call is then a table lookup: in 1D
 linear interpolation located by lattice index, not by search, in 2D the
-4 x 4 window read of the grid fields, with the weights of each stencil
-offset in one contiguous row.
+4 x 4 window read of the grid fields. Every cubic read, of the march in
+either dimension or of a 2D table, weighs each stencil offset of an axis
+by one contiguous row of (4, Q) weights (``fields._cubic_plan``).
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. Only the
 autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the

@@ -135,6 +135,13 @@ class TestInterpolate:
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 3.8
 
+    @pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, bump512, coord):
+        with pytest.raises(FieldValidationError, match="finite"):
+            interpolate(bump512, [coord])
+        with pytest.raises(FieldValidationError, match="finite"):
+            interpolate(bump512, [[0.5], [coord]])
+
     def test_clamped_cubic_stays_in_stencil_range(self, bump512, grid512):
         rng = np.random.default_rng(11)
         q = rng.uniform(-4.0, 4.0, size=(2000, 1))
@@ -144,8 +151,8 @@ class TestInterpolate:
 
 
 def _weights_by_point(theta):
-    """``_cubic_weights`` as one C-contiguous (Q, 4) array, the layout the 1D plan
-    hands to its einsum (an einsum's bits depend on its operands' layout)."""
+    """``_cubic_weights`` as one C-contiguous (Q, 4) array, one row per point:
+    the layout of the einsum oracles, not the (4, Q) rows the plans write."""
     out = np.empty(theta.shape + (4,))
     _cubic_weights(theta, np.moveaxis(out, -1, 0))
     return out
@@ -210,9 +217,22 @@ class TestWindowRead:
         assert expected[0, 0] != 0.0
         assert np.array_equal(_cubic_read(grid, values, pts, False), expected)
 
-    @pytest.mark.parametrize("tables", ["padded_128", "mollifier"])
+    @pytest.mark.parametrize("tables", ["padded_128", "mollifier", "padded_1d_8"])
     def test_2d_tap_sum_equals_the_einsum_bitwise(self, tables):
+        """The tap sum of either dimension equals the einsum of the whole
+        stencil with (Q, 4) weights, bit for bit and sign of zero included."""
         rng = np.random.default_rng(5)
+        if tables == "padded_1d_8":
+            got, want = self._tap_sum_1d(rng)
+        else:
+            got, want = self._tap_sum_2d(rng, tables)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def _tap_sum_2d(rng, tables):
+        """128 * 128 windows of one wrap-padded field or of the two tables of a
+        2D mollifier, read by ``_window_sum`` and by the einsum."""
         if tables == "padded_128":  # one wrap-padded 128 x 128 field, with signed zeros
             stack = rng.standard_normal((1, 131, 131)) * 10.0 ** rng.uniform(-3, 3, (1, 131, 131))
             stack[rng.random(stack.shape) < 0.1] = 0.0
@@ -234,8 +254,29 @@ class TestWindowRead:
         # the tap sum reads the weights of each offset as one contiguous row
         rows = [_cubic_weights(theta[:, a], np.empty((4, start.size))) for a in range(2)]
         got = _window_sum(stack, start, rows, _Workspace(), np.empty((len(stack), start.size)))
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        return got, want
+
+    @staticmethod
+    def _tap_sum_1d(rng):
+        """Every window of 8 wrap-padded 128-node fields, stacked as the 1D
+        reader stacks them, read by ``_window_sum`` and by the einsum."""
+        fields = rng.standard_normal((8, 128)) * 10.0 ** rng.uniform(-3, 3, (8, 128))
+        fields[rng.random(fields.shape) < 0.1] = 0.0
+        fields[rng.random(fields.shape) < 0.1] = -0.0
+        a, b = rng.standard_normal(2)
+        fields[0] = np.tile([a, b, -b, -a], 32)  # at theta = 0.5, half the windows cancel exactly
+        fields[1] = np.tile([0.0, -0.0, -0.0, 0.0], 32)  # windows whose every tap is -0.0
+        stack = np.pad(fields, ((0, 0), (1, 2)), mode="wrap").reshape(1, -1)
+        start = np.arange(8 * 131).reshape(8, 131)[:, :128].ravel()
+        theta = rng.random(start.size)
+        theta[::5] = 0.0  # node hits: weights of both signs of zero
+        theta[:128] = 0.5
+        want = np.einsum("qi,...qi->...q", _weights_by_point(theta),
+                         stack[:, start[:, None] + np.arange(4)])
+        assert np.count_nonzero(want[0, :128] == 0.0) == 64
+        rows = _cubic_weights(theta, np.empty((4, start.size)))
+        got = _window_sum(stack, start, [rows], _Workspace(), np.empty((1, start.size)))
+        return got, want
 
 
 class TestWorkspace:
@@ -334,6 +375,15 @@ class TestShiftField:
     def test_non_finite_shift_rejected(self, bump512):
         with pytest.raises(FieldValidationError):
             shift_field(bump512, [math.nan])
+
+    @pytest.mark.parametrize("delta", [1e20, -1e20, 3.7e25, 1e300])
+    def test_lattice_shift_beyond_int64_rolls_by_the_exact_remainder(self, delta):
+        g = SpatialGrid(d=1, half_width=4.0, n=24)
+        f = ScalarField.from_function(g, lambda p: np.sin(np.pi * p[..., 0] / 4.0) + 0.5)
+        nearest = np.round(delta / g.h)
+        assert abs(nearest) > 2.0**63
+        want = np.roll(f.values, int(nearest) % g.n)  # Python integers: no overflow
+        assert np.array_equal(shift_field(f, [delta]).values, want)
 
 
 class TestFieldCsv:

@@ -4,6 +4,8 @@ The chi-square band for increment variances and the chord-midpoint
 recomputation are evaluated inline; no frozen solver output enters.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,13 @@ class TestEvalPath:
             eval_path(p, 1.5)
         with pytest.raises(PathRangeError):
             eval_path(p, -0.1)
+
+    def test_nan_time_rejected(self):
+        p = sample_brownian(11, 1.0, 64, 1)
+        with pytest.raises(PathRangeError):
+            eval_path(p, math.nan)
+        with pytest.raises(PathRangeError):
+            eval_path(p, np.array([0.5, math.nan]))
 
 
 class TestPathCsv:
