@@ -21,6 +21,7 @@ doubling of the sample count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -287,12 +288,27 @@ _NUMBER_PARAMS = {"constant": ("c",), "linear": ("matrix",),
                   "stream": ("half_width", "amplitude"), "shear": ("half_width", "amplitude"),
                   "power1d": ("alpha", "scale")}
 
+#: The numeric parameters that are one number each, not a list.
+_SCALAR_PARAMS = ("half_width", "amplitude", "alpha", "scale")
+
 
 def _check_no_bools(kind: str, key: str, value) -> None:
     """No entry of ``value`` may be a bool, which numpy would take as 0 or 1."""
     if any(isinstance(item, bool) for item in np.asarray(value, dtype=object).ravel().tolist()):
         raise ConfigError(f"drift {kind!r}: {key} must hold numbers, not true or false, "
                           f"got {value!r}")
+
+
+def _check_real(kind: str, key: str, value) -> None:
+    """A scalar parameter must be one finite real number: numpy would
+    broadcast a list through the drift, and carry NaN or inf into it."""
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"bad parameters for drift {kind!r}: {key} must be a finite real "
+                          f"number, got {value!r}")
 
 
 def _check_period(kind: str, drift_half_width, half_width: float) -> None:
@@ -309,9 +325,12 @@ def _check_period(kind: str, drift_half_width, half_width: float) -> None:
 def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0) -> DriftField:
     """Build a catalog drift from a config dictionary like {"id": "power1d", "alpha": 0.75}.
 
-    A numeric parameter must not be a bool. The ``half_width`` of a
-    ``stream`` or ``shear`` drift, L by default, must be L / m for a whole
-    m >= 1, so that the drift is periodic on the box [-L, L)^2.
+    A numeric parameter must not be a bool, and one that is a single
+    number (``alpha``, ``scale``, ``amplitude``, ``half_width``) must be a
+    finite real: anything else is a ``ConfigError`` naming the key. The
+    ``half_width`` of a ``stream`` or ``shear`` drift, L by default, must
+    be L / m for a whole m >= 1, so that the drift is periodic on the box
+    [-L, L)^2.
     """
     if not isinstance(spec, dict) or "id" not in spec:
         raise ConfigError(f"drift spec must be a dict with an 'id', got {spec!r}")
@@ -320,6 +339,8 @@ def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0)
     for key in _NUMBER_PARAMS.get(kind, ()):
         if key in kwargs:
             _check_no_bools(kind, key, kwargs[key])
+            if key in _SCALAR_PARAMS:
+                _check_real(kind, key, kwargs[key])
     try:
         if kind == "zero":
             b = zero_drift(d, **kwargs)

@@ -62,6 +62,9 @@ _OPTIONAL_KEYS = ("phi_count", "wz_levels", "mollify_eps", "out_dir")
 
 _DEFAULT_WZ_LEVELS = (4, 8, 16, 32, 64, 128, 256)
 
+#: The most steps T / dt a run may take: its path alone holds K + 1 knots.
+MAX_STEPS = 2**24
+
 
 def _integer(key: str, value) -> int:
     """An integral JSON number, not a bool, as an int."""
@@ -203,6 +206,12 @@ class ExperimentConfig:
             raise ConfigError(f"malformed config value: missing key {exc}") from exc
         except (DriftEvaluationError, FieldValidationError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
+        # Zero initial data is a valid run when asked for, by a zero amplitude;
+        # with any other amplitude the profile missed every node, or overflowed.
+        stated = self.u0_spec.get("amplitudes", [self.u0_spec.get("amplitude", 1.0)])
+        if not np.any(u0.values) and np.any(np.asarray(stated, dtype=float) != 0.0):
+            raise ConfigError("u0 samples to zero at every grid node, though its amplitude "
+                              f"is {stated!r}")
         if self.mollify_eps is not None:
             if self.mollify_eps < 0:
                 raise ConfigError("mollify_eps must be nonnegative")
@@ -232,8 +241,13 @@ class ExperimentConfig:
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
     def n_steps(self) -> int:
-        """Number of steps of size dt in [0, T]; dt must divide the horizon."""
-        n_steps = int(round(self.horizon / self.dt))
+        """Number of steps of size dt in [0, T]; dt must divide the horizon
+        into at most ``MAX_STEPS`` steps."""
+        ratio = self.horizon / self.dt
+        if not ratio < MAX_STEPS + 0.5:  # an infinite ratio fails too
+            raise ConfigError(f"T/dt = {ratio!r} steps; a run takes at most 2**24 = "
+                              f"{MAX_STEPS} steps")
+        n_steps = int(round(ratio))
         if n_steps < 1 or abs(n_steps * self.dt - self.horizon) > 1.0e-9 * self.horizon:
             raise ConfigError(f"dt={self.dt} does not divide the horizon {self.horizon}")
         return n_steps

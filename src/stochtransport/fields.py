@@ -5,12 +5,14 @@ quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
 quadrature, periodic tensor-product interpolation, lattice-aware field
 shifting, and the field CSV format. A read sums each point's stencil,
-one 4-node-per-axis window of a wrap-padded stack (``_window_sum``,
-which also reads the 2D mollifier tables). In every dimension the
-weights of an axis are (4, Q), one contiguous row per stencil offset.
-1D gathers every window's four taps in one take and adds them in a
-stated order; 2D reads tap by tap, 16 gathers with no (Q, 4, 4) stencil
-array. A read is a plan, the flat index of each point's window and its
+one 4-node-per-axis window of a wrap-padded stack. In every dimension
+the weights of an axis are (4, Q), one contiguous row per stencil
+offset. 1D gathers every window's four taps, one take per tap, takes
+its clamp bounds from those taps and adds them in a stated order
+(``_reader_1d``); 2D reads tap by tap, 16 gathers with no (Q, 4, 4)
+stencil array (``_window_sum``, which also reads the 2D mollifier
+tables), and clamps by running extremes over the padded stack. A read
+is a plan, the flat index of each point's window and its
 weights (``_cubic_plan``), then its application to the values
 (``_cubic_reader``); the march plans a block of steps at once and
 applies one plan per step. Both write every array
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy._core.umath import clip as _clip  # the ufunc np.clip calls after its checks
 
 from .artifacts import read_body, write_body
 from .errors import FieldValidationError
@@ -224,12 +227,12 @@ class _Workspace:
       running sum, then the feet, in x2; ``transport._composed_drift`` shifts
       the points it is asked about into x0. The plan (:func:`_cubic_plan`)
       reads the feet and writes theta to x0 and the stencil bases to x1.
-      A read (:func:`_cubic_reader`) pads the values into x0, gathers the
-      taps into x1, and takes its running extremes in x1, x2 and x0.
+      A read (:func:`_cubic_reader`) pads the values into x0 and gathers
+      the taps into x1. In 1D it writes its clamp bounds, (2, Q), into
+      x2; in 2D it takes its running extremes in x1, x2 and x0.
     - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block,
       the weights (4, S, P, Q) per axis in every dimension.
-    - ``"index"`` (int64): the stencil nodes of a 1D read, (4, Q), one row
-      per tap; ``"mask"`` (bool): the plan's scratch.
+    - ``"mask"`` (bool): the plan's scratch.
     - ``"values"``: the values after each step of a block.
 
     The slots of a mollified table's workspace, by its lookup's steps: in
@@ -369,7 +372,7 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     plan per set for :func:`_cubic_reader`: the flat index, in the
     wrap-padded stack of the P fields, of the first node of each point's
     stencil, and the weights of each axis as one (4, P * Q) array of
-    contiguous rows, the layout :func:`_window_sum` reads. A plan depends
+    contiguous rows, the layout both readers take. A plan depends
     on the points only, so a read of any values may reuse it. The plans
     are views of the workspace ``ws``, valid until its next plan.
     """
@@ -404,8 +407,10 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
     each spatial axis, so every stencil is a 4-node window of it per axis
     and no index needs a modulo. The padded stack is read as one table, the
     P fields one after another along its first axis, so one flat index
-    locates a stencil. The clamp bounds are running minima and maxima
-    over the flat padded stack, not a reduction per point. Every scratch
+    locates a stencil. 1D reads by :func:`_reader_1d`, which takes its clamp
+    bounds from the taps themselves. In 2D the clamp bounds are running
+    minima and maxima over the flat padded stack, not a reduction per
+    point, and the taps are summed by :func:`_window_sum`. Every scratch
     array of a read is a view of the workspace ``ws`` taken here, once, so
     a march makes one reader per block and its reads allocate nothing.
     """
@@ -419,10 +424,22 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
         head = (slice(None),) * axis
         wraps += [(padded[head + (0,)], padded[head + (n,)]),
                   (padded[head + (slice(n + 1, n + 3),)], padded[head + (slice(1, 3),)])]
+
+    def pad(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Copy ``values`` into the padded stack; returns ``out`` as (P * Q,)."""
+        np.copyto(interior, values)
+        for wrap, source in wraps:
+            np.copyto(wrap, source)
+        if out is None:
+            out = np.empty((n_fields, n_pts))
+        return out.reshape(-1)
+
+    if d == 1:
+        return _reader_1d(padded.reshape(-1), pad, n_fields, n_pts, clamp, ws)
     stack = padded.reshape((1, -1) + padded.shape[2:])
     if clamp:
         flat = padded.reshape(-1)
-        steps = (1, 2, side, 2 * side)[: 2 * d]
+        steps = (1, 2, side, 2 * side)
         # An even number of steps ends the minima in x2, so x1 takes their
         # gather; the maxima then overwrite the padded stack in x0 once their
         # first step has read it.
@@ -432,13 +449,8 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
 
     def read(values: np.ndarray, plan, out: np.ndarray | None = None) -> np.ndarray:
         start, weights = plan
-        np.copyto(interior, values)
-        for wrap, source in wraps:
-            np.copyto(wrap, source)
-        if out is None:
-            out = np.empty((n_fields, n_pts))
-        total = out.reshape(1, -1)
-        _window_sum(stack, start, weights, ws, total)
+        total = pad(values, out)
+        _window_sum(stack, start, weights, ws, total[None])
         if clamp:
             for below, above, extremes in lo_steps:
                 np.minimum(below, above, out=extremes)
@@ -446,8 +458,56 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
             for below, above, extremes in hi_steps:
                 np.maximum(below, above, out=extremes)
             np.take(hi_steps[-1][2], start, out=hi, mode="clip")
-            np.clip(total[0], lo, hi, out=total[0])
-        return out.reshape(n_fields, -1)
+            _clip(total, lo, hi, out=total)
+        return total.reshape(n_fields, -1)
+
+    return read
+
+
+def _reader_1d(flat: np.ndarray, pad, n_fields: int, n_pts: int, clamp: bool,
+               ws: _Workspace):
+    """The 1D read of :func:`_cubic_reader`, over the flat padded stack ``flat``.
+
+    ``pad(values, out)`` fills ``flat`` and returns the output as one row.
+    A read gathers the four taps of every window tap-major into slot x1,
+    tap k by one take of ``start`` from ``flat`` viewed k nodes on. The
+    clamp bounds come from the taps before they are weighted, as
+    min(min(t0, t1), min(t2, t3)) and the same with max. Of two zeros,
+    np.minimum and np.maximum return the second, so this pairing and order
+    fix the sign of a zero bound, which is what the clip returns for a zero
+    sum between zero bounds. The bounds go into slot x2, which the plan no
+    longer needs. The taps are then scaled by the weight rows in one
+    multiply and added as ((0 + t0) + t2) + ((0 + t1) + t3): two running
+    sums from +0.0, one of the even taps and one of the odd, written
+    (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is +0.0.
+    numpy's clip ufunc then clamps the sum to its bounds.
+    """
+    size = n_fields * n_pts
+    taps = ws.array("x1", (4, size))
+    t0, t1, t2, t3 = taps
+    gathers = [(flat[k:], tap) for k, tap in enumerate(taps)]
+    if clamp:
+        lo, hi = ws.array("x2", (2, size))
+
+    def read(values: np.ndarray, plan, out: np.ndarray | None = None) -> np.ndarray:
+        start, (weights,) = plan
+        total = pad(values, out)
+        # The indices are in range by construction, and "clip" spares take a buffer.
+        for source, tap in gathers:
+            source.take(start, out=tap, mode="clip")
+        if clamp:  # the output is scratch until the sum
+            np.minimum(t0, t1, out=lo)
+            np.minimum(lo, np.minimum(t2, t3, out=total), out=lo)
+            np.maximum(t0, t1, out=hi)
+            np.maximum(hi, np.maximum(t2, t3, out=total), out=hi)
+        np.multiply(taps, weights, out=taps)
+        np.add(t0, t2, out=total)
+        np.add(t1, t3, out=t1)
+        total += t1
+        total += 0.0  # a zero sum is +0.0, as when the sum starts from +0.0
+        if clamp:
+            _clip(total, lo, hi, out=total)
+        return total.reshape(n_fields, n_pts)
 
     return read
 
@@ -467,41 +527,20 @@ def _running_extreme(flat: np.ndarray, steps, ws: _Workspace, pair) -> list:
     return triples
 
 
-#: The offsets of a 1D window's four nodes from its first, one row per tap.
-_STENCIL = np.arange(4)[:, None]
-
-
 def _window_sum(stack: np.ndarray, start: np.ndarray, weights, ws: _Workspace,
                 out: np.ndarray) -> np.ndarray:
-    """The cubic rule on 4-node windows of a C-contiguous stack of C tables
-    of 1D or 2D: point q reads, in every table, the window whose first node
-    has flat index ``start[q]`` in the table, weighted by column q of the
+    """The cubic rule on 4 x 4-node windows of a C-contiguous stack of C 2D
+    tables: point q reads, in every table, the window whose first node has
+    flat index ``start[q]`` in the table, weighted by column q of the
     (4, Q) ``_cubic_weights`` of each axis. Returns ``out``, shape (C, Q);
     its scratch is in ``ws``.
 
-    1D gathers every window's four taps tap-major, into one (C, 4, Q)
-    array, by one take of a (4, Q) index, scales them by the weight rows
-    in one multiply, and adds them as ((0 + t0) + t2) + ((0 + t1) + t3):
-    two running sums from +0.0, one of the even taps and one of the odd,
-    written (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is
-    +0.0. 2D gathers the 16 taps one at a time, each a contiguous (C, Q)
-    array, scales it by the weight rows ``weights[0][i]`` and
-    ``weights[1][j]``, and adds (w0_i * tap_ij) * w1_j to one zeroed sum in
-    row-major (i, j) order, with no (C, Q, 4, 4) stencil.
+    The 16 taps are gathered one at a time, each a contiguous (C, Q)
+    array in slot x1, scaled by the weight rows ``weights[0][i]`` and
+    ``weights[1][j]``, and (w0_i * tap_ij) * w1_j is added to one zeroed
+    sum in row-major (i, j) order, with no (C, Q, 4, 4) stencil.
     """
     flat = stack.reshape(len(stack), -1)
-    # The indices are in range by construction, and "clip" spares np.take a buffer.
-    if len(weights) == 1:
-        index = np.add(start, _STENCIL, out=ws.array("index", (4, len(start)), np.int64))
-        taps = np.take(flat, index, axis=1, out=ws.array("x1", (len(flat), 4, len(start))),
-                       mode="clip")
-        taps *= weights[0]
-        t0, t1, t2, t3 = taps.transpose(1, 0, 2)
-        np.add(t0, t2, out=out)
-        t1 += t3
-        out += t1
-        out += 0.0  # a zero sum is +0.0, as when the sum starts from +0.0
-        return out
     row = stack.shape[-1]  # flat distance to the next row
     out.fill(0.0)
     tap = ws.array("x1", out.shape)
@@ -510,6 +549,7 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights, ws: _Workspace,
             # tap (i, j) of every window: each table read from i rows and j nodes on,
             # table by table, since np.take would copy a strided view of all of them
             for table, table_tap in zip(flat, tap):
+                # the indices are in range by construction, and "clip" spares a buffer
                 np.take(table[i * row + j:], start, out=table_tap, mode="clip")
             tap *= weights[0][i]
             tap *= weights[1][j]

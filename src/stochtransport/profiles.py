@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldValidationError
 from .fields import ScalarField, SpatialGrid
 
 __all__ = [
@@ -141,5 +141,15 @@ def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:
 
 
 def sample_profile(grid: SpatialGrid, profile: Profile) -> ScalarField:
-    """Sample an analytic profile on the grid nodes."""
-    return ScalarField.from_function(grid, profile.fn)
+    """Sample an analytic profile on the grid nodes.
+
+    The profile runs with numpy's floating-point warnings off: a sample
+    that is not finite raises ``FieldValidationError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.asarray(profile.fn(grid.nodes()), dtype=float)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise FieldValidationError(
+            f"initial data samples to non-finite values at {bad} of {grid.size} grid nodes")
+    return ScalarField(grid, values.reshape(grid.shape))

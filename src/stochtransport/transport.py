@@ -23,7 +23,9 @@ into the solve's workspace (``fields._Workspace``), and
 that after the first block a step allocates no array of its own; only a
 drift's ``fn`` allocates its output. A mollified drift's ``fn`` writes
 its lookup's steps into a workspace of its table's and allocates only
-the array it returns.
+the array it returns. The upwind block makes its scratch arrays once
+per block, a wrap-padded copy per axis and the two one-sided
+differences, and writes every step through them with no temporary.
 
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
@@ -374,22 +376,36 @@ def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarr
     after each step, a new array of shape (len(times), *vals.shape).
 
     A neighbour difference reads a copy of the values wrap-padded by one
-    node on each side along its axis.
+    node on each side along its axis. Each step writes through ``out=``
+    into arrays made once per block, the padded copy of each axis and the
+    differences ``back`` and ``fwd``, in the order
+    back = (v - prev) / h, fwd = (next - v) / h, then
+    v - dt * (c+ * back + c- * fwd), axis by axis, every axis differenced
+    from the values at the start of the step.
     """
     vel = velocity(times, grid.nodes()).reshape((len(times),) + vals.shape + (grid.d,))
     c_plus, c_minus = np.maximum(vel, 0.0), np.minimum(vel, 0.0)
     wrap = np.arange(-1, grid.n + 1) % grid.n
     h = grid.h
     out = np.empty((len(times),) + vals.shape)
-    for s in range(len(times)):
-        new = out[s]
-        new[...] = vals
-        for axis in range(grid.d):
-            along = axis - grid.d  # the spatial axes are the trailing ones
-            padded = np.take(vals, wrap, axis=along)
-            back = (vals - _window(padded, along, 0)) / h
-            fwd = (_window(padded, along, 2) - vals) / h
-            new -= dt * (c_plus[s, ..., axis] * back + c_minus[s, ..., axis] * fwd)
+    back, fwd = np.empty(vals.shape), np.empty(vals.shape)
+    axes = []
+    for axis in range(grid.d):
+        along = axis - grid.d  # the spatial axes are the trailing ones
+        shape = list(vals.shape)
+        shape[along] += 2
+        padded = np.empty(shape)
+        axes.append((along, padded, _window(padded, along, 0), _window(padded, along, 2)))
+    for s, new in enumerate(out):
+        for axis, (along, padded, prev, succ) in enumerate(axes):
+            # The indices are in range by construction, and "clip" spares take a buffer.
+            vals.take(wrap, axis=along, out=padded, mode="clip")
+            np.divide(np.subtract(vals, prev, out=back), h, out=back)
+            np.divide(np.subtract(succ, vals, out=fwd), h, out=fwd)
+            np.multiply(c_plus[s, ..., axis], back, out=back)
+            np.multiply(c_minus[s, ..., axis], fwd, out=fwd)
+            np.multiply(dt, np.add(back, fwd, out=back), out=back)
+            np.subtract(vals if axis == 0 else new, back, out=new)
         vals = new
     return out
 

@@ -217,11 +217,14 @@ def weak_residual(
     nodes = grid.nodes()
     w = grid.cell_volume
     U = np.stack([f.values.ravel() for f in sol.fields])  # (M+1, n)
-    # The drift and its cell-averaged divergence, once per snapshot for
-    # every test function.
-    drift = [eval_drift(b, float(t), nodes) for t in times]
+    # The drift and its cell-averaged divergence at each snapshot time, for
+    # every test function. A drift with no gain is the same at every time:
+    # it is read once, and each list repeats that one array.
+    read_times = times[:1] if b.gain is None else times
+    repeat = len(times) // len(read_times)
+    drift = [eval_drift(b, float(t), nodes) for t in read_times]
     div = [np.trace(_central_jacobian(b, float(t), nodes, 0.5 * grid.h), axis1=-2, axis2=-1)
-           for t in times]
+           for t in read_times] * repeat
     u0_norm = lp_norm(sol.fields[0], p)
     dB = np.diff(eval_path(path, times), axis=0)  # (M, d)
 
@@ -231,8 +234,8 @@ def weak_residual(
         phi_grad = phi.gradient(nodes)
         A = U @ phi_vals * w
         g = U @ phi_grad * w  # (M+1, d)
-        drift_rate = np.array([float((u * np.sum(bx * phi_grad, axis=-1)).sum()) * w
-                               for u, bx in zip(U, drift)])
+        flux = [np.sum(bx * phi_grad, axis=-1) for bx in drift] * repeat  # b . grad phi
+        drift_rate = np.array([float((u * f).sum()) * w for u, f in zip(U, flux)])
         div_rate = np.array([float((u * dv * phi_vals).sum()) * w for u, dv in zip(U, div)])
         term_drift = _cumulative_trapezoid(drift_rate, times)
         term_div = _cumulative_trapezoid(div_rate, times)

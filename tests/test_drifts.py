@@ -218,6 +218,26 @@ class TestDriftFromSpec:
         with pytest.raises(ConfigError, match="must hold numbers, not true or false"):
             drift_from_spec(d, 4.0, spec)
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"id": "power1d", "alpha": 0.75, "scale": [1.0]}, "scale"),
+        ({"id": "power1d", "alpha": "0.75"}, "alpha"),
+        ({"id": "power1d", "alpha": 0.75, "scale": 10**400}, "scale"),
+        ({"id": "stream", "amplitude": math.nan}, "amplitude"),
+        ({"id": "shear", "amplitude": math.inf}, "amplitude"),
+        ({"id": "stream", "half_width": None}, "half_width"),
+        ({"id": "time_modulated", "gain_id": "ramp",
+          "base": {"id": "power1d", "alpha": 0.75, "scale": [[-1.0]]}}, "scale"),
+    ], ids=["list", "string", "huge-int", "nan", "inf", "none", "nested-base"])
+    def test_a_scalar_parameter_is_one_finite_real(self, spec, key):
+        d = 1 if "power1d" in str(spec) else 2
+        with pytest.raises(ConfigError, match=f"{key} must be a finite real number"):
+            drift_from_spec(d, 4.0, spec)
+
+    def test_integral_and_numpy_scalars_are_numbers(self):
+        for scale in (-1, np.float64(-1.0), np.int64(-1)):
+            b = drift_from_spec(1, 4.0, {"id": "power1d", "alpha": 0.75, "scale": scale})
+            assert eval_drift(b, 0.0, np.array([[2.0]]))[0, 0] == -(2.0**0.75)
+
 
 class TestHypothesisChecker:
     def test_constant_passes_everything_with_zero_bound(self):

@@ -286,6 +286,15 @@ class TestSolveCommand:
         assert len(rows) == 18
         assert float(rows[-1].split(",")[1]) == 0.25
 
+    @pytest.mark.parametrize("steps", [2**24, 2**24 + 1])
+    def test_step_count_bound(self, steps):
+        raw = base_dict(T=steps * (0.25 / 16))  # exact: dt is 2**-6
+        if steps <= 2**24:
+            assert ExperimentConfig.from_dict(raw).n_steps() == steps
+        else:
+            with pytest.raises(ConfigError, match="at most 2\\*\\*24"):
+                ExperimentConfig.from_dict(raw)
+
     def test_zero_initial_data_gives_zero_run(self, tmp_path):
         quiet = ExperimentConfig.from_dict(
             base_dict(u0={"id": "bump", "center": 0.0, "radius": 1.0,
@@ -659,10 +668,11 @@ class TestCommandLine:
         ({"u0": {"id": "bump", "center": [0.0, 1.0]}}, "broadcast"),
         ({"drift": {"id": "linear", "matrix": "abc"}}, "could not convert"),
         ({"drift": {"id": "time_modulated", "gain_id": "ramp"}}, "'base'"),
-        ({"drift": {"id": "power1d", "alpha": 0.5, "scale": "x"}}, "ufunc"),
+        ({"drift": {"id": "power1d", "alpha": 0.5, "scale": "x"}},
+         "scale must be a finite real number, got 'x'"),
         (_stream2d("stream", half_width=3.0), "not periodic on the box"),
         (_stream2d("shear", half_width=3.0), "not periodic on the box"),
-        (_stream2d("stream", amplitude=math.nan), "drift 'stream' returned non-finite values"),
+        (_stream2d("stream", amplitude=math.nan), "amplitude must be a finite real number, got nan"),
         (_stream2d("stream", amplitude=True), "amplitude must hold numbers, not true or false"),
     ], ids=["d-3", "N-4", "L-negative", "u0-center-2d", "matrix-string",
             "modulated-without-base", "scale-string", "stream-half-width-3",
@@ -676,6 +686,37 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"drift": {"id": "power1d", "alpha": 0.75, "scale": [1.0]}},
+         "scale must be a finite real number, got [1.0]"),
+        ({"drift": {"id": "power1d", "alpha": [0.75]}}, "alpha must be a finite real number"),
+        ({"drift": {"id": "power1d", "alpha": 0.75, "scale": -math.inf}},
+         "scale must be a finite real number, got -inf"),
+        (_stream2d("stream", amplitude=[1.0]), "amplitude must be a finite real number"),
+        (_stream2d("shear", half_width={}), "half_width must be a finite real number"),
+        ({"u0": {"id": "bump", "center": 1e308, "radius": 1.0}},
+         "u0 samples to zero at every grid node"),
+        ({"u0": {"id": "bump", "center": 0.0, "radius": 1e-300}},
+         "u0 samples to zero at every grid node"),
+        ({"u0": {"id": "bump", "center": 20.0, "radius": 1.0}},
+         "u0 samples to zero at every grid node"),
+        ({"u0": {"id": "sinusoid", "amplitude": math.inf}},
+         "initial data samples to non-finite values at"),
+        ({"T": 1e308}, "steps; a run takes at most 2**24 = 16777216 steps"),
+        ({"T": 2.0**70}, "steps; a run takes at most 2**24 = 16777216 steps"),
+        ({"dt": 1e-300}, "steps; a run takes at most 2**24 = 16777216 steps"),
+    ], ids=["scale-list", "alpha-list", "scale-inf", "amplitude-list", "half-width-object",
+            "u0-center-1e308", "u0-radius-1e-300", "u0-outside-the-box", "u0-infinite",
+            "T-1e308", "T-2**70", "dt-1e-300"])
+    @pytest.mark.parametrize("command", ["solve", "hypotheses"])
+    def test_a_value_no_run_can_use_exits_2_in_one_line(self, tmp_path, capsys, command,
+                                                       overrides, named):
+        config = self.write_config(tmp_path, base_dict(**overrides))
+        assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("config error:") and named in err
 
     @pytest.mark.parametrize("knots, named", [
         (None, "no path.csv under"),

@@ -7,6 +7,7 @@ profile; no value is copied from solver output.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from stochtransport.errors import FieldValidationError
 from stochtransport.fields import (
     ScalarField,
     SpatialGrid,
+    _cubic_plan,
     _cubic_read,
+    _cubic_reader,
     _cubic_weights,
     _window_sum,
     _Workspace,
@@ -217,6 +220,49 @@ class TestWindowRead:
         assert expected[0, 0] != 0.0
         assert np.array_equal(_cubic_read(grid, values, pts, False), expected)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_1d_read_equals_the_modulo_gather_bitwise(self, clamp):
+        """Eight 128-node fields with +0.0, -0.0, negated fields, exactly
+        cancelling windows and node hits: the 1D read, clamped or not, equals
+        the einsum oracle in every value and sign of zero."""
+        rng = np.random.default_rng(23)
+        grid = SpatialGrid(d=1, half_width=4.0, n=128)
+        values = rng.standard_normal((8, 128)) * 10.0 ** rng.uniform(-3, 3, (8, 128))
+        values[rng.random(values.shape) < 0.15] = 0.0
+        values[rng.random(values.shape) < 0.15] = -0.0
+        a, b = rng.standard_normal(2)
+        values[0] = np.tile([a, b, -b, -a], 32)  # at theta = 0.5, half the windows cancel exactly
+        values[1] = np.tile([0.0, -0.0, -0.0, 0.0], 32)
+        values[2] = rng.choice([0.0, -0.0], 128)  # windows of zeros of mixed signs
+        values[3] = -values[4]
+        theta = rng.random(values.shape)
+        theta[:, ::5] = 0.0  # node hits: weights of both signs of zero
+        theta[0] = 0.5
+        pts = (grid.axis() + theta * grid.h)[..., None]
+        expected, _ = _modulo_read(grid, values, pts, clamp)
+        assert np.count_nonzero(expected[0] == 0.0) == 64
+        got = _cubic_read(grid, values, pts, clamp)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_a_repeated_1d_read_allocates_nothing(self, clamp):
+        rng = np.random.default_rng(31)
+        grid = SpatialGrid(d=1, half_width=4.0, n=256)
+        ws = _Workspace()
+        (plan,) = _cubic_plan(grid, rng.uniform(-4.0, 4.0, (1, 8, 256, 1)), ws)
+        read = _cubic_reader(grid, 8, 256, clamp, ws)
+        values, out = rng.standard_normal((8, 256)), np.empty((8, 256))
+        read(values, plan, out)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                read(values, plan, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024  # a few array views, no array data
+
     @pytest.mark.parametrize("tables", ["padded_128", "mollifier", "padded_1d_8"])
     def test_2d_tap_sum_equals_the_einsum_bitwise(self, tables):
         """The tap sum of either dimension equals the einsum of the whole
@@ -259,7 +305,7 @@ class TestWindowRead:
     @staticmethod
     def _tap_sum_1d(rng):
         """Every window of 8 wrap-padded 128-node fields, stacked as the 1D
-        reader stacks them, read by ``_window_sum`` and by the einsum."""
+        reader stacks them, read by the 1D reader and by the einsum."""
         fields = rng.standard_normal((8, 128)) * 10.0 ** rng.uniform(-3, 3, (8, 128))
         fields[rng.random(fields.shape) < 0.1] = 0.0
         fields[rng.random(fields.shape) < 0.1] = -0.0
@@ -275,7 +321,8 @@ class TestWindowRead:
                          stack[:, start[:, None] + np.arange(4)])
         assert np.count_nonzero(want[0, :128] == 0.0) == 64
         rows = _cubic_weights(theta, np.empty((4, start.size)))
-        got = _window_sum(stack, start, [rows], _Workspace(), np.empty((1, start.size)))
+        read = _cubic_reader(SpatialGrid(d=1, half_width=4.0, n=128), 8, 128, False, _Workspace())
+        got = read(fields, (start, [rows])).reshape(1, -1)
         return got, want
 
 

@@ -7,13 +7,14 @@ after T/2 must be flagged at the size of the injected term.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _support import closed_form_translation
 from stochtransport.errors import ConfigError, MeshMismatchError
-from stochtransport.drifts import zero_drift
+from stochtransport.drifts import power_drift, time_modulated_drift, zero_drift
 from stochtransport.experiments import estimate_order
 from stochtransport.fields import ScalarField, SpatialGrid
 from stochtransport.paths import piecewise_linear_approx, sample_brownian
@@ -131,6 +132,23 @@ class TestStratonovichResidual:
         r2 = weak_residual(scaled, zero_drift(1), 1.0, phis=phis)
         for s1, s2 in zip(r1.series, r2.series):
             assert float(np.max(np.abs(s2.residuals - (-2.5) * s1.residuals))) <= 1e-13
+
+    def test_a_drift_with_no_gain_is_read_once(self, grid512, profile, path2048, phis):
+        """A drift with no gain is evaluated once, b and b(x -+ h/2), not at
+        each of the 17 snapshot times, and its report is, bit for bit, that
+        of the same drift under the unit gain, which is read at every time."""
+        sol = closed_form_translation(grid512, profile, path2048)
+        base = power_drift(0.75, scale=-1.0)
+        calls = []
+        counted = replace(base, fn=lambda x: calls.append(len(x)) or base.fn(x))
+        plain = weak_residual(sol, counted, 2.0, phis=phis)
+        assert len(calls) == 3
+        calls.clear()
+        gained = weak_residual(sol, time_modulated_drift(counted, "one", 1.0), 2.0, phis=phis)
+        assert len(calls) == 3 * len(sol.times)
+        for s1, s2 in zip(plain.series, gained.series):
+            for name in ("residuals", "term_drift", "term_div", "term_stoch"):
+                assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
     def test_closed_form_residual_small_and_refinable(self, profile):
         # halving both h and the path mesh must cut the defect; nesting
