@@ -192,7 +192,10 @@ def lp_norm(f: ScalarField, p: float) -> float:
 
     The sum is exactly rounded (math.fsum), so any permutation of the
     nodal values, in particular a lattice shift, yields the identical
-    float.
+    float. The terms are summed largest first: fsum then keeps few
+    partial sums, where in array order terms whose exponents span
+    hundreds of binades keep many, and a 128 x 128 field sums several
+    times faster.
     """
     pv = float(p)
     if not (pv >= 1.0 and math.isfinite(pv)):
@@ -200,7 +203,8 @@ def lp_norm(f: ScalarField, p: float) -> float:
     vals = f.values
     if not np.all(np.isfinite(vals)):
         raise FieldValidationError("cannot take the norm of a non-finite field")
-    total = math.fsum((np.abs(vals) ** pv).ravel()) * f.grid.cell_volume
+    terms = np.sort(np.abs(vals) ** pv, axis=None)[::-1]
+    total = math.fsum(terms.tolist()) * f.grid.cell_volume
     return total ** (1.0 / pv)
 
 

@@ -256,12 +256,12 @@ def solve_spde(
         # so it covers the largest of the paths' reaches. The probe gets a
         # workspace of its own, dropped before the march sizes its slots.
         excursion = np.array([np.max(np.abs(path.values)) for path in paths])
-        stage = cfl_number(_composed_drift(b, table, _Workspace()), grid, dt, times) * grid.h
+        stage = cfl_number(_composed_drift(b, table, _Workspace(), grid), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
     # One workspace holds the march's scratch arrays: a step allocates none of them.
     ws = _Workspace()
-    velocity = _composed_drift(b_eff, table, ws)
+    velocity = _composed_drift(b_eff, table, ws, grid)
     if scheme == "upwind_fv":
         cfl = float(np.max(cfl_number(velocity, grid, dt, times)))
         if cfl > _CFL_LIMIT:

@@ -27,6 +27,16 @@ the array it returns. The upwind block makes its scratch arrays once
 per block, a wrap-padded copy per axis and the two one-sided
 differences, and writes every step through them with no temporary.
 
+Every velocity read at the grid nodes, RK4 stage 1 of a semi-Lagrangian
+step, every upwind read and every CFL probe, evaluates b on the nodes
+translated by W_p(t): a tensor grid, whose d shifted axes hold all of it.
+A drift that states ``on_axes`` (``drifts.DriftField``: ``stream``,
+``shear`` and their time modulations) is read there on those axes, so a
+per-axis factor such as a sine is computed n times instead of n**d; the
+values are those of ``fn`` at the shifted nodes, bit for bit
+(``_composed_drift``). Stages 2 to 4 read at moved points and take
+``fn``.
+
 Since the paths are frozen, every time a march will query is known
 before it starts: ``_stage_times`` gives the three RK4 stage times of a
 step, ``_path_table`` evaluates every path at all of them, one vectorized
@@ -62,7 +72,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drifts import DriftField, eval_drift
+from .drifts import DriftField, _drift_read, eval_drift
 from .errors import BlowUpError, ConfigError, KernelResolutionError
 from .fields import (SpatialGrid, _cubic_plan, _cubic_reader, _cubic_weights, _window_sum,
                      _Workspace)
@@ -101,9 +111,16 @@ def _path_table(paths, times) -> tuple[np.ndarray, np.ndarray]:
     as one float64 array, and ``shifts`` has shape (M, P, d): row m holds
     every path at ``keys[m]``, one column per path. ``_table_rows`` finds
     the rows of query times; a marcher that recomputes a query time by the
-    same expression (``_stage_times``) finds its row.
+    same expression (``_stage_times``) finds its row. The keys are the
+    sorted times with each run of equal neighbours cut to its first, the
+    array numpy's ``unique`` returns; ``unique`` itself imports
+    ``numpy.ma`` on its first call, which costs a march milliseconds and
+    a megabyte of peak memory.
     """
-    keys = np.unique(np.asarray(times, dtype=float))
+    keys = np.sort(np.asarray(times, dtype=float), axis=None)
+    distinct = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
     return keys, np.stack([eval_path(path, keys) for path in paths], axis=1)
 
 
@@ -122,7 +139,7 @@ def _table_rows(keys: np.ndarray, t):
     return at
 
 
-def _composed_drift(b: DriftField, table, ws: _Workspace) -> Callable:
+def _composed_drift(b: DriftField, table, ws: _Workspace, grid: SpatialGrid) -> Callable:
     """The shifted velocities (t, x) -> b(t, x + W_p(t)) of a batch of paths.
 
     ``table`` is the ``_path_table`` of every time the caller will query:
@@ -132,17 +149,30 @@ def _composed_drift(b: DriftField, table, ws: _Workspace) -> Callable:
     (Q, d), shared by every path, or (P, Q, d), one row per path; the
     velocities have shape (P, Q, d). ``t`` may also be a 1-D array of B
     times, with points of shape (Q, d) or (B, P, Q, d): the velocities
-    then have shape (B, P, Q, d), from one ``eval_drift`` call. The
-    shifted points go to slot x0 of the workspace ``ws``, so the points
-    asked about must not live there.
+    then have shape (B, P, Q, d), from one drift read. The shifted points
+    go to slot x0 of the workspace ``ws``, so the points asked about must
+    not live there.
+
+    A read at the grid's own node array, the very array ``grid.nodes()``
+    returns, is a node read: the points nodes + W_p(t) form the tensor
+    grid of the shifted axes ``grid.axis() + W_p,a(t)``, so a drift that
+    states ``on_axes`` is read there, on d arrays of n coordinates, with
+    the gain and the finiteness check of ``eval_drift``. It equals the read
+    at the shifted nodes bit for bit. Any other drift, and any other
+    points, take ``fn`` at the shifted points.
     """
     keys, shifts = table
     shifts = shifts[:, :, None, :]  # each row broadcasts over the points
+    nodes, axis = grid.nodes(), grid.axis()
 
     def velocity(t, points):
         at = _table_rows(keys, t)
-        points = np.asarray(points, dtype=float)
         shift = shifts[at]
+        if points is nodes and b.on_axes is not None:
+            axes = [axis + shift[..., a] for a in range(grid.d)]
+            out = _drift_read(b, t, b.on_axes, *axes)
+            return out.reshape(out.shape[:-grid.d - 1] + nodes.shape)
+        points = np.asarray(points, dtype=float)
         shape = np.broadcast_shapes(points.shape, shift.shape)
         out = ws.array("x0", shape)
         # axis by axis: numpy adds a shift broadcast over the points in loops of d elements
@@ -317,7 +347,9 @@ def _rk4_feet(velocity, points, t, dt: float, ws: _Workspace) -> np.ndarray:
     starts from a copy of k1, and each k is read before the next velocity
     call, so a velocity may return a view of slot x0 (a drift's ``fn`` may
     return the points it is given), but not of the stage points it is
-    asked about.
+    asked about. Stage 1 reads the velocity at ``points`` themselves: when
+    they are the grid's nodes, a composed drift makes it a node read
+    (``_composed_drift``), and only stages 2 to 4 read at moved points.
     """
     t_end, t_mid, t_start = _stage_times(t, dt)
     k = velocity(t_end, points)
@@ -372,8 +404,10 @@ def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarr
     """First-order upwind steps of the advective form, split by axis sign, on
     a batch of nodal values, shape (P, *grid.shape), starting at ``times``.
 
-    The block's nodal velocities are read in one pass; returns the values
-    after each step, a new array of shape (len(times), *vals.shape).
+    The block's nodal velocities are read in one pass, at ``grid.nodes()``,
+    which a composed drift makes a node read (``_composed_drift``); returns
+    the values after each step, a new array of shape
+    (len(times), *vals.shape).
 
     A neighbour difference reads a copy of the values wrap-padded by one
     node on each side along its axis. Each step writes through ``out=``
@@ -422,6 +456,8 @@ def cfl_number(velocity, grid: SpatialGrid, dt: float, times):
     """Largest dt * |velocity|_1 / h over the grid nodes at the sampled times.
 
     A batched velocity, of shape (P, Q, d), gives one number per path.
+    Each time is read at ``grid.nodes()``, which a composed drift makes a
+    node read (``_composed_drift``).
     """
     nodes = grid.nodes()
     vmax = 0.0

@@ -113,6 +113,37 @@ class TestCatalogEvaluation:
             eval_drift(cliff, np.array([0.5, 1.5, 2.5]), pts)
 
 
+#: The 2D drifts whose components are products of per-axis factors.
+SEPARABLE_SPECS = [{"id": "stream", "amplitude": 1.7}, {"id": "shear", "amplitude": -0.6},
+                   {"id": "time_modulated", "gain_id": "sin_squared", "base": {"id": "stream"}}]
+
+
+class TestOnAxes:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["one", "P", "BP"])
+    @pytest.mark.parametrize("spec", SEPARABLE_SPECS, ids=["stream", "shear",
+                                                           "stream*sin_squared"])
+    def test_on_axes_equals_fn_on_the_meshgrid_bitwise(self, spec, lead):
+        b = drift_from_spec(2, 4.0, spec)
+        rng = np.random.default_rng(11)
+        shifts = rng.normal(scale=3.0, size=lead + (2,))
+        x1 = -4.0 + 0.5 * np.arange(16) + shifts[..., :1]
+        x2 = rng.uniform(-4.0, 4.0, size=12) + shifts[..., 1:]
+        got = b.on_axes(x1, x2)
+        assert got.shape == lead + (16, 12, 2)
+        for index in np.ndindex(lead):
+            want = b.fn(np.stack(np.meshgrid(x1[index], x2[index], indexing="ij"), axis=-1))
+            assert np.array_equal(got[index], want)
+            assert np.array_equal(np.signbit(got[index]), np.signbit(want))
+
+    def test_only_separable_drifts_state_it(self):
+        stream = stream_function_drift(4.0)
+        assert time_modulated_drift(stream, "ramp", 1.0).on_axes is stream.on_axes
+        assert shear_drift(4.0).on_axes is not None
+        for b in (linear_drift([[-1.0, 0.5], [0.25, 0.3]]), power_drift(0.75),
+                  mollified_drift(stream, 0.5, reach=6.0)):
+            assert b.on_axes is None
+
+
 class TestDivergence:
     def test_constant_is_divergence_free(self):
         b = constant_drift([2.0, -1.0])

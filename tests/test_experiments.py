@@ -702,13 +702,42 @@ class TestCommandLine:
         ({"u0": {"id": "bump", "center": 20.0, "radius": 1.0}},
          "u0 samples to zero at every grid node"),
         ({"u0": {"id": "sinusoid", "amplitude": math.inf}},
-         "initial data samples to non-finite values at"),
+         "'sinusoid': amplitude must be a finite real number, got inf"),
         ({"T": 1e308}, "steps; a run takes at most 2**24 = 16777216 steps"),
         ({"T": 2.0**70}, "steps; a run takes at most 2**24 = 16777216 steps"),
         ({"dt": 1e-300}, "steps; a run takes at most 2**24 = 16777216 steps"),
+        ({"u0": {"id": "bump", "radius": 1.2, "amplitude": [1.0]}},
+         "'bump': amplitude must be a finite real number, got [1.0]"),
+        ({"u0": {"id": "bump", "radius": [1.2]}},
+         "'bump': radius must be a finite real number, got [1.2]"),
+        ({"u0": {"id": "bump", "radius": True}},
+         "'bump': radius must be a finite real number, got True"),
+        ({"u0": {"id": "bump", "center": math.nan, "radius": 1.0}},
+         "'bump': center must be a finite real number or a list of them that broadcasts "
+         "to 1 coordinates, got nan"),
+        ({"u0": {"id": "step", "center": [[0.0]], "half_width": 1.0}},
+         "'step': center must be a finite real number or a list"),
+        ({"u0": {"id": "step", "half_width": "1"}},
+         "'step': half_width must be a finite real number, got '1'"),
+        ({"u0": {"id": "double_bump", "amplitudes": [1.0, math.inf]}},
+         "'double_bump': amplitudes must be two finite real numbers, got [1.0, inf]"),
+        ({"u0": {"id": "double_bump", "amplitudes": [1.0, 0.5, 0.25]}},
+         "'double_bump': amplitudes must be two finite real numbers"),
+        ({"u0": {"id": "double_bump", "centers": [-1.5, [1.5, 0.0]]}},
+         "'double_bump': centers must be two centers, each a finite real number"),
+        ({"u0": {"id": "sinusoid", "mode": 1.5}},
+         "'sinusoid': mode must be a positive integer, got 1.5"),
+        ({"u0": {"id": "sinusoid", "mode": True}},
+         "'sinusoid': mode must be a positive integer, got True"),
+        ({"u0": {"id": "sinusoid", "half_width": math.inf}},
+         "'sinusoid': half_width must be a finite real number, got inf"),
     ], ids=["scale-list", "alpha-list", "scale-inf", "amplitude-list", "half-width-object",
             "u0-center-1e308", "u0-radius-1e-300", "u0-outside-the-box", "u0-infinite",
-            "T-1e308", "T-2**70", "dt-1e-300"])
+            "T-1e308", "T-2**70", "dt-1e-300", "u0-amplitude-list", "u0-radius-list",
+            "u0-radius-true", "u0-center-nan", "step-center-nested", "step-half-width-string",
+            "double-bump-amplitude-inf", "double-bump-three-amplitudes",
+            "double-bump-center-2d", "sinusoid-mode-1.5", "sinusoid-mode-true",
+            "sinusoid-half-width-inf"])
     @pytest.mark.parametrize("command", ["solve", "hypotheses"])
     def test_a_value_no_run_can_use_exits_2_in_one_line(self, tmp_path, capsys, command,
                                                        overrides, named):
@@ -717,6 +746,27 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("config error:") and named in err
+
+    def test_an_overflowing_drift_fails_hypotheses_without_warnings(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, base_dict(**_stream2d("stream", amplitude=1e308)))
+        assert main(["hypotheses", "--config", config, "--out", str(tmp_path / "hyp")]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL hypotheses[stream]") and err == ""
+
+    def test_a_solve_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # A lazy import on the march path costs every process its time and
+        # memory, so a tiny solve in a fresh interpreter must not make one.
+        config = self.write_config(tmp_path, base_dict(N=16, **_stream2d("stream")))
+        argv = ["solve", "--config", config, "--out", str(tmp_path / "run")]
+        script = ("import sys\n"
+                  "from stochtransport.cli import main\n"
+                  f"assert main({argv!r}) == 0\n"
+                  "print(sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+                  "             or m.startswith(('numpy.ma.', 'scipy'))))\n")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=_src_env())
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("knots, named", [
         (None, "no path.csv under"),

@@ -102,6 +102,20 @@ class TestLpNorm:
         with pytest.raises(FieldValidationError):
             lp_norm(ScalarField(grid512, vals), 1.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5])
+    def test_sum_is_fsum_in_array_order_bitwise(self, p):
+        # half the values spread from 1e-296 up to 1, so the terms span
+        # hundreds of binades, and half of order one, so that a rounded sum
+        # such as numpy's can miss the exact one
+        g = SpatialGrid(d=2, half_width=4.0, n=32)
+        rng = np.random.default_rng(8)
+        vals = rng.uniform(-1.0, 1.0, g.shape) * 10.0 ** rng.integers(-296, 1, g.shape)
+        vals = np.where(rng.random(g.shape) < 0.5, rng.uniform(-1.0, 1.0, g.shape), vals)
+        vals[rng.random(g.shape) < 0.1] = 0.0
+        f = ScalarField(g, vals)
+        want = (math.fsum((np.abs(vals) ** p).ravel()) * g.cell_volume) ** (1.0 / p)
+        assert lp_norm(f, p) == want
+
     def test_exponent_must_be_at_least_one(self, bump512):
         with pytest.raises(FieldValidationError):
             lp_norm(bump512, 0.5)

@@ -21,6 +21,7 @@ from stochtransport.drifts import (
     DriftField,
     check_hypotheses,
     constant_drift,
+    drift_from_spec,
     eval_drift,
     linear_drift,
     power_drift,
@@ -683,6 +684,52 @@ class TestBatchMarch:
             solve_spde(b, path, u0)
         with pytest.raises(ConfigError, match="path 1 of the batch is a ndarray"):
             solve_spde(b, [path, path.values], u0)
+
+
+#: The 2D drifts that state ``on_axes``, read there at the grid nodes.
+SEPARABLE_SPECS = [{"id": "stream"}, {"id": "shear", "amplitude": -0.6},
+                   {"id": "time_modulated", "gain_id": "sin_squared", "base": {"id": "stream"}}]
+
+
+class TestNodeRead:
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
+    @pytest.mark.parametrize("spec", SEPARABLE_SPECS, ids=["stream", "shear",
+                                                           "stream*sin_squared"])
+    def test_solve_equals_the_solve_without_on_axes_bitwise(self, scheme, spec):
+        g = SpatialGrid(d=2, half_width=4.0, n=16)
+        u0 = sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.2))
+        b = drift_from_spec(2, 4.0, spec, horizon=0.25)
+        assert b.on_axes is not None and _block_steps(32, g.size) > 1
+        paths = [sample_brownian(seed, 0.25, 32, 2) for seed in (1, 2, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportMarginWarning)  # upwind spreads the support
+            got = solve_spde(b, paths, u0, scheme=scheme)
+            want = solve_spde(dataclasses.replace(b, on_axes=None), paths, u0, scheme=scheme)
+        assert all(_same_solution(x, y) for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("scheme, fn_reads", [("semi_lagrangian", 3), ("upwind_fv", 0)])
+    def test_reads_at_the_nodes_take_on_axes(self, scheme, fn_reads):
+        # 64 x 64 nodes march one step per block: each semi-Lagrangian step
+        # reads its first RK4 stage at the nodes and the other three at the
+        # stage points; every upwind read is at the nodes
+        b = stream_function_drift(4.0)
+        calls = {"fn": 0, "on_axes": 0}
+
+        def counted(name):
+            def rule(*args):
+                calls[name] += 1
+                return getattr(b, name)(*args)
+            return rule
+
+        g = SpatialGrid(d=2, half_width=4.0, n=64)
+        u0 = sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.2))
+        n_steps = 32
+        assert _block_steps(n_steps, g.size) == 1
+        solve_spde(dataclasses.replace(b, fn=counted("fn"), on_axes=counted("on_axes")),
+                   [sample_brownian(5, 0.25, n_steps, 2)], u0, scheme=scheme)
+        # upwind also reads its CFL number at the 17 snapshot times
+        cfl_reads = 0 if scheme == "semi_lagrangian" else SNAPSHOT_INTERVALS + 1
+        assert calls == {"fn": fn_reads * n_steps, "on_axes": n_steps + cfl_reads}
 
 
 class TestSolutionRecord:

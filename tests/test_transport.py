@@ -75,9 +75,17 @@ class TestPathTable:
         assert all(np.array_equal(shifts[m, 0], eval_path(w, t))
                    for m, t in enumerate(keys.tolist()))
 
+    def test_keys_are_the_distinct_sorted_times(self):
+        w = sample_brownian(7, 1.0, 64, 2)
+        rng = np.random.default_rng(4)
+        times = rng.choice(np.arange(65) / 64.0, size=200)  # unsorted, with repeats
+        keys, shifts = _path_table([w], times)
+        assert np.array_equal(keys, np.unique(times)) and shifts.shape == (len(keys), 1, 2)
+
     def test_velocity_reads_its_shift_from_the_table(self):
         w = sample_brownian(7, 1.0, 64, 1)
-        velocity = _composed_drift(linear_drift([[-1.0]]), _path_table([w], [0.25]), _Workspace())
+        velocity = _composed_drift(linear_drift([[-1.0]]), _path_table([w], [0.25]), _Workspace(),
+                                   SpatialGrid(d=1, half_width=4.0, n=8))
         pts = np.array([[0.5], [-1.0]])
         assert np.array_equal(velocity(0.25, pts)[0], -(pts + eval_path(w, 0.25)))
         with pytest.raises(KeyError, match="no path shift tabulated"):
@@ -88,7 +96,7 @@ class TestPathTable:
         # before the first, between two and after the last tabulated time
         w = sample_brownian(7, 1.0, 64, 1)
         velocity = _composed_drift(linear_drift([[-1.0]]), _path_table([w], [0.25, 0.5, 0.75]),
-                                   _Workspace())
+                                   _Workspace(), SpatialGrid(d=1, half_width=4.0, n=8))
         pts = np.array([[0.5], [-1.0]])
         at = np.array([0.25, 0.5, 0.75])
         assert velocity(at, pts).shape == (3, 1, 2, 1)
@@ -105,8 +113,8 @@ class TestPathTable:
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.2))
         w = sample_brownian(24, 1.0, 2048, 1)
         b = power_drift(0.75, scale=-1.0)
-        # an untraced solve first, so one-off process growth (the first
-        # np.unique imports numpy.ma) falls outside the traced window
+        # an untraced solve first, so one-off process growth (numpy's
+        # first calls build caches) falls outside the traced window
         solve_spde(b, [w], u0)
         tracemalloc.start()
         try:
@@ -131,7 +139,7 @@ class TestBlockSteps:
         paths = [sample_brownian(seed, 0.25, 16, d) for seed in (1, 2)]
         ws = _Workspace()
         velocity = _composed_drift(b, _path_table(paths, np.concatenate(
-            transport._stage_times(starts, dt))), ws)
+            transport._stage_times(starts, dt))), ws, g)
         block = (functools.partial(transport._semi_lagrangian_block, ws=ws)
                  if scheme == "semi_lagrangian" else transport._upwind_block)
         vals = np.stack([u0.values] * len(paths))
