@@ -66,6 +66,10 @@ _DEFAULT_WZ_LEVELS = (4, 8, 16, 32, 64, 128, 256)
 #: The most steps T / dt a run may take: its path alone holds K + 1 knots.
 MAX_STEPS = 2**24
 
+#: The widest box half-width L a run may take. The mollifier and the bump
+#: square lengths of the box (a radius up to L), which overflow near 1e154.
+MAX_HALF_WIDTH = 1e150
+
 
 def _integer(key: str, value) -> int:
     """An integral JSON number, not a bool, as an int."""
@@ -183,6 +187,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.horizon > 0 and self.dt > 0):
             raise ConfigError("T and dt must be positive")
+        if self.half_width > MAX_HALF_WIDTH:
+            raise ConfigError(f"L={self.half_width!r} exceeds {MAX_HALF_WIDTH:g}: the mollifier "
+                              "squares its radius, and the squares of such a box overflow")
         self.n_steps()  # dt must divide T
         _check_seed("seed", self.seed)
         if self.p < 1.0:

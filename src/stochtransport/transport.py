@@ -53,10 +53,12 @@ delta * k for integer k) that covers the box, the largest path excursion
 of the batch and the RK4 stage displacements, with the kernel
 ``profiles.bump`` sampled on that lattice. The tables hold drift values
 only, no derivatives; every velocity call is then a table lookup: in 1D
-linear interpolation located by lattice index, not by search, in 2D the
-4 x 4 window read of the grid fields. Every cubic read, of the march in
-either dimension or of a 2D table, weighs each stencil offset of an axis
-by one contiguous row of (4, Q) weights (``fields._cubic_plan``).
+linear interpolation located by lattice index, not by search, with no
+index correction on a power-of-two lattice spacing, where the index
+arithmetic is exact; in 2D the 4 x 4 window read of the grid fields.
+Every cubic read, of the march in either dimension or of a 2D table,
+weighs each stencil offset of an axis by one contiguous row of (4, Q)
+weights (``fields._cubic_plan``).
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. Only the
 autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the
@@ -193,6 +195,9 @@ def _composed_drift(b: DriftField, table, ws: _Workspace, grid: SpatialGrid) -> 
 #: coarser lattice and keeps the n**2 table small.
 _STEPS_PER_RADIUS = {1: 64, 2: 8}
 
+#: The most nodes a mollified drift's table may hold, over all its axes.
+_MAX_TABLE_NODES = 2**22
+
 
 def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     """Smooth a drift in space by convolution with the radius-epsilon bump.
@@ -211,15 +216,18 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     ``fields.interpolate``, whose stencil around node k = floor(x/delta)
     is one 4 x 4 window of every component table: the lattice holds the
     stencil margin, so the tables need no padding. A query beyond the
-    reach, or at a non-finite point, raises ``BlowUpError``. A lookup
-    writes its steps into a workspace made once with the table and
-    returns a fresh array. Mollifying in space commutes with the gain of
+    reach, or at a non-finite point, raises ``BlowUpError``. A radius whose
+    square overflows, or a table of more than 2**22 nodes (a reach far
+    beyond the radius), is a ``ConfigError``, raised before any table is
+    sampled. A lookup writes its steps into a workspace made once with the
+    table and returns a fresh array. Mollifying in space commutes with the gain of
     b(t, x) = gain(t) * fn(x), so the result keeps ``b.gain``. The tables
     hold values only, so the result states no Jacobian; it is marked
     ``smooth``, so a solver steps it as it is.
     """
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ConfigError(f"mollification radius must be positive, got {epsilon}")
+    if not (epsilon > 0 and math.isfinite(epsilon * epsilon)):
+        raise ConfigError(f"mollification radius must be positive with a finite square, "
+                          f"got {epsilon}")
     if not (reach > 0 and math.isfinite(reach)):
         raise ConfigError(f"mollifier table reach must be positive, got {reach}")
     d = b.d
@@ -255,7 +263,13 @@ def _mollified_table(b: DriftField, epsilon: float, reach: float):
     component tables channel first, shape (2, 2K + 1, 2K + 1)."""
     d = b.d
     delta = epsilon / _STEPS_PER_RADIUS[d]
-    K = int(math.ceil((reach + epsilon) / delta)) + 3
+    span = (reach + epsilon) / delta
+    # 2K + 1 <= 2 * span + 9 nodes per axis; an infinite span fails too
+    if not 2.0 * span + 9.0 <= _MAX_TABLE_NODES ** (1.0 / d):
+        raise ConfigError(f"a mollified drift table reaching |x_i| <= {reach:.6g} at spacing "
+                          f"{delta:.6g} needs more than 2**22 nodes; the drift or the path "
+                          f"moves too far for the radius {epsilon:.6g}")
+    K = int(math.ceil(span)) + 3
     axis = delta * np.arange(-K, K + 1)
     nodes = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     samples = eval_drift(replace(b, gain=None), 0.0, nodes).reshape((axis.size,) * d + (d,))
@@ -269,18 +283,60 @@ def _lattice_interp(delta: float, table: np.ndarray,
     """``np.interp(x, axis, table)`` on the lattice axis = delta * arange(-K, K + 1),
     bit for bit, for every x with axis[0] <= x < axis[-1].
 
-    The interval of x is found by index, k = floor(x / delta), corrected
-    by one node where the division rounded across a node, instead of by
+    The interval of x is found by index, k = floor(x / delta), not by
     binary search; node k sits at delta * k, the very product that makes
-    the axis. Within it the value is np.interp's: slope * (x - node) +
-    table[node], with slope = diff(table) / diff(axis); x on a node
-    returns the table value itself. Each step writes into a slot of the
-    workspace ``ws`` (k, node, mask, j and value), so a call allocates
-    only the array it returns. The caller keeps x in the domain: the
-    table reads clip their indices rather than check them.
+    the axis, and np.interp's value there is slope * (x - node) +
+    table[node], with slope = diff(table) / diff(axis), or the table value
+    itself when x is on the node. Two paths compute it.
+
+    On a dyadic lattice, delta = 2**-m with 0 <= m <= 969, whose slopes are
+    all finite and whose table holds no -0.0, the arithmetic is exact
+    enough to skip every correction. q = x * 2**m, its floor k and k *
+    delta are exact, so k is the interval and k * delta is np.interp's
+    node. For k != -1, q - k is exact by the Sterbenz lemma (or k = 0),
+    and so is x - node; for k = -1 both round, but x - node = delta * (q -
+    k) in exact arithmetic and a power-of-two scale commutes with rounding
+    in the normal range, so f = fl(q - k) = fl(x - node) / delta. The
+    slopes are diff(table) * 2**m, exact, so diff[k] * f is the real
+    number slope * (x - node) and rounds to the same bits; the sum
+    diff[k] * f + table[k] is then np.interp's. f is 0 exactly on a node,
+    where diff[k] * f is a zero and adds nothing to a table value that is
+    not -0.0. That is 9 passes: q, k, f, the index, its offset, two
+    takes, a product and a sum.
+
+    Every other lattice (a forced radius such as 0.1, an N or an L that is
+    not a power of two) corrects k by one node where the division
+    rounded across a node, computes slope * (x - node) + table[node] and
+    puts the table value itself where x is on the node.
+
+    Each step writes into a slot of the workspace ``ws`` (q, k, node,
+    mask, j and value), so a call allocates only the array it returns.
+    The caller keeps x in the domain: the table reads clip their indices
+    rather than check them.
     """
     K = (table.size - 1) // 2
-    slopes = np.diff(table) / np.diff(delta * np.arange(-K, K + 1))
+    diff = np.diff(table)
+    slopes = diff / np.diff(delta * np.arange(-K, K + 1))
+    mantissa, exponent = math.frexp(delta)
+    if (mantissa == 0.5 and -968 <= exponent <= 1 and np.isfinite(slopes).all()
+            and not np.signbit(table[table == 0.0]).any()):
+        scale = 1.0 / delta
+
+        def dyadic(x):
+            q, k = ws.array("q", x.shape), ws.array("k", x.shape)
+            j = ws.array("j", x.shape, np.int64)
+            np.multiply(x, scale, out=q)
+            np.floor(q, out=k)
+            q -= k  # f, in [0, 1]
+            np.copyto(j, k, casting="unsafe")
+            j += K
+            value = np.take(table, j, out=ws.array("value", x.shape), mode="clip")
+            out = np.take(diff, j, mode="clip")
+            out *= q
+            out += value
+            return out
+
+        return dyadic
 
     def interp(x):
         k, node = ws.array("k", x.shape), ws.array("node", x.shape)

@@ -674,9 +674,11 @@ class TestCommandLine:
         (_stream2d("shear", half_width=3.0), "not periodic on the box"),
         (_stream2d("stream", amplitude=math.nan), "amplitude must be a finite real number, got nan"),
         (_stream2d("stream", amplitude=True), "amplitude must hold numbers, not true or false"),
+        ({"drift": {"id": "power1d", "alpha": 0.75, "scale": 2.0**70}},
+         "needs more than 2**22 nodes; the drift or the path moves too far for the radius"),
     ], ids=["d-3", "N-4", "L-negative", "u0-center-2d", "matrix-string",
             "modulated-without-base", "scale-string", "stream-half-width-3",
-            "shear-half-width-3", "amplitude-nan", "amplitude-true"])
+            "shear-half-width-3", "amplitude-nan", "amplitude-true", "table-too-wide"])
     def test_value_a_builder_rejects_exits_2(self, tmp_path, capsys, overrides, named):
         raw = dict(base_dict(T=1.0, dt=1.0 / 128, p=2.0, seed=24,
                              drift={"id": "linear", "matrix": [[-1.0]]},
@@ -752,6 +754,89 @@ class TestCommandLine:
         assert main(["hypotheses", "--config", config, "--out", str(tmp_path / "hyp")]) == 1
         out, err = capsys.readouterr()
         assert out.startswith("FAIL hypotheses[stream]") and err == ""
+
+    @pytest.mark.parametrize("L", [1e160, 1e200, 1e300])
+    def test_a_box_too_wide_to_square_its_radius_exits_2_in_every_command(self, tmp_path,
+                                                                           capsys, L):
+        # At L = 1e160 the radius 2h squared to inf, and the mollifier kernel
+        # collapsed to one tap with two numpy warnings; uniqueness then passed.
+        config = self.write_config(tmp_path, base_dict(L=L, N=64))
+        for command in ("solve", "verify-weak", "uniqueness", "wong-zakai", "hypotheses"):
+            assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"config error: L={L!r} exceeds 1e+150: the mollifier "
+                                         "squares its radius, and the squares of such a box "
+                                         "overflow\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_drift_that_overflows_at_step_1_is_a_runtime_error(self, tmp_path, capsys):
+        # Its values at the nodes are finite, so the config is valid; the
+        # march is what overflows, and that is exit 3 naming the step and path.
+        config = self.write_config(tmp_path, base_dict(**_stream2d("stream", amplitude=1e308)))
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "runtime error: non-finite field at step 1 of path 0\n"
+
+    #: The values the sweep below draws from for every key and nested key.
+    _SWEEP_VALUES = [None, True, False, "x", 1e308, -1e308, math.nan, math.inf, -math.inf,
+                     [], {}, [1.0], 2**70, 1e-300, 1e160]
+
+    @staticmethod
+    def _sweep_cases(raw, rng, per_key=8):
+        """``raw`` with one key or nested key set to one of ``per_key`` values
+        drawn from ``_SWEEP_VALUES`` by ``rng``, for every such key."""
+        def keys(node, prefix=()):
+            for k, v in node.items():
+                yield prefix + (k,)
+                if isinstance(v, dict):
+                    yield from keys(v, prefix + (k,))
+
+        for key in keys(raw):
+            for i in sorted(rng.choice(len(TestCommandLine._SWEEP_VALUES), per_key,
+                                       replace=False)):
+                case = json.loads(json.dumps(raw))
+                node = case
+                for k in key[:-1]:
+                    node = node[k]
+                node[key[-1]] = TestCommandLine._SWEEP_VALUES[i]
+                yield ".".join(key), TestCommandLine._SWEEP_VALUES[i], case
+
+    @pytest.mark.parametrize("raw", [
+        base_dict(N=16, p=2.0, mollify_eps=1.0, phi_count=4,
+                  drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
+                  u0={"id": "bump", "center": 0.0, "radius": 1.2}),
+        base_dict(N=16, p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)),
+    ], ids=["power1d", "stream"])
+    def test_a_mutated_config_exits_cleanly(self, tmp_path, capsys, raw):
+        """Every key and nested key of a tiny config (N = 16, K = 16), set in
+        turn to a seeded draw of wrong values, through ``solve`` and
+        ``hypotheses``: each run exits 0, 1 or 2, with no traceback and no
+        RuntimeWarning; an exit 2 prints nothing to stdout and one
+        ``config error:`` line. Exit 3 is the overflow at step 1, only."""
+        rng = np.random.default_rng(2026)
+        faults = []
+        for n, (key, value, case) in enumerate(self._sweep_cases(raw, rng)):
+            config = self.write_config(tmp_path, case)
+            for command in ("solve", "hypotheses"):
+                argv = [command, "--config", config, "--out", str(tmp_path / f"run{n}")]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(argv)
+                    except Exception as exc:  # each case is reported, not the first alone
+                        code = f"{type(exc).__name__}: {exc}"
+                out, err = capsys.readouterr()
+                numpy_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+                clean = (code in (0, 1, 2) or code == 3 and err == (
+                    "runtime error: non-finite field at step 1 of path 0\n"))
+                clean = clean and not numpy_warnings and "Traceback" not in err \
+                    and "RuntimeWarning" not in err
+                if code == 2:
+                    clean = clean and out == "" and err.count("\n") == 1 \
+                        and err.startswith("config error:")
+                if not clean:
+                    faults.append((command, key, value, code, err, numpy_warnings))
+        assert n > 100 and faults == []
 
     def test_a_solve_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
         # A lazy import on the march path costs every process its time and

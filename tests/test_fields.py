@@ -211,16 +211,39 @@ class TestWindowRead:
         pts = np.concatenate([inside, corners, nodes, far, far_nodes])
         return np.stack([pts + 0.05 * p for p in range(n_fields)])
 
+    @staticmethod
+    def _one_period_query(grid, n_fields, rng):
+        """Points in [-3L, 3L) only, the edges -3L, nextafter(3L, 0) and +-L
+        among them: every x + L lies in [-2L, 4L), within one period's wrap."""
+        L, d = grid.half_width, grid.d
+        edges = [-3.0 * L, np.nextafter(3.0 * L, 0.0), -L, L, np.nextafter(-L, -np.inf),
+                 np.nextafter(L, np.inf), -0.0]
+        corners = np.array(list(itertools.product(edges, repeat=d)))
+        nodes = grid.nodes()[::5]
+        pts = np.concatenate([corners, nodes - 2.0 * L, nodes + 2.0 * L])
+        return np.stack([np.concatenate([pts, rng.uniform(-3.0 * L, 3.0 * L, size=(300, d))])
+                         for _ in range(n_fields)])
+
     @pytest.mark.parametrize("d, n_fields", [(1, 1), (1, 8), (2, 1), (2, 3)])
     @pytest.mark.parametrize("clamp", [False, True])
-    def test_window_read_equals_modulo_gather(self, d, n_fields, clamp):
+    def test_window_read_equals_modulo_gather(self, monkeypatch, d, n_fields, clamp):
         rng = np.random.default_rng(17 + n_fields)
         grid = SpatialGrid(d=d, half_width=4.0, n=24)
         values = rng.standard_normal((n_fields,) + grid.shape)
         values[:, :3] = 0.0  # flat patches: ties in the clamp bounds
-        pts = self._query(grid, n_fields, rng)
-        expected, _ = _modulo_read(grid, values, pts, clamp)
-        assert np.array_equal(_cubic_read(grid, values, pts, clamp), expected)
+        L = grid.half_width
+        far = self._query(grid, n_fields, rng)
+        near = self._one_period_query(grid, n_fields, rng)
+        assert near.min() == -3.0 * L and near.max() == np.nextafter(3.0 * L, 0.0)
+        fmods = []
+        fmod = np.fmod
+        monkeypatch.setattr(np, "fmod", lambda *a, **k: fmods.append(1) or fmod(*a, **k))
+        # far points take fmod; one period's points take the exact subtraction
+        for pts, calls in [(far, 1), (near, 0)]:
+            expected, _ = _modulo_read(grid, values, pts, clamp)
+            fmods.clear()
+            assert np.array_equal(_cubic_read(grid, values, pts, clamp), expected)
+            assert len(fmods) == calls
 
     def test_a_point_just_below_the_box_wraps_to_node_0(self):
         # x + L rounds to exactly 2L in np.mod and (x + L) mod 2L / h to just

@@ -472,23 +472,31 @@ class TestMollifiedDrift:
         mollified_drift(b, eps, reach=6.0)
         assert tables == [True] * b.d
 
-    @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (64, 256, 1024)] + [0.1, 0.37])
+    @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (32, 64, 256, 1024)] + [0.1, 0.37])
     def test_lattice_lookup_equals_np_interp_bitwise(self, eps):
         b, reach = power_drift(0.75, scale=-1.0), 4.5
         delta, K, table = transport._mollified_table(b, eps, reach)
         axis = delta * np.arange(-K, K + 1)
         inner = axis[1:-1]
         rng = np.random.default_rng(7)
+        # just below 0, q - k = q + 1 rounds, and to 1.0 itself below 2**-54 * delta
+        below_zero = -delta * np.concatenate([10.0 ** -rng.uniform(12, 300, 200),
+                                              [1e-12, 2.0**-53, 2.0**-54, 2.0**-60]])
         x = np.concatenate([
             rng.uniform(axis[0], axis[-1], 20000),
             axis[:-1],  # every node of the lookup's domain [axis[0], axis[-1])
             np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+            inner - rng.uniform(0.0, 1e-12, inner.size) * delta,  # within 1e-12 delta below
+            below_zero, [-5e-324, 5e-324],
             [np.nextafter(axis[0], np.inf), -0.0, -reach, reach],
         ])
-        # (B, P, Q) batches, as the march asks: nodes, one ulp below them and
-        # the reach itself, all within the reach, the rest uniform in it
+        # (B, P, Q) batches, as the march asks: nodes, one ulp and up to
+        # 1e-12 delta below them and the reach itself, all within the reach,
+        # the rest uniform in it
         within = axis[np.abs(axis) <= reach]
-        edge = np.concatenate([within, np.nextafter(within, -np.inf), [-reach, reach]])
+        edge = np.concatenate([within, np.nextafter(within, -np.inf),
+                               within - rng.uniform(0.0, 1e-12, within.size) * delta,
+                               below_zero, [-reach, reach]])
         edge = edge[np.abs(edge) <= reach]
         batches = [np.concatenate([rng.permutation(edge), rng.uniform(-reach, reach, 16 * 8 * 256)])
                    [: math.prod(shape)].reshape(shape) for shape in [(16, 8, 256), (3, 8, 100)]]
@@ -496,6 +504,9 @@ class TestMollifiedDrift:
         zeros[::97], zeros[1::89] = -0.0, 0.0
         for values in (table, zeros):
             interp = transport._lattice_interp(delta, values, _Workspace())
+            # the exact path reads a power-of-two lattice whose table holds no -0.0
+            dyadic = math.frexp(delta)[0] == 0.5 and values is table
+            assert (interp.__name__ == "dyadic") == dyadic
             for pts in [x] + batches:
                 got = interp(pts)
                 want = np.interp(pts, axis, values)
@@ -563,6 +574,22 @@ class TestMollifiedDrift:
     def test_nonpositive_radius_rejected(self, eps):
         with pytest.raises(ConfigError):
             mollified_drift(power_drift(0.75), eps, reach=2.0)
+
+    def test_radius_whose_square_overflows_rejected(self):
+        # the bump squares its radius: at 1e160 the kernel collapsed to its
+        # centre tap, with numpy warnings, and left the drift unsmoothed
+        g = SpatialGrid(d=1, half_width=1e160, n=16)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=1e159))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="positive with a finite square, got 2.5e"):
+                solve_spde(power_drift(0.75), [zero_path(1.0, 16, 1)], u0)
+
+    @pytest.mark.parametrize("d, reach", [(1, 0.25 * 2**15), (2, 0.25 * 2**7)])
+    def test_table_beyond_2_to_22_nodes_rejected_before_sampling(self, d, reach):
+        b = power_drift(0.75) if d == 1 else stream_function_drift(4.0)
+        with pytest.raises(ConfigError, match="needs more than 2\\*\\*22 nodes"):
+            mollified_drift(b, 0.25, reach=reach)
 
     def test_sub_grid_radius_rejected_by_solver(self):
         g = SpatialGrid(d=1, half_width=4.0, n=128)
