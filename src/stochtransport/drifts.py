@@ -115,7 +115,7 @@ def _drift_read(b: DriftField, t, rule, *args) -> np.ndarray:
                 scale = np.array([b.gain(s) for s in np.asarray(t, dtype=float).tolist()])
                 out = out * scale.reshape((-1,) + (1,) * (out.ndim - 1))
     finite = np.isfinite(out)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         if np.ndim(t):
             t = float(np.ravel(t)[np.argmin(finite.reshape(np.size(t), -1).all(axis=1))])
         raise DriftEvaluationError(f"drift {b.id!r} returned non-finite values at t={t}")

@@ -405,8 +405,10 @@ def _read_manifest(path) -> list:
 
 def _ensure_dir(out_dir) -> None:
     """Make the artifact directory. A command calls it after its checks, so a
-    rejected command leaves none behind; an ``out_dir`` that names a file or
-    cannot be made is a ``ConfigError``."""
+    rejected command leaves none behind; a ``ConfigError`` raised after it,
+    inside a solve, is cleaned up by ``cli.main``, which removes what it
+    made while still empty. An ``out_dir`` that names a file or cannot be
+    made is a ``ConfigError``."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -14,13 +14,16 @@ stencil array (``_window_sum``, which also reads the 2D mollifier
 tables), and clamps by running extremes over the padded stack. A read
 is a plan, the flat index of each point's window and its
 weights (``_cubic_plan``), then its application to the values
-(``_cubic_reader``); the march plans a block of steps at once and
-applies one plan per step. Both write every array
+(``_cubic_reader``). The march plans a block of steps at once, one plan
+row per step, and one reader call steps the whole block, each step
+reading the values the step before wrote. Both write every array
 they make into a workspace (``_Workspace``): named scratch arrays that a
 solve allocates at its first block and reuses at every later step, so
 the march's reads allocate nothing. ``interpolate`` and ``shift_field``
-take the same code path with a fresh workspace per call; a mollified
-drift's lookup writes into a workspace of its table's. A snapshot's
+take the same code path, as a block of one step, with a fresh workspace
+per call; the march shifts the snapshots of all its paths at once in its
+own (``_shifted``), and a mollified drift's lookup writes into a
+workspace of its table's. A snapshot's
 ``index`` and coordinate cells are formatted once per grid
 (``SpatialGrid._row_prefixes``), so each write formats only its values
 and hands the body to ``artifacts.write_body``; the reader requires
@@ -216,11 +219,12 @@ class _Workspace:
     slot is allocated at its first request and replaced only by a larger
     one, so after a march's first block its steps allocate none of the
     arrays below. Each view is made once per shape and kept; a view taken
-    before its slot was replaced keeps the old array. Every plan, reader
-    and RK4 trace takes a workspace; ``interpolate`` and ``shift_field``
-    pass a fresh one per call (``_cubic_read``) and take the same code
-    path. A mollified drift's table (``transport.mollified_drift``) has a
-    workspace of its own for its lookups, so a solve holds two.
+    before its slot was replaced keeps the old array, so a reader is made
+    after the plan it reads. Every plan, reader and RK4 trace takes a
+    workspace; ``interpolate`` and ``shift_field`` pass a fresh one per
+    call and take the same code path. A mollified drift's table
+    (``transport.mollified_drift``) has a workspace of its own for its
+    lookups, so a solve holds two.
 
     Views of one slot overlap, so each phase of a step uses a slot only
     while no other phase needs what it holds. The slots, by the phase of a
@@ -230,14 +234,19 @@ class _Workspace:
       (``transport._rk4_feet``) keeps its stage points in x1 and its
       running sum, then the feet, in x2; ``transport._composed_drift`` shifts
       the points it is asked about into x0. The plan (:func:`_cubic_plan`)
-      reads the feet and writes theta to x0 and the stencil bases to x1.
-      A read (:func:`_cubic_reader`) pads the values into x0 and gathers
-      the taps into x1. In 1D it writes its clamp bounds, (2, Q), into
-      x2; in 2D it takes its running extremes in x1, x2 and x0.
-    - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plans of a block,
-      the weights (4, S, P, Q) per axis in every dimension.
+      reads the feet and writes theta to x0 and the stencil bases to x1,
+      then runs the weights' products in x1 and x2. A read
+      (:func:`_cubic_reader`) pads the values into x0 and gathers the taps
+      into x1. In 1D it writes its clamp bounds, (2, P, Q), into x2; in 2D
+      it takes its running extremes in x1, x2 and x0.
+    - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plan of a block, the
+      starts (S, P, Q) and the weights (S, 4, P, Q) per axis in every
+      dimension.
     - ``"mask"`` (bool): the plan's scratch.
     - ``"values"``: the values after each step of a block.
+    - ``"shifted"``: the snapshots read at their displaced nodes
+      (:func:`_shifted`), after a block; the shift's plan and read take
+      the slots above, which the next block writes afresh.
 
     The slots of a mollified table's workspace, by its lookup's steps: in
     1D ``"q"``, ``"k"``, ``"j"`` (int64) and ``"value"`` on a dyadic
@@ -286,7 +295,8 @@ def _axis_locate(grid: SpatialGrid, coords: np.ndarray, base: np.ndarray,
     period = 2.0 * L
     np.add(coords, L, out=theta)
     # NaN fails both comparisons; an empty call passes both
-    if theta.min(initial=np.inf) >= -period and theta.max(initial=-np.inf) < 2.0 * period:
+    if (np.minimum.reduce(theta, axis=None, initial=np.inf) >= -period
+            and np.maximum.reduce(theta, axis=None, initial=-np.inf) < 2.0 * period):
         np.subtract(theta, period, out=theta, where=np.greater_equal(theta, period, out=mask))
     else:
         np.fmod(theta, period, out=theta)
@@ -298,36 +308,39 @@ def _axis_locate(grid: SpatialGrid, coords: np.ndarray, base: np.ndarray,
     np.copyto(base, 0.0, where=np.greater_equal(base, grid.n, out=mask))
 
 
-def _cubic_weights(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _cubic_weights(theta: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
     """Lagrange weights on the 4-point stencil {-1, 0, 1, 2}, exact for cubic
     polynomials along the axis: weight i of each offset is written into
     ``out[i]``, of shape ``(4,) + theta.shape``, and ``out`` is returned.
 
-    The weights take no temporary: until their own turn, ``out[1]`` holds
-    t - 2 and ``out[3]`` holds t + 1, then t - 1, then t * t - 1. Each
-    weight is the same product, bit for bit, as the formula written in its
-    comment; a halving is a product by 0.5, the same bits as a division by
-    2 and a cheaper pass. Every caller passes contiguous rows.
+    Two running products carry the arithmetic, in ``scratch``, a pair of
+    C-contiguous arrays of the shape of ``theta``, or else in ``out[1]``
+    and ``out[3]``, which they end in. The plan passes a pair, as its rows
+    are strided: then each row is written once, by the last pass of its
+    weight, and every other pass runs on contiguous arrays. Each weight is
+    the product its comment states, bit for bit. The two weights of sign
+    -t take their -t as the sign of their last factor, -0.5 or -6: a
+    rounded product or quotient changes only in sign when one operand
+    does. A halving is a product by 0.5, the same bits as a division by 2
+    and a cheaper pass.
     """
     t = theta
-    w_m1, w_0, w_p1, w_p2 = out
-    np.subtract(t, 2.0, out=w_0)
-    np.add(t, 1.0, out=w_p2)
-    np.negative(t, out=w_p1)
-    w_p1 *= w_p2
-    w_p1 *= w_0
-    w_p1 *= 0.5  # -t * (t + 1) * (t - 2) / 2
-    np.subtract(t, 1.0, out=w_p2)
-    np.negative(t, out=w_m1)
-    w_m1 *= w_p2
-    w_m1 *= w_0
-    w_m1 /= 6.0  # -t * (t - 1) * (t - 2) / 6
-    np.multiply(t, t, out=w_p2)
-    w_p2 -= 1.0
-    w_0 *= w_p2
-    w_0 *= 0.5  # (t * t - 1) * (t - 2) / 2
-    w_p2 *= t
-    w_p2 /= 6.0  # t * (t * t - 1) / 6
+    low, high = (out[1], out[3]) if scratch is None else scratch
+    np.subtract(t, 2.0, out=low)
+    np.add(t, 1.0, out=high)
+    high *= t
+    high *= low
+    np.multiply(high, -0.5, out=out[2])  # -t * (t + 1) * (t - 2) / 2
+    np.subtract(t, 1.0, out=high)
+    high *= t
+    high *= low
+    np.divide(high, -6.0, out=out[0])  # -t * (t - 1) * (t - 2) / 6
+    np.multiply(t, t, out=high)
+    high -= 1.0
+    low *= high
+    np.multiply(low, 0.5, out=out[1])  # (t * t - 1) * (t - 2) / 2
+    high *= t
+    np.divide(high, 6.0, out=out[3])  # t * (t * t - 1) / 6
     return out
 
 
@@ -373,24 +386,33 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     as one stack along the first axis, by the same arithmetic whatever P
     is. ``clamp`` clips each value to the range of its stencil: the
     semi-Lagrangian stepper's discrete maximum principle, at the price of
-    cubic exactness. It is :func:`_cubic_plan` followed by a read of
-    :func:`_cubic_reader`, in one fresh workspace.
+    cubic exactness. It is a block of one step: :func:`_cubic_plan`
+    followed by a read of :func:`_cubic_reader`, in one fresh workspace.
     """
     ws = _Workspace()
-    (plan,) = _cubic_plan(grid, pts[None], ws)
-    return _cubic_reader(grid, *pts.shape[:2], clamp, ws)(values, plan)
+    plan = _cubic_plan(grid, pts[None], ws)
+    out = np.empty((1,) + pts.shape[:2])
+    _cubic_reader(grid, *pts.shape[:2], clamp, ws)(values, plan, out)
+    return out[0]
 
 
-def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
+def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> tuple:
     """Where and with what weights the cubic rule reads points of shape (S, P, Q, d).
 
-    The S sets of points are located and weighed in one pass. Returns one
-    plan per set for :func:`_cubic_reader`: the flat index, in the
-    wrap-padded stack of the P fields, of the first node of each point's
-    stencil, and the weights of each axis as one (4, P * Q) array of
-    contiguous rows, the layout both readers take. A plan depends
-    on the points only, so a read of any values may reuse it. The plans
-    are views of the workspace ``ws``, valid until its next plan.
+    The S sets of points are located and weighed in one pass. Returns the
+    plan of the S sets, ``(start, weights)``, with one row per set, for
+    :func:`_cubic_reader`. ``start`` has shape (S, P, Q): row s holds the
+    flat index, in the wrap-padded stack of the P fields, of the first node
+    of each point's stencil in set s. ``weights`` holds one C-contiguous
+    (S, 4, P, Q) array per axis, whose row s is the weights of set s, one
+    (P, Q) row per stencil offset, the layout both readers take. They are
+    written once, through a swapaxes, as the (4, S, P, Q) weights of
+    :func:`_cubic_weights`, whose products run in slots x1 and x2, and no
+    view is made per set; the row of a set is contiguous, so the 1D read
+    weighs its taps in one multiply with no buffer. The points may live
+    in slot x2: they are read before it is written. A plan depends on the
+    points only, so a read of any values may reuse it. It is made of views
+    of the workspace ``ws``, valid until its next plan.
     """
     n_sets, n_fields, n_pts, d = pts.shape
     theta, base = ws.array("x0", pts.shape), ws.array("x1", pts.shape)
@@ -404,25 +426,36 @@ def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> list:
     first += (np.arange(n_fields) * side**d)[:, None]
     start = ws.array("start", first.shape, np.int64)
     np.copyto(start, first, casting="unsafe")
-    weights = [_cubic_weights(theta[..., a], ws.array(f"w{a}", (4,) + first.shape))
-               for a in range(d)]
-    return [(start[s].reshape(-1), [w[:, s].reshape(4, -1) for w in weights])
-            for s in range(n_sets)]
+    # base and the points are spent: slots x1 and x2 carry the weights' products
+    scratch = ws.array("x1", first.shape), ws.array("x2", first.shape)
+    weights = [ws.array(f"w{a}", (n_sets, 4, n_fields, n_pts)) for a in range(d)]
+    for a, rows in enumerate(weights):
+        _cubic_weights(theta[..., a], rows.swapaxes(0, 1), scratch)
+    return start, weights
 
 
 def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
                   ws: _Workspace):
     """The reader of stacks of P = ``n_fields`` fields, shape (P, *grid.shape),
-    by plans of :func:`_cubic_plan` for Q = ``n_pts`` points per field:
-    ``read(values, plan, out=None)`` returns shape (P, Q), written into
-    ``out``, a C-contiguous array, when given. ``out`` may be ``values``
-    itself: the values are read once, into the padded stack, before ``out``
-    is written.
+    by plans of :func:`_cubic_plan` for Q = ``n_pts`` points per field.
+    Make it after the plan it reads: a plan may replace a slot it views.
 
-    The stack is wrap-padded once per read, by 1 node before and 2 after on
-    each spatial axis, so every stencil is a 4-node window of it per axis
-    and no index needs a modulo. The padded stack is read as one table, the
-    P fields one after another along its first axis, so one flat index
+    ``read(values, plan, out)`` steps a block: for each of the S rows of
+    the plan, step s reads ``values`` when s = 0 and ``out[s - 1]`` after,
+    and writes ``out[s]``. ``out`` is a C-contiguous array of shape
+    (S, P, Q); a block of more than one step reads at the nodes, Q =
+    grid.size, and in 2D its ``out`` has shape (S, P, *grid.shape), so that
+    each step reads the values the step before wrote. ``out`` may hold
+    ``values`` itself: each step reads its values once, into the padded
+    stack, before it writes its row. The S steps run in this one call,
+    with every view they use bound before the first, so a step makes no
+    Python call but its numpy calls. ``interpolate`` and ``shift_field``
+    read as a block of one step.
+
+    A step wrap-pads its values, by 1 node before and 2 after on each
+    spatial axis, so every stencil is a 4-node window of it per axis and no
+    index needs a modulo. The padded stack is read as one table, the P
+    fields one after another along its first axis, so one flat index
     locates a stencil. 1D reads by :func:`_reader_1d`, which takes its clamp
     bounds from the taps themselves. In 2D the clamp bounds are running
     minima and maxima over the flat padded stack, not a reduction per
@@ -440,18 +473,8 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
         head = (slice(None),) * axis
         wraps += [(padded[head + (0,)], padded[head + (n,)]),
                   (padded[head + (slice(n + 1, n + 3),)], padded[head + (slice(1, 3),)])]
-
-    def pad(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """Copy ``values`` into the padded stack; returns ``out`` as (P * Q,)."""
-        np.copyto(interior, values)
-        for wrap, source in wraps:
-            np.copyto(wrap, source)
-        if out is None:
-            out = np.empty((n_fields, n_pts))
-        return out.reshape(-1)
-
     if d == 1:
-        return _reader_1d(padded.reshape(-1), pad, n_fields, n_pts, clamp, ws)
+        return _reader_1d(padded.reshape(-1), interior, wraps, (n_fields, n_pts), clamp, ws)
     stack = padded.reshape((1, -1) + padded.shape[2:])
     if clamp:
         flat = padded.reshape(-1)
@@ -461,32 +484,38 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
         # first step has read it.
         lo_steps = _running_extreme(flat, steps, ws, ("x1", "x2"))
         hi_steps = _running_extreme(flat, steps, ws, ("x2", "x0"))
-        lo, hi = ws.array("x1", (n_fields * n_pts,)), ws.array("x2", (n_fields * n_pts,))
+        lo, hi = ws.array("x1", (n_fields, n_pts)), ws.array("x2", (n_fields, n_pts))
 
-    def read(values: np.ndarray, plan, out: np.ndarray | None = None) -> np.ndarray:
-        start, weights = plan
-        total = pad(values, out)
-        _window_sum(stack, start, weights, ws, total[None])
-        if clamp:
-            for below, above, extremes in lo_steps:
-                np.minimum(below, above, out=extremes)
-            np.take(lo_steps[-1][2], start, out=lo, mode="clip")
-            for below, above, extremes in hi_steps:
-                np.maximum(below, above, out=extremes)
-            np.take(hi_steps[-1][2], start, out=hi, mode="clip")
-            _clip(total, lo, hi, out=total)
-        return total.reshape(n_fields, -1)
+    def read(values: np.ndarray, plan, out: np.ndarray) -> None:
+        starts, weights = plan
+        sums = out.reshape((len(starts), 1) + starts.shape[1:])  # one table: (S, 1, P, Q)
+        for start, rows, total, step in zip(starts, zip(*weights), sums, out):
+            np.copyto(interior, values)
+            for wrap, node in wraps:
+                np.copyto(wrap, node)
+            _window_sum(stack, start, rows, ws, total)
+            if clamp:
+                for below, above, extremes in lo_steps:
+                    np.minimum(below, above, out=extremes)
+                np.take(lo_steps[-1][2], start, out=lo, mode="clip")
+                for below, above, extremes in hi_steps:
+                    np.maximum(below, above, out=extremes)
+                np.take(hi_steps[-1][2], start, out=hi, mode="clip")
+                _clip(total, lo, hi, out=total)
+            values = step
 
     return read
 
 
-def _reader_1d(flat: np.ndarray, pad, n_fields: int, n_pts: int, clamp: bool,
-               ws: _Workspace):
-    """The 1D read of :func:`_cubic_reader`, over the flat padded stack ``flat``.
+def _reader_1d(flat: np.ndarray, interior: np.ndarray, wraps: list, shape: tuple,
+               clamp: bool, ws: _Workspace):
+    """The 1D read of :func:`_cubic_reader`, over the flat padded stack
+    ``flat``, whose steps each read (P, Q) = ``shape`` points.
 
-    ``pad(values, out)`` fills ``flat`` and returns the output as one row.
-    A read gathers the four taps of every window tap-major into slot x1,
-    tap k by one take of ``start`` from ``flat`` viewed k nodes on. The
+    A step copies its values into ``interior`` and each wrap node from its
+    ``(wrap, node)`` pair of ``wraps``: the pad. It then gathers the four
+    taps of every window tap-major into slot x1, tap k by one take of the
+    step's starts from ``flat`` viewed k nodes on. The
     clamp bounds come from the taps before they are weighted, as
     min(min(t0, t1), min(t2, t3)) and the same with max. Of two zeros,
     np.minimum and np.maximum return the second, so this pairing and order
@@ -496,34 +525,38 @@ def _reader_1d(flat: np.ndarray, pad, n_fields: int, n_pts: int, clamp: bool,
     multiply and added as ((0 + t0) + t2) + ((0 + t1) + t3): two running
     sums from +0.0, one of the even taps and one of the odd, written
     (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is +0.0.
-    numpy's clip ufunc then clamps the sum to its bounds.
+    numpy's clip ufunc then clamps the sum to its bounds. Every array of a
+    step has the shape (P, Q) of its row of ``out``, so a step reshapes
+    nothing.
     """
-    size = n_fields * n_pts
-    taps = ws.array("x1", (4, size))
+    taps = ws.array("x1", (4,) + shape)
     t0, t1, t2, t3 = taps
     gathers = [(flat[k:], tap) for k, tap in enumerate(taps)]
     if clamp:
-        lo, hi = ws.array("x2", (2, size))
+        lo, hi = ws.array("x2", (2,) + shape)
 
-    def read(values: np.ndarray, plan, out: np.ndarray | None = None) -> np.ndarray:
-        start, (weights,) = plan
-        total = pad(values, out)
-        # The indices are in range by construction, and "clip" spares take a buffer.
-        for source, tap in gathers:
-            source.take(start, out=tap, mode="clip")
-        if clamp:  # the output is scratch until the sum
-            np.minimum(t0, t1, out=lo)
-            np.minimum(lo, np.minimum(t2, t3, out=total), out=lo)
-            np.maximum(t0, t1, out=hi)
-            np.maximum(hi, np.maximum(t2, t3, out=total), out=hi)
-        np.multiply(taps, weights, out=taps)
-        np.add(t0, t2, out=total)
-        np.add(t1, t3, out=t1)
-        total += t1
-        total += 0.0  # a zero sum is +0.0, as when the sum starts from +0.0
-        if clamp:
-            _clip(total, lo, hi, out=total)
-        return total.reshape(n_fields, n_pts)
+    def read(values: np.ndarray, plan, out: np.ndarray) -> None:
+        starts, (weights,) = plan
+        for start, rows, total in zip(starts, weights, out):
+            np.copyto(interior, values)
+            for wrap, node in wraps:
+                np.copyto(wrap, node)
+            # The indices are in range by construction, and "clip" spares take a buffer.
+            for source, tap in gathers:
+                source.take(start, out=tap, mode="clip")
+            if clamp:  # the output is scratch until the sum
+                np.minimum(t0, t1, out=lo)
+                np.minimum(lo, np.minimum(t2, t3, out=total), out=lo)
+                np.maximum(t0, t1, out=hi)
+                np.maximum(hi, np.maximum(t2, t3, out=total), out=hi)
+            np.multiply(taps, rows, out=taps)
+            np.add(t0, t2, out=total)
+            np.add(t1, t3, out=t1)
+            total += t1
+            total += 0.0  # a zero sum is +0.0, as when the sum starts from +0.0
+            if clamp:
+                _clip(total, lo, hi, out=total)
+            values = total
 
     return read
 
@@ -547,14 +580,15 @@ def _window_sum(stack: np.ndarray, start: np.ndarray, weights, ws: _Workspace,
                 out: np.ndarray) -> np.ndarray:
     """The cubic rule on 4 x 4-node windows of a C-contiguous stack of C 2D
     tables: point q reads, in every table, the window whose first node has
-    flat index ``start[q]`` in the table, weighted by column q of the
-    (4, Q) ``_cubic_weights`` of each axis. Returns ``out``, shape (C, Q);
+    flat index ``start[q]`` in the table, weighted by entry q of the rows
+    of the ``_cubic_weights`` of each axis, one row of the shape of
+    ``start`` per stencil offset. Returns ``out``, shape (C, *start.shape);
     its scratch is in ``ws``.
 
-    The 16 taps are gathered one at a time, each a contiguous (C, Q)
-    array in slot x1, scaled by the weight rows ``weights[0][i]`` and
-    ``weights[1][j]``, and (w0_i * tap_ij) * w1_j is added to one zeroed
-    sum in row-major (i, j) order, with no (C, Q, 4, 4) stencil.
+    The 16 taps are gathered one at a time, each a contiguous array of the
+    shape of ``out`` in slot x1, scaled by the weight rows ``weights[0][i]``
+    and ``weights[1][j]``, and (w0_i * tap_ij) * w1_j is added to one zeroed
+    sum in row-major (i, j) order, with no stencil array.
     """
     flat = stack.reshape(len(stack), -1)
     row = stack.shape[-1]  # flat distance to the next row
@@ -579,21 +613,49 @@ def shift_field(f: ScalarField, delta) -> ScalarField:
     Shifts that are exact lattice multiples of the spacing h (within a
     relative tolerance of 1e-12) are performed by index rotation, which
     is bit-exact and conserves every Lp norm; other shifts interpolate
-    cubically at the displaced nodes.
+    cubically at the displaced nodes (:func:`_shifted`, with one field).
     """
     grid = f.grid
     dvec = np.broadcast_to(np.asarray(delta, dtype=float), (grid.d,))
     if not np.all(np.isfinite(dvec)):
         raise FieldValidationError("shift displacement must be finite")
-    ratio = dvec / grid.h
+    (values,) = _shifted(grid, f.values[None], dvec[None], _Workspace())
+    return ScalarField(grid, values)
+
+
+def _shifted(grid: SpatialGrid, values: np.ndarray, deltas: np.ndarray,
+             ws: _Workspace) -> list:
+    """The rule of :func:`shift_field` on a batch: field p of ``values``,
+    shape (P, *grid.shape), translated by row p of the finite ``deltas``,
+    shape (P, d). Returns one array of ``grid.shape`` per field.
+
+    Each field takes the lattice rule on its own: a shift within the
+    relative tolerance of a lattice multiple rolls that field (keeping a
+    -0.0), and every other field is read at its displaced nodes, all of
+    them in one clamp-free plan and read of the workspace ``ws``. The read
+    rows are views of its slot ``"shifted"``, valid until its next shift.
+    """
+    ratio = deltas / grid.h
     nearest = np.round(ratio)
-    if np.all(np.abs(ratio - nearest) <= _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))):
+    lattice = np.logical_and.reduce(
+        np.abs(ratio - nearest) <= _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio)), axis=-1)
+    out = [None] * len(values)
+    moved = np.flatnonzero(~lattice).tolist()
+    if moved:
+        query = grid.nodes() - deltas[moved, None, :]
+        if not np.logical_and.reduce(np.isfinite(query), axis=None):
+            raise FieldValidationError("interpolation points must be finite")
+        plan = _cubic_plan(grid, query[None], ws)
+        rows = ws.array("shifted", (1, len(moved), grid.size))
+        _cubic_reader(grid, len(moved), grid.size, False, ws)(
+            values if len(moved) == len(values) else values[moved], plan, rows)
+        for p, row in zip(moved, rows.reshape((len(moved),) + grid.shape)):
+            out[p] = row
+    for p in np.flatnonzero(lattice).tolist():
         # the remainder is exact in floats, and far below 2**63 when cast
-        shifts = (np.fmod(nearest, grid.n).astype(np.int64) % grid.n).tolist()
-        return ScalarField(grid, np.roll(f.values, shifts, axis=tuple(range(grid.d))))
-    query = grid.nodes() - dvec[None, :]
-    vals = interpolate(f, query)
-    return ScalarField(grid, np.asarray(vals).reshape(grid.shape))
+        shifts = (np.fmod(nearest[p], grid.n).astype(np.int64) % grid.n).tolist()
+        out[p] = np.roll(values[p], shifts, axis=tuple(range(grid.d)))
+    return out
 
 
 def _field_columns(d: int) -> list:

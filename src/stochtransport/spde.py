@@ -38,7 +38,10 @@ outlives the solve. After each block it checks, on the block's
 stacked values, that they are finite (``BlowUpError`` names the first
 failing step and its path) and, path by path, that they clear the
 wrap-around margin, and it builds a ``ScalarField`` only at the
-snapshots, which a block may straddle.
+snapshots, which a block may straddle. At a snapshot the values of every
+path are shifted at once, in the march's workspace (``fields._shifted``):
+a path whose shift is a lattice multiple is rolled, and the others are
+read in one clamp-free plan and read, bit for bit as ``shift_field``.
 
 Renormalization checks integrate beta(u) of the snapshots u, in the
 paper's frame, for any vectorized beta, and compare its growth against
@@ -61,7 +64,7 @@ import numpy as np
 
 from .drifts import EVIDENCE_CEILING, DriftField, check_hypotheses
 from .errors import BlowUpError, ConfigError, MeshMismatchError, SupportMarginWarning
-from .fields import ScalarField, SpatialGrid, _Workspace, shift_field
+from .fields import ScalarField, SpatialGrid, _shifted, _Workspace
 from .paths import SamplePath, eval_path
 from .profiles import Profile
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
@@ -277,9 +280,9 @@ def solve_spde(
     batch = range(len(paths))
     aux = [[u0] for _ in batch]
     snap_rows = _table_rows(keys, times)
-    fields = [[shift_field(u0, shifts[snap_rows[0], p])] for p in batch]
     violations: list[list[int]] = [[] for _ in batch]
     vals = np.stack([u0.values] * len(paths))
+    fields = [[ScalarField(grid, u)] for u in _shifted(grid, vals, shifts[snap_rows[0]], ws)]
     for start in range(0, n_steps, block):
         steps = np.arange(start, min(start + block, n_steps))
         # The checks below report what overflows here, so numpy need not warn.
@@ -295,10 +298,9 @@ def solve_spde(
         for i, step in enumerate(steps.tolist()):
             if (step + 1) % stride == 0:
                 row = snap_rows[len(fields[0])]
-                for p in batch:
-                    v = ScalarField(grid, stack[i, p])
-                    aux[p].append(v)
-                    fields[p].append(shift_field(v, shifts[row, p]))
+                for p, u in enumerate(_shifted(grid, stack[i], shifts[row], ws)):
+                    aux[p].append(ScalarField(grid, stack[i, p]))
+                    fields[p].append(ScalarField(grid, u))
         vals = stack[-1]
 
     for p in batch:

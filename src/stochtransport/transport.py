@@ -23,8 +23,10 @@ into the solve's workspace (``fields._Workspace``), and
 that after the first block a step allocates no array of its own; only a
 drift's ``fn`` allocates its output. A mollified drift's ``fn`` writes
 its lookup's steps into a workspace of its table's and allocates only
-the array it returns. The upwind block makes its scratch arrays once
-per block, a wrap-padded copy per axis and the two one-sided
+the array it returns. The semi-Lagrangian block steps its values in one
+reader call (``fields._cubic_reader``). The upwind block makes its
+scratch arrays and their views once per block, a wrap-padded copy and
+one difference array per axis, whose views are both one-sided
 differences, and writes every step through them with no temporary.
 
 Every velocity read at the grid nodes, RK4 stage 1 of a semi-Lagrangian
@@ -58,7 +60,8 @@ index correction on a power-of-two lattice spacing, where the index
 arithmetic is exact; in 2D the 4 x 4 window read of the grid fields.
 Every cubic read, of the march in either dimension or of a 2D table,
 weighs each stencil offset of an axis by one contiguous row of (4, Q)
-weights (``fields._cubic_plan``).
+weights (``fields._cubic_plan``), the plan of a semi-Lagrangian block
+holding one row per step.
 A larger reach only adds nodes, so every value a path reads is the same,
 bit for bit, whether it is solved alone or in any batch. Only the
 autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the
@@ -133,9 +136,9 @@ def _table_rows(keys: np.ndarray, t):
     for: a time the table lacks raises ``KeyError`` naming the first such
     time.
     """
-    at = np.searchsorted(keys, t)
-    found = keys[np.minimum(at, keys.size - 1)] == t
-    if not np.all(found):
+    at = keys.searchsorted(t)
+    found = keys.take(at, mode="clip") == t
+    if not np.logical_and.reduce(found, axis=None):
         missing = np.ravel(t)[np.argmin(np.ravel(found))]
         raise KeyError(f"no path shift tabulated for t={float(missing)!r}")
     return at
@@ -175,10 +178,10 @@ def _composed_drift(b: DriftField, table, ws: _Workspace, grid: SpatialGrid) -> 
             out = _drift_read(b, t, b.on_axes, *axes)
             return out.reshape(out.shape[:-grid.d - 1] + nodes.shape)
         points = np.asarray(points, dtype=float)
-        shape = np.broadcast_shapes(points.shape, shift.shape)
-        out = ws.array("x0", shape)
+        # (Q, d) points, or one row per path, with one shift row per path and time
+        out = ws.array("x0", shift.shape[:-2] + points.shape[-2:])
         # axis by axis: numpy adds a shift broadcast over the points in loops of d elements
-        for a in range(shape[-1]):
+        for a in range(grid.d):
             np.add(points[..., a], shift[..., a], out=out[..., a])
         return eval_drift(b, t, out)
 
@@ -239,7 +242,8 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     def lookup(points):
         pts = np.asarray(points, dtype=float)
         # NaN fails both comparisons; an empty query passes both
-        if not (pts.max(initial=-np.inf) <= reach and pts.min(initial=np.inf) >= -reach):
+        if not (np.maximum.reduce(pts, axis=None, initial=-np.inf) <= reach
+                and np.minimum.reduce(pts, axis=None, initial=np.inf) >= -reach):
             raise BlowUpError(f"mollified drift queried at |x_i| > {reach} or at a "
                               "non-finite point, beyond its table")
         if d == 1:
@@ -328,10 +332,9 @@ def _lattice_interp(delta: float, table: np.ndarray,
             np.multiply(x, scale, out=q)
             np.floor(q, out=k)
             q -= k  # f, in [0, 1]
-            np.copyto(j, k, casting="unsafe")
-            j += K
-            value = np.take(table, j, out=ws.array("value", x.shape), mode="clip")
-            out = np.take(diff, j, mode="clip")
+            np.add(k, K, out=j, casting="unsafe")  # exact: k is integral, far below 2**53
+            value = table.take(j, out=ws.array("value", x.shape), mode="clip")
+            out = diff.take(j, mode="clip")
             out *= q
             out += value
             return out
@@ -349,10 +352,10 @@ def _lattice_interp(delta: float, table: np.ndarray,
         np.multiply(k, delta, out=node)
         np.copyto(j, k, casting="unsafe")
         j += K
-        value = np.take(table, j, out=ws.array("value", x.shape), mode="clip")
+        value = table.take(j, out=ws.array("value", x.shape), mode="clip")
         # slope * (x - node) + value, or the value itself on a node
         out = np.subtract(x, node)
-        out *= np.take(slopes, j, out=k, mode="clip")
+        out *= slopes.take(j, out=k, mode="clip")
         out += value
         np.copyto(out, value, where=np.equal(node, x, out=mask))
         return out
@@ -436,9 +439,10 @@ def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times:
 
     The feet do not depend on the values, so the block's feet are traced
     in one pass (``velocity`` takes the array of times) and planned in one
-    pass (``fields._cubic_plan``); each step then only reads its values,
-    each path's feet from its own values. Velocities without the leading
-    time or path axis broadcast over it. Clamping the cubic stencil
+    pass (``fields._cubic_plan``, one plan row per step); one reader call
+    then steps the block, each step reading the values the step before
+    wrote, each path's feet from its own values. Velocities without the
+    leading time or path axis broadcast over it. Clamping the cubic stencil
     enforces a discrete maximum principle. Returns the values after each
     step, shape (len(times), *vals.shape): slot "values" of the workspace
     ``ws``, valid until its next block. The block's feet, plans and stepped
@@ -446,12 +450,9 @@ def _semi_lagrangian_block(grid: SpatialGrid, vals: np.ndarray, velocity, times:
     """
     feet = _rk4_feet(velocity, grid.nodes(), times, dt, ws)
     feet = np.broadcast_to(feet, (len(times), len(vals), grid.size, grid.d))
+    plan = _cubic_plan(grid, feet, ws)
     out = ws.array("values", (len(times),) + vals.shape)
-    plans = _cubic_plan(grid, feet, ws)
-    read = _cubic_reader(grid, len(vals), grid.size, True, ws)
-    for step, plan in zip(out, plans):
-        read(vals, plan, step)
-        vals = step
+    _cubic_reader(grid, len(vals), grid.size, True, ws)(vals, plan, out)
     return out
 
 
@@ -466,46 +467,58 @@ def _upwind_block(grid: SpatialGrid, vals: np.ndarray, velocity, times: np.ndarr
     (len(times), *vals.shape).
 
     A neighbour difference reads a copy of the values wrap-padded by one
-    node on each side along its axis. Each step writes through ``out=``
-    into arrays made once per block, the padded copy of each axis and the
-    differences ``back`` and ``fwd``, in the order
-    back = (v - prev) / h, fwd = (next - v) / h, then
-    v - dt * (c+ * back + c- * fwd), axis by axis, every axis differenced
-    from the values at the start of the step.
+    node on each side along its axis. One subtract and one divide over the
+    padded copy give the scaled differences of every neighbour pair, d =
+    (padded[1:] - padded[:-1]) / h, and both one-sided differences are views
+    of it: back = d[:-1] = (v - prev) / h and fwd = d[1:] = (next - v) / h,
+    the same floats as those formulas. Each step then writes
+    v - dt * (c+ * back + c- * fwd) through ``out=``, axis by axis, every
+    axis differenced from the values at the start of the step. The padded
+    copies, the differences and every view of them are made once per
+    block, so a step makes 8 numpy calls per axis and no view.
     """
-    vel = velocity(times, grid.nodes()).reshape((len(times),) + vals.shape + (grid.d,))
+    n_steps, d = len(times), grid.d
+    vel = velocity(times, grid.nodes()).reshape((n_steps,) + vals.shape + (d,))
+    # (steps, axes, P, *grid.shape): a step's speeds along each axis, by iteration
+    vel = np.moveaxis(vel, -1, 1)
     c_plus, c_minus = np.maximum(vel, 0.0), np.minimum(vel, 0.0)
     wrap = np.arange(-1, grid.n + 1) % grid.n
     h = grid.h
-    out = np.empty((len(times),) + vals.shape)
-    back, fwd = np.empty(vals.shape), np.empty(vals.shape)
+    out = np.empty((n_steps,) + vals.shape)
+    upwind, downwind = np.empty(vals.shape), np.empty(vals.shape)
     axes = []
-    for axis in range(grid.d):
-        along = axis - grid.d  # the spatial axes are the trailing ones
+    for axis in range(d):
+        along = axis - d  # the spatial axes are the trailing ones
         shape = list(vals.shape)
         shape[along] += 2
         padded = np.empty(shape)
-        axes.append((along, padded, _window(padded, along, 0), _window(padded, along, 2)))
-    for s, new in enumerate(out):
-        for axis, (along, padded, prev, succ) in enumerate(axes):
+        shape[along] -= 1
+        diff = np.empty(shape)
+        axes.append((along, padded, _along(padded, along, slice(1, None)),
+                     _along(padded, along, slice(None, -1)), diff,
+                     _along(diff, along, slice(None, -1)), _along(diff, along, slice(1, None))))
+    for new, speeds_plus, speeds_minus in zip(out, c_plus, c_minus):
+        source = vals
+        for (along, padded, hi, lo, diff, back, fwd), cp, cm in zip(
+                axes, speeds_plus, speeds_minus):
             # The indices are in range by construction, and "clip" spares take a buffer.
             vals.take(wrap, axis=along, out=padded, mode="clip")
-            np.divide(np.subtract(vals, prev, out=back), h, out=back)
-            np.divide(np.subtract(succ, vals, out=fwd), h, out=fwd)
-            np.multiply(c_plus[s, ..., axis], back, out=back)
-            np.multiply(c_minus[s, ..., axis], fwd, out=fwd)
-            np.multiply(dt, np.add(back, fwd, out=back), out=back)
-            np.subtract(vals if axis == 0 else new, back, out=new)
+            np.divide(np.subtract(hi, lo, out=diff), h, out=diff)
+            np.multiply(cp, back, out=upwind)
+            np.multiply(cm, fwd, out=downwind)
+            np.multiply(dt, np.add(upwind, downwind, out=upwind), out=upwind)
+            np.subtract(source, upwind, out=new)
+            source = new
         vals = new
     return out
 
 
-def _window(padded: np.ndarray, axis: int, start: int) -> np.ndarray:
-    """The n nodes of ``padded`` from ``start`` on along ``axis``: with one node
-    of wrap padding, start 0 is every node's predecessor and 2 its successor."""
-    index = [slice(None)] * padded.ndim
-    index[axis] = slice(start, start + padded.shape[axis] - 2)
-    return padded[tuple(index)]
+def _along(array: np.ndarray, axis: int, part: slice) -> np.ndarray:
+    """The view of ``array`` that takes ``part`` along ``axis`` and all of
+    every other axis."""
+    index = [slice(None)] * array.ndim
+    index[axis] = part
+    return array[tuple(index)]
 
 
 def cfl_number(velocity, grid: SpatialGrid, dt: float, times):
@@ -536,7 +549,7 @@ def _support_hits_margin(vals: np.ndarray, band: np.ndarray, v0_sup: float):
     """Whether the nodal values exceed 1e-9 * v0_sup anywhere in the margin ``band``:
     one bool for values of ``grid.shape``, one per path for (P, *grid.shape)."""
     tol = _SUPPORT_VALUE_RTOL * max(v0_sup, 1.0e-300)
-    return np.any(np.abs(vals[..., band]) > tol, axis=-1)
+    return np.logical_or.reduce(np.abs(vals[..., band]) > tol, axis=-1)
 
 
 def _check_mollify_radius(epsilon: float, grid: SpatialGrid) -> None:

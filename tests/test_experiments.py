@@ -567,6 +567,38 @@ class TestCommandLine:
                              text=True, env=_src_env(), check=True)
         assert out.stdout.strip() == "[]"
 
+    #: a drift whose mollifier table would exceed 2**22 nodes: rejected after --out is made
+    HUGE_DRIFT = {"id": "power1d", "alpha": 0.75, "scale": 1e160}
+
+    @pytest.mark.parametrize("command", ["solve", "uniqueness", "wong-zakai"])
+    def test_a_config_error_after_the_directory_is_made_removes_it(self, tmp_path, capsys,
+                                                                   command):
+        config = self.write_config(tmp_path, base_dict(drift=self.HUGE_DRIFT))
+        out = tmp_path / "made" / "run"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "2**22 nodes" in capsys.readouterr().err
+        assert not (tmp_path / "made").exists()
+
+    def test_a_config_error_keeps_an_out_that_existed(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, base_dict(drift=self.HUGE_DRIFT))
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["solve", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_the_margin_is_reported_on_stdout_and_not_warned(self, tmp_path, capfd):
+        # a 2D bump centred at x = 1 whose support the stream field carries into the margin
+        config = self.write_config(tmp_path, base_dict(
+            d=2, N=32, T=1.0, dt=1.0 / 64, p=2.0, drift={"id": "stream", "amplitude": 1.0},
+            u0={"id": "bump", "center": [1.0], "radius": 1.2}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SupportMarginWarning)
+            assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        out, err = capfd.readouterr()
+        assert "solve: support touched the wrap-around margin at steps [" in out
+        assert err == ""
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = self.write_config(tmp_path, base_dict(colour="red"))
         assert main(["solve", "--config", config]) == 2

@@ -20,6 +20,7 @@ from stochtransport.fields import (
     _cubic_read,
     _cubic_reader,
     _cubic_weights,
+    _shifted,
     _window_sum,
     _Workspace,
     interpolate,
@@ -287,9 +288,9 @@ class TestWindowRead:
         rng = np.random.default_rng(31)
         grid = SpatialGrid(d=1, half_width=4.0, n=256)
         ws = _Workspace()
-        (plan,) = _cubic_plan(grid, rng.uniform(-4.0, 4.0, (1, 8, 256, 1)), ws)
+        plan = _cubic_plan(grid, rng.uniform(-4.0, 4.0, (1, 8, 256, 1)), ws)
         read = _cubic_reader(grid, 8, 256, clamp, ws)
-        values, out = rng.standard_normal((8, 256)), np.empty((8, 256))
+        values, out = rng.standard_normal((8, 256)), np.empty((1, 8, 256))
         read(values, plan, out)
         tracemalloc.start()
         try:
@@ -359,8 +360,125 @@ class TestWindowRead:
         assert np.count_nonzero(want[0, :128] == 0.0) == 64
         rows = _cubic_weights(theta, np.empty((4, start.size)))
         read = _cubic_reader(SpatialGrid(d=1, half_width=4.0, n=128), 8, 128, False, _Workspace())
-        got = read(fields, (start, [rows])).reshape(1, -1)
-        return got, want
+        got = np.empty((1, 8, 128))  # a plan of one row: one step
+        read(fields, (start.reshape(1, 8, 128), [rows.reshape(1, 4, 8, 128)]), got)
+        return got.reshape(1, -1), want
+
+
+class TestBlockRead:
+    """A plan of S rows, read as one block by one reader call."""
+
+    @staticmethod
+    def _values(rng, shape):
+        """Values over six decades, with +0.0, -0.0 and, in field 0, a patch of
+        zeros of mixed signs wider than a window."""
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        values[rng.random(shape) < 0.15] = 0.0
+        values[rng.random(shape) < 0.15] = -0.0
+        patch = (0,) + (slice(0, 6),) * (len(shape) - 1)
+        values[patch] = rng.choice([0.0, -0.0], values[patch].shape)
+        return values
+
+    @staticmethod
+    def _feet(grid, n_sets, n_fields, rng):
+        """Feet within 1.5 cells of the nodes, every seventh on its node."""
+        shape = (n_sets, n_fields, grid.size, grid.d)
+        pts = grid.nodes() + rng.uniform(-1.5, 1.5, shape) * grid.h
+        pts[:, :, ::7] = grid.nodes()[::7]
+        return pts
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n_fields", [1, 8])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_a_block_read_equals_its_steps_read_one_at_a_time(self, d, n_fields, clamp):
+        rng = np.random.default_rng(60 + 10 * d + n_fields)
+        grid = SpatialGrid(d=d, half_width=4.0, n=32 if d == 1 else 12)
+        values = self._values(rng, (n_fields,) + grid.shape)
+        pts = self._feet(grid, 5, n_fields, rng)
+        ws = _Workspace()
+        plan = _cubic_plan(grid, pts, ws)
+        out = np.empty((len(pts),) + values.shape)
+        _cubic_reader(grid, n_fields, grid.size, clamp, ws)(values, plan, out)
+        want = values
+        for step, feet in zip(out, pts):
+            want = _cubic_read(grid, want, feet, clamp).reshape(values.shape)
+            assert np.array_equal(step, want)
+            assert np.array_equal(np.signbit(step), np.signbit(want))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_plan_rows_equal_the_plan_of_each_set(self, d):
+        """Row s of a plan of S sets is the one-set plan of set s, and both are
+        the modulo stencil base and the weights formula, bit for bit."""
+        rng = np.random.default_rng(70 + d)
+        grid = SpatialGrid(d=d, half_width=4.0, n=24)
+        pts = rng.uniform(-12.0, 12.0, (4, 3, 50, d))
+        pts[1, :, :5] = 0.0  # node hits: weights of both signs of zero
+        start, weights = _cubic_plan(grid, pts, _Workspace())
+        assert start.shape == (4, 3, 50)
+        assert all(w.shape == (4, 4, 3, 50) and w.flags.c_contiguous for w in weights)
+        # the oracle: np.mod offsets, the wrapped base and the per-point formula
+        L, n, side = grid.half_width, grid.n, grid.n + 3
+        offset = np.mod(pts + L, 2.0 * L) / grid.h
+        base = np.floor(offset)
+        theta = offset - base
+        base = np.where(base >= n, 0, base).astype(np.int64)
+        first = np.arange(3)[:, None] * side**d + sum(
+            base[..., a] * side ** (d - 1 - a) for a in range(d))
+        for s in range(len(pts)):
+            one_start, one_weights = _cubic_plan(grid, pts[s:s + 1], _Workspace())
+            assert np.array_equal(start[s], one_start[0])
+            assert np.array_equal(start[s], first[s])
+            for a, (w, one) in enumerate(zip(weights, one_weights)):
+                want = np.moveaxis(_weights_by_point(theta[s, ..., a]), -1, 0)
+                for got in (w[s], one[0]):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_repeated_block_reads_allocate_nothing(self, clamp):
+        rng = np.random.default_rng(32)
+        grid = SpatialGrid(d=1, half_width=4.0, n=64)
+        ws = _Workspace()
+        plan = _cubic_plan(grid, self._feet(grid, 8, 8, rng), ws)
+        read = _cubic_reader(grid, 8, grid.size, clamp, ws)
+        values, out = rng.standard_normal((8, 64)), np.empty((8, 8, 64))
+        read(values, plan, out)
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                read(values, plan, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024  # a few array views, no array data
+
+
+class TestBatchedShift:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_batched_shift_equals_shift_field_per_path(self, d):
+        """Six fields with signed zeros, shifted at once in a workspace that
+        already served a larger plan: a lattice multiple and a zero shift keep
+        their -0.0 by the roll, and the others, one beyond one period, are
+        read at their displaced nodes."""
+        rng = np.random.default_rng(80 + d)
+        grid = SpatialGrid(d=d, half_width=4.0, n=32 if d == 1 else 12)
+        values = TestBlockRead._values(rng, (6,) + grid.shape)
+        h, period = grid.h, 2.0 * grid.half_width
+        deltas = rng.uniform(-4.0, 4.0, (6, d))
+        deltas[1] = 3.0 * h * np.arange(1, d + 1)  # a lattice multiple
+        deltas[2] = 2.6 * period  # beyond one period
+        deltas[3] = 0.0
+        deltas[4] = (7.0 + 1e-14) * h  # a lattice multiple within the tolerance
+        deltas[5] = -(3.0 * period + 0.3)
+        ws = _Workspace()
+        _cubic_plan(grid, TestBlockRead._feet(grid, 4, 8, rng), ws)  # 32 fields' points
+        got = _shifted(grid, values, deltas, ws)
+        assert len(got) == 6
+        assert np.signbit(values[1][values[1] == 0.0]).any()
+        for p, delta in enumerate(deltas):
+            want = shift_field(ScalarField(grid, values[p]), delta).values
+            assert np.array_equal(got[p], want)
+            assert np.array_equal(np.signbit(got[p]), np.signbit(want))
 
 
 class TestWorkspace:

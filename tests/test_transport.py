@@ -278,6 +278,32 @@ class TestUpwind:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_block_with_zero_and_mixed_sign_speeds_equals_the_two_differences(self, d):
+        """Eight paths whose speeds are all +0.0, all -0.0, all positive, all
+        negative, alternating in sign and mixed: both one-sided differences,
+        taken as views of one difference of the padded values, equal the
+        two-difference formula in every value and sign of zero."""
+        rng = np.random.default_rng(50 + d)
+        g = SpatialGrid(d=d, half_width=4.0, n=16 if d == 1 else 8)
+        vals = rng.standard_normal((8,) + g.shape)
+        vals[rng.random(vals.shape) < 0.2] = 0.0
+        vals[rng.random(vals.shape) < 0.2] = -0.0
+        vals[:, :2] = 0.0  # equal neighbours: differences of zero
+        times = np.arange(4) * 0.01
+        vel = rng.uniform(-1.0, 1.0, (len(times), 8, g.size, d))
+        vel[:, 0] = 0.0
+        vel[:, 1] = -0.0
+        vel[:, 2] = np.abs(vel[:, 2])
+        vel[:, 3] = -np.abs(vel[:, 3])
+        vel[:, 4] = np.abs(vel[:, 4]) * np.where(np.arange(g.size) % 2, -1.0, 1.0)[:, None]
+        vel[:, 5][rng.random(vel[:, 5].shape) < 0.5] = -0.0
+        got = transport._upwind_block(g, vals, lambda t, p: vel, times, 0.01)
+        want = _upwind_reference(g, vals, vel.reshape(got.shape + (d,)), 0.01)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got[:, :2], np.broadcast_to(vals[:2], got[:, :2].shape))
+
     def test_cfl_violation_rejected_by_marcher(self):
         g = SpatialGrid(d=1, half_width=4.0, n=256)
         u0 = sample_profile(g, bump(1, center=0.0, radius=1.0))
