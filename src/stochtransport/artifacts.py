@@ -11,8 +11,9 @@ are not part of the format.
 :func:`write_body` is the only code that opens an artifact for writing:
 it writes the comment and column lines, then a body of rows that are
 already text. :func:`write_csv` formats its rows' cells and hands them to
-it; a writer that keeps some cells as text from one file to the next
-(``fields.write_field_csv``) builds its body itself. :func:`read_csv`
+it; a writer that keeps its rows' fixed cells as text from one file to
+the next (``fields.write_field_csv``, through a ``%`` template of every
+row) builds its body itself. :func:`read_csv`
 splits each row into its cells; :func:`read_body` hands over each row's
 line, for a reader that checks its text (``fields.read_field_csv``).
 """

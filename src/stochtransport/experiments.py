@@ -496,7 +496,7 @@ def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
     if not os.path.isfile(path_file):
         raise ConfigError(f"no path.csv under {out_dir}; solve writes it with the snapshots")
     path = cfg.path(path_file=path_file)
-    grid = cfg.grid()  # one grid, so its row prefixes are formatted once for all snapshots
+    grid = cfg.grid()  # one grid, so its row template is built once for all snapshots
     fields = []
     for name in names:
         try:

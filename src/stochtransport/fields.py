@@ -24,10 +24,14 @@ take the same code path, as a block of one step, with a fresh workspace
 per call; the march shifts the snapshots of all its paths at once in its
 own (``_shifted``), and a mollified drift's lookup writes into a
 workspace of its table's. A snapshot's
-``index`` and coordinate cells are formatted once per grid
-(``SpatialGrid._row_prefixes``), so each write formats only its values
-and hands the body to ``artifacts.write_body``; the reader requires
-each row to be exactly those cells and one value.
+``index`` and coordinate cells are formatted once per grid, into one
+``%`` template of all its rows (``SpatialGrid._row_template``), so a
+write is one ``%`` of that template over the values, and it hands the
+body to ``artifacts.write_body``. The reader requires each row to be
+exactly those cells and one value: given the grid, it compares the rows
+1,024 at a time with the template filled with their value cells, and it
+checks a chunk that differs, and every row of a read without the grid,
+one row at a time.
 Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
@@ -55,6 +59,9 @@ __all__ = [
 
 #: Relative tolerance for deciding that a shift is an exact lattice multiple.
 _LATTICE_RTOL = 1.0e-12
+
+#: Snapshot rows the reader checks against the grid's row template at once.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -119,17 +126,24 @@ class SpatialGrid:
             object.__setattr__(self, "_nodes", nodes)
         return nodes
 
-    def _row_prefixes(self) -> tuple:
-        """The leading cells ``"i,x1[,x2],"`` of every snapshot row, row-major,
-        as :meth:`_iter_row_prefixes` formats them.
+    def _row_template(self) -> tuple:
+        """The text of every snapshot row as one ``%`` template, and the
+        offset in it of every ``_CHUNK_ROWS``-th row and of its end.
 
-        Formatted on the first call; every later call returns the same tuple.
+        Each row is its leading cells ``"i,x1[,x2],"``, as
+        :meth:`_iter_row_prefixes` formats them, then ``"%s\\n"`` for its
+        value. Built on the first call; every later call returns the same pair.
         """
-        prefixes = self.__dict__.get("_prefixes")
-        if prefixes is None:
-            prefixes = tuple(self._iter_row_prefixes())
-            object.__setattr__(self, "_prefixes", prefixes)
-        return prefixes
+        cached = self.__dict__.get("_template")
+        if cached is None:
+            prefixes = self._iter_row_prefixes()
+            pieces, offsets = [], [0]
+            while chunk := list(itertools.islice(prefixes, _CHUNK_ROWS)):
+                pieces.append("%s\n".join(chunk) + "%s\n")
+                offsets.append(offsets[-1] + len(pieces[-1]))
+            cached = ("".join(pieces), tuple(offsets))
+            object.__setattr__(self, "_template", cached)
+        return cached
 
     def _iter_row_prefixes(self):
         """The leading cells of each snapshot row, formatted one row at a time:
@@ -664,27 +678,33 @@ def _field_columns(d: int) -> list:
 
 
 def write_field_csv(f: ScalarField, path) -> None:
-    """Write a field snapshot: header comment, column names, row-major rows."""
+    """Write a field snapshot: header comment, column names, row-major rows.
+
+    The rows are the grid's row template (``SpatialGrid._row_template``)
+    filled with the values in one ``%``: ``%s`` of a float is its ``repr``.
+    """
     grid = f.grid
     header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
-    values = map(repr, f.values.ravel().tolist())
-    body = "\n".join(map(str.__add__, grid._row_prefixes(), values)) + "\n"
+    body = grid._row_template()[0] % tuple(f.values.ravel().tolist())
     write_body(path, _field_columns(grid.d), body, header)
 
 
 def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
-    """Read a snapshot written by :func:`write_field_csv`, one row at a time.
+    """Read a snapshot written by :func:`write_field_csv`.
 
     Every row must be the writer's own text: the index and coordinate
     cells the writer formats for the grid of the header, then one value
     cell, a finite number. ``grid``, when given, is the grid the header
-    must state, and its cached row prefixes (``SpatialGrid._row_prefixes``)
-    are the reference, so a caller that reads many snapshots of one grid
-    passes it; without it each row's prefix is formatted as the row is
-    read. A missing or malformed grid header, a header of another grid,
-    other column names, a row that breaks the rule, or a row count other
-    than the grid's raises :class:`FieldValidationError` naming the file,
-    and the row and the cell where there is one.
+    must state, and its row template (``SpatialGrid._row_template``) is
+    the reference: a chunk of ``_CHUNK_ROWS`` rows whose text is its slice
+    of the template filled with its value cells is taken whole, so a
+    caller that reads many snapshots of one grid passes it. A chunk that
+    differs, and every row of a read without ``grid``, is checked one row
+    at a time (:func:`_read_rows`), and that rule alone names a fault. A
+    missing or malformed grid header, a header of another grid, other
+    column names, a row that breaks the rule, or a row count other than
+    the grid's raises :class:`FieldValidationError` naming the file, and
+    the row and the cell where there is one.
     """
     header, columns, lines = read_body(path)
     if header is None or header[0] != "grid":
@@ -694,18 +714,72 @@ def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
         stated = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
     except (KeyError, ValueError, FieldValidationError) as exc:
         raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
-    if grid is None:
-        grid, prefixes = stated, stated._iter_row_prefixes()
-    elif stated != grid:
+    if grid is not None and stated != grid:
         raise FieldValidationError(f"{path}: the header states {stated}, expected {grid}")
-    else:
-        prefixes = grid._row_prefixes()
-    names = _field_columns(grid.d)
+    names = _field_columns(stated.d)
     if columns != names:
         raise FieldValidationError(
             f"{path}: columns {','.join(columns)!r}, expected {','.join(names)!r}")
+    if grid is None:
+        grid, template, prefixes = stated, None, stated._iter_row_prefixes()
+    else:
+        template, offsets = grid._row_template()
+    values = np.empty(grid.size)
+    n_rows = 0
+    for k, start in enumerate(range(0, grid.size, _CHUNK_ROWS)):
+        n = min(_CHUNK_ROWS, grid.size - start)
+        if template is not None:
+            part = template[offsets[k]:offsets[k + 1]]
+        rows, undecodable = [], None
+        try:
+            rows += itertools.islice(lines, n)
+        except UnicodeDecodeError as exc:  # raised after the rows before it are checked
+            undecodable = exc
+        chunk = None if template is None else _template_values(part, rows, n)
+        if chunk is None:
+            chunk = _read_rows(path, rows, prefixes if template is None else part.split("%s\n"),
+                               start, names)
+        if undecodable is not None:
+            raise undecodable
+        values[start:start + len(chunk)] = chunk
+        n_rows += len(rows)
+    n_rows += sum(1 for _ in lines)
+    if n_rows != grid.size:
+        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {n_rows}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FieldValidationError(
+            f"{path}: row {bad[0]}: value {float(values[bad[0]])!r} is not finite")
+    return ScalarField(grid, values.reshape(grid.shape))
+
+
+def _template_values(part: str, rows: list, n: int):
+    """The value cells of ``rows`` as floats, when they are all ``n`` rows of
+    a chunk and their text is ``part``, a slice of a row template, filled
+    with those cells; else None.
+
+    Each cell is the text after its row's last comma, so equal text makes
+    every row its template prefix and one value cell: the rule of
+    :func:`_read_rows`.
+    """
+    if len(rows) != n:
+        return None
+    cells = tuple([row.rpartition(",")[2] for row in rows])
+    if part % cells != "\n".join(rows) + "\n":
+        return None
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return None
+
+
+def _read_rows(path, rows: list, prefixes, start: int, names: list) -> list:
+    """The value of each of ``rows`` as a float, row ``start + k`` checked
+    against the k-th of ``prefixes``: the row must be that prefix and one
+    value cell, a number. The first row that is not raises
+    :class:`FieldValidationError`. Takes one prefix per row."""
     vals = []
-    for count, (prefix, line) in enumerate(zip(prefixes, lines)):
+    for count, (line, prefix) in enumerate(zip(rows, prefixes), start):
         # The row is its prefix and one cell exactly when its last comma ends the prefix.
         head, _, cell = line.rpartition(",")
         if len(head) + 1 != len(prefix) or not line.startswith(prefix):
@@ -715,15 +789,7 @@ def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
         except ValueError:
             raise FieldValidationError(
                 f"{path}: row {count}: value {cell!r} is not a number") from None
-    n_rows = len(vals) + sum(1 for _ in lines)
-    if n_rows != grid.size:
-        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {n_rows}")
-    values = np.array(vals)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FieldValidationError(
-            f"{path}: row {bad[0]}: value {vals[bad[0]]!r} is not finite")
-    return ScalarField(grid, values.reshape(grid.shape))
+    return vals
 
 
 def _row_fault(line: str, prefix: str, count: int, names: list) -> str:

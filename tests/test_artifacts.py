@@ -18,6 +18,7 @@ from stochtransport.drifts import HypothesisReport, write_hypothesis_csv
 from stochtransport.errors import FieldValidationError
 from stochtransport.experiments import (ConvergenceTable, ExperimentConfig,
                                         _write_manifest, cmd_solve)
+from stochtransport import fields as fields_module
 from stochtransport.fields import (ScalarField, SpatialGrid, read_field_csv,
                                    write_field_csv)
 from stochtransport.paths import SamplePath, read_path_csv, write_path_csv
@@ -117,16 +118,20 @@ class TestFieldText:
         write_field_csv(ScalarField(second, vals), tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_row_prefixes_are_immutable(self):
+    def test_row_template_is_immutable(self):
         grid = SpatialGrid(2, 4.0, 8)
-        prefixes = grid._row_prefixes()
-        assert isinstance(prefixes, tuple)
-        assert prefixes[:2] == ("0,-4.0,-4.0,", "1,-4.0,-3.0,")
-        assert grid._row_prefixes() is prefixes
+        cache = grid._row_template()
+        template, offsets = cache
+        assert isinstance(cache, tuple) and isinstance(offsets, tuple)
+        assert template.startswith("0,-4.0,-4.0,%s\n1,-4.0,-3.0,%s\n")
+        assert offsets == (0, len(template)) and template.count("%s\n") == 64
+        assert grid._row_template() is cache
         with pytest.raises(TypeError):
-            prefixes[0] = "0,0.0,0.0,"
+            cache[0] = "0,0.0,0.0,%s\n"
+        with pytest.raises(TypeError):
+            offsets[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            grid._prefixes = ()
+            grid._template = ()
         # the cache is not part of the grid's value
         assert grid == SpatialGrid(2, 4.0, 8)
         assert hash(grid) == hash(SpatialGrid(2, 4.0, 8))
@@ -193,6 +198,37 @@ class TestFieldText:
         assert np.array_equal(back.values, f.values)
         assert peak <= 1_000_000
 
+    def test_reader_with_its_grid_streams_chunks(self, tmp_path):
+        # the template path holds one chunk of 1,024 rows at a time, and the
+        # grid's template is built by the write before the trace
+        grid = SpatialGrid(2, 4.0, 128)
+        f = ScalarField(grid, np.random.default_rng(3).normal(size=grid.shape))
+        target = tmp_path / "f.csv"
+        write_field_csv(f, target)
+        tracemalloc.start()
+        try:
+            back = read_field_csv(target, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, f.values)
+        assert peak <= 1_000_000
+
+    def test_warm_writer_peak(self, tmp_path):
+        # one body string and the values as Python floats; joining one
+        # string per row took 2.7 MB
+        grid = SpatialGrid(2, 4.0, 128)
+        f = ScalarField(grid, np.random.default_rng(3).normal(size=grid.shape))
+        write_field_csv(f, tmp_path / "cold.csv")
+        tracemalloc.start()
+        try:
+            write_field_csv(f, tmp_path / "warm.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert peak <= 1_500_000
+
     def test_missing_grid_header_rejected(self, tmp_path):
         target = tmp_path / "f.csv"
         write_field_csv(ScalarField.zeros(SpatialGrid(1, 4.0, 8)), target)
@@ -249,6 +285,150 @@ class TestFieldText:
         with pytest.raises(FieldValidationError, match="columns 'index,x,value', expected "
                                                        "'index,x1,value'"):
             read_field_csv(target)
+
+
+def _outcome(read):
+    """What a read returns, as comparable data: the grid and the value
+    bits, or the type and text of the error it raised."""
+    try:
+        f = read()
+    except (FieldValidationError, UnicodeDecodeError) as exc:
+        return type(exc).__name__, str(exc)
+    return f.grid, f.values.tobytes()
+
+
+def _edited(lines, edit, row):
+    """A snapshot's lines (header and column lines first) with ``edit``
+    applied at snapshot row ``row``."""
+    i = 2 + row
+    if edit == "missing-row":
+        return lines[:i] + lines[i + 1:]
+    if edit == "extra-row":
+        return lines[:i + 1] + [lines[i]] + lines[i + 1:]
+    if edit == "swapped-pair":
+        j = i if i + 1 < len(lines) else i - 1
+        return lines[:j] + [lines[j + 1], lines[j]] + lines[j + 2:]
+    if edit == "wrong-coordinate":
+        cells = lines[i].split(",")
+        cells[1] = "99.0"
+        return lines[:i] + [",".join(cells)] + lines[i + 1:]
+    head = lines[i].rpartition(",")[0]  # edit is the text of the value cell
+    return lines[:i] + [f"{head},{edit}"] + lines[i + 1:]
+
+
+#: Whole-file edits of a snapshot's text.
+_FILE_EDITS = {
+    "no-final-newline": lambda body: body[:-1],
+    "crlf": lambda body: body.replace("\n", "\r\n"),
+    "trailing-blank-line": lambda body: body + "\n",
+}
+
+
+class TestTemplateReader:
+    """A read with the snapshot's grid checks 1,024-row chunks against the
+    grid's row template and takes the row-by-row rule for a chunk that
+    differs; a read without a grid takes that rule for every row. Each
+    file below must read the same way all three ways: the same values bit
+    for bit, or the same error."""
+
+    #: (d, N) of the snapshots: one short chunk, a partial last chunk, 16 chunks.
+    GRIDS = {"1d-8": (1, 8), "1d-2500": (1, 2500), "2d-128": (2, 128)}
+
+    @staticmethod
+    def _write(tmp_path, key):
+        d, n = TestTemplateReader.GRIDS[key]
+        grid = SpatialGrid(d, 4.0, n)
+        vals = np.random.default_rng(11).normal(size=grid.shape) * 3.0
+        vals.ravel()[:4] = [-0.0, 5e-324, 1e22, X17]
+        target = tmp_path / f"{key}.csv"
+        write_field_csv(ScalarField(grid, vals), target)
+        return grid, vals, target
+
+    @staticmethod
+    def _three_reads(monkeypatch, target, grid):
+        template = _outcome(lambda: read_field_csv(target, grid))
+        without = _outcome(lambda: read_field_csv(target))
+        with monkeypatch.context() as patch:
+            patch.setattr(fields_module, "_template_values", lambda part, rows, n: None)
+            row_rule = _outcome(lambda: read_field_csv(target, grid))
+        assert template == row_rule == without
+        return template
+
+    @pytest.mark.parametrize("key", sorted(GRIDS))
+    def test_valid_file_never_enters_the_row_loop(self, tmp_path, monkeypatch, key):
+        grid, vals, target = self._write(tmp_path, key)
+        assert self._three_reads(monkeypatch, target, grid) == (grid, vals.tobytes())
+
+        def row_loop(*args):
+            raise AssertionError("a valid file entered the row loop")
+
+        monkeypatch.setattr(fields_module, "_read_rows", row_loop)
+        assert read_field_csv(target, grid).values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("edit", ["missing-row", "extra-row", "swapped-pair",
+                                      "wrong-coordinate"])
+    @pytest.mark.parametrize("key, row", [
+        ("1d-8", 0), ("1d-8", 7),
+        ("1d-2500", 1023), ("1d-2500", 1024), ("1d-2500", 2047), ("1d-2500", 2048),
+        ("1d-2500", 2499),
+        ("2d-128", 0), ("2d-128", 1023), ("2d-128", 16383),
+    ])
+    def test_corrupt_row(self, tmp_path, monkeypatch, key, row, edit):
+        grid, _, target = self._write(tmp_path, key)
+        lines = text(target).split("\n")[:-1]
+        target.write_text("\n".join(_edited(lines, edit, row)) + "\n", encoding="utf-8")
+        outcome = self._three_reads(monkeypatch, target, grid)
+        assert outcome[0] == "FieldValidationError"
+
+    @pytest.mark.parametrize("edit", sorted(_FILE_EDITS))
+    @pytest.mark.parametrize("key", sorted(GRIDS))
+    def test_whole_file_edit(self, tmp_path, monkeypatch, key, edit):
+        grid, vals, target = self._write(tmp_path, key)
+        target.write_bytes(_FILE_EDITS[edit](text(target)).encode("utf-8"))
+        outcome = self._three_reads(monkeypatch, target, grid)
+        if edit == "trailing-blank-line":
+            assert outcome == ("FieldValidationError",
+                               f"{target}: expected {grid.size} rows, got {grid.size + 1}")
+        else:  # universal newlines read both as the written rows
+            assert outcome == (grid, vals.tobytes())
+
+    @pytest.mark.parametrize("cell, accepted", [
+        ("%", False), ("%s", False), ("1%", False), (" 1.0", True), ("1e999", False),
+    ])
+    @pytest.mark.parametrize("key, row", [("1d-8", 5), ("1d-2500", 2047), ("2d-128", 1024)])
+    def test_odd_value_cell(self, tmp_path, monkeypatch, key, row, cell, accepted):
+        grid, vals, target = self._write(tmp_path, key)
+        lines = text(target).split("\n")[:-1]
+        target.write_text("\n".join(_edited(lines, cell, row)) + "\n", encoding="utf-8")
+        outcome = self._three_reads(monkeypatch, target, grid)
+        if accepted:
+            vals.ravel()[row] = float(cell)
+            assert outcome == (grid, vals.tobytes())
+        elif cell == "1e999":
+            assert outcome == ("FieldValidationError",
+                               f"{target}: row {row}: value inf is not finite")
+        else:
+            assert outcome == ("FieldValidationError",
+                               f"{target}: row {row}: value {cell!r} is not a number")
+
+    @pytest.mark.parametrize("fault_row", [None, 1030])
+    def test_undecodable_text_after_a_fault(self, tmp_path, monkeypatch, fault_row):
+        # the chunk holding row 1500 stops at its undecodable byte; a fault in
+        # an earlier row of that chunk is still the error, as row by row
+        grid, _, target = self._write(tmp_path, "1d-2500")
+        lines = text(target).split("\n")[:-1]
+        if fault_row is not None:
+            lines = _edited(lines, "wrong-coordinate", fault_row)
+        raw = "\n".join(lines).encode("utf-8") + b"\n"
+        at = raw.index(b"\n1500,") + 1
+        target.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        kind, message = self._three_reads(monkeypatch, target, grid)
+        if fault_row is None:
+            assert kind == "UnicodeDecodeError"
+        else:
+            assert (kind, message) == ("FieldValidationError",
+                                       f"{target}: row 1030: x1 '99.0' is not the grid's "
+                                       f"{repr(grid.axis().tolist()[1030])!r}")
 
 
 class TestPathText:

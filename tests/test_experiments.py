@@ -833,23 +833,16 @@ class TestCommandLine:
                 node[key[-1]] = TestCommandLine._SWEEP_VALUES[i]
                 yield ".".join(key), TestCommandLine._SWEEP_VALUES[i], case
 
-    @pytest.mark.parametrize("raw", [
-        base_dict(N=16, p=2.0, mollify_eps=1.0, phi_count=4,
-                  drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
-                  u0={"id": "bump", "center": 0.0, "radius": 1.2}),
-        base_dict(N=16, p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)),
-    ], ids=["power1d", "stream"])
-    def test_a_mutated_config_exits_cleanly(self, tmp_path, capsys, raw):
-        """Every key and nested key of a tiny config (N = 16, K = 16), set in
-        turn to a seeded draw of wrong values, through ``solve`` and
-        ``hypotheses``: each run exits 0, 1 or 2, with no traceback and no
-        RuntimeWarning; an exit 2 prints nothing to stdout and one
-        ``config error:`` line. Exit 3 is the overflow at step 1, only."""
-        rng = np.random.default_rng(2026)
+    def _sweep_faults(self, tmp_path, capsys, raw, commands, rng, per_key) -> tuple:
+        """Run every case of :meth:`_sweep_cases` through each of ``commands``.
+        Returns the number of cases and the runs that were not clean: a clean
+        run exits 0, 1 or 2, with no traceback and no RuntimeWarning; an exit
+        2 prints nothing to stdout and one ``config error:`` line. Exit 3 is
+        the overflow at step 1, only."""
         faults = []
-        for n, (key, value, case) in enumerate(self._sweep_cases(raw, rng)):
+        for n, (key, value, case) in enumerate(self._sweep_cases(raw, rng, per_key)):
             config = self.write_config(tmp_path, case)
-            for command in ("solve", "hypotheses"):
+            for command in commands:
                 argv = [command, "--config", config, "--out", str(tmp_path / f"run{n}")]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -868,7 +861,37 @@ class TestCommandLine:
                         and err.startswith("config error:")
                 if not clean:
                     faults.append((command, key, value, code, err, numpy_warnings))
-        assert n > 100 and faults == []
+        return n + 1, faults
+
+    @pytest.mark.parametrize("raw", [
+        base_dict(N=16, p=2.0, mollify_eps=1.0, phi_count=4,
+                  drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
+                  u0={"id": "bump", "center": 0.0, "radius": 1.2}),
+        base_dict(N=16, p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)),
+    ], ids=["power1d", "stream"])
+    def test_a_mutated_config_exits_cleanly(self, tmp_path, capsys, raw):
+        """Every key and nested key of a tiny config (N = 16, K = 16), set in
+        turn to a seeded draw of wrong values, through ``solve`` and
+        ``hypotheses``: every run is clean (:meth:`_sweep_faults`)."""
+        count, faults = self._sweep_faults(tmp_path, capsys, raw, ("solve", "hypotheses"),
+                                           np.random.default_rng(2026), per_key=8)
+        assert count > 101 and faults == []
+
+    @pytest.mark.parametrize("raw, commands", [
+        (base_dict(p=2.0, mollify_eps=1.0, phi_count=4,
+                   drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
+                   u0={"id": "bump", "center": 0.0, "radius": 1.2}),
+         ("uniqueness", "wong-zakai")),
+        (base_dict(p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)), ("wong-zakai",)),
+    ], ids=["power1d", "stream"])
+    def test_a_mutated_config_exits_cleanly_in_the_studies(self, tmp_path, capsys, raw,
+                                                           commands):
+        """The sweep of :meth:`test_a_mutated_config_exits_cleanly` on an
+        N = 64, K = 16 config, a seeded draw of 4 of the 15 wrong values per
+        key, through the refinement studies ``uniqueness`` and ``wong-zakai``."""
+        count, faults = self._sweep_faults(tmp_path, capsys, raw, commands,
+                                           np.random.default_rng(2026), per_key=4)
+        assert count > 60 and faults == []
 
     def test_a_solve_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
         # A lazy import on the march path costs every process its time and
