@@ -14,11 +14,14 @@ already text. :func:`write_csv` formats its rows' cells and hands them to
 it; a writer that keeps its rows' fixed cells as text from one file to
 the next (``fields.write_field_csv``, through a ``%`` template of every
 row) builds its body itself. :func:`read_csv`
-splits each row into its cells; :func:`read_body` hands over each row's
-line, for a reader that checks its text (``fields.read_field_csv``).
+splits each row into its cells; :func:`read_body` hands over the open
+file, whose lines are the rows, for a reader that checks their text
+(``fields.read_field_csv``).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 __all__ = ["write_csv", "write_body", "read_csv", "read_body"]
 
@@ -51,35 +54,29 @@ def read_csv(path):
     """Read a file in the artifact format: ``(header, columns, rows)``.
 
     ``header`` is the ``(tag, {key: value})`` pair of the comment line, or
-    None when the file starts with its column line. ``rows`` is an
-    iterator that reads one row at a time, as a list of cells, and
-    closes the file when exhausted or discarded. Every cell, header
-    values included, is a string. A header token without ``=`` raises
-    ``ValueError``.
+    None when the file starts with its column line. ``rows`` is the list
+    of rows, each a list of cells. Every cell, header values included, is
+    a string. A header token without ``=`` raises ``ValueError``.
     """
-    header, columns, lines = read_body(path)
-    return header, columns, (row.split(",") for row in lines)
+    with read_body(path) as (header, columns, rows):
+        return header, columns, [row.rstrip("\n").split(",") for row in rows]
 
 
+@contextlib.contextmanager
 def read_body(path):
-    """:func:`read_csv` with each row left as its line of text, without its
-    ``\n``: the reader of :func:`write_body`."""
-    lines = _lines(path)
-    line = next(lines, "")
-    header = None
-    if line.startswith("#"):
-        tag, _, rest = line[1:].strip().partition(" ")
-        pairs = [tok.partition("=") for tok in rest.split()]
-        for key, eq, _ in pairs:
-            if not eq:
-                raise ValueError(f"header token {key!r} is not key=value")
-        header = (tag, {key: value for key, _, value in pairs})
-        line = next(lines, "")
-    columns = line.split(",") if line else []
-    return header, columns, lines
-
-
-def _lines(path):
+    """The reader of :func:`write_body`: a context manager that yields
+    ``(header, columns, rows)`` as :func:`read_csv` does, with ``rows`` the
+    open file after the column line, so each row is read as its line of
+    text, ``\n`` included. The file closes when the block ends."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+        line = fh.readline().rstrip("\n")
+        header = None
+        if line.startswith("#"):
+            tag, _, rest = line[1:].strip().partition(" ")
+            pairs = [tok.partition("=") for tok in rest.split()]
+            for key, eq, _ in pairs:
+                if not eq:
+                    raise ValueError(f"header token {key!r} is not key=value")
+            header = (tag, {key: value for key, _, value in pairs})
+            line = fh.readline().rstrip("\n")
+        yield header, line.split(",") if line else [], fh

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Every subcommand takes a JSON config (--config) and optional overrides;
-see ``ExperimentConfig`` for the key set. Exit codes: 0 all checks
+see ``schema.CONFIG`` for the key set. Exit codes: 0 all checks
 passed, 1 a tolerance check failed, 2 configuration error, 3 runtime or
 numeric failure. A configuration error removes the artifact directory,
 and any parent of it, that the command made and left empty; a runtime
@@ -14,6 +14,7 @@ printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -24,6 +25,7 @@ from .experiments import (ExperimentConfig, cmd_hypotheses, cmd_solve,
                           cmd_wong_zakai)
 
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochtransport",
@@ -89,10 +91,7 @@ def main(argv=None) -> int:
         _remove_empty(made)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StochTransportError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (StochTransportError, ValueError, ArithmeticError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     for line in result.lines:

@@ -21,7 +21,6 @@ doubling of the sample count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .errors import ConfigError, DriftEvaluationError
+from .schema import DRIFT, GAIN_IDS, check
 
 __all__ = [
     "DriftField",
@@ -166,7 +166,6 @@ def zero_drift(d: int) -> DriftField:
     def fn(x):
         return np.zeros(np.asarray(x).shape)
 
-
     def jac(x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
 
@@ -180,7 +179,6 @@ def constant_drift(c) -> DriftField:
 
     def fn(x):
         return np.broadcast_to(cvec, np.asarray(x).shape).copy()
-
 
     def jac(x):
         return np.zeros(np.asarray(x).shape[:-1] + (d, d))
@@ -304,12 +302,12 @@ def power_drift(alpha: float, scale: float = 1.0) -> DriftField:
     return DriftField("power1d", 1, fn, jac)
 
 
-_GAIN_RULES = {
-    # g must be integrable on [0, T]; all of these are bounded.
-    "one": lambda t, T: 1.0,
-    "sin_squared": lambda t, T: math.sin(math.pi * t / T) ** 2,
-    "ramp": lambda t, T: t / T,
-}
+#: The gain g(t, T) of each of ``schema.GAIN_IDS``, in order: bounded, so integrable on [0, T].
+_GAIN_RULES = dict(zip(GAIN_IDS, (
+    lambda t, T: 1.0,
+    lambda t, T: math.sin(math.pi * t / T) ** 2,
+    lambda t, T: t / T,
+)))
 
 
 def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> DriftField:
@@ -331,43 +329,9 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
     return replace(base, id=f"{base.id}*{gain_id}", constant_value=None, gain=gain)
 
 
-#: The numeric parameters of each catalog drift: numbers, or nested lists of them.
-_NUMBER_PARAMS = {"constant": ("c",), "linear": ("matrix",),
-                  "stream": ("half_width", "amplitude"), "shear": ("half_width", "amplitude"),
-                  "power1d": ("alpha", "scale")}
-
-#: The numeric parameters that are one number each, not a list.
-_SCALAR_PARAMS = ("half_width", "amplitude", "alpha", "scale")
-
-
-def _check_no_bools(kind: str, key: str, value) -> None:
-    """No entry of ``value`` may be a bool, which numpy would take as 0 or 1."""
-    if any(isinstance(item, bool) for item in np.asarray(value, dtype=object).ravel().tolist()):
-        raise ConfigError(f"drift {kind!r}: {key} must hold numbers, not true or false, "
-                          f"got {value!r}")
-
-
-def _finite_real(value) -> bool:
-    """Whether ``value`` is one finite real number, not a bool."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _check_real(kind: str, key: str, value) -> None:
-    """A scalar parameter must be one finite real number: numpy would
-    broadcast a list through the drift, and carry NaN or inf into it."""
-    if not _finite_real(value):
-        raise ConfigError(f"bad parameters for drift {kind!r}: {key} must be a finite real "
-                          f"number, got {value!r}")
-
-
-def _check_period(kind: str, drift_half_width, half_width: float) -> None:
+def _check_period(kind: str, drift_half_width: float, half_width: float) -> None:
     """A ``stream`` or ``shear`` drift of half width L / m, for a whole m >= 1,
-    is periodic on the box [-L, L)^2; any other half width is an error, and
-    one that is no number raises ``TypeError``."""
+    is periodic on the box [-L, L)^2; any other half width is an error."""
     periods = half_width / drift_half_width if drift_half_width > 0 else 0.0
     if not (periods >= 1.0 and abs(periods - round(periods)) <= 1.0e-12 * periods):
         raise ConfigError(f"drift {kind!r}: half_width {drift_half_width!r} is not L / m for "
@@ -378,45 +342,35 @@ def _check_period(kind: str, drift_half_width, half_width: float) -> None:
 def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0) -> DriftField:
     """Build a catalog drift from a config dictionary like {"id": "power1d", "alpha": 0.75}.
 
-    A numeric parameter must not be a bool, and one that is a single
-    number (``alpha``, ``scale``, ``amplitude``, ``half_width``) must be a
-    finite real: anything else is a ``ConfigError`` naming the key. The
-    ``half_width`` of a ``stream`` or ``shear`` drift, L by default, must
-    be L / m for a whole m >= 1, so that the drift is periodic on the box
-    [-L, L)^2.
+    The spec must meet ``schema.DRIFT`` in dimension ``d``, or a
+    ``ConfigError`` names the key path at fault (``drift.base.scale``).
+    The ``half_width`` of a ``stream`` or ``shear`` drift, L by default,
+    must be L / m for a whole m >= 1, so that the drift is periodic on the
+    box [-L, L)^2.
     """
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ConfigError(f"drift spec must be a dict with an 'id', got {spec!r}")
+    check(spec, DRIFT, "drift", d)
+    gains = []  # a time_modulated spec's gain, then its base's, down to the autonomous field
+    while spec["id"] == "time_modulated":
+        gains.append(spec["gain_id"])
+        spec = spec["base"]
     kind = spec["id"]
     kwargs = {k: v for k, v in spec.items() if k != "id"}
-    for key in _NUMBER_PARAMS.get(kind, ()):
-        if key in kwargs:
-            _check_no_bools(kind, key, kwargs[key])
-            if key in _SCALAR_PARAMS:
-                _check_real(kind, key, kwargs[key])
-    try:
-        if kind == "zero":
-            b = zero_drift(d, **kwargs)
-        elif kind == "constant":
-            kwargs.setdefault("c", [1.0] * d)
-            b = constant_drift(**kwargs)
-        elif kind == "linear":
-            b = linear_drift(**kwargs)
-        elif kind in ("stream", "shear"):
-            kwargs.setdefault("half_width", half_width)
-            _check_period(kind, kwargs["half_width"], half_width)
-            b = (stream_function_drift if kind == "stream" else shear_drift)(**kwargs)
-        elif kind == "power1d":
-            b = power_drift(**kwargs)
-        elif kind == "time_modulated":
-            base = drift_from_spec(d, half_width, kwargs.pop("base"), horizon)
-            b = time_modulated_drift(base, horizon=horizon, **kwargs)
-        else:
-            raise ConfigError(f"unknown drift id {kind!r}")
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for drift {kind!r}: {exc}") from exc
+    if kind == "zero":
+        b = zero_drift(d)
+    elif kind == "constant":
+        b = constant_drift(kwargs.get("c", [1.0] * d))
+    elif kind == "linear":
+        b = linear_drift(**kwargs)
+    elif kind in ("stream", "shear"):
+        kwargs.setdefault("half_width", half_width)
+        _check_period(kind, kwargs["half_width"], half_width)
+        b = (stream_function_drift if kind == "stream" else shear_drift)(**kwargs)
+    else:
+        b = power_drift(**kwargs)
     if b.d != d:
         raise ConfigError(f"drift {kind!r} has dimension {b.d}, config asks for {d}")
+    for gain_id in reversed(gains):
+        b = time_modulated_drift(b, gain_id, horizon)
     return b
 
 

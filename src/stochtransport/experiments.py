@@ -30,6 +30,7 @@ from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_fie
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
+from .schema import CONFIG, check_keys
 from .spde import SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde
 from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
                         _support_hits_margin, cfl_number)
@@ -58,9 +59,6 @@ DEFAULT_WEAK_TOL = 0.05
 #: Wong-Zakai: the finest-level error must stay below this fraction of |u0|_p.
 WZ_FINAL_TOL = 0.05
 
-_REQUIRED_KEYS = ("d", "L", "N", "T", "dt", "scheme", "p", "seed", "drift", "u0")
-_OPTIONAL_KEYS = ("phi_count", "wz_levels", "mollify_eps", "out_dir")
-
 _DEFAULT_WZ_LEVELS = (4, 8, 16, 32, 64, 128, 256)
 
 #: The most steps T / dt a run may take: its path alone holds K + 1 knots.
@@ -71,15 +69,6 @@ MAX_STEPS = 2**24
 MAX_HALF_WIDTH = 1e150
 
 
-def _integer(key: str, value) -> int:
-    """An integral JSON number, not a bool, as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_seed(name: str, seed: int) -> None:
     """A seed keys ``numpy.random.Philox``, which takes keys 0 <= key < 2**128 only."""
     if seed < 0:
@@ -88,37 +77,11 @@ def _check_seed(name: str, seed: int) -> None:
         raise ConfigError(f"{name} must be below 2**128, got {seed}")
 
 
-def _real(key: str, value) -> float:
-    """A finite JSON number, not a bool, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return out
-
-
-def _string(key: str, value) -> str:
-    """A JSON string."""
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _object(key: str, value) -> dict:
-    """A JSON object, as a copy."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{key} must be an object, got {value!r}")
-    return dict(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run parameters; see the JSON key set in the class docs.
-
-    Keys: d, L, N, T, dt, scheme, p, seed, drift, u0, and the optional
-    phi_count, wz_levels, mollify_eps, out_dir. Anything else is an error.
-    """
+    """Validated run parameters. The keys of the JSON config, and the kind
+    of each, are ``schema.CONFIG``; ``validate`` checks the rules that tie
+    them together."""
 
     d: int
     half_width: float
@@ -139,35 +102,17 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in _REQUIRED_KEYS if k not in raw]
-        if missing:
-            raise ConfigError(f"missing config keys: {missing}")
-        try:
-            levels = raw.get("wz_levels", _DEFAULT_WZ_LEVELS)
-            if not isinstance(levels, (list, tuple)):
-                raise TypeError(f"wz_levels must be a list, got {levels!r}")
-            cfg = cls(
-                d=_integer("d", raw["d"]),
-                half_width=_real("L", raw["L"]),
-                n=_integer("N", raw["N"]),
-                horizon=_real("T", raw["T"]),
-                dt=_real("dt", raw["dt"]),
-                scheme=_string("scheme", raw["scheme"]),
-                p=_real("p", raw["p"]),
-                seed=_integer("seed", raw["seed"]),
-                drift_spec=_object("drift", raw["drift"]),
-                u0_spec=_object("u0", raw["u0"]),
-                phi_count=_integer("phi_count", raw.get("phi_count", 10)),
-                wz_levels=tuple(_integer("wz_levels entry", v) for v in levels),
-                mollify_eps=(None if raw.get("mollify_eps") is None
-                             else _real("mollify_eps", raw["mollify_eps"])),
-                out_dir=_string("out_dir", raw.get("out_dir", "runs")),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        check_keys(raw, CONFIG)
+        cfg = cls(
+            d=int(raw["d"]), half_width=float(raw["L"]), n=int(raw["N"]),
+            horizon=float(raw["T"]), dt=float(raw["dt"]), scheme=raw["scheme"],
+            p=float(raw["p"]), seed=int(raw["seed"]),
+            drift_spec=dict(raw["drift"]), u0_spec=dict(raw["u0"]),
+            phi_count=int(raw.get("phi_count", 10)),
+            wz_levels=tuple(map(int, raw.get("wz_levels", _DEFAULT_WZ_LEVELS))),
+            mollify_eps=None if raw.get("mollify_eps") is None else float(raw["mollify_eps"]),
+            out_dir=raw.get("out_dir", "runs"),
+        )
         cfg.validate()
         return cfg
 
@@ -210,8 +155,6 @@ class ExperimentConfig:
             b = self.drift()
             u0 = sample_profile(grid, self.profile())
             eval_drift(b, 0.0, grid.nodes())
-        except KeyError as exc:
-            raise ConfigError(f"malformed config value: missing key {exc}") from exc
         except (DriftEvaluationError, FieldValidationError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
         # Zero initial data is a valid run when asked for, by a zero amplitude;
@@ -220,6 +163,14 @@ class ExperimentConfig:
         if not np.any(u0.values) and np.any(np.asarray(stated, dtype=float) != 0.0):
             raise ConfigError("u0 samples to zero at every grid node, though its amplitude "
                               f"is {stated!r}")
+        # The run writes |u|_p of every snapshot, and the weak audit divides by it.
+        fault = "the L^p norm of u0 at p={!r} is {!r}: a nonzero u0 needs a finite positive norm"
+        try:
+            norm = lp_norm(u0, self.p) if np.any(u0.values) else 1.0
+        except FieldValidationError:  # its p-th powers overflow
+            raise ConfigError(fault.format(self.p, math.inf)) from None
+        if not norm > 0.0:  # they underflow
+            raise ConfigError(fault.format(self.p, norm))
         if self.mollify_eps is not None:
             if self.mollify_eps < 0:
                 raise ConfigError("mollify_eps must be nonnegative")
@@ -444,6 +395,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
     u0 = cfg.u0()
     (sol,) = solve_spde(cfg.drift(), [path], u0, scheme=cfg.scheme,
                         mollify_epsilon=cfg.mollify_eps)
+    # a norm that overflows is a runtime error, raised before any file is written
+    norms = [(m, t, lp_norm(u, cfg.p))
+             for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
     for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
         u_file, v_file = (os.path.join(out_dir, f"{x}_t{m:04d}.csv") for x in "uv")
         write_field_csv(u, u_file)
@@ -453,8 +407,6 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
         else:
             write_field_csv(v, v_file)
     write_path_csv(path, os.path.join(out_dir, "path.csv"))
-    norms = [(m, t, lp_norm(u, cfg.p))
-             for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
     write_csv(os.path.join(out_dir, "norms.csv"), ("m", "t", "lp_norm"), norms)
     _write_manifest([_manifest_row(cfg, path, None)],
                     os.path.join(out_dir, "manifest.csv"))

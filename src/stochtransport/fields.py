@@ -28,10 +28,9 @@ workspace of its table's. A snapshot's
 ``%`` template of all its rows (``SpatialGrid._row_template``), so a
 write is one ``%`` of that template over the values, and it hands the
 body to ``artifacts.write_body``. The reader requires each row to be
-exactly those cells and one value: given the grid, it compares the rows
+exactly those cells and one value: it compares the rows of the open file
 1,024 at a time with the template filled with their value cells, and it
-checks a chunk that differs, and every row of a read without the grid,
-one row at a time.
+checks a chunk that differs one row at a time.
 Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
@@ -130,13 +129,16 @@ class SpatialGrid:
         """The text of every snapshot row as one ``%`` template, and the
         offset in it of every ``_CHUNK_ROWS``-th row and of its end.
 
-        Each row is its leading cells ``"i,x1[,x2],"``, as
-        :meth:`_iter_row_prefixes` formats them, then ``"%s\\n"`` for its
+        Each row is its leading cells, the index and each coordinate as its
+        shortest round-trip text, ``"i,x1[,x2],"``, then ``"%s\\n"`` for its
         value. Built on the first call; every later call returns the same pair.
         """
         cached = self.__dict__.get("_template")
         if cached is None:
-            prefixes = self._iter_row_prefixes()
+            axis = [f"{x}," for x in self.axis().tolist()]
+            coords = (axis if self.d == 1
+                      else itertools.starmap(str.__add__, itertools.product(axis, axis)))
+            prefixes = (f"{i},{cells}" for i, cells in enumerate(coords))
             pieces, offsets = [], [0]
             while chunk := list(itertools.islice(prefixes, _CHUNK_ROWS)):
                 pieces.append("%s\n".join(chunk) + "%s\n")
@@ -144,13 +146,6 @@ class SpatialGrid:
             cached = ("".join(pieces), tuple(offsets))
             object.__setattr__(self, "_template", cached)
         return cached
-
-    def _iter_row_prefixes(self):
-        """The leading cells of each snapshot row, formatted one row at a time:
-        the index, then each coordinate as its shortest round-trip text."""
-        axis = [f"{x}," for x in self.axis().tolist()]
-        coords = axis if self.d == 1 else itertools.starmap(str.__add__, itertools.product(axis, axis))
-        return (f"{i},{cells}" for i, cells in enumerate(coords))
 
 
 @dataclass(frozen=True)
@@ -212,7 +207,8 @@ def lp_norm(f: ScalarField, p: float) -> float:
     float. The terms are summed largest first: fsum then keeps few
     partial sums, where in array order terms whose exponents span
     hundreds of binades keep many, and a 128 x 128 field sums several
-    times faster.
+    times faster. A norm whose p-th powers overflow raises
+    ``FieldValidationError``; one whose powers underflow is 0.0.
     """
     pv = float(p)
     if not (pv >= 1.0 and math.isfinite(pv)):
@@ -220,9 +216,16 @@ def lp_norm(f: ScalarField, p: float) -> float:
     vals = f.values
     if not np.all(np.isfinite(vals)):
         raise FieldValidationError("cannot take the norm of a non-finite field")
-    terms = np.sort(np.abs(vals) ** pv, axis=None)[::-1]
-    total = math.fsum(terms.tolist()) * f.grid.cell_volume
-    return total ** (1.0 / pv)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        terms = np.sort(np.abs(vals) ** pv, axis=None)[::-1]
+    try:
+        norm = (math.fsum(terms.tolist()) * f.grid.cell_volume) ** (1.0 / pv)
+    except OverflowError:  # finite powers whose sum overflows
+        norm = math.inf
+    if norm == math.inf:
+        raise FieldValidationError(f"the L^p norm at p={pv!r} overflows: the p-th powers of "
+                                   "the values exceed the float range")
+    return norm
 
 
 class _Workspace:
@@ -695,55 +698,51 @@ def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
     Every row must be the writer's own text: the index and coordinate
     cells the writer formats for the grid of the header, then one value
     cell, a finite number. ``grid``, when given, is the grid the header
-    must state, and its row template (``SpatialGrid._row_template``) is
-    the reference: a chunk of ``_CHUNK_ROWS`` rows whose text is its slice
-    of the template filled with its value cells is taken whole, so a
-    caller that reads many snapshots of one grid passes it. A chunk that
-    differs, and every row of a read without ``grid``, is checked one row
-    at a time (:func:`_read_rows`), and that rule alone names a fault. A
-    missing or malformed grid header, a header of another grid, other
-    column names, a row that breaks the rule, or a row count other than
-    the grid's raises :class:`FieldValidationError` naming the file, and
-    the row and the cell where there is one.
+    must state, so that a caller reading many snapshots builds its row
+    template (``SpatialGrid._row_template``) once. A chunk of
+    ``_CHUNK_ROWS`` rows whose text is the template filled with its value
+    cells is taken whole; one that differs is checked row by row
+    (:func:`_read_rows`), which alone names a fault. A missing or malformed
+    grid header, another grid, other column names, a row that breaks the
+    rule, or a row count other than the grid's raises
+    :class:`FieldValidationError` naming the file, and the row and cell.
     """
-    header, columns, lines = read_body(path)
-    if header is None or header[0] != "grid":
-        raise FieldValidationError(f"{path}: missing grid header line")
-    meta = header[1]
-    try:
-        stated = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]), n=int(meta["N"]))
-    except (KeyError, ValueError, FieldValidationError) as exc:
-        raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
-    if grid is not None and stated != grid:
-        raise FieldValidationError(f"{path}: the header states {stated}, expected {grid}")
-    names = _field_columns(stated.d)
-    if columns != names:
-        raise FieldValidationError(
-            f"{path}: columns {','.join(columns)!r}, expected {','.join(names)!r}")
-    if grid is None:
-        grid, template, prefixes = stated, None, stated._iter_row_prefixes()
-    else:
-        template, offsets = grid._row_template()
-    values = np.empty(grid.size)
-    n_rows = 0
-    for k, start in enumerate(range(0, grid.size, _CHUNK_ROWS)):
-        n = min(_CHUNK_ROWS, grid.size - start)
-        if template is not None:
-            part = template[offsets[k]:offsets[k + 1]]
-        rows, undecodable = [], None
+    with read_body(path) as (header, columns, lines):
+        if header is None or header[0] != "grid":
+            raise FieldValidationError(f"{path}: missing grid header line")
+        meta = header[1]
         try:
-            rows += itertools.islice(lines, n)
-        except UnicodeDecodeError as exc:  # raised after the rows before it are checked
-            undecodable = exc
-        chunk = None if template is None else _template_values(part, rows, n)
-        if chunk is None:
-            chunk = _read_rows(path, rows, prefixes if template is None else part.split("%s\n"),
-                               start, names)
-        if undecodable is not None:
-            raise undecodable
-        values[start:start + len(chunk)] = chunk
-        n_rows += len(rows)
-    n_rows += sum(1 for _ in lines)
+            stated = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]),
+                                 n=int(meta["N"]))
+        except (KeyError, ValueError, FieldValidationError) as exc:
+            raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
+        if grid is None:
+            grid = stated
+        elif stated != grid:
+            raise FieldValidationError(f"{path}: the header states {stated}, expected {grid}")
+        names = _field_columns(grid.d)
+        if columns != names:
+            raise FieldValidationError(
+                f"{path}: columns {','.join(columns)!r}, expected {','.join(names)!r}")
+        template, offsets = grid._row_template()
+        values = np.empty(grid.size)
+        n_rows = 0
+        for k, start in enumerate(range(0, grid.size, _CHUNK_ROWS)):
+            n = min(_CHUNK_ROWS, grid.size - start)
+            part = template[offsets[k]:offsets[k + 1]]
+            rows, undecodable = [], None
+            try:
+                rows += itertools.islice(lines, n)
+            except UnicodeDecodeError as exc:  # raised after the rows before it are checked
+                undecodable = exc
+            chunk = _template_values(part, rows, n)
+            if chunk is None:
+                chunk = _read_rows(path, rows, part.split("%s\n"), start, names)
+            if undecodable is not None:
+                raise undecodable
+            values[start:start + len(chunk)] = chunk
+            n_rows += len(rows)
+        n_rows += sum(1 for _ in lines)
     if n_rows != grid.size:
         raise FieldValidationError(f"{path}: expected {grid.size} rows, got {n_rows}")
     bad = np.flatnonzero(~np.isfinite(values))
@@ -758,9 +757,9 @@ def _template_values(part: str, rows: list, n: int):
     a chunk and their text is ``part``, a slice of a row template, filled
     with those cells; else None.
 
-    Each cell is the text after its row's last comma, so equal text makes
-    every row its template prefix and one value cell: the rule of
-    :func:`_read_rows`.
+    Each cell is the text after its row's last comma, with the row's
+    ``\\n``, which ``float`` ignores. Equal text makes every row its
+    template prefix and one value cell: the rule of :func:`_read_rows`.
     """
     if len(rows) != n:
         return None
@@ -775,11 +774,12 @@ def _template_values(part: str, rows: list, n: int):
 
 def _read_rows(path, rows: list, prefixes, start: int, names: list) -> list:
     """The value of each of ``rows`` as a float, row ``start + k`` checked
-    against the k-th of ``prefixes``: the row must be that prefix and one
-    value cell, a number. The first row that is not raises
-    :class:`FieldValidationError`. Takes one prefix per row."""
+    against the k-th of ``prefixes``: the row, without its ``\\n``, must be
+    that prefix and one value cell, a number. The first row that is not
+    raises :class:`FieldValidationError`. Takes one prefix per row."""
     vals = []
     for count, (line, prefix) in enumerate(zip(rows, prefixes), start):
+        line = line.rstrip("\n")
         # The row is its prefix and one cell exactly when its last comma ends the prefix.
         head, _, cell = line.rpartition(",")
         if len(head) + 1 != len(prefix) or not line.startswith(prefix):

@@ -13,19 +13,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .drifts import _finite_real
 from .errors import ConfigError, FieldValidationError
 from .fields import ScalarField, SpatialGrid
+from .schema import PROFILE, check
 
-__all__ = [
-    "Profile",
-    "bump",
-    "double_bump",
-    "step",
-    "sinusoid",
-    "profile_from_spec",
-    "sample_profile",
-]
+__all__ = ["Profile", "bump", "double_bump", "step", "sinusoid", "profile_from_spec",
+           "sample_profile"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +95,8 @@ def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -
     """Box-periodic product sinusoid: a * prod_a sin(pi * mode * x_a / L)."""
     if mode < 1:
         raise ConfigError(f"sinusoid mode must be a positive integer, got {mode}")
+    if not half_width > 0:
+        raise ConfigError(f"sinusoid half width must be positive, got {half_width}")
     k = np.pi * mode / half_width
 
     def fn(points):
@@ -123,66 +118,16 @@ def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -
 def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:
     """Build a profile from a config dictionary like {"id": "bump", "radius": 1.0}.
 
-    ``amplitude``, ``radius`` and ``half_width`` must each be one finite
-    real, and ``amplitudes`` two of them. A ``center`` is one finite real
-    or a list of finite reals that broadcasts to the d coordinates, and
-    ``centers`` is two such centers. ``mode`` is a positive integer. Any
-    other value, a bool included, is a ``ConfigError`` naming the key:
-    numpy would broadcast a list through the profile, and carry NaN or inf
-    into it.
+    The spec must meet ``schema.PROFILE`` in dimension ``d``, or a
+    ``ConfigError`` names the key path at fault (``u0.amplitude``). A
+    ``sinusoid`` takes the box half-width L when it states none.
     """
-    if not isinstance(spec, dict) or "id" not in spec:
-        raise ConfigError(f"initial-data spec must be a dict with an 'id', got {spec!r}")
-    kind = spec["id"]
+    check(spec, PROFILE, "u0", d)
     kwargs = {k: v for k, v in spec.items() if k != "id"}
-    for key, value in kwargs.items():
-        want = _param_fault(key, value, d)
-        if want is not None:
-            raise ConfigError(f"bad parameters for initial data {kind!r}: {key} must be "
-                              f"{want}, got {value!r}")
-    try:
-        if kind == "bump":
-            return bump(d, **kwargs)
-        if kind == "double_bump":
-            return double_bump(d, **kwargs)
-        if kind == "step":
-            return step(d, **kwargs)
-        if kind == "sinusoid":
-            kwargs.setdefault("half_width", half_width)
-            return sinusoid(d, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for initial data {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown initial-data id {kind!r}")
-
-
-def _param_fault(key: str, value, d: int) -> str | None:
-    """What the value of parameter ``key`` must be, when it is not; else None."""
-    if key in ("amplitude", "radius", "half_width"):
-        return None if _finite_real(value) else "a finite real number"
-    if key == "amplitudes":
-        return None if _is_pair(value, _finite_real) else "two finite real numbers"
-    center = f"a finite real number or a list of them that broadcasts to {d} coordinates"
-    if key == "center":
-        return None if _is_center(value, d) else center
-    if key == "centers":
-        pair = _is_pair(value, lambda c: _is_center(c, d))
-        return None if pair else f"two centers, each {center}"
-    if key == "mode":
-        # 2 or 2.0, not 1.5; _finite_real refuses a bool
-        whole = _finite_real(value) and value >= 1 and float(value).is_integer()
-        return None if whole else "a positive integer"
-    return None
-
-
-def _is_center(value, d: int) -> bool:
-    """One finite real, or a list of them of length 1 or d."""
-    return _finite_real(value) or (isinstance(value, (list, tuple)) and len(value) in (1, d)
-                                   and all(map(_finite_real, value)))
-
-
-def _is_pair(value, rule) -> bool:
-    """A list of two entries that each meet ``rule``."""
-    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(rule, value))
+    if spec["id"] == "sinusoid":
+        kwargs.setdefault("half_width", half_width)
+    builder = {"bump": bump, "double_bump": double_bump, "step": step, "sinusoid": sinusoid}
+    return builder[spec["id"]](d, **kwargs)
 
 
 def sample_profile(grid: SpatialGrid, profile: Profile) -> ScalarField:

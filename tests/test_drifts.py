@@ -233,21 +233,29 @@ class TestDriftFromSpec:
         for half_width in (3.0, 8.0, 0.0, -4.0):
             with pytest.raises(ConfigError, match="not periodic on the box"):
                 drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width})
-        with pytest.raises(ConfigError, match="bad parameters"):
+        with pytest.raises(ConfigError, match="drift.half_width must be a finite real number"):
             drift_from_spec(2, 4.0, {"id": kind, "half_width": "4"})
 
-    @pytest.mark.parametrize("spec", [
-        {"id": "stream", "amplitude": True},
-        {"id": "shear", "half_width": True},
-        {"id": "power1d", "alpha": 0.75, "scale": True},
-        {"id": "constant", "c": [1.0, True]},
-        {"id": "linear", "matrix": [[1.0, False], [0.0, 1.0]]},
-        {"id": "time_modulated", "gain_id": "ramp", "base": {"id": "stream", "amplitude": True}},
+    @pytest.mark.parametrize("spec, message", [
+        ({"id": "stream", "amplitude": True},
+         "drift.amplitude must be a finite real number, got True"),
+        ({"id": "shear", "half_width": True},
+         "drift.half_width must be a finite real number, got True"),
+        ({"id": "power1d", "alpha": 0.75, "scale": True},
+         "drift.scale must be a finite real number, got True"),
+        ({"id": "constant", "c": [1.0, True]},
+         "drift.c must be a list of 2 finite real numbers, got [1.0, True]"),
+        ({"id": "linear", "matrix": [[1.0, False], [0.0, 1.0]]},
+         "drift.matrix must be a 2 x 2 matrix: a list of 2 rows of 2 finite real numbers, "
+         "got [[1.0, False], [0.0, 1.0]]"),
+        ({"id": "time_modulated", "gain_id": "ramp", "base": {"id": "stream", "amplitude": True}},
+         "drift.base.amplitude must be a finite real number, got True"),
     ], ids=["amplitude", "half-width", "scale", "c", "matrix", "nested-base"])
-    def test_a_bool_is_no_number(self, spec):
-        d = 1 if spec["id"] in ("power1d", "linear") else 2
-        with pytest.raises(ConfigError, match="must hold numbers, not true or false"):
+    def test_a_bool_is_no_number(self, spec, message):
+        d = 1 if spec["id"] in ("power1d",) else 2
+        with pytest.raises(ConfigError) as info:
             drift_from_spec(d, 4.0, spec)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("spec, key", [
         ({"id": "power1d", "alpha": 0.75, "scale": [1.0]}, "scale"),

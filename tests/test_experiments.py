@@ -11,6 +11,7 @@ mesh. Reruns of the same config must reproduce artifact bytes exactly.
 import json
 import math
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -36,9 +37,11 @@ from stochtransport.experiments import (
     estimate_order,
 )
 from stochtransport.cli import main
+from stochtransport.drifts import drift_from_spec
 from stochtransport.fields import read_field_csv
 from stochtransport.paths import sample_brownian, write_path_csv
-from stochtransport.profiles import sample_profile
+from stochtransport.profiles import profile_from_spec, sample_profile
+from stochtransport.schema import CONFIG, DRIFT, PROFILE, check, check_keys
 from stochtransport.spde import SNAPSHOT_INTERVALS
 
 
@@ -92,7 +95,7 @@ class TestConfigParsing:
             ExperimentConfig.from_dict([1, 2, 3])
 
     def test_malformed_value_rejected(self):
-        with pytest.raises(ConfigError, match="malformed config value"):
+        with pytest.raises(ConfigError, match="^N must be an integer, got 'many'$"):
             ExperimentConfig.from_dict(base_dict(N="many"))
 
     def test_json_round_trip(self, tmp_path):
@@ -604,17 +607,24 @@ class TestCommandLine:
         assert main(["solve", "--config", config]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    #: What a value of each top-level key swept below must be.
+    _KINDS = {"d": "an integer", "N": "an integer", "seed": "an integer",
+              "phi_count": "an integer", "wz_levels": "a list of integers",
+              "L": "a finite real number", "p": "a finite real number",
+              "mollify_eps": "a finite real number or null", "drift": "an object",
+              "u0": "an object", "out_dir": "a string", "scheme": "a string"}
+
     @pytest.mark.parametrize("key, value", [
         ("N", 64.9), ("d", 1.7), ("seed", 3.9), ("seed", True), ("phi_count", 2.5),
         ("wz_levels", [4, 8.5]), ("wz_levels", "48"),
-        ("p", "inf"), ("p", "nan"), ("L", "nan"),
+        ("p", "inf"), ("p", "nan"), ("L", "nan"), pytest.param("L", 10**400, id="L-10**400"),
+        ("mollify_eps", math.inf),
     ])
     def test_ill_typed_or_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
         config = self.write_config(tmp_path, base_dict(**{key: value}))
         assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: malformed config value:")
-        assert key in err
+        assert capsys.readouterr().err == (f"config error: {key} must be {self._KINDS[key]}, "
+                                           f"got {value!r}\n")
 
     @pytest.mark.parametrize("key, value", [
         ("p", True), ("L", "4.0"), ("drift", [["id", "zero"]]), ("u0", "bump"),
@@ -623,9 +633,8 @@ class TestCommandLine:
     def test_bool_string_or_non_object_value_exits_2(self, tmp_path, capsys, key, value):
         config = self.write_config(tmp_path, base_dict(**{key: value}))
         assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: malformed config value:")
-        assert key in err
+        assert capsys.readouterr().err == (f"config error: {key} must be {self._KINDS[key]}, "
+                                           f"got {value!r}\n")
 
     @pytest.mark.parametrize("remove, add, named", [
         (["u_t0005.csv"], [], "u_t0005.csv"),
@@ -698,14 +707,18 @@ class TestCommandLine:
         ({"N": 4}, "points per axis"),
         ({"L": -1.0}, "half_width"),
         ({"u0": {"id": "bump", "center": [0.0, 1.0]}}, "broadcast"),
-        ({"drift": {"id": "linear", "matrix": "abc"}}, "could not convert"),
-        ({"drift": {"id": "time_modulated", "gain_id": "ramp"}}, "'base'"),
+        ({"drift": {"id": "linear", "matrix": "abc"}},
+         "drift.matrix must be a 1 x 1 matrix: a list of 1 rows of 1 finite real numbers, "
+         "got 'abc'"),
+        ({"drift": {"id": "time_modulated", "gain_id": "ramp"}},
+         "missing config keys: ['drift.base']"),
         ({"drift": {"id": "power1d", "alpha": 0.5, "scale": "x"}},
          "scale must be a finite real number, got 'x'"),
         (_stream2d("stream", half_width=3.0), "not periodic on the box"),
         (_stream2d("shear", half_width=3.0), "not periodic on the box"),
         (_stream2d("stream", amplitude=math.nan), "amplitude must be a finite real number, got nan"),
-        (_stream2d("stream", amplitude=True), "amplitude must hold numbers, not true or false"),
+        (_stream2d("stream", amplitude=True),
+         "drift.amplitude must be a finite real number, got True"),
         ({"drift": {"id": "power1d", "alpha": 0.75, "scale": 2.0**70}},
          "needs more than 2**22 nodes; the drift or the path moves too far for the radius"),
     ], ids=["d-3", "N-4", "L-negative", "u0-center-2d", "matrix-string",
@@ -736,35 +749,35 @@ class TestCommandLine:
         ({"u0": {"id": "bump", "center": 20.0, "radius": 1.0}},
          "u0 samples to zero at every grid node"),
         ({"u0": {"id": "sinusoid", "amplitude": math.inf}},
-         "'sinusoid': amplitude must be a finite real number, got inf"),
+         "u0.amplitude must be a finite real number, got inf"),
         ({"T": 1e308}, "steps; a run takes at most 2**24 = 16777216 steps"),
         ({"T": 2.0**70}, "steps; a run takes at most 2**24 = 16777216 steps"),
         ({"dt": 1e-300}, "steps; a run takes at most 2**24 = 16777216 steps"),
         ({"u0": {"id": "bump", "radius": 1.2, "amplitude": [1.0]}},
-         "'bump': amplitude must be a finite real number, got [1.0]"),
+         "u0.amplitude must be a finite real number, got [1.0]"),
         ({"u0": {"id": "bump", "radius": [1.2]}},
-         "'bump': radius must be a finite real number, got [1.2]"),
+         "u0.radius must be a finite real number, got [1.2]"),
         ({"u0": {"id": "bump", "radius": True}},
-         "'bump': radius must be a finite real number, got True"),
+         "u0.radius must be a finite real number, got True"),
         ({"u0": {"id": "bump", "center": math.nan, "radius": 1.0}},
-         "'bump': center must be a finite real number or a list of them that broadcasts "
+         "u0.center must be a finite real number or a list of them that broadcasts "
          "to 1 coordinates, got nan"),
         ({"u0": {"id": "step", "center": [[0.0]], "half_width": 1.0}},
-         "'step': center must be a finite real number or a list"),
+         "u0.center must be a finite real number or a list"),
         ({"u0": {"id": "step", "half_width": "1"}},
-         "'step': half_width must be a finite real number, got '1'"),
+         "u0.half_width must be a finite real number, got '1'"),
         ({"u0": {"id": "double_bump", "amplitudes": [1.0, math.inf]}},
-         "'double_bump': amplitudes must be two finite real numbers, got [1.0, inf]"),
+         "u0.amplitudes must be two finite real numbers, got [1.0, inf]"),
         ({"u0": {"id": "double_bump", "amplitudes": [1.0, 0.5, 0.25]}},
-         "'double_bump': amplitudes must be two finite real numbers"),
+         "u0.amplitudes must be two finite real numbers, got [1.0, 0.5, 0.25]"),
         ({"u0": {"id": "double_bump", "centers": [-1.5, [1.5, 0.0]]}},
-         "'double_bump': centers must be two centers, each a finite real number"),
+         "u0.centers must be two centers, each a finite real number"),
         ({"u0": {"id": "sinusoid", "mode": 1.5}},
-         "'sinusoid': mode must be a positive integer, got 1.5"),
+         "u0.mode must be an integer, got 1.5"),
         ({"u0": {"id": "sinusoid", "mode": True}},
-         "'sinusoid': mode must be a positive integer, got True"),
+         "u0.mode must be an integer, got True"),
         ({"u0": {"id": "sinusoid", "half_width": math.inf}},
-         "'sinusoid': half_width must be a finite real number, got inf"),
+         "u0.half_width must be a finite real number, got inf"),
     ], ids=["scale-list", "alpha-list", "scale-inf", "amplitude-list", "half-width-object",
             "u0-center-1e308", "u0-radius-1e-300", "u0-outside-the-box", "u0-infinite",
             "T-1e308", "T-2**70", "dt-1e-300", "u0-amplitude-list", "u0-radius-list",
@@ -809,40 +822,165 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == "" and err == "runtime error: non-finite field at step 1 of path 0\n"
 
-    #: The values the sweep below draws from for every key and nested key.
+    def test_a_drift_that_overflows_at_a_stage_point_is_a_runtime_error(self, tmp_path, capsys):
+        # finite at every node, so the config is valid; a stage read of the march
+        # overflows, and that is exit 3 naming the drift and the time of the read
+        config = self.write_config(tmp_path, base_dict(
+            N=32, T=1.0, dt=1.0 / 64, drift={"id": "linear", "matrix": [[1e160]]}))
+        assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("runtime error: drift 'linear' returned non-finite values "
+                                     "at t=0.0078125\n")
+
+    #: The grid of the ``rough_tm1d`` benchmark, with a constant drift.
+    ROUGH_GRID = {"d": 1, "L": 4.0, "N": 256, "T": 1.0, "dt": 1.0 / 256, "p": 2.0, "seed": 24,
+                  "drift": {"id": "constant", "c": [0.5]}}
+
+    @pytest.mark.parametrize("overrides, norm", [
+        ({"u0": {"id": "step", "amplitude": 1e160}}, "p=2.0 is inf"),
+        ({"u0": {"id": "bump", "radius": 1.2}, "p": 1e300}, "p=1e+300 is 0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_a_u0_without_a_finite_positive_norm_exits_2(self, tmp_path, capfd, overrides,
+                                                         norm):
+        # the overflow once wrote lp_norm = inf in every row of norms.csv, and
+        # verify-weak then passed with an infinite normalizer
+        config = self.write_config(tmp_path, base_dict(**dict(self.ROUGH_GRID, **overrides)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("solve", "verify-weak", "hypotheses"):
+                argv = [command, "--config", config, "--out", str(tmp_path / "run")]
+                assert main(argv) == 2
+                assert capfd.readouterr() == ("", f"config error: the L^p norm of u0 at {norm}: "
+                                                  "a nonzero u0 needs a finite positive norm\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_a_later_norm_that_overflows_is_a_runtime_error(self, tmp_path, capfd):
+        # |u0|_p is 1 at p = 1e300, but the frame shift's cubic read overshoots 1
+        config = self.write_config(tmp_path, base_dict(
+            **dict(self.ROUGH_GRID, u0={"id": "step"}, p=1e300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", config, "--out", str(tmp_path / "run")]) == 3
+        assert capfd.readouterr() == ("", "runtime error: the L^p norm at p=1e+300 overflows: "
+                                          "the p-th powers of the values exceed the float range\n")
+        assert os.listdir(tmp_path / "run") == []
+
+    #: The values the sweeps below draw from for every key the schema lists.
     _SWEEP_VALUES = [None, True, False, "x", 1e308, -1e308, math.nan, math.inf, -math.inf,
-                     [], {}, [1.0], 2**70, 1e-300, 1e160]
+                     [], {}, [1.0], 2**70, 1e-300, 1e160, 0, -1, [[1.0]],
+                     [[1.0, 0.0], [0.0, 1.0]], -0.0]
+
+    #: A valid value of each required catalog parameter, for the sweeps' base configs.
+    _REQUIRED = {"matrix": [[-1.0]], "alpha": 0.75, "gain_id": "sin_squared",
+                 "base": {"id": "power1d", "alpha": 0.75}}
+
+    #: What a run that passes the config checks may print when it exits 3: a
+    #: value that overflows in the march, in a drift read, or in a snapshot's
+    #: norm, as README states.
+    _RUNTIME_ERROR = re.compile(
+        r"runtime error: (non-finite field at step \d+ of path \d+|drift '[^']+' "
+        r"(returned non-finite values|Jacobian non-finite) at t=\S+|the L\^p norm at p=\S+ "
+        r"overflows: the p-th powers of the values exceed the float range)\n")
+
+    @classmethod
+    def _schema_keys(cls, spec, kind, path):
+        """The key path of every key the schema gives the catalog object
+        ``spec`` of ``kind``, its id first, nested objects included."""
+        for key, param in kind.catalog[spec["id"]].items():
+            yield f"{path}.{key}"
+            if param.catalog is not None and key in spec:
+                yield from cls._schema_keys(spec[key], param, f"{path}.{key}")
 
     @staticmethod
-    def _sweep_cases(raw, rng, per_key=8):
-        """``raw`` with one key or nested key set to one of ``per_key`` values
-        drawn from ``_SWEEP_VALUES`` by ``rng``, for every such key."""
-        def keys(node, prefix=()):
-            for k, v in node.items():
-                yield prefix + (k,)
-                if isinstance(v, dict):
-                    yield from keys(v, prefix + (k,))
+    def _base_configs(**overrides) -> dict:
+        """The base config of each dimension: a 1D ``power1d`` drift and a 2D
+        ``stream`` drift, each with a bump and K = 16 steps."""
+        return {1: base_dict(p=2.0, mollify_eps=1.0, phi_count=4,
+                             drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
+                             u0={"id": "bump", "center": 0.0, "radius": 1.2}, **overrides),
+                2: base_dict(p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0),
+                             **overrides)}
 
-        for key in keys(raw):
-            for i in sorted(rng.choice(len(TestCommandLine._SWEEP_VALUES), per_key,
-                                       replace=False)):
-                case = json.loads(json.dumps(raw))
-                node = case
-                for k in key[:-1]:
-                    node = node[k]
-                node[key[-1]] = TestCommandLine._SWEEP_VALUES[i]
-                yield ".".join(key), TestCommandLine._SWEEP_VALUES[i], case
+    @classmethod
+    def _schema_configs(cls, **overrides):
+        """(config, key paths) pairs that cover the schema. First the base
+        config of each dimension (:meth:`_base_configs`), with every top-level
+        key of ``CONFIG`` and the key path of every key the schema gives its
+        drift and u0; then, for each catalog drift and profile that no base
+        holds, the base of the first dimension it builds in, 1 or 2, with that
+        entry in place, and the key paths of the entry. An entry states its
+        required parameters (``_REQUIRED``)."""
+        bases = cls._base_configs(**overrides)
+        held = set()
+        for raw in bases.values():
+            yield raw, [*CONFIG, *cls._schema_keys(raw["drift"], DRIFT, "drift"),
+                        *cls._schema_keys(raw["u0"], PROFILE, "u0")]
+            held |= {raw["drift"]["id"], raw["u0"]["id"]}
+        for top, kind in (("drift", DRIFT), ("u0", PROFILE)):
+            build = drift_from_spec if top == "drift" else profile_from_spec
+            for ident, params in kind.catalog.items():
+                if ident in held:
+                    continue
+                spec = {key: ident if key == "id" else cls._REQUIRED[key]
+                        for key, param in params.items() if param.required}
+                for d in (1, 2):
+                    try:
+                        build(d, 4.0, spec)
+                        break
+                    except ConfigError:
+                        continue
+                yield dict(bases[d], **{top: spec}), list(cls._schema_keys(spec, kind, top))
 
-    def _sweep_faults(self, tmp_path, capsys, raw, commands, rng, per_key) -> tuple:
+    @staticmethod
+    def _sweep_cases(configs, rng, per_key):
+        """Each config of ``configs`` with one key path set to one of ``per_key``
+        values drawn from ``_SWEEP_VALUES`` by ``rng``, for every key path given:
+        ``(key path, value, case)``."""
+        for raw, keys in configs:
+            for key in keys:
+                for i in sorted(rng.choice(len(TestCommandLine._SWEEP_VALUES), per_key,
+                                           replace=False)):
+                    case = json.loads(json.dumps(raw))
+                    *parents, last = key.split(".")
+                    node = case
+                    for k in parents:
+                        node = node[k]
+                    node[last] = TestCommandLine._SWEEP_VALUES[i]
+                    yield key, TestCommandLine._SWEEP_VALUES[i], case
+
+    @staticmethod
+    def _kind_fault(key, case):
+        """The schema's fault in the mutated ``key`` of ``case``, or None when
+        its value is of its kind: the message ``check`` raises."""
+        top = key.partition(".")[0]
+        try:
+            if key == top:
+                check_keys(case, CONFIG)
+            else:
+                check(case[top], DRIFT if top == "drift" else PROFILE, top, case["d"])
+        except ConfigError as exc:
+            return str(exc)
+        return None
+
+    def _sweep_faults(self, tmp_path, capsys, configs, commands, rng, per_key) -> tuple:
         """Run every case of :meth:`_sweep_cases` through each of ``commands``.
-        Returns the number of cases and the runs that were not clean: a clean
+        Returns the number of cases and the runs that were not clean. A clean
         run exits 0, 1 or 2, with no traceback and no RuntimeWarning; an exit
-        2 prints nothing to stdout and one ``config error:`` line. Exit 3 is
-        the overflow at step 1, only."""
+        2 prints nothing to stdout and one ``config error:`` line, which is the
+        schema's own message naming the key path when the value is not of the
+        key's kind. Exit 3 is a runtime error of ``_RUNTIME_ERROR`` only."""
         faults = []
-        for n, (key, value, case) in enumerate(self._sweep_cases(raw, rng, per_key)):
+        for n, (key, value, case) in enumerate(self._sweep_cases(configs, rng, per_key)):
             config = self.write_config(tmp_path, case)
-            for command in commands:
+            kind_fault = self._kind_fault(key, case)
+            runs = commands
+            try:
+                ExperimentConfig.from_dict(case)
+            except ConfigError:  # every command loads the config first, the same way
+                runs = commands[:1]
+            except Exception:  # the runs below report it
+                pass
+            for command in runs:
                 argv = [command, "--config", config, "--out", str(tmp_path / f"run{n}")]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -852,46 +990,47 @@ class TestCommandLine:
                         code = f"{type(exc).__name__}: {exc}"
                 out, err = capsys.readouterr()
                 numpy_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-                clean = (code in (0, 1, 2) or code == 3 and err == (
-                    "runtime error: non-finite field at step 1 of path 0\n"))
+                clean = code in (0, 1, 2) or code == 3 and self._RUNTIME_ERROR.fullmatch(err)
                 clean = clean and not numpy_warnings and "Traceback" not in err \
                     and "RuntimeWarning" not in err
                 if code == 2:
                     clean = clean and out == "" and err.count("\n") == 1 \
                         and err.startswith("config error:")
+                if kind_fault is not None:
+                    clean = clean and code == 2 and key in kind_fault \
+                        and err == f"config error: {kind_fault}\n"
                 if not clean:
                     faults.append((command, key, value, code, err, numpy_warnings))
         return n + 1, faults
 
-    @pytest.mark.parametrize("raw", [
-        base_dict(N=16, p=2.0, mollify_eps=1.0, phi_count=4,
-                  drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
-                  u0={"id": "bump", "center": 0.0, "radius": 1.2}),
-        base_dict(N=16, p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)),
-    ], ids=["power1d", "stream"])
-    def test_a_mutated_config_exits_cleanly(self, tmp_path, capsys, raw):
-        """Every key and nested key of a tiny config (N = 16, K = 16), set in
-        turn to a seeded draw of wrong values, through ``solve`` and
-        ``hypotheses``: every run is clean (:meth:`_sweep_faults`)."""
-        count, faults = self._sweep_faults(tmp_path, capsys, raw, ("solve", "hypotheses"),
+    def test_a_mutated_config_exits_cleanly(self, tmp_path, capsys):
+        """Every key path the schema lists, in a tiny config (N = 16, K = 16)
+        that holds it (:meth:`_schema_configs`), set in turn to a seeded draw
+        of 8 wrong values, through ``solve`` and ``hypotheses``: every run is
+        clean (:meth:`_sweep_faults`)."""
+        count, faults = self._sweep_faults(tmp_path, capsys, self._schema_configs(N=16),
+                                           ("solve", "hypotheses"),
                                            np.random.default_rng(2026), per_key=8)
-        assert count > 101 and faults == []
+        assert count > 500 and faults == []
 
-    @pytest.mark.parametrize("raw, commands", [
-        (base_dict(p=2.0, mollify_eps=1.0, phi_count=4,
-                   drift={"id": "power1d", "alpha": 0.75, "scale": -1.0},
-                   u0={"id": "bump", "center": 0.0, "radius": 1.2}),
-         ("uniqueness", "wong-zakai")),
-        (base_dict(p=2.0, phi_count=4, **_stream2d("stream", amplitude=1.0)), ("wong-zakai",)),
-    ], ids=["power1d", "stream"])
-    def test_a_mutated_config_exits_cleanly_in_the_studies(self, tmp_path, capsys, raw,
-                                                           commands):
-        """The sweep of :meth:`test_a_mutated_config_exits_cleanly` on an
-        N = 64, K = 16 config, a seeded draw of 4 of the 15 wrong values per
-        key, through the refinement studies ``uniqueness`` and ``wong-zakai``."""
-        count, faults = self._sweep_faults(tmp_path, capsys, raw, commands,
-                                           np.random.default_rng(2026), per_key=4)
-        assert count > 60 and faults == []
+    def test_a_mutated_config_exits_cleanly_in_the_studies(self, tmp_path, capsys):
+        """The sweep of :meth:`test_a_mutated_config_exits_cleanly` on N = 64,
+        K = 16 configs, through the refinement studies: a seeded draw of 4
+        wrong values per key path of the 1D base config through ``uniqueness``
+        and ``wong-zakai``, and of the 2D base config through ``wong-zakai``;
+        and of 1 per key path of every other catalog entry through both."""
+        rng = np.random.default_rng(2026)
+        configs = list(self._schema_configs())
+        count, faults = 0, []
+        for k, (group, commands, per_key) in enumerate((
+                (configs[:1], ("uniqueness", "wong-zakai"), 4),
+                (configs[1:2], ("wong-zakai",), 4),
+                (configs[2:], ("uniqueness", "wong-zakai"), 1))):
+            (tmp_path / str(k)).mkdir()
+            n, found = self._sweep_faults(tmp_path / str(k), capsys, group, commands, rng,
+                                          per_key)
+            count, faults = count + n, faults + found
+        assert count > 190 and faults == []
 
     def test_a_solve_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
         # A lazy import on the march path costs every process its time and

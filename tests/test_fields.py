@@ -8,6 +8,7 @@ profile; no value is copied from solver output.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ class TestLpNorm:
                 g, lambda p: np.all((p >= 0.0) & (p < 1.0), axis=-1).astype(float)
             )
             assert abs(lp_norm(ind, 1.0) - 1.0) <= g.h
+
+    def test_powers_that_overflow_raise_and_powers_that_underflow_vanish(self):
+        g = SpatialGrid(d=1, half_width=4.0, n=16)
+        big = ScalarField(g, np.full(g.shape, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldValidationError, match="p=2.0 overflows"):
+                lp_norm(big, 2.0)
+            with pytest.raises(FieldValidationError, match="p=1.0 overflows"):
+                lp_norm(ScalarField(g, np.full(g.shape, 1e308)), 1.0)  # the sum overflows
+            assert lp_norm(ScalarField(g, np.full(g.shape, 0.5)), 1e300) == 0.0
+            assert lp_norm(big, 1.0) == 1e160 * 8.0
 
     def test_zero_field_has_zero_norm(self, grid512):
         z = ScalarField.zeros(grid512)
