@@ -102,10 +102,11 @@ def eval_drift(b: DriftField, t, points: np.ndarray) -> np.ndarray:
     return _drift_read(b, t, b.fn, np.asarray(points, dtype=float))
 
 
-def _drift_read(b: DriftField, t, rule, *args) -> np.ndarray:
+def _drift_read(b: DriftField, t, rule, *args, fault: str = "returned non-finite values"):
     """gain(t) * rule(*args), where ``rule`` is ``b.fn`` or ``b.on_axes``, with
-    the warnings, gain and finiteness check of :func:`eval_drift`. With an
-    array of B times, the output's leading axis is the time axis."""
+    the warnings, gain and finiteness check of :func:`eval_drift`, whose
+    error states ``fault``. With an array of B times, the output's leading
+    axis is the time axis. With no gain, the output is the rule's own."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.asarray(rule(*args), dtype=float)
         if b.gain is not None:
@@ -118,41 +119,45 @@ def _drift_read(b: DriftField, t, rule, *args) -> np.ndarray:
     if not np.logical_and.reduce(finite, axis=None):
         if np.ndim(t):
             t = float(np.ravel(t)[np.argmin(finite.reshape(np.size(t), -1).all(axis=1))])
-        raise DriftEvaluationError(f"drift {b.id!r} returned non-finite values at t={t}")
+        raise DriftEvaluationError(f"drift {b.id!r} {fault} at t={t}")
     return out
 
 
-def _jacobian_of(b: DriftField, t: float, points: np.ndarray, fd_step: float):
-    """The (..., d, d) Jacobian of b at time t, whose trace is div b:
-    ``b.jacobian`` times the gain when the rule is set, else centered
-    differences of step ``fd_step``."""
-    pts = np.asarray(points, dtype=float)
-    if b.jacobian is not None:
-        out = np.asarray(b.jacobian(pts), dtype=float)
-        if b.gain is not None:
-            out = b.gain(t) * out
-        if not np.all(np.isfinite(out)):
-            raise DriftEvaluationError(f"drift {b.id!r} Jacobian non-finite at t={t}")
-        return out
-    return _central_jacobian(b, t, pts, fd_step)
-
-
-def _central_jacobian(b: DriftField, t: float, points: np.ndarray, step: float):
-    """Centered differences (b(x + step e_j) - b(x - step e_j)) / (2 step) as column j.
-
-    With ``step = h / 2`` the trace is the cell average of div b over a
-    cell of side h: the net flux through its faces, finite for every
-    W^{1,1} drift, singular points included.
+def _drift_reads(b: DriftField, points, step: float, analytic: bool = True) -> Callable:
+    """``at(t) -> (b(t, x), J(t, x))`` at ``points`` x, the drift and its
+    (..., d, d) Jacobian, whose trace is div b, from one read of the
+    autonomous factor, which ``at`` scales by gain(t) as :func:`eval_drift`
+    does: each value has the bits of a read at t, and a non-finite one
+    raises ``DriftEvaluationError`` naming t. J is ``b.jacobian`` when
+    ``analytic`` and the rule is set, else centered differences (b(x + step
+    e_j) - b(x - step e_j)) / (2 step) as column j, whose trace at step = h
+    / 2 is the cell average of div b: the flux through the faces of a cell
+    of side h, finite for every W^{1,1} drift, singular points included.
     """
     pts = np.asarray(points, dtype=float)
-    jac = np.zeros(pts.shape[:-1] + (b.d, b.d))
-    for a in range(b.d):
-        shift = np.zeros(b.d)
-        shift[a] = step
-        jac[..., :, a] = (eval_drift(b, t, pts + shift) - eval_drift(b, t, pts - shift)) / (
-            2.0 * step
-        )
-    return jac
+    exact = analytic and b.jacobian is not None
+
+    def read(rule, x):  # with the warnings of eval_drift
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return np.asarray(rule(x), dtype=float)
+
+    value = read(b.fn, pts)
+    if exact:
+        jac = read(b.jacobian, pts)
+    else:  # fn at both sides of each difference
+        sides = [(read(b.fn, pts + s), read(b.fn, pts - s)) for s in np.eye(b.d) * step]
+
+    def at(t):
+        out = _drift_read(b, t, np.asarray, value)
+        if exact:
+            return out, _drift_read(b, t, np.asarray, jac, fault="Jacobian non-finite")
+        jac_t = np.zeros(pts.shape[:-1] + (b.d, b.d))
+        for a, (plus, minus) in enumerate(sides):
+            jac_t[..., :, a] = (_drift_read(b, t, np.asarray, plus)
+                                - _drift_read(b, t, np.asarray, minus)) / (2.0 * step)
+        return out, jac_t
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -329,24 +334,32 @@ def time_modulated_drift(base: DriftField, gain_id: str, horizon: float) -> Drif
     return replace(base, id=f"{base.id}*{gain_id}", constant_value=None, gain=gain)
 
 
-def _check_period(kind: str, drift_half_width: float, half_width: float) -> None:
-    """A ``stream`` or ``shear`` drift of half width L / m, for a whole m >= 1,
-    is periodic on the box [-L, L)^2; any other half width is an error."""
+def _check_period(key: str, kind: str, drift_half_width: float, half_width: float,
+                  n: int) -> None:
+    """A ``stream`` or ``shear`` drift of half width L / m is periodic on the box
+    [-L, L)^2 for a whole m >= 1, and resolved by n nodes per axis for m <=
+    n / 2; any other half width is an error."""
     periods = half_width / drift_half_width if drift_half_width > 0 else 0.0
-    if not (periods >= 1.0 and abs(periods - round(periods)) <= 1.0e-12 * periods):
+    if periods > n / 2:
+        raise ConfigError(f"{key} = {drift_half_width!r} puts {periods:.6g} periods of the "
+                          f"drift on the box, more than the N/2 = {n / 2:g} that N = {n} "
+                          "nodes per axis resolve")
+    if not (1.0 <= periods < math.inf and abs(periods - round(periods)) <= 1.0e-12 * periods):
         raise ConfigError(f"drift {kind!r}: half_width {drift_half_width!r} is not L / m for "
                           f"a whole m >= 1 with L = {half_width}, so the drift is not periodic "
                           "on the box")
 
 
-def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0) -> DriftField:
+def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0, *,
+                    n: int) -> DriftField:
     """Build a catalog drift from a config dictionary like {"id": "power1d", "alpha": 0.75}.
 
     The spec must meet ``schema.DRIFT`` in dimension ``d``, or a
     ``ConfigError`` names the key path at fault (``drift.base.scale``).
     The ``half_width`` of a ``stream`` or ``shear`` drift, L by default,
     must be L / m for a whole m >= 1, so that the drift is periodic on the
-    box [-L, L)^2.
+    box [-L, L)^2, and m <= n / 2, so that the n grid nodes per axis
+    resolve it.
     """
     check(spec, DRIFT, "drift", d)
     gains = []  # a time_modulated spec's gain, then its base's, down to the autonomous field
@@ -363,7 +376,8 @@ def drift_from_spec(d: int, half_width: float, spec: dict, horizon: float = 1.0)
         b = linear_drift(**kwargs)
     elif kind in ("stream", "shear"):
         kwargs.setdefault("half_width", half_width)
-        _check_period(kind, kwargs["half_width"], half_width)
+        _check_period("drift" + ".base" * len(gains) + ".half_width", kind,
+                      kwargs["half_width"], half_width, n)
         b = (stream_function_drift if kind == "stream" else shear_drift)(**kwargs)
     else:
         b = power_drift(**kwargs)
@@ -474,12 +488,12 @@ def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int
     w1q_slice = np.empty(times.size)
     growth = 0.0
     denom = 1.0 + np.sqrt(np.sum(sup_pts * sup_pts, axis=-1))
+    # One read at sup_pts, scaled at each time; its first len(pts) rows are the lattice.
+    at = _drift_reads(b, sup_pts, fd_step)
     for j, t in enumerate(times):
-        # One evaluation at sup_pts; its first len(pts) rows are the lattice.
-        bs = eval_drift(b, t, sup_pts)
+        bs, jac = at(t)
         sup_speed = np.sqrt(np.sum(bs * bs, axis=-1))
         speed = sup_speed[: len(pts)]
-        jac = _jacobian_of(b, t, sup_pts, fd_step=fd_step)
         div = np.trace(jac, axis1=-2, axis2=-1)
         grad_mag = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))[: len(pts)]
         sup_div[j] = float(np.max(np.abs(div)))

@@ -32,8 +32,8 @@ from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
 from .profiles import Profile, profile_from_spec, sample_profile
 from .schema import CONFIG, check_keys
 from .spde import SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde
-from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
-                        _support_hits_margin, cfl_number)
+from .transport import (_CFL_LIMIT, _MAX_TABLE_NODES, SCHEMES, _check_mollify_radius,
+                        _margin_band, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 
 __all__ = [
@@ -135,6 +135,11 @@ class ExperimentConfig:
         if self.half_width > MAX_HALF_WIDTH:
             raise ConfigError(f"L={self.half_width!r} exceeds {MAX_HALF_WIDTH:g}: the mollifier "
                               "squares its radius, and the squares of such a box overflow")
+        # A grid holds at most as many nodes as a mollifier table; checked before one is made.
+        if self.d in (1, 2) and self.n > _MAX_TABLE_NODES ** (1.0 / self.d):
+            raise ConfigError(f"N={self.n!r} exceeds {round(_MAX_TABLE_NODES ** (1.0 / self.d))} "
+                              f"in {self.d}D: a grid holds at most N**d = "
+                              f"2**{math.log2(_MAX_TABLE_NODES):g} nodes")
         self.n_steps()  # dt must divide T
         _check_seed("seed", self.seed)
         if self.p < 1.0:
@@ -212,7 +217,7 @@ class ExperimentConfig:
         return n_steps
 
     def drift(self) -> DriftField:
-        return drift_from_spec(self.d, self.half_width, self.drift_spec, self.horizon)
+        return drift_from_spec(self.d, self.half_width, self.drift_spec, self.horizon, n=self.n)
 
     def profile(self) -> Profile:
         return profile_from_spec(self.d, self.half_width, self.u0_spec)

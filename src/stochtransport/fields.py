@@ -266,10 +266,10 @@ class _Workspace:
       the slots above, which the next block writes afresh.
 
     The slots of a mollified table's workspace, by its lookup's steps: in
-    1D ``"q"``, ``"k"``, ``"j"`` (int64) and ``"value"`` on a dyadic
-    lattice, else ``"k"``, ``"node"``, ``"mask"`` (bool), ``"j"`` and
-    ``"value"`` (``transport._lattice_interp``); in 2D the weights
-    ``"w0"`` and ``"w1"``, and the taps in ``"x1"`` (:func:`_window_sum`).
+    1D ``"q"``, ``"k"``, ``"j"`` (int64) and ``"value"``
+    (``transport._lattice_interp``, which states why the read is exact);
+    in 2D the weights ``"w0"`` and ``"w1"``, and the taps in ``"x1"``
+    (:func:`_window_sum`).
     Each lookup returns a fresh array.
     """
 

@@ -119,15 +119,14 @@ def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:
     """Build a profile from a config dictionary like {"id": "bump", "radius": 1.0}.
 
     The spec must meet ``schema.PROFILE`` in dimension ``d``, or a
-    ``ConfigError`` names the key path at fault (``u0.amplitude``). A
-    ``sinusoid`` takes the box half-width L when it states none.
+    ``ConfigError`` names the key path at fault (``u0.amplitude``). No
+    catalog profile reads the box half-width L; it is taken so that both
+    catalog builders take (d, L, spec). ``sinusoid`` is for library use
+    only: it fills the box, so no run could clear its wrap-around margin.
     """
     check(spec, PROFILE, "u0", d)
     kwargs = {k: v for k, v in spec.items() if k != "id"}
-    if spec["id"] == "sinusoid":
-        kwargs.setdefault("half_width", half_width)
-    builder = {"bump": bump, "double_bump": double_bump, "step": step, "sinusoid": sinusoid}
-    return builder[spec["id"]](d, **kwargs)
+    return {"bump": bump, "double_bump": double_bump, "step": step}[spec["id"]](d, **kwargs)
 
 
 def sample_profile(grid: SpatialGrid, profile: Profile) -> ScalarField:

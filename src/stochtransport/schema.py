@@ -101,7 +101,6 @@ PROFILES = _catalog({
         "radius": REAL,
         "amplitudes": Kind("two finite real numbers", lambda v, d: _list_of(v, 2, _finite))},
     "step": {"center": CENTER, "half_width": REAL, "amplitude": REAL},
-    "sinusoid": {"half_width": REAL, "mode": INTEGER, "amplitude": REAL},
 })
 PROFILE = Kind("an object", OBJECT.holds, catalog=PROFILES)
 

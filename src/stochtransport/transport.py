@@ -49,24 +49,17 @@ binary search and requires the row's time to equal it exactly. A query
 at a time the table lacks is an error, not a fallback.
 
 Rough drifts are smoothed in space before stepping: the solver replaces
-b by its convolution with a bump kernel of radius 2h, computed once per
-batch by ``mollified_drift`` on a lattice anchored at the origin (nodes
-delta * k for integer k) that covers the box, the largest path excursion
-of the batch and the RK4 stage displacements, with the kernel
-``profiles.bump`` sampled on that lattice. The tables hold drift values
-only, no derivatives; every velocity call is then a table lookup: in 1D
-linear interpolation located by lattice index, not by search, with no
-index correction on a power-of-two lattice spacing, where the index
-arithmetic is exact; in 2D the 4 x 4 window read of the grid fields.
-Every cubic read, of the march in either dimension or of a 2D table,
-weighs each stencil offset of an axis by one contiguous row of (4, Q)
-weights (``fields._cubic_plan``), the plan of a semi-Lagrangian block
-holding one row per step.
-A larger reach only adds nodes, so every value a path reads is the same,
-bit for bit, whether it is solved alone or in any batch. Only the
-autonomous factor fn of a drift gain(t) * fn(x) is tabulated; the
-smoothed drift keeps the gain, so a read at a block's times looks the
-table up once and scales it by the gain at each time.
+b by its convolution with a bump kernel of radius 2h, tabulated once per
+batch by ``mollified_drift`` on a lattice anchored at the origin that
+covers the box, the largest path excursion of the batch and the RK4
+stage displacements, so every value a path reads is the same, bit for
+bit, whether it is solved alone or in any batch. Every velocity call is
+then a table lookup (1D: ``_lattice_interp``; 2D: the 4 x 4 window read
+of the grid fields), of the autonomous factor fn of a drift gain(t) *
+fn(x) once per block, scaled by the gain at each time. Every cubic read,
+of the march or of a 2D table, weighs each stencil offset of an axis by
+one contiguous row of (4, Q) weights (``fields._cubic_plan``), the plan
+of a semi-Lagrangian block holding one row per step.
 """
 
 from __future__ import annotations
@@ -193,9 +186,10 @@ def _composed_drift(b: DriftField, table, ws: _Workspace, grid: SpatialGrid) -> 
 
 
 #: Lattice steps per mollifier radius. The 1D table is read by linear
-#: interpolation (``_lattice_interp``) and needs the finer lattice; the 2D
-#: table is read by cubic interpolation, which resolves the kernel on a
-#: coarser lattice and keeps the n**2 table small.
+#: interpolation (``_lattice_interp``) and needs the finer lattice, whose
+#: spacing is rounded down to a power of two for that read; the 2D table is
+#: read by cubic interpolation, which resolves the kernel on a coarser
+#: lattice and keeps the n**2 table small.
 _STEPS_PER_RADIUS = {1: 64, 2: 8}
 
 #: The most nodes a mollified drift's table may hold, over all its axes.
@@ -206,27 +200,28 @@ def mollified_drift(b: DriftField, epsilon: float, reach: float) -> DriftField:
     """Smooth a drift in space by convolution with the radius-epsilon bump.
 
     The drift's autonomous factor ``b.fn`` is sampled once on the lattice
-    of nodes delta * k, for integers |k| <= K, with delta = epsilon/64
-    (1D) or epsilon/8 (2D) and K large enough to cover the cube
-    |x_i| <= reach plus the kernel radius and the interpolation stencil,
-    and convolved there with ``profiles.bump(d, 0, epsilon)`` sampled at
-    the lattice offsets and scaled to unit sum (``_bump_kernel``). The
-    lattice is anchored at the origin, so a larger reach only adds nodes:
-    every value read within a reach is the same, bit for bit, on every
-    table that covers it. Each call is then a lookup: in 1D linear
-    interpolation, located by lattice index (``_lattice_interp``, equal
-    to ``np.interp`` bit for bit); in 2D the cubic rule of
+    of nodes delta * k, for integers |k| <= K, with delta the largest
+    power of two not above epsilon/64 in 1D, epsilon/8 in 2D, and K large
+    enough to cover the cube |x_i| <= reach plus the kernel radius and
+    the interpolation stencil, and convolved there with
+    ``profiles.bump(d, 0, epsilon)`` sampled at the lattice offsets and
+    scaled to unit sum (``_bump_kernel``). The lattice is anchored at the
+    origin, so a larger reach only adds nodes: every value read within a
+    reach is the same, bit for bit, on every table that covers it. Each
+    call is then a lookup: in 1D linear interpolation, located by lattice
+    index and equal to ``np.interp`` bit for bit (``_lattice_interp``
+    states why, and where not); in 2D the cubic rule of
     ``fields.interpolate``, whose stencil around node k = floor(x/delta)
     is one 4 x 4 window of every component table: the lattice holds the
     stencil margin, so the tables need no padding. A query beyond the
     reach, or at a non-finite point, raises ``BlowUpError``. A radius whose
     square overflows, or a table of more than 2**22 nodes (a reach far
     beyond the radius), is a ``ConfigError``, raised before any table is
-    sampled. A lookup writes its steps into a workspace made once with the
-    table and returns a fresh array. Mollifying in space commutes with the gain of
-    b(t, x) = gain(t) * fn(x), so the result keeps ``b.gain``. The tables
-    hold values only, so the result states no Jacobian; it is marked
-    ``smooth``, so a solver steps it as it is.
+    sampled. A lookup writes its steps into a workspace made once with
+    the table and returns a fresh array. Mollifying in space commutes with
+    the gain of b(t, x) = gain(t) * fn(x), so the result keeps ``b.gain``.
+    The tables hold values only, so the result states no Jacobian; it is
+    marked ``smooth``, so a solver steps it as it is.
     """
     if not (epsilon > 0 and math.isfinite(epsilon * epsilon)):
         raise ConfigError(f"mollification radius must be positive with a finite square, "
@@ -267,6 +262,8 @@ def _mollified_table(b: DriftField, epsilon: float, reach: float):
     component tables channel first, shape (2, 2K + 1, 2K + 1)."""
     d = b.d
     delta = epsilon / _STEPS_PER_RADIUS[d]
+    if d == 1:  # the largest power of two not above it
+        delta = math.ldexp(1.0, math.frexp(delta)[1] - 1)
     span = (reach + epsilon) / delta
     # 2K + 1 <= 2 * span + 9 nodes per axis; an infinite span fails too
     if not 2.0 * span + 9.0 <= _MAX_TABLE_NODES ** (1.0 / d):
@@ -285,79 +282,50 @@ def _mollified_table(b: DriftField, epsilon: float, reach: float):
 def _lattice_interp(delta: float, table: np.ndarray,
                     ws: _Workspace) -> Callable[[np.ndarray], np.ndarray]:
     """``np.interp(x, axis, table)`` on the lattice axis = delta * arange(-K, K + 1),
-    bit for bit, for every x with axis[0] <= x < axis[-1].
+    with delta = 2**e, bit for bit for every x with axis[0] <= x < axis[-1],
+    except where a scaling by delta leaves the normal range.
 
-    The interval of x is found by index, k = floor(x / delta), not by
-    binary search; node k sits at delta * k, the very product that makes
-    the axis, and np.interp's value there is slope * (x - node) +
-    table[node], with slope = diff(table) / diff(axis), or the table value
-    itself when x is on the node. Two paths compute it.
+    The interval of x is found by index, not by binary search: q = x / delta
+    (a product by 2**-e), its floor k and k * delta are exact, so k is
+    np.interp's interval and k * delta, the very product that makes the
+    axis, its node. np.interp's value there is slope * (x - node) +
+    table[node], with slope = diff(table) / delta, or the table value itself
+    when x is on the node. For k != -1, f = q - k is exact by the Sterbenz
+    lemma (or k = 0), and so is x - node = delta * f; for k = -1 both round,
+    but x - node = delta * (q - k) in exact arithmetic, and a power-of-two
+    scale commutes with rounding in the normal range, so f = fl(q - k) =
+    fl(x - node) / delta. The slope is diff * 2**-e, exact too, so diff[k] *
+    f is the real number slope * (x - node) and rounds to the same bits, and
+    diff[k] * f + table[k] is np.interp's sum. On a node, f is 0 and diff[k]
+    * f a zero, which adds nothing to a table value that is not -0.0, and
+    ``_convolve_nearest``, whose sums start from +0.0, makes none. That is 9
+    passes: q, k, f, the index, its offset, two takes, a product and a sum.
+    The exceptions: where q underflows, at |x| < 2**-1022 * delta with
+    delta > 1 (x = -1e-300 at L = 1e150), q and f round, and k is 0 where
+    np.interp takes -1 if x < 0, so the two may differ in the last bit; so
+    may they where a slope underflows or overflows, or where delta is
+    subnormal and 1 / delta overflows.
 
-    On a dyadic lattice, delta = 2**-m with 0 <= m <= 969, whose slopes are
-    all finite and whose table holds no -0.0, the arithmetic is exact
-    enough to skip every correction. q = x * 2**m, its floor k and k *
-    delta are exact, so k is the interval and k * delta is np.interp's
-    node. For k != -1, q - k is exact by the Sterbenz lemma (or k = 0),
-    and so is x - node; for k = -1 both round, but x - node = delta * (q -
-    k) in exact arithmetic and a power-of-two scale commutes with rounding
-    in the normal range, so f = fl(q - k) = fl(x - node) / delta. The
-    slopes are diff(table) * 2**m, exact, so diff[k] * f is the real
-    number slope * (x - node) and rounds to the same bits; the sum
-    diff[k] * f + table[k] is then np.interp's. f is 0 exactly on a node,
-    where diff[k] * f is a zero and adds nothing to a table value that is
-    not -0.0. That is 9 passes: q, k, f, the index, its offset, two
-    takes, a product and a sum.
-
-    Every other lattice (a forced radius such as 0.1, an N or an L that is
-    not a power of two) corrects k by one node where the division
-    rounded across a node, computes slope * (x - node) + table[node] and
-    puts the table value itself where x is on the node.
-
-    Each step writes into a slot of the workspace ``ws`` (q, k, node,
-    mask, j and value), so a call allocates only the array it returns.
-    The caller keeps x in the domain: the table reads clip their indices
-    rather than check them.
+    Each step writes into a slot of the workspace ``ws`` (q, k, j and
+    value), so a call allocates only the array it returns. The caller keeps
+    x in the domain: the table reads clip their indices rather than check
+    them.
     """
     K = (table.size - 1) // 2
     diff = np.diff(table)
-    slopes = diff / np.diff(delta * np.arange(-K, K + 1))
-    mantissa, exponent = math.frexp(delta)
-    if (mantissa == 0.5 and -968 <= exponent <= 1 and np.isfinite(slopes).all()
-            and not np.signbit(table[table == 0.0]).any()):
-        scale = 1.0 / delta
-
-        def dyadic(x):
-            q, k = ws.array("q", x.shape), ws.array("k", x.shape)
-            j = ws.array("j", x.shape, np.int64)
-            np.multiply(x, scale, out=q)
-            np.floor(q, out=k)
-            q -= k  # f, in [0, 1]
-            np.add(k, K, out=j, casting="unsafe")  # exact: k is integral, far below 2**53
-            value = table.take(j, out=ws.array("value", x.shape), mode="clip")
-            out = diff.take(j, mode="clip")
-            out *= q
-            out += value
-            return out
-
-        return dyadic
+    scale = 1.0 / delta
 
     def interp(x):
-        k, node = ws.array("k", x.shape), ws.array("node", x.shape)
-        mask, j = ws.array("mask", x.shape, np.bool_), ws.array("j", x.shape, np.int64)
-        np.floor(np.divide(x, delta, out=k), out=k)
-        # k -= delta * k > x, then k += delta * (k + 1.0) <= x
-        np.subtract(k, 1.0, out=k, where=np.greater(np.multiply(k, delta, out=node), x, out=mask))
-        np.multiply(np.add(k, 1.0, out=node), delta, out=node)
-        np.add(k, 1.0, out=k, where=np.less_equal(node, x, out=mask))
-        np.multiply(k, delta, out=node)
-        np.copyto(j, k, casting="unsafe")
-        j += K
+        q, k = ws.array("q", x.shape), ws.array("k", x.shape)
+        j = ws.array("j", x.shape, np.int64)
+        np.multiply(x, scale, out=q)
+        np.floor(q, out=k)
+        q -= k  # f, in [0, 1]
+        np.add(k, K, out=j, casting="unsafe")  # exact: k is integral, far below 2**53
         value = table.take(j, out=ws.array("value", x.shape), mode="clip")
-        # slope * (x - node) + value, or the value itself on a node
-        out = np.subtract(x, node)
-        out *= slopes.take(j, out=k, mode="clip")
+        out = diff.take(j, mode="clip")
+        out *= q
         out += value
-        np.copyto(out, value, where=np.equal(node, x, out=mask))
         return out
 
     return interp
@@ -365,12 +333,15 @@ def _lattice_interp(delta: float, table: np.ndarray,
 
 def _bump_kernel(d: int, epsilon: float, delta: float) -> np.ndarray:
     """The radius-epsilon bump at the offsets delta * k with |k_i| * delta <= epsilon,
-    divided by its sum: nonnegative weights that sum to one, shape (2r + 1,) * d."""
+    divided by its sum, shape (2r + 1,) * d, with each weight of at most
+    DBL_EPSILON, a tap ``scipy.ndimage`` skips too, set to zero: nonnegative
+    weights that sum to one within the dropped ones."""
     reach = int(math.floor(epsilon / delta))
     offs = delta * np.arange(-reach, reach + 1)
     pts = np.stack(np.meshgrid(*[offs] * d, indexing="ij"), axis=-1)
     w = bump(d, 0.0, epsilon).fn(pts)
-    return w / w.sum()
+    w = w / w.sum()
+    return np.where(w > np.finfo(float).eps, w, 0.0)
 
 
 def _convolve_nearest(table: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
 from .artifacts import write_csv
-from .drifts import DriftField, _central_jacobian, eval_drift
+from .drifts import DriftField, _drift_reads
 from .errors import ConfigError
 from .fields import SpatialGrid, lp_norm
 from .paths import eval_path
@@ -216,15 +217,17 @@ def weak_residual(
         phi.validate_for(grid)
     nodes = grid.nodes()
     w = grid.cell_volume
+    # The drift and its cell-averaged divergence at each snapshot time, read
+    # before U is made. A drift with no gain is the same at every time: it is
+    # read at the first, and the one read serves them all.
+    drift, div = [], []
+    at = _drift_reads(b, nodes, 0.5 * grid.h, analytic=False)
+    for t in (times if b.gain is not None else times[:1]).tolist():
+        value, jac = at(t)
+        drift.append(value)
+        div.append(np.trace(jac, axis1=-2, axis2=-1))
+    del at, jac  # the difference sides and a (n, d, d) array
     U = np.stack([f.values.ravel() for f in sol.fields])  # (M+1, n)
-    # The drift and its cell-averaged divergence at each snapshot time, for
-    # every test function. A drift with no gain is the same at every time:
-    # it is read once, and each list repeats that one array.
-    read_times = times[:1] if b.gain is None else times
-    repeat = len(times) // len(read_times)
-    drift = [eval_drift(b, float(t), nodes) for t in read_times]
-    div = [np.trace(_central_jacobian(b, float(t), nodes, 0.5 * grid.h), axis1=-2, axis2=-1)
-           for t in read_times] * repeat
     u0_norm = lp_norm(sol.fields[0], p)
     dB = np.diff(eval_path(path, times), axis=0)  # (M, d)
 
@@ -234,9 +237,10 @@ def weak_residual(
         phi_grad = phi.gradient(nodes)
         A = U @ phi_vals * w
         g = U @ phi_grad * w  # (M+1, d)
-        flux = [np.sum(bx * phi_grad, axis=-1) for bx in drift] * repeat  # b . grad phi
-        drift_rate = np.array([float((u * f).sum()) * w for u, f in zip(U, flux)])
-        div_rate = np.array([float((u * dv * phi_vals).sum()) * w for u, dv in zip(U, div)])
+        flux = [np.sum(bx * phi_grad, axis=-1) for bx in drift]  # b . grad phi
+        drift_rate = np.array([float((u * f).sum()) * w for u, f in zip(U, cycle(flux))])
+        div_rate = np.array([float((u * dv * phi_vals).sum()) * w
+                             for u, dv in zip(U, cycle(div))])
         term_drift = _cumulative_trapezoid(drift_rate, times)
         term_div = _cumulative_trapezoid(div_rate, times)
         g_step = 0.5 * (g[:-1] + g[1:]) if rule == "stratonovich" else g[:-1]

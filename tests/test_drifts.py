@@ -7,6 +7,7 @@ integrals over the window [-1, 1]: with b(x) = sign(x) |x|^a,
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from stochtransport.drifts import (
     time_modulated_drift,
     write_hypothesis_csv,
     zero_drift,
-    _central_jacobian,
-    _jacobian_of,
+    _drift_reads,
 )
 from stochtransport.transport import mollified_drift
 
@@ -38,7 +38,7 @@ BOX1 = [(-1.0, 1.0)]
 
 def divergence(b, t, pts, fd_step=1e-4):
     """The divergence the checker reads: the trace of the drift's Jacobian."""
-    return np.trace(_jacobian_of(b, t, pts, fd_step), axis1=-2, axis2=-1)
+    return np.trace(_drift_reads(b, pts, fd_step)(t)[1], axis1=-2, axis2=-1)
 
 
 class TestCatalogEvaluation:
@@ -97,7 +97,7 @@ class TestCatalogEvaluation:
     ], ids=["zero", "constant", "linear", "stream", "shear", "power1d", "stream*sin_squared",
             "stream*sin_squared*ramp", "power1d*sin_squared~eps"])
     def test_read_at_many_times_equals_reads_one_at_a_time_bitwise(self, d, spec, mollify):
-        b = drift_from_spec(d, 4.0, spec)
+        b = drift_from_spec(d, 4.0, spec, n=16)
         if mollify:
             b = mollified_drift(b, 1.0 / 16, reach=6.0)
         times = np.array([0.1, 0.35, 0.6, 0.85])
@@ -123,7 +123,7 @@ class TestOnAxes:
     @pytest.mark.parametrize("spec", SEPARABLE_SPECS, ids=["stream", "shear",
                                                            "stream*sin_squared"])
     def test_on_axes_equals_fn_on_the_meshgrid_bitwise(self, spec, lead):
-        b = drift_from_spec(2, 4.0, spec)
+        b = drift_from_spec(2, 4.0, spec, n=16)
         rng = np.random.default_rng(11)
         shifts = rng.normal(scale=3.0, size=lead + (2,))
         x1 = -4.0 + 0.5 * np.arange(16) + shifts[..., :1]
@@ -183,12 +183,13 @@ class TestDivergence:
         rng = np.random.default_rng(8)
         pts = rng.uniform(-4.0, 4.0, size=(200, b.d))
         for t in (0.0, 0.4):
-            jac = _jacobian_of(b, t, pts, fd_step=1e-4)
+            jac = _drift_reads(b, pts, 1e-4)(t)[1]
             assert jac.shape == (200, b.d, b.d)
             gain = 1.0 if b.gain is None else b.gain(t)
             assert np.array_equal(divergence(b, t, pts),
                                   np.trace(gain * b.jacobian(pts), axis1=-2, axis2=-1))
-            central = np.trace(_central_jacobian(b, t, pts, 1e-4), axis1=-2, axis2=-1)
+            central = np.trace(_drift_reads(b, pts, 1e-4, analytic=False)(t)[1],
+                               axis1=-2, axis2=-1)
             assert np.allclose(divergence(b, t, pts), central, rtol=1e-5, atol=1e-6)
 
     def test_stream_divergence_is_exactly_zero(self):
@@ -215,26 +216,39 @@ class TestDriftFromSpec:
                  "gain_id": "sin_squared"}),
         ]
         for d, spec in cases:
-            b = drift_from_spec(d, 4.0, spec)
+            b = drift_from_spec(d, 4.0, spec, n=16)
             assert b.d == d
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigError):
-            drift_from_spec(1, 4.0, {"id": "vortex"})
+            drift_from_spec(1, 4.0, {"id": "vortex"}, n=16)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):
-            drift_from_spec(1, 4.0, {"id": "constant", "speed": 1.0})
+            drift_from_spec(1, 4.0, {"id": "constant", "speed": 1.0}, n=16)
 
     @pytest.mark.parametrize("kind", ["stream", "shear"])
     def test_half_width_must_be_the_box_over_a_whole_number(self, kind):
         for half_width in (4.0, 2.0, 4.0 / 3.0, 1.0):
-            assert drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width}).d == 2
+            assert drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width}, n=16).d == 2
         for half_width in (3.0, 8.0, 0.0, -4.0):
             with pytest.raises(ConfigError, match="not periodic on the box"):
-                drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width})
+                drift_from_spec(2, 4.0, {"id": kind, "half_width": half_width}, n=16)
+
+    @pytest.mark.parametrize("kind", ["stream", "shear"])
+    def test_a_grid_resolves_at_most_n_over_2_periods(self, kind):
+        # N = 16 nodes per axis resolve 8 periods on the box: half width L / 8
+        assert drift_from_spec(2, 4.0, {"id": kind, "half_width": 0.5}, n=16).d == 2
+        for half_width, periods in ((0.25, "16"), (1e-300, "4e+300"), (5e-324, "inf")):
+            spec = {"id": "time_modulated", "gain_id": "one",
+                    "base": {"id": kind, "half_width": half_width}}
+            with pytest.raises(ConfigError) as info:
+                drift_from_spec(2, 4.0, spec, n=16)
+            assert str(info.value) == (
+                f"drift.base.half_width = {half_width!r} puts {periods} periods of the drift "
+                "on the box, more than the N/2 = 8 that N = 16 nodes per axis resolve")
         with pytest.raises(ConfigError, match="drift.half_width must be a finite real number"):
-            drift_from_spec(2, 4.0, {"id": kind, "half_width": "4"})
+            drift_from_spec(2, 4.0, {"id": kind, "half_width": "4"}, n=16)
 
     @pytest.mark.parametrize("spec, message", [
         ({"id": "stream", "amplitude": True},
@@ -254,7 +268,7 @@ class TestDriftFromSpec:
     def test_a_bool_is_no_number(self, spec, message):
         d = 1 if spec["id"] in ("power1d",) else 2
         with pytest.raises(ConfigError) as info:
-            drift_from_spec(d, 4.0, spec)
+            drift_from_spec(d, 4.0, spec, n=16)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("spec, key", [
@@ -270,11 +284,11 @@ class TestDriftFromSpec:
     def test_a_scalar_parameter_is_one_finite_real(self, spec, key):
         d = 1 if "power1d" in str(spec) else 2
         with pytest.raises(ConfigError, match=f"{key} must be a finite real number"):
-            drift_from_spec(d, 4.0, spec)
+            drift_from_spec(d, 4.0, spec, n=16)
 
     def test_integral_and_numpy_scalars_are_numbers(self):
         for scale in (-1, np.float64(-1.0), np.int64(-1)):
-            b = drift_from_spec(1, 4.0, {"id": "power1d", "alpha": 0.75, "scale": scale})
+            b = drift_from_spec(1, 4.0, {"id": "power1d", "alpha": 0.75, "scale": scale}, n=16)
             assert eval_drift(b, 0.0, np.array([[2.0]]))[0, 0] == -(2.0**0.75)
 
 
@@ -348,6 +362,29 @@ class TestHypothesisChecker:
     def test_exponent_floor_enforced(self):
         with pytest.raises(ConfigError):
             check_hypotheses(constant_drift([1.0]), 0.5, BOX1, 1.0)
+
+    @pytest.mark.parametrize("gain_id", [None, "sin_squared"])
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "central"])
+    def test_the_autonomous_factor_is_read_once_per_pass(self, gain_id, analytic):
+        # fn and the Jacobian rule, or fn at both sides of the differences,
+        # once in each of the two passes, not at each of the 17 times
+        base = power_drift(0.75, scale=-1.0)
+        calls = []
+        counted = replace(base, fn=lambda x: calls.append("fn") or base.fn(x),
+                          jacobian=(lambda x: calls.append("jac") or base.jacobian(x))
+                          if analytic else None)
+        b = counted if gain_id is None else time_modulated_drift(counted, gain_id, 1.0)
+        check_hypotheses(b, 2.0, BOX1, 1.0)
+        assert calls == (["fn", "jac"] if analytic else ["fn"] * 3) * 2
+
+    def test_a_non_finite_read_names_its_time(self):
+        base = power_drift(0.75)
+        late = replace(base, gain=lambda t: math.inf if t >= 0.5 else 1.0)
+        with pytest.raises(DriftEvaluationError, match=r"returned non-finite values at t=0.5$"):
+            check_hypotheses(late, 2.0, BOX1, 1.0)
+        steep = replace(base, jacobian=lambda x: np.full(np.shape(x) + (1,), math.inf))
+        with pytest.raises(DriftEvaluationError, match=r"'power1d' Jacobian non-finite at t=0.0$"):
+            check_hypotheses(steep, 2.0, BOX1, 1.0)
 
     def test_report_csv_has_header_and_rows(self, tmp_path):
         rep = check_hypotheses(constant_drift([1.0]), 2.0, BOX1, 1.0)

@@ -115,7 +115,6 @@ class TestProfileFromSpec:
             {"id": "bump", "radius": 1.2},
             {"id": "double_bump"},
             {"id": "step", "half_width": 0.5},
-            {"id": "sinusoid", "mode": 2},
         ):
             prof = profile_from_spec(1, 4.0, spec)
             assert prof.d == 1

@@ -98,7 +98,7 @@ class TestMessages:
             "constant-matrix-in-1d", "missing-matrix", "missing-id", "nested-huge-int"])
     def test_drift_spec(self, d, spec, message):
         with pytest.raises(ConfigError) as info:
-            drifts.drift_from_spec(d, 4.0, spec)
+            drifts.drift_from_spec(d, 4.0, spec, n=16)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("spec, message", [
@@ -106,10 +106,10 @@ class TestMessages:
         ({"id": "step", "center": [0.0, 1.0, 2.0]},
          "u0.center must be a finite real number or a list of them that broadcasts to 2 "
          "coordinates, got [0.0, 1.0, 2.0]"),
-        ({"id": "sinusoid", "mode": 2.5}, "u0.mode must be an integer, got 2.5"),
-        ({"id": {}}, "u0.id must be one of ['bump', 'double_bump', 'sinusoid', 'step'], "
-                     "got {}"),
-    ], ids=["unknown-parameter", "center-of-three", "mode-2.5", "id-object"])
+        ({"id": "sinusoid", "mode": 2.5},
+         "u0.id must be one of ['bump', 'double_bump', 'step'], got 'sinusoid'"),
+        ({"id": {}}, "u0.id must be one of ['bump', 'double_bump', 'step'], got {}"),
+    ], ids=["unknown-parameter", "center-of-three", "sinusoid", "id-object"])
     def test_profile_spec(self, spec, message):
         with pytest.raises(ConfigError) as info:
             profiles.profile_from_spec(2, 4.0, spec)
@@ -117,7 +117,7 @@ class TestMessages:
 
     def test_a_zero_sinusoid_half_width_is_a_config_error(self):
         with pytest.raises(ConfigError, match="sinusoid half width must be positive, got 0"):
-            profiles.profile_from_spec(1, 4.0, {"id": "sinusoid", "half_width": 0})
+            profiles.sinusoid(1, half_width=0)
 
     def test_the_order_of_faults(self):
         # missing keys first, then each value in the table's order, then unknown keys

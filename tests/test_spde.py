@@ -698,7 +698,7 @@ class TestNodeRead:
     def test_solve_equals_the_solve_without_on_axes_bitwise(self, scheme, spec):
         g = SpatialGrid(d=2, half_width=4.0, n=16)
         u0 = sample_profile(g, bump(2, center=[0.0, 0.0], radius=1.2))
-        b = drift_from_spec(2, 4.0, spec, horizon=0.25)
+        b = drift_from_spec(2, 4.0, spec, horizon=0.25, n=g.n)
         assert b.on_axes is not None and _block_steps(32, g.size) > 1
         paths = [sample_brownian(seed, 0.25, 32, 2) for seed in (1, 2, 3)]
         with warnings.catch_warnings():

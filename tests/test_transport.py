@@ -16,6 +16,7 @@ import pytest
 
 from stochtransport.errors import BlowUpError, ConfigError, SupportMarginWarning
 from stochtransport.drifts import (
+    DriftField,
     constant_drift,
     eval_drift,
     linear_drift,
@@ -498,10 +499,29 @@ class TestMollifiedDrift:
         mollified_drift(b, eps, reach=6.0)
         assert tables == [True] * b.d
 
+    @pytest.mark.parametrize("L", [4.0, 3.0, 2.0**70, 1e150, 2.0**-400, 1e-140])
     @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (32, 64, 256, 1024)] + [0.1, 0.37])
-    def test_lattice_lookup_equals_np_interp_bitwise(self, eps):
-        b, reach = power_drift(0.75, scale=-1.0), 4.5
-        delta, K, table = transport._mollified_table(b, eps, reach)
+    def test_lattice_lookup_equals_np_interp_bitwise(self, eps, L):
+        # the default radius 2h at N = 32 to 1024 and two forced radii, all
+        # scaled with the box, up to the widest and down to the narrowest a
+        # config takes
+        eps, reach = eps * L / 4.0, 4.5 * L / 4.0
+        # a rough drift, and one that is -0.0 on the right half
+        kink = DriftField("kink", 1, lambda x: np.minimum(x, -0.0))
+        for b in (power_drift(0.75, scale=-1.0), kink):
+            delta, K, table = transport._mollified_table(b, eps, reach)
+            # the one 1D rule: the largest power of two not above eps / 64
+            assert math.frexp(delta)[0] == 0.5 and delta <= eps / 64.0 < 2.0 * delta
+            assert not np.signbit(table[table == 0.0]).any()  # no -0.0
+            assert (b is kink) == (table == 0.0).any()
+            kernel = _bump_kernel(1, eps, delta)
+            assert np.all((kernel == 0.0) | (kernel > np.finfo(float).eps))
+            self._check_lookup(b, eps, reach, delta, K, table)
+
+    @staticmethod
+    def _check_lookup(b, eps, reach, delta, K, table):
+        """The lookup equals np.interp bit for bit wherever q = x / delta is
+        exact: it can only underflow and round where delta > 1."""
         axis = delta * np.arange(-K, K + 1)
         inner = axis[1:-1]
         rng = np.random.default_rng(7)
@@ -513,7 +533,7 @@ class TestMollifiedDrift:
             axis[:-1],  # every node of the lookup's domain [axis[0], axis[-1])
             np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
             inner - rng.uniform(0.0, 1e-12, inner.size) * delta,  # within 1e-12 delta below
-            below_zero, [-5e-324, 5e-324],
+            below_zero, [-5e-324, 5e-324, -1e-300, 1e-300],
             [np.nextafter(axis[0], np.inf), -0.0, -reach, reach],
         ])
         # (B, P, Q) batches, as the march asks: nodes, one ulp and up to
@@ -526,23 +546,17 @@ class TestMollifiedDrift:
         edge = edge[np.abs(edge) <= reach]
         batches = [np.concatenate([rng.permutation(edge), rng.uniform(-reach, reach, 16 * 8 * 256)])
                    [: math.prod(shape)].reshape(shape) for shape in [(16, 8, 256), (3, 8, 100)]]
-        zeros = table.copy()  # the table with signed zero entries
-        zeros[::97], zeros[1::89] = -0.0, 0.0
-        for values in (table, zeros):
-            interp = transport._lattice_interp(delta, values, _Workspace())
-            # the exact path reads a power-of-two lattice whose table holds no -0.0
-            dyadic = math.frexp(delta)[0] == 0.5 and values is table
-            assert (interp.__name__ == "dyadic") == dyadic
-            for pts in [x] + batches:
-                got = interp(pts)
-                want = np.interp(pts, axis, values)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        interp = transport._lattice_interp(delta, table, _Workspace())
         fn = mollified_drift(b, eps, reach).fn
-        for pts in batches:
-            got = fn(pts[..., None])
-            assert got.shape == pts.shape + (1,)
-            assert np.array_equal(got[..., 0].view(np.int64),
-                                  np.interp(pts, axis, table).view(np.int64))
+        for pts in [x] + batches:
+            exact = pts / delta * delta == pts
+            assert exact.all() or delta > 1.0
+            want = np.interp(pts, axis, table).view(np.int64)
+            assert np.array_equal(interp(pts).view(np.int64)[exact], want[exact])
+            if pts is not x:
+                got = fn(pts[..., None])
+                assert got.shape == pts.shape + (1,)
+                assert np.array_equal(got[..., 0].view(np.int64)[exact], want[exact])
 
     @pytest.mark.parametrize("b", [power_drift(0.75), stream_function_drift(4.0)],
                              ids=["1d", "2d"])
@@ -635,6 +649,19 @@ class TestMollifiedDrift:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConfigError, match="exceeds the box half-width L=4.0"):
                 solve_spde(power_drift(0.75), [w], u0, mollify_epsilon=eps)
+
+    @pytest.mark.parametrize("L", [2.0**70, 1e150])
+    def test_a_1d_solve_on_a_wide_box_runs_clean(self, L):
+        # the table's spacing is a power of two far above 1, where q = x / delta
+        # underflows next to the origin; the march must still run without a warning
+        g = SpatialGrid(d=1, half_width=L, n=64)
+        u0 = sample_profile(g, bump(1, center=0.0, radius=0.3 * L))
+        paths = [sample_brownian(seed, 0.25, 64, 1) for seed in (5, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sols = solve_spde(power_drift(0.75, scale=-1.0), paths, u0)
+        assert sols[0].mollify_epsilon == 2.0 * g.h
+        assert all(np.isfinite(f.values).all() for sol in sols for f in sol.fields)
 
     @pytest.mark.parametrize("scheme", ["semi_lagrangian", "upwind_fv"])
     def test_rough_solves_emit_no_runtime_warning(self, scheme):
