@@ -15,9 +15,8 @@ from .drifts import (DriftField, HypothesisReport, check_hypotheses,
                      power_drift, shear_drift, stream_function_drift,
                      time_modulated_drift, write_hypothesis_csv, zero_drift)
 from .errors import (BlowUpError, ConfigError, DriftEvaluationError,
-                     FieldValidationError, KernelResolutionError,
-                     MeshMismatchError, PathRangeError, StochTransportError,
-                     SupportMarginWarning)
+                     FieldValidationError, MeshMismatchError, PathRangeError,
+                     StochTransportError, SupportMarginWarning)
 from .experiments import (CommandResult, ConvergenceTable, ExperimentConfig,
                           cmd_hypotheses, cmd_solve, cmd_uniqueness_crosscheck,
                           cmd_verify_weak, cmd_wong_zakai, estimate_order)
@@ -40,7 +39,7 @@ __all__ = [
     # errors
     "StochTransportError", "FieldValidationError", "DriftEvaluationError",
     "MeshMismatchError", "PathRangeError", "ConfigError",
-    "KernelResolutionError", "BlowUpError", "SupportMarginWarning",
+    "BlowUpError", "SupportMarginWarning",
     # fields
     "SpatialGrid", "ScalarField", "lp_norm", "interpolate", "shift_field",
     "write_field_csv", "read_field_csv",

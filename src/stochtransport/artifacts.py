@@ -12,11 +12,10 @@ are not part of the format.
 it writes the comment and column lines, then a body of rows that are
 already text. :func:`write_csv` formats its rows' cells and hands them to
 it; a writer that keeps its rows' fixed cells as text from one file to
-the next (``fields.write_field_csv``, through a ``%`` template of every
-row) builds its body itself. :func:`read_csv`
-splits each row into its cells; :func:`read_body` hands over the open
-file, whose lines are the rows, for a reader that checks their text
-(``fields.read_field_csv``).
+the next (``fields.SpatialGrid._row_template``) builds its body itself.
+:func:`read_csv` splits each row into its cells; :func:`read_body` hands
+over the open file, whose lines are the rows, for a reader that checks
+their text (``fields.read_field_csv``).
 """
 
 from __future__ import annotations

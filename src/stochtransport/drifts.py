@@ -13,9 +13,7 @@ and time modulation by a gain.
 ``check_hypotheses`` estimates, by deterministic quadrature sampling,
 the quantities a well-posed transport problem needs from its drift: a
 time-integrated sup bound on the divergence, local q-integrability of
-b and of its gradient, and sublinear growth. Evidence values are
-declared trustworthy only when they are finite and stable under
-doubling of the sample count.
+b and of its gradient, and sublinear growth.
 """
 
 from __future__ import annotations
@@ -52,6 +50,9 @@ EVIDENCE_CEILING = 1.0e12
 #: Maximum relative change of an evidence value under sample doubling.
 STABILITY_RTOL = 0.05
 
+#: Lattice points per time slice in the coarse pass of ``check_hypotheses``.
+SAMPLES_PER_SLICE = 4096
+
 #: Relative offset applied to sample coordinates to step off singular sets.
 _JITTER_SCALE = 1.0e-9
 
@@ -73,11 +74,9 @@ class DriftField:
     (..., n_1) to (..., n_d) whose leading shapes broadcast, returns
     shape (..., n_1, ..., n_d, d) and equals, bit for bit, ``fn`` on the
     points ``stack(meshgrid(x_1, ..., x_d, indexing="ij"), axis=-1)``
-    taken over the leading axes. A drift whose components are products of
-    per-axis factors states it, computing each factor once per axis
-    coordinate; the march reads it at the path-shifted grid nodes
-    (``transport._composed_drift``). A field that replaces ``fn`` must
-    drop it.
+    taken over the leading axes (``_separable_2d``); the march reads it at
+    the path-shifted grid nodes (``transport._composed_drift``). A field
+    that replaces ``fn`` must drop it.
     """
 
     id: str
@@ -165,16 +164,8 @@ def _drift_reads(b: DriftField, points, step: float, analytic: bool = True) -> C
 
 
 def zero_drift(d: int) -> DriftField:
-    """The trivial field b = 0."""
-    zero = np.zeros(d)
-
-    def fn(x):
-        return np.zeros(np.asarray(x).shape)
-
-    def jac(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (d, d))
-
-    return DriftField("zero", d, fn, jac, smooth=True, constant_value=zero)
+    """The trivial field b = 0: the constant drift of d zeros, under the id ``zero``."""
+    return replace(constant_drift(np.zeros(d)), id="zero")
 
 
 def constant_drift(c) -> DriftField:
@@ -397,7 +388,7 @@ class HypothesisReport:
     """Outcome of the drift integrability checks on a window.
 
     ``div_bound`` is the trapezoid-in-time integral of the sampled sup of
-    |div b|; the three boolean verdicts hold when the matching evidence
+    |div b|; the four boolean verdicts hold when the matching evidence
     integral is below ``EVIDENCE_CEILING`` and moves by at most 5% when
     the spatial sample count doubles. ``divergence_is_exact`` holds when
     the drift states an analytic Jacobian, whose trace is the divergence.
@@ -478,7 +469,7 @@ def _evidence_pass(b: DriftField, q: float, window, horizon: float, samples: int
     # probe offset scales with the pass so singular fields stay unstable.
     # Integral quantities use the lattice alone, a probe next to an
     # integrable singularity would otherwise dominate the mean.
-    probes = _probe_points(win, b.d, _JITTER_SCALE * (4096.0 / samples))
+    probes = _probe_points(win, b.d, _JITTER_SCALE * (SAMPLES_PER_SLICE / samples))
     sup_pts = np.concatenate([pts, probes], axis=0)
     times = np.linspace(0.0, horizon, 17)
 
@@ -518,7 +509,6 @@ def check_hypotheses(
     q: float,
     window,
     horizon: float,
-    samples: int = 4096,
 ) -> HypothesisReport:
     """Estimate the integrability evidence for a drift on ``window`` x [0, horizon].
 
@@ -532,23 +522,20 @@ def check_hypotheses(
         One bounded interval per axis.
     horizon : float
         Final time of the run the drift will feed.
-    samples : int
-        Spatial sample count per time slice; at least 1000. The check
-        runs twice, at ``samples`` and ``2 * samples``, and an evidence
-        value is accepted only when the two passes agree within 5%.
 
     Notes
     -----
-    Sampling is a deterministic midpoint lattice per axis with a relative
-    jitter of 1e-9, so points cannot land exactly on the singular sets of
-    the catalog fields; the whole procedure is reproducible bit for bit.
+    The check runs twice, at ``SAMPLES_PER_SLICE`` = 4096 lattice points
+    per time slice and at 8192, and an evidence value is accepted only
+    when the two passes agree within 5%. Sampling is a deterministic
+    midpoint lattice per axis with a relative jitter of 1e-9, so points
+    cannot land exactly on the singular sets of the catalog fields; the
+    whole procedure is reproducible bit for bit.
     The trapezoid rule in t uses 17 equally spaced time slices.
     """
     qv = float(q)
     if not (qv >= 1.0):
         raise ConfigError(f"conjugate exponent must satisfy q >= 1, got {qv}")
-    if samples < 1000:
-        raise ConfigError(f"need at least 1000 samples, got {samples}")
     if not (horizon > 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     win = _window_extent(window, b.d)
@@ -556,8 +543,8 @@ def check_hypotheses(
     # Evidence may overflow to inf, which the verdicts read as a failure,
     # so numpy need not warn, as eval_drift does not warn for the drift.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coarse = _evidence_pass(b, qv, win, horizon, samples)
-        fine = _evidence_pass(b, qv, win, horizon, 2 * samples)
+        coarse = _evidence_pass(b, qv, win, horizon, SAMPLES_PER_SLICE)
+        fine = _evidence_pass(b, qv, win, horizon, 2 * SAMPLES_PER_SLICE)
 
     rel_changes = {}
     verdict = {}

@@ -25,10 +25,6 @@ class ConfigError(StochTransportError):
     """Invalid run configuration: bad keys, CFL violation, mesh constraints."""
 
 
-class KernelResolutionError(ConfigError):
-    """Mollifier radius below the grid spacing or above the box half-width."""
-
-
 class BlowUpError(StochTransportError):
     """Numerical blow-up during time marching or characteristic tracing."""
 

@@ -30,9 +30,9 @@ from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_fie
 from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
                     sample_brownian, write_path_csv)
 from .profiles import Profile, profile_from_spec, sample_profile
-from .schema import CONFIG, check_keys
+from .schema import CONFIG, SCHEMES, check_keys
 from .spde import SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde
-from .transport import (_CFL_LIMIT, _MAX_TABLE_NODES, SCHEMES, _check_mollify_radius,
+from .transport import (_CFL_LIMIT, _MAX_TABLE_NODES, _check_mollify_radius,
                         _margin_band, _support_hits_margin, cfl_number)
 from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 
@@ -128,8 +128,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.horizon > 0 and self.dt > 0):
             raise ConfigError("T and dt must be positive")
         if self.half_width > MAX_HALF_WIDTH:
@@ -177,8 +175,6 @@ class ExperimentConfig:
         if not norm > 0.0:  # they underflow
             raise ConfigError(fault.format(self.p, norm))
         if self.mollify_eps is not None:
-            if self.mollify_eps < 0:
-                raise ConfigError("mollify_eps must be nonnegative")
             _check_mollify_radius(self.mollify_eps, grid)
         # Support-margin precheck on the initial data itself (dynamic
         # encroachment during the run surfaces as a solver warning).
@@ -220,7 +216,7 @@ class ExperimentConfig:
         return drift_from_spec(self.d, self.half_width, self.drift_spec, self.horizon, n=self.n)
 
     def profile(self) -> Profile:
-        return profile_from_spec(self.d, self.half_width, self.u0_spec)
+        return profile_from_spec(self.d, self.u0_spec)
 
     def u0(self) -> ScalarField:
         return sample_profile(self.grid(), self.profile())

@@ -3,34 +3,13 @@
 Everything downstream (transport marching, path shifting, weak-form
 quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
-quadrature, periodic tensor-product interpolation, lattice-aware field
-shifting, and the field CSV format. A read sums each point's stencil,
-one 4-node-per-axis window of a wrap-padded stack. In every dimension
-the weights of an axis are (4, Q), one contiguous row per stencil
-offset. 1D gathers every window's four taps, one take per tap, takes
-its clamp bounds from those taps and adds them in a stated order
-(``_reader_1d``); 2D reads tap by tap, 16 gathers with no (Q, 4, 4)
-stencil array (``_window_sum``, which also reads the 2D mollifier
-tables), and clamps by running extremes over the padded stack. A read
-is a plan, the flat index of each point's window and its
-weights (``_cubic_plan``), then its application to the values
-(``_cubic_reader``). The march plans a block of steps at once, one plan
-row per step, and one reader call steps the whole block, each step
-reading the values the step before wrote. Both write every array
-they make into a workspace (``_Workspace``): named scratch arrays that a
-solve allocates at its first block and reuses at every later step, so
-the march's reads allocate nothing. ``interpolate`` and ``shift_field``
-take the same code path, as a block of one step, with a fresh workspace
-per call; the march shifts the snapshots of all its paths at once in its
-own (``_shifted``), and a mollified drift's lookup writes into a
-workspace of its table's. A snapshot's
-``index`` and coordinate cells are formatted once per grid, into one
-``%`` template of all its rows (``SpatialGrid._row_template``), so a
-write is one ``%`` of that template over the values, and it hands the
-body to ``artifacts.write_body``. The reader requires each row to be
-exactly those cells and one value: it compares the rows of the open file
-1,024 at a time with the template filled with their value cells, and it
-checks a chunk that differs one row at a time.
+quadrature, periodic cubic interpolation, lattice-aware field shifting,
+and the snapshot CSV format. A cubic read is a plan (``_cubic_plan``)
+applied by a reader (``_cubic_reader``; 1D: ``_reader_1d``, 2D:
+``_window_sum``), both writing into a workspace (``_Workspace``);
+``interpolate`` and ``shift_field`` read as a block of one step, and the
+march (``spde``) reads whole blocks. A snapshot's text is one row
+template per grid (``SpatialGrid._row_template``, ``read_field_csv``).
 Smoothing is applied to drifts only, by ``transport.mollified_drift``.
 """
 
@@ -173,9 +152,18 @@ class ScalarField:
 
     @classmethod
     def from_function(cls, grid: SpatialGrid, fn) -> "ScalarField":
-        """Sample ``fn`` on the grid nodes. ``fn`` maps (..., d) points to values."""
-        vals = np.asarray(fn(grid.nodes()), dtype=float).reshape(grid.shape)
-        return cls(grid, vals)
+        """Sample ``fn``, which maps (..., d) points to values, on the grid nodes.
+
+        ``fn`` runs with numpy's floating-point warnings off: a sample that
+        is not finite raises ``FieldValidationError`` counting the nodes.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = np.asarray(fn(grid.nodes()), dtype=float)
+        bad = np.count_nonzero(~np.isfinite(vals))
+        if bad:
+            raise FieldValidationError(
+                f"the function samples to non-finite values at {bad} of {grid.size} grid nodes")
+        return cls(grid, vals.reshape(grid.shape))
 
     @classmethod
     def zeros(cls, grid: SpatialGrid) -> "ScalarField":
@@ -237,40 +225,29 @@ class _Workspace:
     one, so after a march's first block its steps allocate none of the
     arrays below. Each view is made once per shape and kept; a view taken
     before its slot was replaced keeps the old array, so a reader is made
-    after the plan it reads. Every plan, reader and RK4 trace takes a
-    workspace; ``interpolate`` and ``shift_field`` pass a fresh one per
-    call and take the same code path. A mollified drift's table
-    (``transport.mollified_drift``) has a workspace of its own for its
-    lookups, so a solve holds two.
+    after the plan it reads. Views of one slot overlap, so each phase of a
+    step uses a slot only while no other phase needs what it holds. The
+    slots of a semi-Lagrangian step, by the phase that writes them:
 
-    Views of one slot overlap, so each phase of a step uses a slot only
-    while no other phase needs what it holds. The slots, by the phase of a
-    semi-Lagrangian step that writes them:
-
-    - ``"x0"``, ``"x1"``, ``"x2"``, float scratch. The RK4 trace
-      (``transport._rk4_feet``) keeps its stage points in x1 and its
-      running sum, then the feet, in x2; ``transport._composed_drift`` shifts
-      the points it is asked about into x0. The plan (:func:`_cubic_plan`)
-      reads the feet and writes theta to x0 and the stencil bases to x1,
-      then runs the weights' products in x1 and x2. A read
-      (:func:`_cubic_reader`) pads the values into x0 and gathers the taps
-      into x1. In 1D it writes its clamp bounds, (2, P, Q), into x2; in 2D
-      it takes its running extremes in x1, x2 and x0.
+    - ``"x0"``, ``"x1"``, ``"x2"``, float scratch: the RK4 stage points in
+      x1 and the running sum, then the feet, in x2 (``transport._rk4_feet``),
+      the shifted points in x0 (``transport._composed_drift``); the plan's
+      theta in x0, its stencil bases in x1 and its weights' products in x1
+      and x2 (:func:`_cubic_plan`); a read's padded values in x0 and taps in
+      x1, and its clamp bounds in x2 in 1D or its running extremes in x1, x2
+      and x0 in 2D (:func:`_cubic_reader`).
     - ``"start"`` (int64), ``"w0"`` and ``"w1"``: the plan of a block, the
-      starts (S, P, Q) and the weights (S, 4, P, Q) per axis in every
-      dimension.
+      starts (S, P, Q) and the weights (S, 4, P, Q) per axis.
     - ``"mask"`` (bool): the plan's scratch.
     - ``"values"``: the values after each step of a block.
     - ``"shifted"``: the snapshots read at their displaced nodes
-      (:func:`_shifted`), after a block; the shift's plan and read take
-      the slots above, which the next block writes afresh.
+      (:func:`_shifted`), after a block; the shift's plan and read take the
+      slots above, which the next block writes afresh.
 
-    The slots of a mollified table's workspace, by its lookup's steps: in
-    1D ``"q"``, ``"k"``, ``"j"`` (int64) and ``"value"``
-    (``transport._lattice_interp``, which states why the read is exact);
-    in 2D the weights ``"w0"`` and ``"w1"``, and the taps in ``"x1"``
-    (:func:`_window_sum`).
-    Each lookup returns a fresh array.
+    A mollified drift's table has a workspace of its own, so a solve holds
+    two: in 1D ``"q"``, ``"k"``, ``"j"`` (int64) and ``"value"``
+    (``transport._lattice_interp``); in 2D ``"w0"``, ``"w1"`` and the taps
+    in ``"x1"`` (:func:`_window_sum`).
     """
 
     def __init__(self):
@@ -399,12 +376,9 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
     """The cubic rule of :func:`interpolate` on a batch of raw nodal values.
 
     ``values`` has shape (P, *grid.shape) and ``pts`` (P, Q, d): row p of
-    the points reads field p. Returns shape (P, Q). The P fields are read
-    as one stack along the first axis, by the same arithmetic whatever P
-    is. ``clamp`` clips each value to the range of its stencil: the
-    semi-Lagrangian stepper's discrete maximum principle, at the price of
-    cubic exactness. It is a block of one step: :func:`_cubic_plan`
-    followed by a read of :func:`_cubic_reader`, in one fresh workspace.
+    the points reads field p. Returns shape (P, Q). ``clamp`` clips each
+    value to the range of its stencil, at the price of cubic exactness. It
+    is a block of one step, in one fresh workspace.
     """
     ws = _Workspace()
     plan = _cubic_plan(grid, pts[None], ws)
@@ -416,20 +390,19 @@ def _cubic_read(grid: SpatialGrid, values: np.ndarray, pts: np.ndarray,
 def _cubic_plan(grid: SpatialGrid, pts: np.ndarray, ws: _Workspace) -> tuple:
     """Where and with what weights the cubic rule reads points of shape (S, P, Q, d).
 
-    The S sets of points are located and weighed in one pass. Returns the
-    plan of the S sets, ``(start, weights)``, with one row per set, for
-    :func:`_cubic_reader`. ``start`` has shape (S, P, Q): row s holds the
-    flat index, in the wrap-padded stack of the P fields, of the first node
-    of each point's stencil in set s. ``weights`` holds one C-contiguous
-    (S, 4, P, Q) array per axis, whose row s is the weights of set s, one
-    (P, Q) row per stencil offset, the layout both readers take. They are
-    written once, through a swapaxes, as the (4, S, P, Q) weights of
-    :func:`_cubic_weights`, whose products run in slots x1 and x2, and no
-    view is made per set; the row of a set is contiguous, so the 1D read
-    weighs its taps in one multiply with no buffer. The points may live
-    in slot x2: they are read before it is written. A plan depends on the
-    points only, so a read of any values may reuse it. It is made of views
-    of the workspace ``ws``, valid until its next plan.
+    The S sets of points are located (:func:`_axis_locate`) and weighed in
+    one pass. Returns the plan ``(start, weights)`` for :func:`_cubic_reader`.
+    ``start`` has shape (S, P, Q): row s holds the flat index, in the
+    wrap-padded stack of the P fields, of the first node of each point's
+    stencil in set s. ``weights`` holds one C-contiguous (S, 4, P, Q) array
+    per axis, whose row s is the weights of set s, one (P, Q) row per
+    stencil offset. They are written once, through a swapaxes, as the
+    (4, S, P, Q) weights of :func:`_cubic_weights`, whose products run in
+    slots x1 and x2, and no view is made per set; the row of a set is contiguous, so the 1D read weighs its taps in
+    one multiply with no buffer. The points may live in slot x2: they are
+    read before it is written. A plan depends on the points only, so a read
+    of any values may reuse it. It is made of views of the workspace ``ws``,
+    valid until its next plan.
     """
     n_sets, n_fields, n_pts, d = pts.shape
     theta, base = ws.array("x0", pts.shape), ws.array("x1", pts.shape)
@@ -461,24 +434,18 @@ def _cubic_reader(grid: SpatialGrid, n_fields: int, n_pts: int, clamp: bool,
     the plan, step s reads ``values`` when s = 0 and ``out[s - 1]`` after,
     and writes ``out[s]``. ``out`` is a C-contiguous array of shape
     (S, P, Q); a block of more than one step reads at the nodes, Q =
-    grid.size, and in 2D its ``out`` has shape (S, P, *grid.shape), so that
-    each step reads the values the step before wrote. ``out`` may hold
-    ``values`` itself: each step reads its values once, into the padded
-    stack, before it writes its row. The S steps run in this one call,
-    with every view they use bound before the first, so a step makes no
-    Python call but its numpy calls. ``interpolate`` and ``shift_field``
-    read as a block of one step.
+    grid.size, and in 2D its ``out`` has shape (S, P, *grid.shape). ``out``
+    may hold ``values`` itself: each step reads its values once, into the
+    padded stack, before it writes its row. Every view a step uses, of
+    slots x0 to x2 of the workspace ``ws``, is bound here, once, so a step
+    makes no Python call but its numpy calls and allocates nothing.
 
     A step wrap-pads its values, by 1 node before and 2 after on each
     spatial axis, so every stencil is a 4-node window of it per axis and no
-    index needs a modulo. The padded stack is read as one table, the P
-    fields one after another along its first axis, so one flat index
-    locates a stencil. 1D reads by :func:`_reader_1d`, which takes its clamp
-    bounds from the taps themselves. In 2D the clamp bounds are running
-    minima and maxima over the flat padded stack, not a reduction per
-    point, and the taps are summed by :func:`_window_sum`. Every scratch
-    array of a read is a view of the workspace ``ws`` taken here, once, so
-    a march makes one reader per block and its reads allocate nothing.
+    index needs a modulo; the P padded fields are one table, so one flat
+    index locates a stencil. 1D reads by :func:`_reader_1d`. In 2D the taps
+    are summed by :func:`_window_sum`, and the clamp bounds are running
+    minima and maxima over the flat padded stack, not a reduction per point.
     """
     n, d, side = grid.n, grid.d, grid.n + 3
     padded = ws.array("x0", (n_fields,) + (side,) * d)
@@ -532,19 +499,16 @@ def _reader_1d(flat: np.ndarray, interior: np.ndarray, wraps: list, shape: tuple
     A step copies its values into ``interior`` and each wrap node from its
     ``(wrap, node)`` pair of ``wraps``: the pad. It then gathers the four
     taps of every window tap-major into slot x1, tap k by one take of the
-    step's starts from ``flat`` viewed k nodes on. The
-    clamp bounds come from the taps before they are weighted, as
-    min(min(t0, t1), min(t2, t3)) and the same with max. Of two zeros,
-    np.minimum and np.maximum return the second, so this pairing and order
-    fix the sign of a zero bound, which is what the clip returns for a zero
-    sum between zero bounds. The bounds go into slot x2, which the plan no
-    longer needs. The taps are then scaled by the weight rows in one
-    multiply and added as ((0 + t0) + t2) + ((0 + t1) + t3): two running
-    sums from +0.0, one of the even taps and one of the odd, written
-    (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is +0.0.
-    numpy's clip ufunc then clamps the sum to its bounds. Every array of a
-    step has the shape (P, Q) of its row of ``out``, so a step reshapes
-    nothing.
+    step's starts from ``flat`` viewed k nodes on. The clamp bounds, in slot
+    x2, come from the taps before they are weighted, as min(min(t0, t1),
+    min(t2, t3)) and the same with max: of two zeros, np.minimum and
+    np.maximum return the second, so this pairing and order fix the sign of
+    a zero bound, which is what the clip returns for a zero sum between zero
+    bounds. The taps are then scaled by the weight rows in one multiply and
+    added as ((0 + t0) + t2) + ((0 + t1) + t3), two running sums from +0.0,
+    written (t0 + t2) + (t1 + t3) and then + 0.0, so that a zero sum is
+    +0.0; numpy's clip ufunc then clamps the sum. Every array of a step has
+    the shape (P, Q) of its row of ``out``, so a step reshapes nothing.
     """
     taps = ws.array("x1", (4,) + shape)
     t0, t1, t2, t3 = taps

@@ -1,11 +1,9 @@
 """Driving paths: K + 1 values on the uniform mesh of [0, T].
 
-A path holds W(t_k) at t_k = k T / K and is linear in between. Brownian
-paths are sampled with the counter-based Philox generator so that a seed
-pins the whole trajectory bit for bit, across platforms and across
-repeated calls. Piecewise-linear interpolants of a Brownian path through
-coarser dyadic knots provide the bounded-variation approximations used
-by the Wong-Zakai convergence study.
+A path holds W(t_k) at t_k = k T / K and is linear in between. A seed
+pins a Brownian path bit for bit (``sample_brownian``), and its
+piecewise-linear interpolants through coarser knots are the
+bounded-variation approximations of the Wong-Zakai study.
 """
 
 from __future__ import annotations

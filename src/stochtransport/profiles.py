@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, FieldValidationError
+from .errors import ConfigError
 from .fields import ScalarField, SpatialGrid
 from .schema import PROFILE, check
 
@@ -115,14 +115,13 @@ def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -
     return Profile(d, fn, grad)
 
 
-def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:
+def profile_from_spec(d: int, spec: dict) -> Profile:
     """Build a profile from a config dictionary like {"id": "bump", "radius": 1.0}.
 
     The spec must meet ``schema.PROFILE`` in dimension ``d``, or a
-    ``ConfigError`` names the key path at fault (``u0.amplitude``). No
-    catalog profile reads the box half-width L; it is taken so that both
-    catalog builders take (d, L, spec). ``sinusoid`` is for library use
-    only: it fills the box, so no run could clear its wrap-around margin.
+    ``ConfigError`` names the key path at fault (``u0.amplitude``).
+    ``sinusoid`` is for library use only: it fills the box, so no run
+    could clear its wrap-around margin.
     """
     check(spec, PROFILE, "u0", d)
     kwargs = {k: v for k, v in spec.items() if k != "id"}
@@ -130,15 +129,5 @@ def profile_from_spec(d: int, half_width: float, spec: dict) -> Profile:
 
 
 def sample_profile(grid: SpatialGrid, profile: Profile) -> ScalarField:
-    """Sample an analytic profile on the grid nodes.
-
-    The profile runs with numpy's floating-point warnings off: a sample
-    that is not finite raises ``FieldValidationError``.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.asarray(profile.fn(grid.nodes()), dtype=float)
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise FieldValidationError(
-            f"initial data samples to non-finite values at {bad} of {grid.size} grid nodes")
-    return ScalarField(grid, values.reshape(grid.shape))
+    """Sample an analytic profile on the grid nodes (:meth:`ScalarField.from_function`)."""
+    return ScalarField.from_function(grid, profile.fn)

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 
-__all__ = ["Kind", "CONFIG", "DRIFTS", "PROFILES", "DRIFT", "PROFILE", "check", "check_keys"]
+__all__ = ["Kind", "CONFIG", "SCHEMES", "DRIFTS", "PROFILES", "DRIFT", "PROFILE", "check",
+           "check_keys"]
 
 
 class Kind(NamedTuple):
@@ -51,7 +52,7 @@ def _list_of(value, n, rule) -> bool:
 
 
 def _one_of(ids) -> Kind:
-    """A catalog id, which every catalog object must state."""
+    """One of ``ids``, a required key: a catalog object's id, a gain id or a scheme."""
     return Kind(f"one of {sorted(ids)}", lambda v, d: isinstance(v, str) and v in ids,
                 required=True)
 
@@ -75,6 +76,9 @@ MATRIX = Kind("a {d} x {d} matrix: a list of {d} rows of {d} finite real numbers
               lambda v, d: _list_of(v, d, lambda row: _list_of(row, d, _finite)))
 CENTER = Kind("a finite real number or a list of them that broadcasts to {d} coordinates",
               lambda v, d: _finite(v) or _list_of(v, 1, _finite) or _list_of(v, d, _finite))
+
+#: The advection schemes of a solve.
+SCHEMES = ("semi_lagrangian", "upwind_fv")
 
 #: The gains g(t) a ``time_modulated`` drift may take: 1, sin(pi t / T)^2, t / T.
 GAIN_IDS = ("one", "sin_squared", "ramp")
@@ -107,11 +111,12 @@ PROFILE = Kind("an object", OBJECT.holds, catalog=PROFILES)
 #: The keys of a run config; its drift and u0 meet DRIFT and PROFILE once d is valid.
 CONFIG = {
     "d": _need(INTEGER), "L": _need(REAL), "N": _need(INTEGER), "T": _need(REAL),
-    "dt": _need(REAL), "scheme": _need(STRING), "p": _need(REAL), "seed": _need(INTEGER),
+    "dt": _need(REAL), "scheme": _one_of(SCHEMES), "p": _need(REAL), "seed": _need(INTEGER),
     "drift": _need(OBJECT), "u0": _need(OBJECT),
     "phi_count": INTEGER,
     "wz_levels": Kind("a list of integers", lambda v, d: _list_of(v, None, _integral)),
-    "mollify_eps": Kind("a finite real number or null", lambda v, d: v is None or _finite(v)),
+    "mollify_eps": Kind("a finite real number >= 0 or null",
+                        lambda v, d: v is None or _finite(v) and v >= 0),
     "out_dir": STRING,
 }
 

@@ -4,52 +4,39 @@ For a frozen realization of the driving path, the stochastic problem
 
     du + b(t, x) . grad u dt + grad u . dW = 0,    u(0) = u0,
 
-with b(t, x) = gain(t) * fn(x) (``drifts.DriftField``), is solved in
-one pass: ``solve_spde`` marches the deterministic advection problem for
-v with the path-shifted drift b(t, x + W(t)), using the block steppers
-of ``transport``, and translates each snapshot back:
-u(t, x) = v(t, x - W(t)). It is the one solve entry point and the one
-march loop, and it serves every driving path: a Brownian draw, the zero
-path, and the bounded-variation interpolants that the Wong-Zakai
-approximation study feeds in. It takes a batch of P paths on one grid,
-drift and initial field and steps them together, with a leading path
-axis on every array; one path is a batch of one. The paths set the
-clock: a batch marches to their common horizon T in their common K steps
-of T / K. Each path's result is the same, bit for bit, whether it is
-solved alone or in any batch. A ``SpdeSolution`` stores its snapshots
-and path and derives the rest from them: its grid, its snapshot times
-and its step dt.
+with b(t, x) = gain(t) * fn(x) (``drifts.DriftField``), is solved through
+u(t, x) = v(t, x - W(t)), where v solves the deterministic transport
+problem with the path-shifted drift b(t, x + W(t)) (``transport``).
+``solve_spde`` is the one solve entry point and the one march, for every
+driving path: a Brownian draw, the zero path, and the bounded-variation
+interpolants of the Wong-Zakai study. It steps a batch of P paths on one
+grid, drift and initial field together, with a leading path axis on
+every array. The march:
 
-The paths are evaluated once per batch, at every RK4 stage time and
-every snapshot time, into one array of shifts whose rows follow one
-sorted array of those times (``transport._path_table``), and a rough
-drift is tabulated once per batch (``transport.mollified_drift``). The
-march then runs on raw nodal arrays, in blocks of
-B = min(K / 16, max(1, 4096 // Q)) steps on a grid of Q nodes
-(``_block_steps``). Once the path is frozen, v solves a linear
-transport equation whose characteristics do not depend on v, so a block
-reads the velocity at all its steps' stage times in one pass per RK4
-stage, plans the cubic reads of all its feet in one pass, and then
-steps only the values. One workspace per solve (``fields._Workspace``),
-made when the march starts and dropped when the solve returns, holds
-every scratch array of a semi-Lagrangian step and the values of the
-block, so the heap does not grow and shrink at each step; nothing in it
-outlives the solve. After each block it checks, on the block's
-stacked values, that they are finite (``BlowUpError`` names the first
-failing step and its path) and, path by path, that they clear the
-wrap-around margin, and it builds a ``ScalarField`` only at the
-snapshots, which a block may straddle. At a snapshot the values of every
-path are shifted at once, in the march's workspace (``fields._shifted``):
-a path whose shift is a lattice multiple is rolled, and the others are
-read in one clamp-free plan and read, bit for bit as ``shift_field``.
+- The paths are evaluated once per batch, at every RK4 stage time and
+  every snapshot time, into one table of shifts
+  (``transport._path_table``), and a rough drift is tabulated once per
+  batch (``transport.mollified_drift``).
+- The steps run in blocks of B = min(K / 16, max(1, 4096 // Q)) on a
+  grid of Q nodes (``_block_steps``). Once the path is frozen, the
+  characteristics of v do not depend on v, so a block reads the velocity
+  of all its steps at once, plans the cubic reads of all its feet at
+  once, and then steps only the values
+  (``transport._semi_lagrangian_block``, ``transport._upwind_block``).
+- One workspace per solve (``fields._Workspace``), dropped when the
+  solve returns, holds every scratch array of a step and the values of
+  the block, so the heap does not grow and shrink at each step.
+- After each block the stacked values are checked: that they are finite
+  (``BlowUpError`` names the first failing step and its path) and, path
+  by path, that they clear the wrap-around margin.
+- At each snapshot, which a block may straddle, the values of every path
+  are shifted back by W(t) at once, in the workspace (``fields._shifted``),
+  and only then become ``ScalarField`` objects.
 
-Renormalization checks integrate beta(u) of the snapshots u, in the
-paper's frame, for any vectorized beta, and compare its growth against
-the Gronwall envelope driven by the divergence bound of
-``drifts.check_hypotheses``. On the periodic box the integral of
-beta(u(t)) is that of beta(v(t)), since u(t) is v(t) translated by W(t),
-so a solution rebuilt from dumped snapshots is audited as the solver's
-own.
+Renormalization checks integrate beta(u) of the snapshots against the
+Gronwall envelope of the divergence bound of ``drifts.check_hypotheses``;
+the integral over the periodic box is the same for u(t) as for its
+translate v(t), so a rebuilt solution is audited as the solver's own.
 """
 
 from __future__ import annotations
@@ -67,7 +54,8 @@ from .errors import BlowUpError, ConfigError, MeshMismatchError, SupportMarginWa
 from .fields import ScalarField, SpatialGrid, _shifted, _Workspace
 from .paths import SamplePath, eval_path
 from .profiles import Profile
-from .transport import (_CFL_LIMIT, SCHEMES, _check_mollify_radius, _margin_band,
+from .schema import SCHEMES
+from .transport import (_CFL_LIMIT, _check_mollify_radius, _margin_band,
                         _semi_lagrangian_block, _stage_times, _support_hits_margin,
                         _composed_drift, _path_table, _table_rows, _upwind_block,
                         cfl_number, mollified_drift)
@@ -95,14 +83,13 @@ class SpdeSolution:
     is the grid of the snapshots and ``dt`` the marching step T / K of the
     path's K steps. At least two snapshots are needed, and their intervals
     must divide K, so that every snapshot sits on the path mesh; anything
-    else raises ``MeshMismatchError``. The solver also fills the remaining
-    fields; a solution rebuilt from dumped artifacts leaves them at their
-    defaults. ``aux_fields`` holds the advected field v at the same
-    times, with ``aux_fields[0]`` the initial condition object itself.
-    ``mollify_epsilon`` is the radius the drift was smoothed with (None:
-    not smoothed). ``support_violations`` lists the marching steps after
-    which v carried a value above 1e-9 times sup|u0| in the wrap-around
-    margin: the nodes within 10% of the half width of the box edge.
+    else raises ``MeshMismatchError``. The solver fills the other fields,
+    which a solution rebuilt from dumped artifacts leaves at their defaults:
+    ``aux_fields``, the advected field v at the same times, with
+    ``aux_fields[0]`` the initial condition object itself;
+    ``mollify_epsilon``, the radius the drift was smoothed with (None: not
+    smoothed); ``support_violations``, the marching steps after which v
+    reached the wrap-around margin (``transport._support_hits_margin``).
     """
 
     fields: tuple
@@ -153,23 +140,18 @@ def solve_spde(
     scheme: str = "semi_lagrangian",
     mollify_epsilon: float | None = None,
 ) -> tuple[SpdeSolution, ...]:
-    """Solve the transport SPDE along each path of a batch, in one march.
+    """Solve the transport SPDE along each path of a batch, in one march
+    (the ``spde`` module docstring gives the march).
 
     One path is a batch of one: ``(sol,) = solve_spde(b, [path], u0)``.
     The paths set the clock: the march runs to T = ``paths[0].horizon``
     in K = ``paths[0].n_steps`` steps of dt = T / K, and every path of the
     batch must have the same T and K. K must be a multiple of
     ``SNAPSHOT_INTERVALS``; the snapshots are taken at
-    ``linspace(0, T, SNAPSHOT_INTERVALS + 1)``.
-
-    Marches v for every path at once, values of shape (P, *grid.shape),
-    with the path-shifted drift, and translates each snapshot by its path
-    position: u(s, x) = v(s, x - W(s)). The first snapshot equals u0
-    exactly since every path starts at the origin. A piecewise-linear
-    interpolant on the full fine mesh has the knot values of its path bit
-    for bit, so it reproduces the Brownian run bit for bit. Every value a
-    path reads does not depend on the other paths of the batch, so each
-    solution equals the path's solve alone, bit for bit.
+    ``linspace(0, T, SNAPSHOT_INTERVALS + 1)``, and the first equals u0
+    exactly. Each solution equals the path's solve alone, bit for bit, and
+    a piecewise-linear interpolant on the full fine mesh reproduces its
+    Brownian path's solve bit for bit.
 
     Parameters
     ----------
@@ -184,10 +166,7 @@ def solve_spde(
         None applies the default policy: drifts whose ``smooth`` flag is
         unset are convolved with a bump of radius 2h before stepping.
         Zero disables smoothing; a positive value forces that radius and
-        must lie between h and the box half-width L. The smoothed drift
-        is tabulated once per batch by :func:`transport.mollified_drift`,
-        with the largest reach of the batch; the table holds ``b.fn``, and
-        the gain is applied per read.
+        must lie between h and the box half-width L.
 
     A step after which a path's v reaches the wrap-around margin is
     recorded in that solution's ``support_violations``; each path with
@@ -255,14 +234,13 @@ def solve_spde(
     if eps is not None:
         # Drift queries stay within the box shifted by the path, plus one
         # RK4 stage displacement dt*|b|; the doubling covers speeds between
-        # the probe times and beyond the box. One table serves the batch,
-        # so it covers the largest of the paths' reaches. The probe gets a
-        # workspace of its own, dropped before the march sizes its slots.
+        # the probe times and beyond the box. The largest reach of the batch
+        # is tabulated. The probe gets a workspace of its own, dropped before
+        # the march sizes its slots.
         excursion = np.array([np.max(np.abs(path.values)) for path in paths])
         stage = cfl_number(_composed_drift(b, table, _Workspace(), grid), grid, dt, times) * grid.h
         b_eff = mollified_drift(b, eps, float(np.max(grid.half_width + excursion + 2.0 * stage)))
 
-    # One workspace holds the march's scratch arrays: a step allocates none of them.
     ws = _Workspace()
     velocity = _composed_drift(b_eff, table, ws, grid)
     if scheme == "upwind_fv":

@@ -9,19 +9,15 @@ compactly supported smooth test function phi,
         + sum_i int_0^t ( int D_i phi u dx ) o dW^i,
 
 with the stochastic term read in the Fisk-Stratonovich sense. The
-verifier evaluates every term on the snapshot mesh, with div b taken as
-its average over each grid cell (the flux difference across the cell
-faces, finite for every W^{1,1} drift, also at a singular node), and
-approximates the
-Stratonovich integral by midpoint (endpoint-average) sums against the
-path increments, and reports the defect. An Ito left-point variant is
-kept as a negative control: on exact solutions it converges to the
-missing correction term, not to zero. The same audit serves
-bounded-variation driving paths: there the stochastic term is a plain
-Riemann-Stieltjes integral, and the midpoint sum is its trapezoid rule.
-The audit takes the path from the solution itself and the normalizing
-exponent p from the caller, so it reads a solver's output and a
-solution rebuilt from dumped artifacts alike.
+verifier (``weak_residual``) evaluates every term on the snapshot mesh,
+with div b taken as its average over each grid cell
+(``drifts._drift_reads``), sums the stochastic term against the path
+increments by the rule of its ``rule`` parameter, and reports the
+defect; the Ito rule, a negative control, converges on exact solutions
+to the missing correction term, not to zero. The audit takes the path
+from the solution itself and the normalizing exponent p from the
+caller, so it reads a solver's output and a solution rebuilt from
+dumped artifacts alike.
 """
 
 from __future__ import annotations

@@ -66,6 +66,59 @@ def test_readme_names_are_public():
     assert not missing, f"README.md names st.<name> outside stochtransport.__all__: {missing}"
 
 
+#: The package's modules, by the name a docstring gives them: ``fields._Workspace``.
+MODULES = {path.stem: importlib.import_module(f"stochtransport.{path.stem}")
+           for path in sorted((ROOT / "src" / "stochtransport").glob("*.py"))
+           if not path.stem.startswith("__")}
+
+
+def _docstrings():
+    """(module, scopes, docstring) of every module, class and function of the
+    package, with the namespaces a name in the docstring may live in: its
+    class, if any, then its module."""
+    for path in sorted((ROOT / "src" / "stochtransport").glob("*.py")):
+        module = MODULES.get(path.stem, stochtransport)
+
+        def walk(node, scopes):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield module.__name__, scopes, doc
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    yield from walk(child, [getattr(scopes[0], child.name)] + scopes)
+                elif isinstance(child, ast.FunctionDef):
+                    yield from walk(child, scopes)
+
+        yield from walk(ast.parse(path.read_text(encoding="utf-8")), [module])
+
+
+def _resolves(name: str, scopes) -> bool:
+    head, *rest = name.split(".")
+    for scope in scopes + [MODULES]:
+        obj = scope.get(head) if isinstance(scope, dict) else getattr(scope, head, None)
+        if obj is not None:
+            for part in rest:
+                obj = getattr(obj, part, None)
+            return obj is not None
+    return False
+
+
+def test_docstring_references_resolve():
+    # Docstrings point to the function that states an argument, so a renamed
+    # or deleted name must take its pointers with it. Checked: ``module.name``
+    # of a package module or of a name in scope, ``_private_name``, and
+    # :func:, :meth:, :class: and :data: roles.
+    count, broken = 0, []
+    for module, scopes, doc in _docstrings():
+        names = [n for n in re.findall(r"``([A-Za-z_][\w.]*)``", doc)
+                 if n.startswith("_") or "." in n and _resolves(n.split(".")[0], scopes)]
+        names += re.findall(r":(?:func|meth|class|data):`~?([\w.]+)`", doc)
+        count += len(names)
+        broken += [f"{module}: {name}" for name in names if not _resolves(name, scopes)]
+    assert count > 50, f"only {count} references found: the scan is broken"
+    assert not broken, "docstring references that resolve to nothing:\n" + "\n".join(broken)
+
+
 def test_readme_code_fences_pair_up():
     # A closing fence carries no text: GitHub reads a fence line with text
     # after it as more code, down to the next bare fence.

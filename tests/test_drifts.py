@@ -28,6 +28,7 @@ from stochtransport.drifts import (
     write_hypothesis_csv,
     zero_drift,
     _drift_reads,
+    _evidence_pass,
 )
 from stochtransport.transport import mollified_drift
 
@@ -314,8 +315,7 @@ class TestHypothesisChecker:
         # evidence must keep growing (factor >= 1.3 per doubling) instead
         # of stabilizing
         levels = [
-            check_hypotheses(power_drift(0.25, scale=-1.0), 2.0, BOX1, 1.0,
-                             samples=n).w1q_evidence
+            _evidence_pass(power_drift(0.25, scale=-1.0), 2.0, BOX1, 1.0, 2 * n)["w1q"]
             for n in (2000, 4000, 8000)
         ]
         assert levels[1] >= 1.3 * levels[0]
@@ -354,10 +354,6 @@ class TestHypothesisChecker:
         a = check_hypotheses(stream_function_drift(4.0), 2.0, BOX2, 1.0)
         b = check_hypotheses(stream_function_drift(4.0), 2.0, BOX2, 1.0)
         assert a == b
-
-    def test_sample_floor_enforced(self):
-        with pytest.raises(ConfigError):
-            check_hypotheses(constant_drift([1.0]), 2.0, BOX1, 1.0, samples=10)
 
     def test_exponent_floor_enforced(self):
         with pytest.raises(ConfigError):
@@ -401,3 +397,17 @@ class TestZeroDrift:
         pts = np.array([[1.0, 2.0], [0.0, 0.0]])
         assert np.all(eval_drift(b, 0.5, pts) == 0.0)
         assert np.all(divergence(b, 0.5, pts) == 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linear_drift([[1.0, 0.0]]), r"must be square, got shape \(1, 2\)$"),
+    (lambda: check_hypotheses(constant_drift([1.0]), 2.0, [(-1, 1), (-1, 1)], 1.0),
+     "window has 2 axes, drift has dimension 1$"),
+    (lambda: check_hypotheses(constant_drift([1.0]), 2.0, [(1, 1)], 1.0),
+     r"degenerate window axis \(1.0, 1.0\)$"),
+    (lambda: check_hypotheses(constant_drift([1.0]), 2.0, BOX1, 0.0),
+     "horizon must be positive, got 0.0$"),
+], ids=["non-square-matrix", "window-axes", "degenerate-window", "zero-horizon"])
+def test_a_malformed_argument_is_a_config_error(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()

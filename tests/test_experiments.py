@@ -134,7 +134,8 @@ class TestConfigParsing:
 
 class TestConfigValidation:
     def test_unknown_scheme(self):
-        with pytest.raises(ConfigError, match="unknown scheme"):
+        with pytest.raises(ConfigError, match=r"^scheme must be one of \['semi_lagrangian', "
+                                              r"'upwind_fv'\], got 'spectral'$"):
             ExperimentConfig.from_dict(base_dict(scheme="spectral"))
 
     def test_dt_must_divide_horizon(self):
@@ -629,8 +630,9 @@ class TestCommandLine:
     _KINDS = {"d": "an integer", "N": "an integer", "seed": "an integer",
               "phi_count": "an integer", "wz_levels": "a list of integers",
               "L": "a finite real number", "p": "a finite real number",
-              "mollify_eps": "a finite real number or null", "drift": "an object",
-              "u0": "an object", "out_dir": "a string", "scheme": "a string"}
+              "mollify_eps": "a finite real number >= 0 or null", "drift": "an object",
+              "u0": "an object", "out_dir": "a string",
+              "scheme": "one of ['semi_lagrangian', 'upwind_fv']"}
 
     @pytest.mark.parametrize("key, value", [
         ("N", 64.9), ("d", 1.7), ("seed", 3.9), ("seed", True), ("phi_count", 2.5),
@@ -943,7 +945,8 @@ class TestCommandLine:
                         *cls._schema_keys(raw["u0"], PROFILE, "u0")]
             held |= {raw["drift"]["id"], raw["u0"]["id"]}
         for top, kind in (("drift", DRIFT), ("u0", PROFILE)):
-            build = partial(drift_from_spec, n=16) if top == "drift" else profile_from_spec
+            build = (partial(drift_from_spec, half_width=4.0, n=16) if top == "drift"
+                     else profile_from_spec)
             for ident, params in kind.catalog.items():
                 if ident in held:
                     continue
@@ -951,7 +954,7 @@ class TestCommandLine:
                         for key, param in params.items() if param.required}
                 for d in (1, 2):
                     try:
-                        build(d, 4.0, spec)
+                        build(d, spec=spec)
                         break
                     except ConfigError:
                         continue

@@ -21,6 +21,7 @@ from stochtransport.fields import (
     _cubic_read,
     _cubic_reader,
     _cubic_weights,
+    _row_fault,
     _shifted,
     _window_sum,
     _Workspace,
@@ -614,3 +615,30 @@ class TestFieldCsv:
         write_field_csv(bump512, target)
         lines = [l for l in target.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "index,x1,value"
+
+
+GRID16 = SpatialGrid(d=1, half_width=4.0, n=16)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ScalarField(GRID16, np.zeros(8)),
+     r"values shape \(8,\) does not match grid shape \(16,\)$"),
+    (lambda: ScalarField.zeros(GRID16) - ScalarField.zeros(SpatialGrid(1, 4.0, 32)),
+     "fields live on different grids$"),
+    (lambda: ScalarField.from_function(GRID16, lambda p: 1.0 / (p[..., 0] - p[..., 0])),
+     "samples to non-finite values at 16 of 16 grid nodes$"),
+    (lambda: interpolate(ScalarField.zeros(GRID16), [[0.0, 0.0]]),
+     "points have dimension 2, grid has dimension 1$"),
+    (lambda: _shifted(GRID16, np.zeros((1, 16)), np.array([[np.nan]]), _Workspace()),
+     "interpolation points must be finite$"),
+], ids=["shape", "grids", "non-finite-samples", "point-dimension", "non-finite-shift"])
+def test_a_malformed_argument_raises(call, message):
+    # from_function divides by zero with numpy's warnings off: no RuntimeWarning
+    with pytest.raises(FieldValidationError, match=message):
+        call()
+
+
+def test_a_row_that_matches_every_cell_is_still_named():
+    # the reader never asks: a row whose cells all match has its value cell
+    assert _row_fault("0,-4.0,", "0,-4.0,", 0, ["index", "x1", "value"]) == (
+        "row 0: '0,-4.0,' is not '0,-4.0,' and one value cell")

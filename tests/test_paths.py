@@ -207,3 +207,31 @@ class TestSamplePathValidation:
     def test_non_positive_or_non_finite_horizon_rejected(self, horizon):
         with pytest.raises(ConfigError, match="horizon must be positive and finite"):
             SamplePath(np.zeros((5, 1)), horizon, "zero")
+
+
+def _path_file_of_kind(tmp_path, kind):
+    """A Brownian path's file whose header states ``kind``."""
+    target = tmp_path / "path.csv"
+    write_path_csv(sample_brownian(3, 1.0, 4, 1), target)
+    target.write_text(target.read_text().replace("brownian", kind))
+    return target
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: SamplePath(np.zeros((3, 1)), 1.0, "levy"), "unknown path kind 'levy'$"),
+    (lambda tmp: SamplePath(np.zeros(3), 1.0, "brownian"),
+     r"need shape \(K \+ 1, d\), K >= 1, not \(3,\)$"),
+    (lambda tmp: SamplePath([[0.0], [np.nan]], 1.0, "brownian"), "path knots must be finite$"),
+    (lambda tmp: SamplePath([[0.0], [1.0]], 1.0, "zero"), "must vanish at every knot$"),
+    (lambda tmp: sample_brownian(0, 0.0, 4, 1), "horizon must be positive, got 0.0$"),
+    (lambda tmp: sample_brownian(0, 1.0, 0, 1), "need at least one step, got 0$"),
+    (lambda tmp: sample_brownian(0, 1.0, 4, 0), "path dimension must be positive, got 0$"),
+    (lambda tmp: piecewise_linear_approx(zero_path(1.0, 4, 1), 2),
+     "cannot coarsen a path of kind 'zero'$"),
+    (lambda tmp: read_path_csv(_path_file_of_kind(tmp, "zero")),
+     r"path\.csv: a zero path must vanish at every knot$"),
+], ids=["kind", "shape", "non-finite-knot", "moving-zero-path", "brownian-horizon",
+        "brownian-steps", "brownian-dimension", "coarsen-zero-path", "file-of-no-path"])
+def test_a_malformed_argument_is_a_config_error(tmp_path, call, message):
+    with pytest.raises(ConfigError, match=message):
+        call(tmp_path)

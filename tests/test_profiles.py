@@ -116,20 +116,20 @@ class TestProfileFromSpec:
             {"id": "double_bump"},
             {"id": "step", "half_width": 0.5},
         ):
-            prof = profile_from_spec(1, 4.0, spec)
+            prof = profile_from_spec(1, spec)
             assert prof.d == 1
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigError):
-            profile_from_spec(1, 4.0, {"id": "spiral"})
+            profile_from_spec(1, {"id": "spiral"})
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
-            profile_from_spec(1, 4.0, {"id": "bump", "sharpness": 3})
+            profile_from_spec(1, {"id": "bump", "sharpness": 3})
 
     def test_missing_id_rejected(self):
         with pytest.raises(ConfigError):
-            profile_from_spec(1, 4.0, {"radius": 1.0})
+            profile_from_spec(1, {"radius": 1.0})
 
 
 class TestSampleProfile:

@@ -112,7 +112,7 @@ class TestMessages:
     ], ids=["unknown-parameter", "center-of-three", "sinusoid", "id-object"])
     def test_profile_spec(self, spec, message):
         with pytest.raises(ConfigError) as info:
-            profiles.profile_from_spec(2, 4.0, spec)
+            profiles.profile_from_spec(2, spec)
         assert str(info.value) == message
 
     def test_a_zero_sinusoid_half_width_is_a_config_error(self):

@@ -754,3 +754,26 @@ class TestSolutionRecord:
         assert rebuilt.grid is sol.grid and rebuilt.dt == sol.dt
         assert np.array_equal(rebuilt.times, sol.times)
         assert rebuilt.aux_fields == () and rebuilt.mollify_epsilon is None
+
+
+def _zero_solution():
+    """A zero solution of 16 snapshot intervals on a 1D grid, as from artifacts."""
+    g = SpatialGrid(d=1, half_width=4.0, n=16)
+    return SpdeSolution([ScalarField.zeros(g)] * 17, zero_path(1.0, 16, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda u0: solve_spde(zero_drift(1), [zero_path(1.0, 16, 1)], u0, scheme="spectral"),
+     r"unknown scheme 'spectral'; choose from \('semi_lagrangian', 'upwind_fv'\)$"),
+    (lambda u0: solve_spde(zero_drift(2), [zero_path(1.0, 16, 1)], u0),
+     "dimension mismatch: grid d=1, drift d=2, path d=1$"),
+    (lambda u0: smoothed_truncated_power(0.0, 2.0), "truncation level must be positive, got 0.0$"),
+    (lambda u0: smoothed_truncated_power(1.0, 0.5), "power must satisfy 1 <= p < inf, got 0.5$"),
+    (lambda u0: renormalize_check(_zero_solution(), smoothed_truncated_power(1.0, 2.0),
+                                  linear_drift([[50.0]])),
+     r"snapshot spacing 0.0625 too coarse for div bound 50.0: need spacing\*C < 0.1$"),
+], ids=["scheme", "dimension", "truncation-level", "power", "coarse-snapshots"])
+def test_a_malformed_argument_is_a_config_error(call, message):
+    u0 = ScalarField.zeros(SpatialGrid(d=1, half_width=4.0, n=16))
+    with pytest.raises(ConfigError, match=message):
+        call(u0)

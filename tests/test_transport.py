@@ -499,7 +499,8 @@ class TestMollifiedDrift:
         mollified_drift(b, eps, reach=6.0)
         assert tables == [True] * b.d
 
-    @pytest.mark.parametrize("L", [4.0, 3.0, 2.0**70, 1e150, 2.0**-400, 1e-140])
+    @pytest.mark.parametrize("L", [4.0, 3.0, 2.0**70, 1e150, 2.0**-400, 1e-140, 1e-100,
+                                   1e-150, 2.0**-500])
     @pytest.mark.parametrize("eps", [2.0 * 8.0 / n for n in (32, 64, 256, 1024)] + [0.1, 0.37])
     def test_lattice_lookup_equals_np_interp_bitwise(self, eps, L):
         # the default radius 2h at N = 32 to 1024 and two forced radii, all
@@ -625,6 +626,14 @@ class TestMollifiedDrift:
             with pytest.raises(ConfigError, match="positive with a finite square, got 2.5e"):
                 solve_spde(power_drift(0.75), [zero_path(1.0, 16, 1)], u0)
 
+    def test_radius_whose_square_underflows_rejected(self):
+        # at 1e-200 the bump divided 0 by 0, with numpy warnings, and the
+        # table was all zeros where fn reads -3.3e-150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="got 1e-200; the square must not underflow"):
+                mollified_drift(power_drift(0.75), 1e-200, reach=1e-199)
+
     @pytest.mark.parametrize("d, reach", [(1, 0.25 * 2**15), (2, 0.25 * 2**7)])
     def test_table_beyond_2_to_22_nodes_rejected_before_sampling(self, d, reach):
         b = power_drift(0.75) if d == 1 else stream_function_drift(4.0)
@@ -674,3 +683,9 @@ class TestMollifiedDrift:
                 warnings.simplefilter("error", RuntimeWarning)
                 (sol,) = solve_spde(b, [w], u0, scheme=scheme)
             assert sol.mollify_epsilon == 2.0 * g.h
+
+
+@pytest.mark.parametrize("reach", [0.0, -1.0, np.inf, np.nan])
+def test_a_mollifier_reach_that_is_not_positive_and_finite_is_a_config_error(reach):
+    with pytest.raises(ConfigError, match="mollifier table reach must be positive, got"):
+        mollified_drift(power_drift(0.75), 0.1, reach=reach)

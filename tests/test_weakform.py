@@ -257,3 +257,14 @@ class TestReportCsv:
             "term_stoch,normalizer"
         )
         assert len(lines) == 1 + 10 * 17
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CompactTestFunction(0.0, 0.0, 1.0), "positive radius and nonzero amplitude$"),
+    (lambda: CompactTestFunction(0.0, 1.0, 0.0), "positive radius and nonzero amplitude$"),
+    (lambda: make_test_functions(SpatialGrid(d=1, half_width=4.0, n=8), 3, 0),
+     r"box of 8 cells per axis too small for bump radii in \[8.0, "),
+], ids=["zero-radius", "zero-amplitude", "box-too-small"])
+def test_a_malformed_argument_is_a_config_error(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
