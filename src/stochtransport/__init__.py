@@ -17,7 +17,7 @@ from .drifts import (DriftField, HypothesisReport, check_hypotheses,
 from .errors import (BlowUpError, ConfigError, DriftEvaluationError,
                      FieldValidationError, MeshMismatchError, PathRangeError,
                      StochTransportError, SupportMarginWarning)
-from .experiments import (CommandResult, ConvergenceTable, ExperimentConfig,
+from .experiments import (CommandResult, ExperimentConfig,
                           cmd_hypotheses, cmd_solve, cmd_uniqueness_crosscheck,
                           cmd_verify_weak, cmd_wong_zakai, estimate_order)
 from .fields import (ScalarField, SpatialGrid, interpolate, lp_norm,
@@ -26,7 +26,7 @@ from .paths import (SamplePath, eval_path, piecewise_linear_approx,
                     read_path_csv, sample_brownian, sup_distance,
                     write_path_csv, zero_path)
 from .profiles import (Profile, bump, double_bump, profile_from_spec,
-                       sample_profile, sinusoid, step)
+                       sample_profile, step)
 from .spde import (RenormalizationReport, SpdeSolution, exact_solution,
                    renormalize_check, smoothed_truncated_power, solve_spde)
 from .weakform import (TestFunction, WeakResidualReport, WeakResidualSeries,
@@ -44,7 +44,7 @@ __all__ = [
     "SpatialGrid", "ScalarField", "lp_norm", "interpolate", "shift_field",
     "write_field_csv", "read_field_csv",
     # profiles
-    "Profile", "bump", "double_bump", "step", "sinusoid",
+    "Profile", "bump", "double_bump", "step",
     "profile_from_spec", "sample_profile",
     # drifts
     "DriftField", "HypothesisReport", "zero_drift", "constant_drift",
@@ -61,7 +61,7 @@ __all__ = [
     "TestFunction", "make_test_functions", "WeakResidualSeries",
     "WeakResidualReport", "weak_residual", "write_weak_report_csv",
     # experiments
-    "ExperimentConfig", "CommandResult", "ConvergenceTable", "estimate_order",
+    "ExperimentConfig", "CommandResult", "estimate_order",
     "cmd_solve", "cmd_verify_weak", "cmd_uniqueness_crosscheck",
     "cmd_wong_zakai", "cmd_hypotheses",
 ]

@@ -39,7 +39,6 @@ from .weakform import make_test_functions, weak_residual, write_weak_report_csv
 __all__ = [
     "ExperimentConfig",
     "CommandResult",
-    "ConvergenceTable",
     "estimate_order",
     "cmd_solve",
     "cmd_verify_weak",
@@ -59,8 +58,6 @@ DEFAULT_WEAK_TOL = 0.05
 #: Wong-Zakai: the finest-level error must stay below this fraction of |u0|_p.
 WZ_FINAL_TOL = 0.05
 
-_DEFAULT_WZ_LEVELS = (4, 8, 16, 32, 64, 128, 256)
-
 #: The most steps T / dt a run may take: its path alone holds K + 1 knots.
 MAX_STEPS = 2**24
 
@@ -75,6 +72,18 @@ def _check_seed(name: str, seed: int) -> None:
         raise ConfigError(f"{name} must be nonnegative, got {seed}")
     if seed >= 2**128:
         raise ConfigError(f"{name} must be below 2**128, got {seed}")
+
+
+#: The field each key of ``schema.CONFIG`` sets, and how its JSON value converts;
+#: a key the config leaves out keeps the field's default.
+_FIELDS = {
+    "d": ("d", int), "L": ("half_width", float), "N": ("n", int), "T": ("horizon", float),
+    "dt": ("dt", float), "scheme": ("scheme", str), "p": ("p", float), "seed": ("seed", int),
+    "drift": ("drift_spec", dict), "u0": ("u0_spec", dict), "phi_count": ("phi_count", int),
+    "wz_levels": ("wz_levels", lambda v: tuple(map(int, v))),
+    "mollify_eps": ("mollify_eps", lambda v: None if v is None else float(v)),
+    "out_dir": ("out_dir", str),
+}
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class ExperimentConfig:
     drift_spec: dict
     u0_spec: dict
     phi_count: int = 10
-    wz_levels: tuple = _DEFAULT_WZ_LEVELS
+    wz_levels: tuple = (4, 8, 16, 32, 64, 128, 256)
     mollify_eps: float | None = None
     out_dir: str = "runs"
 
@@ -103,16 +112,8 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         check_keys(raw, CONFIG)
-        cfg = cls(
-            d=int(raw["d"]), half_width=float(raw["L"]), n=int(raw["N"]),
-            horizon=float(raw["T"]), dt=float(raw["dt"]), scheme=raw["scheme"],
-            p=float(raw["p"]), seed=int(raw["seed"]),
-            drift_spec=dict(raw["drift"]), u0_spec=dict(raw["u0"]),
-            phi_count=int(raw.get("phi_count", 10)),
-            wz_levels=tuple(map(int, raw.get("wz_levels", _DEFAULT_WZ_LEVELS))),
-            mollify_eps=None if raw.get("mollify_eps") is None else float(raw["mollify_eps"]),
-            out_dir=raw.get("out_dir", "runs"),
-        )
+        cfg = cls(**{name: convert(raw[key]) for key, (name, convert) in _FIELDS.items()
+                     if key in raw})
         cfg.validate()
         return cfg
 
@@ -240,13 +241,8 @@ class ExperimentConfig:
 
     def canonical_dict(self) -> dict:
         """Config as a plain dict; excludes out_dir so hashes ignore placement."""
-        return {
-            "d": self.d, "L": self.half_width, "N": self.n, "T": self.horizon,
-            "dt": self.dt, "scheme": self.scheme, "p": self.p, "seed": self.seed,
-            "drift": self.drift_spec, "u0": self.u0_spec,
-            "phi_count": self.phi_count, "wz_levels": list(self.wz_levels),
-            "mollify_eps": self.mollify_eps,
-        }
+        return {key: getattr(self, name) for key, (name, _) in _FIELDS.items()
+                if key != "out_dir"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -284,39 +280,25 @@ def estimate_order(errors) -> list:
         errs = errs[: first + 1]
         if len(errs) < 2:
             raise ConfigError("ladder starts at zero; no order to estimate")
-    orders = []
-    for prev, cur in zip(errs, errs[1:]):
-        orders.append(math.inf if cur == 0.0 else math.log2(prev / cur))
-    return orders
+    return [_order(prev, cur) for prev, cur in zip(errs, errs[1:])]
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Errors along a refinement ladder with their empirical orders."""
+def _order(prev: float, cur: float) -> float:
+    """The empirical order log2(prev / cur) of one refinement step, and
+    ``math.inf`` when ``cur`` is 0: the level is exact."""
+    return math.inf if cur == 0.0 else math.log2(prev / cur)
 
-    levels: tuple
-    errors: tuple
 
-    def __post_init__(self):
-        if len(self.levels) != len(self.errors):
-            raise ConfigError("levels and errors differ in length")
-        if any(e < 0 for e in self.errors):
-            raise ConfigError("ladder errors must be nonnegative")
-
-    def to_csv(self, path) -> None:
-        rows = []
-        prev = None
-        for i, (lvl, err) in enumerate(zip(self.levels, self.errors)):
-            err = float(err)
-            if i == 0 or prev == 0.0:
-                tag = ""
-            elif err == 0.0:
-                tag = "exact"
-            else:
-                tag = math.log2(prev / err)
-            rows.append((lvl, err, tag))
-            prev = err
-        write_csv(path, ("level", "error", "empirical_order"), rows)
+def _write_ladder(path, levels, errors) -> None:
+    """Write each level of a refinement ladder with its error and its order
+    against the level before (:func:`_order`), "exact" at a zero error. The
+    first level, and a level after a zero error, have no order: a blank."""
+    errs = [float(e) for e in errors]
+    tags = [""] + ["" if prev == 0.0 else _order(prev, cur)
+                   for prev, cur in zip(errs, errs[1:])]
+    write_csv(path, ("level", "error", "empirical_order"),
+              [(lvl, err, "exact" if tag == math.inf else tag)
+               for lvl, err, tag in zip(levels, errs, tags)])
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +497,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
             ))
         rows.append(_manifest_row(cfg, path, n_level))
 
-    table = ConvergenceTable(tuple(ladder), tuple(errors))
-    table.to_csv(os.path.join(out_dir, "crosscheck.csv"))
+    _write_ladder(os.path.join(out_dir, "crosscheck.csv"), ladder, errors)
     _write_manifest(rows, os.path.join(out_dir, "manifest.csv"))
 
     tail = errors[-3:]
@@ -577,8 +558,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
             worst[i] = max(worst[i], err)
             rows.append(_manifest_row(cfg, sol.path, lvl))
 
-    table = ConvergenceTable(tuple(levels), tuple(worst))
-    table.to_csv(os.path.join(out_dir, "wong_zakai.csv"))
+    _write_ladder(os.path.join(out_dir, "wong_zakai.csv"), levels, worst)
     _write_manifest(rows, os.path.join(out_dir, "manifest.csv"))
 
     tail = worst[-min(4, len(levels)):]

@@ -195,17 +195,15 @@ def lp_norm(f: ScalarField, p: float) -> float:
     float. The terms are summed largest first: fsum then keeps few
     partial sums, where in array order terms whose exponents span
     hundreds of binades keep many, and a 128 x 128 field sums several
-    times faster. A norm whose p-th powers overflow raises
-    ``FieldValidationError``; one whose powers underflow is 0.0.
+    times faster. The values are finite, as every field's are; a norm whose
+    p-th powers overflow raises ``FieldValidationError``, and one whose
+    powers underflow is 0.0.
     """
     pv = float(p)
     if not (pv >= 1.0 and math.isfinite(pv)):
         raise FieldValidationError(f"exponent must satisfy 1 <= p < inf, got {pv}")
-    vals = f.values
-    if not np.all(np.isfinite(vals)):
-        raise FieldValidationError("cannot take the norm of a non-finite field")
     with np.errstate(over="ignore"):  # an overflow is reported below
-        terms = np.sort(np.abs(vals) ** pv, axis=None)[::-1]
+        terms = np.sort(np.abs(f.values) ** pv, axis=None)[::-1]
     try:
         norm = (math.fsum(terms.tolist()) * f.grid.cell_volume) ** (1.0 / pv)
     except OverflowError:  # finite powers whose sum overflows
@@ -758,7 +756,8 @@ def _read_rows(path, rows: list, prefixes, start: int, names: list) -> list:
 
 def _row_fault(line: str, prefix: str, count: int, names: list) -> str:
     """Why snapshot row ``count`` is not ``prefix`` plus one value cell, naming
-    the first cell at fault."""
+    the first cell at fault. A row of as many cells as ``names`` and the
+    right index is such a row only when a cell before its value differs."""
     cells = line.split(",")
     try:
         index = int(cells[0])
@@ -773,4 +772,3 @@ def _row_fault(line: str, prefix: str, count: int, names: list) -> str:
     for name, cell, written in zip(names, cells, prefix.split(",")):
         if cell != written:
             return f"row {count}: {name} {cell!r} is not the grid's {written!r}"
-    return f"row {count}: {line!r} is not {prefix!r} and one value cell"

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .fields import ScalarField, SpatialGrid
 from .schema import PROFILE, check
 
-__all__ = ["Profile", "bump", "double_bump", "step", "sinusoid", "profile_from_spec",
+__all__ = ["Profile", "bump", "double_bump", "step", "profile_from_spec",
            "sample_profile"]
 
 
@@ -91,37 +91,11 @@ def step(d: int, center=0.0, half_width: float = 1.0, amplitude: float = 1.0) ->
     return Profile(d, fn)
 
 
-def sinusoid(d: int, half_width: float, mode: int = 1, amplitude: float = 1.0) -> Profile:
-    """Box-periodic product sinusoid: a * prod_a sin(pi * mode * x_a / L)."""
-    if mode < 1:
-        raise ConfigError(f"sinusoid mode must be a positive integer, got {mode}")
-    if not half_width > 0:
-        raise ConfigError(f"sinusoid half width must be positive, got {half_width}")
-    k = np.pi * mode / half_width
-
-    def fn(points):
-        x = np.asarray(points, dtype=float)
-        return amplitude * np.prod(np.sin(k * x), axis=-1)
-
-    def grad(points):
-        x = np.asarray(points, dtype=float)
-        sins = np.sin(k * x)
-        out = np.empty(x.shape)
-        for a in range(d):
-            others = np.prod(np.delete(sins, a, axis=-1), axis=-1)
-            out[..., a] = amplitude * k * np.cos(k * x[..., a]) * others
-        return out
-
-    return Profile(d, fn, grad)
-
-
 def profile_from_spec(d: int, spec: dict) -> Profile:
     """Build a profile from a config dictionary like {"id": "bump", "radius": 1.0}.
 
     The spec must meet ``schema.PROFILE`` in dimension ``d``, or a
     ``ConfigError`` names the key path at fault (``u0.amplitude``).
-    ``sinusoid`` is for library use only: it fills the box, so no run
-    could clear its wrap-around margin.
     """
     check(spec, PROFILE, "u0", d)
     kwargs = {k: v for k, v in spec.items() if k != "id"}

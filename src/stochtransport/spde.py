@@ -85,8 +85,9 @@ class SpdeSolution:
     must divide K, so that every snapshot sits on the path mesh; anything
     else raises ``MeshMismatchError``. The solver fills the other fields,
     which a solution rebuilt from dumped artifacts leaves at their defaults:
-    ``aux_fields``, the advected field v at the same times, with
-    ``aux_fields[0]`` the initial condition object itself;
+    ``aux_fields``, the advected field v at the same times, where the
+    solver's ``fields[0]`` and ``aux_fields[0]`` are both the initial
+    condition object itself;
     ``mollify_epsilon``, the radius the drift was smoothed with (None: not
     smoothed); ``support_violations``, the marching steps after which v
     reached the wrap-around margin (``transport._support_hits_margin``).
@@ -256,11 +257,11 @@ def solve_spde(
     band = _margin_band(grid)
     v0_sup = float(np.max(np.abs(u0.values)))
     batch = range(len(paths))
-    aux = [[u0] for _ in batch]
+    # W(0) = 0, so both frames start at u0 itself.
+    fields, aux = [[u0] for _ in batch], [[u0] for _ in batch]
     snap_rows = _table_rows(keys, times)
     violations: list[list[int]] = [[] for _ in batch]
     vals = np.stack([u0.values] * len(paths))
-    fields = [[ScalarField(grid, u)] for u in _shifted(grid, vals, shifts[snap_rows[0]], ws)]
     for start in range(0, n_steps, block):
         steps = np.arange(start, min(start + block, n_steps))
         # The checks below report what overflows here, so numpy need not warn.

@@ -16,8 +16,8 @@ import pytest
 
 from stochtransport.drifts import HypothesisReport, write_hypothesis_csv
 from stochtransport.errors import FieldValidationError
-from stochtransport.experiments import (ConvergenceTable, ExperimentConfig,
-                                        _write_manifest, cmd_solve)
+from stochtransport.experiments import (ExperimentConfig, _write_ladder, _write_manifest,
+                                        cmd_solve)
 from stochtransport import fields as fields_module
 from stochtransport.fields import (ScalarField, SpatialGrid, read_field_csv,
                                    write_field_csv)
@@ -533,18 +533,20 @@ def test_norms_text(tmp_path):
     assert text(tmp_path / "run" / "norms.csv") == want
 
 
-def test_convergence_table_text(tmp_path):
+@pytest.mark.parametrize("errors, want", [
     # 4 * X17 is exact, so the first order is exactly 2.0
-    table = ConvergenceTable((4, 8, 16, 32), (4.0 * X17, X17, 0.0, 0.0))
+    ((4.0 * X17, X17, 0.0, 0.0),
+     f"4,1.2000000000000002,\n8,{X17_TEXT},2.0\n16,0.0,exact\n32,0.0,\n"),
+    # no order follows a zero error, though a nonzero error follows it
+    ((X17, 0.0, X17), f"4,{X17_TEXT},\n8,0.0,exact\n16,{X17_TEXT},\n"),
+    ((0.0, 0.0, 0.0), "4,0.0,\n8,0.0,\n16,0.0,\n"),
+    # the worst errors of the Wong-Zakai study are an array's np.float64 values
+    (np.array([4.0 * X17, X17, 0.0]), f"4,1.2000000000000002,\n8,{X17_TEXT},2.0\n16,0.0,exact\n"),
+], ids=["zero-tail", "zero-then-nonzero", "all-zero", "np-float64"])
+def test_convergence_table_text(tmp_path, errors, want):
     target = tmp_path / "table.csv"
-    table.to_csv(target)
-    assert text(target) == (
-        "level,error,empirical_order\n"
-        "4,1.2000000000000002,\n"
-        f"8,{X17_TEXT},2.0\n"
-        "16,0.0,exact\n"
-        "32,0.0,\n"
-    )
+    _write_ladder(target, (4, 8, 16, 32)[:len(errors)], errors)
+    assert text(target) == "level,error,empirical_order\n" + want
 
 
 def test_manifest_round_trip(tmp_path):

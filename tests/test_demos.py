@@ -4,7 +4,8 @@ Each demo runs to completion in its own interpreter, with ``src`` on
 ``PYTHONPATH`` (about 20 s for all six). Each is also parsed: every
 ``st.<name>`` must be in ``stochtransport.__all__``, as must every
 ``st.<name>`` the README mentions, and every ``from
-stochtransport.<module> import <name>`` must resolve. Every name in the
+stochtransport.<module> import <name>`` must resolve, as must every
+``module.name`` in a docstring or the README. Every name in the
 package's and each module's ``__all__`` must resolve too, the README's
 code fences must pair up, and no module imports a name it never uses.
 """
@@ -117,6 +118,18 @@ def test_docstring_references_resolve():
         broken += [f"{module}: {name}" for name in names if not _resolves(name, scopes)]
     assert count > 50, f"only {count} references found: the scan is broken"
     assert not broken, "docstring references that resolve to nothing:\n" + "\n".join(broken)
+
+
+def test_readme_module_references_resolve():
+    # README points into the package by ``module.name`` too, as in
+    # ``transport._lattice_interp`` or ``stochtransport.schema``.
+    scopes = [{"stochtransport": stochtransport}]
+    names = [n for n in re.findall(r"`([A-Za-z_][\w.]*\.[\w.]+)`",
+                                   (ROOT / "README.md").read_text(encoding="utf-8"))
+             if n.split(".")[0] in MODULES or n.startswith("stochtransport.")]
+    assert names, "README.md names no module.name: the scan is broken"
+    broken = [name for name in names if not _resolves(name, scopes)]
+    assert not broken, f"README.md names module.name that resolves to nothing: {broken}"
 
 
 def test_readme_code_fences_pair_up():

@@ -8,6 +8,7 @@ and the piecewise-linear study is exact at the level matching the path
 mesh. Reruns of the same config must reproduce artifact bytes exactly.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -29,8 +30,9 @@ from stochtransport.experiments import (
     DEFAULT_WEAK_TOL,
     TOLERANCE_VERSION,
     CommandResult,
-    ConvergenceTable,
     ExperimentConfig,
+    _FIELDS,
+    _write_ladder,
     cmd_hypotheses,
     cmd_solve,
     cmd_uniqueness_crosscheck,
@@ -222,18 +224,10 @@ class TestEstimateOrder:
             estimate_order([0.0, 0.0])
 
 
-class TestConvergenceTable:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="differ in length"):
-            ConvergenceTable((64, 128), (0.4,))
-
-    def test_negative_error_rejected(self):
-        with pytest.raises(ConfigError, match="nonnegative"):
-            ConvergenceTable((64, 128), (0.4, -0.2))
-
+class TestWriteLadder:
     def test_csv_tags(self, tmp_path):
         p = tmp_path / "table.csv"
-        ConvergenceTable((4, 8, 16), (0.4, 0.2, 0.0)).to_csv(p)
+        _write_ladder(p, (4, 8, 16), (0.4, 0.2, 0.0))
         rows = p.read_text(encoding="utf-8").splitlines()
         assert rows[0] == "level,error,empirical_order"
         assert rows[1].split(",")[2] == ""
@@ -242,7 +236,7 @@ class TestConvergenceTable:
 
     def test_csv_after_zero_leaves_order_blank(self, tmp_path):
         p = tmp_path / "table.csv"
-        ConvergenceTable((4, 8, 16), (0.4, 0.0, 0.0)).to_csv(p)
+        _write_ladder(p, (4, 8, 16), (0.4, 0.0, 0.0))
         rows = p.read_text(encoding="utf-8").splitlines()
         assert rows[2].split(",")[2] == "exact"
         assert rows[3].split(",")[2] == ""
@@ -262,6 +256,16 @@ class TestConfigHash:
     def test_seed_changes_hash(self, cfg):
         other = ExperimentConfig.from_dict(base_dict(seed=4))
         assert other.config_hash() != cfg.config_hash()
+
+    def test_the_hash_of_a_config_is_pinned(self, cfg):
+        # The manifests of runs already written carry it; verify-weak refuses
+        # artifacts whose hash differs.
+        assert cfg.config_hash() == "34fcd3991081a17d"
+
+    def test_the_key_table_holds_the_schema_keys(self):
+        assert list(_FIELDS) == list(CONFIG)
+        assert sorted(name for name, _ in _FIELDS.values()) == sorted(
+            f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 class TestSolveCommand:

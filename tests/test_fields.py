@@ -21,7 +21,6 @@ from stochtransport.fields import (
     _cubic_read,
     _cubic_reader,
     _cubic_weights,
-    _row_fault,
     _shifted,
     _window_sum,
     _Workspace,
@@ -637,8 +636,3 @@ def test_a_malformed_argument_raises(call, message):
     with pytest.raises(FieldValidationError, match=message):
         call()
 
-
-def test_a_row_that_matches_every_cell_is_still_named():
-    # the reader never asks: a row whose cells all match has its value cell
-    assert _row_fault("0,-4.0,", "0,-4.0,", 0, ["index", "x1", "value"]) == (
-        "row 0: '0,-4.0,' is not '0,-4.0,' and one value cell")

@@ -12,7 +12,6 @@ from stochtransport.profiles import (
     double_bump,
     profile_from_spec,
     sample_profile,
-    sinusoid,
     step,
 )
 
@@ -86,27 +85,6 @@ class TestStep:
     def test_bad_half_width_rejected(self):
         with pytest.raises(ConfigError):
             step(1, half_width=0.0)
-
-
-class TestSinusoid:
-    def test_known_value(self):
-        prof = sinusoid(1, half_width=8.0, mode=2, amplitude=3.0)
-        x = 1.0
-        assert float(prof.fn(np.array([[x]]))[0]) == pytest.approx(
-            3.0 * math.sin(2.0 * math.pi * x / 8.0), rel=1e-14
-        )
-
-    def test_gradient_matches_finite_differences(self):
-        prof = sinusoid(2, half_width=4.0, mode=1)
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-4.0, 4.0, size=(150, 2))
-        ana = prof.gradient(pts)
-        num = fd_gradient(prof.fn, pts)
-        assert float(np.max(np.abs(ana - num))) <= 1e-6
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            sinusoid(1, half_width=4.0, mode=0)
 
 
 class TestProfileFromSpec:

@@ -115,10 +115,6 @@ class TestMessages:
             profiles.profile_from_spec(2, spec)
         assert str(info.value) == message
 
-    def test_a_zero_sinusoid_half_width_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="sinusoid half width must be positive, got 0"):
-            profiles.sinusoid(1, half_width=0)
-
     def test_the_order_of_faults(self):
         # missing keys first, then each value in the table's order, then unknown keys
         with pytest.raises(ConfigError, match=r"^missing config keys: \['L'\]$"):
