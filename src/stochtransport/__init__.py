@@ -10,6 +10,7 @@ envelope) checks, drift integrability diagnostics, and a small CLI for
 reproducible runs.
 """
 
+from .artifacts import read_field_csv, read_path_csv, write_field_csv, write_path_csv
 from .drifts import (DriftField, HypothesisReport, check_hypotheses,
                      constant_drift, drift_from_spec, eval_drift, linear_drift,
                      power_drift, shear_drift, stream_function_drift,
@@ -20,11 +21,9 @@ from .errors import (BlowUpError, ConfigError, DriftEvaluationError,
 from .experiments import (CommandResult, ExperimentConfig,
                           cmd_hypotheses, cmd_solve, cmd_uniqueness_crosscheck,
                           cmd_verify_weak, cmd_wong_zakai, estimate_order)
-from .fields import (ScalarField, SpatialGrid, interpolate, lp_norm,
-                     read_field_csv, shift_field, write_field_csv)
-from .paths import (SamplePath, eval_path, piecewise_linear_approx,
-                    read_path_csv, sample_brownian, sup_distance,
-                    write_path_csv, zero_path)
+from .fields import ScalarField, SpatialGrid, interpolate, lp_norm, shift_field
+from .paths import (SamplePath, eval_path, piecewise_linear_approx, sample_brownian,
+                    sup_distance, zero_path)
 from .profiles import (Profile, bump, double_bump, profile_from_spec,
                        sample_profile, step)
 from .spde import (RenormalizationReport, SpdeSolution, exact_solution,
@@ -42,7 +41,6 @@ __all__ = [
     "BlowUpError", "SupportMarginWarning",
     # fields
     "SpatialGrid", "ScalarField", "lp_norm", "interpolate", "shift_field",
-    "write_field_csv", "read_field_csv",
     # profiles
     "Profile", "bump", "double_bump", "step",
     "profile_from_spec", "sample_profile",
@@ -53,7 +51,9 @@ __all__ = [
     "write_hypothesis_csv",
     # paths
     "SamplePath", "sample_brownian", "zero_path", "piecewise_linear_approx",
-    "eval_path", "sup_distance", "write_path_csv", "read_path_csv",
+    "eval_path", "sup_distance",
+    # artifacts
+    "write_field_csv", "read_field_csv", "write_path_csv", "read_path_csv",
     # spde
     "SpdeSolution", "solve_spde", "exact_solution",
     "smoothed_truncated_power", "RenormalizationReport", "renormalize_check",

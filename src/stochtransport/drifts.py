@@ -187,6 +187,8 @@ def linear_drift(matrix) -> DriftField:
     A = np.atleast_2d(np.asarray(matrix, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise ConfigError(f"linear drift matrix must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigError(f"linear drift matrix must be finite, got {A.tolist()!r}")
     d = A.shape[0]
 
     def fn(x):
@@ -225,6 +227,13 @@ def _separable_2d(components) -> tuple[Callable, Callable]:
     return fn, on_axes
 
 
+def _wavenumber(half_width: float) -> float:
+    """pi / L for the half width L of a periodic drift, positive and finite."""
+    if not 0.0 < float(half_width) < math.inf:
+        raise ConfigError(f"half_width must be positive and finite, got {half_width!r}")
+    return np.pi / float(half_width)
+
+
 def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
     """Divergence-free 2D field from the stream function
     psi = amplitude * cos(pi x1 / L) * cos(pi x2 / L), rotated so that
@@ -233,8 +242,7 @@ def stream_function_drift(half_width: float, amplitude: float = 1.0) -> DriftFie
     Each component is a product of one factor of x1 and one of x2, so the
     field states ``on_axes`` (``_separable_2d``) from the rule ``fn`` uses.
     """
-    L = float(half_width)
-    k = np.pi / L
+    k = _wavenumber(half_width)
 
     def components(x1, x2):
         kx1, kx2 = k * x1, k * x2
@@ -262,8 +270,7 @@ def shear_drift(half_width: float, amplitude: float = 1.0) -> DriftField:
     The field depends on x2 alone, so it states ``on_axes``
     (``_separable_2d``) from the rule ``fn`` uses.
     """
-    L = float(half_width)
-    k = np.pi / L
+    k = _wavenumber(half_width)
 
     def components(x1, x2):
         return amplitude * np.sin(k * x2), 0.0

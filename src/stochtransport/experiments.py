@@ -1,8 +1,8 @@
-"""Run orchestration: configs, artifact layout, and the study commands.
+"""Run orchestration: configs and the study commands.
 
 A run is fully described by a JSON config with a fixed key set; every
-artifact (field snapshots, path knots, norm series, reports, manifest)
-is a plain CSV with deterministic formatting, so identical configs and
+artifact is a plain CSV written by ``artifacts``, which owns the files of
+a ``solve`` run, with deterministic formatting, so identical configs and
 seeds reproduce identical bytes. Commands return a ``CommandResult``
 whose exit code follows the convention: 0 all checks passed, 1 a
 tolerance check failed, 2 bad configuration, 3 runtime or numeric
@@ -11,24 +11,21 @@ failure (the CLI maps exceptions to 2 and 3).
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import math
 import os
-import shutil
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
+from .artifacts import read_path_csv, read_run, write_csv, write_manifest, write_run
 from .drifts import (DriftField, check_hypotheses, drift_from_spec, eval_drift,
                      write_hypothesis_csv)
 from .errors import ConfigError, DriftEvaluationError, FieldValidationError
-from .fields import ScalarField, SpatialGrid, lp_norm, read_field_csv, write_field_csv
-from .paths import (SamplePath, piecewise_linear_approx, read_path_csv,
-                    sample_brownian, write_path_csv)
+from .fields import ScalarField, SpatialGrid, lp_norm
+from .paths import SamplePath, piecewise_linear_approx, sample_brownian
 from .profiles import Profile, profile_from_spec, sample_profile
 from .schema import CONFIG, SCHEMES, check_keys
 from .spde import SNAPSHOT_INTERVALS, SpdeSolution, _step_list, exact_solution, solve_spde
@@ -224,20 +221,23 @@ class ExperimentConfig:
 
     def path(self, seed: int | None = None, path_file=None) -> SamplePath:
         if path_file is not None:
-            path = read_path_csv(path_file)
-            if path.d != self.d:
-                raise ConfigError(
-                    f"replayed path has dimension {path.d}, config asks for {self.d}")
-            if abs(path.horizon - self.horizon) > 1.0e-9 * self.horizon:
-                raise ConfigError(
-                    f"replayed path horizon {path.horizon} != T={self.horizon}")
-            if path.n_steps != self.n_steps():
-                raise ConfigError(
-                    f"replayed path has {path.n_steps} steps, config implies "
-                    f"{self.n_steps()}")
-            return path
+            return self._replayed(read_path_csv(path_file))
         return sample_brownian(seed if seed is not None else self.seed,
                                self.horizon, self.n_steps(), self.d)
+
+    def _replayed(self, path: SamplePath) -> SamplePath:
+        """``path``, read from a file, if its d, T and K are this config's."""
+        if path.d != self.d:
+            raise ConfigError(
+                f"replayed path has dimension {path.d}, config asks for {self.d}")
+        if abs(path.horizon - self.horizon) > 1.0e-9 * self.horizon:
+            raise ConfigError(
+                f"replayed path horizon {path.horizon} != T={self.horizon}")
+        if path.n_steps != self.n_steps():
+            raise ConfigError(
+                f"replayed path has {path.n_steps} steps, config implies "
+                f"{self.n_steps()}")
+        return path
 
     def canonical_dict(self) -> dict:
         """Config as a plain dict; excludes out_dir so hashes ignore placement."""
@@ -285,8 +285,14 @@ def estimate_order(errors) -> list:
 
 def _order(prev: float, cur: float) -> float:
     """The empirical order log2(prev / cur) of one refinement step, and
-    ``math.inf`` when ``cur`` is 0: the level is exact."""
-    return math.inf if cur == 0.0 else math.log2(prev / cur)
+    ``math.inf`` when ``cur`` is 0: the level is exact. A ratio that
+    overflows or underflows is taken as log2(prev) - log2(cur)."""
+    if cur == 0.0:
+        return math.inf
+    ratio = prev / cur
+    if ratio == 0.0 or ratio == math.inf:
+        return math.log2(prev) - math.log2(cur)
+    return math.log2(ratio)
 
 
 def _write_ladder(path, levels, errors) -> None:
@@ -302,11 +308,7 @@ def _write_ladder(path, levels, errors) -> None:
 
 
 # ---------------------------------------------------------------------------
-# artifact helpers
-
-
-_MANIFEST_COLUMNS = ("seed", "scheme", "N", "dt", "p", "drift_id", "path_kind",
-                     "n_level", "config_hash", "tolerance_version")
+# command helpers
 
 
 def _manifest_row(cfg: ExperimentConfig, path: SamplePath, n_level: int | None) -> dict:
@@ -324,17 +326,6 @@ def _manifest_row(cfg: ExperimentConfig, path: SamplePath, n_level: int | None) 
         "config_hash": cfg.config_hash(),
         "tolerance_version": TOLERANCE_VERSION,
     }
-
-
-def _write_manifest(rows, path) -> None:
-    write_csv(path, _MANIFEST_COLUMNS,
-              [tuple(row[c] for c in _MANIFEST_COLUMNS) for row in rows])
-
-
-def _read_manifest(path) -> list:
-    """Rows of a manifest as dicts of strings, keyed by column."""
-    _, columns, rows = read_csv(path)
-    return [dict(zip(columns, row)) for row in rows]
 
 
 def _ensure_dir(out_dir) -> None:
@@ -379,72 +370,19 @@ def cmd_solve(cfg: ExperimentConfig, out_dir=None, seed=None,
     (sol,) = solve_spde(cfg.drift(), [path], u0, scheme=cfg.scheme,
                         mollify_epsilon=cfg.mollify_eps)
     # a norm that overflows is a runtime error, raised before any file is written
-    norms = [(m, t, lp_norm(u, cfg.p))
-             for m, (t, u) in enumerate(zip(sol.times.tolist(), sol.fields))]
-    for m, (u, v) in enumerate(zip(sol.fields, sol.aux_fields)):
-        u_file, v_file = (os.path.join(out_dir, f"{x}_t{m:04d}.csv") for x in "uv")
-        write_field_csv(u, u_file)
-        # u = v at t = 0, where W(0) = 0: the same bytes make the same text
-        if u.values.tobytes() == v.values.tobytes():
-            shutil.copyfile(u_file, v_file)
-        else:
-            write_field_csv(v, v_file)
-    write_path_csv(path, os.path.join(out_dir, "path.csv"))
-    write_csv(os.path.join(out_dir, "norms.csv"), ("m", "t", "lp_norm"), norms)
-    _write_manifest([_manifest_row(cfg, path, None)],
-                    os.path.join(out_dir, "manifest.csv"))
+    norms = [lp_norm(u, cfg.p) for u in sol.fields]
+    write_run(out_dir, sol, norms, _manifest_row(cfg, path, None))
     result = CommandResult(0)
     result.add(f"solve: wrote {len(sol.fields)} snapshots to {out_dir}")
     result.lines.extend(_support_lines("solve", "", sol))
     return result
 
 
-def _load_run(cfg: ExperimentConfig, out_dir) -> SpdeSolution:
-    """The snapshots ``cmd_solve`` wrote under ``out_dir``: exactly u_t0000.csv
-    to u_t0016.csv, written under this config, and the path.csv that drove
-    them, which must match the config as a ``--path-file`` replay must. A
-    snapshot that does not read back as a field is a ``ConfigError``."""
-    names = [f"u_t{m:04d}.csv" for m in range(SNAPSHOT_INTERVALS + 1)]
-    found = {os.path.basename(f) for f in glob.glob(os.path.join(out_dir, "u_t*.csv"))}
-    if not found:
-        raise ConfigError(f"no run artifacts under {out_dir} "
-                          f"(expected {names[0]} to {names[-1]})")
-    missing = [name for name in names if name not in found]
-    extra = sorted(found - set(names))
-    if missing or extra:
-        raise ConfigError(
-            f"{'missing' if missing else 'unexpected'} snapshot files under {out_dir}: "
-            f"{', '.join(missing or extra)}; solve writes exactly {names[0]} to {names[-1]}")
-    manifest = os.path.join(out_dir, "manifest.csv")
-    if not os.path.isfile(manifest):
-        raise ConfigError(f"no manifest.csv under {out_dir}; cannot match the artifacts "
-                          f"to config_hash={cfg.config_hash()}")
-    current = (cfg.config_hash(), TOLERANCE_VERSION)
-    for row in _read_manifest(manifest) or [{}]:
-        written = (row.get("config_hash"), row.get("tolerance_version"))
-        if written != current:
-            raise ConfigError(
-                f"artifacts under {out_dir} were written with config_hash={written[0]} "
-                f"tolerance_version={written[1]}; this config has "
-                f"config_hash={current[0]} tolerance_version={current[1]}")
-    path_file = os.path.join(out_dir, "path.csv")
-    if not os.path.isfile(path_file):
-        raise ConfigError(f"no path.csv under {out_dir}; solve writes it with the snapshots")
-    path = cfg.path(path_file=path_file)
-    grid = cfg.grid()  # one grid, so its row template is built once for all snapshots
-    fields = []
-    for name in names:
-        try:
-            fields.append(read_field_csv(os.path.join(out_dir, name), grid))
-        except (FieldValidationError, OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable snapshot {name}: {exc}") from None
-    return SpdeSolution(tuple(fields), path)
-
-
 def cmd_verify_weak(cfg: ExperimentConfig, out_dir=None, seed=None) -> CommandResult:
     """Audit dumped run artifacts against the weak identity."""
     out_dir, seed = _resolve(cfg, out_dir, seed)
-    sol = _load_run(cfg, out_dir)
+    sol = SpdeSolution(*read_run(out_dir, cfg.grid(), SNAPSHOT_INTERVALS + 1,
+                                 (cfg.config_hash(), TOLERANCE_VERSION), cfg._replayed))
     phis = make_test_functions(sol.grid, cfg.phi_count, seed)
     report = weak_residual(sol, cfg.drift(), cfg.p, phis)
     write_weak_report_csv(report, os.path.join(out_dir, "weak_report.csv"))
@@ -498,7 +436,7 @@ def cmd_uniqueness_crosscheck(cfg: ExperimentConfig, out_dir=None, seed=None,
         rows.append(_manifest_row(cfg, path, n_level))
 
     _write_ladder(os.path.join(out_dir, "crosscheck.csv"), ladder, errors)
-    _write_manifest(rows, os.path.join(out_dir, "manifest.csv"))
+    write_manifest(out_dir, rows)
 
     tail = errors[-3:]
     ok = all(a > b_ or a == b_ == 0.0 for a, b_ in zip(tail, tail[1:]))
@@ -559,7 +497,7 @@ def cmd_wong_zakai(cfg: ExperimentConfig, out_dir=None, seed=None,
             rows.append(_manifest_row(cfg, sol.path, lvl))
 
     _write_ladder(os.path.join(out_dir, "wong_zakai.csv"), levels, worst)
-    _write_manifest(rows, os.path.join(out_dir, "manifest.csv"))
+    write_manifest(out_dir, rows)
 
     tail = worst[-min(4, len(levels)):]
     monotone = all(a >= b_ for a, b_ in zip(tail, tail[1:]))

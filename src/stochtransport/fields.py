@@ -3,27 +3,25 @@
 Everything downstream (transport marching, path shifting, weak-form
 quadrature) works on uniform periodic grids over the box [-L, L)^d.
 This module owns the grid geometry, Lp norms by rectangle-rule
-quadrature, periodic cubic interpolation, lattice-aware field shifting,
-and the snapshot CSV format. A cubic read is a plan (``_cubic_plan``)
-applied by a reader (``_cubic_reader``; 1D: ``_reader_1d``, 2D:
-``_window_sum``), both writing into a workspace (``_Workspace``);
-``interpolate`` and ``shift_field`` read as a block of one step, and the
-march (``spde``) reads whole blocks. A snapshot's text is one row
-template per grid (``SpatialGrid._row_template``, ``read_field_csv``).
-Smoothing is applied to drifts only, by ``transport.mollified_drift``.
+quadrature, periodic cubic interpolation and lattice-aware field
+shifting; a snapshot's text is the run store's (``artifacts``). A cubic
+read is a plan (``_cubic_plan``) applied by a reader (``_cubic_reader``;
+1D: ``_reader_1d``, 2D: ``_window_sum``), both writing into a workspace
+(``_Workspace``); ``interpolate`` and ``shift_field`` read as a block of
+one step, and the march (``spde``) reads whole blocks. Smoothing is
+applied to drifts only, by ``transport.mollified_drift``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy._core.umath import clip as _clip  # the ufunc np.clip calls after its checks
 
-from .artifacts import read_body, write_body
 from .errors import FieldValidationError
+from .schema import INTEGER
 
 __all__ = [
     "SpatialGrid",
@@ -31,15 +29,10 @@ __all__ = [
     "lp_norm",
     "interpolate",
     "shift_field",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 #: Relative tolerance for deciding that a shift is an exact lattice multiple.
 _LATTICE_RTOL = 1.0e-12
-
-#: Snapshot rows the reader checks against the grid's row template at once.
-_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,8 +60,12 @@ class SpatialGrid:
             raise FieldValidationError(f"grid dimension must be 1 or 2, got {self.d}")
         if not (self.half_width > 0 and math.isfinite(self.half_width)):
             raise FieldValidationError(f"half_width must be positive, got {self.half_width}")
+        if not INTEGER.holds(self.n, self.d):
+            raise FieldValidationError(f"n must be {INTEGER.want}, got {self.n!r}")
         if self.n < 8:
             raise FieldValidationError(f"need at least 8 points per axis, got {self.n}")
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def h(self) -> float:
@@ -103,28 +100,6 @@ class SpatialGrid:
             nodes.setflags(write=False)
             object.__setattr__(self, "_nodes", nodes)
         return nodes
-
-    def _row_template(self) -> tuple:
-        """The text of every snapshot row as one ``%`` template, and the
-        offset in it of every ``_CHUNK_ROWS``-th row and of its end.
-
-        Each row is its leading cells, the index and each coordinate as its
-        shortest round-trip text, ``"i,x1[,x2],"``, then ``"%s\\n"`` for its
-        value. Built on the first call; every later call returns the same pair.
-        """
-        cached = self.__dict__.get("_template")
-        if cached is None:
-            axis = [f"{x}," for x in self.axis().tolist()]
-            coords = (axis if self.d == 1
-                      else itertools.starmap(str.__add__, itertools.product(axis, axis)))
-            prefixes = (f"{i},{cells}" for i, cells in enumerate(coords))
-            pieces, offsets = [], [0]
-            while chunk := list(itertools.islice(prefixes, _CHUNK_ROWS)):
-                pieces.append("%s\n".join(chunk) + "%s\n")
-                offsets.append(offsets[-1] + len(pieces[-1]))
-            cached = ("".join(pieces), tuple(offsets))
-            object.__setattr__(self, "_template", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -635,140 +610,3 @@ def _shifted(grid: SpatialGrid, values: np.ndarray, deltas: np.ndarray,
         shifts = (np.fmod(nearest[p], grid.n).astype(np.int64) % grid.n).tolist()
         out[p] = np.roll(values[p], shifts, axis=tuple(range(grid.d)))
     return out
-
-
-def _field_columns(d: int) -> list:
-    """The column names of a snapshot of a d-dimensional grid."""
-    return ["index"] + [f"x{a + 1}" for a in range(d)] + ["value"]
-
-
-def write_field_csv(f: ScalarField, path) -> None:
-    """Write a field snapshot: header comment, column names, row-major rows.
-
-    The rows are the grid's row template (``SpatialGrid._row_template``)
-    filled with the values in one ``%``: ``%s`` of a float is its ``repr``.
-    """
-    grid = f.grid
-    header = ("grid", {"d": grid.d, "L": float(grid.half_width), "N": grid.n})
-    body = grid._row_template()[0] % tuple(f.values.ravel().tolist())
-    write_body(path, _field_columns(grid.d), body, header)
-
-
-def read_field_csv(path, grid: SpatialGrid | None = None) -> ScalarField:
-    """Read a snapshot written by :func:`write_field_csv`.
-
-    Every row must be the writer's own text: the index and coordinate
-    cells the writer formats for the grid of the header, then one value
-    cell, a finite number. ``grid``, when given, is the grid the header
-    must state, so that a caller reading many snapshots builds its row
-    template (``SpatialGrid._row_template``) once. A chunk of
-    ``_CHUNK_ROWS`` rows whose text is the template filled with its value
-    cells is taken whole; one that differs is checked row by row
-    (:func:`_read_rows`), which alone names a fault. A missing or malformed
-    grid header, another grid, other column names, a row that breaks the
-    rule, or a row count other than the grid's raises
-    :class:`FieldValidationError` naming the file, and the row and cell.
-    """
-    with read_body(path) as (header, columns, lines):
-        if header is None or header[0] != "grid":
-            raise FieldValidationError(f"{path}: missing grid header line")
-        meta = header[1]
-        try:
-            stated = SpatialGrid(d=int(meta["d"]), half_width=float(meta["L"]),
-                                 n=int(meta["N"]))
-        except (KeyError, ValueError, FieldValidationError) as exc:
-            raise FieldValidationError(f"{path}: bad grid header: {exc}") from None
-        if grid is None:
-            grid = stated
-        elif stated != grid:
-            raise FieldValidationError(f"{path}: the header states {stated}, expected {grid}")
-        names = _field_columns(grid.d)
-        if columns != names:
-            raise FieldValidationError(
-                f"{path}: columns {','.join(columns)!r}, expected {','.join(names)!r}")
-        template, offsets = grid._row_template()
-        values = np.empty(grid.size)
-        n_rows = 0
-        for k, start in enumerate(range(0, grid.size, _CHUNK_ROWS)):
-            n = min(_CHUNK_ROWS, grid.size - start)
-            part = template[offsets[k]:offsets[k + 1]]
-            rows, undecodable = [], None
-            try:
-                rows += itertools.islice(lines, n)
-            except UnicodeDecodeError as exc:  # raised after the rows before it are checked
-                undecodable = exc
-            chunk = _template_values(part, rows, n)
-            if chunk is None:
-                chunk = _read_rows(path, rows, part.split("%s\n"), start, names)
-            if undecodable is not None:
-                raise undecodable
-            values[start:start + len(chunk)] = chunk
-            n_rows += len(rows)
-        n_rows += sum(1 for _ in lines)
-    if n_rows != grid.size:
-        raise FieldValidationError(f"{path}: expected {grid.size} rows, got {n_rows}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise FieldValidationError(
-            f"{path}: row {bad[0]}: value {float(values[bad[0]])!r} is not finite")
-    return ScalarField(grid, values.reshape(grid.shape))
-
-
-def _template_values(part: str, rows: list, n: int):
-    """The value cells of ``rows`` as floats, when they are all ``n`` rows of
-    a chunk and their text is ``part``, a slice of a row template, filled
-    with those cells; else None.
-
-    Each cell is the text after its row's last comma, with the row's
-    ``\\n``, which ``float`` ignores. Equal text makes every row its
-    template prefix and one value cell: the rule of :func:`_read_rows`.
-    """
-    if len(rows) != n:
-        return None
-    cells = tuple([row.rpartition(",")[2] for row in rows])
-    if part % cells != "\n".join(rows) + "\n":
-        return None
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return None
-
-
-def _read_rows(path, rows: list, prefixes, start: int, names: list) -> list:
-    """The value of each of ``rows`` as a float, row ``start + k`` checked
-    against the k-th of ``prefixes``: the row, without its ``\\n``, must be
-    that prefix and one value cell, a number. The first row that is not
-    raises :class:`FieldValidationError`. Takes one prefix per row."""
-    vals = []
-    for count, (line, prefix) in enumerate(zip(rows, prefixes), start):
-        line = line.rstrip("\n")
-        # The row is its prefix and one cell exactly when its last comma ends the prefix.
-        head, _, cell = line.rpartition(",")
-        if len(head) + 1 != len(prefix) or not line.startswith(prefix):
-            raise FieldValidationError(f"{path}: {_row_fault(line, prefix, count, names)}")
-        try:
-            vals.append(float(cell))
-        except ValueError:
-            raise FieldValidationError(
-                f"{path}: row {count}: value {cell!r} is not a number") from None
-    return vals
-
-
-def _row_fault(line: str, prefix: str, count: int, names: list) -> str:
-    """Why snapshot row ``count`` is not ``prefix`` plus one value cell, naming
-    the first cell at fault. A row of as many cells as ``names`` and the
-    right index is such a row only when a cell before its value differs."""
-    cells = line.split(",")
-    try:
-        index = int(cells[0])
-    except ValueError:
-        return f"row {count}: index {cells[0]!r} is not an integer"
-    if index != count:
-        return f"rows out of order at {count}"
-    if len(cells) > len(names):
-        return f"row {count}: cell {cells[len(names)]!r} follows the value cell"
-    if len(cells) < len(names):
-        return f"row {count}: {len(cells)} cells, expected {len(names)}: {','.join(names)}"
-    for name, cell, written in zip(names, cells, prefix.split(",")):
-        if cell != written:
-            return f"row {count}: {name} {cell!r} is not the grid's {written!r}"

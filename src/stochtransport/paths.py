@@ -3,7 +3,8 @@
 A path holds W(t_k) at t_k = k T / K and is linear in between. A seed
 pins a Brownian path bit for bit (``sample_brownian``), and its
 piecewise-linear interpolants through coarser knots are the
-bounded-variation approximations of the Wong-Zakai study.
+bounded-variation approximations of the Wong-Zakai study. A path's text
+is the run store's (``artifacts``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
 from .errors import ConfigError, MeshMismatchError, PathRangeError
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "piecewise_linear_approx",
     "eval_path",
     "sup_distance",
-    "write_path_csv",
-    "read_path_csv",
 ]
 
 PATH_KINDS = ("brownian", "piecewise_linear_bv", "zero")
@@ -170,59 +168,3 @@ def sup_distance(a: SamplePath, b: SamplePath) -> float:
         raise MeshMismatchError(f"paths with (d, T, K) = {(a.d, a.horizon, a.n_steps)} and "
                                 f"{(b.d, b.horizon, b.n_steps)} do not share one mesh")
     return float(np.max(np.abs(a.values - b.values)))
-
-
-def write_path_csv(path: SamplePath, file) -> None:
-    """Write knots as rows ``k,t,W1[,W2]`` after a kind/seed header comment."""
-    columns = ["k", "t"] + [f"W{a + 1}" for a in range(path.d)]
-    rows = zip(range(path.times.size), path.times.tolist(), *path.values.T.tolist())
-    seed = "none" if path.seed is None else path.seed
-    write_csv(file, columns, rows, ("path", {"kind": path.kind, "seed": seed}))
-
-
-def read_path_csv(file) -> SamplePath:
-    """Read a path written by :func:`write_path_csv`.
-
-    A file without the header comment reads as a Brownian path with no seed.
-    A file that cannot be read, a header that does not parse, a seed that
-    is not an integer, a row whose cell count differs from the column
-    line's, a ``k`` cell that is not the row's integer position, a ``t``
-    or ``W`` cell that is not a number, values that make no path, or a
-    ``t`` column other than the uniform mesh ``linspace(0, t_K, K + 1)``,
-    bit for bit, raises ``ConfigError`` naming the file (and the row).
-    The writer prints ``t`` by ``repr``, so every file it writes reads back.
-    """
-    try:
-        header, columns, rows = read_csv(file)
-        rows = [row for row in rows if row[0] != ""]
-    except (OSError, ValueError) as exc:  # no such file, a malformed header token, not UTF-8
-        raise ConfigError(f"{file}: {exc}") from None
-    meta = {} if header is None else header[1]
-    seed = meta.get("seed", "none")
-    try:
-        seed = None if seed == "none" else int(seed)
-    except ValueError:
-        raise ConfigError(f"{file}: seed {seed!r} is not an integer") from None
-    times, values = [], []
-    for count, row in enumerate(rows):
-        if len(row) != len(columns):
-            raise ConfigError(
-                f"{file}: row {count}: {len(row)} cells for {len(columns)} columns")
-        try:
-            k = int(row[0])
-            t, *w = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise ConfigError(f"{file}: row {count}: {exc}") from None
-        if k != count:
-            raise ConfigError(f"{file}: row {count}: k={k} is not the row's position")
-        times.append(t)
-        values.append(w)
-    try:
-        path = SamplePath(values, times[-1] if times else 0.0, meta.get("kind", "brownian"), seed)
-    except ConfigError as exc:
-        raise ConfigError(f"{file}: {exc}") from None
-    off = np.flatnonzero(np.asarray(times) != path.times)
-    if off.size:
-        raise ConfigError(f"{file}: row {off[0]}: t={times[off[0]]!r} is off the uniform mesh "
-                          f"linspace(0, {path.horizon!r}, {path.n_steps + 1})")
-    return path

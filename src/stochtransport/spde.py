@@ -37,6 +37,8 @@ Renormalization checks integrate beta(u) of the snapshots against the
 Gronwall envelope of the divergence bound of ``drifts.check_hypotheses``;
 the integral over the periodic box is the same for u(t) as for its
 translate v(t), so a rebuilt solution is audited as the solver's own.
+A solution's files are written, and read back for a rebuilt solution, by
+the run store (``artifacts.write_run``, ``artifacts.read_run``).
 """
 
 from __future__ import annotations

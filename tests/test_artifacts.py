@@ -7,21 +7,26 @@ significant digits (0.1 + 0.2 = 0.30000000000000004), so a writer that
 rounds or reformats floats changes the bytes and fails here.
 """
 
+import ast
 import dataclasses
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import stochtransport
+from stochtransport import artifacts as artifacts_module
+from stochtransport.artifacts import (_read_field, _read_manifest, _row_template, _write_field,
+                                      read_field_csv, read_path_csv, write_field_csv,
+                                      write_manifest, write_path_csv)
 from stochtransport.drifts import HypothesisReport, write_hypothesis_csv
 from stochtransport.errors import FieldValidationError
-from stochtransport.experiments import (ExperimentConfig, _write_ladder, _write_manifest,
-                                        cmd_solve)
-from stochtransport import fields as fields_module
-from stochtransport.fields import (ScalarField, SpatialGrid, read_field_csv,
-                                   write_field_csv)
-from stochtransport.paths import SamplePath, read_path_csv, write_path_csv
+from stochtransport.experiments import ExperimentConfig, _write_ladder, cmd_solve
+from stochtransport.fields import ScalarField, SpatialGrid
+from stochtransport.paths import SamplePath, sample_brownian
+from stochtransport.profiles import bump, sample_profile
 from stochtransport.weakform import (WeakResidualReport, WeakResidualSeries,
                                      write_weak_report_csv)
 
@@ -95,7 +100,7 @@ class TestFieldText:
     @pytest.mark.parametrize("d, n", [(2, 128), (1, 256)])
     def test_bytes_of_the_row_formatter(self, tmp_path, d, n):
         # the reference formats every cell of every row with str; two fields
-        # on one grid, so the second write reuses the first's prefixes
+        # on one grid, each write building the grid's row template afresh
         grid = SpatialGrid(d, 4.0, n)
         rng = np.random.default_rng(5)
         for k in range(2):
@@ -120,19 +125,19 @@ class TestFieldText:
 
     def test_row_template_is_immutable(self):
         grid = SpatialGrid(2, 4.0, 8)
-        cache = grid._row_template()
+        cache = _row_template(grid)
         template, offsets = cache
         assert isinstance(cache, tuple) and isinstance(offsets, tuple)
         assert template.startswith("0,-4.0,-4.0,%s\n1,-4.0,-3.0,%s\n")
         assert offsets == (0, len(template)) and template.count("%s\n") == 64
-        assert grid._row_template() is cache
+        # built afresh by each call, and kept by nothing: not by the grid
+        assert _row_template(grid) == cache and "_template" not in vars(grid)
         with pytest.raises(TypeError):
             cache[0] = "0,0.0,0.0,%s\n"
         with pytest.raises(TypeError):
             offsets[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             grid._template = ()
-        # the cache is not part of the grid's value
         assert grid == SpatialGrid(2, 4.0, 8)
         assert hash(grid) == hash(SpatialGrid(2, 4.0, 8))
 
@@ -200,14 +205,15 @@ class TestFieldText:
 
     def test_reader_with_its_grid_streams_chunks(self, tmp_path):
         # the template path holds one chunk of 1,024 rows at a time, and the
-        # grid's template is built by the write before the trace
+        # grid's template is built before the trace, as a run reader does
         grid = SpatialGrid(2, 4.0, 128)
         f = ScalarField(grid, np.random.default_rng(3).normal(size=grid.shape))
         target = tmp_path / "f.csv"
         write_field_csv(f, target)
+        template = _row_template(grid)
         tracemalloc.start()
         try:
-            back = read_field_csv(target, grid)
+            back = _read_field(target, grid, template)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -216,13 +222,15 @@ class TestFieldText:
 
     def test_warm_writer_peak(self, tmp_path):
         # one body string and the values as Python floats; joining one
-        # string per row took 2.7 MB
+        # string per row took 2.7 MB. The template is built before the
+        # trace, as a run writer does
         grid = SpatialGrid(2, 4.0, 128)
         f = ScalarField(grid, np.random.default_rng(3).normal(size=grid.shape))
         write_field_csv(f, tmp_path / "cold.csv")
+        template = _row_template(grid)
         tracemalloc.start()
         try:
-            write_field_csv(f, tmp_path / "warm.csv")
+            _write_field(f, tmp_path / "warm.csv", template)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -324,6 +332,26 @@ _FILE_EDITS = {
 }
 
 
+class TestFieldCsv:
+    @pytest.fixture
+    def bump512(self):
+        return sample_profile(SpatialGrid(d=1, half_width=4.0, n=512),
+                              bump(1, center=0.0, radius=1.0))
+
+    def test_round_trip_is_bit_exact(self, tmp_path, bump512):
+        target = tmp_path / "field.csv"
+        write_field_csv(bump512, target)
+        back = read_field_csv(target)
+        assert np.array_equal(back.values, bump512.values)
+        assert back.grid == bump512.grid
+
+    def test_header_row_names_all_columns(self, tmp_path, bump512):
+        target = tmp_path / "field.csv"
+        write_field_csv(bump512, target)
+        lines = [l for l in target.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "index,x1,value"
+
+
 class TestTemplateReader:
     """A read with the snapshot's grid checks 1,024-row chunks against the
     grid's row template and takes the row-by-row rule for a chunk that
@@ -349,7 +377,7 @@ class TestTemplateReader:
         template = _outcome(lambda: read_field_csv(target, grid))
         without = _outcome(lambda: read_field_csv(target))
         with monkeypatch.context() as patch:
-            patch.setattr(fields_module, "_template_values", lambda part, rows, n: None)
+            patch.setattr(artifacts_module, "_template_values", lambda part, rows, n: None)
             row_rule = _outcome(lambda: read_field_csv(target, grid))
         assert template == row_rule == without
         return template
@@ -362,7 +390,7 @@ class TestTemplateReader:
         def row_loop(*args):
             raise AssertionError("a valid file entered the row loop")
 
-        monkeypatch.setattr(fields_module, "_read_rows", row_loop)
+        monkeypatch.setattr(artifacts_module, "_read_rows", row_loop)
         assert read_field_csv(target, grid).values.tobytes() == vals.tobytes()
 
     @pytest.mark.parametrize("edit", ["missing-row", "extra-row", "swapped-pair",
@@ -429,6 +457,24 @@ class TestTemplateReader:
             assert (kind, message) == ("FieldValidationError",
                                        f"{target}: row 1030: x1 '99.0' is not the grid's "
                                        f"{repr(grid.axis().tolist()[1030])!r}")
+
+
+class TestPathCsv:
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        p = sample_brownian(77, 1.0, 128, 2)
+        target = tmp_path / "path.csv"
+        write_path_csv(p, target)
+        back = read_path_csv(target)
+        assert np.array_equal(back.values, p.values)
+        assert np.array_equal(back.times, p.times)
+        assert back.kind == p.kind
+
+    def test_header_row_names_all_columns(self, tmp_path):
+        p = sample_brownian(77, 1.0, 16, 1)
+        target = tmp_path / "path.csv"
+        write_path_csv(p, target)
+        lines = [l for l in target.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0].split(",")[0] == "k"
 
 
 class TestPathText:
@@ -507,9 +553,8 @@ def test_manifest_text(tmp_path):
          "drift_id": "linear", "path_kind": "piecewise_linear_bv", "n_level": 16,
          "config_hash": "fedcba9876543210", "tolerance_version": "1"},
     ]
-    target = tmp_path / "manifest.csv"
-    _write_manifest(rows, target)
-    assert text(target) == (
+    write_manifest(tmp_path, rows)
+    assert text(tmp_path / "manifest.csv") == (
         "seed,scheme,N,dt,p,drift_id,path_kind,n_level,config_hash,tolerance_version\n"
         f"3,semi_lagrangian,64,{X17_TEXT},1.0,zero,brownian,,0123456789abcdef,1\n"
         "4,upwind_fv,8,0.015625,2.0,linear,piecewise_linear_bv,16,fedcba9876543210,1\n"
@@ -542,7 +587,12 @@ def test_norms_text(tmp_path):
     ((0.0, 0.0, 0.0), "4,0.0,\n8,0.0,\n16,0.0,\n"),
     # the worst errors of the Wong-Zakai study are an array's np.float64 values
     (np.array([4.0 * X17, X17, 0.0]), f"4,1.2000000000000002,\n8,{X17_TEXT},2.0\n16,0.0,exact\n"),
-], ids=["zero-tail", "zero-then-nonzero", "all-zero", "np-float64"])
+    # a ratio of errors beyond the float range has a finite order, not "exact"
+    ((1.0, 5e-324), "4,1.0,\n8,5e-324,1074.0\n"),
+    ((1e300, 1e-300), "4,1e+300,\n8,1e-300,1993.1568569324174\n"),
+    ((1e-300, 1e300), "4,1e-300,\n8,1e+300,-1993.1568569324174\n"),
+], ids=["zero-tail", "zero-then-nonzero", "all-zero", "np-float64", "overflow-subnormal",
+        "overflow", "underflow"])
 def test_convergence_table_text(tmp_path, errors, want):
     target = tmp_path / "table.csv"
     _write_ladder(target, (4, 8, 16, 32)[:len(errors)], errors)
@@ -550,13 +600,80 @@ def test_convergence_table_text(tmp_path, errors, want):
 
 
 def test_manifest_round_trip(tmp_path):
-    from stochtransport.experiments import _read_manifest
-
     rows = [{"seed": 3, "scheme": "semi_lagrangian", "N": 64, "dt": X17, "p": 1.0,
              "drift_id": "zero", "path_kind": "brownian", "n_level": "",
              "config_hash": "0123456789abcdef", "tolerance_version": "1"}]
-    target = tmp_path / "manifest.csv"
-    _write_manifest(rows, target)
-    back = _read_manifest(target)
+    write_manifest(tmp_path, rows)
+    back = _read_manifest(tmp_path)
     assert back == [{k: str(v) for k, v in rows[0].items()}]
     assert float(back[0]["dt"]) == X17
+
+
+#: The names of the files of a ``solve`` run, which only the run store spells.
+RUN_FILE_NAMES = ("u_t", "v_t", "path.csv", "norms.csv", "manifest.csv")
+
+#: What each module of the package may not import, by the layering of the run store.
+FORBIDDEN_IMPORTS = {
+    "fields": {"artifacts"},
+    "paths": {"artifacts"},
+    "artifacts": {"drifts", "weakform", "spde", "experiments", "cli"},
+}
+
+
+def _package_modules() -> dict:
+    """Each module of the package, by name, as its parsed source."""
+    root = os.path.dirname(stochtransport.__file__)
+    return {name[:-3]: ast.parse(open(os.path.join(root, name), encoding="utf-8").read())
+            for name in sorted(os.listdir(root)) if name.endswith(".py")}
+
+
+def _imported(tree) -> set:
+    """The package modules a module imports, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("stochtransport").lstrip(".")
+            if node.level or node.module and node.module.startswith("stochtransport"):
+                found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("stochtransport.")}
+    return found
+
+
+def _opens_for_writing(node) -> bool:
+    """A call that opens a file for writing: ``open`` with a mode that writes,
+    appends or creates, or a copy or a save of a file."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if name == "open":
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        return any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                   for m in modes)
+    return name in ("copyfile", "write_text", "write_bytes", "save", "savez", "savetxt",
+                    "tofile")
+
+
+@pytest.mark.parametrize("module", sorted(_package_modules()))
+def test_the_run_store_alone_owns_the_run_files(module):
+    tree = _package_modules()[module]
+    assert not _imported(tree) & FORBIDDEN_IMPORTS.get(module, set())
+    if module == "artifacts":
+        return
+    spelled = [(node.lineno, node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and any(name in node.value for name in RUN_FILE_NAMES)]
+    assert not spelled, f"{module} spells a run file name: {spelled}"
+    writes = [node.lineno for node in ast.walk(tree) if _opens_for_writing(node)]
+    assert not writes, f"{module} opens a file for writing at lines {writes}"
+
+
+def test_the_layering_check_sees_a_violation():
+    # the checks above read these sources as they would read a module at fault
+    tree = ast.parse("from .artifacts import write_csv\nimport stochtransport.spde\n"
+                     "open(target, 'w')\nopen(target, mode='ab')\nopen(target)\n"
+                     "shutil.copyfile(a, b)\nname = f'u_t{m:04d}.csv'\n")
+    assert _imported(tree) == {"artifacts", "spde"}
+    assert [n.lineno for n in ast.walk(tree) if _opens_for_writing(n)] == [3, 4, 6]
+    assert any(isinstance(n, ast.Constant) and "u_t" in str(n.value) for n in ast.walk(tree))

@@ -407,7 +407,11 @@ class TestZeroDrift:
      r"degenerate window axis \(1.0, 1.0\)$"),
     (lambda: check_hypotheses(constant_drift([1.0]), 2.0, BOX1, 0.0),
      "horizon must be positive, got 0.0$"),
-], ids=["non-square-matrix", "window-axes", "degenerate-window", "zero-horizon"])
+    (lambda: stream_function_drift(0.0), "half_width must be positive and finite, got 0.0$"),
+    (lambda: shear_drift(math.inf), "half_width must be positive and finite, got inf$"),
+    (lambda: linear_drift([[math.nan]]), r"matrix must be finite, got \[\[nan\]\]$"),
+], ids=["non-square-matrix", "window-axes", "degenerate-window", "zero-horizon",
+        "zero-half-width", "infinite-half-width", "non-finite-matrix"])
 def test_a_malformed_argument_is_a_config_error(call, message):
     with pytest.raises(ConfigError, match=message):
         call()

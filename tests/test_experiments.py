@@ -42,8 +42,9 @@ from stochtransport.experiments import (
 )
 from stochtransport.cli import main
 from stochtransport.drifts import drift_from_spec
-from stochtransport.fields import read_field_csv
-from stochtransport.paths import sample_brownian, write_path_csv
+from stochtransport.artifacts import read_field_csv, write_field_csv, write_path_csv
+from stochtransport.fields import ScalarField
+from stochtransport.paths import sample_brownian
 from stochtransport.profiles import profile_from_spec, sample_profile
 from stochtransport.schema import CONFIG, DRIFT, PROFILE, check, check_keys
 from stochtransport.spde import SNAPSHOT_INTERVALS
@@ -223,6 +224,15 @@ class TestEstimateOrder:
         with pytest.raises(ConfigError, match="starts at zero"):
             estimate_order([0.0, 0.0])
 
+    @pytest.mark.parametrize("errors, order", [
+        ([1.0, 5e-324], 1074.0), ([1e300, 1e-300], 1993.1568569324174),
+        ([1e-300, 1e300], -1993.1568569324174),
+    ], ids=["overflow-subnormal", "overflow", "underflow"])
+    def test_a_ratio_beyond_the_float_range_has_a_finite_order(self, errors, order):
+        (got,) = estimate_order(errors)
+        assert math.isfinite(got) and abs(got - order) <= 1.0e-12 * abs(order)
+        assert got == math.log2(errors[0]) - math.log2(errors[1])
+
 
 class TestWriteLadder:
     def test_csv_tags(self, tmp_path):
@@ -360,8 +370,6 @@ class TestVerifyWeakCommand:
         cmd_solve(cfg, out_dir=out)
         target = out / "u_t0008.csv"
         field = read_field_csv(target)
-        from stochtransport.fields import ScalarField, write_field_csv
-
         write_field_csv(ScalarField(field.grid, 1.5 * field.values + 0.2), target)
         result = cmd_verify_weak(cfg, out_dir=out)
         assert result.exit_code == 1
@@ -1246,8 +1254,6 @@ class TestCommandLine:
         main(["solve", "--config", config, "--out", out])
         target = os.path.join(out, "u_t0008.csv")
         field = read_field_csv(target)
-        from stochtransport.fields import ScalarField, write_field_csv
-
         write_field_csv(ScalarField(field.grid, 1.5 * field.values + 0.2), target)
         assert main(["verify-weak", "--config", config, "--out", out]) == 1
 

@@ -1,4 +1,4 @@
-"""Grid, norm, interpolation, shift, and field CSV behavior.
+"""Grid, norm, interpolation and shift behavior.
 
 Reference values come from closed forms evaluated inline (analytic
 integrals, exact translations) or from resampling the same analytic
@@ -26,9 +26,7 @@ from stochtransport.fields import (
     _Workspace,
     interpolate,
     lp_norm,
-    read_field_csv,
     shift_field,
-    write_field_csv,
 )
 from stochtransport.drifts import stream_function_drift
 from stochtransport.profiles import bump, sample_profile
@@ -601,21 +599,6 @@ class TestShiftField:
         assert np.array_equal(shift_field(f, [delta]).values, want)
 
 
-class TestFieldCsv:
-    def test_round_trip_is_bit_exact(self, tmp_path, bump512):
-        target = tmp_path / "field.csv"
-        write_field_csv(bump512, target)
-        back = read_field_csv(target)
-        assert np.array_equal(back.values, bump512.values)
-        assert back.grid == bump512.grid
-
-    def test_header_row_names_all_columns(self, tmp_path, bump512):
-        target = tmp_path / "field.csv"
-        write_field_csv(bump512, target)
-        lines = [l for l in target.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "index,x1,value"
-
-
 GRID16 = SpatialGrid(d=1, half_width=4.0, n=16)
 
 
@@ -630,7 +613,9 @@ GRID16 = SpatialGrid(d=1, half_width=4.0, n=16)
      "points have dimension 2, grid has dimension 1$"),
     (lambda: _shifted(GRID16, np.zeros((1, 16)), np.array([[np.nan]]), _Workspace()),
      "interpolation points must be finite$"),
-], ids=["shape", "grids", "non-finite-samples", "point-dimension", "non-finite-shift"])
+    (lambda: SpatialGrid(1, 4.0, 16.5), "n must be an integer, got 16.5$"),
+], ids=["shape", "grids", "non-finite-samples", "point-dimension", "non-finite-shift",
+        "non-integral-n"])
 def test_a_malformed_argument_raises(call, message):
     # from_function divides by zero with numpy's warnings off: no RuntimeWarning
     with pytest.raises(FieldValidationError, match=message):

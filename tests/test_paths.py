@@ -1,4 +1,4 @@
-"""Driving paths: Brownian sampling, BV approximants, distances, CSV I/O.
+"""Driving paths: Brownian sampling, BV approximants and distances.
 
 The chi-square band for increment variances and the chord-midpoint
 recomputation are evaluated inline; no frozen solver output enters.
@@ -9,15 +9,14 @@ import math
 import numpy as np
 import pytest
 
+from stochtransport.artifacts import read_path_csv, write_path_csv
 from stochtransport.errors import ConfigError, MeshMismatchError, PathRangeError
 from stochtransport.paths import (
     SamplePath,
     eval_path,
     piecewise_linear_approx,
-    read_path_csv,
     sample_brownian,
     sup_distance,
-    write_path_csv,
     zero_path,
 )
 
@@ -168,24 +167,6 @@ class TestEvalPath:
             eval_path(p, math.nan)
         with pytest.raises(PathRangeError):
             eval_path(p, np.array([0.5, math.nan]))
-
-
-class TestPathCsv:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        p = sample_brownian(77, 1.0, 128, 2)
-        target = tmp_path / "path.csv"
-        write_path_csv(p, target)
-        back = read_path_csv(target)
-        assert np.array_equal(back.values, p.values)
-        assert np.array_equal(back.times, p.times)
-        assert back.kind == p.kind
-
-    def test_header_row_names_all_columns(self, tmp_path):
-        p = sample_brownian(77, 1.0, 16, 1)
-        target = tmp_path / "path.csv"
-        write_path_csv(p, target)
-        lines = [l for l in target.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0].split(",")[0] == "k"
 
 
 class TestSamplePathValidation:

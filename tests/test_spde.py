@@ -30,8 +30,8 @@ from stochtransport.drifts import (
     time_modulated_drift,
     zero_drift,
 )
-from stochtransport.fields import (ScalarField, SpatialGrid, lp_norm, read_field_csv,
-                                   shift_field, write_field_csv)
+from stochtransport.artifacts import read_field_csv, write_field_csv
+from stochtransport.fields import ScalarField, SpatialGrid, lp_norm, shift_field
 from stochtransport.paths import (
     SamplePath,
     eval_path,

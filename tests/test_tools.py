@@ -1,4 +1,5 @@
-"""``tools/same_bytes.py``: a tree reads identical to itself, and one ulp is seen.
+"""``tools/same_bytes.py``: a tree reads identical to itself, one ulp is seen, and a
+replay that differs from its seeded solve is named.
 
 The tool is read from source (no bytecode is written). Its smoke run
 takes the five commands of one small 1D config in both trees, ten fresh
@@ -50,3 +51,17 @@ def test_a_snapshot_value_moved_by_one_ulp_is_named(tmp_path):
     fault = TOOL["first_difference"](str(tmp_path / "base"), str(tmp_path / "head"), {}, {})
     assert fault == (f"{os.path.join('run', 'u_t0003.csv')}: bytes differ, "
                      f"largest |delta| {moved - value!r}")
+
+
+def test_a_replay_that_differs_from_its_seeded_solve_is_named(tmp_path):
+    cfg = ExperimentConfig.from_dict(SMALL)
+    cmd_solve(cfg, out_dir=tmp_path / "run")
+    cmd_solve(cfg, out_dir=tmp_path / "run_replay", path_file=tmp_path / "run" / "path.csv")
+    assert TOOL["replay_difference"](str(tmp_path), "run", "run_replay") is None
+    target = tmp_path / "run_replay" / "norms.csv"
+    target.write_bytes(target.read_bytes() + b"\n")
+    assert TOOL["replay_difference"](str(tmp_path), "run", "run_replay") == (
+        f"{os.path.join('run_replay', 'norms.csv')}: bytes differ")
+    target.unlink()
+    assert TOOL["replay_difference"](str(tmp_path), "run", "run_replay") == (
+        f"{os.path.join('run_replay', 'norms.csv')}: written by one run only")

@@ -8,15 +8,19 @@ Both trees run the same scope, each command in a fresh process with one
 thread and ``PYTHONHASHSEED=0``:
 
 - every op of the three benchmark workloads of ``bench/workloads.py``, on
-  their configs at the default seeds, then the six demos; or
+  their configs at the default seeds, each ``solve`` followed by its
+  replay, a ``solve --path-file`` of the ``path.csv`` it wrote, then the
+  six demos; or
 - with ``--config FILE``, the five commands on that one config: solve,
   verify-weak, uniqueness, wong-zakai and hypotheses.
 
 It compares every exit code, stdout and stderr with the work directory
 and the tree masked, and the sha256 of every file the runs leave, the
-configs included. It prints one line: that everything is identical, or
-the first op, demo or file that differs, with the largest |delta| of a
-snapshot's values. It exits 0 when everything is identical, else 1.
+configs included. In this tree it also checks that each replay wrote
+the files of its seeded ``solve``, byte for byte. It prints one line:
+that everything is identical, or the first op, demo or file that
+differs, with the largest |delta| of a snapshot's values. It exits 0
+when everything is identical, else 1.
 """
 
 from __future__ import annotations
@@ -58,12 +62,15 @@ def unpack(base: str, work: str) -> str:
 
 
 def scope(tree: str, config: str | None) -> list:
-    """What to run, in order: (name, directory, {config file: text}, argv)."""
+    """What to run, in order: (name, directory, {config file: text}, argv,
+    replay), where ``replay`` is None, or the output directories of a seeded
+    ``solve`` and of its replay, which must hold the same files."""
     if config is not None:
         with open(config, encoding="utf-8") as fh:
             files = {"config.json": fh.read()}
         return [(f"{command} --config {os.path.basename(config)}", "config", files,
-                 ["-m", "stochtransport", command, "--config", "config.json", "--out", out])
+                 ["-m", "stochtransport", command, "--config", "config.json", "--out", out],
+                 None)
                 for command, out in COMMANDS]
     bench = runpy.run_path(os.path.join(ROOT, "bench", "workloads.py"),
                            run_name="bench_workloads")
@@ -71,25 +78,31 @@ def scope(tree: str, config: str | None) -> list:
     for workload, seed in bench["DEFAULT_SEEDS"].items():
         files = {f"{name}.json": json.dumps(cfg, indent=1)
                  for name, cfg in bench["configs"](workload, seed).items()}
-        units += [(f"{workload} {op.label}", workload, files,
-                   ["-m", "stochtransport", op.command, "--config", f"{op.config}.json",
-                    "--out", op.out])
-                  for op in bench["ops"](workload)]
+        for op in bench["ops"](workload):
+            argv = ["-m", "stochtransport", op.command, "--config", f"{op.config}.json"]
+            units.append((f"{workload} {op.label}", workload, files, argv + ["--out", op.out],
+                          None))
+            if op.command == "solve":
+                replay = f"{op.out}_replay"
+                units.append((f"{workload} {op.label} replay", workload, files,
+                              argv + ["--out", replay, "--path-file",
+                                      os.path.join(op.out, "path.csv")], (op.out, replay)))
     demos = sorted(n for n in os.listdir(os.path.join(tree, "demos")) if n.endswith(".py"))
     return units + [(f"demo {name}", os.path.join("demos", name[:-3]), {},
-                     [os.path.join(tree, "demos", name)]) for name in demos]
+                     [os.path.join(tree, "demos", name)], None) for name in demos]
 
 
-def run(tree: str, work: str, config: str | None) -> dict:
+def run(tree: str, work: str, config: str | None) -> tuple[dict, dict]:
     """Run the scope of ``tree`` in a fresh ``work`` directory: the exit
     code, stdout and stderr of each op and demo, with ``work`` and
-    ``tree`` masked."""
+    ``tree`` masked, and for each replay, what :func:`replay_difference`
+    finds right after it ran."""
     shutil.rmtree(work, ignore_errors=True)
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.path.join(tree, "src"))
     env.update(dict.fromkeys(_THREAD_VARS, "1"))
-    outcomes = {}
-    for name, where, files, argv in scope(tree, config):
+    outcomes, replays = {}, {}
+    for name, where, files, argv, replay in scope(tree, config):
         cwd = os.path.join(work, where)
         os.makedirs(cwd, exist_ok=True)
         for file, text in files.items():
@@ -101,7 +114,9 @@ def run(tree: str, work: str, config: str | None) -> dict:
         outcomes[name] = (proc.returncode,) + tuple(
             text.replace(work, "<work>").replace(tree, "<tree>")
             for text in (proc.stdout, proc.stderr))
-    return outcomes
+        if replay is not None:
+            replays[name] = replay_difference(cwd, *replay)
+    return outcomes, replays
 
 
 def digests(work: str) -> dict:
@@ -113,6 +128,18 @@ def digests(work: str) -> dict:
             with open(path, "rb") as fh:
                 found[os.path.relpath(path, work)] = hashlib.sha256(fh.read()).hexdigest()
     return found
+
+
+def replay_difference(cwd: str, seeded: str, replayed: str):
+    """The first file, by path, that the replay under ``cwd/replayed`` of
+    the seeded run under ``cwd/seeded`` did not write with the same bytes,
+    in words; None when both hold the same files, byte for byte."""
+    a, b = digests(os.path.join(cwd, seeded)), digests(os.path.join(cwd, replayed))
+    for rel in sorted(a.keys() | b.keys()):
+        if a.get(rel) != b.get(rel):
+            where = "bytes differ" if rel in a and rel in b else "written by one run only"
+            return f"{os.path.join(replayed, rel)}: {where}"
+    return None
 
 
 def _snapshot_delta(a: str, b: str) -> str:
@@ -155,14 +182,19 @@ def compare(base: str, config: str | None = None, work: str = WORK) -> tuple[boo
     """Run the scope on ``base`` and on this tree: (identical, summary line)."""
     tree = unpack(base, work)
     base_work, head_work = os.path.join(work, "base"), os.path.join(work, "head")
-    base_runs, head_runs = run(tree, base_work, config), run(ROOT, head_work, config)
+    base_runs, _ = run(tree, base_work, config)
+    head_runs, replays = run(ROOT, head_work, config)
     fault = first_difference(base_work, head_work, base_runs, head_runs)
     if fault is not None:
         return False, f"same-bytes: DIFFERS from {base}: {fault}"
+    for name, fault in replays.items():
+        if fault is not None:
+            return False, f"same-bytes: a replay DIFFERS from its seeded solve: {name}: {fault}"
     demos = sum(name.startswith("demo ") for name in head_runs)
+    ops = len(head_runs) - demos - len(replays)
     return True, (f"same-bytes: identical to {base}: {len(digests(head_work))} files, "
-                  f"{len(head_runs) - demos} ops and {demos} demos, with the same exit "
-                  "codes, stdout and stderr")
+                  f"{ops} ops" + (f", {len(replays)} replays" if replays else "")
+                  + f" and {demos} demos, with the same exit codes, stdout and stderr")
 
 
 def main(argv=None) -> int:
